@@ -235,9 +235,7 @@ Status QueryService::RunAttempt(const CachedPlan& plan,
   ctx.documents = documents_;
   ctx.detect_sorted_inputs = options.physical_sort_detection;
   ctx.num_threads = degraded ? 1 : options.num_threads;
-  ctx.chunk_rows = options.chunk_rows;
   ctx.release_intermediates = options.release_intermediates;
-  ctx.pipelined_execution = options.pipelined_execution;
   ctx.morsel_rows = options.morsel_rows;
   ctx.inline_rows = options.inline_rows;
   if (options.profile) ctx.profile = &out->result.profile;

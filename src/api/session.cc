@@ -410,9 +410,7 @@ Result<QueryResult> Session::Execute(std::string_view query,
   ctx.documents = documents_;
   ctx.detect_sorted_inputs = options.physical_sort_detection;
   ctx.num_threads = options.num_threads;
-  ctx.chunk_rows = options.chunk_rows;
   ctx.release_intermediates = options.release_intermediates;
-  ctx.pipelined_execution = options.pipelined_execution;
   ctx.morsel_rows = options.morsel_rows;
   ctx.inline_rows = options.inline_rows;
   if (options.profile) ctx.profile = &result.profile;

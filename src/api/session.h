@@ -82,17 +82,18 @@ struct QueryOptions {
   // forces the exact serial evaluation order; 0 defers to EXRQUY_THREADS
   // or the hardware. Results are byte-identical for every setting.
   int num_threads = 0;
-  size_t chunk_rows = 65536;
   bool release_intermediates = true;
-  // Morsel-driven pipelined execution (engine/eval.h): fuse non-blocking
-  // operator chains and pull them in morsels of `morsel_rows` rows
-  // (0 defers to EXRQUY_MORSEL_ROWS, then chunk_rows). Scheduled units
-  // with at most `inline_rows` materialized input rows run inline on the
-  // readying thread instead of a pool task. All three change scheduling
-  // and footprint only — results are byte-identical for every setting.
-  bool pipelined_execution = true;
+  // Morsel size of the pipelined engine (engine/eval.h), which every
+  // breaker kernel also splits its input by: 0 defers to
+  // EXRQUY_MORSEL_ROWS, then 65536. Scheduled units with at most
+  // `inline_rows` materialized input rows run inline on the readying
+  // thread instead of a pool task. Both change scheduling and footprint
+  // only — results are byte-identical for every setting.
   size_t morsel_rows = 0;
   size_t inline_rows = 4096;
+  // No effect (see EvalContext); kept so existing callers compile.
+  size_t chunk_rows = 65536;
+  bool pipelined_execution = true;
 
   // -- Resource governance (common/governor.h, engine/faults.h) -----------
   // Wall-clock deadline for this execution, in milliseconds from the

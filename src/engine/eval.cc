@@ -12,7 +12,6 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "opt/analyses.h"
 #include "opt/verify.h"
 #include "xml/serializer.h"
 #include "xml/step.h"
@@ -42,18 +41,16 @@ size_t ResolveThreads(int requested) {
 }
 
 // Resolves EvalContext::morsel_rows: explicit > EXRQUY_MORSEL_ROWS >
-// chunk_rows. A pure function of configuration — never of the thread
-// count — so morsel boundaries are too.
-size_t ResolveMorselRows(size_t requested, size_t chunk_rows) {
-  size_t v = requested;
-  if (v == 0) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
-    if (const char* env = std::getenv("EXRQUY_MORSEL_ROWS")) {
-      long parsed = std::atol(env);
-      if (parsed > 0) v = static_cast<size_t>(parsed);
-    }
+// 65536. A pure function of configuration — never of the thread count —
+// so morsel boundaries are too.
+size_t ResolveMorselRows(size_t requested) {
+  if (requested != 0) return requested;
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
+  if (const char* env = std::getenv("EXRQUY_MORSEL_ROWS")) {
+    long parsed = std::atol(env);
+    if (parsed > 0) return static_cast<size_t>(parsed);
   }
-  return v == 0 ? chunk_rows : v;
+  return 65536;
 }
 
 // Node constructors append to the NodeStore; NodeIdx values are allocation
@@ -63,8 +60,8 @@ bool IsNodeConstructor(OpKind k) {
   return k == OpKind::kElem || k == OpKind::kAttr || k == OpKind::kTextNode;
 }
 
-// Where the running operator task reports its chunk count (set around
-// EvalOp; chunked kernels run on the same thread as their dispatch).
+// Where the running breaker kernel reports its range count (set around
+// EvalOp; ForMorsels runs on the same thread as its dispatch).
 thread_local size_t* tls_chunks = nullptr;
 
 void NoteChunks(size_t chunks) {
@@ -193,6 +190,14 @@ ColumnPtr SliceOrShare(const Table& t, ColId c, size_t b, size_t e) {
       src.begin() + static_cast<ptrdiff_t>(e));
 }
 
+// Rows [b, e) of every column of `t`, sharing columns when whole.
+std::shared_ptr<Table> SliceRows(const Table& t, size_t b, size_t e) {
+  auto out = std::make_shared<Table>();
+  for (ColId c : t.schema()) out->AddColumn(c, SliceOrShare(t, c, b, e));
+  out->SetRows(e - b);
+  return out;
+}
+
 // One morsel's result, parked until the sink's ordered merge. Slots are
 // disjoint across morsel tasks, so no locking.
 struct MorselOut {
@@ -251,8 +256,7 @@ Evaluator::Evaluator(const Dag& dag, EvalContext* ctx)
     : dag_(dag),
       ctx_(ctx),
       ops_(ctx->strings, ctx->store),
-      chunk_rows_(std::max<size_t>(1, ctx->chunk_rows)),
-      morsel_rows_(ResolveMorselRows(ctx->morsel_rows, chunk_rows_)),
+      morsel_rows_(ResolveMorselRows(ctx->morsel_rows)),
       inline_rows_(ctx->inline_rows) {}
 
 // ---------------------------------------------------------------------------
@@ -320,20 +324,16 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
   EXRQUY_RETURN_IF_ERROR(PollGovernor());
 
   std::vector<OpId> order = dag_.ReachableFrom(root);
-  if (ctx_->pipelined_execution) {
-    // Plan the fusable chains, then refuse to run any plan the audit
-    // cannot independently re-derive — a planner bug must fail as a
-    // Status, never as a wrong (or torn) result.
-    mplan_ = PlanPipelines(dag_, order, root);
-    EXRQUY_RETURN_IF_ERROR(AuditMorselPlan(dag_, order, root, mplan_));
-    pipelined_ = !mplan_.pipelines.empty();
-  }
+  // Plan the fusable chains, then refuse to run any plan the audit
+  // cannot independently re-derive — a planner bug must fail as a
+  // Status, never as a wrong (or torn) result.
+  mplan_ = PlanPipelines(dag_, order, root);
+  EXRQUY_RETURN_IF_ERROR(AuditMorselPlan(dag_, order, root, mplan_));
   size_t threads = ResolveThreads(ctx_->num_threads);
   if (ctx_->profile != nullptr) {
     ctx_->profile->SetExecution(threads, ctx_->release_intermediates);
   }
-  Result<TablePtr> result = threads <= 1 ? EvalSerial(order, root)
-                                         : EvalParallel(order, root, threads);
+  Result<TablePtr> result = Schedule(order, root, threads);
   if (result.ok()) {
     // A trip latched during the final operator's chunks, or a budget
     // crossing charged by the last kernel, still fails the query: the
@@ -401,112 +401,8 @@ void Evaluator::ReleaseMorsel(size_t bytes) {
   morsel_live_bytes_ -= bytes;
 }
 
-Result<TablePtr> Evaluator::EvalSerial(const std::vector<OpId>& order,
-                                       OpId root) {
-  // Bottom-up over the reachable sub-DAG: each operator evaluated once,
-  // shared sub-plans reused (full materialization, MonetDB style).
-  std::unordered_map<OpId, TablePtr> memo;
-  std::unordered_map<OpId, uint32_t> consumers;
-  const bool release = ctx_->release_intermediates;
-  if (release) consumers = ConsumerCounts(dag_, root);
-
-  // Releases `c`'s table once its last consumer has run. In-pipe edges
-  // have no memo entry (interior stages never materialize) — their
-  // counter still reaches zero here, with nothing to free.
-  auto release_child = [&](OpId c) {
-    auto it = consumers.find(c);
-    if (it != consumers.end() && --it->second == 0) {
-      auto mit = memo.find(c);
-      if (mit != memo.end()) {
-        UntrackTable(*mit->second);
-        memo.erase(mit);
-        ++released_tables_;
-      }
-    }
-  };
-
-  for (OpId id : order) {
-    // Interior pipeline stages run fused inside their sink's unit; they
-    // are skipped here (and in the parallel scheduler) so the PollOp
-    // dispatch count is the number of scheduled units in both modes.
-    if (pipelined_ && mplan_.interior(id)) continue;
-    EXRQUY_RETURN_IF_ERROR(PollOp());
-    const Op& op = dag_.op(id);
-
-    if (pipelined_ && mplan_.sink(id)) {
-      uint32_t pidx = mplan_.pipeline_of.at(id);
-      const Pipeline& pl = mplan_.pipelines[pidx];
-      auto input = [&](OpId c) -> const TablePtr& { return memo.at(c); };
-      const bool prof = ctx_->profile != nullptr;
-      std::vector<Profile::OpMetrics> sm;
-      Profile::PipelineMetrics pm;
-      Clock::time_point start = Clock::now();
-      Result<TablePtr> r =
-          EvalPipeline(pidx, input, prof ? &sm : nullptr, prof ? &pm : nullptr);
-      double ms = MsSince(start);
-      if (r.ok() && tripped_.load(std::memory_order_acquire)) {
-        r = TripStatus();
-      }
-      if (!r.ok()) return r.status();
-      TablePtr t = std::move(r).value();
-      if (prof) {
-        for (Profile::OpMetrics& m : sm) {
-          ctx_->profile->Record(dag_.op(m.op), std::move(m));
-        }
-        pm.ms = ms;
-        ctx_->profile->RecordPipeline(pm);
-      }
-      TrackTable(*t);
-      memo[id] = std::move(t);
-      if (release) {
-        for (const PipelineStage& st : pl.stages) {
-          for (OpId c : dag_.op(st.op).children) release_child(c);
-        }
-      }
-      continue;
-    }
-
-    std::vector<TablePtr> in;
-    in.reserve(op.children.size());
-    size_t in_rows = 0;
-    for (OpId c : op.children) {
-      in.push_back(memo.at(c));
-      in_rows += in.back()->rows();
-    }
-    size_t chunks = 1;
-    tls_chunks = &chunks;
-    Clock::time_point start = Clock::now();
-    Result<TablePtr> r = EvalOp(op, in);
-    double ms = MsSince(start);
-    tls_chunks = nullptr;
-    if (r.ok() && tripped_.load(std::memory_order_acquire)) {
-      // A governor trip mid-kernel makes chunk tasks skip their slices;
-      // the assembled table would be torn, so it must not be memoized.
-      r = TripStatus();
-    }
-    if (!r.ok()) return r.status();
-    TablePtr t = std::move(r).value();
-    if (ctx_->profile != nullptr) {
-      Profile::OpMetrics m;
-      m.op = id;
-      m.ms = ms;
-      m.in_rows = in_rows;
-      m.out_rows = t->rows();
-      m.chunks = chunks;
-      ctx_->profile->Record(op, std::move(m));
-    }
-    TrackTable(*t);
-    memo[id] = std::move(t);
-    if (release) {
-      in.clear();  // drop the extra references before releasing
-      for (OpId c : op.children) release_child(c);
-    }
-  }
-  return memo.at(root);
-}
-
-Result<TablePtr> Evaluator::EvalParallel(const std::vector<OpId>& order,
-                                         OpId root, size_t threads) {
+Result<TablePtr> Evaluator::Schedule(const std::vector<OpId>& order,
+                                     OpId root, size_t threads) {
   const size_t n = order.size();
   Sched s(n);
   s.ids = order;
@@ -539,34 +435,45 @@ Result<TablePtr> Evaluator::EvalParallel(const std::vector<OpId>& order,
   s.release = ctx_->release_intermediates;
   s.track = ctx_->profile != nullptr;
 
-  // Snapshot the initially-ready set before any task runs: once workers
-  // start, they decrement pending counts concurrently, and re-reading
-  // them here could observe a drop to zero and submit an op twice.
-  std::vector<size_t> ready;
-  for (size_t i = 0; i < n; ++i) {
-    if (s.pending[i].load(std::memory_order_relaxed) == 0) ready.push_back(i);
-  }
-  pool_ = std::make_unique<TaskPool>(threads);
-  Sched* sp = &s;
-  Clock::time_point t0 = Clock::now();
-  // Inline-eligible ready units run on this thread after the pooled ones
-  // are queued; with a tiny query, nothing is ever queued and the lazy
-  // pool never spawns a worker.
-  std::vector<size_t> run_here;
-  for (size_t i : ready) {
-    s.ready_at[i] = t0;
-    if (ShouldInline(sp, i)) {
-      run_here.push_back(i);
-    } else {
-      pool_->Submit([this, sp, i] { RunTask(sp, i, /*queued=*/true); });
+  if (threads <= 1) {
+    // Serial execution is this scheduler with every unit inlined: the
+    // slots run in ascending op-id order, a topological order, so each
+    // unit finds its inputs complete. This is the evaluation order whose
+    // results and first error every other thread count reproduces.
+    std::vector<size_t> unused;
+    for (size_t i = 0; i < n; ++i) RunOne(&s, i, /*queued=*/false, &unused);
+  } else {
+    // Snapshot the initially-ready set before any task runs: once workers
+    // start, they decrement pending counts concurrently, and re-reading
+    // them here could observe a drop to zero and submit an op twice.
+    std::vector<size_t> ready;
+    for (size_t i = 0; i < n; ++i) {
+      if (s.pending[i].load(std::memory_order_relaxed) == 0) {
+        ready.push_back(i);
+      }
     }
+    pool_ = std::make_unique<TaskPool>(threads);
+    Sched* sp = &s;
+    Clock::time_point t0 = Clock::now();
+    // Inline-eligible ready units run on this thread after the pooled ones
+    // are queued; with a tiny query, nothing is ever queued and the lazy
+    // pool never spawns a worker.
+    std::vector<size_t> run_here;
+    for (size_t i : ready) {
+      s.ready_at[i] = t0;
+      if (ShouldInline(sp, i)) {
+        run_here.push_back(i);
+      } else {
+        pool_->Submit([this, sp, i] { RunTask(sp, i, /*queued=*/true); });
+      }
+    }
+    for (size_t i : run_here) RunTask(sp, i, /*queued=*/false);
+    {
+      std::unique_lock<std::mutex> lock(s.done_mu);
+      s.done_cv.wait(lock, [&] { return s.remaining == 0; });
+    }
+    pool_.reset();  // joins the workers; nothing touches `s` afterwards
   }
-  for (size_t i : run_here) RunTask(sp, i, /*queued=*/false);
-  {
-    std::unique_lock<std::mutex> lock(s.done_mu);
-    s.done_cv.wait(lock, [&] { return s.remaining == 0; });
-  }
-  pool_.reset();  // joins the workers; nothing touches `s` afterwards
 
   // A governor trip wins over concurrent operator errors: the trip is
   // reproducible at every thread count (its counters advance the same
@@ -592,15 +499,11 @@ void Evaluator::RunTask(Sched* s, size_t i, bool queued) {
 
 void Evaluator::RunOne(Sched* s, size_t i, bool queued,
                        std::vector<size_t>* q) {
+  const OpId id = s->ids[i];
   // Interior pipeline stages never run as units — their work happens
   // fused inside the sink's morsel loop; completing them here only
   // propagates readiness (no poll, no release, no memo entry).
-  if (pipelined_ && mplan_.interior(s->ids[i])) {
-    FinishTask(s, i, q);
-    return;
-  }
-  const Op& op = *s->ops[i];
-  if (s->cancelled.load(std::memory_order_acquire)) {
+  if (mplan_.interior(id) || s->cancelled.load(std::memory_order_acquire)) {
     FinishTask(s, i, q);
     return;
   }
@@ -612,43 +515,69 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
     FinishTask(s, i, q);
     return;
   }
-  if (pipelined_ && mplan_.sink(s->ids[i])) {
-    RunPipelineUnit(s, i, queued, q);
-    return;
-  }
-  std::vector<TablePtr> in;
-  in.reserve(op.children.size());
-  size_t in_rows = 0;
-  for (OpId c : op.children) {
-    const TablePtr& t = s->memo[s->slot.at(c)];
-    in.push_back(t);
-    in_rows += t->rows();
-  }
-  double queue_ms = queued ? MsSince(s->ready_at[i]) : 0;
-  size_t chunks = 1;
-  tls_chunks = &chunks;
+  const Op& op = *s->ops[i];
+  const bool sink = mplan_.sink(id);
+  const double queue_ms = queued ? MsSince(s->ready_at[i]) : 0;
+  std::vector<Profile::OpMetrics> metrics;  // filled when profiling
+  Profile::PipelineMetrics pm;
   Clock::time_point start = Clock::now();
   Result<TablePtr> r = [&]() -> Result<TablePtr> {
-    if (IsNodeConstructor(op.kind)) {
-      std::unique_lock<std::shared_mutex> lock(store_mu_);
-      return EvalOp(op, in);
+    std::vector<Profile::OpMetrics>* sm = s->track ? &metrics : nullptr;
+    if (sink || Fusable(op.kind)) {
+      // No fusable kernel constructs nodes, so the unit (and the morsel
+      // tasks its ParallelFor fans out, which it outlives) holds the
+      // store shared, like any reading operator.
+      std::shared_lock<std::shared_mutex> lock(store_mu_);
+      auto input = [s](OpId c) -> const TablePtr& {
+        return s->memo[s->slot.at(c)];
+      };
+      if (!sink) {
+        // A fusable operator outside every chain: a one-stage pipeline.
+        return EvalPipeline(Pipeline{{PipelineStage{id, -1}}}, -1, input,
+                            sm, nullptr);
+      }
+      uint32_t pidx = mplan_.pipeline_of.at(id);
+      return EvalPipeline(mplan_.pipelines[pidx], pidx, input, sm, &pm);
     }
-    std::shared_lock<std::shared_mutex> lock(store_mu_);
-    return EvalOp(op, in);
+    std::vector<TablePtr> in;
+    in.reserve(op.children.size());
+    for (OpId c : op.children) in.push_back(s->memo[s->slot.at(c)]);
+    size_t chunks = 1;
+    tls_chunks = &chunks;
+    Result<TablePtr> t = [&]() -> Result<TablePtr> {
+      if (IsNodeConstructor(op.kind)) {
+        std::unique_lock<std::shared_mutex> lock(store_mu_);
+        return EvalOp(op, in);
+      }
+      std::shared_lock<std::shared_mutex> lock(store_mu_);
+      return EvalOp(op, in);
+    }();
+    tls_chunks = nullptr;
+    if (sm != nullptr && t.ok()) {
+      Profile::OpMetrics m;
+      m.op = id;
+      for (const TablePtr& c : in) m.in_rows += c->rows();
+      m.out_rows = (*t)->rows();
+      m.chunks = chunks;
+      sm->push_back(std::move(m));
+    }
+    return t;
   }();
-  double ms = MsSince(start);
-  tls_chunks = nullptr;
-  in.clear();
+  const double ms = MsSince(start);
 
   if (r.ok() && tripped_.load(std::memory_order_acquire)) {
-    // Torn table (chunks skipped after a trip) — do not memoize it.
+    // A governor trip mid-unit makes morsel and range tasks skip their
+    // slices; the torn table must not be memoized.
     r = TripStatus();
   }
   if (!r.ok()) {
+    // Errors resolve across units by unit id — for a pipeline, its sink's
+    // op id, the slot serial execution dispatches it at. EvalPipeline
+    // already picked the serial-first error within the unit.
     {
       std::lock_guard<std::mutex> lock(s->err_mu);
-      if (s->err_op == kNoOp || s->ids[i] < s->err_op) {
-        s->err_op = s->ids[i];
+      if (s->err_op == kNoOp || id < s->err_op) {
+        s->err_op = id;
         s->err = r.status();
       }
     }
@@ -658,14 +587,19 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
     {
       std::lock_guard<std::mutex> lock(profile_mu_);
       if (s->track) {
-        Profile::OpMetrics m;
-        m.op = s->ids[i];
-        m.ms = ms;
-        m.queue_ms = queue_ms;
-        m.in_rows = in_rows;
-        m.out_rows = t->rows();
-        m.chunks = chunks;
-        ctx_->profile->Record(op, std::move(m));
+        if (sink) {
+          pm.ms = ms;
+          pm.queue_ms = queue_ms;
+          ctx_->profile->RecordPipeline(pm);
+        } else {
+          // A standalone unit's one record carries its wall time and
+          // queue wait.
+          metrics[0].ms = ms;
+          metrics[0].queue_ms = queue_ms;
+        }
+        for (Profile::OpMetrics& m : metrics) {
+          ctx_->profile->Record(dag_.op(m.op), std::move(m));
+        }
       }
       TrackTable(*t);
     }
@@ -674,70 +608,15 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
   FinishTask(s, i, q);
 }
 
-void Evaluator::RunPipelineUnit(Sched* s, size_t i, bool queued,
-                                std::vector<size_t>* q) {
-  uint32_t pidx = mplan_.pipeline_of.at(s->ids[i]);
-  double queue_ms = queued ? MsSince(s->ready_at[i]) : 0;
-  auto input = [s](OpId c) -> const TablePtr& {
-    return s->memo[s->slot.at(c)];
-  };
-  const bool prof = s->track;
-  std::vector<Profile::OpMetrics> sm;
-  Profile::PipelineMetrics pm;
-  Clock::time_point start = Clock::now();
-  Result<TablePtr> r = [&]() -> Result<TablePtr> {
-    // No fused stage constructs nodes, so the whole pipeline (and the
-    // morsel tasks it fans out, which its ParallelFor outlives) runs
-    // under a shared store hold, like any reading operator.
-    std::shared_lock<std::shared_mutex> lock(store_mu_);
-    return EvalPipeline(pidx, input, prof ? &sm : nullptr,
-                        prof ? &pm : nullptr);
-  }();
-  double ms = MsSince(start);
-
-  if (r.ok() && tripped_.load(std::memory_order_acquire)) {
-    r = TripStatus();
-  }
-  if (!r.ok()) {
-    // Errors resolve across units by unit id — for a pipeline, its sink's
-    // op id, the id the serial unit order dispatches it at. EvalPipeline
-    // already picked the serial-first error within the pipeline.
-    {
-      std::lock_guard<std::mutex> lock(s->err_mu);
-      if (s->err_op == kNoOp || s->ids[i] < s->err_op) {
-        s->err_op = s->ids[i];
-        s->err = r.status();
-      }
-    }
-    s->cancelled.store(true, std::memory_order_release);
-  } else {
-    TablePtr t = std::move(r).value();
-    {
-      std::lock_guard<std::mutex> lock(profile_mu_);
-      if (prof) {
-        for (Profile::OpMetrics& m : sm) {
-          ctx_->profile->Record(dag_.op(m.op), std::move(m));
-        }
-        pm.ms = ms;
-        pm.queue_ms = queue_ms;
-        ctx_->profile->RecordPipeline(pm);
-      }
-      TrackTable(*t);
-    }
-    s->memo[i] = std::move(t);
-  }
-  FinishTask(s, i, q);
-}
-
 void Evaluator::FinishTask(Sched* s, size_t i, std::vector<size_t>* q) {
   OpId id = s->ids[i];
-  const bool interior = pipelined_ && mplan_.interior(id);
+  const bool interior = mplan_.interior(id);
   if (s->release && !interior) {
     // A sink releases every stage's inputs — the head's external tables
     // were consumed by its morsel loop, not by any standalone unit.
     // Interior completions must not release anything: their edges are
     // accounted at the sink, after the pipeline actually read them.
-    if (pipelined_ && mplan_.sink(id)) {
+    if (mplan_.sink(id)) {
       const Pipeline& pl = mplan_.pipelines[mplan_.pipeline_of.at(id)];
       for (const PipelineStage& st : pl.stages) {
         ReleaseChildren(s, dag_.op(st.op));
@@ -772,20 +651,23 @@ void Evaluator::ReleaseChildren(Sched* s, const Op& op) {
 }
 
 void Evaluator::DecrementPending(Sched* s, size_t i, std::vector<size_t>* q) {
-  if (s->pending[i].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    s->ready_at[i] = Clock::now();
-    if (ShouldInline(s, i)) {
-      q->push_back(i);
-      return;
-    }
-    pool_->Submit([this, s, i] { RunTask(s, i, /*queued=*/true); });
+  // Serial execution dispatches the slots in order itself.
+  if (s->pending[i].fetch_sub(1, std::memory_order_acq_rel) != 1 ||
+      pool_ == nullptr) {
+    return;
   }
+  s->ready_at[i] = Clock::now();
+  if (ShouldInline(s, i)) {
+    q->push_back(i);
+    return;
+  }
+  pool_->Submit([this, s, i] { RunTask(s, i, /*queued=*/true); });
 }
 
 bool Evaluator::ShouldInline(Sched* s, size_t i) {
   OpId id = s->ids[i];
   // Interior completions are pure bookkeeping — never worth a task.
-  if (pipelined_ && mplan_.interior(id)) return true;
+  if (mplan_.interior(id)) return true;
   if (inline_rows_ == 0) return false;
   size_t rows = 0;
   auto add = [&](const Op& op) {
@@ -794,7 +676,7 @@ bool Evaluator::ShouldInline(Sched* s, size_t i) {
       if (t != nullptr) rows += t->rows();
     }
   };
-  if (pipelined_ && mplan_.sink(id)) {
+  if (mplan_.sink(id)) {
     const Pipeline& pl = mplan_.pipelines[mplan_.pipeline_of.at(id)];
     for (const PipelineStage& st : pl.stages) add(dag_.op(st.op));
   } else {
@@ -804,24 +686,24 @@ bool Evaluator::ShouldInline(Sched* s, size_t i) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined execution: one scheduled unit runs a whole fused chain. The
-// head's materialized input rows are split into morsels — boundaries a
-// pure function of the source size and morsel_rows_, never the thread
-// count — and each morsel flows through every stage without
-// materializing interior tables. The sink concatenates morsel results
-// in morsel order (Step re-sorts/dedups, # numbers the merged stream),
-// which is exactly what the standalone chunked kernels produce, so the
-// fused table is byte-identical to operator-at-a-time evaluation.
+// Pipelines: one scheduled unit runs a whole fused chain, or a single
+// fusable operator. The head's materialized input rows are split into
+// morsels — boundaries a pure function of the source size and
+// morsel_rows_, never the thread count — and each morsel flows through
+// every stage without materializing interior tables. The sink
+// concatenates morsel results in morsel order (Step re-sorts/dedups, #
+// numbers the merged stream), so the result is the same at every morsel
+// size and thread count.
 
 size_t Evaluator::NumMorsels(size_t n) const {
   return n == 0 ? 1 : (n + morsel_rows_ - 1) / morsel_rows_;
 }
 
 Result<TablePtr> Evaluator::EvalPipeline(
-    uint32_t pidx, const std::function<const TablePtr&(OpId)>& input,
+    const Pipeline& pl, int64_t pidx,
+    const std::function<const TablePtr&(OpId)>& input,
     std::vector<Profile::OpMetrics>* stage_metrics,
     Profile::PipelineMetrics* pm) {
-  const Pipeline& pl = mplan_.pipelines[pidx];
   const size_t nstages = pl.stages.size();
 
   // Resolve stage operators and their materialized (non-pipe) inputs.
@@ -856,9 +738,10 @@ Result<TablePtr> Evaluator::EvalPipeline(
     case OpKind::kEquiJoin: {
       lT = ext[0][0].get();
       rT = ext[0][1].get();
-      // Same runtime choice as the standalone kernel: build on the
-      // smaller side, probe with the larger (ties build right). The
-      // build is blocking work and happens here, before any morsel.
+      // Build on the smaller side, probe with the larger (ties build
+      // right). The build is blocking work and happens here, before any
+      // morsel. Value joins hash xs:string and xs:untypedAtomic keys
+      // alike (NormalizeValueKey); scaffolding joins keep exact keys.
       jbuild_right = rT->rows() <= lT->rows();
       const Table* build = jbuild_right ? rT : lT;
       stream = jbuild_right ? lT : rT;
@@ -958,7 +841,10 @@ Result<TablePtr> Evaluator::EvalPipeline(
             return std::shared_ptr<Table>();
           }
           case OpKind::kRowId:
-            return cur;  // ids are positions in the merged output
+            // Ids are positions in the merged output, assigned after the
+            // merge; a head # streams its input rows through.
+            if (si == 0) return SliceRows(*in, b, e);
+            return cur;
           default:
             return Internal("morsel plan: unfusable stage kind survived "
                             "the audit");
@@ -984,8 +870,12 @@ Result<TablePtr> Evaluator::EvalPipeline(
     }
     if (!step_sink) {
       mo.table = std::move(cur);
-      mo.bytes = mo.table->ByteSize();
-      ChargeMorsel(mo.bytes);
+      // A lone morsel is the unit's table as is, charged once when the
+      // scheduler tracks it; parts awaiting a real merge are live here.
+      if (morsels > 1) {
+        mo.bytes = mo.table->ByteSize();
+        ChargeMorsel(mo.bytes);
+      }
     }
   };
 
@@ -994,8 +884,6 @@ Result<TablePtr> Evaluator::EvalPipeline(
   } else {
     for (size_t m = 0; m < morsels; ++m) run_morsel(m);
   }
-  NoteChunks(morsels);
-
   auto release_parts = [&] {
     for (MorselOut& mo : outs) {
       ReleaseMorsel(mo.bytes);
@@ -1028,30 +916,40 @@ Result<TablePtr> Evaluator::EvalPipeline(
   TablePtr result;
   if (step_sink) {
     // Step output is the globally sorted duplicate-free (iter, node)
-    // set; concatenating the per-morsel sets, sorting and deduplicating
-    // reproduces the single-call result exactly (chunked EvalStep's own
-    // merge).
-    std::vector<std::pair<int64_t, NodeIdx>> all;
-    size_t n = 0;
-    for (const MorselOut& mo : outs) n += mo.step_iters.size();
-    all.reserve(n);
-    for (const MorselOut& mo : outs) {
-      for (size_t k = 0; k < mo.step_iters.size(); ++k) {
-        all.emplace_back(mo.step_iters[k], mo.step_nodes[k]);
+    // set. One morsel's output already is that set; several morsels'
+    // sets are concatenated, sorted and deduplicated, which reproduces
+    // the single-call result exactly.
+    std::vector<int64_t>& iters = outs[0].step_iters;
+    std::vector<NodeIdx>& nodes = outs[0].step_nodes;
+    if (morsels > 1) {
+      std::vector<std::pair<int64_t, NodeIdx>> all;
+      size_t n = 0;
+      for (const MorselOut& mo : outs) n += mo.step_iters.size();
+      all.reserve(n);
+      for (const MorselOut& mo : outs) {
+        for (size_t k = 0; k < mo.step_iters.size(); ++k) {
+          all.emplace_back(mo.step_iters[k], mo.step_nodes[k]);
+        }
+      }
+      std::sort(all.begin(), all.end());
+      all.erase(std::unique(all.begin(), all.end()), all.end());
+      iters.resize(all.size());
+      nodes.resize(all.size());
+      for (size_t k = 0; k < all.size(); ++k) {
+        iters[k] = all[k].first;
+        nodes[k] = all[k].second;
       }
     }
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    Column ic(all.size());
-    Column nc(all.size());
-    for (size_t k = 0; k < all.size(); ++k) {
-      ic[k] = Value::Int(all[k].first);
-      nc[k] = Value::Node(all[k].second);
+    Column ic(iters.size());
+    Column nc(iters.size());
+    for (size_t k = 0; k < iters.size(); ++k) {
+      ic[k] = Value::Int(iters[k]);
+      nc[k] = Value::Node(nodes[k]);
     }
     auto out = std::make_shared<Table>();
     out->AddColumn(col::iter(), std::move(ic));
     out->AddColumn(col::item(), std::move(nc));
-    out->SetRows(all.size());
+    out->SetRows(iters.size());
     result = out;
   } else if (morsels == 1) {
     result = outs[0].table;  // the single part IS the concatenation
@@ -1106,7 +1004,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
     for (size_t si = 0; si < nstages; ++si) {
       Profile::OpMetrics m;
       m.op = pl.stages[si].op;
-      m.pipeline = static_cast<int64_t>(pidx);
+      m.pipeline = pidx;
       m.chunks = morsels;
       m.queue_ms = 0;  // queue wait belongs to the unit, counted once
       double ms = 0;
@@ -1129,7 +1027,9 @@ Result<TablePtr> Evaluator::EvalPipeline(
       m.out_rows = si + 1 == nstages ? result->rows() : orows;
       stage_metrics->push_back(std::move(m));
     }
-    pm->id = pidx;
+  }
+  if (pm != nullptr) {
+    pm->id = static_cast<uint32_t>(pidx);
     pm->head = pl.head();
     pm->sink = pl.sink();
     pm->stages = nstages;
@@ -1181,10 +1081,8 @@ Result<std::shared_ptr<Table>> Evaluator::StageFunM(const Op& op,
     if (!v.ok()) return v.status();
     resultc[r - b] = std::move(v).value();
   }
-  auto out = std::make_shared<Table>();
-  for (ColId c : in.schema()) out->AddColumn(c, SliceOrShare(in, c, b, e));
+  std::shared_ptr<Table> out = SliceRows(in, b, e);
   out->AddColumn(op.col, std::move(resultc));
-  out->SetRows(e - b);
   return out;
 }
 
@@ -1220,7 +1118,8 @@ Result<std::shared_ptr<Table>> Evaluator::StageThetaM(const Op& op,
                                                       size_t b, size_t e,
                                                       const Table& right) {
   // Nested loop over [b, e) x right, left-major with matches in
-  // right-row order — the standalone kernel's chunk body.
+  // right-row order; a comparison error surfaces at the first failing
+  // pair in that order.
   const Column& lk = in.col(op.col);
   const Column& rk = right.col(op.col2);
   size_t m = right.rows();
@@ -1282,22 +1181,18 @@ Status Evaluator::StageStepM(const Op& op, const Table& in, size_t b, size_t e,
 }
 
 // ---------------------------------------------------------------------------
-// Chunk helpers.
+// Morsel-range helpers of the breaker kernels.
 
-size_t Evaluator::NumChunks(size_t n) const {
-  return n == 0 ? 1 : (n + chunk_rows_ - 1) / chunk_rows_;
-}
-
-size_t Evaluator::ForChunks(
+size_t Evaluator::ForMorsels(
     size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
-  size_t chunks = NumChunks(n);
+  size_t chunks = NumMorsels(n);
   auto run = [&](size_t c) {
-    // Chunk-boundary governor poll: a tripped chunk leaves its slice
+    // Range-boundary governor poll: a tripped range leaves its slice
     // unwritten, which the post-EvalOp torn-table check turns into the
     // trip Status before the table can be observed.
     if (!PollChunk().ok()) return;
-    size_t begin = c * chunk_rows_;
-    fn(c, begin, std::min(n, begin + chunk_rows_));
+    size_t begin = c * morsel_rows_;
+    fn(c, begin, std::min(n, begin + morsel_rows_));
   };
   if (pool_ == nullptr || pool_->threads() == 0 || chunks == 1) {
     for (size_t c = 0; c < chunks; ++c) run(c);
@@ -1315,7 +1210,7 @@ TablePtr Evaluator::GatherParallel(const Table& in,
   for (ColId c : in.schema()) {
     const Column& src = in.col(c);
     Column col(n);
-    ForChunks(n, [&](size_t, size_t begin, size_t end) {
+    ForMorsels(n, [&](size_t, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) col[i] = src[rows[i]];
     });
     out->AddColumn(c, std::move(col));
@@ -1328,7 +1223,7 @@ void Evaluator::ParallelStableSort(
     std::vector<uint32_t>* perm,
     const std::function<bool(uint32_t, uint32_t)>& less) {
   size_t n = perm->size();
-  size_t chunks = NumChunks(n);
+  size_t chunks = NumMorsels(n);
   if (chunks <= 1 || pool_ == nullptr || pool_->threads() == 0) {
     std::stable_sort(perm->begin(), perm->end(), less);
     return;
@@ -1336,7 +1231,7 @@ void Evaluator::ParallelStableSort(
   // Stable-sort each chunk, then stably merge chunk pairs bottom-up.
   // std::merge prefers the left range on ties, so the result is the
   // unique stable ordering — byte-identical to one big stable_sort.
-  ForChunks(n, [&](size_t, size_t begin, size_t end) {
+  ForMorsels(n, [&](size_t, size_t begin, size_t end) {
     std::stable_sort(perm->begin() + begin, perm->begin() + end, less);
   });
   // A trip leaves some chunks unsorted; merging unsorted ranges violates
@@ -1345,7 +1240,7 @@ void Evaluator::ParallelStableSort(
   std::vector<uint32_t> buf(n);
   std::vector<uint32_t>* src = perm;
   std::vector<uint32_t>* dst = &buf;
-  for (size_t width = chunk_rows_; width < n; width *= 2) {
+  for (size_t width = morsel_rows_; width < n; width *= 2) {
     size_t pairs = (n + 2 * width - 1) / (2 * width);
     auto merge_pair = [&](size_t p) {
       size_t lo = p * 2 * width;
@@ -1373,18 +1268,8 @@ Result<TablePtr> Evaluator::EvalOp(const Op& op,
   switch (op.kind) {
     case OpKind::kLit:
       return EvalLit(op);
-    case OpKind::kProject:
-      return EvalProject(op, child(0));
-    case OpKind::kSelect:
-      return EvalSelect(op, child(0));
-    case OpKind::kEquiJoin:
-      return EvalEquiJoin(op, child(0), child(1));
-    case OpKind::kThetaJoin:
-      return EvalThetaJoin(op, child(0), child(1));
     case OpKind::kCross:
       return EvalCross(op, child(0), child(1));
-    case OpKind::kUnion:
-      return EvalUnion(op, child(0), child(1));
     case OpKind::kDifference:
     case OpKind::kSemiJoin:
       return EvalDiffSemi(op, child(0), child(1));
@@ -1392,14 +1277,8 @@ Result<TablePtr> Evaluator::EvalOp(const Op& op,
       return EvalDistinct(op, child(0));
     case OpKind::kRowNum:
       return EvalRowNum(op, child(0));
-    case OpKind::kRowId:
-      return EvalRowId(op, child(0));
-    case OpKind::kFun:
-      return EvalFun(op, child(0));
     case OpKind::kAggr:
       return EvalAggr(op, child(0));
-    case OpKind::kStep:
-      return EvalStep(op, child(0));
     case OpKind::kDoc:
       return EvalDoc(op);
     case OpKind::kElem:
@@ -1412,6 +1291,15 @@ Result<TablePtr> Evaluator::EvalOp(const Op& op,
       return EvalRange(op, child(0));
     case OpKind::kCardCheck:
       return EvalCardCheck(op, child(0), child(1));
+    case OpKind::kProject:
+    case OpKind::kSelect:
+    case OpKind::kEquiJoin:
+    case OpKind::kThetaJoin:
+    case OpKind::kUnion:
+    case OpKind::kRowId:
+    case OpKind::kFun:
+    case OpKind::kStep:
+      break;  // fusable: morsel stage kernels only (EvalPipeline)
   }
   return Internal("unhandled operator");
 }
@@ -1488,144 +1376,6 @@ Result<TablePtr> Evaluator::EvalLit(const Op& op) {
   return out;
 }
 
-Result<TablePtr> Evaluator::EvalProject(const Op& op, const Table& in) {
-  auto out = std::make_shared<Table>();
-  for (const auto& [n, o] : op.proj) out->AddColumn(n, in.col_ptr(o));
-  out->SetRows(in.rows());
-  return out;
-}
-
-Result<TablePtr> Evaluator::EvalSelect(const Op& op, const Table& in) {
-  const Column& flags = in.col(op.col);
-  size_t n = in.rows();
-  std::vector<std::vector<uint32_t>> parts(NumChunks(n));
-  std::vector<uint8_t> bad(parts.size(), 0);
-  ForChunks(n, [&](size_t c, size_t begin, size_t end) {
-    std::vector<uint32_t>& rows = parts[c];
-    for (size_t r = begin; r < end; ++r) {
-      const Value& v = flags[r];
-      if (v.kind != ValueKind::kBool) {
-        bad[c] = 1;
-        return;
-      }
-      if (v.b) rows.push_back(static_cast<uint32_t>(r));
-    }
-  });
-  for (uint8_t b : bad) {
-    if (b != 0) return TypeError("selection column is not boolean");
-  }
-  return GatherParallel(in, ConcatChunks(parts));
-}
-
-Result<TablePtr> Evaluator::EvalEquiJoin(const Op& op, const Table& l,
-                                         const Table& r) {
-  // Build on the smaller side, probe with the larger — chunk-parallel
-  // over the probe side, matches concatenated in probe-row order.
-  bool build_right = r.rows() <= l.rows();
-  const Table& build = build_right ? r : l;
-  const Table& probe = build_right ? l : r;
-  ColId build_col = build_right ? op.col2 : op.col;
-  ColId probe_col = build_right ? op.col : op.col2;
-
-  // A value join's keys are item values where xs:string and
-  // xs:untypedAtomic must hash alike (see NormalizeValueKey); scaffolding
-  // joins keep bit-exact keys.
-  RowIndex index({&build.col(build_col)}, build.rows(), op.value_join);
-  std::vector<const Column*> probe_key = {&probe.col(probe_col)};
-  size_t n = probe.rows();
-  std::vector<std::vector<uint32_t>> probe_parts(NumChunks(n));
-  std::vector<std::vector<uint32_t>> build_parts(probe_parts.size());
-  ForChunks(n, [&](size_t c, size_t begin, size_t end) {
-    for (size_t pr = begin; pr < end; ++pr) {
-      index.ForEachMatch(probe_key, pr, [&](uint32_t br) {
-        probe_parts[c].push_back(static_cast<uint32_t>(pr));
-        build_parts[c].push_back(br);
-      });
-    }
-  });
-  std::vector<uint32_t> probe_rows = ConcatChunks(probe_parts);
-  std::vector<uint32_t> build_rows = ConcatChunks(build_parts);
-  const std::vector<uint32_t>& l_rows = build_right ? probe_rows : build_rows;
-  const std::vector<uint32_t>& r_rows = build_right ? build_rows : probe_rows;
-
-  size_t out_n = probe_rows.size();
-  auto out = std::make_shared<Table>();
-  auto gather_side = [&](const Table& side,
-                         const std::vector<uint32_t>& rows) {
-    for (ColId c : side.schema()) {
-      const Column& src = side.col(c);
-      Column col(out_n);
-      ForChunks(out_n, [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) col[i] = src[rows[i]];
-      });
-      out->AddColumn(c, std::move(col));
-    }
-  };
-  gather_side(l, l_rows);
-  gather_side(r, r_rows);
-  out->SetRows(out_n);
-  return out;
-}
-
-Result<TablePtr> Evaluator::EvalThetaJoin(const Op& op, const Table& l,
-                                          const Table& r) {
-  // Nested-loop join under a general comparison. The probe side is
-  // always the left input and the output is left-major with matches in
-  // right-row order — chunk boundaries depend only on l.rows(), so the
-  // result is byte-identical to a serial nested loop at any thread
-  // count. Comparison errors latch per chunk and resolve in chunk order
-  // (first error a serial scan would hit), as in EvalFun.
-  const Column& lk = l.col(op.col);
-  const Column& rk = r.col(op.col2);
-  size_t n = l.rows();
-  size_t m = r.rows();
-  std::vector<std::vector<uint32_t>> l_parts(NumChunks(n));
-  std::vector<std::vector<uint32_t>> r_parts(l_parts.size());
-  std::vector<Status> errs(l_parts.size());
-  ForChunks(n, [&](size_t c, size_t begin, size_t end) {
-    size_t pairs = 0;
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = 0; j < m; ++j) {
-        // One chunk's work is chunk_rows * m pairs, not chunk_rows — poll
-        // on pair volume so a cancel/deadline lands promptly (EvalRange's
-        // output-volume idiom).
-        if ((pairs++ & 0xFFFF) == 0xFFFF && !PollGovernor().ok()) return;
-        Result<Value> v = ops_.Compare(op.fun, lk[i], rk[j]);
-        if (!v.ok()) {
-          errs[c] = v.status();
-          return;
-        }
-        if (v.value().b) {
-          l_parts[c].push_back(static_cast<uint32_t>(i));
-          r_parts[c].push_back(static_cast<uint32_t>(j));
-        }
-      }
-    }
-  });
-  for (const Status& st : errs) {
-    if (!st.ok()) return st;
-  }
-  std::vector<uint32_t> l_rows = ConcatChunks(l_parts);
-  std::vector<uint32_t> r_rows = ConcatChunks(r_parts);
-  size_t out_n = l_rows.size();
-  auto out = std::make_shared<Table>();
-  auto gather_side = [&](const Table& side,
-                         const std::vector<uint32_t>& rows) {
-    for (ColId c : side.schema()) {
-      const Column& src = side.col(c);
-      Column col(out_n);
-      ForChunks(out_n, [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) col[i] = src[rows[i]];
-      });
-      out->AddColumn(c, std::move(col));
-    }
-  };
-  gather_side(l, l_rows);
-  gather_side(r, r_rows);
-  out->SetRows(out_n);
-  return out;
-}
-
 Result<TablePtr> Evaluator::EvalCross(const Op& op, const Table& l,
                                       const Table& r) {
   (void)op;
@@ -1639,7 +1389,7 @@ Result<TablePtr> Evaluator::EvalCross(const Op& op, const Table& l,
   for (ColId c : l.schema()) {
     const Column& src = l.col(c);
     Column col(n);
-    ForChunks(n, [&](size_t, size_t begin, size_t end) {
+    ForMorsels(n, [&](size_t, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) col[i] = src[i / nr];
     });
     out->AddColumn(c, std::move(col));
@@ -1647,35 +1397,12 @@ Result<TablePtr> Evaluator::EvalCross(const Op& op, const Table& l,
   for (ColId c : r.schema()) {
     const Column& src = r.col(c);
     Column col(n);
-    ForChunks(n, [&](size_t, size_t begin, size_t end) {
+    ForMorsels(n, [&](size_t, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) col[i] = src[i % nr];
     });
     out->AddColumn(c, std::move(col));
   }
   out->SetRows(n);
-  return out;
-}
-
-Result<TablePtr> Evaluator::EvalUnion(const Op& op, const Table& l,
-                                      const Table& r) {
-  (void)op;
-  size_t nl = l.rows();
-  size_t nr = r.rows();
-  auto out = std::make_shared<Table>();
-  for (ColId c : l.schema()) {
-    const Column& lc = l.col(c);
-    const Column& rc = r.col(c);
-    Column col(nl + nr);
-    ForChunks(nl, [&](size_t, size_t begin, size_t end) {
-      std::copy(lc.begin() + begin, lc.begin() + end, col.begin() + begin);
-    });
-    ForChunks(nr, [&](size_t, size_t begin, size_t end) {
-      std::copy(rc.begin() + begin, rc.begin() + end,
-                col.begin() + nl + begin);
-    });
-    out->AddColumn(c, std::move(col));
-  }
-  out->SetRows(nl + nr);
   return out;
 }
 
@@ -1685,8 +1412,8 @@ Result<TablePtr> Evaluator::EvalDiffSemi(const Op& op, const Table& l,
   std::vector<const Column*> probe = ColPtrs(l, op.keys);
   bool keep_matching = op.kind == OpKind::kSemiJoin;
   size_t n = l.rows();
-  std::vector<std::vector<uint32_t>> parts(NumChunks(n));
-  ForChunks(n, [&](size_t c, size_t begin, size_t end) {
+  std::vector<std::vector<uint32_t>> parts(NumMorsels(n));
+  ForMorsels(n, [&](size_t c, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       if (index.Contains(probe, i) == keep_matching) {
         parts[c].push_back(static_cast<uint32_t>(i));
@@ -1767,22 +1494,6 @@ Result<TablePtr> Evaluator::EvalRowNum(const Op& op, const Table& in) {
   auto out = std::make_shared<Table>();
   for (ColId c : in.schema()) out->AddColumn(c, in.col_ptr(c));
   out->AddColumn(op.col, std::move(ranks));
-  out->SetRows(n);
-  return out;
-}
-
-Result<TablePtr> Evaluator::EvalRowId(const Op& op, const Table& in) {
-  // # — arbitrary unique numbers at negligible cost (a ROWID column).
-  size_t n = in.rows();
-  Column ids(n);
-  ForChunks(n, [&](size_t, size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      ids[r] = Value::Int(static_cast<int64_t>(r) + 1);
-    }
-  });
-  auto out = std::make_shared<Table>();
-  for (ColId c : in.schema()) out->AddColumn(c, in.col_ptr(c));
-  out->AddColumn(op.col, std::move(ids));
   out->SetRows(n);
   return out;
 }
@@ -1969,33 +1680,6 @@ Result<Value> Evaluator::ApplyFun(const Op& op,
   return Internal("unhandled function");
 }
 
-Result<TablePtr> Evaluator::EvalFun(const Op& op, const Table& in) {
-  std::vector<const Column*> args = ColPtrs(in, op.args);
-  size_t n = in.rows();
-  Column result(n);
-  std::vector<Status> errs(NumChunks(n));
-  ForChunks(n, [&](size_t c, size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      Result<Value> v = ApplyFun(op, args, r);
-      if (!v.ok()) {
-        // First error in the chunk == first error a serial scan of this
-        // chunk would hit; chunk order resolves the rest below.
-        errs[c] = v.status();
-        return;
-      }
-      result[r] = std::move(v).value();
-    }
-  });
-  for (const Status& st : errs) {
-    if (!st.ok()) return st;
-  }
-  auto out = std::make_shared<Table>();
-  for (ColId c : in.schema()) out->AddColumn(c, in.col_ptr(c));
-  out->AddColumn(op.col, std::move(result));
-  out->SetRows(n);
-  return out;
-}
-
 Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
   // Group rows by the partition column (first-appearance order keeps the
   // output deterministic).
@@ -2138,86 +1822,6 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
   if (op.part != kNoCol) out->AddColumn(op.part, std::move(part_out));
   out->AddColumn(op.col, std::move(result));
   out->SetRows(groups.size());
-  return out;
-}
-
-Result<TablePtr> Evaluator::EvalStep(const Op& op, const Table& in) {
-  const Column& iters = in.col(col::iter());
-  const Column& items = in.col(col::item());
-  size_t n = in.rows();
-  for (size_t r = 0; r < n; ++r) {
-    if (items[r].kind != ValueKind::kNode) {
-      return TypeError(std::string("path step ") + AxisName(op.axis) +
-                       ":: applied to a non-node item");
-    }
-    EXRQUY_DCHECK(iters[r].kind == ValueKind::kInt);
-  }
-
-  std::vector<int64_t> out_iters;
-  std::vector<NodeIdx> out_nodes;
-  size_t chunks = NumChunks(n);
-  if (chunks <= 1) {
-    std::vector<int64_t> ctx_iters;
-    std::vector<NodeIdx> ctx_nodes;
-    ctx_iters.reserve(n);
-    ctx_nodes.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      ctx_iters.push_back(iters[r].i);
-      ctx_nodes.push_back(items[r].node);
-    }
-    exrquy::EvalStep(*ctx_->store, op.axis, op.test, std::move(ctx_iters),
-                     std::move(ctx_nodes), &out_iters, &out_nodes);
-  } else {
-    // Each chunk evaluates its context subset independently; EvalStep
-    // output is the sorted duplicate-free (iter, node) result set, so
-    // concatenating the chunks, sorting and deduplicating reproduces the
-    // single-call result exactly.
-    std::vector<std::vector<int64_t>> chunk_iters(chunks);
-    std::vector<std::vector<NodeIdx>> chunk_nodes(chunks);
-    ForChunks(n, [&](size_t c, size_t begin, size_t end) {
-      std::vector<int64_t> ci;
-      std::vector<NodeIdx> cn;
-      ci.reserve(end - begin);
-      cn.reserve(end - begin);
-      for (size_t r = begin; r < end; ++r) {
-        ci.push_back(iters[r].i);
-        cn.push_back(items[r].node);
-      }
-      exrquy::EvalStep(*ctx_->store, op.axis, op.test, std::move(ci),
-                       std::move(cn), &chunk_iters[c], &chunk_nodes[c]);
-    });
-    std::vector<std::pair<int64_t, NodeIdx>> all;
-    size_t total = 0;
-    for (const auto& ci : chunk_iters) total += ci.size();
-    all.reserve(total);
-    for (size_t c = 0; c < chunks; ++c) {
-      for (size_t i = 0; i < chunk_iters[c].size(); ++i) {
-        all.emplace_back(chunk_iters[c][i], chunk_nodes[c][i]);
-      }
-    }
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    out_iters.reserve(all.size());
-    out_nodes.reserve(all.size());
-    for (const auto& [it, node] : all) {
-      out_iters.push_back(it);
-      out_nodes.push_back(node);
-    }
-  }
-
-  size_t out_n = out_iters.size();
-  Column ic(out_n);
-  Column nc(out_n);
-  ForChunks(out_n, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      ic[i] = Value::Int(out_iters[i]);
-      nc[i] = Value::Node(out_nodes[i]);
-    }
-  });
-  auto out = std::make_shared<Table>();
-  out->AddColumn(col::iter(), std::move(ic));
-  out->AddColumn(col::item(), std::move(nc));
-  out->SetRows(out_n);
   return out;
 }
 

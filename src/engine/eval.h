@@ -14,16 +14,20 @@
 // results in morsel order (Step re-sorts, # numbers the merged output).
 // Morsel boundaries depend only on the source size, never on the thread
 // count, so results are byte-identical to serial evaluation at every
-// thread count and morsel size. Blocking operators (%, Distinct, Aggr,
-// node constructors, join builds) are pipeline breakers and keep the
-// original operator-at-a-time kernels, which also chunk large inputs
-// over the same pool.
+// thread count and morsel size. A fusable operator that joins no chain
+// runs as a one-stage pipeline, so each fusable operator has exactly one
+// kernel, its morsel stage kernel. Blocking operators (%, Distinct, Aggr,
+// node constructors, Cross, Difference/SemiJoin, ...) are pipeline
+// breakers with operator-at-a-time kernels, which split large inputs
+// into the same morsel-sized ranges over the same pool.
+//
+// There is one scheduler. With one thread it runs every unit inline in
+// ascending op-id order (a topological order): the serial evaluation
+// order whose results, and first error, every thread count reproduces.
 //
 // Intermediate tables are refcounted against their remaining consumers
-// (opt/analyses.h ConsumerCounts) and released as soon as the last
-// consumer has run; fused interior operators never materialize at all,
-// shrinking peak memory below the live-frontier bound of the
-// operator-at-a-time engine.
+// and released as soon as the last consumer has run; fused interior
+// operators never materialize at all.
 #ifndef EXRQUY_ENGINE_EVAL_H_
 #define EXRQUY_ENGINE_EVAL_H_
 
@@ -57,38 +61,30 @@ struct EvalContext {
   std::map<StrId, NodeIdx> documents;
   Profile* profile = nullptr;  // optional
 
-  // Worker threads for DAG- and chunk-level parallelism. 1 = the exact
-  // old serial behavior; 0 = EXRQUY_THREADS if set, otherwise
-  // std::thread::hardware_concurrency().
+  // Worker threads for DAG- and morsel-level parallelism. 1 = serial
+  // evaluation on the calling thread; 0 = EXRQUY_THREADS if set,
+  // otherwise std::thread::hardware_concurrency().
   int num_threads = 0;
-  // Row-count granularity of intra-operator chunking (standalone
-  // kernels). Chunk boundaries are a pure function of the input size,
-  // never of the thread count, so any setting yields byte-identical
-  // results.
-  size_t chunk_rows = 65536;
   // Release memoized intermediates once their last consumer has run.
-  // Off = keep-all memoization (the pre-refcounting behavior), retained
-  // for peak-memory comparisons.
+  // Off = keep-all memoization, retained for peak-memory comparisons.
   bool release_intermediates = true;
-
-  // Morsel-driven pipelined execution (opt/morsel_plan.h): fuse chains
-  // of non-blocking operators and pull them in morsels with an ordered
-  // merge at each sink. Off = pure operator-at-a-time evaluation,
-  // retained for peak-memory and attribution comparisons. Either
-  // setting yields byte-identical results.
-  bool pipelined_execution = true;
-  // Row-count granularity of morsel pulls. 0 defers to the
-  // EXRQUY_MORSEL_ROWS environment variable, then to chunk_rows. Morsel
-  // boundaries are a pure function of the source size, so any setting
-  // yields byte-identical results.
+  // Row-count granularity of morsel pulls, and of the ranges breaker
+  // kernels split large inputs into. 0 defers to the EXRQUY_MORSEL_ROWS
+  // environment variable, then to 65536. Boundaries are a pure function
+  // of the input size, never of the thread count, so any setting yields
+  // byte-identical results.
   size_t morsel_rows = 0;
-  // A scheduled unit (pipeline or standalone operator) whose
+  // A scheduled unit (pipeline or single operator) whose
   // materialized inputs total at most this many rows runs inline on the
   // thread that made it ready instead of being enqueued on the pool —
   // tiny queries never pay task-dispatch overhead (and, with the pool's
   // lazy worker spawn, never start worker threads at all). Inlining
   // changes scheduling only, never results. 0 disables it.
   size_t inline_rows = 4096;
+  // No effect: morsel_rows is the one granularity knob and pipelined
+  // execution the one engine path. Kept so existing callers compile.
+  size_t chunk_rows = 65536;
+  bool pipelined_execution = true;
 
   // Physical-plan order detection (Section 6's pointer to Moerkotte &
   // Neumann): when set, % first checks in O(n) whether its input already
@@ -140,17 +136,19 @@ class Evaluator {
   // additionally advance the fault-injection counters.
   Status PollGovernor();
   Status PollOp();     // one scheduled-unit dispatch
-  Status PollChunk();  // one chunk boundary / morsel-stage boundary
+  Status PollChunk();  // one morsel-stage or breaker-range boundary
 
   Result<TablePtr> EvalOp(const Op& op, const std::vector<TablePtr>& in);
 
-  Result<TablePtr> EvalSerial(const std::vector<OpId>& order, OpId root);
-  Result<TablePtr> EvalParallel(const std::vector<OpId>& order, OpId root,
-                                size_t threads);
-  // Scheduler internals address operators by their dense slot in the
-  // topological order rather than by OpId. A scheduled unit is a
-  // standalone operator or a whole pipeline (dispatched at its sink
-  // slot); interior pipeline slots finish instantly without running.
+  // The scheduler. Operators are addressed by their dense slot in the
+  // topological order rather than by OpId. A scheduled unit is a whole
+  // pipeline (dispatched at its sink slot), a fusable operator outside
+  // every pipeline (a one-stage pipeline), or a breaker; interior
+  // pipeline slots finish instantly without running. With `threads` <= 1
+  // every unit runs inline in slot order; otherwise ready units go to
+  // the pool unless ShouldInline keeps them on the readying thread.
+  Result<TablePtr> Schedule(const std::vector<OpId>& order, OpId root,
+                            size_t threads);
   // RunTask drains `slot` plus every unit its completion makes ready
   // inline-eligible, as a loop (bounded stack depth). `queued` marks a
   // unit that actually waited in the pool queue — only those charge
@@ -158,8 +156,6 @@ class Evaluator {
   // scheduled unit is what keeps the profile's queue-wait additive).
   void RunTask(Sched* s, size_t slot, bool queued);
   void RunOne(Sched* s, size_t slot, bool queued, std::vector<size_t>* q);
-  void RunPipelineUnit(Sched* s, size_t slot, bool queued,
-                       std::vector<size_t>* q);
   void FinishTask(Sched* s, size_t slot, std::vector<size_t>* q);
   void ReleaseChildren(Sched* s, const Op& op);
   void DecrementPending(Sched* s, size_t slot, std::vector<size_t>* q);
@@ -167,19 +163,21 @@ class Evaluator {
   // materialized inputs are small enough to run on the current thread.
   bool ShouldInline(Sched* s, size_t slot);
 
-  // -- Pipelined execution (opt/morsel_plan.h) -----------------------------
-  // Runs pipeline `pidx` morsel by morsel (on the pool when present) and
-  // merges the morsel results in morsel order. On success fills
-  // `stage_metrics`/`pm` when non-null (profiling); on a stage error
-  // returns the error the serial engine would have hit first (smallest
-  // failing stage, then earliest morsel).
+  // -- Pipelines (opt/morsel_plan.h) ---------------------------------------
+  // Runs pipeline `pl` morsel by morsel (on the pool when present) and
+  // merges the morsel results in morsel order. `pidx` is its index in the
+  // morsel plan, -1 for a one-stage pipeline. On success fills
+  // `stage_metrics` (one record per stage) and `pm` when non-null; on a
+  // stage error returns the error serial evaluation would have hit first
+  // (smallest failing stage, then earliest morsel).
   Result<TablePtr> EvalPipeline(
-      uint32_t pidx, const std::function<const TablePtr&(OpId)>& input,
+      const Pipeline& pl, int64_t pidx,
+      const std::function<const TablePtr&(OpId)>& input,
       std::vector<Profile::OpMetrics>* stage_metrics,
       Profile::PipelineMetrics* pm);
-  // Morsel-local stage kernels: evaluate rows [b, e) of `in` (the whole
-  // morsel for interior stages, a source slice for the head) without
-  // chunking or materialization outside the morsel.
+  // Morsel stage kernels, the only kernels of the fusable operators:
+  // evaluate rows [b, e) of `in` (the whole morsel for interior stages, a
+  // source slice for the head) without materializing outside the morsel.
   std::shared_ptr<Table> StageProjectM(const Op& op, const Table& in,
                                        size_t b, size_t e);
   Result<std::shared_ptr<Table>> StageSelectM(const Op& op, const Table& in,
@@ -200,34 +198,26 @@ class Evaluator {
   void ChargeMorsel(size_t bytes);
   void ReleaseMorsel(size_t bytes);
 
-  // Splits [0, n) into fixed chunk_rows-sized ranges and runs
-  // fn(chunk, begin, end) for each — on the pool when one exists and the
-  // input is large enough, inline otherwise. Returns the chunk count.
-  size_t ForChunks(size_t n,
-                   const std::function<void(size_t, size_t, size_t)>& fn);
-  size_t NumChunks(size_t n) const;
-  // Materializes the given rows of `in`, chunk-parallel per column.
+  // Breaker-kernel helpers. ForMorsels splits [0, n) into morsel_rows-
+  // sized ranges and runs fn(range, begin, end) for each — on the pool
+  // when one exists and the input spans several ranges, inline otherwise.
+  // Returns the range count.
+  size_t ForMorsels(size_t n,
+                    const std::function<void(size_t, size_t, size_t)>& fn);
+  // Materializes the given rows of `in`, range-parallel per column.
   TablePtr GatherParallel(const Table& in, const std::vector<uint32_t>& rows);
-  // Chunked stable sort: sorts each chunk, then stably merges chunk pairs
-  // — byte-identical to std::stable_sort over the whole range.
+  // Range-wise stable sort: sorts each range, then stably merges range
+  // pairs — byte-identical to std::stable_sort over the whole input.
   void ParallelStableSort(
       std::vector<uint32_t>* perm,
       const std::function<bool(uint32_t, uint32_t)>& less);
 
   Result<TablePtr> EvalLit(const Op& op);
-  Result<TablePtr> EvalProject(const Op& op, const Table& in);
-  Result<TablePtr> EvalSelect(const Op& op, const Table& in);
-  Result<TablePtr> EvalEquiJoin(const Op& op, const Table& l, const Table& r);
-  Result<TablePtr> EvalThetaJoin(const Op& op, const Table& l, const Table& r);
   Result<TablePtr> EvalCross(const Op& op, const Table& l, const Table& r);
-  Result<TablePtr> EvalUnion(const Op& op, const Table& l, const Table& r);
   Result<TablePtr> EvalDiffSemi(const Op& op, const Table& l, const Table& r);
   Result<TablePtr> EvalDistinct(const Op& op, const Table& in);
   Result<TablePtr> EvalRowNum(const Op& op, const Table& in);
-  Result<TablePtr> EvalRowId(const Op& op, const Table& in);
-  Result<TablePtr> EvalFun(const Op& op, const Table& in);
   Result<TablePtr> EvalAggr(const Op& op, const Table& in);
-  Result<TablePtr> EvalStep(const Op& op, const Table& in);
   Result<TablePtr> EvalDoc(const Op& op);
   Result<TablePtr> EvalElem(const Op& op, const Table& content,
                             const Table& loop);
@@ -245,14 +235,11 @@ class Evaluator {
   const Dag& dag_;
   EvalContext* ctx_;
   ValueOps ops_;
-  size_t chunk_rows_;
   size_t morsel_rows_;
   size_t inline_rows_;
 
-  // Pipeline plan for the current Eval; empty (pipelined_ false) when
-  // pipelining is off or the plan has no fusable chain.
+  // Pipeline plan for the current Eval.
   MorselPlan mplan_;
-  bool pipelined_ = false;
 
   std::unique_ptr<TaskPool> pool_;  // null in serial execution
 

@@ -147,16 +147,6 @@ std::unordered_map<OpId, ColSet> ComputeICols(const Dag& dag, OpId root,
   return engine.Solve(root, seed);
 }
 
-std::unordered_map<OpId, uint32_t> ConsumerCounts(const Dag& dag, OpId root) {
-  std::unordered_map<OpId, uint32_t> counts;
-  for (OpId id : dag.ReachableFrom(root)) {
-    counts.try_emplace(id, 0);
-    for (OpId c : dag.op(id).children) ++counts[c];
-  }
-  ++counts[root];
-  return counts;
-}
-
 // ---------------------------------------------------------------------------
 // Constant / arbitrary-order columns: forward analysis. The transfer is
 // the per-operator rule set the old PropertyTracker applied in its

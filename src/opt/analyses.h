@@ -53,15 +53,6 @@ using ColSet = std::set<ColId>;
 std::unordered_map<OpId, ColSet> ComputeICols(const Dag& dag, OpId root,
                                               const ColSet& seed);
 
-// Row-level counterpart of the column liveness above: how many times each
-// reachable operator's result is consumed. Counts one per parent edge
-// (an operator appearing twice among a parent's children counts twice),
-// plus one for the root, whose table outlives evaluation. When the
-// engine has evaluated the last consumer of a memoized intermediate, the
-// entry is dead and its table can be released — peak memory becomes the
-// live frontier of the DAG rather than the sum of all intermediates.
-std::unordered_map<OpId, uint32_t> ConsumerCounts(const Dag& dag, OpId root);
-
 // ---------------------------------------------------------------------------
 // Constant / arbitrary-order columns (forward).
 // ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ std::string Diag(const char* invariant, const Dag& dag, OpId id,
 
 }  // namespace
 
+bool Fusable(OpKind k) { return HeadCapable(k) || SinkOnly(k); }
+
 MorselPlan PlanPipelines(const Dag& dag, const std::vector<OpId>& order,
                          OpId root) {
   MorselPlan plan;

@@ -31,8 +31,9 @@
 //
 // An interior stage must have exactly one consumer in the evaluated
 // sub-DAG (its table is never materialized, so nothing else may read
-// it), and the root is never interior. Everything else runs standalone,
-// exactly as before.
+// it), and the root is never interior. Everything else runs standalone;
+// the engine runs a fusable operator outside every chain as a one-stage
+// pipeline of its own (Fusable below).
 //
 // Like every other optimizer claim in this codebase, the plan is not
 // trusted: AuditMorselPlan re-derives each fusability condition
@@ -86,6 +87,11 @@ struct MorselPlan {
     return it != pipeline_of.end() && pipelines[it->second].sink() == id;
   }
 };
+
+// True for the kinds that may be pipeline stages (the table above). The
+// engine's morsel stage kernels are their only kernels: one that joins no
+// chain runs as a one-stage pipeline.
+bool Fusable(OpKind k);
 
 // Identifies maximal fusable chains over the sub-DAG reachable from
 // `root` (`order` as returned by Dag::ReachableFrom). Chains of fewer

@@ -37,11 +37,11 @@ namespace {
 // engine runs per fault point — affordable at this scale.
 const char* const kSweepQueries[] = {"Q1", "Q4", "Q6", "Q13", "Q17"};
 
-// chunk_rows pinned tiny and identical everywhere: chunk-boundary poll
+// morsel_rows pinned tiny and identical everywhere: morsel-boundary poll
 // counts are a pure function of table sizes, so sweeps are reproducible.
 QueryOptions SweepOptions() {
   QueryOptions o;
-  o.chunk_rows = 7;
+  o.morsel_rows = 7;
   return o;
 }
 

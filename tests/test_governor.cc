@@ -11,7 +11,7 @@
 //     re-running the same query without the fault yields results
 //     byte-identical to a never-faulted reference;
 //   * fault injection is deterministic in outcome: for a fixed
-//     (query, ordering, chunk_rows, fault plan), whether the query fails
+//     (query, ordering, morsel_rows, fault plan), whether the query fails
 //     and with which Status code is identical at 1 and 4 threads.
 //
 // The sweep drives all twenty XMark queries through every combination of
@@ -35,14 +35,14 @@
 namespace exrquy {
 namespace {
 
-// chunk_rows is pinned tiny and identical at every thread count: chunk-
+// morsel_rows is pinned tiny and identical at every thread count: morsel-
 // boundary poll counts are a pure function of table sizes, so the
 // deadline-at-chunk fault reaches its threshold (or doesn't) identically
-// whether the chunks run on one thread or four.
+// whether the morsels run on one thread or four.
 QueryOptions Threads(int n) {
   QueryOptions o;
   o.num_threads = n;
-  o.chunk_rows = 7;
+  o.morsel_rows = 7;
   return o;
 }
 

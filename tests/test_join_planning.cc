@@ -251,7 +251,7 @@ TEST_F(JoinIsolationVerifyTest, RejectsHashEqualityOverMixedKinds) {
 QueryOptions Threads(int n) {
   QueryOptions o;
   o.num_threads = n;
-  o.chunk_rows = 7;
+  o.morsel_rows = 7;
   return o;
 }
 

@@ -1,11 +1,11 @@
 // Determinism contract of the parallel execution engine: for every
-// query, every thread count and every chunk size, the result — the
+// query, every thread count and every morsel size, the result — the
 // serialized string, the item list, and even the error on failing
 // queries — is byte-identical to num_threads = 1, which is the exact
 // serial evaluation order. The suite drives the contract three ways:
 //
-//   * all twenty XMark queries, serial vs 4 threads with a tiny chunk
-//     size (so the chunked kernels actually split);
+//   * all twenty XMark queries, serial vs 4 threads with a tiny morsel
+//     size (so every kernel actually splits);
 //   * a fuzz corpus in the style of test_fuzz_equivalence, where the
 //     random plans exercise operator mixes the XMark set does not;
 //   * queries that fail mid-flight, where the scheduler must cancel
@@ -34,10 +34,10 @@ QueryOptions Serial() {
   return o;
 }
 
-QueryOptions Parallel(size_t chunk_rows = 7) {
+QueryOptions Parallel(size_t morsel_rows = 7) {
   QueryOptions o;
   o.num_threads = 4;
-  o.chunk_rows = chunk_rows;  // tiny: forces the chunked kernel paths
+  o.morsel_rows = morsel_rows;  // tiny: splits every kernel into morsels
   return o;
 }
 
@@ -91,23 +91,23 @@ TEST_F(ParallelEngineTest, XMarkByteIdenticalUnorderedMode) {
 }
 
 TEST_F(ParallelEngineTest, ChunkSizeNeverObservable) {
-  // Chunk boundaries are a pure function of input size; none of them
+  // Morsel boundaries are a pure function of input size; none of them
   // may leak into the result.
   const std::string& q10 = XMarkQueryText("Q10");
   Result<QueryResult> reference = session_->Execute(q10, Serial());
   ASSERT_TRUE(reference.ok());
-  for (size_t chunk_rows : {size_t{1}, size_t{3}, size_t{64}, size_t{65536}}) {
-    Result<QueryResult> r = session_->Execute(q10, Parallel(chunk_rows));
-    ASSERT_TRUE(r.ok()) << "chunk_rows=" << chunk_rows;
+  for (size_t morsel_rows : {size_t{1}, size_t{3}, size_t{64}, size_t{65536}}) {
+    Result<QueryResult> r = session_->Execute(q10, Parallel(morsel_rows));
+    ASSERT_TRUE(r.ok()) << "morsel_rows=" << morsel_rows;
     EXPECT_EQ(reference->serialized, r->serialized)
-        << "chunk_rows=" << chunk_rows;
-    EXPECT_EQ(reference->items, r->items) << "chunk_rows=" << chunk_rows;
+        << "morsel_rows=" << morsel_rows;
+    EXPECT_EQ(reference->items, r->items) << "morsel_rows=" << morsel_rows;
   }
 }
 
 // ---------------------------------------------------------------------
 // Fuzz corpus (generator in the style of test_fuzz_equivalence, biased
-// toward joins, unions and constructors — the chunked kernels).
+// toward joins, unions and constructors — the multi-morsel kernels).
 
 class Rng {
  public:
@@ -252,7 +252,7 @@ TEST_F(ParallelEngineTest, ErrorsInFuzzNeverHang) {
 }
 
 // ---------------------------------------------------------------------
-// Memory: refcounted intermediate release (opt/analyses.h ConsumerCounts).
+// Memory: refcounted intermediate release (the scheduler's per-slot consumer counts).
 
 TEST_F(ParallelEngineTest, Q11PeakMemoryStrictlyLowerWithRelease) {
   const std::string& q11 = XMarkQueryText("Q11");
@@ -295,7 +295,7 @@ TEST_F(ParallelEngineTest, ProfileRecordsSchedulerFacts) {
   for (const Profile::OpMetrics& m : r->profile.ops()) {
     if (m.chunks > 1) ++chunked;
   }
-  EXPECT_GT(chunked, 0u) << "tiny chunk_rows must split at least one kernel";
+  EXPECT_GT(chunked, 0u) << "tiny morsel_rows must split at least one kernel";
   // The JSON dump serializes without blowing up and carries the facts.
   std::string json = r->profile.ToJson();
   EXPECT_NE(json.find("\"threads\": 4"), std::string::npos);

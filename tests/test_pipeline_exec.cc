@@ -1,19 +1,19 @@
 // Morsel-driven pipelined execution (opt/morsel_plan.h, engine/eval.h):
-// the fused engine must be invisible in every observable except time and
-// memory. The suite drives that contract four ways:
+// morsel size and thread count must be invisible in every observable
+// except time and memory. The suite drives that contract three ways:
 //
-//   * byte-equality of all twenty XMark queries against the unfused
-//     operator-at-a-time engine, across ordering modes, thread counts
-//     and morsel sizes — including morsel_rows = 1, where every stage
-//     boundary, merge order and refcount transition is exercised at
-//     maximum resolution;
+//   * byte-equality of all twenty XMark queries against serial execution
+//     at the default morsel size (one morsel per table at this scale),
+//     across ordering modes, thread counts and morsel sizes — including
+//     morsel_rows = 1, where every stage boundary, merge order and
+//     refcount transition is exercised at maximum resolution. The serial
+//     results are in turn pinned by the reference interpreter
+//     (test_reference_xmark) and the XMark result checks
+//     (test_xmark_results);
 //   * the governor fault matrix (fail-alloc / cancel-at-op /
 //     deadline-at-chunk) swept exhaustively through fused pipelines with
 //     SweepFaultPoints: every single fault point surfaces as the planned
 //     code and an unfaulted re-run is byte-identical;
-//   * the memory half: fusing must strictly lower the peak live
-//     footprint on XMark Q11 below the operator-at-a-time release
-//     frontier, because interior stages never materialize;
 //   * the plan audit: a hand-corrupted MorselPlan must be refused before
 //     the engine runs a single morsel.
 //
@@ -35,19 +35,16 @@
 namespace exrquy {
 namespace {
 
-// The unfused engine is the reference: exact serial operator-at-a-time
-// evaluation, the semantics every prior PR's goldens pinned down.
-QueryOptions Reference() {
+// Serial evaluation: one thread, every unit inline in op-id order.
+QueryOptions Serial() {
   QueryOptions o;
   o.num_threads = 1;
-  o.pipelined_execution = false;
   return o;
 }
 
-QueryOptions Pipelined(int threads, size_t morsel_rows) {
+QueryOptions Morsels(int threads, size_t morsel_rows) {
   QueryOptions o;
   o.num_threads = threads;
-  o.pipelined_execution = true;
   o.morsel_rows = morsel_rows;
   return o;
 }
@@ -72,21 +69,21 @@ class PipelineExecTest : public ::testing::Test {
 Session* PipelineExecTest::session_ = nullptr;
 
 // ---------------------------------------------------------------------
-// Byte-equality matrix: 20 queries x 2 ordering modes x {1, 2, 4}
-// threads x morsel sizes {1, 64, 65536} against the unfused reference.
+// Byte-equality matrix: 20 queries x 2 ordering modes x {1, 4} threads x
+// morsel sizes {1, 64} against serial default-morsel execution.
 
 void RunMatrix(Session* session, OrderingMode mode) {
-  const size_t kMorsels[] = {1, 64, 65536};
-  const int kThreads[] = {1, 2, 4};
+  const size_t kMorsels[] = {1, 64};
+  const int kThreads[] = {1, 4};
   for (const XMarkQuery& q : XMarkQueries()) {
-    QueryOptions ref_opts = Reference();
+    QueryOptions ref_opts = Serial();
     ref_opts.default_ordering = mode;
     Result<QueryResult> reference = session->Execute(q.text, ref_opts);
     ASSERT_TRUE(reference.ok())
         << q.name << ": " << reference.status().ToString();
     for (int threads : kThreads) {
       for (size_t morsel : kMorsels) {
-        QueryOptions o = Pipelined(threads, morsel);
+        QueryOptions o = Morsels(threads, morsel);
         o.default_ordering = mode;
         Result<QueryResult> r = session->Execute(q.text, o);
         ASSERT_TRUE(r.ok()) << q.name << " threads=" << threads
@@ -114,7 +111,7 @@ TEST_F(PipelineExecTest, PipelinesActuallyFuse) {
   // that the planner fuses real XMark plans and the profile records it.
   size_t queries_with_pipelines = 0;
   for (const XMarkQuery& q : XMarkQueries()) {
-    QueryOptions o = Pipelined(/*threads=*/1, /*morsel_rows=*/64);
+    QueryOptions o = Morsels(/*threads=*/1, /*morsel_rows=*/64);
     o.profile = true;
     Result<QueryResult> r = session_->Execute(q.text, o);
     ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
@@ -148,9 +145,7 @@ TEST_F(PipelineExecTest, PipelinesActuallyFuse) {
 // reproducible.
 
 QueryOptions SweepOptions() {
-  QueryOptions o = Pipelined(/*threads=*/1, /*morsel_rows=*/7);
-  o.chunk_rows = 7;
-  return o;
+  return Morsels(/*threads=*/1, /*morsel_rows=*/7);
 }
 
 void SweepQuery(Session* session, const std::string& name, FaultKind kind) {
@@ -214,28 +209,6 @@ TEST_F(PipelineExecTest, FaultCountsIndependentOfThreads) {
 }
 
 // ---------------------------------------------------------------------
-// Memory: interior stages never materialize, so the fused engine's peak
-// must sit strictly below the operator-at-a-time release frontier of
-// PR 2 on the join-heavy profile query.
-
-TEST_F(PipelineExecTest, Q11PeakMemoryStrictlyLowerWhenFused) {
-  const std::string& q11 = XMarkQueryText("Q11");
-  QueryOptions unfused = Reference();
-  unfused.profile = true;
-  QueryOptions fused = Pipelined(/*threads=*/1, /*morsel_rows=*/64);
-  fused.profile = true;
-
-  Result<QueryResult> off = session_->Execute(q11, unfused);
-  Result<QueryResult> on = session_->Execute(q11, fused);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-
-  EXPECT_EQ(off->serialized, on->serialized);
-  EXPECT_FALSE(on->profile.pipelines().empty());
-  EXPECT_LT(on->profile.peak_live_bytes(), off->profile.peak_live_bytes());
-}
-
-// ---------------------------------------------------------------------
 // Scheduling: tiny pipelines run inline on the readying thread, and the
 // pool never spawns a worker it does not need, so a tiny query at 4
 // threads costs what it costs at 1.
@@ -263,8 +236,8 @@ TEST_F(PipelineExecTest, TinyQueryFourThreadLatencyNearSerial) {
     return samples[samples.size() / 2];
   };
 
-  QueryOptions serial = Pipelined(/*threads=*/1, /*morsel_rows=*/0);
-  QueryOptions four = Pipelined(/*threads=*/4, /*morsel_rows=*/0);
+  QueryOptions serial = Morsels(/*threads=*/1, /*morsel_rows=*/0);
+  QueryOptions four = Morsels(/*threads=*/4, /*morsel_rows=*/0);
   // Warm both paths (first-run effects: interning, plan shaping).
   (void)session.Execute(query, serial);
   (void)session.Execute(query, four);
@@ -278,10 +251,10 @@ TEST_F(PipelineExecTest, TinyQueryFourThreadLatencyNearSerial) {
 TEST_F(PipelineExecTest, InlineThresholdNeverObservable) {
   // inline_rows changes scheduling only; force both extremes.
   const std::string& q8 = XMarkQueryText("Q8");
-  Result<QueryResult> reference = session_->Execute(q8, Reference());
+  Result<QueryResult> reference = session_->Execute(q8, Serial());
   ASSERT_TRUE(reference.ok());
   for (size_t inline_rows : {size_t{0}, size_t{1u << 30}}) {
-    QueryOptions o = Pipelined(/*threads=*/4, /*morsel_rows=*/64);
+    QueryOptions o = Morsels(/*threads=*/4, /*morsel_rows=*/64);
     o.inline_rows = inline_rows;
     Result<QueryResult> r = session_->Execute(q8, o);
     ASSERT_TRUE(r.ok()) << "inline_rows=" << inline_rows;
