@@ -13,7 +13,7 @@
 //   { "bench": "parallel_scaling",
 //     "scale": 0.016, "doc_bytes": N, "hardware_concurrency": N,
 //     "underprovisioned": bool,   // hardware_concurrency < max benched T
-//     "chunk_rows": 65536, "morsel_rows": N,
+//     "morsel_rows": N,
 //     "threads": [1, 2, 4, ...],
 //     "queries": [ {"name": "Q1", "ms": [t1, t2, t4, ...],
 //                   "speedup_vs_serial": [...]}, ... ] }
@@ -105,13 +105,14 @@ void Run() {
     std::fprintf(stderr, "cannot write BENCH_parallel.json\n");
     std::exit(1);
   }
-  // The engine defaults morsel_rows to chunk_rows; we bench defaults.
+  // Every run uses the default options, so morsel_rows is the engine
+  // default (assuming EXRQUY_MORSEL_ROWS is unset).
   std::fprintf(out,
                "{\n  \"bench\": \"parallel_scaling\",\n"
                "  \"scale\": %g,\n  \"doc_bytes\": %zu,\n"
                "  \"hardware_concurrency\": %zu,\n"
                "  \"underprovisioned\": %s,\n"
-               "  \"chunk_rows\": 65536,\n  \"morsel_rows\": 65536,\n"
+               "  \"morsel_rows\": 65536,\n"
                "  \"threads\": [",
                scale, doc_bytes, hw, underprovisioned ? "true" : "false");
   for (size_t i = 0; i < threads.size(); ++i) {

@@ -83,7 +83,7 @@ int ResolveMaxRetries(int requested) {
 }
 
 // Cache key: query text, then the plan-affecting option bits, then the
-// store version. Execution knobs (threads, chunking, governor) are
+// store version. Execution knobs (threads, morsels, fusion, governor) are
 // deliberately absent — the engine guarantees byte-identical results
 // across all of them, which is what makes cached bytes reusable. The
 // same key strings the poison-query quarantine: two calls that would
@@ -236,6 +236,8 @@ Status QueryService::RunAttempt(const CachedPlan& plan,
   ctx.detect_sorted_inputs = options.physical_sort_detection;
   ctx.num_threads = degraded ? 1 : options.num_threads;
   ctx.release_intermediates = options.release_intermediates;
+  ctx.pipelined_execution = options.pipelined_execution;
+  ctx.chunk_rows = options.chunk_rows;
   ctx.morsel_rows = options.morsel_rows;
   ctx.inline_rows = options.inline_rows;
   if (options.profile) ctx.profile = &out->result.profile;
@@ -310,6 +312,11 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
       return from_env.status();
     }
     faults = from_env.value();
+  }
+  // Before the result cache, which would otherwise serve the request.
+  if (Status st = CheckChunkRows(options.chunk_rows); !st.ok()) {
+    done();
+    return st;
   }
   std::optional<Clock::time_point> abs_deadline;
   if (deadline_ms > 0) {

@@ -411,6 +411,8 @@ Result<QueryResult> Session::Execute(std::string_view query,
   ctx.detect_sorted_inputs = options.physical_sort_detection;
   ctx.num_threads = options.num_threads;
   ctx.release_intermediates = options.release_intermediates;
+  ctx.pipelined_execution = options.pipelined_execution;
+  ctx.chunk_rows = options.chunk_rows;
   ctx.morsel_rows = options.morsel_rows;
   ctx.inline_rows = options.inline_rows;
   if (options.profile) ctx.profile = &result.profile;

@@ -91,9 +91,12 @@ struct QueryOptions {
   // only — results are byte-identical for every setting.
   size_t morsel_rows = 0;
   size_t inline_rows = 4096;
-  // No effect (see EvalContext); kept so existing callers compile.
-  size_t chunk_rows = 65536;
+  // Off runs every fusable operator alone instead of fused into a
+  // pipeline — same results, higher peak memory (see EvalContext).
   bool pipelined_execution = true;
+  // Removed; any value but the old default fails Execute with
+  // InvalidArgument (see EvalContext).
+  size_t chunk_rows = kRemovedChunkRows;
 
   // -- Resource governance (common/governor.h, engine/faults.h) -----------
   // Wall-clock deadline for this execution, in milliseconds from the

@@ -40,9 +40,11 @@ size_t ResolveThreads(int requested) {
   return static_cast<size_t>(std::min(v, 256));
 }
 
+constexpr size_t kDefaultMorselRows = 65536;
+
 // Resolves EvalContext::morsel_rows: explicit > EXRQUY_MORSEL_ROWS >
-// 65536. A pure function of configuration — never of the thread count —
-// so morsel boundaries are too.
+// kDefaultMorselRows. A pure function of configuration — never of the
+// thread count — so morsel boundaries are too.
 size_t ResolveMorselRows(size_t requested) {
   if (requested != 0) return requested;
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
@@ -50,7 +52,7 @@ size_t ResolveMorselRows(size_t requested) {
     long parsed = std::atol(env);
     if (parsed > 0) return static_cast<size_t>(parsed);
   }
-  return 65536;
+  return kDefaultMorselRows;
 }
 
 // Node constructors append to the NodeStore; NodeIdx values are allocation
@@ -198,15 +200,49 @@ std::shared_ptr<Table> SliceRows(const Table& t, size_t b, size_t e) {
   return out;
 }
 
+// Row positions a row-picking stage (σ, the joins) keeps: `l` into its
+// left input — the streamed one, except at an equi-join head — and `r`
+// into a join's right input.
+struct Picks {
+  std::vector<uint32_t> l;
+  std::vector<uint32_t> r;
+};
+
+// Appends the given rows of every column of `side` to `out`.
+void GatherSide(const Table& side, const std::vector<uint32_t>& rows,
+                Table* out) {
+  for (ColId c : side.schema()) {
+    const Column& src = side.col(c);
+    Column col(rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) col[k] = src[rows[k]];
+    out->AddColumn(c, std::move(col));
+  }
+}
+
+// Copies rows [b, e) of the concatenation lc ++ rc (lc holds nl rows; the
+// range may straddle the seam) to dst.
+void UnionRange(const Column& lc, const Column& rc, size_t nl, size_t b,
+                size_t e, Value* dst) {
+  if (b < nl) {
+    dst = std::copy(lc.begin() + static_cast<ptrdiff_t>(b),
+                    lc.begin() + static_cast<ptrdiff_t>(std::min(e, nl)), dst);
+  }
+  if (e > nl) {
+    std::copy(rc.begin() + static_cast<ptrdiff_t>(b > nl ? b - nl : 0),
+              rc.begin() + static_cast<ptrdiff_t>(e - nl), dst);
+  }
+}
+
 // One morsel's result, parked until the sink's ordered merge. Slots are
 // disjoint across morsel tasks, so no locking.
 struct MorselOut {
   std::shared_ptr<Table> table;       // non-Step sinks
+  Picks picks;                        // lone σ and join stages
   std::vector<int64_t> step_iters;    // Step sinks (merged, sorted, deduped
   std::vector<NodeIdx> step_nodes;    // by the sink, like chunked EvalStep)
   int err_stage = -1;                 // first failing stage in this morsel
   Status err;
-  size_t bytes = 0;                   // ledger charge for `table`
+  size_t bytes = 0;                   // ledger charge for `table`/`picks`
 };
 
 constexpr size_t kNoSlot = static_cast<size_t>(-1);
@@ -251,6 +287,12 @@ struct Evaluator::Sched {
   std::condition_variable done_cv;
   size_t remaining;
 };
+
+Status CheckChunkRows(size_t chunk_rows) {
+  if (chunk_rows == kRemovedChunkRows) return Status::Ok();
+  return InvalidArgument(
+      "chunk_rows was removed; breaker kernels split by morsel_rows");
+}
 
 Evaluator::Evaluator(const Dag& dag, EvalContext* ctx)
     : dag_(dag),
@@ -319,6 +361,8 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
   guard.check_properties = false;
   EXRQUY_RETURN_IF_ERROR(VerifyPlan(dag_, root, guard));
 
+  EXRQUY_RETURN_IF_ERROR(CheckChunkRows(ctx_->chunk_rows));
+
   // A pre-cancelled token, an already-expired deadline, or a budget
   // exhausted by pre-evaluation work fails before any operator runs.
   EXRQUY_RETURN_IF_ERROR(PollGovernor());
@@ -326,8 +370,10 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
   std::vector<OpId> order = dag_.ReachableFrom(root);
   // Plan the fusable chains, then refuse to run any plan the audit
   // cannot independently re-derive — a planner bug must fail as a
-  // Status, never as a wrong (or torn) result.
-  mplan_ = PlanPipelines(dag_, order, root);
+  // Status, never as a wrong (or torn) result. Without fusion the plan
+  // is empty and every fusable operator runs alone.
+  mplan_ = ctx_->pipelined_execution ? PlanPipelines(dag_, order, root)
+                                     : MorselPlan();
   EXRQUY_RETURN_IF_ERROR(AuditMorselPlan(dag_, order, root, mplan_));
   size_t threads = ResolveThreads(ctx_->num_threads);
   if (ctx_->profile != nullptr) {
@@ -693,7 +739,12 @@ bool Evaluator::ShouldInline(Sched* s, size_t i) {
 // every stage without materializing interior tables. The sink
 // concatenates morsel results in morsel order (Step re-sorts/dedups, #
 // numbers the merged stream), so the result is the same at every morsel
-// size and thread count.
+// size and thread count. A lone stage (a fusable operator outside every
+// chain) reads only whole materialized inputs, so its morsels build no
+// tables to concatenate: π and # share the input columns in a single
+// morsel, Fun and ⊕ fill their rows of preallocated output columns, and
+// σ and the joins keep only row positions, which the merge gathers from
+// the inputs once, range-parallel.
 
 size_t Evaluator::NumMorsels(size_t n) const {
   return n == 0 ? 1 : (n + morsel_rows_ - 1) / morsel_rows_;
@@ -758,7 +809,25 @@ Result<TablePtr> Evaluator::EvalPipeline(
       total = stream->rows();
   }
 
-  const size_t morsels = NumMorsels(total);
+  const bool lone = nstages == 1;
+  // This unit's morsel size. A lone π or # shares its input columns in
+  // one morsel. A lone Step splits no finer than the default: every
+  // EvalStep call sorts its contexts and memoizes step groups afresh, and
+  // the merge re-sorts, so small morsels only add work; parallelism needs
+  // just a few large ranges.
+  size_t mrows = morsel_rows_;
+  if (lone && (hop.kind == OpKind::kProject || hop.kind == OpKind::kRowId)) {
+    mrows = std::max<size_t>(total, 1);
+  } else if (lone && hop.kind == OpKind::kStep) {
+    mrows = std::max(mrows, kDefaultMorselRows);
+  }
+  const size_t morsels = total == 0 ? 1 : (total + mrows - 1) / mrows;
+  Column lone_fun;                 // a lone Fun's result column
+  std::vector<Column> lone_union;  // a lone ⊕'s output columns
+  if (lone && hop.kind == OpKind::kFun) lone_fun.resize(total);
+  if (lone && hop.kind == OpKind::kUnion) {
+    lone_union.assign(lT->schema().size(), Column(total));
+  }
   const bool step_sink = sops[nstages - 1]->kind == OpKind::kStep;
   std::vector<MorselOut> outs(morsels);
   const bool prof = stage_metrics != nullptr;
@@ -772,41 +841,37 @@ Result<TablePtr> Evaluator::EvalPipeline(
     st_out.assign(morsels * nstages, 0);
   }
 
-  auto equi_probe = [&](size_t b,
-                        size_t e) -> std::shared_ptr<Table> {
+  auto equi_probe = [&](size_t b, size_t e, Picks* p) {
     std::vector<const Column*> probe_key = {&stream->col(jprobe_col)};
-    std::vector<uint32_t> probe_rows;
-    std::vector<uint32_t> build_rows;
+    std::vector<uint32_t>& probe_rows = jbuild_right ? p->l : p->r;
+    std::vector<uint32_t>& build_rows = jbuild_right ? p->r : p->l;
     for (size_t pr = b; pr < e; ++pr) {
       jindex->ForEachMatch(probe_key, pr, [&](uint32_t br) {
         probe_rows.push_back(static_cast<uint32_t>(pr));
         build_rows.push_back(br);
       });
     }
-    const std::vector<uint32_t>& l_rows =
-        jbuild_right ? probe_rows : build_rows;
-    const std::vector<uint32_t>& r_rows =
-        jbuild_right ? build_rows : probe_rows;
-    size_t out_n = probe_rows.size();
-    auto out = std::make_shared<Table>();
-    auto gather_side = [&](const Table& side,
-                           const std::vector<uint32_t>& rows) {
-      for (ColId c : side.schema()) {
-        const Column& src = side.col(c);
-        Column col(out_n);
-        for (size_t k = 0; k < out_n; ++k) col[k] = src[rows[k]];
-        out->AddColumn(c, std::move(col));
-      }
-    };
-    gather_side(*lT, l_rows);
-    gather_side(*rT, r_rows);
-    out->SetRows(out_n);
-    return out;
+  };
+  // The tables a picking stage's positions index, given its streamed
+  // input `in`: an equi-join head's two inputs, otherwise `in` and a
+  // theta join's right input.
+  auto pick_left = [&](const Op& op, const Table* in) -> const Table& {
+    return op.kind == OpKind::kEquiJoin ? *lT : *in;
+  };
+  auto pick_right = [&](size_t si) -> const Table* {
+    switch (sops[si]->kind) {
+      case OpKind::kEquiJoin:
+        return rT;
+      case OpKind::kThetaJoin:
+        return ext[si][1].get();
+      default:
+        return nullptr;
+    }
   };
 
   auto run_morsel = [&](size_t m) {
-    size_t mb = m * morsel_rows_;
-    size_t me = std::min(total, mb + morsel_rows_);
+    size_t mb = m * mrows;
+    size_t me = std::min(total, mb + mrows);
     MorselOut& mo = outs[m];
     std::shared_ptr<Table> cur;
     for (size_t si = 0; si < nstages; ++si) {
@@ -825,15 +890,51 @@ Result<TablePtr> Evaluator::EvalPipeline(
           case OpKind::kProject:
             return StageProjectM(op, *in, b, e);
           case OpKind::kSelect:
-            return StageSelectM(op, *in, b, e);
-          case OpKind::kFun:
-            return StageFunM(op, *in, b, e);
-          case OpKind::kUnion:
-            return StageUnionM(*lT, *rT, b, e);
           case OpKind::kEquiJoin:
-            return equi_probe(b, e);
-          case OpKind::kThetaJoin:
-            return StageThetaM(op, *in, b, e, *ext[si][1]);
+          case OpKind::kThetaJoin: {
+            Picks p;
+            if (op.kind == OpKind::kSelect) {
+              EXRQUY_RETURN_IF_ERROR(StageSelectM(op, *in, b, e, &p.l));
+            } else if (op.kind == OpKind::kEquiJoin) {
+              equi_probe(b, e, &p);
+            } else {
+              EXRQUY_RETURN_IF_ERROR(
+                  StageThetaM(op, *in, b, e, *ext[si][1], &p.l, &p.r));
+            }
+            if (lone) {
+              mo.picks = std::move(p);
+              return std::shared_ptr<Table>();
+            }
+            auto out = std::make_shared<Table>();
+            GatherSide(pick_left(op, in), p.l, out.get());
+            if (const Table* right = pick_right(si)) {
+              GatherSide(*right, p.r, out.get());
+            }
+            out->SetRows(p.l.size());
+            return out;
+          }
+          case OpKind::kFun: {
+            if (lone) {
+              EXRQUY_RETURN_IF_ERROR(
+                  StageFunM(op, *in, b, e, lone_fun.data() + b));
+              return std::shared_ptr<Table>();
+            }
+            Column c(e - b);
+            EXRQUY_RETURN_IF_ERROR(StageFunM(op, *in, b, e, c.data()));
+            std::shared_ptr<Table> out = SliceRows(*in, b, e);
+            out->AddColumn(op.col, std::move(c));
+            return out;
+          }
+          case OpKind::kUnion:
+            if (lone) {
+              const std::vector<ColId>& schema = lT->schema();
+              for (size_t k = 0; k < schema.size(); ++k) {
+                UnionRange(lT->col(schema[k]), rT->col(schema[k]),
+                           lT->rows(), b, e, lone_union[k].data() + b);
+              }
+              return std::shared_ptr<Table>();
+            }
+            return StageUnionM(*lT, *rT, b, e);
           case OpKind::kStep: {
             Status st =
                 StageStepM(op, *in, b, e, &mo.step_iters, &mo.step_nodes);
@@ -864,8 +965,8 @@ Result<TablePtr> Evaluator::EvalPipeline(
         size_t slot = m * nstages + si;
         st_ms[slot] = MsSince(t0);
         if (si > 0) st_in[slot] = e - b;
-        st_out[slot] = step_sink && si + 1 == nstages ? mo.step_iters.size()
-                                                      : cur->rows();
+        // The sink's rows are counted on the merged result.
+        if (si + 1 < nstages) st_out[slot] = cur->rows();
       }
     }
     if (!step_sink) {
@@ -873,7 +974,10 @@ Result<TablePtr> Evaluator::EvalPipeline(
       // A lone morsel is the unit's table as is, charged once when the
       // scheduler tracks it; parts awaiting a real merge are live here.
       if (morsels > 1) {
-        mo.bytes = mo.table->ByteSize();
+        mo.bytes = mo.table != nullptr
+                       ? mo.table->ByteSize()
+                       : (mo.picks.l.size() + mo.picks.r.size()) *
+                             sizeof(uint32_t);
         ChargeMorsel(mo.bytes);
       }
     }
@@ -931,7 +1035,10 @@ Result<TablePtr> Evaluator::EvalPipeline(
           all.emplace_back(mo.step_iters[k], mo.step_nodes[k]);
         }
       }
-      std::sort(all.begin(), all.end());
+      // Morsels in context order often concatenate sorted already.
+      if (!std::is_sorted(all.begin(), all.end())) {
+        std::sort(all.begin(), all.end());
+      }
       all.erase(std::unique(all.begin(), all.end()), all.end());
       iters.resize(all.size());
       nodes.resize(all.size());
@@ -951,8 +1058,34 @@ Result<TablePtr> Evaluator::EvalPipeline(
     out->AddColumn(col::item(), std::move(nc));
     out->SetRows(iters.size());
     result = out;
-  } else if (morsels == 1) {
+  } else if (morsels == 1 && outs[0].table != nullptr) {
     result = outs[0].table;  // the single part IS the concatenation
+  } else if (lone) {
+    auto out = std::make_shared<Table>();
+    size_t rows_total = total;
+    if (hop.kind == OpKind::kFun) {
+      for (ColId c : stream->schema()) out->AddColumn(c, stream->col_ptr(c));
+      out->AddColumn(hop.col, std::move(lone_fun));
+    } else if (hop.kind == OpKind::kUnion) {
+      const std::vector<ColId>& schema = lT->schema();
+      for (size_t k = 0; k < schema.size(); ++k) {
+        out->AddColumn(schema[k], std::move(lone_union[k]));
+      }
+    } else {
+      Picks all;
+      for (MorselOut& mo : outs) {
+        all.l.insert(all.l.end(), mo.picks.l.begin(), mo.picks.l.end());
+        all.r.insert(all.r.end(), mo.picks.r.begin(), mo.picks.r.end());
+        mo.picks = Picks();
+      }
+      GatherParallel(pick_left(hop, stream), all.l, out.get());
+      if (const Table* right = pick_right(0)) {
+        GatherParallel(*right, all.r, out.get());
+      }
+      rows_total = all.l.size();
+    }
+    out->SetRows(rows_total);
+    result = out;
   } else {
     // Concatenate in morsel order, column by column; each part drops its
     // reference to a column as soon as it is copied, so the transient
@@ -1048,83 +1181,52 @@ std::shared_ptr<Table> Evaluator::StageProjectM(const Op& op, const Table& in,
   return out;
 }
 
-Result<std::shared_ptr<Table>> Evaluator::StageSelectM(const Op& op,
-                                                       const Table& in,
-                                                       size_t b, size_t e) {
+Status Evaluator::StageSelectM(const Op& op, const Table& in, size_t b,
+                               size_t e, std::vector<uint32_t>* rows) {
   const Column& flags = in.col(op.col);
-  std::vector<uint32_t> rows;
   for (size_t r = b; r < e; ++r) {
     const Value& v = flags[r];
     if (v.kind != ValueKind::kBool) {
       return TypeError("selection column is not boolean");
     }
-    if (v.b) rows.push_back(static_cast<uint32_t>(r));
+    if (v.b) rows->push_back(static_cast<uint32_t>(r));
   }
-  auto out = std::make_shared<Table>();
-  for (ColId c : in.schema()) {
-    const Column& src = in.col(c);
-    Column col(rows.size());
-    for (size_t k = 0; k < rows.size(); ++k) col[k] = src[rows[k]];
-    out->AddColumn(c, std::move(col));
-  }
-  out->SetRows(rows.size());
-  return out;
+  return Status::Ok();
 }
 
-Result<std::shared_ptr<Table>> Evaluator::StageFunM(const Op& op,
-                                                    const Table& in, size_t b,
-                                                    size_t e) {
+Status Evaluator::StageFunM(const Op& op, const Table& in, size_t b, size_t e,
+                            Value* out) {
   std::vector<const Column*> args = ColPtrs(in, op.args);
-  Column resultc(e - b);
   for (size_t r = b; r < e; ++r) {
     Result<Value> v = ApplyFun(op, args, r);
     if (!v.ok()) return v.status();
-    resultc[r - b] = std::move(v).value();
+    out[r - b] = std::move(v).value();
   }
-  std::shared_ptr<Table> out = SliceRows(in, b, e);
-  out->AddColumn(op.col, std::move(resultc));
-  return out;
+  return Status::Ok();
 }
 
 std::shared_ptr<Table> Evaluator::StageUnionM(const Table& l, const Table& r,
                                               size_t b, size_t e) {
-  // The morsel domain is the concatenation of both inputs; [b, e) may
-  // straddle the seam.
-  size_t nl = l.rows();
   auto out = std::make_shared<Table>();
   for (ColId c : l.schema()) {
-    Column col;
-    col.reserve(e - b);
-    if (b < nl) {
-      const Column& lc = l.col(c);
-      size_t hi = std::min(e, nl);
-      col.insert(col.end(), lc.begin() + static_cast<ptrdiff_t>(b),
-                 lc.begin() + static_cast<ptrdiff_t>(hi));
-    }
-    if (e > nl) {
-      const Column& rc = r.col(c);
-      size_t lo = b > nl ? b - nl : 0;
-      col.insert(col.end(), rc.begin() + static_cast<ptrdiff_t>(lo),
-                 rc.begin() + static_cast<ptrdiff_t>(e - nl));
-    }
+    Column col(e - b);
+    UnionRange(l.col(c), r.col(c), l.rows(), b, e, col.data());
     out->AddColumn(c, std::move(col));
   }
   out->SetRows(e - b);
   return out;
 }
 
-Result<std::shared_ptr<Table>> Evaluator::StageThetaM(const Op& op,
-                                                      const Table& in,
-                                                      size_t b, size_t e,
-                                                      const Table& right) {
+Status Evaluator::StageThetaM(const Op& op, const Table& in, size_t b,
+                              size_t e, const Table& right,
+                              std::vector<uint32_t>* l_rows,
+                              std::vector<uint32_t>* r_rows) {
   // Nested loop over [b, e) x right, left-major with matches in
   // right-row order; a comparison error surfaces at the first failing
   // pair in that order.
   const Column& lk = in.col(op.col);
   const Column& rk = right.col(op.col2);
   size_t m = right.rows();
-  std::vector<uint32_t> l_rows;
-  std::vector<uint32_t> r_rows;
   size_t pairs = 0;
   for (size_t i = b; i < e; ++i) {
     for (size_t j = 0; j < m; ++j) {
@@ -1136,25 +1238,12 @@ Result<std::shared_ptr<Table>> Evaluator::StageThetaM(const Op& op,
       Result<Value> v = ops_.Compare(op.fun, lk[i], rk[j]);
       if (!v.ok()) return v.status();
       if (v.value().b) {
-        l_rows.push_back(static_cast<uint32_t>(i));
-        r_rows.push_back(static_cast<uint32_t>(j));
+        l_rows->push_back(static_cast<uint32_t>(i));
+        r_rows->push_back(static_cast<uint32_t>(j));
       }
     }
   }
-  size_t out_n = l_rows.size();
-  auto out = std::make_shared<Table>();
-  auto gather_side = [&](const Table& side, const std::vector<uint32_t>& rows) {
-    for (ColId c : side.schema()) {
-      const Column& src = side.col(c);
-      Column col(out_n);
-      for (size_t k = 0; k < out_n; ++k) col[k] = src[rows[k]];
-      out->AddColumn(c, std::move(col));
-    }
-  };
-  gather_side(in, l_rows);
-  gather_side(right, r_rows);
-  out->SetRows(out_n);
-  return out;
+  return Status::Ok();
 }
 
 Status Evaluator::StageStepM(const Op& op, const Table& in, size_t b, size_t e,
@@ -1203,10 +1292,9 @@ size_t Evaluator::ForMorsels(
   return chunks;
 }
 
-TablePtr Evaluator::GatherParallel(const Table& in,
-                                   const std::vector<uint32_t>& rows) {
+void Evaluator::GatherParallel(const Table& in,
+                               const std::vector<uint32_t>& rows, Table* out) {
   size_t n = rows.size();
-  auto out = std::make_shared<Table>();
   for (ColId c : in.schema()) {
     const Column& src = in.col(c);
     Column col(n);
@@ -1215,8 +1303,6 @@ TablePtr Evaluator::GatherParallel(const Table& in,
     });
     out->AddColumn(c, std::move(col));
   }
-  out->SetRows(n);
-  return out;
 }
 
 void Evaluator::ParallelStableSort(
@@ -1420,7 +1506,11 @@ Result<TablePtr> Evaluator::EvalDiffSemi(const Op& op, const Table& l,
       }
     }
   });
-  return GatherParallel(l, ConcatChunks(parts));
+  std::vector<uint32_t> rows = ConcatChunks(parts);
+  auto out = std::make_shared<Table>();
+  GatherParallel(l, rows, out.get());
+  out->SetRows(rows.size());
+  return out;
 }
 
 Result<TablePtr> Evaluator::EvalDistinct(const Op& op, const Table& in) {
@@ -1443,7 +1533,10 @@ Result<TablePtr> Evaluator::EvalDistinct(const Op& op, const Table& in) {
       rows.push_back(static_cast<uint32_t>(r));
     }
   }
-  return GatherParallel(in, rows);
+  auto out = std::make_shared<Table>();
+  GatherParallel(in, rows, out.get());
+  out->SetRows(rows.size());
+  return out;
 }
 
 Result<TablePtr> Evaluator::EvalRowNum(const Op& op, const Table& in) {

@@ -54,6 +54,11 @@
 
 namespace exrquy {
 
+// The only value EvalContext::chunk_rows (and QueryOptions::chunk_rows)
+// accepts; CheckChunkRows fails any other with InvalidArgument.
+inline constexpr size_t kRemovedChunkRows = 65536;
+Status CheckChunkRows(size_t chunk_rows);
+
 struct EvalContext {
   NodeStore* store = nullptr;
   StrPool* strings = nullptr;
@@ -81,10 +86,16 @@ struct EvalContext {
   // lazy worker spawn, never start worker threads at all). Inlining
   // changes scheduling only, never results. 0 disables it.
   size_t inline_rows = 4096;
-  // No effect: morsel_rows is the one granularity knob and pipelined
-  // execution the one engine path. Kept so existing callers compile.
-  size_t chunk_rows = 65536;
+  // Fuse chains of non-blocking operators into morsel pipelines. Off
+  // runs every fusable operator alone, as a one-stage pipeline that
+  // materializes its table: the same kernels and byte-identical results,
+  // retained (like release_intermediates) for peak-memory comparisons.
   bool pipelined_execution = true;
+  // Removed: breaker kernels now split by morsel_rows. Only the old
+  // default is accepted, so that callers copying the field through still
+  // compile; any other value fails Eval with InvalidArgument rather than
+  // being ignored.
+  size_t chunk_rows = kRemovedChunkRows;
 
   // Physical-plan order detection (Section 6's pointer to Moerkotte &
   // Neumann): when set, % first checks in O(n) whether its input already
@@ -178,17 +189,20 @@ class Evaluator {
   // Morsel stage kernels, the only kernels of the fusable operators:
   // evaluate rows [b, e) of `in` (the whole morsel for interior stages, a
   // source slice for the head) without materializing outside the morsel.
+  // σ and θ return the row positions they keep (θ: into `in` and
+  // `right`), Fun writes its e - b results to `out`; the caller decides
+  // whether to gather per morsel or once at the merge.
   std::shared_ptr<Table> StageProjectM(const Op& op, const Table& in,
                                        size_t b, size_t e);
-  Result<std::shared_ptr<Table>> StageSelectM(const Op& op, const Table& in,
-                                              size_t b, size_t e);
-  Result<std::shared_ptr<Table>> StageFunM(const Op& op, const Table& in,
-                                           size_t b, size_t e);
+  Status StageSelectM(const Op& op, const Table& in, size_t b, size_t e,
+                      std::vector<uint32_t>* rows);
+  Status StageFunM(const Op& op, const Table& in, size_t b, size_t e,
+                   Value* out);
   std::shared_ptr<Table> StageUnionM(const Table& l, const Table& r, size_t b,
                                      size_t e);
-  Result<std::shared_ptr<Table>> StageThetaM(const Op& op, const Table& in,
-                                             size_t b, size_t e,
-                                             const Table& right);
+  Status StageThetaM(const Op& op, const Table& in, size_t b, size_t e,
+                     const Table& right, std::vector<uint32_t>* l_rows,
+                     std::vector<uint32_t>* r_rows);
   Status StageStepM(const Op& op, const Table& in, size_t b, size_t e,
                     std::vector<int64_t>* out_iters,
                     std::vector<NodeIdx>* out_nodes);
@@ -204,8 +218,10 @@ class Evaluator {
   // Returns the range count.
   size_t ForMorsels(size_t n,
                     const std::function<void(size_t, size_t, size_t)>& fn);
-  // Materializes the given rows of `in`, range-parallel per column.
-  TablePtr GatherParallel(const Table& in, const std::vector<uint32_t>& rows);
+  // Appends the given rows of every column of `in` to `out`,
+  // range-parallel per column.
+  void GatherParallel(const Table& in, const std::vector<uint32_t>& rows,
+                      Table* out);
   // Range-wise stable sort: sorts each range, then stably merges range
   // pairs — byte-identical to std::stable_sort over the whole input.
   void ParallelStableSort(

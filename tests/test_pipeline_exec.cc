@@ -1,19 +1,23 @@
 // Morsel-driven pipelined execution (opt/morsel_plan.h, engine/eval.h):
-// morsel size and thread count must be invisible in every observable
-// except time and memory. The suite drives that contract three ways:
+// fusion, morsel size and thread count must be invisible in every
+// observable except time and memory. The suite drives that contract four
+// ways:
 //
 //   * byte-equality of all twenty XMark queries against serial execution
 //     at the default morsel size (one morsel per table at this scale),
-//     across ordering modes, thread counts and morsel sizes — including
-//     morsel_rows = 1, where every stage boundary, merge order and
-//     refcount transition is exercised at maximum resolution. The serial
-//     results are in turn pinned by the reference interpreter
+//     across ordering modes, thread counts, morsel sizes and fusion on/
+//     off — including morsel_rows = 1, where every stage boundary, merge
+//     order and refcount transition is exercised at maximum resolution.
+//     The serial results are in turn pinned by the reference interpreter
 //     (test_reference_xmark) and the XMark result checks
 //     (test_xmark_results);
 //   * the governor fault matrix (fail-alloc / cancel-at-op /
 //     deadline-at-chunk) swept exhaustively through fused pipelines with
 //     SweepFaultPoints: every single fault point surfaces as the planned
 //     code and an unfaulted re-run is byte-identical;
+//   * the memory half: fusing must strictly lower the peak live footprint
+//     on XMark Q11 below running every fusable operator alone, because
+//     interior stages never materialize;
 //   * the plan audit: a hand-corrupted MorselPlan must be refused before
 //     the engine runs a single morsel.
 //
@@ -49,6 +53,13 @@ QueryOptions Morsels(int threads, size_t morsel_rows) {
   return o;
 }
 
+// Fusion off: every fusable operator runs alone and materializes.
+QueryOptions Unfused(int threads, size_t morsel_rows) {
+  QueryOptions o = Morsels(threads, morsel_rows);
+  o.pipelined_execution = false;
+  return o;
+}
+
 class PipelineExecTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -69,31 +80,36 @@ class PipelineExecTest : public ::testing::Test {
 Session* PipelineExecTest::session_ = nullptr;
 
 // ---------------------------------------------------------------------
-// Byte-equality matrix: 20 queries x 2 ordering modes x {1, 4} threads x
-// morsel sizes {1, 64} against serial default-morsel execution.
+// Byte-equality matrix: 20 queries x 2 ordering modes x {1, 2, 4}
+// threads x morsel sizes {1, 64, 65536}, plus two unfused configurations,
+// against serial default-morsel execution.
 
 void RunMatrix(Session* session, OrderingMode mode) {
-  const size_t kMorsels[] = {1, 64};
-  const int kThreads[] = {1, 4};
+  std::vector<QueryOptions> configs;
+  for (int threads : {1, 2, 4}) {
+    for (size_t morsel : {size_t{1}, size_t{64}, size_t{65536}}) {
+      if (threads == 1 && morsel == 65536) continue;  // the reference
+      configs.push_back(Morsels(threads, morsel));
+    }
+  }
+  configs.push_back(Unfused(1, 64));
+  configs.push_back(Unfused(4, 1));
   for (const XMarkQuery& q : XMarkQueries()) {
     QueryOptions ref_opts = Serial();
     ref_opts.default_ordering = mode;
     Result<QueryResult> reference = session->Execute(q.text, ref_opts);
     ASSERT_TRUE(reference.ok())
         << q.name << ": " << reference.status().ToString();
-    for (int threads : kThreads) {
-      for (size_t morsel : kMorsels) {
-        QueryOptions o = Morsels(threads, morsel);
-        o.default_ordering = mode;
-        Result<QueryResult> r = session->Execute(q.text, o);
-        ASSERT_TRUE(r.ok()) << q.name << " threads=" << threads
-                            << " morsel=" << morsel << ": "
-                            << r.status().ToString();
-        EXPECT_EQ(reference->serialized, r->serialized)
-            << q.name << " threads=" << threads << " morsel=" << morsel;
-        EXPECT_EQ(reference->items, r->items)
-            << q.name << " threads=" << threads << " morsel=" << morsel;
-      }
+    for (QueryOptions o : configs) {
+      o.default_ordering = mode;
+      Result<QueryResult> r = session->Execute(q.text, o);
+      const std::string where =
+          q.name + " threads=" + std::to_string(o.num_threads) +
+          " morsel=" + std::to_string(o.morsel_rows) +
+          (o.pipelined_execution ? "" : " unfused");
+      ASSERT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+      EXPECT_EQ(reference->serialized, r->serialized) << where;
+      EXPECT_EQ(reference->items, r->items) << where;
     }
   }
 }
@@ -209,6 +225,56 @@ TEST_F(PipelineExecTest, FaultCountsIndependentOfThreads) {
 }
 
 // ---------------------------------------------------------------------
+// Memory: interior stages never materialize, so fusing must lower Q11's
+// peak strictly below running every fusable operator alone. A lone
+// operator in turn builds no per-morsel tables, so its peak must not grow
+// when its input spans many morsels.
+
+TEST_F(PipelineExecTest, Q11PeakMemoryStrictlyLowerWhenFused) {
+  const std::string& q11 = XMarkQueryText("Q11");
+  QueryOptions unfused = Unfused(/*threads=*/1, /*morsel_rows=*/64);
+  unfused.profile = true;
+  QueryOptions fused = Morsels(/*threads=*/1, /*morsel_rows=*/64);
+  fused.profile = true;
+
+  Result<QueryResult> off = session_->Execute(q11, unfused);
+  Result<QueryResult> on = session_->Execute(q11, fused);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+
+  EXPECT_EQ(off->serialized, on->serialized);
+  EXPECT_TRUE(off->profile.pipelines().empty());
+  EXPECT_FALSE(on->profile.pipelines().empty());
+  EXPECT_LT(on->profile.peak_live_bytes(), off->profile.peak_live_bytes());
+}
+
+TEST_F(PipelineExecTest, LoneOperatorPeakIndependentOfMorselSize) {
+  for (const XMarkQuery& q : XMarkQueries()) {
+    // 65536 rows: one morsel per table at this scale.
+    QueryOptions whole = Unfused(/*threads=*/1, /*morsel_rows=*/65536);
+    whole.profile = true;
+    QueryOptions split = Unfused(/*threads=*/1, /*morsel_rows=*/64);
+    split.profile = true;
+    Result<QueryResult> w = session_->Execute(q.text, whole);
+    Result<QueryResult> s = session_->Execute(q.text, split);
+    ASSERT_TRUE(w.ok()) << q.name << ": " << w.status().ToString();
+    ASSERT_TRUE(s.ok()) << q.name << ": " << s.status().ToString();
+    EXPECT_LE(s->profile.peak_live_bytes(), w->profile.peak_live_bytes())
+        << q.name;
+  }
+}
+
+TEST_F(PipelineExecTest, RemovedChunkRowsRejected) {
+  // chunk_rows no longer exists as a knob; setting it must fail loudly
+  // instead of being ignored.
+  QueryOptions o = Serial();
+  o.chunk_rows = 7;
+  Result<QueryResult> r = session_->Execute(XMarkQueryText("Q1"), o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
 // Scheduling: tiny pipelines run inline on the readying thread, and the
 // pool never spawns a worker it does not need, so a tiny query at 4
 // threads costs what it costs at 1.
@@ -222,16 +288,14 @@ TEST_F(PipelineExecTest, TinyQueryFourThreadLatencyNearSerial) {
   const std::string query =
       R"(for $x in doc("tiny.xml")//a return number($x) * 2)";
 
-  auto median_ms = [&](const QueryOptions& o) {
-    std::vector<double> samples;
-    for (int i = 0; i < 60; ++i) {
-      auto t0 = std::chrono::steady_clock::now();
-      Result<QueryResult> r = session.Execute(query, o);
-      auto t1 = std::chrono::steady_clock::now();
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
-      samples.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
+  auto sample_ms = [&](const QueryOptions& o) {
+    auto t0 = std::chrono::steady_clock::now();
+    Result<QueryResult> r = session.Execute(query, o);
+    auto t1 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return std::chrono::duration<double, std::milli>(t1 - t0).count();
+  };
+  auto median = [](std::vector<double> samples) {
     std::sort(samples.begin(), samples.end());
     return samples[samples.size() / 2];
   };
@@ -241,8 +305,16 @@ TEST_F(PipelineExecTest, TinyQueryFourThreadLatencyNearSerial) {
   // Warm both paths (first-run effects: interning, plan shaping).
   (void)session.Execute(query, serial);
   (void)session.Execute(query, four);
-  double serial_ms = median_ms(serial);
-  double four_ms = median_ms(four);
+  // Alternate the two configurations so that a slow phase of a shared
+  // host lands on both sample sets alike.
+  std::vector<double> serial_samples;
+  std::vector<double> four_samples;
+  for (int i = 0; i < 60; ++i) {
+    serial_samples.push_back(sample_ms(serial));
+    four_samples.push_back(sample_ms(four));
+  }
+  double serial_ms = median(serial_samples);
+  double four_ms = median(four_samples);
   EXPECT_LE(four_ms, serial_ms * 1.2)
       << "tiny query must not pay for the pool: serial " << serial_ms
       << " ms vs 4T " << four_ms << " ms";

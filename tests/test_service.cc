@@ -275,6 +275,11 @@ TEST(QueryServiceTest, ResultCacheHitServesBytesWithoutEngine) {
   EXPECT_TRUE(warm->result.profile.result_cache_hit());
   // A result hit does zero engine work: no operator records.
   EXPECT_TRUE(warm->result.profile.ops().empty());
+  // A removed option is rejected even when the bytes are cached.
+  o.chunk_rows = 7;
+  Result<ServiceResult> removed = service.Execute(query, o);
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Reloading a document must invalidate both caches: no stale plan, no
