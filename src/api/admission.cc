@@ -4,15 +4,12 @@
 #include <cmath>
 #include <string>
 
+#include "common/governor.h"
+
 namespace exrquy {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 // Bucket 0 holds sub-microsecond samples; bucket i >= 1 holds
 // [2^(i-1), 2^i) µs. The last bucket absorbs everything beyond.

@@ -4,31 +4,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <thread>
 #include <utility>
 
 #include "algebra/stats.h"
-#include "engine/eval.h"
 #include "xml/xml_parser.h"
 
 namespace exrquy {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-uint64_t EnvU64(const char* name) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(v, &end, 10);
-  return end == v ? 0 : static_cast<uint64_t>(n);
-}
 
 // Presence-sensitive variant for knobs where "unset" and "=0" mean
 // different things (e.g. queue depth: unset = unbounded, 0 = never
@@ -58,7 +44,9 @@ size_t ResolveWorkers(size_t requested) {
 
 size_t ResolveResultCacheBytes(int64_t requested) {
   if (requested >= 0) return static_cast<size_t>(requested);
-  return static_cast<size_t>(EnvU64("EXRQUY_RESULT_CACHE_BYTES"));
+  uint64_t v = 0;  // unset = disabled
+  EnvU64Present("EXRQUY_RESULT_CACHE_BYTES", &v);
+  return static_cast<size_t>(v);
 }
 
 size_t ResolveMaxQueueDepth(int64_t requested) {
@@ -82,12 +70,13 @@ int ResolveMaxRetries(int requested) {
   return static_cast<int>(std::min<uint64_t>(v, 16));
 }
 
-// Cache key: query text, then the plan-affecting option bits, then the
-// store version. Execution knobs (threads, morsels, fusion, governor) are
-// deliberately absent — the engine guarantees byte-identical results
-// across all of them, which is what makes cached bytes reusable. The
-// same key strings the poison-query quarantine: two calls that would
-// share a plan share a breaker.
+// Cache key: query text, then the plan-affecting option bits (every
+// family of kRewriteFamilies among them), then the store version.
+// Execution knobs (threads, morsels, fusion, governor) are deliberately
+// absent — the engine guarantees byte-identical results across all of
+// them, which is what makes cached bytes reusable. The same key strings
+// the poison-query quarantine: two calls that would share a plan share a
+// breaker.
 std::string CacheKey(std::string_view query, const QueryOptions& o,
                      uint64_t version) {
   // Certification participates resolved (options beat environment, like
@@ -96,16 +85,16 @@ std::string CacheKey(std::string_view query, const QueryOptions& o,
   // mutilated plan into another caller's cache slot.
   CertifySettings rc = ResolveCertify(o.certify);
   uint64_t bits = 0;
+  auto push = [&bits](bool b) { bits = (bits << 1) | (b ? 1 : 0); };
   for (bool b : {o.default_ordering == OrderingMode::kOrdered,
                  o.enable_order_indifference, o.insert_unordered,
-                 o.mode_rules, o.column_pruning, o.weaken_rownum,
-                 o.distinct_elimination, o.step_merging, o.distinct_by_keys,
-                 o.empty_short_circuit, o.rownum_by_keys, o.rownum_by_od,
-                 o.join_recognition, o.theta_join, o.physical_sort_detection,
+                 o.mode_rules, o.physical_sort_detection,
                  rc.mode == CertifyMode::kStrict, rc.mode == CertifyMode::kOff,
                  rc.spot_check, !rc.force_reject_rule.empty()}) {
-    bits = (bits << 1) | (b ? 1 : 0);
+    push(b);
   }
+  static_assert(std::size(kRewriteFamilies) + 9 <= 64, "key bits overflow");
+  for (const RewriteFamily& f : kRewriteFamilies) push(o.*(f.flag));
   char suffix[48];
   std::snprintf(suffix, sizeof(suffix), "\x1f%llx\x1f%llu",
                 static_cast<unsigned long long>(bits),
@@ -215,74 +204,31 @@ void QueryService::EnterDegradedWindow() {
 }
 
 Status QueryService::RunAttempt(const CachedPlan& plan,
-                                const QueryOptions& options, Worker& worker,
-                                int64_t deadline_ms, size_t budget_limit,
-                                const FaultPlan& faults,
-                                Clock::time_point arrival, bool degraded,
-                                bool* high_water, ServiceResult* out) {
+                                const std::vector<RewriteTrade>* spot_trades,
+                                const QueryOptions& options,
+                                const Governor& governor, Worker& worker,
+                                bool degraded, bool* high_water,
+                                QueryResult* out) {
   // Fresh governor state per attempt: the budget's exhausted latch and
   // the injector's counters must not leak across retries.
-  MemoryBudget budget(budget_limit);
-  if (faults.fail_alloc != 0) budget.FailChargeAt(faults.fail_alloc);
-  FaultInjector injector(faults);
-  bool account =
-      budget_limit != 0 || faults.fail_alloc != 0 || options.profile;
-  if (account) worker.store.set_budget(&budget);
-
-  EvalContext ctx;
-  ctx.store = &worker.store;
-  ctx.strings = &strings_;
-  ctx.documents = documents_;
-  ctx.detect_sorted_inputs = options.physical_sort_detection;
-  ctx.num_threads = degraded ? 1 : options.num_threads;
-  ctx.release_intermediates = options.release_intermediates;
-  ctx.pipelined_execution = options.pipelined_execution;
-  ctx.chunk_rows = options.chunk_rows;
-  ctx.morsel_rows = options.morsel_rows;
-  ctx.inline_rows = options.inline_rows;
-  if (options.profile) ctx.profile = &out->result.profile;
-  ctx.cancel = options.cancel.get();
-  if (deadline_ms > 0) {
-    // Anchored at arrival, not at admission: time spent queued or in
-    // earlier attempts is already gone from this request's budget.
-    ctx.has_deadline = true;
-    ctx.deadline = arrival + std::chrono::milliseconds(deadline_ms);
+  MemoryBudget budget(governor.memory_budget);
+  budget.FailChargeAt(governor.faults.fail_alloc);
+  MemoryBudget* charged = governor.account ? &budget : nullptr;
+  worker.store.set_budget(charged);
+  QueryOptions serial;
+  if (degraded) {
+    serial = options;
+    serial.num_threads = 1;
   }
-  if (account) ctx.budget = &budget;
-  if (faults.any()) ctx.faults = &injector;
-
-  Clock::time_point t1 = Clock::now();
-  Status failed = Status::Ok();
-  {
-    Evaluator evaluator(*plan.dag, &ctx);
-    Result<TablePtr> table = evaluator.Eval(plan.optimized);
-    if (options.profile) {
-      out->result.profile.SetBudget(budget.limit(), budget.charged(),
-                                    budget.peak());
-    }
-    if (!table.ok()) {
-      failed = table.status();
-    } else {
-      out->result.execute_ms = MsSince(t1);
-      out->result.sorts_skipped = ctx.sorts_skipped;
-      Result<std::string> serialized = SerializeResult(**table, ctx);
-      Result<std::vector<std::string>> items = ResultItems(**table, ctx);
-      if (!serialized.ok()) {
-        failed = serialized.status();
-      } else if (!items.ok()) {
-        failed = items.status();
-      } else {
-        out->result.serialized = std::move(serialized).value();
-        out->result.items = std::move(items).value();
-      }
-    }
-  }
+  Status st = ExecutePlan(*plan.dag, plan.optimized, spot_trades,
+                          degraded ? serial : options, governor, charged,
+                          &worker.store, &strings_, documents_, out);
   // Constructed fragments never outlive the attempt (results hold plain
   // strings); the shared pool keeps query-interned strings by design.
   worker.store.set_budget(nullptr);
   worker.store.TruncateTo(worker.base_nodes, worker.base_fragments);
   *high_water = budget.PeakAboveFraction(memory_high_water_);
-  return failed;
+  return st;
 }
 
 Result<ServiceResult> QueryService::Execute(std::string_view query,
@@ -294,34 +240,15 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
   };
 
   // Resolve the governed-execution knobs before taking any lock or
-  // slot: a malformed EXRQUY_FAULT_* must fail fast, and the absolute
-  // deadline below anchors queue-wait accounting at arrival.
-  int64_t deadline_ms =
-      options.deadline_ms > 0
-          ? options.deadline_ms
-          : static_cast<int64_t>(EnvU64("EXRQUY_DEADLINE_MS"));
-  size_t budget_limit =
-      options.memory_budget > 0
-          ? options.memory_budget
-          : static_cast<size_t>(EnvU64("EXRQUY_MEM_BUDGET"));
-  FaultPlan faults = options.faults;
-  if (!faults.any()) {
-    Result<FaultPlan> from_env = FaultPlan::FromEnv();
-    if (!from_env.ok()) {
-      done();
-      return from_env.status();
-    }
-    faults = from_env.value();
-  }
-  // Before the result cache, which would otherwise serve the request.
-  if (Status st = CheckChunkRows(options.chunk_rows); !st.ok()) {
+  // slot: a malformed knob must fail fast, and the absolute deadline
+  // anchors queue-wait accounting at arrival.
+  Result<Governor> resolved = ResolveGovernor(options, arrival);
+  if (!resolved.ok()) {
     done();
-    return st;
+    return resolved.status();
   }
-  std::optional<Clock::time_point> abs_deadline;
-  if (deadline_ms > 0) {
-    abs_deadline = arrival + std::chrono::milliseconds(deadline_ms);
-  }
+  const Governor& governor = resolved.value();
+  const FaultPlan& faults = governor.faults;
 
   // Held shared for the whole call: the snapshot (base store contents,
   // worker clones, document map, version) cannot change under us.
@@ -369,7 +296,8 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
 
   // Bounded admission. The queue wait is charged against the request's
   // own deadline; shed requests never reach the planner.
-  Result<AdmissionController::Ticket> ticket = admission_.Admit(abs_deadline);
+  Result<AdmissionController::Ticket> ticket =
+      admission_.Admit(governor.deadline);
   if (!ticket.ok()) {
     if (was_probe) quarantine_.ProbeAborted(key);
     done();
@@ -380,6 +308,8 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
   // Plan: cached DAG when warm, full front-half pipeline when cold.
   Clock::time_point plan_start = Clock::now();
   std::shared_ptr<const CachedPlan> plan;
+  std::shared_ptr<CachedPlan> fresh;  // this call's plan, on a miss
+  std::vector<RewriteTrade> trades;   // its certificates, for the spot check
   if (plan_cache_enabled_) plan = plan_cache_.Get(key);
   if (plan != nullptr) {
     out.plan_cache_hit = true;
@@ -394,17 +324,15 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
       done();
       return planned.status();
     }
-    auto fresh = std::make_shared<CachedPlan>();
+    fresh = std::make_shared<CachedPlan>();
     fresh->dag = std::move(planned.value().dag);
     fresh->initial = planned.value().initial;
     fresh->optimized = planned.value().optimized;
     fresh->stats_initial = CollectPlanStats(*fresh->dag, fresh->initial);
     fresh->stats_optimized = CollectPlanStats(*fresh->dag, fresh->optimized);
+    trades = std::move(planned.value().trades);
     out.result.compile_ms = MsSince(plan_start);
-    if (plan_cache_enabled_) {
-      plan_cache_.Put(key, fresh, PlanBytes(*fresh->dag));
-    }
-    plan = std::move(fresh);
+    plan = fresh;
   }
   out.result.plan_initial = plan->stats_initial;
   out.result.plan_optimized = plan->stats_optimized;
@@ -430,9 +358,14 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
       // retry's profile.
       out.result.profile = Profile();
     }
-    FaultPlan attempt_faults = attempts == 1 ? faults : FaultPlan{};
-    failed = RunAttempt(*plan, options, worker, deadline_ms, budget_limit,
-                        attempt_faults, arrival, degraded, &high_water, &out);
+    // A retry runs with the injected fault disarmed, and a fresh plan is
+    // spot-checked once, on its first run.
+    Governor attempt = governor;
+    if (attempts > 1) attempt.faults = FaultPlan{};
+    failed = RunAttempt(*plan, fresh != nullptr && attempts == 1 ? &trades
+                                                                 : nullptr,
+                        options, attempt, worker, degraded, &high_water,
+                        &out.result);
     if (failed.ok()) break;
     bool transient = failed.code() == StatusCode::kResourceExhausted &&
                      (!faults.any() || faults.transient);
@@ -446,10 +379,10 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
     EnterDegradedWindow();
     int64_t sleep_ms = backoff_ms;
     backoff_ms = std::min<int64_t>(backoff_ms * 2, 16);
-    if (abs_deadline.has_value()) {
+    if (governor.deadline.has_value()) {
       int64_t remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(
-              *abs_deadline - Clock::now())
+              *governor.deadline - Clock::now())
               .count();
       if (remaining <= 0) break;  // surface the transient failure as-is
       sleep_ms = std::min(sleep_ms, remaining);
@@ -457,6 +390,14 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
   }
   admission_.Release(ticket.value().slot);
+
+  // A fresh plan is cached once it has run, unless the run hit an
+  // internal error (a failed spot check, or a plan the engine's own
+  // audits rejected): that plan must be re-planned and re-checked.
+  if (fresh != nullptr && plan_cache_enabled_ &&
+      failed.code() != StatusCode::kInternal) {
+    plan_cache_.Put(key, std::move(fresh), PlanBytes(*plan->dag));
+  }
 
   // Proactive reaction to a near-limit success: evict the result cache
   // and open the degraded window *before* a sibling query trips.

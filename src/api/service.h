@@ -213,14 +213,17 @@ class QueryService {
 
   void CloneWorkersLocked();
 
-  // One execution attempt on a held worker: governor setup, evaluation,
-  // serialization, worker rollback. Fills `out` on success. `degraded`
-  // forces serial execution; `high_water` reports whether the attempt's
-  // budget peak crossed the memory_high_water fraction.
-  Status RunAttempt(const CachedPlan& plan, const QueryOptions& options,
-                    Worker& worker, int64_t deadline_ms, size_t budget_limit,
-                    const FaultPlan& faults, Clock::time_point arrival,
-                    bool degraded, bool* high_water, ServiceResult* out);
+  // One execution attempt on a held worker: a fresh budget and fault
+  // injector, ExecutePlan, worker rollback. Fills `out` on success.
+  // `spot_trades` (first attempt of a plan-cache miss only) are spot-
+  // checked when certification asks for it; `degraded` forces serial
+  // execution; `high_water` reports whether the attempt's budget peak
+  // crossed the memory_high_water fraction.
+  Status RunAttempt(const CachedPlan& plan,
+                    const std::vector<RewriteTrade>* spot_trades,
+                    const QueryOptions& options, const Governor& governor,
+                    Worker& worker, bool degraded, bool* high_water,
+                    QueryResult* out);
 
   // True while the memory-pressure degraded window is open: admissions
   // run serial until it expires.

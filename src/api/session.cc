@@ -1,14 +1,10 @@
 #include "api/session.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "algebra/dot.h"
-#include "engine/value.h"
-#include "xml/serializer.h"
 #include "compiler/compile.h"
 #include "opt/analyses.h"
 #include "opt/pipeline.h"
@@ -22,24 +18,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-uint64_t EnvU64(const char* name) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(v, &end, 10);
-  return end == v ? 0 : static_cast<uint64_t>(n);
-}
-
-// Whether the rewrite this certificate describes made it into the plan:
-// strict mode keeps the old sub-plan when the obligation fails.
-bool Committed(const RewriteTrade& t, const CertifySettings& resolved) {
-  return !(resolved.mode == CertifyMode::kStrict && t.checked && !t.valid);
+// DOT rendering of the plan under `root`, annotated. Annotations for ops
+// that did not survive later passes would confuse it: only those of the
+// final plan are kept.
+std::string LiveDot(const Dag& dag, OpId root, const StrPool& strings,
+                    std::map<OpId, std::vector<std::string>>* annotations) {
+  std::map<OpId, std::vector<std::string>> live;
+  for (OpId id : dag.ReachableFrom(root)) {
+    auto it = annotations->find(id);
+    if (it != annotations->end()) live.emplace(id, std::move(it->second));
+  }
+  return PlanToDot(dag, root, strings, live);
 }
 
 }  // namespace
@@ -92,17 +81,7 @@ Result<QueryPlans> PlanQuery(std::string_view query,
 
   OptimizeOptions oopts;
   oopts.enable = options.enable_order_indifference;
-  oopts.rewrites.column_pruning = options.column_pruning;
-  oopts.rewrites.weaken_rownum = options.weaken_rownum;
-  oopts.rewrites.distinct_elimination = options.distinct_elimination;
-  oopts.rewrites.step_merging = options.step_merging;
-  oopts.rewrites.distinct_by_keys = options.distinct_by_keys;
-  oopts.rewrites.empty_short_circuit = options.empty_short_circuit;
-  oopts.rewrites.rownum_by_keys = options.rownum_by_keys;
-  oopts.rewrites.rownum_by_od = options.rownum_by_od;
-  oopts.rewrites.join_recognition = options.join_recognition;
-  oopts.rewrites.theta_join = options.theta_join;
-  oopts.rewrites.certify = options.certify;
+  oopts.rewrites = static_cast<const RewriteOptions&>(options);
   oopts.verify_each_pass = options.verify_each_pass;
   oopts.strings = strings;
   oopts.trade_log = &plans.trades;
@@ -118,19 +97,15 @@ Result<QueryPlans> PlanQuery(std::string_view query,
   return plans;
 }
 
-Result<QueryPlans> Session::PlanInternal(std::string_view query,
-                                         const QueryOptions& options) {
-  return PlanQuery(query, options, &strings_);
-}
-
 Result<QueryPlans> Session::Plan(std::string_view query,
                                  const QueryOptions& options) {
-  return PlanInternal(query, options);
+  return PlanQuery(query, options, &strings_);
 }
 
 Result<OrderExplanation> Session::ExplainOrder(std::string_view query,
                                                const QueryOptions& options) {
-  EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans, PlanInternal(query, options));
+  EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans,
+                          PlanQuery(query, options, &strings_));
   const Dag& dag = *plans.dag;
   ColSet seed;
   for (ColId c : {col::iter(), col::pos(), col::item()}) {
@@ -149,12 +124,16 @@ Result<OrderExplanation> Session::ExplainOrder(std::string_view query,
     p.reasons = prov.ReasonsFor(id, op.col);
     out.sorts.push_back(std::move(p));
   }
+  std::map<OpId, std::vector<std::string>> annotations =
+      ProvenanceAnnotations(dag, plans.optimized, prov);
   // The trade log now covers every rewrite family; --explain-order
   // surfaces only the % eliminations that actually made it into the plan
-  // (strict certification keeps the old % when an obligation fails).
+  // (strict certification keeps the old % when an obligation fails), and
+  // annotates their surviving replacements with the trade's
+  // justification (the eliminated % itself is no longer in the plan).
   CertifySettings resolved = ResolveCertify(options.certify);
   for (const RewriteTrade& t : plans.trades) {
-    if (!t.order_trade || !Committed(t, resolved)) continue;
+    if (!t.order_trade || !RewriteCommitted(t, resolved)) continue;
     OrderExplanation::Trade trade;
     trade.op = t.from;
     trade.label = OpToString(dag, t.from, strings_);
@@ -162,30 +141,17 @@ Result<OrderExplanation> Session::ExplainOrder(std::string_view query,
     trade.rule = t.rule;
     trade.detail = t.detail;
     out.trades.push_back(std::move(trade));
-  }
-  std::map<OpId, std::vector<std::string>> annotations =
-      ProvenanceAnnotations(dag, plans.optimized, prov);
-  // Annotate the surviving replacements of traded %s with the trade's
-  // justification (the eliminated % itself is no longer in the plan).
-  for (const RewriteTrade& t : plans.trades) {
-    if (!t.order_trade || !Committed(t, resolved)) continue;
     annotations[t.to].push_back("order traded (" + t.rule + "): " +
                                 t.detail);
   }
-  // Annotations for ops that did not survive later passes would confuse
-  // the DOT rendering: restrict to the final plan.
-  std::map<OpId, std::vector<std::string>> live;
-  for (OpId id : dag.ReachableFrom(plans.optimized)) {
-    auto it = annotations.find(id);
-    if (it != annotations.end()) live.emplace(id, std::move(it->second));
-  }
-  out.dot = PlanToDot(dag, plans.optimized, strings_, live);
+  out.dot = LiveDot(dag, plans.optimized, strings_, &annotations);
   return out;
 }
 
 Result<RewriteExplanation> Session::ExplainRewrites(
     std::string_view query, const QueryOptions& options) {
-  EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans, PlanInternal(query, options));
+  EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans,
+                          PlanQuery(query, options, &strings_));
   const Dag& dag = *plans.dag;
   CertifySettings resolved = ResolveCertify(options.certify);
   RewriteExplanation out;
@@ -201,7 +167,7 @@ Result<RewriteExplanation> Session::ExplainRewrites(
     for (const CitedFact& f : t.cited) e.facts.push_back(f.text);
     e.checked = t.checked;
     e.valid = t.valid;
-    e.committed = Committed(t, resolved);
+    e.committed = RewriteCommitted(t, resolved);
     e.obligation = t.obligation;
     e.diagnostic = t.diagnostic;
     ++out.emitted;
@@ -218,14 +184,7 @@ Result<RewriteExplanation> Session::ExplainRewrites(
     annotations[e.committed ? t.to : t.from].push_back(std::move(note));
     out.entries.push_back(std::move(e));
   }
-  // Annotations for ops that did not survive later passes would confuse
-  // the DOT rendering: restrict to the final plan.
-  std::map<OpId, std::vector<std::string>> live;
-  for (OpId id : dag.ReachableFrom(plans.optimized)) {
-    auto it = annotations.find(id);
-    if (it != annotations.end()) live.emplace(id, std::move(it->second));
-  }
-  out.dot = PlanToDot(dag, plans.optimized, strings_, live);
+  out.dot = LiveDot(dag, plans.optimized, strings_, &annotations);
   return out;
 }
 
@@ -263,183 +222,30 @@ class SessionRestore {
   size_t strs_;
 };
 
-// One cell of a witnessed column, rendered for byte-for-byte comparison.
-// Nodes render by full serialization: the ids of constructed nodes
-// legitimately differ between the two evaluations, their content must
-// not.
-std::string SpotCell(const Value& v, const NodeStore& store,
-                     const StrPool& strings) {
-  switch (v.kind) {
-    case ValueKind::kInt:
-      return "i:" + std::to_string(v.i);
-    case ValueKind::kDouble:
-      return "d:" + FormatDouble(v.d);
-    case ValueKind::kString:
-      return "s:" + strings.Get(v.str);
-    case ValueKind::kUntyped:
-      return "u:" + strings.Get(v.str);
-    case ValueKind::kBool:
-      return v.b ? "b:true" : "b:false";
-    case ValueKind::kNode:
-      return "n:" + SerializeNode(store, static_cast<NodeIdx>(v.node));
-  }
-  return "?";
-}
-
-Status SpotFail(const RewriteTrade& t, const std::string& detail) {
-  return Internal("certify: [spot-check] " + t.rule + " op " +
-                  std::to_string(t.from) + " -> op " + std::to_string(t.to) +
-                  ": " + detail);
-}
-
-// The dynamic spot check: evaluates every committed rewrite's before and
-// after sub-plans on this Session's documents and compares the exact
-// witness columns byte-for-byte (as multisets when the rewrite is
-// declared order-trading on the physical row order).
-Status SpotCheckCertificates(const Dag& dag,
-                             const std::vector<RewriteTrade>& trades,
-                             const CertifySettings& resolved,
-                             EvalContext* ctx) {
-  for (const RewriteTrade& t : trades) {
-    if (!Committed(t, resolved) || t.from == t.to) continue;
-    std::vector<ColWitness> cols;
-    for (const ColWitness& w : t.witness) {
-      if (w.exact) cols.push_back(w);
-    }
-    if (cols.empty()) continue;
-    Result<TablePtr> before = Evaluator(dag, ctx).Eval(t.from);
-    Result<TablePtr> after = Evaluator(dag, ctx).Eval(t.to);
-    if (!before.ok() && !after.ok()) continue;  // both raise: equivalent
-    if (before.ok() != after.ok()) {
-      return SpotFail(t, "error behavior diverges: before " +
-                             (before.ok() ? std::string("succeeds")
-                                          : before.status().message()) +
-                             ", after " +
-                             (after.ok() ? std::string("succeeds")
-                                         : after.status().message()));
-    }
-    const Table& b = **before;
-    const Table& a = **after;
-    if (b.rows() != a.rows()) {
-      return SpotFail(t, "row counts diverge: before " +
-                             std::to_string(b.rows()) + ", after " +
-                             std::to_string(a.rows()));
-    }
-    std::vector<std::string> brows(b.rows());
-    std::vector<std::string> arows(a.rows());
-    for (size_t r = 0; r < b.rows(); ++r) {
-      for (const ColWitness& w : cols) {
-        brows[r] +=
-            SpotCell(b.at(w.before, r), *ctx->store, *ctx->strings) + '\x1f';
-        arows[r] +=
-            SpotCell(a.at(w.after, r), *ctx->store, *ctx->strings) + '\x1f';
-      }
-    }
-    if (t.rows_reordered) {
-      std::sort(brows.begin(), brows.end());
-      std::sort(arows.begin(), arows.end());
-    }
-    for (size_t r = 0; r < brows.size(); ++r) {
-      if (brows[r] != arows[r]) {
-        return SpotFail(t, "witnessed values diverge at row " +
-                               std::to_string(r) + ": before {" + brows[r] +
-                               "}, after {" + arows[r] + "}");
-      }
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<QueryResult> Session::Execute(std::string_view query,
                                      const QueryOptions& options) {
-  QueryResult result;
-
-  // Resolve the governor configuration: explicit options beat the
-  // environment (EXRQUY_DEADLINE_MS / EXRQUY_MEM_BUDGET / EXRQUY_FAULT_*).
   Clock::time_point start = Clock::now();
-  int64_t deadline_ms = options.deadline_ms > 0
-                            ? options.deadline_ms
-                            : static_cast<int64_t>(EnvU64("EXRQUY_DEADLINE_MS"));
-  size_t budget_limit = options.memory_budget > 0
-                            ? options.memory_budget
-                            : static_cast<size_t>(EnvU64("EXRQUY_MEM_BUDGET"));
-  FaultPlan faults = options.faults;
-  if (!faults.any()) {
-    EXRQUY_ASSIGN_OR_RETURN(faults, FaultPlan::FromEnv());
-  }
-
-  MemoryBudget budget(budget_limit);
-  if (faults.fail_alloc != 0) budget.FailChargeAt(faults.fail_alloc);
-  FaultInjector injector(faults);
-  // Accounting costs a few atomic ops per charge site; only pay them when
-  // someone will observe the numbers (a limit, an alloc fault, a profile).
-  bool account =
-      budget_limit != 0 || faults.fail_alloc != 0 || options.profile;
+  EXRQUY_ASSIGN_OR_RETURN(Governor governor, ResolveGovernor(options, start));
+  MemoryBudget budget(governor.memory_budget);
+  budget.FailChargeAt(governor.faults.fail_alloc);
+  MemoryBudget* charged = governor.account ? &budget : nullptr;
 
   SessionRestore restore(&store_, &strings_);
-  if (account) {
-    store_.set_budget(&budget);
-    strings_.set_budget(&budget);
-  }
+  store_.set_budget(charged);
+  strings_.set_budget(charged);
 
-  EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans, PlanInternal(query, options));
+  EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans,
+                          PlanQuery(query, options, &strings_));
+  QueryResult result;
   result.compile_ms = MsSince(start);
-
   result.plan_initial = CollectPlanStats(*plans.dag, plans.initial);
   result.plan_optimized = CollectPlanStats(*plans.dag, plans.optimized);
-
-  // Dynamic spot check: re-evaluate every committed rewrite's before and
-  // after sub-plans on a fresh, ungoverned context (no deadline, faults,
-  // or profile — those belong to the real run) and compare witnesses.
-  CertifySettings resolved_certify = ResolveCertify(options.certify);
-  if (resolved_certify.mode != CertifyMode::kOff && resolved_certify.spot_check) {
-    EvalContext sctx;
-    sctx.store = &store_;
-    sctx.strings = &strings_;
-    sctx.documents = documents_;
-    sctx.num_threads = 1;
-    EXRQUY_RETURN_IF_ERROR(SpotCheckCertificates(*plans.dag, plans.trades,
-                                                 resolved_certify, &sctx));
-  }
-
-  EvalContext ctx;
-  ctx.store = &store_;
-  ctx.strings = &strings_;
-  ctx.documents = documents_;
-  ctx.detect_sorted_inputs = options.physical_sort_detection;
-  ctx.num_threads = options.num_threads;
-  ctx.release_intermediates = options.release_intermediates;
-  ctx.pipelined_execution = options.pipelined_execution;
-  ctx.chunk_rows = options.chunk_rows;
-  ctx.morsel_rows = options.morsel_rows;
-  ctx.inline_rows = options.inline_rows;
-  if (options.profile) ctx.profile = &result.profile;
-  ctx.cancel = options.cancel.get();
-  if (deadline_ms > 0) {
-    ctx.has_deadline = true;
-    ctx.deadline = start + std::chrono::milliseconds(deadline_ms);
-  }
-  if (account) ctx.budget = &budget;
-  if (faults.any()) ctx.faults = &injector;
-
-  Clock::time_point t1 = Clock::now();
-  Evaluator evaluator(*plans.dag, &ctx);
-  Result<TablePtr> table = evaluator.Eval(plans.optimized);
-  if (options.profile) {
-    result.profile.SetBudget(budget.limit(), budget.charged(), budget.peak());
-  }
-  if (!table.ok()) return table.status();
-  result.execute_ms = MsSince(t1);
-  result.sorts_skipped = ctx.sorts_skipped;
-
-  Result<std::string> serialized = SerializeResult(**table, ctx);
-  Result<std::vector<std::string>> items = ResultItems(**table, ctx);
-  if (!serialized.ok()) return serialized.status();
-  if (!items.ok()) return items.status();
-  result.serialized = std::move(serialized).value();
-  result.items = std::move(items).value();
+  EXRQUY_RETURN_IF_ERROR(ExecutePlan(*plans.dag, plans.optimized,
+                                     &plans.trades, options, governor,
+                                     charged, &store_, &strings_, documents_,
+                                     &result));
   return result;
 }
 

@@ -13,8 +13,10 @@
 #ifndef EXRQUY_API_SESSION_H_
 #define EXRQUY_API_SESSION_H_
 
+#include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,27 +34,20 @@
 
 namespace exrquy {
 
-struct QueryOptions {
+// The rewrite-family flags and the certification settings are inherited
+// from RewriteOptions (opt/rewrites.h, one entry per family in
+// kRewriteFamilies); like the front-end flags below they take effect only
+// when enable_order_indifference is on.
+struct QueryOptions : RewriteOptions {
   // Ordering mode used when the query prolog has no declare ordering.
   OrderingMode default_ordering = OrderingMode::kOrdered;
 
   // Master switch for exploiting order indifference.
   bool enable_order_indifference = true;
 
-  // Fine-grained ablation flags (effective only when the master switch is
-  // on).
-  bool insert_unordered = true;      // normalization FN:COUNT/QUANT/...
-  bool mode_rules = true;            // LOC# / BIND# / FN:UNORDERED
-  bool column_pruning = true;        // CDA (Section 4.1)
-  bool weaken_rownum = true;         // constant/arbitrary cols (Section 7)
-  bool distinct_elimination = true;  // '|' -> ',' (Section 4.2)
-  bool step_merging = true;          // Q6/Q7 step fusion
-  bool distinct_by_keys = true;      // key columns elide Distinct
-  bool empty_short_circuit = true;   // statically empty sub-plans collapse
-  bool rownum_by_keys = true;        // keyed partitions make % rank 1
-  bool rownum_by_od = true;          // order-dependency/semantic-type trades
-  bool join_recognition = true;      // product-space predicates become joins
-  bool theta_join = true;            // non-equality predicates -> ThetaJoin
+  // Fine-grained ablation flags of the front end.
+  bool insert_unordered = true;  // normalization FN:COUNT/QUANT/...
+  bool mode_rules = true;        // LOC# / BIND# / FN:UNORDERED
 
   // Re-verifies the plan after every optimizer pass (opt/verify.h) and
   // names the first offending rewrite on failure. Every compiled and
@@ -60,14 +55,6 @@ struct QueryOptions {
   // reaches the engine; this turns on the per-pass hook, for debugging
   // rewrites and for the fuzz/equivalence suites.
   bool verify_each_pass = false;
-
-  // Rewrite certification (opt/certify.h): every rewrite instance emits
-  // a certificate an independent checker validates. kDefault resolves
-  // against EXRQUY_CERTIFY (unset -> check); kStrict fail-closes by
-  // keeping the old sub-plan for any unprovable certificate; spot_check
-  // additionally evaluates before/after sub-plans during Execute and
-  // compares the witnessed columns byte-for-byte.
-  CertifySettings certify;
 
   // Physical-plan order detection (orthogonal to the logical rewrites;
   // Section 6's pointer to combined order/grouping frameworks): % skips
@@ -101,13 +88,16 @@ struct QueryOptions {
   // -- Resource governance (common/governor.h, engine/faults.h) -----------
   // Wall-clock deadline for this execution, in milliseconds from the
   // start of Execute (compilation included). 0 defers to the
-  // EXRQUY_DEADLINE_MS environment variable; unset/0 there = no deadline.
-  // Exceeding it aborts within one chunk's work -> kDeadlineExceeded.
+  // EXRQUY_DEADLINE_MS environment variable; unset/0 there = no deadline,
+  // anything but a plain decimal integer fails Execute with
+  // InvalidArgument. Exceeding it aborts within one chunk's work ->
+  // kDeadlineExceeded.
   int64_t deadline_ms = 0;
 
   // Per-query memory budget in bytes, covering intermediate table
   // columns, constructed nodes, and newly interned strings. 0 defers to
-  // EXRQUY_MEM_BUDGET; unset/0 there = unlimited (accounting still runs
+  // EXRQUY_MEM_BUDGET (parsed like EXRQUY_DEADLINE_MS: bytes, no unit
+  // suffix); unset/0 there = unlimited (accounting still runs
   // when `profile` is set, reported via Profile). Crossing the budget
   // aborts cleanly -> kResourceExhausted, never OOM.
   size_t memory_budget = 0;
@@ -131,7 +121,6 @@ struct QueryResult {
   Profile profile;                 // filled when QueryOptions::profile
   size_t sorts_skipped = 0;        // with physical_sort_detection
   double compile_ms = 0;
-  double optimize_ms = 0;
   double execute_ms = 0;
 };
 
@@ -156,6 +145,47 @@ struct QueryPlans {
 // is shared: interning is the only pool interaction.
 Result<QueryPlans> PlanQuery(std::string_view query,
                              const QueryOptions& options, StrPool* strings);
+
+// A request's resource governor, resolved once by ResolveGovernor.
+struct Governor {
+  // Absolute deadline (anchored at the request's start); unset = none.
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  size_t memory_budget = 0;  // bytes; 0 = unlimited
+  FaultPlan faults;
+  // Whether to charge memory at all: accounting costs a few atomic ops
+  // per charge site, so only runs that observe the numbers (a limit, an
+  // alloc fault, a profile) pay for them.
+  bool account = false;
+};
+
+// Resolves deadline, memory budget and fault plan for a request started
+// at `start`. Explicit options beat the environment (EXRQUY_DEADLINE_MS,
+// EXRQUY_MEM_BUDGET, EXRQUY_FAULT_*), which is parsed strictly: a
+// malformed value is an InvalidArgument naming the variable. Also
+// rejects the removed QueryOptions::chunk_rows. Both Session::Execute
+// and QueryService::Execute resolve through here before doing any work.
+Result<Governor> ResolveGovernor(const QueryOptions& options,
+                                 std::chrono::steady_clock::time_point start);
+
+// The back half of the pipeline, the one path from a plan to result
+// bytes for Session::Execute and QueryService (api/execute.cc): evaluates
+// `root` of `dag` over `store`/`strings`/`documents` under `governor`,
+// then renders the result once into `result` (serialized, items,
+// execute_ms, sorts_skipped, and the profile when options.profile).
+// Memory is charged to `budget` (null when !governor.account), which the
+// caller owns and attaches to its stores, so that its rollback — of the
+// Session or of a service worker store — runs after this returns. With
+// `spot_trades` non-null and options.certify resolving to spot checking,
+// every committed rewrite in it is first evaluated before and after on
+// an ungoverned serial context over the same store; a divergence fails
+// the run.
+Status ExecutePlan(const Dag& dag, OpId root,
+                   const std::vector<RewriteTrade>* spot_trades,
+                   const QueryOptions& options,
+                   const Governor& governor, MemoryBudget* budget,
+                   NodeStore* store, StrPool* strings,
+                   const std::map<StrId, NodeIdx>& documents,
+                   QueryResult* result);
 
 // Why each sort that survived optimization is still there: for every %
 // in the optimized plan, the source-syntax constructs whose order demand
@@ -250,9 +280,6 @@ class Session {
   const std::map<StrId, NodeIdx>& documents() const { return documents_; }
 
  private:
-  Result<QueryPlans> PlanInternal(std::string_view query,
-                                  const QueryOptions& options);
-
   StrPool strings_;
   NodeStore store_;
   std::map<StrId, NodeIdx> documents_;

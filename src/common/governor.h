@@ -25,11 +25,20 @@
 #define EXRQUY_COMMON_GOVERNOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 
 namespace exrquy {
+
+// Milliseconds elapsed on the steady clock (the clock of every deadline)
+// since `start`: the one phase timer of every layer.
+inline double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 // Shareable cancellation flag. Hand the same token to
 // QueryOptions::cancel and to whatever timeout/supervisor thread may

@@ -21,38 +21,30 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
 // Resolves EvalContext::num_threads: explicit > EXRQUY_THREADS > hardware.
-size_t ResolveThreads(int requested) {
-  int v = requested;
-  if (v <= 0) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
-    if (const char* env = std::getenv("EXRQUY_THREADS")) v = std::atoi(env);
+// A malformed EXRQUY_THREADS fails instead of meaning "hardware".
+Result<size_t> ResolveThreads(int requested) {
+  uint64_t v = requested > 0 ? static_cast<uint64_t>(requested) : 0;
+  if (v == 0) {
+    EXRQUY_ASSIGN_OR_RETURN(v, StrictEnvU64("EXRQUY_THREADS"));
   }
-  if (v <= 0) {
+  if (v == 0) {
     unsigned hw = std::thread::hardware_concurrency();
-    v = hw == 0 ? 1 : static_cast<int>(hw);
+    v = hw == 0 ? 1 : hw;
   }
-  return static_cast<size_t>(std::min(v, 256));
+  return static_cast<size_t>(std::min<uint64_t>(v, 256));
 }
 
 constexpr size_t kDefaultMorselRows = 65536;
 
 // Resolves EvalContext::morsel_rows: explicit > EXRQUY_MORSEL_ROWS >
 // kDefaultMorselRows. A pure function of configuration — never of the
-// thread count — so morsel boundaries are too.
-size_t ResolveMorselRows(size_t requested) {
+// thread count — so morsel boundaries are too. A malformed
+// EXRQUY_MORSEL_ROWS fails instead of meaning the default.
+Result<size_t> ResolveMorselRows(size_t requested) {
   if (requested != 0) return requested;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
-  if (const char* env = std::getenv("EXRQUY_MORSEL_ROWS")) {
-    long parsed = std::atol(env);
-    if (parsed > 0) return static_cast<size_t>(parsed);
-  }
-  return kDefaultMorselRows;
+  EXRQUY_ASSIGN_OR_RETURN(uint64_t env, StrictEnvU64("EXRQUY_MORSEL_ROWS"));
+  return env != 0 ? static_cast<size_t>(env) : kDefaultMorselRows;
 }
 
 // Node constructors append to the NodeStore; NodeIdx values are allocation
@@ -298,7 +290,6 @@ Evaluator::Evaluator(const Dag& dag, EvalContext* ctx)
     : dag_(dag),
       ctx_(ctx),
       ops_(ctx->strings, ctx->store),
-      morsel_rows_(ResolveMorselRows(ctx->morsel_rows)),
       inline_rows_(ctx->inline_rows) {}
 
 // ---------------------------------------------------------------------------
@@ -362,6 +353,8 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
   EXRQUY_RETURN_IF_ERROR(VerifyPlan(dag_, root, guard));
 
   EXRQUY_RETURN_IF_ERROR(CheckChunkRows(ctx_->chunk_rows));
+  EXRQUY_ASSIGN_OR_RETURN(size_t threads, ResolveThreads(ctx_->num_threads));
+  EXRQUY_ASSIGN_OR_RETURN(morsel_rows_, ResolveMorselRows(ctx_->morsel_rows));
 
   // A pre-cancelled token, an already-expired deadline, or a budget
   // exhausted by pre-evaluation work fails before any operator runs.
@@ -375,7 +368,6 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
   mplan_ = ctx_->pipelined_execution ? PlanPipelines(dag_, order, root)
                                      : MorselPlan();
   EXRQUY_RETURN_IF_ERROR(AuditMorselPlan(dag_, order, root, mplan_));
-  size_t threads = ResolveThreads(ctx_->num_threads);
   if (ctx_->profile != nullptr) {
     ctx_->profile->SetExecution(threads, ctx_->release_intermediates);
   }
@@ -2120,43 +2112,45 @@ std::vector<uint32_t> RowsInSequenceOrder(const Table& t,
 
 }  // namespace
 
-Result<std::string> SerializeResult(const Table& t, const EvalContext& ctx) {
+void RenderResult(const Table& t, const EvalContext& ctx,
+                  std::string* serialized, std::vector<std::string>* items) {
   ValueOps ops(ctx.strings, ctx.store);
-  std::string out;
+  if (items != nullptr) items->reserve(t.rows());
   // Adjacent "textual" items (atomics, attribute nodes, text nodes) are
   // separated by one space so result items stay distinguishable; markup
   // items (elements) serialize back to back.
   bool prev_textual = false;
   for (uint32_t r : RowsInSequenceOrder(t, ops)) {
     Value v = t.at(col::item(), r);
-    bool textual =
-        v.kind != ValueKind::kNode ||
-        ctx.store->kind(v.node) == NodeKind::kAttribute ||
-        ctx.store->kind(v.node) == NodeKind::kText;
-    if (prev_textual && textual) out += ' ';
-    if (v.kind == ValueKind::kNode) {
-      SerializeNode(*ctx.store, v.node, {}, &out);
-    } else {
-      EscapeText(ops.Render(v), &out);
+    bool node = v.kind == ValueKind::kNode;
+    std::string item =
+        node ? SerializeNode(*ctx.store, v.node) : ops.Render(v);
+    if (serialized != nullptr) {
+      bool textual = !node ||
+                     ctx.store->kind(v.node) == NodeKind::kAttribute ||
+                     ctx.store->kind(v.node) == NodeKind::kText;
+      if (prev_textual && textual) *serialized += ' ';
+      if (node) {
+        *serialized += item;
+      } else {
+        EscapeText(item, serialized);
+      }
+      prev_textual = textual;
     }
-    prev_textual = textual;
+    if (items != nullptr) items->push_back(std::move(item));
   }
+}
+
+Result<std::string> SerializeResult(const Table& t, const EvalContext& ctx) {
+  std::string out;
+  RenderResult(t, ctx, &out, nullptr);
   return out;
 }
 
 Result<std::vector<std::string>> ResultItems(const Table& t,
                                              const EvalContext& ctx) {
-  ValueOps ops(ctx.strings, ctx.store);
   std::vector<std::string> items;
-  items.reserve(t.rows());
-  for (uint32_t r : RowsInSequenceOrder(t, ops)) {
-    Value v = t.at(col::item(), r);
-    if (v.kind == ValueKind::kNode) {
-      items.push_back(SerializeNode(*ctx.store, v.node));
-    } else {
-      items.push_back(ops.Render(v));
-    }
-  }
+  RenderResult(t, ctx, nullptr, &items);
   return items;
 }
 

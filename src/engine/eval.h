@@ -68,14 +68,16 @@ struct EvalContext {
 
   // Worker threads for DAG- and morsel-level parallelism. 1 = serial
   // evaluation on the calling thread; 0 = EXRQUY_THREADS if set,
-  // otherwise std::thread::hardware_concurrency().
+  // otherwise std::thread::hardware_concurrency(). A malformed
+  // EXRQUY_THREADS fails Eval with InvalidArgument.
   int num_threads = 0;
   // Release memoized intermediates once their last consumer has run.
   // Off = keep-all memoization, retained for peak-memory comparisons.
   bool release_intermediates = true;
   // Row-count granularity of morsel pulls, and of the ranges breaker
   // kernels split large inputs into. 0 defers to the EXRQUY_MORSEL_ROWS
-  // environment variable, then to 65536. Boundaries are a pure function
+  // environment variable (malformed fails Eval with InvalidArgument),
+  // then to 65536. Boundaries are a pure function
   // of the input size, never of the thread count, so any setting yields
   // byte-identical results.
   size_t morsel_rows = 0;
@@ -251,7 +253,7 @@ class Evaluator {
   const Dag& dag_;
   EvalContext* ctx_;
   ValueOps ops_;
-  size_t morsel_rows_;
+  size_t morsel_rows_ = 0;  // resolved by Eval
   size_t inline_rows_;
 
   // Pipeline plan for the current Eval.
@@ -291,13 +293,18 @@ class Evaluator {
   void UntrackTable(const Table& t);
 };
 
-// Serializes a query result table (schema iter|pos|item, single
-// iteration) in sequence order: nodes as XML, atomics via their string
-// value, adjacent atomics separated by a single space.
-Result<std::string> SerializeResult(const Table& t, const EvalContext& ctx);
+// Renders a query result table (schema iter|pos|item, single iteration)
+// in sequence order, with one sort and one rendering per row for both
+// forms. `serialized` (when non-null) receives the whole result: nodes
+// as XML, atomics via their escaped string value, adjacent textual items
+// separated by a single space. `items` (when non-null) receives each
+// item on its own, atomics unescaped — useful for the multiset
+// comparisons in tests ("any permutation is admissible").
+void RenderResult(const Table& t, const EvalContext& ctx,
+                  std::string* serialized, std::vector<std::string>* items);
 
-// The result items individually rendered (order preserved); useful for
-// the multiset comparisons in tests ("any permutation is admissible").
+// RenderResult into one of its two forms.
+Result<std::string> SerializeResult(const Table& t, const EvalContext& ctx);
 Result<std::vector<std::string>> ResultItems(const Table& t,
                                              const EvalContext& ctx);
 

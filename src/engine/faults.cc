@@ -7,10 +7,19 @@
 namespace exrquy {
 namespace {
 
-// Unset/empty = 0; otherwise a plain non-negative decimal integer.
-// Signs, non-digits, trailing garbage, and overflow are all rejected
-// with the variable named — a typo'd fault plan silently parsing to 0
-// (or to some prefix) would make an injection test pass vacuously.
+Result<bool> StrictEnvBool(const char* name) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return false;
+  std::string s(v);
+  if (s == "0") return false;
+  if (s == "1") return true;
+  return InvalidArgument(std::string(name) + ": must be 0 or 1, got \"" + s +
+                         "\"");
+}
+
+}  // namespace
+
 Result<uint64_t> StrictEnvU64(const char* name) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
   const char* v = std::getenv(name);
@@ -32,19 +41,6 @@ Result<uint64_t> StrictEnvU64(const char* name) {
   }
   return static_cast<uint64_t>(n);
 }
-
-Result<bool> StrictEnvBool(const char* name) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  std::string s(v);
-  if (s == "0") return false;
-  if (s == "1") return true;
-  return InvalidArgument(std::string(name) + ": must be 0 or 1, got \"" + s +
-                         "\"");
-}
-
-}  // namespace
 
 Result<FaultPlan> FaultPlan::FromEnv() {
   FaultPlan plan;

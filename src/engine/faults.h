@@ -55,6 +55,13 @@ struct FaultPlan {
   static Result<FaultPlan> FromEnv();
 };
 
+// Reads an unsigned EXRQUY_* knob. Unset/empty = 0; anything else must
+// be a plain non-negative decimal integer. Signs, non-digits, trailing
+// garbage, and overflow are a kInvalidArgument naming the variable: a
+// typo'd knob must fail, never silently mean "default" (or some prefix).
+// The one parser of every numeric EXRQUY_* variable read per query.
+Result<uint64_t> StrictEnvU64(const char* name);
+
 // Per-query counter state for one FaultPlan. The evaluator consults it
 // at every operator dispatch and chunk boundary; thresholds compare with
 // >= so the answer stays true once reached (the governor's trip latch

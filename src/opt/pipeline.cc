@@ -8,26 +8,6 @@
 namespace exrquy {
 namespace {
 
-// The individually attributable rewrite families of one combined pass,
-// in the order the attribution replay applies them.
-struct NamedRewrite {
-  const char* name;
-  bool RewriteOptions::*flag;
-};
-
-constexpr NamedRewrite kNamedRewrites[] = {
-    {"column_pruning", &RewriteOptions::column_pruning},
-    {"weaken_rownum", &RewriteOptions::weaken_rownum},
-    {"distinct_elimination", &RewriteOptions::distinct_elimination},
-    {"step_merging", &RewriteOptions::step_merging},
-    {"distinct_by_keys", &RewriteOptions::distinct_by_keys},
-    {"empty_short_circuit", &RewriteOptions::empty_short_circuit},
-    {"rownum_by_keys", &RewriteOptions::rownum_by_keys},
-    {"rownum_by_od", &RewriteOptions::rownum_by_od},
-    {"join_recognition", &RewriteOptions::join_recognition},
-    {"theta_join", &RewriteOptions::theta_join},
-};
-
 Status VerifyFailure(const Dag& dag, OpId bad_root,
                      const OptimizeOptions& options, int pass,
                      const std::string& stage, const Status& diag) {
@@ -49,10 +29,10 @@ Status AttributeFailure(Dag* dag, OpId before, const OptimizeOptions& options,
                         int pass, OpId combined_root,
                         const Status& combined_diag) {
   OpId current = before;
-  for (const NamedRewrite& r : kNamedRewrites) {
+  for (const RewriteFamily& r : kRewriteFamilies) {
     if (!(options.rewrites.*(r.flag))) continue;
     RewriteOptions solo;
-    for (const NamedRewrite& off : kNamedRewrites) solo.*(off.flag) = false;
+    for (const RewriteFamily& off : kRewriteFamilies) solo.*(off.flag) = false;
     solo.*(r.flag) = true;
     // Replay in plain checking mode: strict would reject (and so mask)
     // the very rewrite being hunted, and a test-only forced rejection

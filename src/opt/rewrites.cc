@@ -82,9 +82,7 @@ class Rewriter {
   // sub-plan).
   OpId Attempt(RewriteCertificate cert) {
     if (checker_ != nullptr) checker_->Check(&cert);
-    bool rejected = certify_.mode == CertifyMode::kStrict &&
-                    cert.checked && !cert.valid;
-    OpId to = rejected ? kNoOp : cert.to;
+    OpId to = RewriteCommitted(cert, certify_) ? cert.to : kNoOp;
     if (trades_ != nullptr) trades_->push_back(std::move(cert));
     return to;
   }
@@ -444,57 +442,63 @@ class Rewriter {
 
       case OpKind::kRowNum: {
         OpId c = Child(op, 0);
-        if (options_.column_pruning && required.count(op.col) == 0) {
+        // The rewrites below add operators to the DAG, which can
+        // reallocate the operator table `op` points into: after the first
+        // one, the % is read only through these copies.
+        const ColId rank = op.col;
+        const ColId orig_part = op.part;
+        const std::vector<SortKey> orig_order = op.order;
+        if (options_.column_pruning && required.count(rank) == 0) {
           RewriteCertificate cert =
               Cert(id, c, "column_pruning",
                    "the rank column is never consumed: the blocking "
                    "sort is dead");
-          cert.cited.push_back(CiteDeadColumn(id, op.col));
+          cert.cited.push_back(CiteDeadColumn(id, rank));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }
         if (options_.rownum_by_keys &&
             (cards_.Get(c).max <= 1 ||
-             (op.part != kNoCol && keys_.Get(c).count(op.part) != 0))) {
+             (orig_part != kNoCol && keys_.Get(c).count(orig_part) != 0))) {
           // Every partition holds at most one row (the partition column
           // is a key, or the input is a single row): each row ranks 1
           // and the blocking sort vanishes.
           bool one_row = cards_.Get(c).max <= 1;
           RewriteCertificate cert = Cert(
-              id, dag_->AttachConst(c, op.col, Value::Int(1)),
+              id, dag_->AttachConst(c, rank, Value::Int(1)),
               "keyed-partition",
               one_row
                   ? "the input has at most one row: every rank is 1"
-                  : "partition column '" + ColName(op.part) +
+                  : "partition column '" + ColName(orig_part) +
                         "' is a key of the input: every partition holds "
                         "one row and every rank is 1",
               /*order_trade=*/true);
           if (one_row) {
             cert.cited.push_back(CiteInterval(c, 0, 1));
           } else {
-            cert.cited.push_back(CiteKey(c, op.part));
+            cert.cited.push_back(CiteKey(c, orig_part));
           }
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }
-        if (options_.rownum_by_od && op.part != kNoCol &&
-            sem_.Get(c).unit_groups.count(op.part) != 0) {
+        if (options_.rownum_by_od && orig_part != kNoCol &&
+            sem_.Get(c).unit_groups.count(orig_part) != 0) {
           // Semantic typing proves the partition column duplicate-free
           // (a unit group, e.g. below fn:exactly-one): singleton groups
           // again, through a source the key domain cannot see.
           RewriteCertificate cert =
-              Cert(id, dag_->AttachConst(c, op.col, Value::Int(1)),
+              Cert(id, dag_->AttachConst(c, rank, Value::Int(1)),
                    "semantic-type",
-                   "partition column '" + ColName(op.part) +
+                   "partition column '" + ColName(orig_part) +
                        "' is duplicate-free by semantic typing (unit "
                        "group): every rank is 1",
                    /*order_trade=*/true);
-          cert.cited.push_back(CiteUnitGroup(c, op.part));
+          cert.cited.push_back(CiteUnitGroup(c, orig_part));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }
-        std::vector<SortKey> order = op.order;
-        ColId part = op.part;
+        std::vector<SortKey> order = orig_order;
+        ColId part = orig_part;
         std::vector<ColId> dropped_criteria;
         bool part_dropped = false;
         if (options_.weaken_rownum) {
@@ -520,7 +524,7 @@ class Rewriter {
               p.arbitrary.count(order.front().col) != 0;
           if (arbitrary_order && part == kNoCol) {
             RewriteCertificate cert =
-                Cert(id, dag_->RowId(c, op.col), "arbitrary-order",
+                Cert(id, dag_->RowId(c, rank), "arbitrary-order",
                      "the sort criteria are constant or descend from "
                      "arbitrary # numbering: any stable numbering "
                      "satisfies them",
@@ -528,7 +532,7 @@ class Rewriter {
             for (ColId dc : dropped_criteria) {
               cert.cited.push_back(CiteConstant(c, dc));
             }
-            if (part_dropped) cert.cited.push_back(CiteConstant(c, op.part));
+            if (part_dropped) cert.cited.push_back(CiteConstant(c, orig_part));
             if (!order.empty()) {
               cert.cited.push_back(CiteArbitrary(c, order.front().col));
             }
@@ -539,7 +543,7 @@ class Rewriter {
             // The arbitrary numbering's values legitimately differ from
             // the original ranks.
             for (ColWitness& w : cert.witness) {
-              if (w.after == op.col) w.exact = false;
+              if (w.after == rank) w.exact = false;
             }
             OpId res = Attempt(std::move(cert));
             if (res != kNoOp) return res;
@@ -555,7 +559,7 @@ class Rewriter {
           // produces. The positional marking keeps the column out of the
           // arbitrary-order domain (its values remain order-bearing).
           RewriteCertificate cert = Cert(
-              id, dag_->RowId(c, op.col, /*positional=*/true),
+              id, dag_->RowId(c, rank, /*positional=*/true),
               "order-dependency",
               "requested order " + OrderFact{order, false}.ToString() +
                   " is already realized by the input (sorted " +
@@ -563,14 +567,14 @@ class Rewriter {
                   "): the sort is the identity and the ranks are the row "
                   "positions",
               /*order_trade=*/true);
-          cert.cited.push_back(CiteSorted(c, op.order));
+          cert.cited.push_back(CiteSorted(c, orig_order));
           if (part != kNoCol) cert.cited.push_back(CiteConstant(c, part));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }
-        if (order.size() != op.order.size() || part != op.part) {
+        if (order.size() != orig_order.size() || part != orig_part) {
           RewriteCertificate cert =
-              Cert(id, dag_->RowNum(c, op.col, order, part),
+              Cert(id, dag_->RowNum(c, rank, order, part),
                    "weaken_rownum",
                    std::to_string(dropped_criteria.size() +
                                   (part_dropped ? 1 : 0)) +
@@ -578,13 +582,12 @@ class Rewriter {
           for (ColId dc : dropped_criteria) {
             cert.cited.push_back(CiteConstant(c, dc));
           }
-          if (part_dropped) cert.cited.push_back(CiteConstant(c, op.part));
+          if (part_dropped) cert.cited.push_back(CiteConstant(c, orig_part));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
-          std::vector<SortKey> orig = op.order;
-          return dag_->RowNum(c, op.col, std::move(orig), op.part);
+          return dag_->RowNum(c, rank, orig_order, orig_part);
         }
-        return dag_->RowNum(c, op.col, std::move(order), part);
+        return dag_->RowNum(c, rank, std::move(order), part);
       }
 
       case OpKind::kRowId: {

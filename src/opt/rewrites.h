@@ -46,14 +46,14 @@
 namespace exrquy {
 
 struct RewriteOptions {
-  bool column_pruning = true;
-  bool weaken_rownum = true;
-  bool distinct_elimination = true;
-  bool step_merging = true;
+  bool column_pruning = true;        // CDA (Section 4.1)
+  bool weaken_rownum = true;         // constant/arbitrary cols (Section 7)
+  bool distinct_elimination = true;  // '|' -> ',' (Section 4.2)
+  bool step_merging = true;          // Q6/Q7 step fusion
   // Fact-driven rewrites (key / cardinality / error-capability analyses).
-  bool distinct_by_keys = true;
-  bool empty_short_circuit = true;
-  bool rownum_by_keys = true;
+  bool distinct_by_keys = true;      // key columns elide Distinct
+  bool empty_short_circuit = true;   // statically empty sub-plans collapse
+  bool rownum_by_keys = true;        // keyed partitions make % rank 1
   // Order-dependency + semantic-type driven % elimination.
   bool rownum_by_od = true;
   // Value-join recognition: comparisons evaluated over loop-lifted
@@ -63,11 +63,38 @@ struct RewriteOptions {
   // Allow non-equality comparisons to become ThetaJoin operators; when
   // off, only hash-joinable equality predicates are recognized.
   bool theta_join = true;
-  // Rewrite certification (opt/certify.h). kOff emits bare trade
+  // Rewrite certification (opt/certify.h): every rewrite instance emits
+  // a certificate an independent checker validates. kDefault resolves
+  // against EXRQUY_CERTIFY (unset -> check). kOff emits bare trade
   // records; kCheck validates every certificate and records the outcome;
   // kStrict rejects any rewrite whose certificate fails its obligation
-  // and keeps the old sub-plan.
+  // and keeps the old sub-plan; spot_check additionally evaluates
+  // before/after sub-plans before execution and compares the witnessed
+  // columns byte-for-byte.
   CertifySettings certify;
+};
+
+// The individually switchable rewrite families, one entry each: the name
+// the ablations, the verify_each_pass attribution replay (in this order)
+// and error messages use, and its flag. Everything that enumerates the
+// families — the replay, the QueryService cache key, the tests — iterates
+// this table, so a new family is one flag plus one entry here.
+struct RewriteFamily {
+  const char* name;
+  bool RewriteOptions::*flag;
+};
+
+inline constexpr RewriteFamily kRewriteFamilies[] = {
+    {"column_pruning", &RewriteOptions::column_pruning},
+    {"weaken_rownum", &RewriteOptions::weaken_rownum},
+    {"distinct_elimination", &RewriteOptions::distinct_elimination},
+    {"step_merging", &RewriteOptions::step_merging},
+    {"distinct_by_keys", &RewriteOptions::distinct_by_keys},
+    {"empty_short_circuit", &RewriteOptions::empty_short_circuit},
+    {"rownum_by_keys", &RewriteOptions::rownum_by_keys},
+    {"rownum_by_od", &RewriteOptions::rownum_by_od},
+    {"join_recognition", &RewriteOptions::join_recognition},
+    {"theta_join", &RewriteOptions::theta_join},
 };
 
 // Every rewrite instance the pass performed is logged as a certificate —
@@ -75,6 +102,13 @@ struct RewriteOptions {
 // and (unless certification is off) the checker's verdict. The legacy %-
 // elimination trade log is the order_trade subset of these entries.
 using RewriteTrade = RewriteCertificate;
+
+// Whether the rewrite a certificate describes made it into the plan:
+// strict certification keeps the old sub-plan when the obligation fails.
+inline bool RewriteCommitted(const RewriteTrade& t,
+                             const CertifySettings& resolved) {
+  return !(resolved.mode == CertifyMode::kStrict && t.checked && !t.valid);
+}
 
 // One rewrite pass over the sub-DAG rooted at `root`; returns the new
 // root and sets *changed if the plan shrank or any operator changed.

@@ -432,6 +432,33 @@ TEST(ServiceOverloadTest, ShedsUnderSaturationFast) {
   EXPECT_EQ(counters.plan_cache.misses, 1u);
 }
 
+// A malformed EXRQUY_DEADLINE_MS / EXRQUY_MEM_BUDGET fails the request
+// with InvalidArgument before the result cache (which holds the answer)
+// and before admission.
+TEST(ServiceOverloadTest, MalformedGovernorEnvRejectedUpFront) {
+  ServiceConfig config;
+  config.workers = 1;
+  config.result_cache_bytes = 1 << 20;
+  std::unique_ptr<QueryService> service = MakeService(config);
+  const std::string query = XMarkQueryText("Q1");
+  ASSERT_TRUE(service->Execute(query, {}).ok());  // fills the result cache
+  for (const char* name : {"EXRQUY_DEADLINE_MS", "EXRQUY_MEM_BUDGET"}) {
+    for (const char* bad : {"abc", "64MB"}) {
+      ScopedEnv env(name, bad);
+      Result<ServiceResult> r = service->Execute(query, {});
+      ASSERT_FALSE(r.ok()) << name << "=" << bad;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find(name), std::string::npos)
+          << r.status().message();
+    }
+  }
+  ServiceCounters counters = service->counters();
+  EXPECT_EQ(counters.result_cache.hits, 0u);
+  EXPECT_EQ(counters.admission.admitted, 1u);  // only the first call
+  EXPECT_EQ(counters.executions, 5u);
+  EXPECT_TRUE(service->WorkersPristine());
+}
+
 TEST(ServiceOverloadTest, QueueTimeoutShedsWaiter) {
   ServiceConfig config;
   config.workers = 1;

@@ -225,6 +225,24 @@ TEST_F(GovernorTest, OptionsBeatEnvironment) {
   EXPECT_TRUE(session_->Execute(XMarkQueryText("Q10"), o).ok());
 }
 
+// The governor variables are parsed strictly: a malformed value fails
+// with InvalidArgument naming the variable instead of silently meaning
+// "no limit".
+TEST_F(GovernorTest, MalformedGovernorEnvRejected) {
+  for (const char* name : {"EXRQUY_DEADLINE_MS", "EXRQUY_MEM_BUDGET"}) {
+    for (const char* bad : {"abc", "64MB"}) {
+      ScopedEnv env(name, bad);
+      Result<QueryResult> r =
+          session_->Execute(XMarkQueryText("Q1"), Threads(1));
+      ASSERT_FALSE(r.ok()) << name << "=" << bad;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find(name), std::string::npos)
+          << r.status().message();
+      ExpectSessionPristine(std::string(name) + "=" + bad);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Satellite (b): a loop of failing queries — compile errors, runtime
 // errors, governor aborts — leaves the store and the pool exactly where

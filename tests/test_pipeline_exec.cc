@@ -27,10 +27,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "api/session.h"
+#include "engine/eval.h"
 #include "engine/faults.h"
 #include "opt/morsel_plan.h"
 #include "xmark/generator.h"
@@ -272,6 +274,42 @@ TEST_F(PipelineExecTest, RemovedChunkRowsRejected) {
   Result<QueryResult> r = session_->Execute(XMarkQueryText("Q1"), o);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// EXRQUY_THREADS and EXRQUY_MORSEL_ROWS are parsed strictly: with the
+// option deferring to the environment, a malformed value fails
+// Evaluator::Eval with InvalidArgument naming the variable instead of
+// silently meaning the default.
+Status EvalWithEnv(Session* session, const char* name, const char* value) {
+  Result<QueryPlans> plans = session->Plan(XMarkQueryText("Q1"));
+  if (!plans.ok()) return plans.status();
+  setenv(name, value, 1);
+  EvalContext ctx;  // num_threads = morsel_rows = 0: both defer to the env
+  ctx.store = &session->store();
+  ctx.strings = &session->strings();
+  ctx.documents = session->documents();
+  Status st = Evaluator(*plans->dag, &ctx).Eval(plans->optimized).status();
+  unsetenv(name);
+  return st;
+}
+
+TEST_F(PipelineExecTest, MalformedThreadsEnvRejected) {
+  ASSERT_TRUE(EvalWithEnv(session_, "EXRQUY_THREADS", "2").ok());
+  for (const char* bad : {"four", "4x", "-1"}) {
+    Status st = EvalWithEnv(session_, "EXRQUY_THREADS", bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.message().find("EXRQUY_THREADS"), std::string::npos) << bad;
+  }
+}
+
+TEST_F(PipelineExecTest, MalformedMorselRowsEnvRejected) {
+  ASSERT_TRUE(EvalWithEnv(session_, "EXRQUY_MORSEL_ROWS", "64").ok());
+  for (const char* bad : {"64k", "abc", "+64"}) {
+    Status st = EvalWithEnv(session_, "EXRQUY_MORSEL_ROWS", bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.message().find("EXRQUY_MORSEL_ROWS"), std::string::npos)
+        << bad;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "api/service.h"
@@ -107,6 +108,26 @@ QueryOptions ModeOptions(OrderingMode mode) {
   return o;
 }
 
+auto PlanStatsFields(const PlanStats& s) {
+  return std::tie(s.total_ops, s.rownum_ops, s.rowid_ops,
+                  s.positional_rowid_ops, s.step_ops, s.distinct_ops,
+                  s.theta_join_ops, s.value_join_ops, s.by_kind);
+}
+
+// Everything the service returns for a query, against the Session's
+// result: serialized bytes, items, and both plan-shape summaries.
+void ExpectSameResult(const QueryResult& got, const QueryResult& expected,
+                      const std::string& context) {
+  EXPECT_EQ(got.serialized, expected.serialized) << context;
+  EXPECT_EQ(got.items, expected.items) << context;
+  EXPECT_TRUE(PlanStatsFields(got.plan_initial) ==
+              PlanStatsFields(expected.plan_initial))
+      << context;
+  EXPECT_TRUE(PlanStatsFields(got.plan_optimized) ==
+              PlanStatsFields(expected.plan_optimized))
+      << context;
+}
+
 // The 20 XMark queries, both ordering modes, replayed through the
 // service, must be byte-identical to a serial Session over the same
 // document.
@@ -132,13 +153,50 @@ TEST(QueryServiceTest, MatchesSessionForAllXMarkQueries) {
       for (int round = 0; round < 2; ++round) {
         Result<ServiceResult> got = service.Execute(q.text, o);
         ASSERT_TRUE(got.ok()) << q.name << ": " << got.status().ToString();
-        EXPECT_EQ(got->result.serialized, expected->serialized)
-            << q.name << " round " << round;
+        ExpectSameResult(got->result, *expected,
+                         q.name + " round " + std::to_string(round));
       }
     }
   }
   ServiceCounters c = service.counters();
   EXPECT_GT(c.plan_cache.hits + c.result_cache.hits, 0u);
+}
+
+// Under EXRQUY_CERTIFY=spot semantics the service spot-checks every
+// fresh plan on its worker store (the spot evaluations construct nodes
+// there) and still returns the Session's bytes, cold (checked) and warm
+// (cached plan, no re-check), leaving every worker store at its
+// snapshot.
+TEST(QueryServiceTest, SpotCheckMatchesSessionForAllXMarkQueries) {
+  std::string xml = XMarkXml();
+  Session session;
+  ASSERT_TRUE(session.LoadDocument("auction.xml", xml).ok());
+  ServiceConfig config;
+  config.workers = 2;
+  config.plan_cache = 1;
+  config.result_cache_bytes = 0;  // every call runs the engine
+  QueryService service(config);
+  ASSERT_TRUE(service.LoadDocument("auction.xml", xml).ok());
+
+  for (OrderingMode mode : {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
+    for (const XMarkQuery& q : XMarkQueries()) {
+      Result<QueryResult> expected =
+          session.Execute(q.text, ModeOptions(mode));
+      QueryOptions o = ModeOptions(mode);
+      o.certify.mode = CertifyMode::kStrict;
+      o.certify.spot_check = true;
+      ASSERT_TRUE(expected.ok()) << q.name << ": "
+                                 << expected.status().ToString();
+      for (int round = 0; round < 2; ++round) {
+        Result<ServiceResult> got = service.Execute(q.text, o);
+        ASSERT_TRUE(got.ok()) << q.name << ": " << got.status().ToString();
+        EXPECT_EQ(got->plan_cache_hit, round == 1) << q.name;
+        ExpectSameResult(got->result, *expected,
+                         q.name + " round " + std::to_string(round));
+      }
+    }
+  }
+  EXPECT_TRUE(service.WorkersPristine());
 }
 
 // N threads replaying the query mix concurrently produce exactly the
@@ -223,6 +281,7 @@ TEST(QueryServiceTest, PlanCacheRespectsOptionFingerprint) {
   ServiceConfig config;
   config.workers = 1;
   config.plan_cache = 1;
+  config.result_cache_bytes = 0;  // a repeat must reach the plan cache
   QueryService service(config);
   ASSERT_TRUE(service.LoadDocument("d.xml", "<r><x/></r>").ok());
   const char* query = R"(count(doc("d.xml")//x))";
@@ -236,6 +295,18 @@ TEST(QueryServiceTest, PlanCacheRespectsOptionFingerprint) {
       service.Execute(query, ModeOptions(OrderingMode::kUnordered));
   ASSERT_TRUE(same.ok());
   EXPECT_TRUE(same->plan_cache_hit);
+  // Every rewrite family is part of the key: flipping any one of them is
+  // a different plan (a miss), and repeating the flip hits.
+  for (const RewriteFamily& f : kRewriteFamilies) {
+    QueryOptions flipped;
+    flipped.*(f.flag) = !(flipped.*(f.flag));
+    Result<ServiceResult> first = service.Execute(query, flipped);
+    ASSERT_TRUE(first.ok()) << f.name;
+    EXPECT_FALSE(first->plan_cache_hit) << f.name;
+    Result<ServiceResult> again = service.Execute(query, flipped);
+    ASSERT_TRUE(again.ok()) << f.name;
+    EXPECT_TRUE(again->plan_cache_hit) << f.name;
+  }
 }
 
 TEST(QueryServiceTest, PlanCacheCanBeDisabled) {

@@ -52,9 +52,10 @@ TEST_F(SmokeTest, PathDescendant) {
 }
 
 TEST_F(SmokeTest, UnionDocOrder) {
+  QueryOptions baseline;
+  baseline.enable_order_indifference = false;
   Result<QueryResult> r = session_.Execute(
-      R"(let $t := doc("t.xml")/a return $t//c | $t//d)",
-      QueryOptions{.enable_order_indifference = false});
+      R"(let $t := doc("t.xml")/a return $t//c | $t//d)", baseline);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->items.size(), 3u);
   EXPECT_EQ(r->items[0], "<c/>");  // c1
