@@ -133,6 +133,14 @@ std::unordered_map<OpId, ColSet> LegacyICols(const Dag& dag, OpId root,
         need(0, op.part);
         for (ColId k : op.keys) need(0, k);
         break;
+      case OpKind::kThetaCount: {
+        size_t g = ThetaCountGroupSide(dag, op);
+        need(0, op.keys[0]);
+        need(1, op.keys[1]);
+        need(g, op.part);
+        need(1 - g, op.col2);
+        break;
+      }
       case OpKind::kStep:
         need(0, col::iter());
         need(0, col::item());
@@ -247,8 +255,10 @@ class LegacyProps {
         if (all_const) out.constant.insert(op.col);
         break;
       }
-      case OpKind::kAggr: {
-        const ColProps& p = child(0);
+      case OpKind::kAggr:
+      case OpKind::kThetaCount: {
+        const ColProps& p = child(
+            op.kind == OpKind::kAggr ? 0 : ThetaCountGroupSide(*dag_, op));
         if (op.part != kNoCol) {
           if (p.constant.count(op.part) != 0) out.constant.insert(op.part);
           if (p.arbitrary.count(op.part) != 0) out.arbitrary.insert(op.part);

@@ -18,6 +18,8 @@ const char* OpKindName(OpKind kind) {
       return "EquiJoin";
     case OpKind::kThetaJoin:
       return "ThetaJoin";
+    case OpKind::kThetaCount:
+      return "ThetaCount";
     case OpKind::kCross:
       return "Cross";
     case OpKind::kUnion:
@@ -256,6 +258,17 @@ std::vector<ColId> Dag::ComputeSchema(const Op& op) const {
       }
       return out;
     }
+    case OpKind::kThetaCount: {
+      EXRQUY_CHECK(op.keys.size() == 2);
+      require_col(0, op.keys[0]);
+      require_col(1, op.keys[1]);
+      // The group and the counted column sit on opposite sides.
+      size_t g = ops_[op.children[0]].HasCol(op.part) ? 0 : 1;
+      require_col(g, op.part);
+      require_col(1 - g, op.col2);
+      EXRQUY_CHECK(op.col != op.part);
+      return {op.part, op.col};
+    }
     case OpKind::kCross: {
       std::vector<ColId> out = child_schema(0);
       for (ColId c : child_schema(1)) {
@@ -423,6 +436,22 @@ OpId Dag::ThetaJoin(OpId left, OpId right, ColId left_col, FunKind cmp,
   op.col2 = right_col;
   op.fun = cmp;
   op.value_join = true;
+  return Add(std::move(op));
+}
+
+OpId Dag::ThetaCount(OpId left, OpId right, ColId left_key, FunKind cmp,
+                     ColId right_key, ColId group, ColId counted,
+                     ColId result) {
+  EXRQUY_CHECK(cmp == FunKind::kLt || cmp == FunKind::kLe ||
+               cmp == FunKind::kGt || cmp == FunKind::kGe);
+  Op op;
+  op.kind = OpKind::kThetaCount;
+  op.children = {left, right};
+  op.keys = {left_key, right_key};
+  op.fun = cmp;
+  op.part = group;
+  op.col2 = counted;
+  op.col = result;
   return Add(std::move(op));
 }
 

@@ -3,6 +3,9 @@
 //   π   Project          — column projection/renaming, keeps duplicates
 //   σ   Select           — rows whose boolean column is true
 //   ⋈   EquiJoin         — equi-join on one column pair
+//       ThetaCount       — count() fused through a value ThetaJoin: per
+//                          group, the number of distinct far-side groups
+//                          with a matching pair; no pair is built
 //   ×   Cross            — Cartesian product (mostly × with 1-row literals)
 //   ∪̇   Union            — disjoint union (append)
 //   \   Difference       — anti-join on a key column list
@@ -48,6 +51,7 @@ enum class OpKind : uint8_t {
   kSelect,
   kEquiJoin,
   kThetaJoin,  // join on an arbitrary value comparison (col θ col2)
+  kThetaCount, // Aggr count|g (Distinct (π g,g2 (ThetaJoin))), fused
   kCross,
   kUnion,
   kDifference,
@@ -171,9 +175,11 @@ struct Op {
   // kRowNum: sort criteria. (Empty criteria = arbitrary order, which makes
   // the operator equivalent to # — see Section 7 of the paper.)
   std::vector<SortKey> order;
-  // kRowNum / kAggr: partition column (kNoCol = whole table is one group).
+  // kRowNum / kAggr / kThetaCount: partition column (kNoCol = whole table
+  // is one group; ThetaCount always has one, on either join side).
   ColId part = kNoCol;
-  // kDifference / kSemiJoin: key columns.
+  // kDifference / kSemiJoin: key columns. kThetaCount: the left and the
+  // right join key.
   std::vector<ColId> keys;
   // kRowId: the ids are proven row positions (1..n in physical row
   // order), not merely arbitrary unique numbers. Set when an order-
@@ -185,7 +191,8 @@ struct Op {
   int64_t min_card = 0;
   int64_t max_card = 0;
   // kFun: function and argument columns. kThetaJoin: the comparison
-  // (kEq..kGe) applied as `col θ col2`.
+  // (kEq..kGe) applied as `col θ col2`. kThetaCount: the order relation
+  // (kLt..kGe) applied as `keys[0] θ keys[1]`.
   FunKind fun = FunKind::kAdd;
   std::vector<ColId> args;
   // kAggr:
@@ -248,6 +255,15 @@ class Dag {
   // deterministic left-major order.
   OpId ThetaJoin(OpId left, OpId right, ColId left_col, FunKind cmp,
                  ColId right_col);
+  // count() fused through a ThetaJoin: exactly
+  //   Aggr count|group (Distinct (π group,counted (ThetaJoin(left, right,
+  //                                  left_key cmp right_key))))
+  // for an order relation cmp in kLt..kGe, where `group` and `counted`
+  // are columns of opposite sides. Output schema (group, result); one
+  // row per group with a nonzero count, in the Aggr's first-appearance
+  // order.
+  OpId ThetaCount(OpId left, OpId right, ColId left_key, FunKind cmp,
+                  ColId right_key, ColId group, ColId counted, ColId result);
   OpId Cross(OpId left, OpId right);
   // Convenience: × with a one-row literal table [col = value] (the idiom
   // the paper writes as q × (pos 1), nearly free on table descriptors).
@@ -303,6 +319,12 @@ class Dag {
   std::unordered_multimap<uint64_t, OpId> index_;
   uint32_t next_constructor_id_ = 1;
 };
+
+// kThetaCount: the child (0 = left, 1 = right) that carries the group
+// column; the counted column sits on the other one.
+inline size_t ThetaCountGroupSide(const Dag& dag, const Op& op) {
+  return dag.op(op.children[0]).HasCol(op.part) ? 0 : 1;
+}
 
 }  // namespace exrquy
 

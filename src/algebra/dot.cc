@@ -69,6 +69,12 @@ std::string OpToString(const Dag& dag, OpId id, const StrPool& strings) {
       out << "ThetaJoin " << ColName(op.col) << " " << FunKindName(op.fun)
           << " " << ColName(op.col2);
       break;
+    case OpKind::kThetaCount:
+      out << "ThetaCount " << ColName(op.col) << ":count("
+          << ColName(op.col2) << ")|" << ColName(op.part) << " on "
+          << ColName(op.keys[0]) << " " << FunKindName(op.fun) << " "
+          << ColName(op.keys[1]);
+      break;
     case OpKind::kCross:
       out << "Cross";
       break;

@@ -22,6 +22,9 @@ PlanStats CollectPlanStats(const Dag& dag, OpId root) {
       case OpKind::kThetaJoin:
         ++stats.theta_join_ops;
         break;
+      case OpKind::kThetaCount:
+        ++stats.theta_count_ops;
+        break;
       case OpKind::kEquiJoin:
         if (op.value_join) ++stats.value_join_ops;
         break;

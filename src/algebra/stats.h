@@ -19,6 +19,7 @@ struct PlanStats {
   size_t step_ops = 0;          // ⊙ operators
   size_t distinct_ops = 0;
   size_t theta_join_ops = 0;    // ThetaJoin operators
+  size_t theta_count_ops = 0;   // ThetaCount operators (fused count())
   size_t value_join_ops = 0;    // joins carrying the value-join mark
                                 // (ThetaJoin + marked EquiJoin)
   std::map<std::string, size_t> by_kind;

@@ -14,7 +14,7 @@ Result<std::string> OpCountReport(Session* session) {
       << "%  = RowNum (blocking sort)   # = RowId (free numbering)\n"
       << "#^ = positional RowId (ids proven row positions)\n"
       << "vj = equi-joins on recognized value predicates"
-      << "   tj = ThetaJoin\n\n"
+      << "   tj = ThetaJoin or ThetaCount\n\n"
       << "query  mode       initial  final    %    #   #^   vj   tj\n";
   size_t surviving_ordered = 0;
   size_t surviving_unordered = 0;
@@ -35,7 +35,7 @@ Result<std::string> OpCountReport(Session* session) {
           << std::setw(5) << optimized.rowid_ops << std::setw(5)
           << optimized.positional_rowid_ops << std::setw(5)
           << optimized.value_join_ops << std::setw(5)
-          << optimized.theta_join_ops << "\n";
+          << optimized.theta_join_ops + optimized.theta_count_ops << "\n";
     }
   }
   out << "\nsurviving %: ordered " << surviving_ordered << ", unordered "

@@ -79,6 +79,10 @@ bool RowEquals(const std::vector<const Column*>& a, size_t ra,
   return true;
 }
 
+bool IsNaN(const Value& v) {
+  return v.kind == ValueKind::kDouble && std::isnan(v.d);
+}
+
 // Key normalization for value joins: general comparison treats xs:string
 // and xs:untypedAtomic alike (both compare by string value), so a hash
 // join over value keys must not let the kind tag split equal keys into
@@ -750,8 +754,11 @@ Result<TablePtr> Evaluator::EvalPipeline(
   const size_t nstages = pl.stages.size();
 
   // Resolve stage operators and their materialized (non-pipe) inputs.
+  // A ThetaJoin stage casts its right keys once, up front, like the
+  // equi-join build below; every morsel reads them.
   std::vector<const Op*> sops(nstages);
   std::vector<std::vector<TablePtr>> ext(nstages);
+  std::vector<std::unique_ptr<BandKeys>> bands(nstages);
   for (size_t si = 0; si < nstages; ++si) {
     const PipelineStage& st = pl.stages[si];
     sops[si] = &dag_.op(st.op);
@@ -760,6 +767,11 @@ Result<TablePtr> Evaluator::EvalPipeline(
     for (size_t ci = 0; ci < op.children.size(); ++ci) {
       if (si > 0 && static_cast<int>(ci) == st.pipe_child) continue;
       ext[si][ci] = input(op.children[ci]);
+    }
+    if (op.kind == OpKind::kThetaJoin) {
+      const Table& right = *ext[si][1];
+      bands[si] = std::make_unique<BandKeys>(ops_, right.col(op.col2),
+                                             right.rows());
     }
   }
 
@@ -890,8 +902,8 @@ Result<TablePtr> Evaluator::EvalPipeline(
             } else if (op.kind == OpKind::kEquiJoin) {
               equi_probe(b, e, &p);
             } else {
-              EXRQUY_RETURN_IF_ERROR(
-                  StageThetaM(op, *in, b, e, *ext[si][1], &p.l, &p.r));
+              EXRQUY_RETURN_IF_ERROR(StageThetaM(op, *in, b, e, *ext[si][1],
+                                                 *bands[si], &p.l, &p.r));
             }
             if (lone) {
               mo.picks = std::move(p);
@@ -1211,27 +1223,36 @@ std::shared_ptr<Table> Evaluator::StageUnionM(const Table& l, const Table& r,
 
 Status Evaluator::StageThetaM(const Op& op, const Table& in, size_t b,
                               size_t e, const Table& right,
+                              const BandKeys& right_keys,
                               std::vector<uint32_t>* l_rows,
                               std::vector<uint32_t>* r_rows) {
   // Nested loop over [b, e) x right, left-major with matches in
-  // right-row order; a comparison error surfaces at the first failing
-  // pair in that order.
+  // right-row order, over keys cast once (ComparePair); a comparison
+  // error surfaces at the first failing pair in that order, with the
+  // Status that Compare gives that pair.
   const Column& lk = in.col(op.col);
-  const Column& rk = right.col(op.col2);
-  size_t m = right.rows();
+  const size_t m = right_keys.size();
   size_t pairs = 0;
   for (size_t i = b; i < e; ++i) {
+    const BandKey key = ClassifyKey(ops_, lk[i]);
     for (size_t j = 0; j < m; ++j) {
       // Pair-volume poll (EvalRange's output-volume idiom): one morsel's
       // work is morsel_rows * m pairs, not morsel_rows.
       if ((pairs++ & 0xFFFF) == 0xFFFF) {
         EXRQUY_RETURN_IF_ERROR(PollGovernor());
       }
-      Result<Value> v = ops_.Compare(op.fun, lk[i], rk[j]);
-      if (!v.ok()) return v.status();
-      if (v.value().b) {
-        l_rows->push_back(static_cast<uint32_t>(i));
-        r_rows->push_back(static_cast<uint32_t>(j));
+      switch (ComparePair(op.fun, key, right_keys[j])) {
+        case PairOutcome::kFalse:
+          break;
+        case PairOutcome::kTrue:
+          l_rows->push_back(static_cast<uint32_t>(i));
+          r_rows->push_back(static_cast<uint32_t>(j));
+          break;
+        case PairOutcome::kRaises: {
+          Result<Value> v = ops_.Compare(op.fun, lk[i], right.col(op.col2)[j]);
+          if (v.ok()) return Internal("theta join: failing pair compared");
+          return v.status();
+        }
       }
     }
   }
@@ -1357,6 +1378,8 @@ Result<TablePtr> Evaluator::EvalOp(const Op& op,
       return EvalRowNum(op, child(0));
     case OpKind::kAggr:
       return EvalAggr(op, child(0));
+    case OpKind::kThetaCount:
+      return EvalThetaCount(op, child(0), child(1));
     case OpKind::kDoc:
       return EvalDoc(op);
     case OpKind::kElem:
@@ -1852,8 +1875,10 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
             first = false;
             continue;
           }
+          // fn:max and fn:min return NaN when any value is NaN.
+          if (IsNaN(best)) continue;
           int c = ops_.OrderCompare(cand, best);
-          if (want_max ? c > 0 : c < 0) best = cand;
+          if (IsNaN(cand) || (want_max ? c > 0 : c < 0)) best = cand;
         }
         v = best;
         break;
@@ -1907,6 +1932,24 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
   if (op.part != kNoCol) out->AddColumn(op.part, std::move(part_out));
   out->AddColumn(op.col, std::move(result));
   out->SetRows(groups.size());
+  return out;
+}
+
+Result<TablePtr> Evaluator::EvalThetaCount(const Op& op, const Table& l,
+                                           const Table& r) {
+  const bool group_left = ThetaCountGroupSide(dag_, op) == 0;
+  const Table& g = group_left ? l : r;
+  const Table& g2 = group_left ? r : l;
+  Column groups;
+  Column counts;
+  EXRQUY_RETURN_IF_ERROR(ThetaCountKernel(
+      ops_, op.fun, l.col(op.keys[0]), l.rows(), r.col(op.keys[1]), r.rows(),
+      g.col(op.part), g2.col(op.col2), group_left, &groups, &counts));
+  auto out = std::make_shared<Table>();
+  size_t n = groups.size();
+  out->AddColumn(op.part, std::move(groups));
+  out->AddColumn(op.col, std::move(counts));
+  out->SetRows(n);
   return out;
 }
 

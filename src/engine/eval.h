@@ -44,6 +44,7 @@
 #include "algebra/algebra.h"
 #include "common/governor.h"
 #include "common/status.h"
+#include "engine/band.h"
 #include "engine/faults.h"
 #include "engine/profile.h"
 #include "engine/table.h"
@@ -203,7 +204,8 @@ class Evaluator {
   std::shared_ptr<Table> StageUnionM(const Table& l, const Table& r, size_t b,
                                      size_t e);
   Status StageThetaM(const Op& op, const Table& in, size_t b, size_t e,
-                     const Table& right, std::vector<uint32_t>* l_rows,
+                     const Table& right, const BandKeys& right_keys,
+                     std::vector<uint32_t>* l_rows,
                      std::vector<uint32_t>* r_rows);
   Status StageStepM(const Op& op, const Table& in, size_t b, size_t e,
                     std::vector<int64_t>* out_iters,
@@ -236,6 +238,8 @@ class Evaluator {
   Result<TablePtr> EvalDistinct(const Op& op, const Table& in);
   Result<TablePtr> EvalRowNum(const Op& op, const Table& in);
   Result<TablePtr> EvalAggr(const Op& op, const Table& in);
+  Result<TablePtr> EvalThetaCount(const Op& op, const Table& l,
+                                  const Table& r);
   Result<TablePtr> EvalDoc(const Op& op);
   Result<TablePtr> EvalElem(const Op& op, const Table& content,
                             const Table& loop);

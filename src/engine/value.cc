@@ -37,7 +37,8 @@ Result<double> ParseDouble(const std::string& s) {
   return d;
 }
 
-int Sign(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
+// -1, 0 or 1 for two doubles that are not NaN.
+int CompareDoubles(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
 
 Result<Value> ApplyRelation(FunKind op, int cmp) {
   switch (op) {
@@ -211,7 +212,13 @@ Result<Value> ValueOps::Compare(FunKind op, Value a, Value b) const {
     if (a.kind == ValueKind::kInt && b.kind == ValueKind::kInt) {
       return ApplyRelation(op, a.i < b.i ? -1 : (a.i > b.i ? 1 : 0));
     }
-    return ApplyRelation(op, Sign(AsDouble(a) - AsDouble(b)));
+    double da = AsDouble(a);
+    double db = AsDouble(b);
+    // NaN is unordered: every relation but `ne` is false.
+    if (std::isnan(da) || std::isnan(db)) {
+      return Value::Bool(op == FunKind::kNe);
+    }
+    return ApplyRelation(op, CompareDoubles(da, db));
   }
   bool a_str = a.kind == ValueKind::kString || a.kind == ValueKind::kUntyped;
   bool b_str = b.kind == ValueKind::kString || b.kind == ValueKind::kUntyped;
@@ -265,7 +272,16 @@ int ValueOps::OrderCompare(const Value& a, const Value& b) const {
       if (a.kind == ValueKind::kInt && b.kind == ValueKind::kInt) {
         return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
       }
-      return Sign(AsDouble(a) - AsDouble(b));
+      // XQuery `order by`: NaN equals NaN and sorts below every other
+      // number.
+      double da = AsDouble(a);
+      double db = AsDouble(b);
+      bool nan_a = std::isnan(da);
+      bool nan_b = std::isnan(db);
+      if (nan_a || nan_b) {
+        return static_cast<int>(nan_b) - static_cast<int>(nan_a);
+      }
+      return CompareDoubles(da, db);
     }
     case 1:
       return strings_->Get(a.str).compare(strings_->Get(b.str));

@@ -32,15 +32,17 @@ class ValueOps {
   Result<Value> Arith(FunKind op, Value a, Value b) const;
 
   // Comparison with the general-comparison casting rules: untyped casts
-  // to double against numbers and compares as string otherwise.
+  // to double against numbers and compares as string otherwise. NaN is
+  // unordered: every relation but `ne` is false.
   Result<Value> Compare(FunKind op, Value a, Value b) const;
 
   // Effective boolean value of a single item.
   bool EbvSingle(Value v) const;
 
   // Total order used by RowNum sort criteria: numeric < string < boolean
-  // < node; numerics by value, strings lexicographically, nodes by
-  // preorder rank (document order). Returns <0, 0, >0.
+  // < node; numerics by value (NaN equals NaN and sorts below every other
+  // number, as XQuery `order by` specifies), strings lexicographically,
+  // nodes by preorder rank (document order). Returns <0, 0, >0.
   int OrderCompare(const Value& a, const Value& b) const;
 
   // The string a value serializes as.

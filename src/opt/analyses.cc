@@ -113,6 +113,14 @@ struct LivenessAnalysis {
         need(0, op.part);
         for (ColId k : op.keys) need(0, k);
         break;
+      case OpKind::kThetaCount: {
+        size_t g = ThetaCountGroupSide(dag, op);
+        need(0, op.keys[0]);
+        need(1, op.keys[1]);
+        need(g, op.part);
+        need(1 - g, op.col2);
+        break;
+      }
       case OpKind::kStep:
         need(0, col::iter());
         need(0, col::item());
@@ -246,8 +254,10 @@ ColProps ConstArbAnalysis::Transfer(
       if (all_const) out.constant.insert(op.col);
       break;
     }
-    case OpKind::kAggr: {
-      const ColProps& p = child(0);
+    case OpKind::kAggr:
+    case OpKind::kThetaCount: {
+      const ColProps& p =
+          child(op.kind == OpKind::kAggr ? 0 : ThetaCountGroupSide(dag, op));
       if (op.part != kNoCol) {
         if (p.constant.count(op.part) != 0) out.constant.insert(op.part);
         if (p.arbitrary.count(op.part) != 0) out.arbitrary.insert(op.part);
@@ -372,6 +382,11 @@ CardRange CardAnalysis::Transfer(
         out.max = child(0).max;
       }
       break;
+    case OpKind::kThetaCount:
+      // At most one row per group; a group without a match is dropped.
+      out.min = 0;
+      out.max = child(ThetaCountGroupSide(dag, op)).max;
+      break;
     case OpKind::kStep:
     case OpKind::kRange:
       // Arbitrary fan-out per context row; empty context stays empty.
@@ -393,9 +408,47 @@ CardRange CardAnalysis::Transfer(
 
 const CardRange& CardTracker::Get(OpId id) { return engine_.Get(id); }
 
+
 // ---------------------------------------------------------------------------
 // Key columns.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// The compiler's padding idiom for an empty result per iteration:
+//   pad = Cross(Difference(A, π c:x (S), {c}), one-row literal)
+// next to p = π ..., c:x, ... (S) (or p = S when x = c). The padding
+// holds exactly the c values that p lacks, so p and pad never share a
+// c value.
+bool PadsOn(const Dag& dag, OpId p, OpId pad, ColId c) {
+  const Op& cross = dag.op(pad);
+  if (cross.kind != OpKind::kCross) return false;
+  for (size_t side = 0; side < 2; ++side) {
+    const Op& lit = dag.op(cross.children[1 - side]);
+    const Op& diff = dag.op(cross.children[side]);
+    if (lit.kind != OpKind::kLit || lit.lit.rows.size() != 1 ||
+        lit.HasCol(c) || diff.kind != OpKind::kDifference ||
+        diff.keys != std::vector<ColId>{c}) {
+      continue;
+    }
+    const Op& b = dag.op(diff.children[1]);
+    if (b.kind != OpKind::kProject || b.proj.size() != 1 ||
+        b.proj[0].first != c) {
+      continue;
+    }
+    const ColId x = b.proj[0].second;
+    if (p == b.children[0] && x == c) return true;
+    const Op& po = dag.op(p);
+    if (po.kind == OpKind::kProject && po.children[0] == b.children[0] &&
+        std::find(po.proj.begin(), po.proj.end(), std::make_pair(c, x)) !=
+            po.proj.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 ColSet KeyAnalysis::Bottom(const Dag&, OpId) const { return {}; }
 
@@ -472,12 +525,23 @@ ColSet KeyAnalysis::Transfer(const Dag& dag, OpId id,
       break;
     }
     case OpKind::kUnion: {
-      // Cross-branch value reasoning is out of scope; only a statically
-      // empty branch preserves the other branch's keys.
-      if (cards->Get(op.children[0]).max == 0) {
+      // A statically empty branch preserves the other branch's keys, and
+      // a key of both branches survives when one branch is the other's
+      // empty-result padding (the shape of a where clause's surviving
+      // iterations); other cross-branch value reasoning is out of scope.
+      const OpId l = op.children[0];
+      const OpId r = op.children[1];
+      if (cards->Get(l).max == 0) {
         inherit(child(1));
-      } else if (cards->Get(op.children[1]).max == 0) {
+      } else if (cards->Get(r).max == 0) {
         inherit(child(0));
+      } else {
+        for (ColId c : child(0)) {
+          if (child(1).count(c) != 0 &&
+              (PadsOn(dag, l, r, c) || PadsOn(dag, r, l, c))) {
+            out.insert(c);
+          }
+        }
       }
       break;
     }
@@ -495,6 +559,7 @@ ColSet KeyAnalysis::Transfer(const Dag& dag, OpId id,
       inherit(child(0));
       break;
     case OpKind::kAggr:
+    case OpKind::kThetaCount:
       if (op.part != kNoCol) out.insert(op.part);  // one row per group
       break;
     case OpKind::kStep:
@@ -577,6 +642,15 @@ ItemKind KindJoin(ItemKind a, ItemKind b) {
   if (KindLe(a, b)) return b;
   if (KindLe(b, a)) return a;
   return ItemKind::kAny;
+}
+
+bool OneComparisonClass(ItemKind a, ItemKind b) {
+  if (a == b) {
+    return a == ItemKind::kInt || a == ItemKind::kString ||
+           a == ItemKind::kBool;
+  }
+  return (KindIsNumeric(a) && b == ItemKind::kString) ||
+         (a == ItemKind::kString && KindIsNumeric(b));
 }
 
 ItemKind SemType::KindOf(ColId c) const {
@@ -793,6 +867,13 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
           break;
       }
       if (k != ItemKind::kAny) out.kinds[op.col] = k;
+      break;
+    }
+    case OpKind::kThetaCount: {
+      ItemKind pk = child(ThetaCountGroupSide(dag, op)).KindOf(op.part);
+      if (pk != ItemKind::kAny) out.kinds.emplace(op.part, pk);
+      out.unit_groups.insert(op.part);  // one row per group
+      out.kinds[op.col] = ItemKind::kInt;
       break;
     }
     case OpKind::kStep: {
@@ -1253,6 +1334,10 @@ OrderFacts OrderAnalysis::Transfer(
     case OpKind::kDoc:
       // Single row: OrderImplied's at-most-one case covers it.
       break;
+    case OpKind::kThetaCount:
+      // Groups come in pair-stream first-appearance order, which no
+      // input sortedness fact describes.
+      break;
     case OpKind::kElem:
     case OpKind::kAttr:
     case OpKind::kTextNode:
@@ -1304,6 +1389,7 @@ bool RaiseAnalysis::Transfer(const Dag& dag, OpId id,
       // a rewrite.
       return cards->Get(op.children[0]).max > 0;
     case OpKind::kThetaJoin:
+    case OpKind::kThetaCount:
       // The comparison raises on incomparable pairs — only when pairs
       // can exist at all.
       return cards->Get(op.children[0]).max > 0 &&
@@ -1350,6 +1436,9 @@ std::string ReasonLabel(const Dag& dag, OpId consumer,
     case OpKind::kEquiJoin:
     case OpKind::kThetaJoin:
       what = "join condition";
+      break;
+    case OpKind::kThetaCount:
+      what = "join condition of count()";
       break;
     case OpKind::kDifference:
       what = "anti-join keys";
@@ -1514,6 +1603,14 @@ struct ProvenanceAnalysis {
         need(0, op.part);
         for (ColId k : op.keys) need(0, k);
         break;
+      case OpKind::kThetaCount: {
+        size_t g = ThetaCountGroupSide(dg, op);
+        need(0, op.keys[0]);
+        need(1, op.keys[1]);
+        need(g, op.part);
+        need(1 - g, op.col2);
+        break;
+      }
       case OpKind::kStep:
         need(0, col::iter());
         need(0, col::item());

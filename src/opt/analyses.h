@@ -176,6 +176,14 @@ bool KindLe(ItemKind a, ItemKind b);
 inline bool KindIsNumeric(ItemKind k) {
   return k == ItemKind::kInt || k == ItemKind::kNumeric;
 }
+// Whether every pair of values of kinds `a` and `b` that compares without
+// an error compares in one totally ordered class: int/int (exact),
+// numeric/string-class (the string-class side can only be untypedAtomic,
+// cast to double — a genuine string raises), string-class/string-class,
+// bool/bool. Mixed int/double pairs do not qualify: int/int compares
+// exactly but int/double through doubles, which is not transitive beyond
+// 2^53.
+bool OneComparisonClass(ItemKind a, ItemKind b);
 
 // The semantic-type fact: statically known per-column item kinds, plus
 // "unit groups" — columns by which grouping yields groups of at most one

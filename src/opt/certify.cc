@@ -26,6 +26,7 @@ const char* ObligationFor(const std::string& rule) {
   if (rule == "semantic-type") return "unit-group";
   if (rule == "order-dependency") return "sorted-prefix";
   if (rule == "join_recognition") return "join-isolation";
+  if (rule == "theta-count") return "count-fusion";
   return "unknown-family";
 }
 
@@ -53,6 +54,29 @@ bool DisjointSteps(const Dag& dag, OpId a, OpId b) {
          sa.test.kind == NodeTest::Kind::kName &&
          sb.test.kind == NodeTest::Kind::kName &&
          sa.test.name != sb.test.name;
+}
+
+// Independent restatement of the count-fusion shape (rewrites.cc keeps
+// its own copy): π g (Distinct (π g,h (ThetaJoin))), names kept, g and h
+// from opposite join sides. Yields the ThetaJoin and h.
+bool CountShape(const Dag& dag, OpId id, ColId g, OpId* tj, ColId* h) {
+  const Op& p1 = dag.op(id);
+  if (p1.kind != OpKind::kProject || p1.proj.size() != 1 ||
+      p1.proj[0] != std::make_pair(g, g)) {
+    return false;
+  }
+  const Op& d = dag.op(p1.children[0]);
+  if (d.kind != OpKind::kDistinct) return false;
+  const Op& p2 = dag.op(d.children[0]);
+  if (p2.kind != OpKind::kProject || p2.proj.size() != 2) return false;
+  const auto& [a, a_old] = p2.proj[0];
+  const auto& [b, b_old] = p2.proj[1];
+  if (a != a_old || b != b_old || (a != g && b != g) || a == b) return false;
+  const Op& t = dag.op(p2.children[0]);
+  if (t.kind != OpKind::kThetaJoin) return false;
+  *tj = p2.children[0];
+  *h = a == g ? b : a;
+  return dag.op(t.children[0]).HasCol(g) != dag.op(t.children[0]).HasCol(*h);
 }
 
 }  // namespace
@@ -642,6 +666,96 @@ bool CertifyChecker::CheckFamily(RewriteCertificate* cert) {
     }
     if (joins == 0) {
       return Fail(cert, ob, "the replacement contains no value join");
+    }
+    return true;
+  }
+
+  if (cert->rule == "theta-count") {
+    if (from.kind != OpKind::kAggr || from.aggr != AggrKind::kCount ||
+        from.part == kNoCol) {
+      return Fail(cert, ob, "the rewritten operator is not a grouped count");
+    }
+    const ColId g = from.part;
+    OpId tj = kNoOp;
+    ColId h = kNoCol;
+    OpId x = kNoOp;  // the key semijoin's far side, if any
+    ColId k = kNoCol;
+    if (!CountShape(*dag_, from.children[0], g, &tj, &h)) {
+      const Op& p = dag_->op(from.children[0]);
+      if (p.kind != OpKind::kProject || p.proj.size() != 1 ||
+          p.proj[0] != std::make_pair(g, g) ||
+          dag_->op(p.children[0]).kind != OpKind::kEquiJoin ||
+          dag_->op(p.children[0]).value_join) {
+        return Fail(cert, ob,
+                    "the count's input is neither a fusable distinct "
+                    "theta-join projection nor a key semijoin over one");
+      }
+      const Op& j = dag_->op(p.children[0]);
+      size_t side = j.col == g ? 0 : 1;
+      x = j.children[1 - side];
+      k = side == 0 ? j.col2 : j.col;
+      if ((side == 0 ? j.col : j.col2) != g ||
+          !CountShape(*dag_, j.children[side], g, &tj, &h)) {
+        return Fail(cert, ob,
+                    "the joined input is not a fusable distinct "
+                    "theta-join projection");
+      }
+      if (dag_->op(x).schema != std::vector<ColId>{k}) {
+        return Fail(cert, ob,
+                    "the semijoin side carries columns besides its key '" +
+                        ColName(k) + "'");
+      }
+      if (audit_.Get(x).keys.count(k) == 0) {
+        return Fail(cert, ob,
+                    "the semijoin side is not keyed on '" + ColName(k) +
+                        "': the join can repeat a group");
+      }
+    }
+    const Op& t = dag_->op(tj);
+    if (t.fun != FunKind::kLt && t.fun != FunKind::kLe &&
+        t.fun != FunKind::kGt && t.fun != FunKind::kGe) {
+      return Fail(cert, ob,
+                  std::string("relation '") + FunKindName(t.fun) +
+                      "' is not an order relation: no extremes decide it");
+    }
+    ItemKind lk = KindAt(audit_.Get(t.children[0]), t.col);
+    ItemKind rk = KindAt(audit_.Get(t.children[1]), t.col2);
+    if (!OneComparisonClass(lk, rk)) {
+      return Fail(cert, ob,
+                  "keys of kinds '" + std::string(ItemKindName(lk)) +
+                      "'/'" + ItemKindName(rk) +
+                      "' do not share one totally ordered class");
+    }
+    size_t gs = dag_->op(t.children[0]).HasCol(g) ? 0 : 1;
+    if (KindAt(audit_.Get(t.children[gs]), g) != ItemKind::kInt ||
+        KindAt(audit_.Get(t.children[1 - gs]), h) != ItemKind::kInt) {
+      return Fail(cert, ob, "the group columns are not statically integers");
+    }
+    // The replacement: exactly the fused count of this join, grouped by
+    // g and counting h, under the semijoin when one was crossed.
+    OpId tc = cert->to;
+    if (x != kNoOp) {
+      const Op& sj = to;
+      const Op* xr = sj.children.size() == 2 ? &dag_->op(sj.children[1])
+                                             : nullptr;
+      if (sj.kind != OpKind::kSemiJoin || sj.keys != std::vector<ColId>{g} ||
+          xr == nullptr || xr->kind != OpKind::kProject ||
+          xr->children[0] != x ||
+          xr->proj != std::vector<std::pair<ColId, ColId>>{{g, k}}) {
+        return Fail(cert, ob,
+                    "the replacement is not a semijoin of the fused count "
+                    "with the keyed side");
+      }
+      tc = sj.children[0];
+    }
+    const Op& c = dag_->op(tc);
+    if (c.kind != OpKind::kThetaCount || c.children != t.children ||
+        c.keys != std::vector<ColId>{t.col, t.col2} || c.fun != t.fun ||
+        c.part != g || c.col2 != h || c.col != from.col) {
+      return Fail(cert, ob,
+                  "the replacement is not the fused count of theta join "
+                  "op " + std::to_string(tj) + " grouped by '" +
+                      ColName(g) + "' counting '" + ColName(h) + "'");
     }
     return true;
   }

@@ -46,6 +46,14 @@
 //                                            from iteration/order
 //                                            scaffolding; the hash/theta
 //                                            kind gates re-check
+//   theta-count          count-fusion        the count's input re-matches
+//                                            the distinct theta-join
+//                                            shape (or a keyed semijoin
+//                                            over it), the relation is an
+//                                            order relation, the keys
+//                                            share one comparison class,
+//                                            and the replacement is that
+//                                            join's exact ThetaCount
 //
 // Modes (EXRQUY_CERTIFY, options beat environment):
 //   off    — emit bare trade records, never check;

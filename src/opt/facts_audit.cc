@@ -183,6 +183,10 @@ void DeriveKinds(const Dag& dag, OpId id,
       put(op.col, k);
       break;
     }
+    case OpKind::kThetaCount:
+      put(op.part, KindAt(child(ThetaCountGroupSide(dag, op)), op.part));
+      out->kinds[op.col] = ItemKind::kInt;
+      break;
     case OpKind::kStep:
       put(col::iter(), KindAt(child(0), col::iter()));
       out->kinds[col::item()] = ItemKind::kNode;
@@ -433,12 +437,49 @@ void DeriveSorted(const Dag& dag, OpId id,
         inherit(child(0));
       }
       break;
+    case OpKind::kThetaCount:  // pair-stream first-appearance order
     case OpKind::kDoc:
     case OpKind::kElem:
     case OpKind::kAttr:
     case OpKind::kTextNode:
       break;
   }
+}
+
+// Whether `pad` is the empty-result padding of `p` on column c:
+// Cross(one-row literal without c, Difference(A, π c:x (S), {c})) next
+// to p = S (x = c) or p = a projection of S that maps c from x. The
+// padding rows then carry exactly the c values missing from p.
+bool PaddingOf(const Dag& dag, OpId p, OpId pad, ColId c) {
+  const Op& cross = dag.op(pad);
+  if (cross.kind != OpKind::kCross) return false;
+  for (OpId side : cross.children) {
+    const Op& diff = dag.op(side);
+    const Op& lit = dag.op(side == cross.children[0] ? cross.children[1]
+                                                      : cross.children[0]);
+    if (diff.kind != OpKind::kDifference || diff.keys.size() != 1 ||
+        diff.keys[0] != c || lit.kind != OpKind::kLit ||
+        lit.lit.rows.size() != 1 || lit.HasCol(c)) {
+      continue;
+    }
+    const Op& sub = dag.op(diff.children[1]);
+    if (sub.kind != OpKind::kProject || sub.proj.size() != 1 ||
+        sub.proj[0].first != c) {
+      continue;
+    }
+    OpId source = sub.children[0];
+    ColId from = sub.proj[0].second;
+    if (p == source) {
+      if (from == c) return true;
+      continue;
+    }
+    const Op& po = dag.op(p);
+    if (po.kind != OpKind::kProject || po.children[0] != source) continue;
+    for (const auto& [n, o] : po.proj) {
+      if (n == c && o == from) return true;
+    }
+  }
+  return false;
 }
 
 // One operator's scaffolding transfer (see DeriveScaffolding); the
@@ -501,6 +542,11 @@ ColSet DeriveOpScaffolding(const Dag& dag, OpId id,
       // The aggregate result is a value; the group column keeps its
       // nature.
       if (op.part != kNoCol && from(0).count(op.part) != 0) {
+        out.insert(op.part);
+      }
+      break;
+    case OpKind::kThetaCount:
+      if (from(ThetaCountGroupSide(dag, op)).count(op.part) != 0) {
         out.insert(op.part);
       }
       break;
@@ -698,10 +744,18 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
       } else if (r.no_rows) {
         inherit(l, /*keep_keys=*/true);
       } else {
-        // Constancy and keys need cross-branch value reasoning (out of
-        // scope); order-meaninglessness survives when both agree.
+        // Constancy needs cross-branch value reasoning (out of scope);
+        // order-meaninglessness survives when both agree, and a key of
+        // both branches when one pads the other.
         for (ColId c : l.arbitrary) {
           if (r.arbitrary.count(c) != 0) out.arbitrary.insert(c);
+        }
+        for (ColId c : l.keys) {
+          if (r.keys.count(c) != 0 &&
+              (PaddingOf(dag, op.children[0], op.children[1], c) ||
+               PaddingOf(dag, op.children[1], op.children[0], c))) {
+            out.keys.insert(c);
+          }
         }
       }
       break;
@@ -755,6 +809,16 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
         if (f.arbitrary.count(op.part) != 0) out.arbitrary.insert(op.part);
         out.keys.insert(op.part);  // one output row per group
       }
+      break;
+    }
+    case OpKind::kThetaCount: {
+      // One row per group with a match: at most one per group-side row.
+      const OpFacts& f = child(ThetaCountGroupSide(dag, op));
+      out.min_rows = 0;
+      out.max_rows = f.max_rows;
+      if (f.constant.count(op.part) != 0) out.constant.insert(op.part);
+      if (f.arbitrary.count(op.part) != 0) out.arbitrary.insert(op.part);
+      out.keys.insert(op.part);
       break;
     }
     case OpKind::kStep: {
@@ -941,6 +1005,14 @@ std::unordered_map<OpId, ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
         need(0, op.part);
         for (ColId k : op.keys) need(0, k);
         break;
+      case OpKind::kThetaCount: {
+        size_t g = ThetaCountGroupSide(dag, op);
+        need(0, op.keys[0]);
+        need(1, op.keys[1]);
+        need(g, op.part);
+        need(1 - g, op.col2);
+        break;
+      }
       case OpKind::kStep:
         need(0, col::iter());
         need(0, col::item());
@@ -1025,6 +1097,7 @@ bool FactsAudit::MayRaise(OpId id) {
         r = r || Get(op.children[0]).max_rows > 0;
         break;
       case OpKind::kThetaJoin:
+      case OpKind::kThetaCount:
         // The comparison raises on incomparable pairs — only when pairs
         // can exist at all.
         r = r || (Get(op.children[0]).max_rows > 0 &&

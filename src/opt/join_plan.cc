@@ -74,6 +74,15 @@ bool IsNumbering(const Op& op) {
   return op.kind == OpKind::kRowNum || op.kind == OpKind::kRowId;
 }
 
+// A constant column attached to every row (Dag::AttachConst) — what the
+// keyed-partition rewrite leaves of a % whose groups are singletons.
+bool IsAttachedConst(const Dag& dag, const Op& op) {
+  if (op.kind != OpKind::kCross) return false;
+  const Op& lit = dag.op(op.children[1]);
+  return lit.kind == OpKind::kLit && lit.lit.rows.size() == 1 &&
+         lit.lit.cols.size() == 1;
+}
+
 // One product-space comparison raised from the predicate EBV, before
 // its sides are classified as cur/outer.
 struct RawPred {
@@ -248,10 +257,11 @@ class Recognizer {
     // Content: a per-iteration numbering over a Step chain over the
     // survivors' semijoin with X. A RowNum must group by the iteration
     // and order by value columns only; a RowId is the order-indifference
-    // analysis' license that any deterministic numbering serves.
+    // analysis' license that any deterministic numbering serves; an
+    // attached constant rank stays constant under re-rooting.
     OpId cn_id = e.children[0];
     const Op& cn = op(cn_id);
-    if (!IsNumbering(cn)) return false;
+    if (!IsNumbering(cn) && !IsAttachedConst(dag_, cn)) return false;
     if (cn.kind == OpKind::kRowNum) {
       if (cn.part != col::iter()) return false;
       for (const SortKey& k : cn.order) {
@@ -985,7 +995,9 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
     const Op& cn = dag->op(spec.content_num);
     OpId content = cn.kind == OpKind::kRowNum
                        ? dag->RowNum(cchain, cn.col, cn.order, cn.part)
-                       : dag->RowId(cchain, cn.col);
+                   : cn.kind == OpKind::kRowId
+                       ? dag->RowId(cchain, cn.col)
+                       : dag->Cross(cchain, cn.children[1]);
 
     // One element per survivor — including empty-content ones, which the
     // loop relation supplies just as the original Select did.

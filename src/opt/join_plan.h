@@ -123,6 +123,7 @@ struct JoinSpec {
   OpId ret_num = kNoOp;   // RowNum posX:<iter>|iter1X (RowId unordered)
   OpId elem = kNoOp;      // the per-iteration element constructor
   OpId content_num = kNoOp;        // RowNum pos:<...>|iter over content
+                                   // (RowId, or an attached constant)
   std::vector<OpId> content_steps;  // innermost first
 };
 

@@ -209,6 +209,111 @@ class Rewriter {
     return Attempt(std::move(cert));
   }
 
+  // The fusable shape under a grouped count(): π g (Distinct (π g,h
+  // (ThetaJoin))) over an order relation, g and h from opposite join
+  // sides and keeping their names. Yields the ThetaJoin and h.
+  bool MatchCountShape(OpId id, ColId g, OpId* tj, ColId* h) const {
+    const Op& p1 = dag_->op(id);
+    if (p1.kind != OpKind::kProject ||
+        p1.proj != std::vector<std::pair<ColId, ColId>>{{g, g}}) {
+      return false;
+    }
+    const Op& d = dag_->op(p1.children[0]);
+    if (d.kind != OpKind::kDistinct) return false;
+    const Op& p2 = dag_->op(d.children[0]);
+    if (p2.kind != OpKind::kProject || p2.proj.size() != 2) return false;
+    ColId other = p2.proj[0].first == g ? p2.proj[1].first : p2.proj[0].first;
+    for (const auto& [n, o] : p2.proj) {
+      if (n != o || (n != g && n != other) || other == g) return false;
+    }
+    const Op& t = dag_->op(p2.children[0]);
+    if (t.kind != OpKind::kThetaJoin || t.fun == FunKind::kEq ||
+        t.fun == FunKind::kNe) {
+      return false;
+    }
+    const Op& left = dag_->op(t.children[0]);
+    if (left.HasCol(g) == left.HasCol(other)) return false;
+    *tj = p2.children[0];
+    *h = other;
+    return true;
+  }
+
+  // count() fused through a value ThetaJoin (Dag::ThetaCount): the
+  // paper's normalization wraps count()'s argument in fn:unordered, so
+  // neither the order nor the number of matching pairs behind it is
+  // observable — only, per group, how many far-side groups it matches.
+  // Also fires below a key semijoin π g (⋈ g=k (D, X)) where X carries
+  // only k and is keyed on it: each D group survives whole or not at
+  // all, so the count moves below it and the join becomes a semijoin.
+  OpId TryThetaCount(OpId id) {
+    const Op a = dag_->op(id);  // a copy: the rewrite grows the DAG
+    if (a.aggr != AggrKind::kCount || a.part == kNoCol || !a.keys.empty()) {
+      return kNoOp;
+    }
+    const ColId g = a.part;
+    const OpId in = Child(a, 0);
+    OpId tj = kNoOp;
+    ColId h = kNoCol;
+    OpId x = kNoOp;
+    ColId k = kNoCol;
+    if (!MatchCountShape(in, g, &tj, &h)) {
+      const Op& p = dag_->op(in);
+      if (p.kind != OpKind::kProject ||
+          p.proj != std::vector<std::pair<ColId, ColId>>{{g, g}}) {
+        return kNoOp;
+      }
+      const Op& j = dag_->op(p.children[0]);
+      if (j.kind != OpKind::kEquiJoin || j.value_join) return kNoOp;
+      for (size_t side = 0; side < 2 && x == kNoOp; ++side) {
+        ColId dc = side == 0 ? j.col : j.col2;
+        ColId xc = side == 0 ? j.col2 : j.col;
+        OpId xs = j.children[1 - side];
+        if (dc == g && dag_->op(xs).schema == std::vector<ColId>{xc} &&
+            keys_.Get(xs).count(xc) != 0 &&
+            MatchCountShape(j.children[side], g, &tj, &h)) {
+          x = xs;
+          k = xc;
+        }
+      }
+      if (x == kNoOp) return kNoOp;
+    }
+    const Op t = dag_->op(tj);
+    const ItemKind lk = sem_.Get(t.children[0]).KindOf(t.col);
+    const ItemKind rk = sem_.Get(t.children[1]).KindOf(t.col2);
+    const size_t gs = dag_->op(t.children[0]).HasCol(g) ? 0 : 1;
+    if (!OneComparisonClass(lk, rk) ||
+        sem_.Get(t.children[gs]).KindOf(g) != ItemKind::kInt ||
+        sem_.Get(t.children[1 - gs]).KindOf(h) != ItemKind::kInt) {
+      return kNoOp;
+    }
+    OpId to = dag_->ThetaCount(t.children[0], t.children[1], t.col, t.fun,
+                               t.col2, g, h, a.col);
+    if (x != kNoOp) to = dag_->SemiJoin(to, dag_->Project(x, {{g, k}}), {g});
+    // The certificate relates the count over the rewritten input (the
+    // same operator when nothing below changed) to its fusion.
+    OpId before = dag_->Aggr(in, AggrKind::kCount, a.col, a.col2, g);
+    RewriteCertificate cert = Cert(
+        before, to, "theta-count",
+        "count() fused through theta join on " + ColName(t.col) + " " +
+            FunKindName(t.fun) + " " + ColName(t.col2) + " (" +
+            ItemKindName(lk) + "/" + ItemKindName(rk) +
+            " keys): per-group extremes, no pairs built" +
+            (x != kNoOp ? "; moved below the key semijoin on " + ColName(k)
+                        : std::string()));
+    // The semijoin keeps the count's group order; the join it replaces
+    // enumerated its probe side, which the engine picks by size.
+    cert.rows_reordered = x != kNoOp;
+    cert.cited.push_back(CiteScaffoldFree(t.children[0], t.col));
+    cert.cited.push_back(CiteScaffoldFree(t.children[1], t.col2));
+    cert.cited.push_back(CiteKindClass(t.children[0], t.col, lk));
+    cert.cited.push_back(CiteKindClass(t.children[1], t.col2, rk));
+    cert.cited.push_back(CiteKindClass(t.children[gs], g, ItemKind::kInt));
+    cert.cited.push_back(
+        CiteKindClass(t.children[1 - gs], h, ItemKind::kInt));
+    if (x != kNoOp) cert.cited.push_back(CiteKey(x, k));
+    return Attempt(std::move(cert));
+  }
+
   OpId RewriteOp(OpId id) {
     const Op& op = dag_->op(id);
     const ColSet& required = Required(id);
@@ -283,6 +388,10 @@ class Rewriter {
       case OpKind::kThetaJoin:
         return dag_->ThetaJoin(Child(op, 0), Child(op, 1), op.col, op.fun,
                                op.col2);
+
+      case OpKind::kThetaCount:
+        return dag_->ThetaCount(Child(op, 0), Child(op, 1), op.keys[0],
+                                op.fun, op.keys[1], op.part, op.col2, op.col);
 
       case OpKind::kCross: {
         OpId l = Child(op, 0);
@@ -618,15 +727,22 @@ class Rewriter {
         return dag_->Fun(c, op.fun, op.col, op.args);
       }
 
-      case OpKind::kAggr:
-        if (op.aggr == AggrKind::kStrJoin) {
-          // Preserves the separator (op.name).
-          return dag_->AggrStrJoin(Child(op, 0), op.col, op.col2, op.part,
-                                   op.keys.empty() ? kNoCol : op.keys[0],
-                                   op.name);
+      case OpKind::kAggr: {
+        if (options_.join_recognition && options_.theta_join) {
+          OpId fused = TryThetaCount(id);
+          if (fused != kNoOp) return fused;
         }
-        return dag_->Aggr(Child(op, 0), op.aggr, op.col, op.col2, op.part,
-                          op.keys.empty() ? kNoCol : op.keys[0]);
+        // The attempt may have grown the DAG: read the Aggr afresh.
+        const Op& a = dag_->op(id);
+        if (a.aggr == AggrKind::kStrJoin) {
+          // Preserves the separator (a.name).
+          return dag_->AggrStrJoin(Child(a, 0), a.col, a.col2, a.part,
+                                   a.keys.empty() ? kNoCol : a.keys[0],
+                                   a.name);
+        }
+        return dag_->Aggr(Child(a, 0), a.aggr, a.col, a.col2, a.part,
+                          a.keys.empty() ? kNoCol : a.keys[0]);
+      }
 
       case OpKind::kStep: {
         OpId c = Child(op, 0);

@@ -42,6 +42,7 @@ size_t ExpectedChildren(OpKind kind) {
       return 1;
     case OpKind::kEquiJoin:
     case OpKind::kThetaJoin:
+    case OpKind::kThetaCount:
     case OpKind::kCross:
     case OpKind::kUnion:
     case OpKind::kDifference:
@@ -275,6 +276,27 @@ class SchemaChecker {
         for (ColId c : Child(op, 1).schema) out->push_back(c);
         return Status::Ok();  // duplicate check above reports overlap
       }
+      case OpKind::kThetaCount: {
+        if (op.fun != FunKind::kLt && op.fun != FunKind::kLe &&
+            op.fun != FunKind::kGt && op.fun != FunKind::kGe) {
+          return Fail(dag_, id_, "theta-comparison",
+                      std::string("'") + FunKindName(op.fun) +
+                          "' is not an order relation");
+        }
+        if (op.keys.size() != 2) {
+          return Fail(dag_, id_, "theta-count-keys",
+                      "expected a left and a right join key, found " +
+                          std::to_string(op.keys.size()) + " column(s)");
+        }
+        EXRQUY_RETURN_IF_ERROR(Ref(op, 0, op.keys[0], "left join"));
+        EXRQUY_RETURN_IF_ERROR(Ref(op, 1, op.keys[1], "right join"));
+        size_t g = Child(op, 0).HasCol(op.part) ? 0 : 1;
+        EXRQUY_RETURN_IF_ERROR(Ref(op, g, op.part, "group"));
+        EXRQUY_RETURN_IF_ERROR(Ref(op, 1 - g, op.col2, "counted"));
+        EXRQUY_RETURN_IF_ERROR(Produced(op.col, "result"));
+        *out = {op.part, op.col};
+        return Status::Ok();
+      }
       case OpKind::kUnion: {
         const std::vector<ColId>& l = Child(op, 0).schema;
         std::vector<ColId> ls = l;
@@ -408,6 +430,40 @@ class SchemaChecker {
 // DeriveLiveColumns) lives in opt/facts_audit.cc, shared with the
 // rewrite-certificate checker.
 // ---------------------------------------------------------------------------
+
+// A fused count() through a ThetaJoin (kThetaCount) is a value join too:
+// its keys must carry item values, and its kernel reduces each group to
+// its extreme keys, which needs both keys statically in one totally
+// ordered comparison class (OneComparisonClass), and iteration-id (int)
+// group and counted columns.
+Status CheckThetaCountClaim(const Dag& dag, OpId id,
+                            const std::unordered_map<OpId, OpFacts>& facts,
+                            const std::unordered_map<OpId, ColSet>& scaff) {
+  const Op& op = dag.op(id);
+  for (size_t side = 0; side < 2; ++side) {
+    if (scaff.at(op.children[side]).count(op.keys[side]) != 0) {
+      return Fail(dag, id, "theta-count-claim",
+                  "join predicate touches scaffolding column '" +
+                      ColName(op.keys[side]) + "'");
+    }
+  }
+  ItemKind lk = KindAt(facts.at(op.children[0]), op.keys[0]);
+  ItemKind rk = KindAt(facts.at(op.children[1]), op.keys[1]);
+  if (!OneComparisonClass(lk, rk)) {
+    return Fail(dag, id, "theta-count-claim",
+                "keys of kinds '" + std::string(ItemKindName(lk)) + "'/'" +
+                    ItemKindName(rk) +
+                    "' do not share one totally ordered comparison class");
+  }
+  size_t g = ThetaCountGroupSide(dag, op);
+  if (KindAt(facts.at(op.children[g]), op.part) != ItemKind::kInt ||
+      KindAt(facts.at(op.children[1 - g]), op.col2) != ItemKind::kInt) {
+    return Fail(dag, id, "theta-count-claim",
+                "group column '" + ColName(op.part) + "' or counted column '" +
+                    ColName(op.col2) + "' is not statically an integer");
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -567,10 +623,14 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options) {
     // carry item values. Hash-equality joins must additionally sit in a
     // kind class where exact value equality coincides with the `eq`
     // comparison (int/int, string-class/string-class, bool/bool);
-    // anything wider would need the pairwise-Compare ThetaJoin kernel.
+    // anything wider needs the ThetaJoin kernel.
     std::unordered_map<OpId, ColSet> scaff = DeriveScaffolding(dag, order);
     for (OpId id : order) {
       const Op& op = dag.op(id);
+      if (op.kind == OpKind::kThetaCount) {
+        EXRQUY_RETURN_IF_ERROR(CheckThetaCountClaim(dag, id, facts, scaff));
+        continue;
+      }
       bool theta = op.kind == OpKind::kThetaJoin;
       bool value_equi = op.kind == OpKind::kEquiJoin && op.value_join;
       if (!theta && !value_equi) continue;

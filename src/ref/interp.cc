@@ -740,8 +740,13 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
         first = false;
         continue;
       }
+      // fn:max and fn:min return NaN when any value is NaN.
+      auto nan = [](const Value& x) {
+        return x.kind == ValueKind::kDouble && std::isnan(x.d);
+      };
+      if (nan(best)) continue;
       int c = ops_.OrderCompare(cand, best);
-      if (want_max ? c > 0 : c < 0) best = cand;
+      if (nan(cand) || (want_max ? c > 0 : c < 0)) best = cand;
     }
     return Sequence{best};
   }

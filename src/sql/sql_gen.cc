@@ -28,6 +28,24 @@ std::string SqlStr(const std::string& s) {
   return out;
 }
 
+// The SQL spelling of a value comparison (kEq..kGe).
+const char* SqlCmp(FunKind cmp) {
+  switch (cmp) {
+    case FunKind::kEq:
+      return "=";
+    case FunKind::kNe:
+      return "<>";
+    case FunKind::kLt:
+      return "<";
+    case FunKind::kLe:
+      return "<=";
+    case FunKind::kGt:
+      return ">";
+    default:
+      return ">=";
+  }
+}
+
 class Generator {
  public:
   Generator(const Dag& dag, const StrPool& strings,
@@ -281,17 +299,24 @@ class Generator {
             << SqlCol(op.col2);
         return out.str();
 
-      case OpKind::kThetaJoin: {
-        const char* cmp = op.fun == FunKind::kEq   ? "="
-                          : op.fun == FunKind::kNe ? "<>"
-                          : op.fun == FunKind::kLt ? "<"
-                          : op.fun == FunKind::kLe ? "<="
-                          : op.fun == FunKind::kGt ? ">"
-                                                   : ">=";
+      case OpKind::kThetaJoin:
         out << "SELECT " << Cols(op.children[0], "a") << ", "
             << Cols(op.children[1], "b") << " FROM " << child(0) << " a, "
-            << child(1) << " b WHERE a." << SqlCol(op.col) << " " << cmp
-            << " b." << SqlCol(op.col2);
+            << child(1) << " b WHERE a." << SqlCol(op.col) << " "
+            << SqlCmp(op.fun) << " b." << SqlCol(op.col2);
+        return out.str();
+
+      case OpKind::kThetaCount: {
+        // The fused form of COUNT over the distinct matching pairs.
+        bool g_left = ThetaCountGroupSide(dag_, op) == 0;
+        const char* g = g_left ? "a." : "b.";
+        const char* g2 = g_left ? "b." : "a.";
+        out << "SELECT " << g << SqlCol(op.part) << " AS "
+            << SqlCol(op.part) << ", COUNT(DISTINCT " << g2
+            << SqlCol(op.col2) << ") AS " << SqlCol(op.col) << " FROM "
+            << child(0) << " a, " << child(1) << " b WHERE a."
+            << SqlCol(op.keys[0]) << " " << SqlCmp(op.fun) << " b."
+            << SqlCol(op.keys[1]) << " GROUP BY " << g << SqlCol(op.part);
         return out.str();
       }
 

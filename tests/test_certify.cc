@@ -422,6 +422,122 @@ TEST_F(CertifyCheckerTest, JoinRecognitionRejectsScaffoldingKey) {
                  "join-isolation");
 }
 
+// -- count-fusion --------------------------------------------------------
+
+// Aggr count|g (π g (Distinct (π g,h (ThetaJoin)))) over a numeric left
+// key and an untypedAtomic right key — one comparison class — with the
+// group g on the right side and the counted h on the left.
+class CountFusionCertTest : public CertifyCheckerTest {
+ protected:
+  void SetUp() override {
+    LitTable lt;
+    lt.cols = {lk_, h_};
+    lt.rows = {{Value::Double(5), Value::Int(1)},
+               {Value::Double(9), Value::Int(2)}};
+    left_ = dag_.Lit(std::move(lt));
+    LitTable rt;
+    rt.cols = {rk_, g_};
+    rt.rows = {{Value::Untyped(strings_.Intern("7")), Value::Int(1)},
+               {Value::Untyped(strings_.Intern("12")), Value::Int(2)}};
+    right_ = dag_.Lit(std::move(rt));
+  }
+
+  // π g (Distinct (π g,h (ThetaJoin(left, right, lk cmp rk)))).
+  OpId Pairs(FunKind cmp) {
+    OpId join = dag_.ThetaJoin(left_, right_, lk_, cmp, rk_);
+    return dag_.Project(
+        dag_.Distinct(dag_.Project(join, {{g_, g_}, {h_, h_}})), {{g_, g_}});
+  }
+
+  OpId Count(OpId in) {
+    return dag_.Aggr(in, AggrKind::kCount, cnt_, kNoCol, g_);
+  }
+
+  OpId Fused(FunKind cmp, ColId group, ColId counted) {
+    return dag_.ThetaCount(left_, right_, lk_, cmp, rk_, group, counted,
+                           cnt_);
+  }
+
+  std::vector<CitedFact> Kinds() {
+    return {CiteKindClass(left_, lk_, ItemKind::kNumeric),
+            CiteKindClass(right_, rk_, ItemKind::kString)};
+  }
+
+  // A one-column semijoin side {k} with the given values.
+  OpId KeySide(std::vector<int64_t> values) {
+    LitTable t;
+    t.cols = {k_};
+    for (int64_t v : values) t.rows.push_back({Value::Int(v)});
+    return dag_.Lit(std::move(t));
+  }
+
+  // π g (⋈ g=k (Pairs(lt), x)) and its pushed-down fusion.
+  std::pair<OpId, OpId> SemijoinPush(OpId x) {
+    OpId from = Count(
+        dag_.Project(dag_.EquiJoin(Pairs(FunKind::kLt), x, g_, k_),
+                     {{g_, g_}}));
+    OpId to = dag_.SemiJoin(Fused(FunKind::kLt, g_, h_),
+                            dag_.Project(x, {{g_, k_}}), {g_});
+    return {from, to};
+  }
+
+  const ColId lk_ = ColSym("cf_lk");
+  const ColId rk_ = ColSym("cf_rk");
+  const ColId g_ = ColSym("cf_g");
+  const ColId h_ = ColSym("cf_h");
+  const ColId k_ = ColSym("cf_k");
+  const ColId cnt_ = ColSym("cf_cnt");
+  OpId left_ = kNoOp;
+  OpId right_ = kNoOp;
+};
+
+TEST_F(CountFusionCertTest, AcceptsExactFusion) {
+  OpId from = Count(Pairs(FunKind::kLt));
+  ExpectValid(from, Cert(from, Fused(FunKind::kLt, g_, h_), "theta-count",
+                         Kinds()));
+}
+
+TEST_F(CountFusionCertTest, RejectsMirroredRelation) {
+  OpId from = Count(Pairs(FunKind::kLt));
+  ExpectRejected(from,
+                 Cert(from, Fused(FunKind::kGt, g_, h_), "theta-count",
+                      Kinds()),
+                 "count-fusion");
+}
+
+TEST_F(CountFusionCertTest, RejectsSwappedGroupColumns) {
+  // Counting g per h answers a different question than counting h per g.
+  OpId from = Count(Pairs(FunKind::kLt));
+  ExpectRejected(from,
+                 Cert(from, Fused(FunKind::kLt, h_, g_), "theta-count",
+                      Kinds()),
+                 "count-fusion");
+}
+
+TEST_F(CountFusionCertTest, AcceptsSemijoinPushOverKeyedSide) {
+  auto [from, to] = SemijoinPush(KeySide({1, 2}));
+  ExpectValid(from, Cert(from, to, "theta-count", Kinds()));
+}
+
+TEST_F(CountFusionCertTest, RejectsSemijoinPushOverUnkeyedSide) {
+  // k = 1 twice: the join repeats group 1's rows, doubling its count, so
+  // moving the count below the (semi)join changes the result.
+  auto [from, to] = SemijoinPush(KeySide({1, 1, 2}));
+  ExpectRejected(from, Cert(from, to, "theta-count", Kinds()),
+                 "count-fusion");
+}
+
+TEST_F(CountFusionCertTest, RejectsFusionOverNe) {
+  // `ne` matches everything but one value: no per-group extreme decides
+  // it. The builder refuses such a ThetaCount, so build it raw.
+  OpId from = Count(Pairs(FunKind::kNe));
+  Op raw = dag_.op(Fused(FunKind::kLt, g_, h_));
+  raw.fun = FunKind::kNe;
+  OpId to = dag_.AddUnchecked(raw, raw.schema);
+  ExpectRejected(from, Cert(from, to, "theta-count", Kinds()),
+                 "count-fusion");
+}
+
 // -- forced rejection & strict fail-close --------------------------------
 
 TEST_F(CertifyCheckerTest, ForceRejectRuleFailsThatFamilyOnly) {

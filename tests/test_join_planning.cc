@@ -1,6 +1,6 @@
 // Join recognition & planning (opt/join_plan.*): the product-space
 // predicate idiom must be lifted into value/theta joins exactly when the
-// proof obligations hold, and never otherwise. Four layers of coverage:
+// proof obligations hold, and never otherwise. Six layers of coverage:
 //
 //   * unit recognition over a handcrafted two-table document — equality
 //     and theta predicates, an `and`-conjunction (one join per
@@ -12,23 +12,39 @@
 //   * off-vs-on equivalence across the entire XMark corpus in both
 //     ordering modes at 1 and 4 threads — byte-identical ordered
 //     results, equal multisets unordered;
-//   * governor faults injected through ThetaJoin plans, and a CI
-//     wall-clock guard pinning Q9 under a deadline the retired
-//     product-space plan could not meet.
+//   * governor faults injected through ThetaJoin and ThetaCount plans,
+//     and a CI wall-clock guard pinning Q9 under a deadline the retired
+//     product-space plan could not meet;
+//   * the ThetaJoin and ThetaCount kernels against their per-pair
+//     definitions on randomized keys of every comparison class;
+//   * Q11/Q12's count() fused through the join: plan shape, linear size
+//     at scale 0.1, and bytes equal to the reference interpreter and to
+//     the unfused plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/algebra.h"
+#include "algebra/stats.h"
 #include "api/session.h"
+#include "engine/eval.h"
 #include "engine/faults.h"
+#include "engine/value.h"
 #include "opt/verify.h"
+#include "ref/interp.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
+#include "xquery/normalize.h"
+#include "xquery/parser.h"
 
 namespace exrquy {
 namespace {
@@ -351,14 +367,40 @@ TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaJoin) {
     faults.push_back({"alloc@5", p, StatusCode::kResourceExhausted});
   }
 
-  for (const char* name : {"Q11", "Q12"}) {
-    const std::string& text = XMarkQueryText(name);
-    // Never-faulted reference; its plan must actually run a ThetaJoin so
-    // the fault counters tick through the new kernels.
+  // Q11/Q12 count through ThetaCount; Q11 constructing an element per
+  // matching initial, not counting them, runs the ThetaJoin kernel.
+  struct Case {
+    const char* name;
+    std::string text;
+    bool theta_join;  // else ThetaCount
+  };
+  const Case cases[] = {
+      {"Q11", XMarkQueryText("Q11"), false},
+      {"Q12", XMarkQueryText("Q12"), false},
+      {"Q11-pairs",
+       R"(let $auction := doc("auction.xml")
+for $p in $auction/site/people/person
+return <items name="{ $p/name }">{
+         for $i in $auction/site/open_auctions/open_auction/initial
+         where $p/profile/@income > 5000 * $i
+         return <initial>{ $i/text() }</initial> }</items>)",
+       true},
+  };
+  for (const Case& c : cases) {
+    const char* name = c.name;
+    const std::string& text = c.text;
+    // Never-faulted reference; its plan must actually run the theta
+    // kernel so the fault counters tick through it.
     Result<QueryResult> reference = session_->Execute(text, Threads(1));
     ASSERT_TRUE(reference.ok())
         << name << ": " << reference.status().ToString();
-    ASSERT_GE(reference->plan_optimized.theta_join_ops, 1u) << name;
+    if (c.theta_join) {
+      ASSERT_GE(reference->plan_optimized.theta_join_ops, 1u) << name;
+      ASSERT_NE(reference->serialized.find("<initial>"), std::string::npos)
+          << name << ": the join emits no pairs";
+    } else {
+      ASSERT_GE(reference->plan_optimized.theta_count_ops, 1u) << name;
+    }
 
     for (const Fault& fault : faults) {
       std::string context = std::string(name) + " " + fault.name;
@@ -385,6 +427,351 @@ TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaJoin) {
             << context << ": " << again.status().ToString();
         EXPECT_EQ(again->serialized, reference->serialized) << context;
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Theta kernels against their per-pair definition.
+//
+// Randomized key columns mix every comparison class: ints (beyond 2^53
+// too, beside doubles that round them), doubles (NaN, +-INF), castable
+// and uncastable untypedAtomic, strings and booleans — with empty sides
+// and multi-row groups. Under all six relations the ThetaJoin kernel
+// (keys cast once, ComparePair) must emit exactly the pairs, in exactly
+// the order, of a nested loop over ValueOps::Compare, and fail with the
+// Status of its first failing pair. On inputs in one comparison class
+// ThetaCount must equal Aggr count (Distinct (π g,g2 (ThetaJoin))), row
+// for row and error for error. Each plan runs serially
+// and at 4 threads over tiny morsels, which share the right side's cast
+// keys.
+
+class BandKernelTest : public ::testing::Test {
+ protected:
+  BandKernelTest() : store_(&strings_), ops_(&strings_, &store_) {}
+
+  // One key drawn from palette `p` (8 = a random palette per key).
+  Value Key(int p) {
+    constexpr int64_t k53 = int64_t{1} << 53;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto pick = [&](size_t n) { return static_cast<size_t>(rng_() % n); };
+    auto untyped = [&](const char* s) {
+      return Value::Untyped(strings_.Intern(s));
+    };
+    switch (p) {
+      case 0:
+        return Value::Int(static_cast<int64_t>(pick(5)) - 2);
+      case 1: {
+        const Value vs[] = {Value::Int(k53),         Value::Int(k53 + 1),
+                            Value::Double(9007199254740992.0),
+                            Value::Int(-k53 - 1),    Value::Int(INT64_MAX),
+                            Value::Double(1.5),      Value::Int(1),
+                            Value::Double(-0.0)};
+        return vs[pick(std::size(vs))];
+      }
+      case 2: {
+        const Value vs[] = {Value::Double(nan), Value::Double(inf),
+                            Value::Double(-inf), Value::Double(0.5),
+                            Value::Double(2.0), Value::Double(-1.0)};
+        return vs[pick(std::size(vs))];
+      }
+      case 3: {
+        const char* vs[] = {"1", " 2.5 ", "NaN", "-INF", "3", "0"};
+        return untyped(vs[pick(std::size(vs))]);
+      }
+      case 4: {
+        const char* vs[] = {"1", "x", "", "2"};
+        return untyped(vs[pick(std::size(vs))]);
+      }
+      case 5: {
+        const char* vs[] = {"a", "b", "", "1", "B"};
+        return Value::Str(strings_.Intern(vs[pick(std::size(vs))]));
+      }
+      case 6: {
+        const Value vs[] = {Value::Str(strings_.Intern("a")),
+                            Value::Str(strings_.Intern("1")), untyped("a"),
+                            untyped("2")};
+        return vs[pick(std::size(vs))];
+      }
+      case 7:
+        return Value::Bool(pick(2) == 1);
+      default:
+        return Key(static_cast<int>(pick(8)));
+    }
+  }
+
+  struct Side {
+    OpId lit = kNoOp;
+    std::vector<Value> keys;
+  };
+
+  // A literal side: keys from `palette` (-1 = a random one), key column
+  // `key`, row ids in `row`, groups of up to four rows in `group`.
+  Side MakeSide(ColId key, ColId row, ColId group, int palette = -1) {
+    Side side;
+    if (palette < 0) palette = static_cast<int>(rng_() % 9);
+    const size_t n = rng_() % 11;
+    LitTable t;
+    t.cols = {key, row, group};
+    for (size_t r = 0; r < n; ++r) {
+      side.keys.push_back(Key(palette));
+      t.rows.push_back({side.keys.back(), Value::Int(static_cast<int64_t>(r)),
+                        Value::Int(static_cast<int64_t>(rng_() % 4))});
+    }
+    side.lit = dag_.Lit(std::move(t));
+    return side;
+  }
+
+  Result<TablePtr> Run(OpId root, int threads, size_t morsel_rows) {
+    EvalContext ctx;
+    ctx.store = &store_;
+    ctx.strings = &strings_;
+    ctx.num_threads = threads;
+    ctx.morsel_rows = morsel_rows;
+    ctx.inline_rows = 0;  // morsels on the pool, sharing the index
+    Evaluator ev(dag_, &ctx);
+    return ev.Eval(root);
+  }
+
+  // Runs `root` serially and at 4 threads over 1- and 3-row morsels;
+  // returns the rendering of the serial run ("error: <status>" or the
+  // rows) after checking that every configuration renders the same.
+  std::string RunEverywhere(OpId root) {
+    std::string first;
+    const std::pair<int, size_t> configs[] = {{1, 0}, {4, 1}, {4, 3}};
+    for (const auto& [threads, morsel] : configs) {
+      Result<TablePtr> r = Run(root, threads, morsel);
+      std::string text;
+      if (!r.ok()) {
+        text = "error: " + r.status().ToString();
+      } else {
+        const Table& t = **r;
+        for (size_t i = 0; i < t.rows(); ++i) {
+          for (ColId c : t.schema()) text += ops_.Render(t.at(c, i)) + " ";
+          text += "\n";
+        }
+      }
+      if (threads == 1) {
+        first = text;
+      } else {
+        EXPECT_EQ(text, first) << "threads=" << threads
+                               << " morsel_rows=" << morsel;
+      }
+    }
+    return first;
+  }
+
+  std::mt19937_64 rng_{20261017};
+  StrPool strings_;
+  NodeStore store_;
+  ValueOps ops_;
+  Dag dag_;
+};
+
+TEST_F(BandKernelTest, ThetaJoinMatchesPairwiseCompare) {
+  const ColId lk = ColSym("bk_lk"), lr = ColSym("bk_lr"), lg = ColSym("bk_lg");
+  const ColId rk = ColSym("bk_rk"), rr = ColSym("bk_rr"), rg = ColSym("bk_rg");
+  const FunKind cmps[] = {FunKind::kEq, FunKind::kNe, FunKind::kLt,
+                          FunKind::kLe, FunKind::kGt, FunKind::kGe};
+  size_t errors = 0;
+  size_t pairs = 0;
+  for (int round = 0; round < 300; ++round) {
+    Side l = MakeSide(lk, lr, lg);
+    Side r = MakeSide(rk, rr, rg);
+    for (FunKind cmp : cmps) {
+      // The definition: a left-major nested loop of Compare calls.
+      std::string want;
+      for (size_t i = 0; i < l.keys.size() && want.rfind("error", 0) != 0;
+           ++i) {
+        for (size_t j = 0; j < r.keys.size(); ++j) {
+          Result<Value> v = ops_.Compare(cmp, l.keys[i], r.keys[j]);
+          if (!v.ok()) {
+            want = "error: " + v.status().ToString();
+            break;
+          }
+          if (v->b) {
+            want += std::to_string(i) + " " + std::to_string(j) + " \n";
+            ++pairs;
+          }
+        }
+      }
+      errors += want.rfind("error", 0) == 0 ? 1 : 0;
+      // Alternate the ThetaJoin between a pipeline head and an interior
+      // stage behind a projection.
+      OpId left = round % 2 == 0
+                      ? l.lit
+                      : dag_.Project(l.lit, {{lk, lk}, {lr, lr}, {lg, lg}});
+      OpId join = dag_.Project(dag_.ThetaJoin(left, r.lit, lk, cmp, rk),
+                               {{lr, lr}, {rr, rr}});
+      EXPECT_EQ(RunEverywhere(join), want)
+          << "round " << round << " " << FunKindName(cmp);
+    }
+  }
+  // The generator must exercise both outcomes substantially.
+  EXPECT_GT(errors, 300u);
+  EXPECT_GT(pairs, 3000u);
+}
+
+TEST_F(BandKernelTest, ThetaCountMatchesCountOverDistinctPairs) {
+  const ColId lk = ColSym("bc_lk"), lr = ColSym("bc_lr"), lg = ColSym("bc_lg");
+  const ColId rk = ColSym("bc_rk"), rr = ColSym("bc_rr"), rg = ColSym("bc_rg");
+  const ColId cnt = ColSym("bc_cnt");
+  const FunKind cmps[] = {FunKind::kLt, FunKind::kLe, FunKind::kGt,
+                          FunKind::kGe};
+  // Palette pairs whose every pair compares in one class (int, double,
+  // string or bool) or raises: the inputs the rewrite's static gate
+  // (OneComparisonClass) admits.
+  const std::pair<int, int> palettes[] = {
+      {0, 0}, {2, 2}, {0, 2}, {1, 2}, {1, 3}, {3, 0}, {2, 4},
+      {5, 5}, {5, 4}, {6, 4}, {6, 6}, {7, 7}, {0, 5}, {7, 3}};
+  size_t nonempty = 0;
+  size_t errors = 0;
+  for (int round = 0; round < 300; ++round) {
+    const auto [lp, rp] = palettes[round % std::size(palettes)];
+    Side l = MakeSide(lk, lr, lg, lp);
+    Side r = MakeSide(rk, rr, rg, rp);
+    for (FunKind cmp : cmps) {
+      for (bool group_left : {true, false}) {
+        ColId g = group_left ? lg : rg;
+        ColId g2 = group_left ? rg : lg;
+        OpId join = dag_.ThetaJoin(l.lit, r.lit, lk, cmp, rk);
+        OpId counted = dag_.Aggr(
+            dag_.Distinct(dag_.Project(join, {{g, g}, {g2, g2}})),
+            AggrKind::kCount, cnt, kNoCol, g);
+        OpId fused =
+            dag_.ThetaCount(l.lit, r.lit, lk, cmp, rk, g, g2, cnt);
+        std::string want = RunEverywhere(counted);
+        const bool error = want.rfind("error", 0) == 0;
+        errors += error ? 1 : 0;
+        nonempty += want.empty() || error ? 0 : 1;
+        EXPECT_EQ(RunEverywhere(fused), want)
+            << "round " << round << " " << FunKindName(cmp)
+            << (group_left ? " grouped left" : " grouped right");
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 300u);
+  EXPECT_GT(errors, 100u);
+}
+
+TEST_F(BandKernelTest, ThetaCountRefusesPairsInSeveralClasses) {
+  // 1 < 2 compares int/int, 1.5 < 2 through doubles: no one order to
+  // take extremes in, an input the rewrite never plans.
+  const ColId k = ColSym("bm_k"), g = ColSym("bm_g");
+  const ColId k2 = ColSym("bm_k2"), g2 = ColSym("bm_g2");
+  LitTable lt;
+  lt.cols = {k, g};
+  lt.rows = {{Value::Int(1), Value::Int(0)}, {Value::Double(1.5), Value::Int(1)}};
+  LitTable rt;
+  rt.cols = {k2, g2};
+  rt.rows = {{Value::Int(2), Value::Int(0)}};
+  OpId fused = dag_.ThetaCount(dag_.Lit(std::move(lt)), dag_.Lit(std::move(rt)),
+                               k, FunKind::kLt, k2, g, g2, ColSym("bm_cnt"));
+  Result<TablePtr> r = Run(fused, 1, 0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal) << r.status().ToString();
+}
+
+// ---------------------------------------------------------------------
+// Q11/Q12: count() fused through the theta join. The optimized plans
+// count per group instead of building the (person, initial) pairs, stay
+// linear in the document at scale, and keep their bytes.
+
+bool DistinctAboveThetaJoin(const Dag& dag, OpId root) {
+  for (OpId id : dag.ReachableFrom(root)) {
+    if (dag.op(id).kind != OpKind::kDistinct) continue;
+    for (OpId below : dag.ReachableFrom(id)) {
+      if (dag.op(below).kind == OpKind::kThetaJoin) return true;
+    }
+  }
+  return false;
+}
+
+const OrderingMode kBothModes[] = {OrderingMode::kOrdered,
+                                   OrderingMode::kUnordered};
+
+TEST(CountFusionTest, Q11Q12CountThroughTheJoin) {
+  Session session;
+  for (const char* name : {"Q11", "Q12"}) {
+    for (OrderingMode mode : kBothModes) {
+      QueryOptions o;
+      o.default_ordering = mode;
+      o.certify.mode = CertifyMode::kStrict;
+      Result<QueryPlans> p = session.Plan(XMarkQueryText(name), o);
+      ASSERT_TRUE(p.ok()) << name << ": " << p.status().ToString();
+      PlanStats stats = CollectPlanStats(*p->dag, p->optimized);
+      EXPECT_EQ(stats.theta_count_ops, 1u) << name;
+      EXPECT_EQ(stats.theta_join_ops, 0u) << name;
+      EXPECT_FALSE(DistinctAboveThetaJoin(*p->dag, p->optimized)) << name;
+      size_t fusions = 0;
+      for (const RewriteTrade& t : p->trades) {
+        if (t.rule != "theta-count") continue;
+        ++fusions;
+        EXPECT_TRUE(t.checked && t.valid) << name << ": " << t.diagnostic;
+      }
+      EXPECT_EQ(fusions, 1u) << name;
+    }
+  }
+}
+
+TEST(CountFusionTest, Q11Q12NeverExceedTheDocumentAtScale) {
+  // At scale 0.1 the pair space is 2,550 persons x 1,200 initials; the
+  // unfused ThetaJoin emitted 359,449 pairs for Q11.
+  Session session;
+  XMarkOptions xmark;
+  xmark.scale = 0.1;
+  ASSERT_TRUE(
+      session.LoadDocument("auction.xml", GenerateXMark(xmark)).ok());
+  const size_t nodes = session.store().node_count();
+  for (const char* name : {"Q11", "Q12"}) {
+    for (OrderingMode mode : kBothModes) {
+      QueryOptions o;
+      o.default_ordering = mode;
+      o.profile = true;
+      Result<QueryResult> r = session.Execute(XMarkQueryText(name), o);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      for (const Profile::OpMetrics& m : r->profile.ops()) {
+        EXPECT_LE(m.out_rows, nodes) << name << " op " << m.op << " ("
+                                     << m.kind << ")";
+      }
+    }
+  }
+}
+
+TEST(CountFusionTest, Q11Q12MatchReferenceAndUnfusedPlans) {
+  Session session;
+  XMarkOptions xmark;
+  xmark.scale = 0.025;
+  ASSERT_TRUE(
+      session.LoadDocument("auction.xml", GenerateXMark(xmark)).ok());
+  for (const char* name : {"Q11", "Q12"}) {
+    const std::string& text = XMarkQueryText(name);
+    Result<Query> parsed = ParseQuery(text);
+    ASSERT_TRUE(parsed.ok());
+    NormalizeOptions norm;
+    norm.insert_unordered = false;
+    ASSERT_TRUE(Normalize(&*parsed, norm).ok());
+    std::map<StrId, NodeIdx> docs;
+    docs[session.strings().Intern("auction.xml")] =
+        session.store().fragment(0).root;
+    RefInterpreter interp(&session.store(), &session.strings(), docs);
+    Result<std::vector<Value>> ref_items = interp.Eval(*parsed->body);
+    ASSERT_TRUE(ref_items.ok()) << ref_items.status().ToString();
+    const std::vector<std::string> ref = interp.Render(*ref_items);
+    for (OrderingMode mode : kBothModes) {
+      QueryOptions fused;
+      fused.default_ordering = mode;
+      QueryOptions unfused = fused;
+      unfused.theta_join = false;
+      Result<QueryResult> a = session.Execute(text, fused);
+      Result<QueryResult> b = session.Execute(text, unfused);
+      ASSERT_TRUE(a.ok()) << name << ": " << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << name << ": " << b.status().ToString();
+      ASSERT_EQ(a->plan_optimized.theta_count_ops, 1u) << name;
+      EXPECT_EQ(a->items, ref) << name;
+      EXPECT_EQ(a->serialized, b->serialized) << name;
+      EXPECT_EQ(a->items, b->items) << name;
     }
   }
 }

@@ -16,7 +16,7 @@
 //     SweepFaultPoints: every single fault point surfaces as the planned
 //     code and an unfaulted re-run is byte-identical;
 //   * the memory half: fusing must strictly lower the peak live footprint
-//     on XMark Q11 below running every fusable operator alone, because
+//     on XMark Q20 below running every fusable operator alone, because
 //     interior stages never materialize;
 //   * the plan audit: a hand-corrupted MorselPlan must be refused before
 //     the engine runs a single morsel.
@@ -227,20 +227,20 @@ TEST_F(PipelineExecTest, FaultCountsIndependentOfThreads) {
 }
 
 // ---------------------------------------------------------------------
-// Memory: interior stages never materialize, so fusing must lower Q11's
+// Memory: interior stages never materialize, so fusing must lower Q20's
 // peak strictly below running every fusable operator alone. A lone
 // operator in turn builds no per-morsel tables, so its peak must not grow
 // when its input spans many morsels.
 
-TEST_F(PipelineExecTest, Q11PeakMemoryStrictlyLowerWhenFused) {
-  const std::string& q11 = XMarkQueryText("Q11");
+TEST_F(PipelineExecTest, Q20PeakMemoryStrictlyLowerWhenFused) {
+  const std::string& q20 = XMarkQueryText("Q20");
   QueryOptions unfused = Unfused(/*threads=*/1, /*morsel_rows=*/64);
   unfused.profile = true;
   QueryOptions fused = Morsels(/*threads=*/1, /*morsel_rows=*/64);
   fused.profile = true;
 
-  Result<QueryResult> off = session_->Execute(q11, unfused);
-  Result<QueryResult> on = session_->Execute(q11, fused);
+  Result<QueryResult> off = session_->Execute(q20, unfused);
+  Result<QueryResult> on = session_->Execute(q20, fused);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 

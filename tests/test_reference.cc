@@ -228,6 +228,49 @@ TEST_F(ReferenceTest, RandomizedQueries) {
 // agree on F&O integer semantics — sign rules, exactness past 2^53,
 // INT64 boundaries, and the FOAR0001/FOAR0002 error conditions (where
 // agreement means both fail).
+// NaN is unordered in comparisons and sorts below every number in
+// `order by`. Both stacks share ValueOps, so agreement alone proves
+// nothing here: each query's literal expected result is asserted on the
+// reference interpreter and on the compiled pipeline (baseline and
+// optimized), in both ordering modes.
+TEST_F(ReferenceTest, NaNIsUnorderedAndSortsFirst) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {
+          {"(0e0 div 0e0) = 1", {"false"}},
+          {"(0e0 div 0e0) != 1", {"true"}},
+          {"(0e0 div 0e0) < 1", {"false"}},
+          {"(0e0 div 0e0) >= 1", {"false"}},
+          {"(0e0 div 0e0) = (0e0 div 0e0)", {"false"}},
+          {"(0e0 div 0e0) != (0e0 div 0e0)", {"true"}},
+          {"for $x in (3, 2, 0e0 div 0e0, 1, 0) order by $x return $x",
+           {"NaN", "0", "1", "2", "3"}},
+          {"for $x in (3, 0e0 div 0e0, 2, 0e0 div 0e0, 1) "
+           "order by $x descending return $x",
+           {"3", "2", "1", "NaN", "NaN"}},
+          {"max((1, 0e0 div 0e0, 3))", {"NaN"}},
+          {"min((1, 0e0 div 0e0, 3))", {"NaN"}},
+      };
+  for (const auto& [query, want] : cases) {
+    Result<std::vector<std::string>> ref = RunRef(query);
+    ASSERT_TRUE(ref.ok()) << query << ": " << ref.status().ToString();
+    EXPECT_EQ(*ref, want) << query << " (reference)";
+    for (bool baseline : {true, false}) {
+      for (OrderingMode mode :
+           {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
+        QueryOptions o;
+        o.enable_order_indifference = !baseline;
+        o.default_ordering = mode;
+        Result<QueryResult> r = session_.Execute(query, o);
+        ASSERT_TRUE(r.ok()) << query << ": " << r.status().ToString();
+        EXPECT_EQ(r->items, want)
+            << query << (baseline ? " (baseline" : " (optimized")
+            << (mode == OrderingMode::kOrdered ? ", ordered)"
+                                               : ", unordered)");
+      }
+    }
+  }
+}
+
 TEST_F(ReferenceTest, ScalarEdgeCases) {
   // idiv truncation and mod sign rules, all sign combinations.
   ExpectAgree("7 idiv 2");
