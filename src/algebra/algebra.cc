@@ -212,8 +212,12 @@ uint64_t Dag::HashOp(const Op& op) const {
 }
 
 bool Dag::OpEquals(const Op& a, const Op& b) const {
+  return a.children == b.children && SamePayload(a, b);
+}
+
+bool SamePayload(const Op& a, const Op& b) {
   if (a.min_card != b.min_card || a.max_card != b.max_card) return false;
-  return a.kind == b.kind && a.children == b.children && a.proj == b.proj &&
+  return a.kind == b.kind && a.proj == b.proj &&
          a.col == b.col && a.col2 == b.col2 && a.order == b.order &&
          a.part == b.part && a.keys == b.keys &&
          a.positional == b.positional && a.value_join == b.value_join &&

@@ -219,6 +219,10 @@ struct Op {
   bool HasCol(ColId c) const;
 };
 
+// Whether two operators are the same operation — identical in every
+// field that makes up operator identity except their children.
+bool SamePayload(const Op& a, const Op& b);
+
 // A hash-consed DAG of algebra operators. OpIds are dense and stable;
 // children always have smaller ids than parents (plans are built bottom
 // up), which gives a free topological order.

@@ -1,6 +1,11 @@
 #include "opt/certify.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <optional>
+#include <tuple>
+#include <utility>
 
 namespace exrquy {
 namespace {
@@ -78,6 +83,322 @@ bool CountShape(const Dag& dag, OpId id, ColId g, OpId* tj, ColId* h) {
   *h = a == g ? b : a;
   return dag.op(t.children[0]).HasCol(g) != dag.op(t.children[0]).HasCol(*h);
 }
+
+// Re-proves a re-rooted for-loop return, independently of the join
+// planner (opt/join_plan.cc) that built it. The replacement must rebuild
+// the recognized anchor operator for operator, substituting exactly
+// these leaves over the renumbered survivors R = % s2:<o, c>(keep) (a #
+// s2 where o is an arbitrary-order column), keep holding the (outer
+// iteration o, rid c) survivor pairs of value joins:
+//   π{iter1X:iter, bindX:bind}(N)  the map    -> π{iter1X:o, bindX:s2}(R)
+//   π{iter}(SEL)                   the loop   -> π{iter:s2}(R)
+//   ⋈ iter=iterR(X, π{iterR:iter}(SEL)), or a projection of it
+//                                  a binding  -> the same columns of
+//                                  ⋈ iter=tr(X', π{s2, tr:c}(R)), iter and
+//                                  iterR read as s2
+// where X' is X over document-level rids: items_s / loop_s become
+// π{iter:rid[, item]}(# rid(N's steps from the document root)). A
+// constant attached to the body that nothing above it reads is left
+// out. Every operator the two plans share must be a fixed table —
+// nothing that reaches the S-space numbering N survives untouched.
+class ReturnProof {
+ public:
+  ReturnProof(const Dag& dag, FactsAudit* audit) : dag_(dag), audit_(audit) {}
+
+  // Empty when `to` rebuilds `from` faithfully; otherwise the reason.
+  std::string Check(OpId from, OpId to) {
+    // The re-attaching join below the anchor and an optional numbering,
+    // mirrored on the replacement side.
+    OpId fj = op(from).children[0];
+    OpId tj = op(to).children[0];
+    if (IsNum(fj) && IsNum(tj)) {
+      fj = op(fj).children[0];
+      tj = op(tj).children[0];
+    }
+    const Op& j = op(fj);
+    if (j.kind != OpKind::kEquiJoin || j.value_join ||
+        j.col != col::iter() || op(tj).kind != OpKind::kEquiJoin) {
+      return "the anchor does not re-attach a for-loop return";
+    }
+    map_s_ = j.children[1];
+    const Op& map = op(map_s_);
+    ColId iter1x = kNoCol;
+    for (const auto& [n, o] : map.proj) {
+      if (o == col::iter()) iter1x = n;
+    }
+    n_ = map.kind == OpKind::kProject ? map.children[0] : kNoOp;
+    if (n_ == kNoOp || !IsNum(n_) || iter1x == kNoCol ||
+        !Proj(map_s_, {{iter1x, col::iter()}, {j.col2, op(n_).col}})) {
+      return "the return is not re-attached through the bind numbering";
+    }
+    map2_ = op(tj).children[1];
+    const Op& m2 = op(map2_);
+    ColId o = Old(m2, iter1x);
+    s2_ = Old(m2, j.col2);
+    r_ = m2.kind == OpKind::kProject ? m2.children[0] : kNoOp;
+    if (r_ == kNoOp || m2.proj.size() != 2 || o == kNoCol || !IsNum(r_) ||
+        op(r_).col != s2_) {
+      return "the map is not re-attached to the renumbered survivors";
+    }
+    const Op& r = op(r_);
+    const Op& keep = op(r.children[0]);
+    if (keep.schema.size() != 2 || !keep.HasCol(o)) {
+      return "the renumbered survivors are not (outer iteration, rid) pairs";
+    }
+    c_ = keep.schema[0] == o ? keep.schema[1] : keep.schema[0];
+    bool renumbered =
+        (r.kind == OpKind::kRowNum && r.part == kNoCol &&
+         r.order == std::vector<SortKey>{{o, false}, {c_, false}}) ||
+        (r.kind == OpKind::kRowId && !r.positional &&
+         audit_->Get(r.children[0]).arbitrary.count(o) != 0);
+    if (!renumbered) {
+      return "survivors are not renumbered by (outer iteration, rid)";
+    }
+    if (!SurvivorPairs(r.children[0], o, c_)) {
+      return "the renumbered pairs are not value-join survivors";
+    }
+    // The rebuild leaves out a constant attached to the body that
+    // nothing above it reads.
+    const Op& fb = op(j.children[0]);
+    const Op* lit = fb.kind == OpKind::kCross ? &op(fb.children[1]) : nullptr;
+    if (lit != nullptr && lit->kind == OpKind::kLit &&
+        lit->lit.rows.size() == 1) {
+      std::vector<ColId> read{col::iter()};
+      for (const auto& e : op(from).proj) read.push_back(e.second);
+      if (fj != op(from).children[0]) {
+        for (const SortKey& k : op(op(from).children[0]).order) {
+          read.push_back(k.col);
+        }
+      }
+      bool dead = true;
+      for (ColId c : lit->schema) {
+        dead = dead && std::find(read.begin(), read.end(), c) == read.end();
+      }
+      if (dead) dropped_ = j.children[0];
+    }
+    if (!Mirror(from, to)) return "the rebuilt body differs: " + why_;
+    if (sel_ == kNoOp) return "no survivor leaf was substituted";
+    return {};
+  }
+
+ private:
+  const Op& op(OpId id) const { return dag_.op(id); }
+  bool IsNum(OpId id) const {
+    return op(id).kind == OpKind::kRowNum || op(id).kind == OpKind::kRowId;
+  }
+  static ColId Old(const Op& p, ColId n) {
+    for (const auto& [nn, o] : p.proj) {
+      if (nn == n) return o;
+    }
+    return kNoCol;
+  }
+  bool Proj(OpId id, std::vector<std::pair<ColId, ColId>> want) const {
+    const Op& p = op(id);
+    if (p.kind != OpKind::kProject) return false;
+    std::sort(want.begin(), want.end());
+    auto have = p.proj;
+    std::sort(have.begin(), have.end());
+    return have == want;
+  }
+
+  bool Reaches(OpId id) {
+    if (id <= n_) return id == n_;
+    if (auto it = reach_.find(id); it != reach_.end()) return it->second;
+    bool r = false;
+    for (OpId c : op(id).children) r = r || Reaches(c);
+    return reach_[id] = r;
+  }
+
+  // Distinct(π{o, c}(value join)), or a semijoin intersecting such sets.
+  bool SurvivorPairs(OpId id, ColId o, ColId c) const {
+    const Op& k = op(id);
+    if (k.kind == OpKind::kSemiJoin) {
+      return k.keys == std::vector<ColId>{o, c} &&
+             SurvivorPairs(k.children[0], o, c) &&
+             SurvivorPairs(k.children[1], o, c);
+    }
+    if (k.kind != OpKind::kDistinct) return false;
+    const Op& p = op(k.children[0]);
+    if (p.kind != OpKind::kProject || p.proj.size() != 2 ||
+        Old(p, o) == kNoCol || Old(p, c) == kNoCol) {
+      return false;
+    }
+    const Op& vj = op(p.children[0]);
+    return vj.kind == OpKind::kThetaJoin ||
+           (vj.kind == OpKind::kEquiJoin && vj.value_join);
+  }
+
+  // The predicate Select a survivor leaf filters by: one for the whole
+  // body.
+  bool UseSel(OpId sel) {
+    if (op(sel).kind != OpKind::kSelect) return false;
+    if (sel_ == kNoOp) sel_ = sel;
+    return sel_ == sel;
+  }
+
+  bool Fail(std::string why) {
+    if (why_.empty()) why_ = std::move(why);
+    return false;
+  }
+
+  // Whether b2 rebuilds b: in the anchor and body, or (`side`) in a
+  // binding's companion X, whose leaves differ.
+  bool Mirror(OpId b, OpId b2, bool side = false) {
+    auto key = std::make_tuple(b, b2, side);
+    if (auto it = memo_.find(key); it != memo_.end()) return it->second;
+    std::optional<bool> leaf = side ? SideLeaf(b, b2) : BodyLeaf(b, b2);
+    bool ok = leaf ? *leaf : MirrorOp(b, b2, side);
+    memo_[key] = ok;
+    return ok;
+  }
+
+  bool MirrorOp(OpId b, OpId b2, bool side) {
+    if (b == b2) {
+      return !Reaches(b) || Fail("op " + std::to_string(b) +
+                                 " still reaches the product space");
+    }
+    const Op& x = op(b);
+    const Op& y = op(b2);
+    if (!SamePayload(x, y) || x.children.size() != y.children.size()) {
+      return Fail("op " + std::to_string(b2) + " (" + OpKindName(y.kind) +
+                  ") does not rebuild op " + std::to_string(b) + " (" +
+                  OpKindName(x.kind) + ")");
+    }
+    for (size_t i = 0; i < x.children.size(); ++i) {
+      if (!Mirror(x.children[i], y.children[i], side)) return false;
+    }
+    return true;
+  }
+
+  // The body's leaves; nullopt where b is none.
+  std::optional<bool> BodyLeaf(OpId b, OpId b2) {
+    if (b == dropped_) return Mirror(op(b).children[0], b2);
+    const Op& x = op(b);
+    const Op& y = op(b2);
+    if (b == map_s_) {
+      return b2 == map2_ || Fail("op " + std::to_string(b2) +
+                                 " stands for the map but is not the "
+                                 "survivors' map");
+    }
+    if (x.kind == OpKind::kProject && x.proj.size() == 1 &&
+        x.proj[0] == std::make_pair(col::iter(), col::iter()) &&
+        op(x.children[0]).kind == OpKind::kSelect) {
+      if (!UseSel(x.children[0])) return Fail("a second survivor set");
+      return (y.kind == OpKind::kProject && y.children[0] == r_ &&
+              Proj(b2, {{col::iter(), s2_}})) ||
+             Fail("op " + std::to_string(b2) +
+                  " stands for the survivor loop but is not π{iter:s2}");
+    }
+    // A binding — or a projection of one, folded into it — becomes the
+    // same columns over the survivor join, its iterations renamed to s2.
+    OpId bind = IsBinding(b) ? b
+                : x.kind == OpKind::kProject && IsBinding(x.children[0])
+                    ? x.children[0]
+                    : kNoOp;
+    if (bind == kNoOp) return std::nullopt;
+    std::vector<std::pair<ColId, ColId>> want;
+    if (bind == b) {
+      for (ColId c : x.schema) want.emplace_back(c, c);
+    } else {
+      want = x.proj;
+    }
+    for (auto& [n, o] : want) {
+      if (o == col::iter() || o == op(bind).col2) o = s2_;
+    }
+    if (!Proj(b2, want)) {
+      return Fail("op " + std::to_string(b2) +
+                  " stands for a filtered binding but is not one over the "
+                  "survivors");
+    }
+    // ⋈ iter=tr(X', π{s2, tr:c}(R)).
+    const Op& yj = op(y.children[0]);
+    if (yj.kind != OpKind::kEquiJoin || yj.value_join ||
+        yj.col != col::iter() || op(yj.children[1]).children.empty() ||
+        op(yj.children[1]).children[0] != r_ ||
+        !Proj(yj.children[1], {{s2_, s2_}, {yj.col2, c_}})) {
+      return Fail("op " + std::to_string(b2) +
+                  " does not join a binding down to the survivors");
+    }
+    return Mirror(op(bind).children[0], yj.children[0], /*side=*/true);
+  }
+
+  // ⋈ iter=iterR(X, π{iterR:iter}(SEL)): a filtered binding of the loop.
+  bool IsBinding(OpId id) {
+    const Op& x = op(id);
+    if (x.kind != OpKind::kEquiJoin || x.value_join ||
+        x.col != col::iter() || !Proj(x.children[1], {{x.col2, col::iter()}})) {
+      return false;
+    }
+    return UseSel(op(x.children[1]).children[0]) ||
+           Fail("a second survivor set");
+  }
+
+  // The companion's leaves, items_s and loop_s over N; nullopt where b is
+  // neither.
+  std::optional<bool> SideLeaf(OpId b, OpId b2) {
+    ColId bind = op(n_).col;
+    bool items = Proj(b, {{col::iter(), bind}, {col::item(), col::item()}});
+    bool loop = Proj(b, {{col::iter(), bind}});
+    if (op(b).children.empty() || op(b).children[0] != n_ ||
+        !(items || loop)) {
+      return std::nullopt;
+    }
+    const Op& y = op(b2);
+    const Op& rid = op(y.children.empty() ? b2 : y.children[0]);
+    bool ok = y.kind == OpKind::kProject && rid.kind == OpKind::kRowId &&
+              (items ? Proj(b2, {{col::iter(), rid.col},
+                                 {col::item(), col::item()}})
+                     : Proj(b2, {{col::iter(), rid.col}})) &&
+              SameDocumentItems(rid.children[0]);
+    return ok || Fail("op " + std::to_string(b2) +
+                      " does not number the document-level items");
+  }
+
+  // `chain` steps N's location path from a one-iteration document root.
+  bool SameDocumentItems(OpId chain) const {
+    auto steps = [&](OpId id, std::vector<const Op*>* out) {
+      while (op(id).kind == OpKind::kStep) {
+        out->push_back(&op(id));
+        id = op(id).children[0];
+      }
+      return id;
+    };
+    OpId s = n_;
+    while (IsNum(s)) s = op(s).children[0];
+    std::vector<const Op*> want, have;
+    steps(s, &want);
+    const Op& base = op(steps(chain, &have));
+    if (want.size() != have.size() || base.kind != OpKind::kCross ||
+        op(base.children[1]).kind != OpKind::kDoc) {
+      return false;
+    }
+    const Op& one = op(base.children[0]);
+    if (one.kind != OpKind::kLit || one.lit.rows.size() != 1 ||
+        one.lit.cols != std::vector<ColId>{col::iter()}) {
+      return false;
+    }
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (want[i]->axis != have[i]->axis || !(want[i]->test == have[i]->test)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  const Dag& dag_;
+  FactsAudit* audit_;
+  OpId map_s_ = kNoOp;
+  OpId map2_ = kNoOp;
+  OpId n_ = kNoOp;
+  OpId r_ = kNoOp;
+  OpId sel_ = kNoOp;
+  OpId dropped_ = kNoOp;  // the body's dead attached constant
+  ColId s2_ = kNoCol;
+  ColId c_ = kNoCol;
+  std::string why_;
+  std::map<OpId, bool> reach_;
+  std::map<std::tuple<OpId, OpId, bool>, bool> memo_;
+};
 
 }  // namespace
 
@@ -666,6 +987,14 @@ bool CertifyChecker::CheckFamily(RewriteCertificate* cert) {
     }
     if (joins == 0) {
       return Fail(cert, ob, "the replacement contains no value join");
+    }
+    // A re-rooted for-loop return keeps the anchor's own projection; the
+    // predicate anchors re-attach the outer iteration instead.
+    const Op& to = dag_->op(cert->to);
+    if (to.kind == OpKind::kProject && to.proj == from.proj) {
+      std::string why = ReturnProof(*dag_, &audit_).Check(cert->from,
+                                                          cert->to);
+      if (!why.empty()) return Fail(cert, ob, why);
     }
     return true;
   }

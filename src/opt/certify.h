@@ -45,7 +45,11 @@
 //                                            emitted join is reachable
 //                                            from iteration/order
 //                                            scaffolding; the hash/theta
-//                                            kind gates re-check
+//                                            kind gates re-check; a
+//                                            re-rooted return rebuilds
+//                                            its body with only the
+//                                            survivor-loop, binding and
+//                                            map leaves substituted
 //   theta-count          count-fusion        the count's input re-matches
 //                                            the distinct theta-join
 //                                            shape (or a keyed semijoin

@@ -74,15 +74,6 @@ bool IsNumbering(const Op& op) {
   return op.kind == OpKind::kRowNum || op.kind == OpKind::kRowId;
 }
 
-// A constant column attached to every row (Dag::AttachConst) — what the
-// keyed-partition rewrite leaves of a % whose groups are singletons.
-bool IsAttachedConst(const Dag& dag, const Op& op) {
-  if (op.kind != OpKind::kCross) return false;
-  const Op& lit = dag.op(op.children[1]);
-  return lit.kind == OpKind::kLit && lit.lit.rows.size() == 1 &&
-         lit.lit.cols.size() == 1;
-}
-
 // One product-space comparison raised from the predicate EBV, before
 // its sides are classified as cur/outer.
 struct RawPred {
@@ -115,20 +106,54 @@ class Recognizer {
  private:
   const Op& op(OpId id) const { return dag_.op(id); }
 
-  // Whether `a` or `b` is reachable from `id` (inclusive). `memo` must
-  // be scoped to one (a, b) pair.
-  bool Reaches(OpId id, OpId a, OpId b, std::map<OpId, int>* memo) const {
-    if (id == a || id == b) return true;
-    if (auto it = memo->find(id); it != memo->end()) return it->second != 0;
+  // Whether `target` is reachable from `id` (inclusive). Children have
+  // smaller ids than their parents, so nothing below `target` reaches it.
+  bool Reaches(OpId id, OpId target, std::map<OpId, bool>* memo) const {
+    if (id <= target) return id == target;
+    if (auto it = memo->find(id); it != memo->end()) return it->second;
     bool r = false;
     for (OpId c : op(id).children) {
-      if (Reaches(c, a, b, memo)) {
+      if (Reaches(c, target, memo)) {
         r = true;
         break;
       }
     }
-    (*memo)[id] = r ? 1 : 0;
+    (*memo)[id] = r;
     return r;
+  }
+
+  // The re-attachment of an inner for-loop's per-S-iteration result B to
+  // the outer loop, below the anchor `id`:
+  //   ⋈ iter=bindX(B, map_s), map_s = π{iter1X:iter, bindX:bind}(N)
+  // with N the S-space bind numbering. Fills the spec's anchor and
+  // S-space ids and returns B, or kNoOp.
+  OpId MatchReattach(OpId id, OpId j_id, ColId iter1x, JoinSpec* s) {
+    const Op& j = op(j_id);
+    if (j.kind != OpKind::kEquiJoin || j.value_join ||
+        j.col != col::iter()) {
+      return kNoOp;
+    }
+    const Op& map = op(j.children[1]);
+    if (map.kind != OpKind::kProject) return kNoOp;
+    OpId n_id = map.children[0];
+    if (!IsNumbering(op(n_id)) ||
+        !ProjIs(map, {{iter1x, col::iter()}, {j.col2, op(n_id).col}})) {
+      return kNoOp;
+    }
+    s->anchor = id;
+    s->space = n_id;
+    s->map_s = j.children[1];
+    s->iter1x = iter1x;
+    s->bindx = j.col2;
+    return j.children[0];
+  }
+
+  // items_s = π{iter:bind, item}(N).
+  bool IsItems(OpId id, const JoinSpec* s) const {
+    const Op& o = op(id);
+    return o.kind == OpKind::kProject && o.children[0] == s->space &&
+           ProjIs(o, {{col::iter(), op(s->space).col},
+                      {col::item(), col::item()}});
   }
 
   // The anchor composite re-attaching the surviving S-iterations to the
@@ -148,21 +173,8 @@ class Recognizer {
     } else {
       return false;
     }
-
-    const Op& j2 = op(a.children[0]);
-    if (j2.kind != OpKind::kEquiJoin || j2.value_join) return false;
-    if (j2.col != col::iter()) return false;
-    OpId m_id = j2.children[0];
-    OpId map_id = j2.children[1];
-    ColId bindx = j2.col2;
-
-    // map_s = π{iter1X:iter, bindX:bind}(N), N the bind numbering.
-    const Op& map = op(map_id);
-    if (map.kind != OpKind::kProject) return false;
-    OpId n_id = map.children[0];
-    const Op& n = op(n_id);
-    if (!IsNumbering(n)) return false;
-    if (!ProjIs(map, {{iter1x, col::iter()}, {bindx, n.col}})) return false;
+    OpId m_id = MatchReattach(id, a.children[0], iter1x, s);
+    if (m_id == kNoOp) return false;
 
     const Op& m = op(m_id);
     if (s->with_item) {
@@ -176,167 +188,97 @@ class Recognizer {
     const Op& j1 = op(m.children[0]);
     if (j1.kind != OpKind::kEquiJoin || j1.value_join) return false;
     if (j1.col != col::iter()) return false;
-    OpId items_id = j1.children[0];
-    const Op& items = op(items_id);
-    if (items.kind != OpKind::kProject || items.children[0] != n_id ||
-        !ProjIs(items, {{col::iter(), n.col}, {col::item(), col::item()}})) {
-      return false;
-    }
+    if (!IsItems(j1.children[0], s)) return false;
+    s->items_s = j1.children[0];
     const Op& selp = op(j1.children[1]);
     if (selp.kind != OpKind::kProject ||
         !ProjIs(selp, {{j1.col2, col::iter()}})) {
       return false;
     }
 
-    s->anchor = id;
-    s->items_s = items_id;
-    s->map_s = map_id;
-    s->iter1x = iter1x;
-    s->bindx = bindx;
-
     std::vector<RawPred> raws;
-    return MatchEbv(selp.children[0], n_id, s, &raws) &&
-           MatchSpace(n_id, s) && ClassifyAll(raws, s);
+    return MatchEbv(selp.children[0], s->space, s, &raws) &&
+           MatchSpace(s->space, s) && ClassifyAll(raws, s);
   }
 
-  // The semijoin-return composite — a whole inner for-loop whose body
-  // filters by the EBV predicate and returns a constructed element:
-  //   π{iter:iter1X, pos:posX, item}(num(⋈ iter=bindX(
-  //     Elem(content, π{iter}(SEL)), map_s)))
-  //   content = num'(Step*(π{iter,item}(⋈ iter=iterRX(
-  //     X, π{iterRX:iter}(SEL)))))
-  // X is an arbitrary side-shaped companion plan keyed by S-iterations
-  // (e.g. an already-recognized value join). Recognizing the whole
-  // composite lets EmitJoin drop the S-space numbering itself and
-  // renumber only the survivors.
+  // The return composite — a whole inner for-loop whose body B runs
+  // over the iterations the EBV predicate keeps:
+  //   π{iter:iter1X[, pos:posX], item}([ret_num](⋈ iter=bindX(B,
+  //     map_s)))
+  // ret_num numbers each outer iteration's items by S-iteration first
+  // (RowNum posX:<iter, ...>|iter1X) or arbitrarily (RowId posX). B is
+  // any plan Walk admits in body mode. Recognizing the whole composite
+  // lets EmitJoin drop the S-space numbering itself and renumber only
+  // the survivors.
   bool MatchReturnAnchor(OpId id, JoinSpec* s) {
     const Op& a = op(id);
-    if (a.kind != OpKind::kProject || a.proj.size() != 3) return false;
-    ColId iter1x = ProjOld(a, col::iter());
-    ColId posx = ProjOld(a, col::pos());
-    if (iter1x == kNoCol || posx == kNoCol ||
+    if (a.kind != OpKind::kProject ||
         ProjOld(a, col::item()) != col::item()) {
       return false;
     }
-
-    OpId rn_id = a.children[0];
-    const Op& rn = op(rn_id);
-    if (!IsNumbering(rn) || rn.col != posx) return false;
-    if (rn.kind == OpKind::kRowNum &&
-        (rn.part != iter1x ||
-         rn.order != std::vector<SortKey>{{col::iter(), false}})) {
+    ColId iter1x = ProjOld(a, col::iter());
+    ColId posx = ProjOld(a, col::pos());
+    if (iter1x == kNoCol || a.proj.size() != (posx == kNoCol ? 2u : 3u)) {
       return false;
     }
-
-    const Op& j2 = op(rn.children[0]);
-    if (j2.kind != OpKind::kEquiJoin || j2.value_join ||
-        j2.col != col::iter()) {
-      return false;
-    }
-    OpId e_id = j2.children[0];
-    OpId map_id = j2.children[1];
-    ColId bindx = j2.col2;
-
-    // map_s = π{iter1X:iter, bindX:bind}(N), N the bind numbering.
-    const Op& map = op(map_id);
-    if (map.kind != OpKind::kProject) return false;
-    OpId n_id = map.children[0];
-    const Op& n = op(n_id);
-    if (!IsNumbering(n)) return false;
-    if (!ProjIs(map, {{iter1x, col::iter()}, {bindx, n.col}})) return false;
-
-    const Op& e = op(e_id);
-    if (e.kind != OpKind::kElem) return false;
-    const Op& lp = op(e.children[1]);
-    if (lp.kind != OpKind::kProject ||
-        !ProjIs(lp, {{col::iter(), col::iter()}})) {
-      return false;
-    }
-    OpId sel_id = lp.children[0];
-
-    // Content: a per-iteration numbering over a Step chain over the
-    // survivors' semijoin with X. A RowNum must group by the iteration
-    // and order by value columns only; a RowId is the order-indifference
-    // analysis' license that any deterministic numbering serves; an
-    // attached constant rank stays constant under re-rooting.
-    OpId cn_id = e.children[0];
-    const Op& cn = op(cn_id);
-    if (!IsNumbering(cn) && !IsAttachedConst(dag_, cn)) return false;
-    if (cn.kind == OpKind::kRowNum) {
-      if (cn.part != col::iter()) return false;
-      for (const SortKey& k : cn.order) {
-        if (k.col == col::iter()) return false;
+    OpId j_id = a.children[0];
+    if (posx != kNoCol) {
+      const Op& rn = op(j_id);
+      if (!IsNumbering(rn) || rn.col != posx) return false;
+      if (rn.kind == OpKind::kRowNum &&
+          (rn.part != iter1x || rn.order.empty() ||
+           rn.order[0] != SortKey{col::iter(), false})) {
+        return false;
       }
+      j_id = rn.children[0];
     }
-    OpId cur = cn.children[0];
-    std::vector<OpId> csteps;
-    while (op(cur).kind == OpKind::kStep) {
-      csteps.push_back(cur);
-      cur = op(cur).children[0];
-    }
-    std::reverse(csteps.begin(), csteps.end());  // innermost first
-    const Op& pj = op(cur);
-    if (!ProjIs(pj, {{col::iter(), col::iter()},
-                     {col::item(), col::item()}})) {
-      return false;
-    }
-    const Op& sj = op(pj.children[0]);
-    if (sj.kind != OpKind::kEquiJoin || sj.value_join ||
-        sj.col != col::iter()) {
-      return false;
-    }
-    OpId x_id = sj.children[0];
-    const Op& selp = op(sj.children[1]);
-    if (selp.kind != OpKind::kProject ||
-        !ProjIs(selp, {{sj.col2, col::iter()}}) ||
-        selp.children[0] != sel_id) {
-      return false;
+    OpId b_id = MatchReattach(id, j_id, iter1x, s);
+    if (b_id == kNoOp) return false;
+    // A constant attached to B's rows (the compiler's pos) that nothing
+    // above B reads is dead: the rebuild leaves it out.
+    const Op& b = op(b_id);
+    if (b.kind == OpKind::kCross && IsOneRowLit(op(b.children[1]))) {
+      ColSet read{col::iter()};
+      for (const auto& e : a.proj) read.insert(e.second);
+      if (j_id != a.children[0]) {
+        for (const SortKey& k : op(a.children[0]).order) read.insert(k.col);
+      }
+      bool dead = true;
+      for (ColId c : op(b.children[1]).schema) dead = dead && !read.count(c);
+      if (dead) s->dead_const = b_id;
     }
 
-    // items_s = π{iter:bind, item}(N) — hash-consing makes it unique, so
-    // a scan of the predicate's region finds the one the sides use.
-    OpId items_id = kNoOp;
-    for (OpId c : dag_.ReachableFrom(sel_id)) {
+    // The predicate's survivors: the Select under B whose EBV
+    // scaffolding is total over this S-space's loop.
+    std::vector<RawPred> raws;
+    for (OpId c : dag_.ReachableFrom(b_id)) {
       const Op& o = op(c);
-      if (o.kind == OpKind::kProject && !o.children.empty() &&
-          o.children[0] == n_id &&
-          ProjIs(o, {{col::iter(), n.col}, {col::item(), col::item()}})) {
-        items_id = c;
+      if (o.kind != OpKind::kSelect || o.col != col::item()) continue;
+      raws.clear();
+      if (MatchEbv(c, s->space, s, &raws)) {
+        s->sel = c;
         break;
       }
     }
-    if (items_id == kNoOp) return false;
+    if (s->sel == kNoOp) return false;
 
-    s->akind = JoinAnchorKind::kSemijoinReturn;
-    s->anchor = id;
-    s->items_s = items_id;
-    s->map_s = map_id;
-    s->iter1x = iter1x;
-    s->bindx = bindx;
-    s->ret_num = rn_id;
-    s->elem = e_id;
-    s->content_num = cn_id;
-    s->content_steps = std::move(csteps);
-    s->x_root = x_id;
-
-    std::vector<RawPred> raws;
-    if (!MatchEbv(sel_id, n_id, s, &raws) || !MatchSpace(n_id, s) ||
-        !ClassifyAll(raws, s)) {
-      return false;
+    // items_s is unique by hash-consing, so a scan of the predicate's
+    // region finds the one the comparison sides use.
+    for (OpId c : dag_.ReachableFrom(s->sel)) {
+      if (IsItems(c, s)) {
+        s->items_s = c;
+        break;
+      }
     }
+    if (s->items_s == kNoOp) return false;
+    s->akind = JoinAnchorKind::kReturn;
+    if (!MatchSpace(s->space, s) || !ClassifyAll(raws, s)) return false;
 
-    // X must key its rows by the S-iteration in exactly the semijoin's
-    // column, carrying no iteration ids elsewhere.
-    std::vector<OpId> xconsts;
-    std::map<OpId, int> rm;
-    auto xi = SideWalk(x_id, s->items_s, s->loop_s, s, false, nullptr,
-                       nullptr, &xconsts, &rm);
-    if (!xi || *xi != ColSet{sj.col} || sj.col != col::iter()) {
-      return false;
-    }
-    s->const_roots.insert(s->const_roots.end(), xconsts.begin(),
-                          xconsts.end());
-    return true;
+    // B must key its rows by the S-iteration in `iter` (the re-attaching
+    // join's key) and return item values, never iteration ids.
+    WalkState body(WalkMode::kBody);
+    auto bi = Walk(b_id, s, &body);
+    return bi && bi->count(col::iter()) != 0 && bi->count(col::item()) == 0;
   }
 
   // The EBV scaffolding over the per-iteration predicate:
@@ -571,51 +513,88 @@ class Recognizer {
     return true;
   }
 
-  // Walks a comparison side, tracking which columns carry the S-space
-  // iteration id. Chains of per-row operators over the leaves preserve
-  // the per-iteration semantics when the iteration ids are renamed to
-  // the fresh document-level rids, provided no ⊕ consumes an iteration
-  // column as a value. Sub-plans that never reach the S-space at all are
-  // fixed tables — the side meets the same rows under either naming, so
-  // they are admitted as-is and recorded in `consts` for EmitJoin to
-  // keep untouched (sound even if they carry iteration ids as data).
-  // Returns the iteration columns at the top, or nullopt if the side
-  // reaches anything outside the allowed shape. `rmemo` caches the
-  // reachability test and must be scoped to one (side, mode) walk.
-  std::optional<ColSet> SideWalk(OpId id, OpId leaf_a, OpId leaf_b,
-                                 const JoinSpec* s, bool outer,
-                                 OpId* lift, OpId* outer_items,
-                                 std::vector<OpId>* consts,
-                                 std::map<OpId, int>* rmemo) {
-    if (!outer && (id == leaf_a || id == leaf_b)) {
-      return ColSet{col::iter()};
-    }
-    if (outer) {
-      OpId nx = kNoOp, inner = kNoOp;
-      ColId bindc = kNoCol;
-      if (LiftShape(id, &nx, &bindc, &inner)) {
-        // Must be THE lift through this anchor's map_s.
-        const Op& ej = op(op(id).children[0]);
-        if (ej.children[1] == s->map_s && ej.col2 == s->iter1x &&
-            bindc == s->bindx) {
-          if (*lift != kNoOp && *lift != id) return std::nullopt;
-          *lift = id;
-          *outer_items = inner;
+  // What a Walk is proving, and so which leaves it admits.
+  enum class WalkMode {
+    kCur,    // a comparison side over the inner sequence: items_s, loop_s
+    kOuter,  // a comparison side over the outer items: this spec's lift
+    kBody,   // a return body: the survivor loop and filtered bindings
+  };
+  struct WalkState {
+    explicit WalkState(WalkMode m) : mode(m) {}
+    WalkMode mode;
+    std::map<OpId, std::optional<ColSet>> memo;
+    std::map<OpId, bool> reach;
+    OpId lift = kNoOp;         // kOuter: the lift composite met
+    OpId outer_items = kNoOp;  // kOuter: the outer items it lifts
+  };
+
+  // Walks a sub-plan down to its leaves, tracking which columns carry
+  // the S-space iteration id (or, in a body, a # over it). EmitJoin
+  // renames those ids — to document-level rids in a comparison side, to
+  // renumbered survivor ids in a body — so a tracked column may serve
+  // only as an equi-join key, a partition or a sort key, never as a
+  // value: a side then computes the same per-iteration function, and a
+  // body the same rows up to the renaming. Sub-plans that never reach
+  // the S-space numbering N are fixed tables: they meet the same rows
+  // under either naming and pass through the re-rooting untouched. N
+  // itself, or any path to it besides the mode's leaves, is refused.
+  // Returns the tracked columns at the top, or nullopt if the sub-plan
+  // reaches anything outside the allowed shape.
+  std::optional<ColSet> Walk(OpId id, JoinSpec* s, WalkState* w) {
+    if (auto it = w->memo.find(id); it != w->memo.end()) return it->second;
+    std::optional<ColSet> r = WalkOp(id, s, w);
+    w->memo[id] = r;
+    return r;
+  }
+
+  std::optional<ColSet> WalkOp(OpId id, JoinSpec* s, WalkState* w) {
+    const Op& o = op(id);
+    switch (w->mode) {
+      case WalkMode::kCur:
+        if (id == s->items_s || id == s->loop_s) return ColSet{col::iter()};
+        break;
+      case WalkMode::kOuter: {
+        OpId nx = kNoOp, inner = kNoOp;
+        ColId bindc = kNoCol;
+        if (LiftShape(id, &nx, &bindc, &inner)) {
+          // Must be THE lift through this anchor's map_s.
+          const Op& ej = op(o.children[0]);
+          if (ej.children[1] != s->map_s || ej.col2 != s->iter1x ||
+              bindc != s->bindx ||
+              (w->lift != kNoOp && w->lift != id)) {
+            return std::nullopt;
+          }
+          w->lift = id;
+          w->outer_items = inner;
           return ColSet{col::iter()};
         }
-        return std::nullopt;
+        break;
       }
+      case WalkMode::kBody:
+        if (o.kind == OpKind::kProject && o.children[0] == s->sel &&
+            ProjIs(o, {{col::iter(), col::iter()}})) {
+          s->survivors = id;
+          return ColSet{col::iter()};
+        }
+        if (o.kind == OpKind::kEquiJoin && !o.value_join &&
+            o.col == col::iter() &&
+            ProjIs(op(o.children[1]), {{o.col2, col::iter()}}) &&
+            op(o.children[1]).children[0] == s->sel) {
+          // A filtered binding: X must key its rows by the S-iteration
+          // in exactly the join column, carrying no iteration ids
+          // elsewhere.
+          WalkState xw(WalkMode::kCur);
+          auto xi = Walk(o.children[0], s, &xw);
+          if (!xi || *xi != ColSet{col::iter()}) return std::nullopt;
+          s->bindings.push_back(id);
+          return ColSet{col::iter(), o.col2};
+        }
+        break;
     }
-    if (!Reaches(id, outer ? s->map_s : leaf_a, outer ? kNoOp : leaf_b,
-                 rmemo)) {
-      consts->push_back(id);
-      return ColSet{};
-    }
-    const Op& o = op(id);
-    auto walk = [&](OpId c) {
-      return SideWalk(c, leaf_a, leaf_b, s, outer, lift, outer_items,
-                      consts, rmemo);
-    };
+    if (id == s->space) return std::nullopt;
+    if (!Reaches(id, s->space, &w->reach)) return ColSet{};
+    const bool body = w->mode == WalkMode::kBody;
+    auto walk = [&](OpId c) { return Walk(c, s, w); };
     switch (o.kind) {
       case OpKind::kProject: {
         auto sub = walk(o.children[0]);
@@ -692,6 +671,54 @@ class Recognizer {
         out.insert(r->begin(), r->end());
         return std::optional<ColSet>(out);
       }
+      // The body-only kinds below run over the survivors alone, and the
+      // renumbered ids keep their order.
+      case OpKind::kUnion: {
+        auto l = body ? walk(o.children[0]) : std::nullopt;
+        auto r = body ? walk(o.children[1]) : std::nullopt;
+        if (!l || !r || *l != *r) return std::nullopt;
+        return l;
+      }
+      case OpKind::kRowNum:
+      case OpKind::kRowId: {
+        auto sub = walk(o.children[0]);
+        if (!sub) return std::nullopt;
+        if (o.kind == OpKind::kRowNum && body) {
+          // Over the survivors alone a % partitioned or led by the
+          // iteration ranks the same rows in the same order.
+          bool by_iter =
+              sub->empty() || sub->count(o.part) != 0 ||
+              (!o.order.empty() && sub->count(o.order[0].col) != 0);
+          if (!by_iter) return std::nullopt;
+          return sub;
+        }
+        // A # (or a % over a side, whose rows the re-rooting regroups
+        // by rid) numbers differently under the renaming: its ids serve
+        // as keys only, like iteration ids.
+        ColSet out = *sub;
+        if (!out.empty()) out.insert(o.col);
+        return std::optional<ColSet>(out);
+      }
+      case OpKind::kAggr: {
+        auto sub = body ? walk(o.children[0]) : std::nullopt;
+        if (!sub || sub->count(o.col2) != 0 ||
+            (!sub->empty() && sub->count(o.part) == 0)) {
+          return std::nullopt;
+        }
+        return sub->empty() ? ColSet{} : ColSet{o.part};
+      }
+      case OpKind::kElem:
+      case OpKind::kAttr:
+      case OpKind::kTextNode: {
+        // One node per loop iteration from that iteration's content.
+        auto c = body ? walk(o.children[0]) : std::nullopt;
+        auto l = body ? walk(o.children[1]) : std::nullopt;
+        if (!c || !l || *l != ColSet{col::iter()} ||
+            c->count(col::iter()) == 0 || c->count(col::item()) != 0) {
+          return std::nullopt;
+        }
+        return l;
+      }
       default:
         return std::nullopt;
     }
@@ -709,14 +736,12 @@ class Recognizer {
     for (int swap = 0; swap < 2; ++swap) {
       OpId curc = swap != 0 ? raw.side_b : raw.side_a;
       OpId outc = swap != 0 ? raw.side_a : raw.side_b;
-      std::vector<OpId> consts;
-      std::map<OpId, int> rm_cur, rm_out;
-      auto cur_iters = SideWalk(curc, s->items_s, s->loop_s, s, false,
-                                nullptr, nullptr, &consts, &rm_cur);
+      WalkState cw(WalkMode::kCur);
+      auto cur_iters = Walk(curc, s, &cw);
       if (!cur_iters || cur_iters->size() != 1) continue;
-      OpId lift = kNoOp, oi = kNoOp;
-      auto out_iters = SideWalk(outc, kNoOp, kNoOp, s, true, &lift, &oi,
-                                &consts, &rm_out);
+      WalkState ow(WalkMode::kOuter);
+      auto out_iters = Walk(outc, s, &ow);
+      OpId lift = ow.lift, oi = ow.outer_items;
       if (!out_iters || out_iters->size() != 1 || lift == kNoOp) continue;
 
       ColId cur_iter = *cur_iters->begin();
@@ -744,8 +769,13 @@ class Recognizer {
 
       // The lifted outer items must enumerate exactly the outer loop the
       // S-space was built over: the same numbering op that seeded the
-      // product source.
-      const Op& oio = op(oi);
+      // product source. A constant attached to each of them (the for
+      // variable's pos) changes no row.
+      OpId oib = oi;
+      if (op(oi).kind == OpKind::kCross && IsOneRowLit(op(op(oi).children[1]))) {
+        oib = op(oi).children[0];
+      }
+      const Op& oio = op(oib);
       const Op& nn = op(s->src_num);
       if (oio.kind != OpKind::kProject || oio.children[0] != s->src_num ||
           !ProjIs(oio, {{col::iter(), nn.col},
@@ -769,8 +799,6 @@ class Recognizer {
       s->preds.push_back(p);
       s->lift = lift;
       s->outer_items = oi;
-      s->const_roots.insert(s->const_roots.end(), consts.begin(),
-                            consts.end());
       return true;
     }
     return false;
@@ -779,61 +807,22 @@ class Recognizer {
   const Dag& dag_;
 };
 
-// Re-emits the subtree under `id` with the leaf substitutions applied.
-// Only the operator kinds SideWalk admitted can appear here.
+// Re-emits the subtree under `id` with the leaf substitutions applied:
+// every operator above a substituted leaf is copied over its rebuilt
+// children (constructors keep their constructor id), everything else —
+// the fixed tables Walk admitted — is shared as-is.
 OpId Rebuild(Dag* dag, OpId id, const std::map<OpId, OpId>& leaves,
              std::map<OpId, OpId>* memo) {
   if (auto it = leaves.find(id); it != leaves.end()) return it->second;
   if (auto it = memo->find(id); it != memo->end()) return it->second;
-  const Op& o = dag->op(id);
-  OpId out = kNoOp;
-  switch (o.kind) {
-    case OpKind::kLit:
-      out = id;  // per-row constants are iteration-independent
-      break;
-    case OpKind::kProject:
-      out = dag->Project(Rebuild(dag, o.children[0], leaves, memo), o.proj);
-      break;
-    case OpKind::kFun:
-      out = dag->Fun(Rebuild(dag, o.children[0], leaves, memo), o.fun, o.col,
-                     o.args);
-      break;
-    case OpKind::kStep:
-      out = dag->Step(Rebuild(dag, o.children[0], leaves, memo), o.axis,
-                      o.test);
-      break;
-    case OpKind::kSelect:
-      out = dag->Select(Rebuild(dag, o.children[0], leaves, memo), o.col);
-      break;
-    case OpKind::kDistinct:
-      out = dag->Distinct(Rebuild(dag, o.children[0], leaves, memo));
-      break;
-    case OpKind::kThetaJoin:
-      out = dag->ThetaJoin(Rebuild(dag, o.children[0], leaves, memo),
-                           Rebuild(dag, o.children[1], leaves, memo), o.col,
-                           o.fun, o.col2);
-      break;
-    case OpKind::kCardCheck:
-      out = dag->CardCheck(Rebuild(dag, o.children[0], leaves, memo),
-                           Rebuild(dag, o.children[1], leaves, memo),
-                           o.min_card, o.max_card, o.name);
-      break;
-    case OpKind::kCross:
-      out = dag->Cross(Rebuild(dag, o.children[0], leaves, memo),
-                       Rebuild(dag, o.children[1], leaves, memo));
-      break;
-    case OpKind::kEquiJoin:
-      out = o.value_join
-                ? dag->ValueJoin(Rebuild(dag, o.children[0], leaves, memo),
-                                 Rebuild(dag, o.children[1], leaves, memo),
-                                 o.col, o.col2)
-                : dag->EquiJoin(Rebuild(dag, o.children[0], leaves, memo),
-                                Rebuild(dag, o.children[1], leaves, memo),
-                                o.col, o.col2);
-      break;
-    default:
-      EXRQUY_CHECK(false);
+  Op copy = dag->op(id);
+  bool changed = false;
+  for (OpId& c : copy.children) {
+    OpId c2 = Rebuild(dag, c, leaves, memo);
+    changed |= c2 != c;
+    c = c2;
   }
+  OpId out = changed ? dag->Add(std::move(copy)) : id;
   (*memo)[id] = out;
   return out;
 }
@@ -858,8 +847,9 @@ std::map<OpId, JoinSpec> RecognizeJoins(const Dag& dag, OpId root) {
 }
 
 OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
-              const RewriteOptions& options, SemTypeTracker* sem,
-              CardTracker* cards, std::string* detail) {
+              const RewriteOptions& options, PropertyTracker* props,
+              SemTypeTracker* sem, CardTracker* cards,
+              std::string* detail) {
   const Op& oi = dag->op(outer_items_new);
   if (!oi.HasCol(col::iter()) || !oi.HasCol(col::item())) return kNoOp;
 
@@ -889,11 +879,6 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
                                   {spec.loop_s, k_loop}};
   std::map<OpId, OpId> memo_out;
   std::map<OpId, OpId> leaves_out{{spec.lift, outer_items_new}};
-  for (OpId cr : spec.const_roots) {
-    // Fixed tables pass through untouched.
-    leaves_cur.emplace(cr, cr);
-    leaves_out.emplace(cr, cr);
-  }
 
   // One join per conjunct. Each conjunct's surviving (outer iteration,
   // rid) pairs are the original S-iterations where it has a matching
@@ -966,56 +951,68 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
                          : dag->SemiJoin(keep, b.keep, {o_iter, c_iter});
   }
   OpId result = kNoOp;
-  if (spec.akind == JoinAnchorKind::kSemijoinReturn) {
+  if (spec.akind == JoinAnchorKind::kReturn) {
     // Renumber the survivors into fresh dense iteration ids. Within each
     // outer iteration the rids are the inner sequence's document order —
     // exactly the order the product space enumerated — so sorting by
     // (outer iteration, rid) makes the fresh ids order-isomorphic to the
     // original S-iterations everywhere they are compared below.
+    // Where the outer iteration ids are themselves an arbitrary #
+    // (unordered mode), weaken_rownum would degrade this % to a # and so
+    // change the ids under certificates already witnessing them: emit
+    // the # directly. Its ids follow the survivors' physical order, which
+    // within each outer iteration is the rid order.
     ColId s2 = FreshCol("s2");
-    OpId keepn = dag->RowNum(keep, s2,
-                             {{o_iter, false}, {c_iter, false}}, kNoCol);
-    ColId pf = FreshCol("po");
-    ColId tf = FreshCol("tr");
-    OpId knp =
-        dag->Project(keepn, {{s2, s2}, {pf, o_iter}, {tf, c_iter}});
+    OpId renum =
+        options.weaken_rownum &&
+                props->Get(keep).arbitrary.count(o_iter) != 0
+            ? dag->RowId(keep, s2)
+            : dag->RowNum(keep, s2, {{o_iter, false}, {c_iter, false}},
+                          kNoCol);
 
-    // The companion plan, re-rooted onto the document-level rids and
-    // semijoined down to the survivors by construction.
-    std::map<OpId, OpId> memo_x;
-    OpId x2 = Rebuild(dag, spec.x_root, leaves_cur, &memo_x);
-    OpId xj = dag->EquiJoin(x2, knp, col::iter(), tf);
-    OpId cb =
-        dag->Project(xj, {{col::iter(), s2}, {col::item(), col::item()}});
-    OpId cchain = cb;
-    for (OpId sid : spec.content_steps) {
-      const Op& st = dag->op(sid);
-      cchain = dag->Step(cchain, st.axis, st.test);
+    // The body's leaves over the survivors: the loop, each filtered
+    // binding — its companion re-rooted onto the document-level rids and
+    // joined down to the survivors — and the map back to the outer loop.
+    std::map<OpId, OpId> leaves{
+        {spec.map_s,
+         dag->Project(renum, {{spec.iter1x, o_iter}, {spec.bindx, s2}})}};
+    if (spec.survivors != kNoOp) {
+      leaves[spec.survivors] = dag->Project(renum, {{col::iter(), s2}});
     }
-    const Op& cn = dag->op(spec.content_num);
-    OpId content = cn.kind == OpKind::kRowNum
-                       ? dag->RowNum(cchain, cn.col, cn.order, cn.part)
-                   : cn.kind == OpKind::kRowId
-                       ? dag->RowId(cchain, cn.col)
-                       : dag->Cross(cchain, cn.children[1]);
-
-    // One element per survivor — including empty-content ones, which the
-    // loop relation supplies just as the original Select did.
-    OpId loop2 = dag->Project(knp, {{col::iter(), s2}});
-    StrId ename = dag->op(spec.elem).name;
-    OpId elem2 = dag->Elem(ename, content, loop2);
-
-    // Re-attach to the outer loop and restore the original order
-    // columns: the numbering mirrors the recognized one, over the fresh
-    // ids whose order within each outer iteration is the original.
-    OpId map2 = dag->Project(knp, {{spec.iter1x, pf}, {spec.bindx, s2}});
-    OpId jr = dag->EquiJoin(elem2, map2, col::iter(), spec.bindx);
-    const Op& rn = dag->op(spec.ret_num);
-    OpId rn2 = rn.kind == OpKind::kRowNum
-                   ? dag->RowNum(jr, rn.col, rn.order, rn.part)
-                   : dag->RowId(jr, rn.col);
-    auto aproj = dag->op(spec.anchor).proj;
-    result = dag->Project(rn2, std::move(aproj));
+    ColId tr = FreshCol("tr");
+    OpId surv = dag->Project(renum, {{s2, s2}, {tr, c_iter}});
+    const std::vector<OpId> body = dag->ReachableFrom(spec.anchor);
+    for (OpId b : spec.bindings) {
+      OpId x = dag->op(b).children[0];
+      ColId iter_r = dag->op(b).col2;
+      OpId x2 = Rebuild(dag, x, leaves_cur, &memo_cur);
+      OpId j = dag->EquiJoin(x2, surv, col::iter(), tr);
+      // The binding's columns over the survivors, its iterations renamed.
+      auto over = [&](const std::vector<std::pair<ColId, ColId>>& proj) {
+        std::vector<std::pair<ColId, ColId>> out;
+        for (const auto& [n, o] : proj) {
+          out.emplace_back(n, o == col::iter() || o == iter_r ? s2 : o);
+        }
+        return dag->Project(j, std::move(out));
+      };
+      std::vector<std::pair<ColId, ColId>> all;
+      for (ColId c : dag->op(b).schema) all.emplace_back(c, c);
+      leaves[b] = over(all);
+      // A projection of the binding folds into it, as the next pass's
+      // projection merging would.
+      for (OpId p : body) {
+        if (dag->op(p).kind == OpKind::kProject &&
+            dag->op(p).children[0] == b) {
+          leaves[p] = over(dag->op(p).proj);
+        }
+      }
+    }
+    std::map<OpId, OpId> memo;
+    if (spec.dead_const != kNoOp) {
+      leaves[spec.dead_const] = Rebuild(
+          dag, dag->op(spec.dead_const).children[0], leaves, &memo);
+    }
+    result = Rebuild(dag, spec.anchor, leaves, &memo);
     if (detail != nullptr) {
       *detail = hows +
                 "; for-loop return re-rooted, product space replaced by " +

@@ -12,9 +12,10 @@
 //  * RecognizeJoins scans a plan for the EBV-over-product-space idiom —
 //    Select(ebv-Aggr(Union(Cross(Distinct(σ(Fun cmp(⋈ iter)))), true),
 //    Cross(loop \ ..., false))) consumed through the re-attachment
-//    composite π(⋈ bind(π(⋈ iterR(items, σ)), map)) — and proves from
-//    the plan's own structure that the inner for-space is the exact
-//    product of the outer loop with a loop-invariant document-level node
+//    composite π(⋈ bind(π(⋈ iterR(items, σ)), map)), or by a whole
+//    for-loop return body over the survivors — and proves from the
+//    plan's own structure that the inner for-space is the exact product
+//    of the outer loop with a loop-invariant document-level node
 //    sequence (every iteration steps the same path from the same
 //    document root).
 //
@@ -49,13 +50,13 @@ enum class JoinAnchorKind {
   // π(⋈ bind(π(⋈ iterR(items_s, σ)), map_s)) — the predicate's
   // survivors re-attached straight to the outer loop.
   kPredicate,
-  // The inner for-loop's whole return expression: survivors semijoin a
-  // companion plan X, element construction per surviving iteration, then
-  // the re-attachment to the outer loop with order columns. Recognizing
-  // the full composite lets EmitJoin retire the product space itself —
-  // the surviving (outer, rid) pairs are renumbered into fresh dense
-  // iteration ids that reproduce the original iteration order.
-  kSemijoinReturn,
+  // The inner for-loop's whole return expression: any body B over the
+  // survivors, re-attached to the outer loop with its order columns.
+  // Recognizing the full composite lets EmitJoin retire the product
+  // space itself — the surviving (outer, rid) pairs are renumbered into
+  // fresh dense iteration ids that reproduce the original iteration
+  // order, and B is rebuilt over them.
+  kReturn,
 };
 
 // One recognized comparison `a_col cmp b_col` between a plan computed
@@ -89,6 +90,7 @@ struct JoinSpec {
   std::vector<JoinPred> preds;
 
   // The product space S: numbering op N under map_s/loop_s/items_s.
+  OpId space = kNoOp;    // N
   OpId items_s = kNoOp;  // π{iter:bind, item}(N)
   OpId loop_s = kNoOp;   // π{iter:bind}(N)
   OpId map_s = kNoOp;    // π{iter1X:iter, bindX:bind}(N)
@@ -97,6 +99,7 @@ struct JoinSpec {
 
   // Outer loop: `lift` = π{iter:bindX, item}(⋈(outer_items, map_s))
   // lifts outer_items into S; outer_items = π{iter:bind, item}(src_num)
+  // (a constant column such as the variable's pos may be attached)
   // enumerates the outer iterations themselves.
   OpId lift = kNoOp;
   OpId outer_items = kNoOp;
@@ -109,22 +112,19 @@ struct JoinSpec {
   OpId doc_op = kNoOp;
   std::vector<OpId> steps;
 
-  // Iteration-independent sub-plans the comparison sides (or X) join in
-  // by value: fixed tables, left untouched by the re-rooting.
-  std::vector<OpId> const_roots;
-
-  // kSemijoinReturn only — the recognized return composite:
-  //   anchor = π{iter:iter1X, pos:posX, item}(ret_num(⋈ bind(elem,
-  //            map_s)))
-  //   elem   = Elem(content_num(Step*(π{iter,item}(
-  //            ⋈ iter=iterRX(x_root, π{iterRX:iter}(SEL))))),
-  //            π{iter}(SEL))
-  OpId x_root = kNoOp;    // companion plan keyed by S-iterations
-  OpId ret_num = kNoOp;   // RowNum posX:<iter>|iter1X (RowId unordered)
-  OpId elem = kNoOp;      // the per-iteration element constructor
-  OpId content_num = kNoOp;        // RowNum pos:<...>|iter over content
-                                   // (RowId, or an attached constant)
-  std::vector<OpId> content_steps;  // innermost first
+  // kReturn only — the recognized return composite:
+  //   anchor = π{iter:iter1X[, pos:posX], item}([ret_num](⋈ iter=bindX(
+  //            B, map_s)))
+  // B reaches the product space only through the survivor loop
+  // π{iter}(sel) and the filtered bindings ⋈ iter=iterR(X, π{iterR:
+  // iter}(sel)), X = items_s or a companion plan keyed by S-iterations;
+  // everything else in B is a fixed table. EmitJoin rebuilds the whole
+  // anchor with exactly these leaves (and map_s) substituted.
+  OpId sel = kNoOp;        // the predicate's surviving S-iterations
+  OpId survivors = kNoOp;  // π{iter}(sel), when B uses it
+  std::vector<OpId> bindings;
+  OpId dead_const = kNoOp;  // B = Cross(B0, 1-row Lit) read by nothing
+                            // above B: rebuilt as B0 alone
 };
 
 // Scans the sub-plan rooted at `root` for value-join regions. Returns
@@ -138,11 +138,14 @@ std::map<OpId, JoinSpec> RecognizeJoins(const Dag& dag, OpId root);
 // not provably hash-safe fall back to ThetaJoin, and ThetaJoin in turn
 // requires options.theta_join plus statically non-node operand kinds
 // (node operands make the comparison itself a type error — the original
-// plan must keep raising it per iteration). `detail` receives the
+// plan must keep raising it per iteration). `props` tells whether the
+// outer iteration ids are an arbitrary # numbering (a return anchor's
+// survivor renumbering then is one too). `detail` receives the
 // justification for the --explain-order trade log.
 OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
-              const RewriteOptions& options, SemTypeTracker* sem,
-              CardTracker* cards, std::string* detail);
+              const RewriteOptions& options, PropertyTracker* props,
+              SemTypeTracker* sem, CardTracker* cards,
+              std::string* detail);
 
 }  // namespace exrquy
 

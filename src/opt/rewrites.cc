@@ -175,7 +175,7 @@ class Rewriter {
   OpId TryJoin(OpId id, const JoinSpec& spec) {
     std::string detail;
     OpId repl = EmitJoin(dag_, spec, map_.at(spec.outer_items), options_,
-                         &sem_, &cards_, &detail);
+                         &props_, &sem_, &cards_, &detail);
     if (repl == kNoOp) return kNoOp;
     RewriteCertificate cert = Cert(id, repl, "join_recognition",
                                    std::move(detail), /*order_trade=*/true);

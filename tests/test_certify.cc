@@ -10,6 +10,8 @@
 #include <array>
 #include <cctype>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -420,6 +422,127 @@ TEST_F(CertifyCheckerTest, JoinRecognitionRejectsScaffoldingKey) {
                  Cert(anchor, join, "join_recognition",
                       {CiteScaffoldFree(left, item())}),
                  "join-isolation");
+}
+
+// -- join-isolation: the re-rooted for-loop return ----------------------
+
+// Q10's inner for-loop return is re-rooted over the join survivors. Its
+// certificate must prove the rebuilt anchor is the recognized one with
+// exactly the survivor-loop, filtered-binding and map leaves
+// substituted. Each mutation keeps the value join itself intact — the
+// isolation and kind gates alone would pass — and breaks the body.
+class ReturnBodyCertTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Result<QueryPlans> p = session_.Plan(XMarkQueryText("Q10"), {});
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    plans_ = std::move(*p);
+    for (const RewriteTrade& t : plans_.trades) {
+      if (t.rule == "join_recognition" &&
+          dag().op(t.to).proj == dag().op(t.from).proj) {
+        cert_ = t;
+      }
+    }
+    ASSERT_NE(cert_.to, kNoOp) << "Q10's return was not re-rooted";
+    ASSERT_TRUE(cert_.valid) << cert_.diagnostic;
+    // The renumbered survivors under the re-attaching join's map.
+    OpId j = dag().op(dag().op(cert_.to).children[0]).children[0];
+    renum_ = dag().op(dag().op(j).children[1]).children[0];
+  }
+
+  Dag& dag() { return *plans_.dag; }
+
+  // `root` with operator `old` replaced by `repl` wherever it occurs.
+  OpId Replace(OpId root, OpId old, OpId repl) {
+    std::map<OpId, OpId> memo;
+    std::function<OpId(OpId)> rebuild = [&](OpId id) -> OpId {
+      if (id == old) return repl;
+      if (auto it = memo.find(id); it != memo.end()) return it->second;
+      Op copy = dag().op(id);
+      bool changed = false;
+      for (OpId& c : copy.children) {
+        OpId c2 = rebuild(c);
+        changed |= c2 != c;
+        c = c2;
+      }
+      return memo[id] = changed ? dag().Add(std::move(copy)) : id;
+    };
+    return rebuild(root);
+  }
+
+  // The first operator of the replacement satisfying `pred`.
+  OpId Find(const std::function<bool(const Op&)>& pred) {
+    for (OpId id : dag().ReachableFrom(cert_.to)) {
+      if (pred(dag().op(id))) return id;
+    }
+    return kNoOp;
+  }
+
+  // The filtered-binding substitute π(⋈ iter=tr(X', π{s2, tr:c}(R))).
+  OpId Binding() {
+    return Find([&](const Op& o) {
+      if (o.kind != OpKind::kProject) return false;
+      const Op& j = dag().op(o.children[0]);
+      return j.kind == OpKind::kEquiJoin &&
+             dag().op(j.children[1]).kind == OpKind::kProject &&
+             dag().op(j.children[1]).children[0] == renum_;
+    });
+  }
+
+  void ExpectRejected(OpId to, const std::string& why) {
+    RewriteCertificate c = cert_;
+    c.to = to;
+    c.checked = c.valid = false;
+    CertifyChecker checker(&dag(), c.from);
+    EXPECT_FALSE(checker.Check(&c));
+    EXPECT_EQ(c.obligation, "join-isolation") << c.diagnostic;
+    EXPECT_NE(c.diagnostic.find(why), std::string::npos) << c.diagnostic;
+  }
+
+  Session session_;
+  QueryPlans plans_;
+  RewriteCertificate cert_;
+  OpId renum_ = kNoOp;  // R: the survivors' s2 numbering
+};
+
+TEST_F(ReturnBodyCertTest, AcceptsTheEmittedRebuild) {
+  RewriteCertificate c = cert_;
+  c.checked = c.valid = false;
+  CertifyChecker checker(&dag(), c.from);
+  EXPECT_TRUE(checker.Check(&c)) << c.diagnostic;
+}
+
+TEST_F(ReturnBodyCertTest, RejectsDroppedConstructorChild) {
+  // Some element's content loses the last of its children.
+  OpId u = Find([](const Op& o) { return o.kind == OpKind::kUnion; });
+  ASSERT_NE(u, kNoOp);
+  ExpectRejected(Replace(cert_.to, u, dag().op(u).children[0]),
+                 "does not rebuild op");
+}
+
+TEST_F(ReturnBodyCertTest, RejectsBindingOverUnfilteredItems) {
+  // $t bound to every document-level person instead of the survivors.
+  OpId b = Binding();
+  ASSERT_NE(b, kNoOp);
+  const Op& bo = dag().op(b);
+  OpId x2 = dag().op(bo.children[0]).children[0];
+  const ColId s2 = dag().op(renum_).col;
+  std::vector<std::pair<ColId, ColId>> proj;
+  for (const auto& [n, o] : bo.proj) proj.emplace_back(n, o == s2 ? iter() : o);
+  ExpectRejected(Replace(cert_.to, b, dag().Project(x2, proj)),
+                 "stands for a filtered binding");
+}
+
+TEST_F(ReturnBodyCertTest, RejectsRenumberingByRidAlone) {
+  // Survivors numbered by rid alone interleave the outer iterations.
+  // keep = Distinct(π{o, c}(value join)) under R.
+  const Op& r = dag().op(renum_);
+  OpId keep = r.children[0];
+  ASSERT_EQ(dag().op(keep).schema.size(), 2u);
+  const ColId rid = dag().op(keep).schema[1];
+  OpId by_rid = dag().RowNum(keep, r.col, {{rid, false}}, kNoCol);
+  ExpectRejected(Replace(cert_.to, renum_, by_rid),
+                 "not renumbered by (outer iteration, rid)");
 }
 
 // -- count-fusion --------------------------------------------------------

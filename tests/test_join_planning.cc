@@ -1,6 +1,6 @@
 // Join recognition & planning (opt/join_plan.*): the product-space
 // predicate idiom must be lifted into value/theta joins exactly when the
-// proof obligations hold, and never otherwise. Six layers of coverage:
+// proof obligations hold, and never otherwise. Seven layers of coverage:
 //
 //   * unit recognition over a handcrafted two-table document — equality
 //     and theta predicates, an `and`-conjunction (one join per
@@ -12,18 +12,22 @@
 //   * off-vs-on equivalence across the entire XMark corpus in both
 //     ordering modes at 1 and 4 threads — byte-identical ordered
 //     results, equal multisets unordered;
-//   * governor faults injected through ThetaJoin and ThetaCount plans,
-//     and a CI wall-clock guard pinning Q9 under a deadline the retired
-//     product-space plan could not meet;
+//   * governor faults injected through ThetaJoin, ThetaCount and Q10's
+//     value-join plans, and CI wall-clock guards pinning Q9 and Q10
+//     under deadlines the retired product-space plans could not meet;
 //   * the ThetaJoin and ThetaCount kernels against their per-pair
 //     definitions on randomized keys of every comparison class;
 //   * Q11/Q12's count() fused through the join: plan shape, linear size
 //     at scale 0.1, and bytes equal to the reference interpreter and to
-//     the unfused plans.
+//     the unfused plans;
+//   * Q10's return body re-rooted over the join survivors: plan, bytes
+//     equal to the product plan in both modes, linear size at scale 0.1,
+//     two more return shapes, and the positional-variable refusal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -368,15 +372,17 @@ TEST_F(JoinCorpusTest, GovernorFaultsThroughThetaJoin) {
   }
 
   // Q11/Q12 count through ThetaCount; Q11 constructing an element per
-  // matching initial, not counting them, runs the ThetaJoin kernel.
+  // matching initial, not counting them, runs the ThetaJoin kernel; Q10
+  // rebuilds its return body over a value join's survivors.
+  enum class Join { kTheta, kThetaCount, kValue };
   struct Case {
     const char* name;
     std::string text;
-    bool theta_join;  // else ThetaCount
+    Join join;
   };
   const Case cases[] = {
-      {"Q11", XMarkQueryText("Q11"), false},
-      {"Q12", XMarkQueryText("Q12"), false},
+      {"Q11", XMarkQueryText("Q11"), Join::kThetaCount},
+      {"Q12", XMarkQueryText("Q12"), Join::kThetaCount},
       {"Q11-pairs",
        R"(let $auction := doc("auction.xml")
 for $p in $auction/site/people/person
@@ -384,22 +390,34 @@ return <items name="{ $p/name }">{
          for $i in $auction/site/open_auctions/open_auction/initial
          where $p/profile/@income > 5000 * $i
          return <initial>{ $i/text() }</initial> }</items>)",
-       true},
+       Join::kTheta},
+      {"Q10", XMarkQueryText("Q10"), Join::kValue},
   };
+  const size_t nodes = session_->store().node_count();
+  const size_t fragments = session_->store().fragment_count();
   for (const Case& c : cases) {
     const char* name = c.name;
     const std::string& text = c.text;
-    // Never-faulted reference; its plan must actually run the theta
+    // Never-faulted reference; its plan must actually run the join
     // kernel so the fault counters tick through it.
     Result<QueryResult> reference = session_->Execute(text, Threads(1));
     ASSERT_TRUE(reference.ok())
         << name << ": " << reference.status().ToString();
-    if (c.theta_join) {
-      ASSERT_GE(reference->plan_optimized.theta_join_ops, 1u) << name;
-      ASSERT_NE(reference->serialized.find("<initial>"), std::string::npos)
-          << name << ": the join emits no pairs";
-    } else {
-      ASSERT_GE(reference->plan_optimized.theta_count_ops, 1u) << name;
+    switch (c.join) {
+      case Join::kTheta:
+        ASSERT_GE(reference->plan_optimized.theta_join_ops, 1u) << name;
+        ASSERT_NE(reference->serialized.find("<initial>"), std::string::npos)
+            << name << ": the join emits no pairs";
+        break;
+      case Join::kThetaCount:
+        ASSERT_GE(reference->plan_optimized.theta_count_ops, 1u) << name;
+        break;
+      case Join::kValue:
+        ASSERT_GE(reference->plan_optimized.value_join_ops, 1u) << name;
+        ASSERT_NE(reference->serialized.find("<personne>"),
+                  std::string::npos)
+            << name << ": no survivor reaches the body";
+        break;
     }
 
     for (const Fault& fault : faults) {
@@ -426,6 +444,9 @@ return <items name="{ $p/name }">{
         ASSERT_TRUE(again.ok())
             << context << ": " << again.status().ToString();
         EXPECT_EQ(again->serialized, reference->serialized) << context;
+        // Pristine session: every constructed node was rolled back.
+        EXPECT_EQ(session_->store().node_count(), nodes) << context;
+        EXPECT_EQ(session_->store().fragment_count(), fragments) << context;
       }
     }
   }
@@ -777,6 +798,150 @@ TEST(CountFusionTest, Q11Q12MatchReferenceAndUnfusedPlans) {
 }
 
 // ---------------------------------------------------------------------
+// Q10: a for-loop's whole return body re-rooted over the join survivors.
+// The category path is evaluated once per person and hash-joined
+// against the distinct categories; the body then runs once per surviving
+// (category, person) pair instead of over their product.
+
+const char kQ10Return[] =
+    R"(for $i in distinct-values(
+    doc("auction.xml")/site/people/person/profile/interest/@category)
+let $p := for $t in doc("auction.xml")/site/people/person
+          where $t/profile/interest/@category = $i
+          return $t
+return <categorie>{ <id>{ $i }</id>, $p }</categorie>)";
+
+const char kNodeValuedOuter[] =
+    R"(for $c in doc("auction.xml")/site/categories/category
+return (for $t in doc("auction.xml")/site/people/person
+        where $t/profile/interest/@category = $c/@id
+        return $t/name/text()))";
+
+const char kPositionalBody[] =
+    R"(for $i in distinct-values(
+    doc("auction.xml")/site/people/person/profile/interest/@category)
+let $p := for $t at $j in doc("auction.xml")/site/people/person
+          where $t/profile/interest/@category = $i
+          return <personne n="{ $j }">{ $t/name/text() }</personne>
+return <categorie>{ <id>{ $i }</id>, $p }</categorie>)";
+
+class ExistentialReturnJoinTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    session_ = new Session();
+    XMarkOptions options;
+    options.scale = 0.025;
+    ASSERT_TRUE(
+        session_->LoadDocument("auction.xml", GenerateXMark(options)).ok());
+  }
+  static void TearDownTestSuite() {
+    delete session_;
+    session_ = nullptr;
+  }
+
+  // Runs `q` with recognition on and off in both modes, at 1 thread and
+  // at 4 threads over 7-row morsels: the bytes must be identical in
+  // every configuration — in unordered mode only when `unordered_bytes`,
+  // else the same items in any order. Returns the value joins planned
+  // per mode.
+  static std::vector<size_t> ValueJoinsWithSameResult(
+      const std::string& q, bool unordered_bytes = true) {
+    std::vector<size_t> joins;
+    for (OrderingMode mode : {OrderingMode::kOrdered,
+                              OrderingMode::kUnordered}) {
+      QueryOptions off;
+      off.default_ordering = mode;
+      off.join_recognition = false;
+      Result<QueryResult> want = session_->Execute(q, off);
+      EXPECT_TRUE(want.ok()) << want.status().ToString();
+      if (!want.ok()) return joins;
+      for (int threads : {1, 4}) {
+        QueryOptions on = Threads(threads);
+        on.default_ordering = mode;
+        if (threads == 1) on.morsel_rows = 0;
+        on.certify.mode = CertifyMode::kStrict;
+        Result<QueryResult> got = session_->Execute(q, on);
+        EXPECT_TRUE(got.ok()) << got.status().ToString();
+        if (!got.ok()) return joins;
+        if (mode == OrderingMode::kOrdered || unordered_bytes) {
+          EXPECT_EQ(got->serialized, want->serialized)
+              << "threads=" << threads
+              << (mode == OrderingMode::kUnordered ? " unordered" : "");
+        } else {
+          std::vector<std::string> a = got->items;
+          std::vector<std::string> b = want->items;
+          std::sort(a.begin(), a.end());
+          std::sort(b.begin(), b.end());
+          EXPECT_EQ(a, b) << "threads=" << threads << " unordered";
+        }
+        if (threads == 1) joins.push_back(got->plan_optimized.value_join_ops);
+      }
+    }
+    return joins;
+  }
+
+  static Session* session_;
+};
+
+Session* ExistentialReturnJoinTest::session_ = nullptr;
+
+TEST_F(ExistentialReturnJoinTest, Q10PlansValueJoinWithSameBytes) {
+  for (size_t joins : ValueJoinsWithSameResult(XMarkQueryText("Q10"))) {
+    EXPECT_GE(joins, 1u);
+  }
+}
+
+TEST_F(ExistentialReturnJoinTest, ReturnOfTheLoopVariable) {
+  for (size_t joins : ValueJoinsWithSameResult(kQ10Return)) {
+    EXPECT_GE(joins, 1u);
+  }
+}
+
+TEST_F(ExistentialReturnJoinTest, NodeValuedOuterLoopReturnsSequence) {
+  // The flat result's unordered order is the join's, not the product's.
+  for (size_t joins : ValueJoinsWithSameResult(kNodeValuedOuter, false)) {
+    EXPECT_GE(joins, 1u);
+  }
+}
+
+TEST_F(ExistentialReturnJoinTest, PositionalVariableKeepsProductPlan) {
+  // $j numbers the product space's own iterations: a body reading it is
+  // not a function of the survivors, so the product plan stays.
+  for (size_t joins : ValueJoinsWithSameResult(kPositionalBody)) {
+    EXPECT_EQ(joins, 0u);
+  }
+}
+
+TEST(ExistentialReturnJoinScaleTest, Q10NeverBuildsTheProduct) {
+  Session session;
+  XMarkOptions xmark;
+  xmark.scale = 0.1;
+  ASSERT_TRUE(
+      session.LoadDocument("auction.xml", GenerateXMark(xmark)).ok());
+  Result<QueryResult> sizes = session.Execute(
+      R"((count(distinct-values(doc("auction.xml")/site/people/person/
+           profile/interest/@category)),
+          count(doc("auction.xml")/site/people/person)))",
+      {});
+  ASSERT_TRUE(sizes.ok()) << sizes.status().ToString();
+  ASSERT_EQ(sizes->items.size(), 2u);
+  const size_t product =
+      std::stoul(sizes->items[0]) * std::stoul(sizes->items[1]);
+  ASSERT_GT(product, 100000u);
+  for (OrderingMode mode : kBothModes) {
+    QueryOptions o;
+    o.default_ordering = mode;
+    o.profile = true;
+    Result<QueryResult> r = session.Execute(XMarkQueryText("Q10"), o);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    for (const Profile::OpMetrics& m : r->profile.ops()) {
+      EXPECT_LT(m.out_rows, product) << "op " << m.op << " (" << m.kind
+                                     << ")";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // CI wall-clock regression guard.
 
 class ScopedEnv {
@@ -806,6 +971,47 @@ TEST(JoinDeadlineGuard, Q9CompletesUnderCiDeadline) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(r->plan_optimized.value_join_ops, 1u);
   EXPECT_FALSE(r->items.empty());
+}
+
+TEST(JoinDeadlineGuard, Q10CompletesWhereTheProductPlanCannot) {
+  // At scale 0.5 the product-space plan for Q10 takes ~30x the join
+  // plan (12.5 s against 0.4 s on a 4-vCPU machine). The deadline is
+  // three times this build's join plan: the join plan meets it, the
+  // product plan — ten times over it — trips kDeadlineExceeded.
+  Session session;
+  XMarkOptions options;
+  options.scale = 0.5;
+  ASSERT_TRUE(
+      session.LoadDocument("auction.xml", GenerateXMark(options)).ok());
+  const std::string& q10 = XMarkQueryText("Q10");
+  QueryOptions one;
+  one.num_threads = 1;
+  double best_ms = 0;
+  for (int run = 0; run < 2; ++run) {
+    auto start = std::chrono::steady_clock::now();
+    Result<QueryResult> r = session.Execute(q10, one);
+    std::chrono::duration<double, std::milli> ms =
+        std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_GE(r->plan_optimized.value_join_ops, 1u);
+    best_ms = run == 0 ? ms.count() : std::min(best_ms, ms.count());
+  }
+  QueryOptions guarded = one;
+  guarded.deadline_ms = static_cast<int64_t>(3 * best_ms) + 1;
+  // One retry absorbs a load burst on a shared machine; the product plan
+  // misses the deadline by far more than any burst.
+  Result<QueryResult> joined = session.Execute(q10, guarded);
+  if (!joined.ok() &&
+      joined.status().code() == StatusCode::kDeadlineExceeded) {
+    joined = session.Execute(q10, guarded);
+  }
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  QueryOptions product = guarded;
+  product.join_recognition = false;
+  Result<QueryResult> crossed = session.Execute(q10, product);
+  ASSERT_FALSE(crossed.ok());
+  EXPECT_EQ(crossed.status().code(), StatusCode::kDeadlineExceeded)
+      << crossed.status().ToString();
 }
 
 }  // namespace

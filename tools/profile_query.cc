@@ -1,12 +1,13 @@
 // Per-operator profile of one XMark query over a generated document:
 //
-//   ./profile_query Q9 [scale]
+//   ./profile_query Q9 [scale] [ordered|unordered]
 //
-// Executes the query twice (warm plan is irrelevant here — a plain
-// Session re-plans, but compile time is reported separately) and prints
-// the operator metrics sorted by kernel wall time, plus the by-kind
-// rollup. The quickest way to see which operator a slow query actually
-// spends its time in.
+// Executes the query (a plain Session re-plans, but compile time is
+// reported separately) and prints the planned join operators with the
+// detail line of each join_recognition certificate — so a missed join
+// shows without reading plan goldens — then the operator metrics sorted
+// by kernel wall time, plus the by-kind rollup. The quickest way to see
+// which operator a slow query actually spends its time in.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -17,11 +18,16 @@
 #include "xmark/queries.h"
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: profile_query <Qname> [scale]\n");
+  if (argc < 2 ||
+      (argc > 3 && std::strcmp(argv[3], "ordered") != 0 &&
+       std::strcmp(argv[3], "unordered") != 0)) {
+    std::fprintf(stderr,
+                 "usage: profile_query <Qname> [scale] "
+                 "[ordered|unordered]\n");
     return 2;
   }
   double scale = argc > 2 ? std::atof(argv[2]) : 0.016;
+  bool unordered = argc > 3 && std::strcmp(argv[3], "unordered") == 0;
   exrquy::Session session;
   exrquy::XMarkOptions xmark;
   xmark.scale = scale;
@@ -32,14 +38,29 @@ int main(int argc, char** argv) {
   }
   exrquy::QueryOptions options;
   options.profile = true;
-  exrquy::Result<exrquy::QueryResult> r =
-      session.Execute(exrquy::XMarkQueryText(argv[1]), options);
-  if (!r.ok()) {
-    std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
+  if (unordered) options.default_ordering = exrquy::OrderingMode::kUnordered;
+  const std::string& text = exrquy::XMarkQueryText(argv[1]);
+  exrquy::Result<exrquy::QueryResult> r = session.Execute(text, options);
+  exrquy::Result<exrquy::QueryPlans> plans = session.Plan(text, options);
+  if (!r.ok() || !plans.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 (r.ok() ? plans.status() : r.status()).ToString().c_str());
     return 1;
   }
-  std::printf("%s at scale %.3f: compile %.2f ms, execute %.2f ms\n\n",
-              argv[1], scale, r->compile_ms, r->execute_ms);
+  std::printf("%s %s at scale %.3f: compile %.2f ms, execute %.2f ms\n",
+              argv[1], unordered ? "unordered" : "ordered", scale,
+              r->compile_ms, r->execute_ms);
+  std::printf("value_join_ops %zu  theta_join_ops %zu  theta_count_ops %zu\n",
+              r->plan_optimized.value_join_ops,
+              r->plan_optimized.theta_join_ops,
+              r->plan_optimized.theta_count_ops);
+  for (const exrquy::RewriteTrade& t : plans->trades) {
+    if (t.rule != "join_recognition") continue;
+    std::printf("  join_recognition op %d -> op %d%s: %s\n",
+                static_cast<int>(t.from), static_cast<int>(t.to),
+                t.checked && !t.valid ? " (INVALID)" : "", t.detail.c_str());
+  }
+  std::printf("\n");
   std::vector<exrquy::Profile::OpMetrics> ops = r->profile.ops();
   std::sort(ops.begin(), ops.end(),
             [](const auto& a, const auto& b) { return a.ms > b.ms; });
