@@ -230,10 +230,10 @@ bool SamePayload(const Op& a, const Op& b) {
 std::vector<ColId> Dag::ComputeSchema(const Op& op) const {
   auto child_schema = [&](size_t i) -> const std::vector<ColId>& {
     EXRQUY_CHECK(i < op.children.size());
-    return ops_[op.children[i]].schema;
+    return ops_[op.children[i]]->schema;
   };
   auto require_col = [&](size_t child, ColId c) {
-    EXRQUY_CHECK(ops_[op.children[child]].HasCol(c));
+    EXRQUY_CHECK(ops_[op.children[child]]->HasCol(c));
   };
 
   switch (op.kind) {
@@ -267,7 +267,7 @@ std::vector<ColId> Dag::ComputeSchema(const Op& op) const {
       require_col(0, op.keys[0]);
       require_col(1, op.keys[1]);
       // The group and the counted column sit on opposite sides.
-      size_t g = ops_[op.children[0]].HasCol(op.part) ? 0 : 1;
+      size_t g = ops_[op.children[0]]->HasCol(op.part) ? 0 : 1;
       require_col(g, op.part);
       require_col(1 - g, op.col2);
       EXRQUY_CHECK(op.col != op.part);
@@ -359,11 +359,11 @@ OpId Dag::Add(Op op) {
   uint64_t h = HashOp(op);
   auto [lo, hi] = index_.equal_range(h);
   for (auto it = lo; it != hi; ++it) {
-    if (OpEquals(ops_[it->second], op)) return it->second;
+    if (OpEquals(*ops_[it->second], op)) return it->second;
   }
   op.schema = ComputeSchema(op);
   OpId id = static_cast<OpId>(ops_.size());
-  ops_.push_back(std::move(op));
+  ops_.push_back(std::make_unique<Op>(std::move(op)));
   index_.emplace(h, id);
   return id;
 }
@@ -373,7 +373,7 @@ OpId Dag::AddUnchecked(Op op, std::vector<ColId> schema) {
   OpId id = static_cast<OpId>(ops_.size());
   // Deliberately not entered into the hash-cons index: malformed ops must
   // never be returned by the builders.
-  ops_.push_back(std::move(op));
+  ops_.push_back(std::make_unique<Op>(std::move(op)));
   return id;
 }
 
@@ -624,7 +624,7 @@ OpId Dag::Text(OpId content, OpId loop) {
 }
 
 void Dag::SetProv(OpId id, std::string prov) {
-  if (ops_[id].prov.empty()) ops_[id].prov = std::move(prov);
+  if (ops_[id]->prov.empty()) ops_[id]->prov = std::move(prov);
 }
 
 std::vector<OpId> Dag::ReachableFrom(OpId root) const {
@@ -634,7 +634,7 @@ std::vector<OpId> Dag::ReachableFrom(OpId root) const {
   while (!stack.empty()) {
     OpId id = stack.back();
     stack.pop_back();
-    for (OpId c : ops_[id].children) {
+    for (OpId c : ops_[id]->children) {
       if (!seen[c]) {
         seen[c] = true;
         stack.push_back(c);

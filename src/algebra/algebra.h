@@ -29,6 +29,7 @@
 #define EXRQUY_ALGEBRA_ALGEBRA_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -225,14 +226,15 @@ bool SamePayload(const Op& a, const Op& b);
 
 // A hash-consed DAG of algebra operators. OpIds are dense and stable;
 // children always have smaller ids than parents (plans are built bottom
-// up), which gives a free topological order.
+// up), which gives a free topological order. The DAG only grows, and a
+// `const Op&` from op() stays valid across later insertions.
 class Dag {
  public:
   Dag() = default;
   Dag(const Dag&) = delete;
   Dag& operator=(const Dag&) = delete;
 
-  const Op& op(OpId id) const { return ops_[id]; }
+  const Op& op(OpId id) const { return *ops_[id]; }
   size_t size() const { return ops_.size(); }
 
   // Generic insertion with hash-consing; validates and computes schema.
@@ -319,7 +321,8 @@ class Dag {
   bool OpEquals(const Op& a, const Op& b) const;
   std::vector<ColId> ComputeSchema(const Op& op) const;
 
-  std::vector<Op> ops_;
+  // One allocation per operator: growth never moves an Op.
+  std::vector<std::unique_ptr<Op>> ops_;
   std::unordered_multimap<uint64_t, OpId> index_;
   uint32_t next_constructor_id_ = 1;
 };

@@ -145,7 +145,8 @@ Status ExecutePlan(const Dag& dag, OpId root,
   // after sub-plans on a fresh, ungoverned context (no deadline, faults,
   // or profile — those belong to the real run) and compare witnesses.
   if (spot_trades != nullptr) {
-    CertifySettings resolved = ResolveCertify(options.certify);
+    EXRQUY_ASSIGN_OR_RETURN(CertifySettings resolved,
+                            ResolveCertify(options.certify));
     if (resolved.mode != CertifyMode::kOff && resolved.spot_check) {
       EvalContext sctx;
       sctx.store = store;

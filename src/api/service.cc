@@ -76,14 +76,12 @@ int ResolveMaxRetries(int requested) {
 // absent — the engine guarantees byte-identical results across all of
 // them, which is what makes cached bytes reusable. The same key strings
 // the poison-query quarantine: two calls that would share a plan share a
-// breaker.
+// breaker. Certification participates resolved (`rc`: options beat
+// environment, like PlanQuery itself): a strict plan may differ from a
+// checked one when a certificate is rejected, and a forced rejection
+// must never leak a mutilated plan into another caller's cache slot.
 std::string CacheKey(std::string_view query, const QueryOptions& o,
-                     uint64_t version) {
-  // Certification participates resolved (options beat environment, like
-  // PlanQuery itself): a strict plan may differ from a checked one when a
-  // certificate is rejected, and a forced rejection must never leak a
-  // mutilated plan into another caller's cache slot.
-  CertifySettings rc = ResolveCertify(o.certify);
+                     const CertifySettings& rc, uint64_t version) {
   uint64_t bits = 0;
   auto push = [&bits](bool b) { bits = (bits << 1) | (b ? 1 : 0); };
   for (bool b : {o.default_ordering == OrderingMode::kOrdered,
@@ -247,6 +245,11 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
     done();
     return resolved.status();
   }
+  Result<CertifySettings> certify = ResolveCertify(options.certify);
+  if (!certify.ok()) {
+    done();
+    return certify.status();
+  }
   const Governor& governor = resolved.value();
   const FaultPlan& faults = governor.faults;
 
@@ -256,7 +259,8 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
 
   ServiceResult out;
   out.store_version = version_.load(std::memory_order_acquire);
-  std::string key = CacheKey(query, options, out.store_version);
+  std::string key =
+      CacheKey(query, options, certify.value(), out.store_version);
 
   // Governed calls bypass the result cache: serving cached bytes would
   // skip the injection/cancellation points a caller asked to exercise.

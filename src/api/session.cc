@@ -53,6 +53,8 @@ Status Session::LoadDocumentFile(std::string_view name,
 
 Result<QueryPlans> PlanQuery(std::string_view query,
                              const QueryOptions& options, StrPool* strings) {
+  QueryPlans plans;
+  EXRQUY_ASSIGN_OR_RETURN(plans.certify, ResolveCertify(options.certify));
   EXRQUY_ASSIGN_OR_RETURN(Query parsed, ParseQuery(query));
 
   NormalizeOptions norm;
@@ -67,14 +69,17 @@ Result<QueryPlans> PlanQuery(std::string_view query,
   EXRQUY_ASSIGN_OR_RETURN(CompiledQuery compiled,
                           CompileQuery(parsed, strings, copts));
 
-  QueryPlans plans;
   plans.dag = std::move(compiled.dag);
   plans.initial = compiled.root;
+  // One analysis cache for the whole plan: both verifications and every
+  // rewrite pass derive each operator's facts at most once.
+  plans.facts = std::make_unique<PlanFacts>(plans.dag.get());
 
   // Every compiled plan is statically verified before it goes anywhere
   // near the rewrites or the engine: a miscompilation surfaces here as a
   // Status naming the violated invariant, not as wrong answers or UB.
-  Status verified = VerifyPlan(*plans.dag, plans.initial);
+  Status verified = VerifyPlan(*plans.dag, plans.initial, {},
+                               plans.facts.get());
   if (!verified.ok()) {
     return Internal("compiled plan rejected: " + verified.message());
   }
@@ -82,15 +87,18 @@ Result<QueryPlans> PlanQuery(std::string_view query,
   OptimizeOptions oopts;
   oopts.enable = options.enable_order_indifference;
   oopts.rewrites = static_cast<const RewriteOptions&>(options);
+  oopts.rewrites.certify = plans.certify;
   oopts.verify_each_pass = options.verify_each_pass;
   oopts.strings = strings;
   oopts.trade_log = &plans.trades;
   EXRQUY_ASSIGN_OR_RETURN(
-      plans.optimized, Optimize(plans.dag.get(), plans.initial, oopts));
+      plans.optimized,
+      Optimize(plans.dag.get(), plans.initial, oopts, plans.facts.get()));
 
-  // And once more after the pipeline (cheap single pass) so a rewrite
-  // bug is caught even when the per-pass hook is off.
-  verified = VerifyPlan(*plans.dag, plans.optimized);
+  // And once more after the pipeline so a rewrite bug is caught even
+  // when the per-pass hook is off. The shared cache has derived facts for
+  // most of the optimized plan already, so this is mostly the checks.
+  verified = VerifyPlan(*plans.dag, plans.optimized, {}, plans.facts.get());
   if (!verified.ok()) {
     return Internal("optimized plan rejected: " + verified.message());
   }
@@ -131,9 +139,8 @@ Result<OrderExplanation> Session::ExplainOrder(std::string_view query,
   // (strict certification keeps the old % when an obligation fails), and
   // annotates their surviving replacements with the trade's
   // justification (the eliminated % itself is no longer in the plan).
-  CertifySettings resolved = ResolveCertify(options.certify);
   for (const RewriteTrade& t : plans.trades) {
-    if (!t.order_trade || !RewriteCommitted(t, resolved)) continue;
+    if (!t.order_trade || !RewriteCommitted(t, plans.certify)) continue;
     OrderExplanation::Trade trade;
     trade.op = t.from;
     trade.label = OpToString(dag, t.from, strings_);
@@ -153,7 +160,6 @@ Result<RewriteExplanation> Session::ExplainRewrites(
   EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans,
                           PlanQuery(query, options, &strings_));
   const Dag& dag = *plans.dag;
-  CertifySettings resolved = ResolveCertify(options.certify);
   RewriteExplanation out;
   std::map<OpId, std::vector<std::string>> annotations;
   for (const RewriteTrade& t : plans.trades) {
@@ -167,7 +173,7 @@ Result<RewriteExplanation> Session::ExplainRewrites(
     for (const CitedFact& f : t.cited) e.facts.push_back(f.text);
     e.checked = t.checked;
     e.valid = t.valid;
-    e.committed = RewriteCommitted(t, resolved);
+    e.committed = RewriteCommitted(t, plans.certify);
     e.obligation = t.obligation;
     e.diagnostic = t.diagnostic;
     ++out.emitted;
@@ -242,6 +248,7 @@ Result<QueryResult> Session::Execute(std::string_view query,
   result.compile_ms = MsSince(start);
   result.plan_initial = CollectPlanStats(*plans.dag, plans.initial);
   result.plan_optimized = CollectPlanStats(*plans.dag, plans.optimized);
+  plans.facts.reset();  // planning is over: free the cache before running
   EXRQUY_RETURN_IF_ERROR(ExecutePlan(*plans.dag, plans.optimized,
                                      &plans.trades, options, governor,
                                      charged, &store_, &strings_, documents_,

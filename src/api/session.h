@@ -134,6 +134,13 @@ struct QueryPlans {
   // checker's verdict (opt/rewrites.h, opt/certify.h). The legacy
   // %-elimination trade log is the order_trade subset.
   std::vector<RewriteTrade> trades;
+  // The certification settings the plan was optimized under, resolved
+  // once against EXRQUY_CERTIFY.
+  CertifySettings certify;
+  // The plan's analysis cache (opt/facts_audit.h): every forward tracker
+  // fact and audit fact planning derived, shared by both verifications
+  // and every rewrite pass. Valid while `dag` lives.
+  std::unique_ptr<PlanFacts> facts;
 };
 
 // The front half of the pipeline — parse -> normalize -> compile ->
@@ -142,7 +149,8 @@ struct QueryPlans {
 // never read documents (fn:doc resolves at evaluation), so this is pure
 // in the store; Session::Plan and the QueryService plan cache
 // (api/service.h) both route through here. Thread-safe when `strings`
-// is shared: interning is the only pool interaction.
+// is shared: interning is the only pool interaction. A malformed
+// EXRQUY_CERTIFY fails it with an InvalidArgument naming the variable.
 Result<QueryPlans> PlanQuery(std::string_view query,
                              const QueryOptions& options, StrPool* strings);
 

@@ -21,10 +21,8 @@ struct LivenessAnalysis {
 
   Fact Bottom(const Dag&, OpId) const { return {}; }
 
-  bool Join(Fact* into, const Fact& from) const {
-    bool changed = false;
-    for (ColId c : from) changed |= into->insert(c).second;
-    return changed;
+  void Join(Fact* into, const Fact& from) const {
+    into->insert(from.begin(), from.end());
   }
 
   void Transfer(const Dag& dag, OpId id, const Fact& r,
@@ -149,8 +147,8 @@ struct LivenessAnalysis {
 
 }  // namespace
 
-std::unordered_map<OpId, ColSet> ComputeICols(const Dag& dag, OpId root,
-                                              const ColSet& seed) {
+std::vector<ColSet> ComputeICols(const Dag& dag, OpId root,
+                                 const ColSet& seed) {
   BackwardDataflow<LivenessAnalysis> engine(&dag);
   return engine.Solve(root, seed);
 }
@@ -162,15 +160,6 @@ std::unordered_map<OpId, ColSet> ComputeICols(const Dag& dag, OpId root,
 // single-row saturation the verifier's independent derivation performs —
 // the claims must stay a subset of the derivable facts, not equal).
 // ---------------------------------------------------------------------------
-
-ColProps ConstArbAnalysis::Bottom(const Dag&, OpId) const { return {}; }
-
-bool ConstArbAnalysis::Join(ColProps* into, const ColProps& from) const {
-  bool changed = false;
-  for (ColId c : from.constant) changed |= into->constant.insert(c).second;
-  for (ColId c : from.arbitrary) changed |= into->arbitrary.insert(c).second;
-  return changed;
-}
 
 ColProps ConstArbAnalysis::Transfer(
     const Dag& dag, OpId id, const std::vector<const ColProps*>& in) const {
@@ -318,21 +307,6 @@ std::string CardRange::ToString() const {
   return "[" + lo + "," + hi + "]";
 }
 
-CardRange CardAnalysis::Bottom(const Dag&, OpId) const { return {}; }
-
-bool CardAnalysis::Join(CardRange* into, const CardRange& from) const {
-  bool changed = false;
-  if (from.min < into->min) {
-    into->min = from.min;
-    changed = true;
-  }
-  if (from.max > into->max) {
-    into->max = from.max;
-    changed = true;
-  }
-  return changed;
-}
-
 CardRange CardAnalysis::Transfer(
     const Dag& dag, OpId id, const std::vector<const CardRange*>& in) const {
   const Op& op = dag.op(id);
@@ -408,7 +382,6 @@ CardRange CardAnalysis::Transfer(
 
 const CardRange& CardTracker::Get(OpId id) { return engine_.Get(id); }
 
-
 // ---------------------------------------------------------------------------
 // Key columns.
 // ---------------------------------------------------------------------------
@@ -449,14 +422,6 @@ bool PadsOn(const Dag& dag, OpId p, OpId pad, ColId c) {
 }
 
 }  // namespace
-
-ColSet KeyAnalysis::Bottom(const Dag&, OpId) const { return {}; }
-
-bool KeyAnalysis::Join(ColSet* into, const ColSet& from) const {
-  bool changed = false;
-  for (ColId c : from) changed |= into->insert(c).second;
-  return changed;
-}
 
 ColSet KeyAnalysis::Transfer(const Dag& dag, OpId id,
                              const std::vector<const ColSet*>& in) const {
@@ -733,29 +698,6 @@ ItemKind KindOfFun(FunKind fun, ItemKind arg0) {
 }
 
 }  // namespace
-
-SemType SemTypeAnalysis::Bottom(const Dag&, OpId) const { return {}; }
-
-bool SemTypeAnalysis::Join(SemType* into, const SemType& from) const {
-  bool changed = false;
-  for (const auto& [c, k] : from.kinds) {
-    auto it = into->kinds.find(c);
-    if (it == into->kinds.end()) {
-      into->kinds.emplace(c, k);
-      changed = true;
-    } else if (it->second != k) {
-      ItemKind widened = KindJoin(it->second, k);
-      if (widened != it->second) {
-        it->second = widened;
-        changed = true;
-      }
-    }
-  }
-  for (ColId c : from.unit_groups) {
-    changed |= into->unit_groups.insert(c).second;
-  }
-  return changed;
-}
 
 SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
                                   const std::vector<const SemType*>& in) const {
@@ -1081,18 +1023,6 @@ bool OrderImplied(const std::vector<OrderFact>& facts, const ColSet& constants,
   return false;
 }
 
-OrderFacts OrderAnalysis::Bottom(const Dag&, OpId) const { return {}; }
-
-bool OrderAnalysis::Join(OrderFacts* into, const OrderFacts& from) const {
-  bool changed = false;
-  for (const OrderFact& f : from.facts) {
-    std::vector<OrderFact> before = into->facts;
-    AddOrderFact(&into->facts, f);
-    changed |= into->facts != before;
-  }
-  return changed;
-}
-
 OrderFacts OrderAnalysis::Transfer(
     const Dag& dag, OpId id, const std::vector<const OrderFacts*>& in) const {
   const Op& op = dag.op(id);
@@ -1358,16 +1288,6 @@ bool OrderTracker::Covers(OpId id, const std::vector<SortKey>& requested) {
 // Error capability.
 // ---------------------------------------------------------------------------
 
-bool RaiseAnalysis::Bottom(const Dag&, OpId) const { return false; }
-
-bool RaiseAnalysis::Join(bool* into, const bool& from) const {
-  if (from && !*into) {
-    *into = true;
-    return true;
-  }
-  return false;
-}
-
 bool RaiseAnalysis::Transfer(const Dag& dag, OpId id,
                              const std::vector<const bool*>& in) const {
   for (const bool* c : in) {
@@ -1515,13 +1435,8 @@ struct ProvenanceAnalysis {
 
   Fact Bottom(const Dag&, OpId) const { return {}; }
 
-  bool Join(Fact* into, const Fact& from) const {
-    bool changed = false;
-    for (const auto& [c, rs] : from) {
-      std::set<uint32_t>& dst = (*into)[c];
-      for (uint32_t r : rs) changed |= dst.insert(r).second;
-    }
-    return changed;
+  void Join(Fact* into, const Fact& from) const {
+    for (const auto& [c, rs] : from) (*into)[c].insert(rs.begin(), rs.end());
   }
 
   void Transfer(const Dag& dg, OpId id, const Fact& r,
@@ -1642,10 +1557,9 @@ struct ProvenanceAnalysis {
 std::vector<std::string> OrderProvenance::ReasonsFor(OpId id,
                                                      ColId col) const {
   std::vector<std::string> out;
-  auto it = demand.find(id);
-  if (it == demand.end()) return out;
-  auto cit = it->second.find(col);
-  if (cit == it->second.end()) return out;
+  if (id >= demand.size()) return out;
+  auto cit = demand[id].find(col);
+  if (cit == demand[id].end()) return out;
   for (uint32_t r : cit->second) {
     if (r < reasons.size()) out.push_back(reasons[r].label);
   }

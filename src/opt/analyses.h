@@ -33,7 +33,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/algebra.h"
@@ -50,8 +49,9 @@ using ColSet = std::set<ColId>;
 // Required (produced) columns per reachable operator. A column outside
 // this set is never consumed upstream; operators producing only such
 // columns may be simplified or pruned (rewrites.h).
-std::unordered_map<OpId, ColSet> ComputeICols(const Dag& dag, OpId root,
-                                              const ColSet& seed);
+// Indexed by OpId, empty for operators `root` does not reach.
+std::vector<ColSet> ComputeICols(const Dag& dag, OpId root,
+                                 const ColSet& seed);
 
 // ---------------------------------------------------------------------------
 // Constant / arbitrary-order columns (forward).
@@ -64,8 +64,6 @@ struct ColProps {
 
 struct ConstArbAnalysis {
   using Fact = ColProps;
-  Fact Bottom(const Dag& dag, OpId id) const;
-  bool Join(Fact* into, const Fact& from) const;
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;
 };
@@ -103,8 +101,6 @@ class CardTracker;
 
 struct CardAnalysis {
   using Fact = CardRange;
-  Fact Bottom(const Dag& dag, OpId id) const;
-  bool Join(Fact* into, const Fact& from) const;
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;
 };
@@ -128,8 +124,6 @@ struct KeyAnalysis {
   using Fact = ColSet;
   CardTracker* cards = nullptr;  // for single-row saturation and joins
 
-  Fact Bottom(const Dag& dag, OpId id) const;
-  bool Join(Fact* into, const Fact& from) const;
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;
 };
@@ -206,8 +200,6 @@ struct SemTypeAnalysis {
   using Fact = SemType;
   CardTracker* cards = nullptr;  // saturation and join/union rules
 
-  Fact Bottom(const Dag& dag, OpId id) const;
-  bool Join(Fact* into, const Fact& from) const;
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;
 };
@@ -260,8 +252,6 @@ struct OrderAnalysis {
   KeyTracker* keys = nullptr;        // duplicate-free prefixes
   SemTypeTracker* sem = nullptr;     // numeric gates for monotone ⊕ edges
 
-  Fact Bottom(const Dag& dag, OpId id) const;
-  bool Join(Fact* into, const Fact& from) const;
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;
 };
@@ -304,8 +294,6 @@ struct RaiseAnalysis {
   using Fact = bool;  // true = evaluating the sub-plan may raise
   CardTracker* cards = nullptr;  // per-row errors need rows
 
-  Fact Bottom(const Dag& dag, OpId id) const;
-  bool Join(Fact* into, const Fact& from) const;
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;
 };
@@ -323,6 +311,33 @@ class RaiseTracker {
 
  private:
   ForwardDataflow<RaiseAnalysis> engine_;
+};
+
+// ---------------------------------------------------------------------------
+// All forward analyses of one Dag.
+// ---------------------------------------------------------------------------
+
+// The forward trackers of one append-only Dag, wired to each other. Their
+// facts depend only on the sub-DAG below an operator, so one instance
+// serves every rewrite pass and every verification over the Dag's
+// lifetime (PlanFacts in opt/facts_audit.h).
+struct ForwardAnalyses {
+  explicit ForwardAnalyses(const Dag* dag)
+      : props(dag),
+        cards(dag),
+        keys(dag, &cards),
+        sem(dag, &cards),
+        od(dag, &props, &cards, &keys, &sem),
+        raise(dag, &cards) {}
+  ForwardAnalyses(const ForwardAnalyses&) = delete;
+  ForwardAnalyses& operator=(const ForwardAnalyses&) = delete;
+
+  PropertyTracker props;
+  CardTracker cards;
+  KeyTracker keys;     // depends on cards
+  SemTypeTracker sem;  // depends on cards
+  OrderTracker od;     // depends on props, cards, keys, sem
+  RaiseTracker raise;  // depends on cards
 };
 
 // ---------------------------------------------------------------------------
@@ -344,7 +359,8 @@ struct OrderReason {
 // the verifier audits (opt/verify.h).
 struct OrderProvenance {
   std::vector<OrderReason> reasons;  // interned; ids index this vector
-  std::unordered_map<OpId, std::map<ColId, std::set<uint32_t>>> demand;
+  // Indexed by OpId, empty for operators the root does not reach.
+  std::vector<std::map<ColId, std::set<uint32_t>>> demand;
 
   // Sorted, de-duplicated reason labels for one demanded column of one
   // operator (empty when the column is not demanded). For a RowNum,

@@ -402,7 +402,7 @@ class ReturnProof {
 
 }  // namespace
 
-CertifySettings ResolveCertify(const CertifySettings& options) {
+Result<CertifySettings> ResolveCertify(const CertifySettings& options) {
   CertifySettings r = options;
   if (r.mode != CertifyMode::kDefault) return r;
   r.mode = CertifyMode::kCheck;
@@ -417,7 +417,11 @@ CertifySettings ResolveCertify(const CertifySettings& options) {
   } else if (v == "spot") {
     r.mode = CertifyMode::kStrict;
     r.spot_check = true;
-  }  // "on", "check", anything else: the default checking mode
+  } else if (!v.empty() && v != "on" && v != "check") {
+    return InvalidArgument(
+        "EXRQUY_CERTIFY: expected off, 0, on, check, strict or spot, got \"" +
+        v + "\"");
+  }
   return r;
 }
 
@@ -550,12 +554,12 @@ CitedFact CiteStructural(OpId op, std::string text) {
   return f;
 }
 
-CertifyChecker::CertifyChecker(const Dag* dag, OpId pass_root,
-                               std::string force_reject_rule)
+CertifyChecker::CertifyChecker(const Dag* dag, FactsAudit* audit,
+                               OpId pass_root, std::string force_reject_rule)
     : dag_(dag),
       pass_root_(pass_root),
       force_reject_rule_(std::move(force_reject_rule)),
-      audit_(dag) {}
+      audit_(*audit) {}
 
 void CertifyChecker::EnsureLive() {
   if (live_ready_) return;

@@ -59,9 +59,11 @@
 //                                            and the replacement is that
 //                                            join's exact ThetaCount
 //
-// Modes (EXRQUY_CERTIFY, options beat environment):
-//   off    — emit bare trade records, never check;
-//   on     — check every certificate and record the outcome (default);
+// Modes (EXRQUY_CERTIFY, options beat environment; any other value is
+// rejected):
+//   off    — emit bare trade records, never check (also "0");
+//   on     — check every certificate and record the outcome (default;
+//            also "check");
 //   strict — fail closed: an unprovable certificate rejects that rewrite
 //            and keeps the old sub-plan;
 //   spot   — strict, plus the api layer dynamically evaluates before/
@@ -78,6 +80,7 @@
 #include <vector>
 
 #include "algebra/algebra.h"
+#include "common/status.h"
 #include "opt/facts_audit.h"
 
 namespace exrquy {
@@ -102,8 +105,10 @@ struct CertifySettings {
 };
 
 // Resolves kDefault against the EXRQUY_CERTIFY environment variable
-// ("off"/"on"/"strict"/"spot"); explicit options beat the environment.
-CertifySettings ResolveCertify(const CertifySettings& options);
+// ("off" or "0", "on" or "check", "strict", "spot"; unset or empty is
+// "check"); explicit options beat the environment. Any other value is an
+// InvalidArgument naming the variable.
+Result<CertifySettings> ResolveCertify(const CertifySettings& options);
 
 // One fact a rewrite cited as its license. The checker re-derives every
 // cited fact with the audit fact base — a cited fact the audit cannot
@@ -183,13 +188,14 @@ struct RewriteCertificate {
 };
 
 // Validates certificates against an independent fact re-derivation over
-// `dag`. `pass_root` is the root of the plan the rewrite pass is
-// consuming — the reference liveness walk for dead-column obligations is
-// anchored there. One checker serves one rewrite pass (its memoized fact
-// base stays sound because the DAG is append-only).
+// `dag`, read from `audit` (the plan's shared audit fact base, which
+// stays sound across passes because the DAG is append-only).
+// `pass_root` is the root of the plan the rewrite pass is consuming — the
+// reference liveness walk for dead-column obligations is anchored there,
+// so one checker serves one rewrite pass.
 class CertifyChecker {
  public:
-  CertifyChecker(const Dag* dag, OpId pass_root,
+  CertifyChecker(const Dag* dag, FactsAudit* audit, OpId pass_root,
                  std::string force_reject_rule = {});
 
   // Fills cert->checked / valid / obligation / diagnostic; returns
@@ -206,7 +212,7 @@ class CertifyChecker {
   const Dag* dag_;
   OpId pass_root_;
   std::string force_reject_rule_;
-  FactsAudit audit_;
+  FactsAudit& audit_;
   bool live_ready_ = false;
   std::unordered_map<OpId, ColSet> live_;
 };

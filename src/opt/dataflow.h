@@ -1,67 +1,63 @@
-// A generic monotone dataflow framework over the plan DAG.
+// A generic dataflow framework over the plan DAG.
 //
 // Every plan analysis in opt/ — column liveness (CDA), constant and
 // arbitrary-order columns, key columns, cardinality intervals, error
 // capability, order provenance — is an instance of the same scheme: a
-// finite-height lattice of per-operator facts, a monotone transfer
-// function, and a worklist that iterates to the least fixpoint. The two
-// engines below factor that scheme out; opt/analyses.h instantiates them
-// with the concrete domains.
+// per-operator fact computed from the facts of its neighbours by a
+// transfer function. The two engines below factor that scheme out;
+// opt/analyses.h instantiates them with the concrete domains.
 //
 // An analysis is a plain struct with:
 //
-//   using Fact = ...;                 // one lattice element per operator
-//   Fact Bottom(const Dag&, OpId);    // the least element
-//   bool Join(Fact* into, const Fact& from);  // least upper bound;
-//                                     //   returns whether *into grew
-//   // forward:  fact of an operator from the facts of its children
+//   using Fact = ...;  // one element per operator, default-constructible
+//   // forward: the fact of an operator from the facts of its children
 //   Fact Transfer(const Dag&, OpId, const std::vector<const Fact*>& in);
-//   // backward: contributions of an operator's fact to its children
+//   // backward only: the least element, the least upper bound (several
+//   // parents contribute to one child), and the contributions of an
+//   // operator's fact to its children
+//   Fact Bottom(const Dag&, OpId);
+//   void Join(Fact* into, const Fact& from);
 //   void Transfer(const Dag&, OpId, const Fact& fact,
 //                 std::vector<Fact>* to_children);
 //
-// Convergence: OpIds are assigned bottom-up, so every edge points from a
-// larger id to a smaller one and ascending id order is a topological
-// order of the DAG — for free. The forward engine's worklist pops the
-// smallest pending id (children first), the backward engine's the
-// largest (parents first); on an acyclic graph each operator therefore
-// transfers exactly once and the fixpoint is reached in a single sweep.
-// The worklist re-enqueues dependents whenever a join grows a fact, so
-// the engines stay correct for any monotone transfer over any
-// finite-height lattice, not just for the single-sweep case.
+// One sweep: OpIds are assigned bottom-up, so every edge points from a
+// larger id to a smaller one (DCHECKed here) and ascending id order is a
+// topological order of the DAG. The forward engine transfers each
+// operator once, in ascending order, after all its children; the
+// backward engine transfers each once, in descending order, after all
+// its parents have joined their contributions in. Neither needs a
+// worklist or a second visit.
 //
-// Memoization: forward facts depend only on the sub-DAG below an
-// operator, and the DAG is append-only (rewrites add operators, never
-// mutate existing ones), so ForwardDataflow caches facts across calls
-// exactly like the old PropertyTracker did across a growing DAG.
-// Backward facts depend on the chosen root and seed, so BackwardDataflow
-// solves per (root, seed) without cross-root caching.
+// Storage is dense, indexed by OpId. Forward facts depend only on the
+// sub-DAG below an operator, and the DAG is append-only (rewrites add
+// operators, never mutate existing ones), so ForwardDataflow keeps every
+// fact for the Dag's lifetime: a later Get sweeps only the operators not
+// yet solved. The facts live in a deque, so a reference Get returned
+// stays valid while later Gets grow the storage. Backward facts depend
+// on the chosen root and seed, so BackwardDataflow solves per (root,
+// seed) without caching.
 #ifndef EXRQUY_OPT_DATAFLOW_H_
 #define EXRQUY_OPT_DATAFLOW_H_
 
-#include <functional>
-#include <set>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "algebra/algebra.h"
+#include "common/check.h"
 
 namespace exrquy {
 
-// Fixpoint counters, exposed so tests can pin convergence behaviour and
-// the optimizer bench can report analysis effort.
+// Effort counters, exposed so tests can pin the one-transfer-per-operator
+// contract and the optimizer bench can report analysis effort.
 struct DataflowStats {
-  size_t solves = 0;     // distinct Solve invocations
+  size_t solves = 0;     // sweeps started (uncached Gets / Solve calls)
   size_t transfers = 0;  // transfer-function applications
-  size_t rejoins = 0;    // joins that grew a fact after the first visit
-
-  std::string ToString() const;
 };
 
-// Facts flow from children to parents (bottom-up). Facts are memoized
-// across Get calls and across DAG growth.
+// Facts flow from children to parents (bottom-up), memoized across Get
+// calls and across DAG growth.
 template <typename A>
 class ForwardDataflow {
  public:
@@ -71,70 +67,53 @@ class ForwardDataflow {
       : dag_(dag), analysis_(std::move(analysis)) {}
 
   const Fact& Get(OpId id) {
-    auto it = facts_.find(id);
-    if (it == facts_.end()) {
-      Solve(id);
-      it = facts_.find(id);
-    }
-    return it->second;
+    if (id >= state_.size() || state_[id] != kSolved) Solve(id);
+    return facts_[id];
   }
 
   const DataflowStats& stats() const { return stats_; }
-  A& analysis() { return analysis_; }
 
  private:
+  enum : uint8_t { kUnseen, kQueued, kSolved };
+
   void Solve(OpId root) {
     ++stats_.solves;
-    // The uncached part of the reachable sub-DAG.
+    if (state_.size() < dag_->size()) state_.resize(dag_->size(), kUnseen);
+    // The unsolved part of the reachable sub-DAG, then one ascending
+    // sweep over it: children transfer before their parents.
     std::vector<OpId> pending;
     std::vector<OpId> stack = {root};
-    std::unordered_set<OpId> seen = {root};
+    state_[root] = kQueued;
     while (!stack.empty()) {
       OpId id = stack.back();
       stack.pop_back();
-      if (facts_.find(id) != facts_.end()) continue;
       pending.push_back(id);
       for (OpId c : dag_->op(id).children) {
-        if (seen.insert(c).second) stack.push_back(c);
-      }
-    }
-    // Reverse dependency edges among the pending operators.
-    std::unordered_map<OpId, std::vector<OpId>> parents;
-    for (OpId id : pending) {
-      for (OpId c : dag_->op(id).children) {
-        if (facts_.find(c) == facts_.end()) parents[c].push_back(id);
-      }
-    }
-    for (OpId id : pending) {
-      facts_.emplace(id, analysis_.Bottom(*dag_, id));
-    }
-    // Ascending worklist: children drain before any parent transfers.
-    std::set<OpId> work(pending.begin(), pending.end());
-    std::unordered_set<OpId> visited;
-    while (!work.empty()) {
-      OpId id = *work.begin();
-      work.erase(work.begin());
-      const Op& op = dag_->op(id);
-      std::vector<const Fact*> in;
-      in.reserve(op.children.size());
-      for (OpId c : op.children) in.push_back(&facts_.at(c));
-      Fact next = analysis_.Transfer(*dag_, id, in);
-      ++stats_.transfers;
-      if (analysis_.Join(&facts_.at(id), next)) {
-        if (!visited.insert(id).second) ++stats_.rejoins;
-        auto it = parents.find(id);
-        if (it != parents.end()) {
-          for (OpId p : it->second) work.insert(p);
+        if (state_[c] == kUnseen) {
+          state_[c] = kQueued;
+          stack.push_back(c);
         }
-      } else {
-        visited.insert(id);
       }
+    }
+    std::sort(pending.begin(), pending.end());
+    if (facts_.size() <= pending.back()) facts_.resize(pending.back() + 1);
+    std::vector<const Fact*> in;
+    for (OpId id : pending) {
+      in.clear();
+      for (OpId c : dag_->op(id).children) {
+        EXRQUY_DCHECK(c < id);
+        in.push_back(&facts_[c]);
+      }
+      facts_[id] = analysis_.Transfer(*dag_, id, in);
+      state_[id] = kSolved;
+      ++stats_.transfers;
     }
   }
 
   const Dag* dag_;
   A analysis_;
-  std::unordered_map<OpId, Fact> facts_;
+  std::deque<Fact> facts_;      // by OpId
+  std::vector<uint8_t> state_;  // by OpId
   DataflowStats stats_;
 };
 
@@ -147,42 +126,36 @@ class BackwardDataflow {
   explicit BackwardDataflow(const Dag* dag, A analysis = A())
       : dag_(dag), analysis_(std::move(analysis)) {}
 
-  // Least fixpoint for the sub-DAG under `root`, with `seed` joined into
-  // the root's fact. The result holds one fact per reachable operator.
-  std::unordered_map<OpId, Fact> Solve(OpId root, const Fact& seed) {
+  // The facts of the sub-DAG under `root`, with `seed` joined into the
+  // root's fact, indexed by OpId (Bottom for operators `root` does not
+  // reach).
+  std::vector<Fact> Solve(OpId root, const Fact& seed) {
     ++stats_.solves;
-    std::unordered_map<OpId, Fact> facts;
     std::vector<OpId> order = dag_->ReachableFrom(root);
-    for (OpId id : order) {
-      facts.emplace(id, analysis_.Bottom(*dag_, id));
+    std::vector<Fact> facts;
+    facts.reserve(order.back() + 1);
+    for (OpId id = 0; id <= order.back(); ++id) {
+      facts.push_back(analysis_.Bottom(*dag_, id));
     }
-    analysis_.Join(&facts.at(root), seed);
-    // Descending worklist: every parent drains before its children.
-    std::set<OpId, std::greater<OpId>> work(order.begin(), order.end());
-    std::unordered_set<OpId> visited;
-    while (!work.empty()) {
-      OpId id = *work.begin();
-      work.erase(work.begin());
-      visited.insert(id);
-      const Op& op = dag_->op(id);
-      std::vector<Fact> contrib;
-      contrib.reserve(op.children.size());
-      for (OpId c : op.children) contrib.push_back(analysis_.Bottom(*dag_, c));
-      analysis_.Transfer(*dag_, id, facts.at(id), &contrib);
+    analysis_.Join(&facts[root], seed);
+    std::vector<Fact> contrib;
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const Op& op = dag_->op(*it);
+      contrib.clear();
+      for (OpId c : op.children) {
+        EXRQUY_DCHECK(c < *it);
+        contrib.push_back(analysis_.Bottom(*dag_, c));
+      }
+      analysis_.Transfer(*dag_, *it, facts[*it], &contrib);
       ++stats_.transfers;
       for (size_t i = 0; i < op.children.size(); ++i) {
-        OpId c = op.children[i];
-        if (analysis_.Join(&facts.at(c), contrib[i])) {
-          if (visited.count(c) != 0) ++stats_.rejoins;
-          work.insert(c);
-        }
+        analysis_.Join(&facts[op.children[i]], contrib[i]);
       }
     }
     return facts;
   }
 
   const DataflowStats& stats() const { return stats_; }
-  A& analysis() { return analysis_; }
 
  private:
   const Dag* dag_;

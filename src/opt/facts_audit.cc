@@ -110,12 +110,9 @@ ItemKind FunResultKind(FunKind fun, ItemKind arg0) {
 }
 
 void DeriveKinds(const Dag& dag, OpId id,
-                 const std::unordered_map<OpId, OpFacts>& facts,
-                 OpFacts* out) {
+                 const std::vector<const OpFacts*>& in, OpFacts* out) {
   const Op& op = dag.op(id);
-  auto child = [&](size_t i) -> const OpFacts& {
-    return facts.at(op.children[i]);
-  };
+  auto child = [&](size_t i) -> const OpFacts& { return *in[i]; };
   auto put = [&](ColId c, ItemKind k) {
     if (k != ItemKind::kAny) out->kinds[c] = k;
   };
@@ -256,12 +253,9 @@ void AddSorted(std::vector<OrderFact>* sorted, OrderFact f) {
 }
 
 void DeriveSorted(const Dag& dag, OpId id,
-                  const std::unordered_map<OpId, OpFacts>& facts,
-                  OpFacts* out) {
+                  const std::vector<const OpFacts*>& in, OpFacts* out) {
   const Op& op = dag.op(id);
-  auto child = [&](size_t i) -> const OpFacts& {
-    return facts.at(op.children[i]);
-  };
+  auto child = [&](size_t i) -> const OpFacts& { return *in[i]; };
   auto add = [&](OrderFact f) { AddSorted(&out->sorted, std::move(f)); };
   // Order-preserving ops keep child facts, truncated at the first key
   // the schema no longer carries (truncation loses strictness).
@@ -482,15 +476,13 @@ bool PaddingOf(const Dag& dag, OpId p, OpId pad, ColId c) {
   return false;
 }
 
-// One operator's scaffolding transfer (see DeriveScaffolding); the
-// children's sets must already be present in `scaff`.
+// One operator's scaffolding transfer (FactsAudit::Scaffolding), from
+// its children's sets.
 ColSet DeriveOpScaffolding(const Dag& dag, OpId id,
-                           const std::unordered_map<OpId, ColSet>& scaff) {
+                           const std::vector<const ColSet*>& in) {
   const Op& op = dag.op(id);
   ColSet out;
-  auto from = [&](size_t i) -> const ColSet& {
-    return scaff.at(op.children[i]);
-  };
+  auto from = [&](size_t i) -> const ColSet& { return *in[i]; };
   auto inherit = [&](const ColSet& s) {
     for (ColId c : op.schema) {
       if (s.count(c) != 0) out.insert(c);
@@ -623,13 +615,14 @@ bool SortedCovers(const OpFacts& f, const std::vector<SortKey>& requested) {
   return false;
 }
 
+namespace {
+
+// Derives the facts of a single operator from its children's facts.
 OpFacts DeriveOpFacts(const Dag& dag, OpId id,
-                      const std::unordered_map<OpId, OpFacts>& facts) {
+                      const std::vector<const OpFacts*>& in) {
   const Op& op = dag.op(id);
   OpFacts out;
-  auto child = [&](size_t i) -> const OpFacts& {
-    return facts.at(op.children[i]);
-  };
+  auto child = [&](size_t i) -> const OpFacts& { return *in[i]; };
   // Copies the facts of columns that survive into this operator's schema
   // (row-preserving or row-subsetting operators).
   auto inherit = [&](const OpFacts& f, bool keep_keys) {
@@ -899,27 +892,12 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
   out.at_most_one_row = out.max_rows <= 1;
   out.no_rows = out.max_rows == 0;
   if (out.at_most_one_row) SaturateSingleRow(op, &out);
-  DeriveKinds(dag, id, facts, &out);
-  DeriveSorted(dag, id, facts, &out);
+  DeriveKinds(dag, id, in, &out);
+  DeriveSorted(dag, id, in, &out);
   return out;
 }
 
-std::unordered_map<OpId, OpFacts> DeriveFacts(const Dag& dag, OpId root) {
-  std::unordered_map<OpId, OpFacts> facts;
-  for (OpId id : dag.ReachableFrom(root)) {
-    facts.emplace(id, DeriveOpFacts(dag, id, facts));
-  }
-  return facts;
-}
-
-std::unordered_map<OpId, ColSet> DeriveScaffolding(
-    const Dag& dag, const std::vector<OpId>& order) {
-  std::unordered_map<OpId, ColSet> scaff;
-  for (OpId id : order) {
-    scaff.emplace(id, DeriveOpScaffolding(dag, id, scaff));
-  }
-  return scaff;
-}
+}  // namespace
 
 std::unordered_map<OpId, ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
                                                    const ColSet& seed) {
@@ -1051,36 +1029,58 @@ std::string ColSetToString(const ColSet& cols) {
   return out + "}";
 }
 
-const OpFacts& FactsAudit::Get(OpId id) {
-  auto it = facts_.find(id);
-  if (it != facts_.end()) return it->second;
-  for (OpId x : dag_->ReachableFrom(id)) {
-    if (facts_.count(x) == 0) {
-      facts_.emplace(x, DeriveOpFacts(*dag_, x, facts_));
+template <typename T, typename Derive>
+const T& FactsAudit::Sweep(OpId root, Memo<T>* memo, Derive derive) {
+  enum : uint8_t { kUnseen, kQueued, kDone };
+  if (root < memo->state.size() && memo->state[root] == kDone) {
+    return memo->facts[root];
+  }
+  if (memo->state.size() < dag_->size()) {
+    memo->state.resize(dag_->size(), kUnseen);
+  }
+  std::vector<OpId> region = {root};
+  memo->state[root] = kQueued;
+  for (size_t i = 0; i < region.size(); ++i) {
+    for (OpId c : dag_->op(region[i]).children) {
+      if (memo->state[c] == kUnseen) {
+        memo->state[c] = kQueued;
+        region.push_back(c);
+      }
     }
   }
-  return facts_.at(id);
+  std::sort(region.begin(), region.end());
+  if (memo->facts.size() <= region.back()) {
+    memo->facts.resize(region.back() + 1);
+  }
+  std::vector<const T*> in;
+  for (OpId x : region) {
+    in.clear();
+    for (OpId c : dag_->op(x).children) in.push_back(&memo->facts[c]);
+    memo->facts[x] = derive(x, in);
+    memo->state[x] = kDone;
+  }
+  return memo->facts[root];
+}
+
+const OpFacts& FactsAudit::Get(OpId id) {
+  return Sweep(id, &facts_,
+               [&](OpId x, const std::vector<const OpFacts*>& in) {
+                 return DeriveOpFacts(*dag_, x, in);
+               });
 }
 
 const ColSet& FactsAudit::Scaffolding(OpId id) {
-  auto it = scaff_.find(id);
-  if (it != scaff_.end()) return it->second;
-  for (OpId x : dag_->ReachableFrom(id)) {
-    if (scaff_.count(x) == 0) {
-      scaff_.emplace(x, DeriveOpScaffolding(*dag_, x, scaff_));
-    }
-  }
-  return scaff_.at(id);
+  return Sweep(id, &scaff_,
+               [&](OpId x, const std::vector<const ColSet*>& in) {
+                 return DeriveOpScaffolding(*dag_, x, in);
+               });
 }
 
 bool FactsAudit::MayRaise(OpId id) {
-  auto it = raise_.find(id);
-  if (it != raise_.end()) return it->second != 0;
-  for (OpId x : dag_->ReachableFrom(id)) {
-    if (raise_.count(x) != 0) continue;
+  return Sweep(id, &raise_, [&](OpId x, const std::vector<const bool*>& in) {
     const Op& op = dag_->op(x);
     bool r = false;
-    for (OpId c : op.children) r |= raise_.at(c) != 0;
+    for (const bool* c : in) r |= *c;
     // Independent restatement of the error-capability rules
     // (RaiseAnalysis in opt/analyses.cc), gated on the audit's own row
     // bounds rather than CardTracker's.
@@ -1118,9 +1118,8 @@ bool FactsAudit::MayRaise(OpId id) {
       default:
         break;
     }
-    raise_.emplace(x, r ? 1 : 0);
-  }
-  return raise_.at(id) != 0;
+    return r;
+  });
 }
 
 }  // namespace exrquy

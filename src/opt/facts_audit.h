@@ -11,6 +11,8 @@
 #ifndef EXRQUY_OPT_FACTS_AUDIT_H_
 #define EXRQUY_OPT_FACTS_AUDIT_H_
 
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -52,26 +54,6 @@ bool SortedImplies(const OrderFact& f, const OrderFact& g);
 // (the order-dependency trade's licensing condition).
 bool SortedCovers(const OpFacts& f, const std::vector<SortKey>& requested);
 
-// Derives the facts of a single operator from its children's facts
-// (which must already be present in `facts`).
-OpFacts DeriveOpFacts(const Dag& dag, OpId id,
-                      const std::unordered_map<OpId, OpFacts>& facts);
-
-// Bottom-up derivation of OpFacts for every operator reachable from
-// `root`. Requires a structurally and schema-wise valid plan.
-std::unordered_map<OpId, OpFacts> DeriveFacts(const Dag& dag, OpId root);
-
-// Join-graph isolation: which columns carry iteration/order scaffolding
-// (loop-lifting iter/pos columns, % and # results) rather than item
-// values. Re-derived forward from the column sources, independently of
-// the join-recognition rewrite whose claims it audits. Deliberately
-// over-approximated — a column touched by any scaffolding source counts
-// as scaffolding, so over-approximation can only reject a plan, never
-// admit a bad one. `order` must list the operators bottom-up (ascending
-// ids, as ReachableFrom produces).
-std::unordered_map<OpId, ColSet> DeriveScaffolding(
-    const Dag& dag, const std::vector<OpId>& order);
-
 // The pre-framework one-shot liveness walk, preserved verbatim as the
 // independent reference for auditing the dataflow-framework ComputeICols:
 // parents first in reverse topological (descending id) order, one
@@ -81,19 +63,28 @@ std::unordered_map<OpId, ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
 
 std::string ColSetToString(const ColSet& cols);
 
-// Lazy, memoized view of the audit fact base over a growing DAG. The
-// rewrite-certificate checker derives facts on demand — both for
-// operators of the pre-pass plan and for replacements appended during
-// the pass (children always carry smaller ids, so a bottom-up sweep of
-// the reachable region is well-defined at any point).
+// The audit fact base over a growing DAG, derived on demand and memoized
+// for the Dag's lifetime — both for operators of the pre-pass plan and
+// for replacements appended during a pass. Each Get sweeps the
+// underived operators reachable from its argument once, in ascending id
+// order (children always carry smaller ids), into dense per-OpId
+// storage; returned references stay valid as the storage grows. The
+// sweep is the audit's own, not the analyses' engine (opt/dataflow.h).
 class FactsAudit {
  public:
   explicit FactsAudit(const Dag* dag) : dag_(dag) {}
 
   // Facts for `id`, deriving (and caching) the reachable region first.
+  // Requires a structurally and schema-wise valid plan below `id`.
   const OpFacts& Get(OpId id);
 
-  // Scaffolding column set for `id` (see DeriveScaffolding).
+  // Join-graph isolation: the columns of `id` that carry iteration/order
+  // scaffolding (loop-lifting iter/pos columns, % and # results) rather
+  // than item values. Re-derived forward from the column sources,
+  // independently of the join-recognition rewrite whose claims it
+  // audits. Deliberately over-approximated — a column touched by any
+  // scaffolding source counts as scaffolding, so over-approximation can
+  // only reject a plan, never admit a bad one.
   const ColSet& Scaffolding(OpId id);
 
   // Whether evaluating the sub-plan rooted at `id` can raise a dynamic
@@ -102,10 +93,34 @@ class FactsAudit {
   bool MayRaise(OpId id);
 
  private:
+  template <typename T>
+  struct Memo {
+    std::deque<T> facts;        // by OpId
+    std::vector<uint8_t> state;  // by OpId: unseen, queued, derived
+  };
+  // Derives `memo`'s facts for the underived region under `root`:
+  // derive(id, children's facts) for each, children first.
+  template <typename T, typename Derive>
+  const T& Sweep(OpId root, Memo<T>* memo, Derive derive);
+
   const Dag* dag_;
-  std::unordered_map<OpId, OpFacts> facts_;
-  std::unordered_map<OpId, ColSet> scaff_;
-  std::unordered_map<OpId, char> raise_;
+  Memo<OpFacts> facts_;
+  Memo<ColSet> scaff_;
+  Memo<bool> raise_;
+};
+
+// One plan's analysis cache, owned beside its Dag for the whole of one
+// query's planning (PlanQuery): the optimizer's forward trackers, whose
+// claims the rewrites consume, and the audit fact base that checks those
+// claims (VerifyPlan) and the rewrites' certificates (CertifyChecker).
+// Both are valid for every root of the append-only Dag. The two are
+// only stored together: the audit never reads a tracker, so sharing the
+// cache does not share a derivation.
+struct PlanFacts {
+  explicit PlanFacts(const Dag* dag) : analyses(dag), audit(dag) {}
+
+  ForwardAnalyses analyses;
+  FactsAudit audit;
 };
 
 }  // namespace exrquy

@@ -1,5 +1,6 @@
 #include "opt/pipeline.h"
 
+#include <optional>
 #include <string>
 
 #include "algebra/dot.h"
@@ -26,7 +27,7 @@ Status VerifyFailure(const Dag& dag, OpId bad_root,
 // blaming the combined pass if each family is individually clean (an
 // interaction bug).
 Status AttributeFailure(Dag* dag, OpId before, const OptimizeOptions& options,
-                        int pass, OpId combined_root,
+                        PlanFacts* facts, int pass, OpId combined_root,
                         const Status& combined_diag) {
   OpId current = before;
   for (const RewriteFamily& r : kRewriteFamilies) {
@@ -40,8 +41,8 @@ Status AttributeFailure(Dag* dag, OpId before, const OptimizeOptions& options,
     solo.certify.mode = CertifyMode::kCheck;
     bool changed = false;
     std::vector<RewriteTrade> replay;
-    current = RewriteOnce(dag, current, solo, &changed, &replay);
-    Status diag = VerifyPlan(*dag, current);
+    current = RewriteOnce(dag, current, solo, facts, &changed, &replay);
+    Status diag = VerifyPlan(*dag, current, {}, facts);
     if (!diag.ok()) {
       std::string stage = "rewrite '" + std::string(r.name) + "'";
       for (const RewriteTrade& t : replay) {
@@ -59,10 +60,15 @@ Status AttributeFailure(Dag* dag, OpId before, const OptimizeOptions& options,
 
 }  // namespace
 
-Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options) {
+Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options,
+                      PlanFacts* facts) {
   if (!options.enable) return root;
+  RewriteOptions rewrites = options.rewrites;
+  EXRQUY_ASSIGN_OR_RETURN(rewrites.certify, ResolveCertify(rewrites.certify));
+  std::optional<PlanFacts> own;
+  if (facts == nullptr) facts = &own.emplace(dag);
   if (options.verify_each_pass) {
-    Status diag = VerifyPlan(*dag, root);
+    Status diag = VerifyPlan(*dag, root, {}, facts);
     if (!diag.ok()) {
       return VerifyFailure(*dag, root, options, 0,
                            "initial plan (compiler output)", diag);
@@ -72,12 +78,13 @@ Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options) {
   for (int pass = 0; pass < options.max_passes; ++pass) {
     bool changed = false;
     OpId before = current;
-    current = RewriteOnce(dag, current, options.rewrites, &changed,
+    current = RewriteOnce(dag, current, rewrites, facts, &changed,
                           options.trade_log);
     if (options.verify_each_pass) {
-      Status diag = VerifyPlan(*dag, current);
+      Status diag = VerifyPlan(*dag, current, {}, facts);
       if (!diag.ok()) {
-        return AttributeFailure(dag, before, options, pass, current, diag);
+        return AttributeFailure(dag, before, options, facts, pass, current,
+                                diag);
       }
     }
     if (!changed) break;

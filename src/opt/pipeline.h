@@ -33,9 +33,14 @@ struct OptimizeOptions {
 };
 
 // Returns the new plan root (ops are appended to the same DAG; use
-// ReachableFrom/CollectPlanStats on the returned root), or the first
-// verifier diagnostic when `verify_each_pass` catches a bad rewrite.
-Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options);
+// ReachableFrom/CollectPlanStats on the returned root), the first
+// verifier diagnostic when `verify_each_pass` catches a bad rewrite, or
+// an InvalidArgument for a malformed EXRQUY_CERTIFY (resolved once
+// here, for every pass). Every pass, verification and attribution
+// replay reads and extends `facts`, the plan's analysis cache
+// (opt/facts_audit.h); when null, Optimize keeps a cache of its own.
+Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options,
+                      PlanFacts* facts = nullptr);
 
 }  // namespace exrquy
 

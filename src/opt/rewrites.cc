@@ -15,18 +15,18 @@ namespace {
 
 class Rewriter {
  public:
-  Rewriter(Dag* dag, const RewriteOptions& options,
+  Rewriter(Dag* dag, const RewriteOptions& options, PlanFacts* facts,
            std::vector<RewriteTrade>* trades)
       : dag_(dag),
         options_(options),
         trades_(trades),
-        certify_(ResolveCertify(options.certify)),
-        props_(dag),
-        cards_(dag),
-        keys_(dag, &cards_),
-        sem_(dag, &cards_),
-        od_(dag, &props_, &cards_, &keys_, &sem_),
-        raise_(dag, &cards_) {}
+        audit_(&facts->audit),
+        props_(facts->analyses.props),
+        cards_(facts->analyses.cards),
+        keys_(facts->analyses.keys),
+        sem_(facts->analyses.sem),
+        od_(facts->analyses.od),
+        raise_(facts->analyses.raise) {}
 
   OpId Run(OpId root, bool* changed) {
     icols_ = ComputeICols(*dag_, root,
@@ -34,9 +34,9 @@ class Rewriter {
     if (options_.join_recognition) {
       join_specs_ = RecognizeJoins(*dag_, root);
     }
-    if (certify_.mode != CertifyMode::kOff) {
+    if (options_.certify.mode != CertifyMode::kOff) {
       checker_ = std::make_unique<CertifyChecker>(
-          dag_, root, certify_.force_reject_rule);
+          dag_, audit_, root, options_.certify.force_reject_rule);
     }
     *changed = false;
     for (OpId id : dag_->ReachableFrom(root)) {
@@ -82,7 +82,7 @@ class Rewriter {
   // sub-plan).
   OpId Attempt(RewriteCertificate cert) {
     if (checker_ != nullptr) checker_->Check(&cert);
-    OpId to = RewriteCommitted(cert, certify_) ? cert.to : kNoOp;
+    OpId to = RewriteCommitted(cert, options_.certify) ? cert.to : kNoOp;
     if (trades_ != nullptr) trades_->push_back(std::move(cert));
     return to;
   }
@@ -246,7 +246,7 @@ class Rewriter {
   // only k and is keyed on it: each D group survives whole or not at
   // all, so the count moves below it and the join becomes a semijoin.
   OpId TryThetaCount(OpId id) {
-    const Op a = dag_->op(id);  // a copy: the rewrite grows the DAG
+    const Op& a = dag_->op(id);
     if (a.aggr != AggrKind::kCount || a.part == kNoCol || !a.keys.empty()) {
       return kNoOp;
     }
@@ -277,7 +277,7 @@ class Rewriter {
       }
       if (x == kNoOp) return kNoOp;
     }
-    const Op t = dag_->op(tj);
+    const Op& t = dag_->op(tj);
     const ItemKind lk = sem_.Get(t.children[0]).KindOf(t.col);
     const ItemKind rk = sem_.Get(t.children[1]).KindOf(t.col2);
     const size_t gs = dag_->op(t.children[0]).HasCol(g) ? 0 : 1;
@@ -551,63 +551,57 @@ class Rewriter {
 
       case OpKind::kRowNum: {
         OpId c = Child(op, 0);
-        // The rewrites below add operators to the DAG, which can
-        // reallocate the operator table `op` points into: after the first
-        // one, the % is read only through these copies.
-        const ColId rank = op.col;
-        const ColId orig_part = op.part;
-        const std::vector<SortKey> orig_order = op.order;
-        if (options_.column_pruning && required.count(rank) == 0) {
+        if (options_.column_pruning && required.count(op.col) == 0) {
           RewriteCertificate cert =
               Cert(id, c, "column_pruning",
                    "the rank column is never consumed: the blocking "
                    "sort is dead");
-          cert.cited.push_back(CiteDeadColumn(id, rank));
+          cert.cited.push_back(CiteDeadColumn(id, op.col));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }
         if (options_.rownum_by_keys &&
             (cards_.Get(c).max <= 1 ||
-             (orig_part != kNoCol && keys_.Get(c).count(orig_part) != 0))) {
+             (op.part != kNoCol && keys_.Get(c).count(op.part) != 0))) {
           // Every partition holds at most one row (the partition column
           // is a key, or the input is a single row): each row ranks 1
           // and the blocking sort vanishes.
           bool one_row = cards_.Get(c).max <= 1;
           RewriteCertificate cert = Cert(
-              id, dag_->AttachConst(c, rank, Value::Int(1)),
+              id, dag_->AttachConst(c, op.col, Value::Int(1)),
               "keyed-partition",
               one_row
                   ? "the input has at most one row: every rank is 1"
-                  : "partition column '" + ColName(orig_part) +
+                  : "partition column '" + ColName(op.part) +
                         "' is a key of the input: every partition holds "
                         "one row and every rank is 1",
               /*order_trade=*/true);
           if (one_row) {
             cert.cited.push_back(CiteInterval(c, 0, 1));
           } else {
-            cert.cited.push_back(CiteKey(c, orig_part));
+            cert.cited.push_back(CiteKey(c, op.part));
           }
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }
-        if (options_.rownum_by_od && orig_part != kNoCol &&
-            sem_.Get(c).unit_groups.count(orig_part) != 0) {
+        if (options_.rownum_by_od && op.part != kNoCol &&
+            sem_.Get(c).unit_groups.count(op.part) != 0) {
           // Semantic typing proves the partition column duplicate-free
           // (a unit group, e.g. below fn:exactly-one): singleton groups
           // again, through a source the key domain cannot see.
           RewriteCertificate cert =
-              Cert(id, dag_->AttachConst(c, rank, Value::Int(1)),
+              Cert(id, dag_->AttachConst(c, op.col, Value::Int(1)),
                    "semantic-type",
-                   "partition column '" + ColName(orig_part) +
+                   "partition column '" + ColName(op.part) +
                        "' is duplicate-free by semantic typing (unit "
                        "group): every rank is 1",
                    /*order_trade=*/true);
-          cert.cited.push_back(CiteUnitGroup(c, orig_part));
+          cert.cited.push_back(CiteUnitGroup(c, op.part));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }
-        std::vector<SortKey> order = orig_order;
-        ColId part = orig_part;
+        std::vector<SortKey> order = op.order;
+        ColId part = op.part;
         std::vector<ColId> dropped_criteria;
         bool part_dropped = false;
         if (options_.weaken_rownum) {
@@ -633,7 +627,7 @@ class Rewriter {
               p.arbitrary.count(order.front().col) != 0;
           if (arbitrary_order && part == kNoCol) {
             RewriteCertificate cert =
-                Cert(id, dag_->RowId(c, rank), "arbitrary-order",
+                Cert(id, dag_->RowId(c, op.col), "arbitrary-order",
                      "the sort criteria are constant or descend from "
                      "arbitrary # numbering: any stable numbering "
                      "satisfies them",
@@ -641,7 +635,7 @@ class Rewriter {
             for (ColId dc : dropped_criteria) {
               cert.cited.push_back(CiteConstant(c, dc));
             }
-            if (part_dropped) cert.cited.push_back(CiteConstant(c, orig_part));
+            if (part_dropped) cert.cited.push_back(CiteConstant(c, op.part));
             if (!order.empty()) {
               cert.cited.push_back(CiteArbitrary(c, order.front().col));
             }
@@ -652,7 +646,7 @@ class Rewriter {
             // The arbitrary numbering's values legitimately differ from
             // the original ranks.
             for (ColWitness& w : cert.witness) {
-              if (w.after == rank) w.exact = false;
+              if (w.after == op.col) w.exact = false;
             }
             OpId res = Attempt(std::move(cert));
             if (res != kNoOp) return res;
@@ -668,7 +662,7 @@ class Rewriter {
           // produces. The positional marking keeps the column out of the
           // arbitrary-order domain (its values remain order-bearing).
           RewriteCertificate cert = Cert(
-              id, dag_->RowId(c, rank, /*positional=*/true),
+              id, dag_->RowId(c, op.col, /*positional=*/true),
               "order-dependency",
               "requested order " + OrderFact{order, false}.ToString() +
                   " is already realized by the input (sorted " +
@@ -676,14 +670,14 @@ class Rewriter {
                   "): the sort is the identity and the ranks are the row "
                   "positions",
               /*order_trade=*/true);
-          cert.cited.push_back(CiteSorted(c, orig_order));
+          cert.cited.push_back(CiteSorted(c, op.order));
           if (part != kNoCol) cert.cited.push_back(CiteConstant(c, part));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }
-        if (order.size() != orig_order.size() || part != orig_part) {
+        if (order.size() != op.order.size() || part != op.part) {
           RewriteCertificate cert =
-              Cert(id, dag_->RowNum(c, rank, order, part),
+              Cert(id, dag_->RowNum(c, op.col, order, part),
                    "weaken_rownum",
                    std::to_string(dropped_criteria.size() +
                                   (part_dropped ? 1 : 0)) +
@@ -691,12 +685,12 @@ class Rewriter {
           for (ColId dc : dropped_criteria) {
             cert.cited.push_back(CiteConstant(c, dc));
           }
-          if (part_dropped) cert.cited.push_back(CiteConstant(c, orig_part));
+          if (part_dropped) cert.cited.push_back(CiteConstant(c, op.part));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
-          return dag_->RowNum(c, rank, orig_order, orig_part);
+          return dag_->RowNum(c, op.col, op.order, op.part);
         }
-        return dag_->RowNum(c, rank, std::move(order), part);
+        return dag_->RowNum(c, op.col, std::move(order), part);
       }
 
       case OpKind::kRowId: {
@@ -732,16 +726,14 @@ class Rewriter {
           OpId fused = TryThetaCount(id);
           if (fused != kNoOp) return fused;
         }
-        // The attempt may have grown the DAG: read the Aggr afresh.
-        const Op& a = dag_->op(id);
-        if (a.aggr == AggrKind::kStrJoin) {
-          // Preserves the separator (a.name).
-          return dag_->AggrStrJoin(Child(a, 0), a.col, a.col2, a.part,
-                                   a.keys.empty() ? kNoCol : a.keys[0],
-                                   a.name);
+        if (op.aggr == AggrKind::kStrJoin) {
+          // Preserves the separator (op.name).
+          return dag_->AggrStrJoin(Child(op, 0), op.col, op.col2, op.part,
+                                   op.keys.empty() ? kNoCol : op.keys[0],
+                                   op.name);
         }
-        return dag_->Aggr(Child(a, 0), a.aggr, a.col, a.col2, a.part,
-                          a.keys.empty() ? kNoCol : a.keys[0]);
+        return dag_->Aggr(Child(op, 0), op.aggr, op.col, op.col2, op.part,
+                          op.keys.empty() ? kNoCol : op.keys[0]);
       }
 
       case OpKind::kStep: {
@@ -799,15 +791,16 @@ class Rewriter {
   Dag* dag_;
   const RewriteOptions& options_;
   std::vector<RewriteTrade>* trades_;
-  CertifySettings certify_;
+  FactsAudit* audit_;
   std::unique_ptr<CertifyChecker> checker_;
-  PropertyTracker props_;
-  CardTracker cards_;
-  KeyTracker keys_;      // depends on cards_
-  SemTypeTracker sem_;   // depends on cards_
-  OrderTracker od_;      // depends on props_, cards_, keys_, sem_
-  RaiseTracker raise_;   // depends on cards_
-  std::unordered_map<OpId, ColSet> icols_;
+  // The plan's forward trackers (PlanFacts::analyses).
+  PropertyTracker& props_;
+  CardTracker& cards_;
+  KeyTracker& keys_;
+  SemTypeTracker& sem_;
+  OrderTracker& od_;
+  RaiseTracker& raise_;
+  std::vector<ColSet> icols_;
   std::unordered_map<OpId, OpId> map_;
   std::map<OpId, JoinSpec> join_specs_;
 };
@@ -815,8 +808,9 @@ class Rewriter {
 }  // namespace
 
 OpId RewriteOnce(Dag* dag, OpId root, const RewriteOptions& options,
-                 bool* changed, std::vector<RewriteTrade>* trades) {
-  Rewriter rewriter(dag, options, trades);
+                 PlanFacts* facts, bool* changed,
+                 std::vector<RewriteTrade>* trades) {
+  Rewriter rewriter(dag, options, facts, trades);
   return rewriter.Run(root, changed);
 }
 

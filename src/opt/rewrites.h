@@ -65,7 +65,8 @@ struct RewriteOptions {
   bool theta_join = true;
   // Rewrite certification (opt/certify.h): every rewrite instance emits
   // a certificate an independent checker validates. kDefault resolves
-  // against EXRQUY_CERTIFY (unset -> check). kOff emits bare trade
+  // against EXRQUY_CERTIFY (unset -> check) once per plan, in Optimize;
+  // RewriteOnce itself reads kDefault as kCheck. kOff emits bare trade
   // records; kCheck validates every certificate and records the outcome;
   // kStrict rejects any rewrite whose certificate fails its obligation
   // and keeps the old sub-plan; spot_check additionally evaluates
@@ -112,10 +113,15 @@ inline bool RewriteCommitted(const RewriteTrade& t,
 
 // One rewrite pass over the sub-DAG rooted at `root`; returns the new
 // root and sets *changed if the plan shrank or any operator changed.
-// When `trades` is non-null, every rewrite instance the pass performed
-// is appended with the reason it is sound (its certificate).
+// The pass reads the forward facts its rewrites consume, and its
+// certificate checker the audit facts, from `facts` — the plan's cache,
+// built over `dag` and shared by every pass and verification of the plan
+// — and derives only what no earlier pass did. When `trades` is
+// non-null, every rewrite instance the pass performed is appended with
+// the reason it is sound (its certificate).
 OpId RewriteOnce(Dag* dag, OpId root, const RewriteOptions& options,
-                 bool* changed, std::vector<RewriteTrade>* trades = nullptr);
+                 PlanFacts* facts, bool* changed,
+                 std::vector<RewriteTrade>* trades = nullptr);
 
 }  // namespace exrquy
 

@@ -3,6 +3,7 @@
 #include "opt/facts_audit.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -426,9 +427,8 @@ class SchemaChecker {
 
 // ---------------------------------------------------------------------------
 // (3) Properties: independent fact derivation + claim auditing. The
-// fact base itself (OpFacts, DeriveFacts, DeriveScaffolding,
-// DeriveLiveColumns) lives in opt/facts_audit.cc, shared with the
-// rewrite-certificate checker.
+// fact base itself (OpFacts, FactsAudit, DeriveLiveColumns) lives in
+// opt/facts_audit.cc, shared with the rewrite-certificate checker.
 // ---------------------------------------------------------------------------
 
 // A fused count() through a ThetaJoin (kThetaCount) is a value join too:
@@ -436,19 +436,17 @@ class SchemaChecker {
 // its extreme keys, which needs both keys statically in one totally
 // ordered comparison class (OneComparisonClass), and iteration-id (int)
 // group and counted columns.
-Status CheckThetaCountClaim(const Dag& dag, OpId id,
-                            const std::unordered_map<OpId, OpFacts>& facts,
-                            const std::unordered_map<OpId, ColSet>& scaff) {
+Status CheckThetaCountClaim(const Dag& dag, OpId id, FactsAudit* audit) {
   const Op& op = dag.op(id);
   for (size_t side = 0; side < 2; ++side) {
-    if (scaff.at(op.children[side]).count(op.keys[side]) != 0) {
+    if (audit->Scaffolding(op.children[side]).count(op.keys[side]) != 0) {
       return Fail(dag, id, "theta-count-claim",
                   "join predicate touches scaffolding column '" +
                       ColName(op.keys[side]) + "'");
     }
   }
-  ItemKind lk = KindAt(facts.at(op.children[0]), op.keys[0]);
-  ItemKind rk = KindAt(facts.at(op.children[1]), op.keys[1]);
+  ItemKind lk = KindAt(audit->Get(op.children[0]), op.keys[0]);
+  ItemKind rk = KindAt(audit->Get(op.children[1]), op.keys[1]);
   if (!OneComparisonClass(lk, rk)) {
     return Fail(dag, id, "theta-count-claim",
                 "keys of kinds '" + std::string(ItemKindName(lk)) + "'/'" +
@@ -456,8 +454,8 @@ Status CheckThetaCountClaim(const Dag& dag, OpId id,
                     "' do not share one totally ordered comparison class");
   }
   size_t g = ThetaCountGroupSide(dag, op);
-  if (KindAt(facts.at(op.children[g]), op.part) != ItemKind::kInt ||
-      KindAt(facts.at(op.children[1 - g]), op.col2) != ItemKind::kInt) {
+  if (KindAt(audit->Get(op.children[g]), op.part) != ItemKind::kInt ||
+      KindAt(audit->Get(op.children[1 - g]), op.col2) != ItemKind::kInt) {
     return Fail(dag, id, "theta-count-claim",
                 "group column '" + ColName(op.part) + "' or counted column '" +
                     ColName(op.col2) + "' is not statically an integer");
@@ -578,7 +576,8 @@ Status CheckOrderClaims(const Dag& dag, OpId id, const OrderFacts& claimed,
   return Status::Ok();
 }
 
-Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options) {
+Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
+                  PlanFacts* facts) {
   std::vector<OpId> order;
   // Structure must hold before anything else may walk the DAG.
   EXRQUY_RETURN_IF_ERROR(CheckStructure(dag, root, &order));
@@ -593,29 +592,28 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options) {
     // arbitrary-order columns (license % weakening), key columns
     // (license Distinct elimination and keyed % collapse) and row-count
     // bounds (license the empty-plan short-circuit) — against an
-    // independent derivation.
-    std::unordered_map<OpId, OpFacts> facts = DeriveFacts(dag, root);
-    PropertyTracker tracker(&dag);
-    CardTracker cards(&dag);
-    KeyTracker keys(&dag, &cards);
-    SemTypeTracker sem(&dag, &cards);
-    OrderTracker od(&dag, &tracker, &cards, &keys, &sem);
+    // independent derivation. Both sides come from the plan's cache.
+    std::optional<PlanFacts> own;
+    if (facts == nullptr) facts = &own.emplace(&dag);
+    ForwardAnalyses& claims = facts->analyses;
+    FactsAudit& audit = facts->audit;
     for (OpId id : order) {
-      const ColProps& claimed = tracker.Get(id);
+      const OpFacts& derived = audit.Get(id);
+      const ColProps& claimed = claims.props.Get(id);
       OpFacts claim;
       claim.constant = claimed.constant;
       claim.arbitrary = claimed.arbitrary;
-      claim.keys = keys.Get(id);
-      EXRQUY_RETURN_IF_ERROR(CheckClaims(dag, id, claim, facts.at(id)));
+      claim.keys = claims.keys.Get(id);
+      EXRQUY_RETURN_IF_ERROR(CheckClaims(dag, id, claim, derived));
       EXRQUY_RETURN_IF_ERROR(
-          CheckCardClaim(dag, id, cards.Get(id), facts.at(id)));
+          CheckCardClaim(dag, id, claims.cards.Get(id), derived));
       // The semantic-type and order-dependency domains (which license
       // the %→const and %→# trades) are audited the same way, against
-      // the independent re-derivations in DeriveOpFacts.
+      // the audit's independent re-derivations.
       EXRQUY_RETURN_IF_ERROR(
-          CheckSemTypeClaims(dag, id, sem.Get(id), facts.at(id)));
+          CheckSemTypeClaims(dag, id, claims.sem.Get(id), derived));
       EXRQUY_RETURN_IF_ERROR(
-          CheckOrderClaims(dag, id, od.Get(id), facts.at(id)));
+          CheckOrderClaims(dag, id, claims.od.Get(id), derived));
     }
     // Join-graph isolation: a recognized value join (ThetaJoin, or an
     // EquiJoin carrying the value-join mark) must keep the iteration/
@@ -624,29 +622,28 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options) {
     // kind class where exact value equality coincides with the `eq`
     // comparison (int/int, string-class/string-class, bool/bool);
     // anything wider needs the ThetaJoin kernel.
-    std::unordered_map<OpId, ColSet> scaff = DeriveScaffolding(dag, order);
     for (OpId id : order) {
       const Op& op = dag.op(id);
       if (op.kind == OpKind::kThetaCount) {
-        EXRQUY_RETURN_IF_ERROR(CheckThetaCountClaim(dag, id, facts, scaff));
+        EXRQUY_RETURN_IF_ERROR(CheckThetaCountClaim(dag, id, &audit));
         continue;
       }
       bool theta = op.kind == OpKind::kThetaJoin;
       bool value_equi = op.kind == OpKind::kEquiJoin && op.value_join;
       if (!theta && !value_equi) continue;
-      if (scaff.at(op.children[0]).count(op.col) != 0) {
+      if (audit.Scaffolding(op.children[0]).count(op.col) != 0) {
         return Fail(dag, id, "join-isolation-claim",
                     "join predicate touches scaffolding column '" +
                         ColName(op.col) + "'");
       }
-      if (scaff.at(op.children[1]).count(op.col2) != 0) {
+      if (audit.Scaffolding(op.children[1]).count(op.col2) != 0) {
         return Fail(dag, id, "join-isolation-claim",
                     "join predicate touches scaffolding column '" +
                         ColName(op.col2) + "'");
       }
       if (value_equi) {
-        ItemKind lk = KindAt(facts.at(op.children[0]), op.col);
-        ItemKind rk = KindAt(facts.at(op.children[1]), op.col2);
+        ItemKind lk = KindAt(audit.Get(op.children[0]), op.col);
+        ItemKind rk = KindAt(audit.Get(op.children[1]), op.col2);
         bool safe = lk == rk && (lk == ItemKind::kInt ||
                                  lk == ItemKind::kString ||
                                  lk == ItemKind::kBool);
@@ -666,11 +663,9 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options) {
     for (ColId c : {col::iter(), col::pos(), col::item()}) {
       if (dag.op(root).HasCol(c)) seed.insert(c);
     }
-    std::unordered_map<OpId, ColSet> icols = ComputeICols(dag, root, seed);
+    std::vector<ColSet> icols = ComputeICols(dag, root, seed);
     for (OpId id : order) {
-      auto it = icols.find(id);
-      if (it == icols.end()) continue;
-      for (ColId c : it->second) {
+      for (ColId c : icols[id]) {
         if (!dag.op(id).HasCol(c)) {
           return Fail(dag, id, "live-column",
                       "dependency analysis requires column '" + ColName(c) +
@@ -699,23 +694,20 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options) {
         ComputeOrderProvenance(dag, root, seed, /*strings=*/nullptr);
     for (OpId id : order) {
       const ColSet& live = icols[id];
-      auto dit = prov.demand.find(id);
       ColSet domain;
-      if (dit != prov.demand.end()) {
-        for (const auto& [c, reasons] : dit->second) {
-          domain.insert(c);
-          if (reasons.empty()) {
+      for (const auto& [c, reasons] : prov.demand[id]) {
+        domain.insert(c);
+        if (reasons.empty()) {
+          return Fail(dag, id, "order-provenance",
+                      "demanded column '" + ColName(c) +
+                          "' carries no attributed reason");
+        }
+        for (uint32_t rid : reasons) {
+          if (rid >= prov.reasons.size()) {
             return Fail(dag, id, "order-provenance",
-                        "demanded column '" + ColName(c) +
-                            "' carries no attributed reason");
-          }
-          for (uint32_t rid : reasons) {
-            if (rid >= prov.reasons.size()) {
-              return Fail(dag, id, "order-provenance",
-                          "reason id " + std::to_string(rid) +
-                              " out of range for column '" + ColName(c) +
-                              "'");
-            }
+                        "reason id " + std::to_string(rid) +
+                            " out of range for column '" + ColName(c) +
+                            "'");
           }
         }
       }

@@ -65,9 +65,9 @@ struct VerifyOptions {
   bool check_properties = true;
 };
 
-// The independently derived fact base (OpFacts, DeriveFacts and the
-// per-domain re-derivations) lives in opt/facts_audit.h, shared with the
-// rewrite-certificate checker (opt/certify.h).
+// The independently derived fact base (OpFacts, FactsAudit) lives in
+// opt/facts_audit.h, shared with the rewrite-certificate checker
+// (opt/certify.h).
 
 // Checks a set of claimed properties for `id` against independently
 // derived facts: every claimed column must exist in the operator's
@@ -101,9 +101,15 @@ Status CheckOrderClaims(const Dag& dag, OpId id, const OrderFacts& claimed,
 // Verifies the sub-plan rooted at `root`. Cheap: one pass per enabled
 // analysis over the reachable sub-DAG, no allocation proportional to the
 // data. Safe to call on arbitrarily malformed DAGs (including cyclic
-// edges and out-of-range ids).
+// edges and out-of-range ids): the property layer, the only one that
+// reads `facts`, runs after the structure and schema checks passed.
+// `facts` is the plan's analysis cache (PlanFacts, opt/facts_audit.h):
+// the tracker claims and the audit facts of operators an earlier
+// verification or rewrite pass already derived are read from it, not
+// re-derived. When null, the call derives into a cache of its own.
 Status VerifyPlan(const Dag& dag, OpId root,
-                  const VerifyOptions& options = {});
+                  const VerifyOptions& options = {},
+                  PlanFacts* facts = nullptr);
 
 }  // namespace exrquy
 

@@ -13,11 +13,13 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/algebra.h"
 #include "algebra/dot.h"
 #include "algebra/stats.h"
+#include "api/service.h"
 #include "api/session.h"
 #include "opt/certify.h"
 #include "xmark/queries.h"
@@ -86,7 +88,8 @@ class CertifyCheckerTest : public ::testing::Test {
   // stable diagnostic prefix.
   void ExpectRejected(OpId pass_root, RewriteCertificate cert,
                       const std::string& obligation) {
-    CertifyChecker checker(&dag_, pass_root);
+    FactsAudit audit(&dag_);
+    CertifyChecker checker(&dag_, &audit, pass_root);
     EXPECT_FALSE(checker.Check(&cert));
     EXPECT_TRUE(cert.checked);
     EXPECT_FALSE(cert.valid);
@@ -96,7 +99,8 @@ class CertifyCheckerTest : public ::testing::Test {
   }
 
   void ExpectValid(OpId pass_root, RewriteCertificate cert) {
-    CertifyChecker checker(&dag_, pass_root);
+    FactsAudit audit(&dag_);
+    CertifyChecker checker(&dag_, &audit, pass_root);
     EXPECT_TRUE(checker.Check(&cert)) << cert.diagnostic;
     EXPECT_TRUE(cert.valid);
   }
@@ -493,7 +497,8 @@ class ReturnBodyCertTest : public ::testing::Test {
     RewriteCertificate c = cert_;
     c.to = to;
     c.checked = c.valid = false;
-    CertifyChecker checker(&dag(), c.from);
+    FactsAudit audit(&dag());
+    CertifyChecker checker(&dag(), &audit, c.from);
     EXPECT_FALSE(checker.Check(&c));
     EXPECT_EQ(c.obligation, "join-isolation") << c.diagnostic;
     EXPECT_NE(c.diagnostic.find(why), std::string::npos) << c.diagnostic;
@@ -508,7 +513,8 @@ class ReturnBodyCertTest : public ::testing::Test {
 TEST_F(ReturnBodyCertTest, AcceptsTheEmittedRebuild) {
   RewriteCertificate c = cert_;
   c.checked = c.valid = false;
-  CertifyChecker checker(&dag(), c.from);
+  FactsAudit audit(&dag());
+  CertifyChecker checker(&dag(), &audit, c.from);
   EXPECT_TRUE(checker.Check(&c)) << c.diagnostic;
 }
 
@@ -669,7 +675,8 @@ TEST_F(CertifyCheckerTest, ForceRejectRuleFailsThatFamilyOnly) {
   OpId rn = dag_.RowNum(l, x, {{pos(), false}}, iter());
   OpId proj = dag_.Project(rn, {{iter(), iter()}, {pos(), pos()},
                                 {item(), item()}});
-  CertifyChecker checker(&dag_, proj, "column_pruning");
+  FactsAudit audit(&dag_);
+  CertifyChecker checker(&dag_, &audit, proj, "column_pruning");
   RewriteCertificate pruned =
       Cert(rn, l, "column_pruning", {CiteDeadColumn(rn, x)});
   EXPECT_FALSE(checker.Check(&pruned));
@@ -858,17 +865,68 @@ TEST(CertifyResolveTest, OptionsBeatEnvironment) {
   setenv("EXRQUY_CERTIFY", "off", 1);
   CertifySettings strict;
   strict.mode = CertifyMode::kStrict;
-  EXPECT_EQ(ResolveCertify(strict).mode, CertifyMode::kStrict);
+  EXPECT_EQ(ResolveCertify(strict)->mode, CertifyMode::kStrict);
   CertifySettings dflt;
-  EXPECT_EQ(ResolveCertify(dflt).mode, CertifyMode::kOff);
+  EXPECT_EQ(ResolveCertify(dflt)->mode, CertifyMode::kOff);
   setenv("EXRQUY_CERTIFY", "strict", 1);
-  EXPECT_EQ(ResolveCertify(dflt).mode, CertifyMode::kStrict);
+  EXPECT_EQ(ResolveCertify(dflt)->mode, CertifyMode::kStrict);
   setenv("EXRQUY_CERTIFY", "spot", 1);
-  CertifySettings r = ResolveCertify(dflt);
+  CertifySettings r = ResolveCertify(dflt).value();
   EXPECT_EQ(r.mode, CertifyMode::kStrict);
   EXPECT_TRUE(r.spot_check);
   unsetenv("EXRQUY_CERTIFY");
-  EXPECT_EQ(ResolveCertify(dflt).mode, CertifyMode::kCheck);
+  EXPECT_EQ(ResolveCertify(dflt)->mode, CertifyMode::kCheck);
+}
+
+// Every documented spelling resolves; anything else is an
+// InvalidArgument naming the variable — from the resolver, from Session
+// planning and from QueryService planning — never a silent fallback.
+TEST(CertifyResolveTest, EnvironmentIsStrict) {
+  const std::pair<const char*, CertifyMode> accepted[] = {
+      {"off", CertifyMode::kOff},       {"0", CertifyMode::kOff},
+      {"on", CertifyMode::kCheck},      {"check", CertifyMode::kCheck},
+      {"strict", CertifyMode::kStrict}, {"spot", CertifyMode::kStrict},
+      {"", CertifyMode::kCheck},
+  };
+  CertifySettings dflt;
+  for (const auto& [value, mode] : accepted) {
+    setenv("EXRQUY_CERTIFY", value, 1);
+    Result<CertifySettings> r = ResolveCertify(dflt);
+    ASSERT_TRUE(r.ok()) << "'" << value << "': " << r.status().ToString();
+    EXPECT_EQ(r->mode, mode) << value;
+  }
+
+  setenv("EXRQUY_CERTIFY", "strcit", 1);
+  Result<CertifySettings> typo = ResolveCertify(dflt);
+  ASSERT_FALSE(typo.ok());
+  EXPECT_EQ(typo.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(typo.status().message().find("EXRQUY_CERTIFY"),
+            std::string::npos)
+      << typo.status().message();
+  // An explicit option never consults the environment.
+  CertifySettings strict;
+  strict.mode = CertifyMode::kStrict;
+  EXPECT_TRUE(ResolveCertify(strict).ok());
+
+  const char* query = "count((1, 2, 3))";
+  Session session;
+  Result<QueryPlans> planned = session.Plan(query);
+  ASSERT_FALSE(planned.ok());
+  EXPECT_EQ(planned.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(planned.status().message().find("EXRQUY_CERTIFY"),
+            std::string::npos);
+  Result<QueryResult> executed = session.Execute(query);
+  ASSERT_FALSE(executed.ok());
+  EXPECT_EQ(executed.status().code(), StatusCode::kInvalidArgument);
+  QueryService service;
+  Result<ServiceResult> served = service.Execute(query);
+  ASSERT_FALSE(served.ok());
+  EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(served.status().message().find("EXRQUY_CERTIFY"),
+            std::string::npos);
+  unsetenv("EXRQUY_CERTIFY");
+  EXPECT_TRUE(session.Plan(query).ok());
+  EXPECT_TRUE(service.Execute(query).ok());
 }
 
 }  // namespace

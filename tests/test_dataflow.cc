@@ -2,8 +2,10 @@
 // (opt/analyses.h), tested at three levels:
 //
 //  1. the generic engines, driven by purpose-built toy analyses, pinning
-//     the convergence contract (single sweep on the DAG's id order) and
-//     the cross-call memoization of forward facts;
+//     the single-sweep contract (one transfer per operator, in the DAG's
+//     id order, which a DCHECK guards), the cross-call memoization of
+//     forward facts, and — over a real plan — that one PlanQuery
+//     transfers each operator at most once per forward tracker;
 //  2. plan-level golden tests: with the fact-driven rewrites disabled,
 //     the optimizer built on the framework must reproduce the committed
 //     pre-framework plans byte for byte, for all 20 XMark queries in
@@ -19,6 +21,7 @@
 // equivalence]"); the XMark and fuzz suites run with verify_each_pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
@@ -52,12 +55,6 @@ using col::pos;
 // from tree duplication in the test below).
 struct SubtreeSize {
   using Fact = uint64_t;
-  Fact Bottom(const Dag&, OpId) const { return 0; }
-  bool Join(Fact* into, const Fact& from) const {
-    if (from <= *into) return false;
-    *into = from;
-    return true;
-  }
   Fact Transfer(const Dag&, OpId,
                 const std::vector<const Fact*>& in) const {
     Fact n = 1;
@@ -70,10 +67,8 @@ struct SubtreeSize {
 struct DepthFromRoot {
   using Fact = uint64_t;
   Fact Bottom(const Dag&, OpId) const { return 0; }
-  bool Join(Fact* into, const Fact& from) const {
-    if (from <= *into) return false;
-    *into = from;
-    return true;
+  void Join(Fact* into, const Fact& from) const {
+    *into = std::max(*into, from);
   }
   void Transfer(const Dag&, OpId, const Fact& fact,
                 std::vector<Fact>* to_children) const {
@@ -120,9 +115,8 @@ TEST_F(DataflowTest, ForwardSingleSweepOnDag) {
   EXPECT_EQ(flow.Get(root), 9u);
   size_t reachable = dag_.ReachableFrom(root).size();
   EXPECT_EQ(reachable, 8u);  // the literal is shared, not duplicated
-  // Ascending-id order is topological: one transfer per op, no rejoins.
+  // Ascending-id order is topological: one transfer per op.
   EXPECT_EQ(flow.stats().transfers, reachable);
-  EXPECT_EQ(flow.stats().rejoins, 0u);
 }
 
 TEST_F(DataflowTest, ForwardMemoizesAcrossCallsAndGrowth) {
@@ -145,15 +139,39 @@ TEST_F(DataflowTest, BackwardSingleSweepAndJoinAtSharing) {
   OpId lit = kNoOp;
   OpId root = Diamond(&lit);
   BackwardDataflow<DepthFromRoot> flow(&dag_);
-  auto facts = flow.Solve(root, 0);
-  ASSERT_EQ(facts.size(), 8u);
+  std::vector<uint64_t> facts = flow.Solve(root, 0);
+  ASSERT_EQ(facts.size(), size_t{root} + 1);  // dense, by OpId
   // The shared literal is reached through both arms at depth 4; the
-  // join keeps the maximum, and the descending worklist drains both
-  // parents before the literal transfers — no rejoin.
+  // join keeps the maximum, and the descending sweep joins both parents'
+  // contributions in before the literal transfers.
   EXPECT_EQ(facts.at(root), 0u);
   EXPECT_EQ(facts.at(lit), 4u);
-  EXPECT_EQ(flow.stats().transfers, 8u);
-  EXPECT_EQ(flow.stats().rejoins, 0u);
+  EXPECT_EQ(flow.stats().transfers, dag_.ReachableFrom(root).size());
+}
+
+// The single sweep relies on every edge pointing from a larger id to a
+// smaller one, which the builders guarantee and both engines DCHECK.
+// An edge the other way (only AddUnchecked can make one) dies in debug
+// builds; in release builds the sweep stays in bounds.
+TEST_F(DataflowTest, ChildAfterParentIsDChecked) {
+  Op parent;
+  parent.kind = OpKind::kDistinct;
+  parent.children = {1};  // the operator added next
+  OpId p = dag_.AddUnchecked(std::move(parent), {iter(), pos(), item()});
+  OpId child = Triples({{1, 1, 5}});
+  ASSERT_LT(p, child);
+  EXPECT_DEBUG_DEATH(
+      {
+        ForwardDataflow<SubtreeSize> flow(&dag_);
+        (void)flow.Get(p);
+      },
+      "CHECK failed: c < ");
+  EXPECT_DEBUG_DEATH(
+      {
+        BackwardDataflow<DepthFromRoot> flow(&dag_);
+        (void)flow.Solve(p, 0);
+      },
+      "CHECK failed: c < ");
 }
 
 TEST_F(DataflowTest, BackwardSolvesArePerSeed) {
@@ -179,12 +197,9 @@ TEST_F(DataflowTest, ProvenanceDomainsEqualLiveness) {
   OrderProvenance prov = ComputeOrderProvenance(dag_, root, seed, nullptr);
   for (OpId id : dag_.ReachableFrom(root)) {
     ColSet domain;
-    auto it = prov.demand.find(id);
-    if (it != prov.demand.end()) {
-      for (const auto& [c, reasons] : it->second) {
-        EXPECT_FALSE(reasons.empty());
-        domain.insert(c);
-      }
+    for (const auto& [c, reasons] : prov.demand[id]) {
+      EXPECT_FALSE(reasons.empty());
+      domain.insert(c);
     }
     EXPECT_EQ(domain, icols[id]) << "op " << id;
   }
@@ -250,6 +265,38 @@ TEST_F(DataflowXMarkTest, GoldenPlansByteIdenticalToLegacy) {
       EXPECT_EQ(text, golden.str())
           << q.name << (unordered ? " unordered" : " ordered")
           << ": optimized plan drifted from " << path;
+    }
+  }
+}
+
+// One PlanQuery shares one analysis cache between both verifications
+// and every rewrite pass (Q9 takes five passes): however many passes
+// and verifications read a fact, each forward tracker transfers each
+// operator of the final DAG at most once.
+TEST_F(DataflowXMarkTest, PlanQueryTransfersEachOpAtMostOncePerTracker) {
+  const XMarkQuery* q9 = nullptr;
+  for (const XMarkQuery& q : XMarkQueries()) {
+    if (q.name == "Q9") q9 = &q;
+  }
+  ASSERT_NE(q9, nullptr);
+  for (bool unordered : {false, true}) {
+    Result<QueryPlans> p =
+        session_->Plan(q9->text, unordered ? Unordered() : Ordered());
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    ASSERT_NE(p->facts, nullptr);
+    const ForwardAnalyses& a = p->facts->analyses;
+    const size_t ops = p->dag->size();
+    // The rewrites grew the DAG well past the compiled plan.
+    EXPECT_GT(ops, size_t{p->initial} + 1);
+    const std::pair<const char*, const DataflowStats*> trackers[] = {
+        {"props", &a.props.stats()}, {"cards", &a.cards.stats()},
+        {"keys", &a.keys.stats()},   {"sem", &a.sem.stats()},
+        {"od", &a.od.stats()},       {"raise", &a.raise.stats()},
+    };
+    EXPECT_GT(a.cards.stats().transfers, 0u);
+    for (const auto& [name, stats] : trackers) {
+      EXPECT_LE(stats->transfers, ops)
+          << name << (unordered ? " unordered" : " ordered");
     }
   }
 }

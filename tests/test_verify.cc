@@ -184,10 +184,10 @@ TEST_F(VerifyTest, RejectsInvalidCardinalityBounds) {
 TEST_F(VerifyTest, RejectsFalseKeyClaim) {
   // item repeats across rows, so it cannot be a key.
   OpId l = Triples({{1, 1, 5}, {2, 1, 5}});
-  auto facts = DeriveFacts(dag_, l);
+  FactsAudit facts(&dag_);
   OpFacts claim;
   claim.keys.insert(item());
-  Status st = CheckClaims(dag_, l, claim, facts.at(l));
+  Status st = CheckClaims(dag_, l, claim, facts.Get(l));
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("[property-claim]"), std::string::npos)
       << st.message();
@@ -196,21 +196,21 @@ TEST_F(VerifyTest, RejectsFalseKeyClaim) {
   // iter genuinely is a key here, so that claim passes.
   OpFacts good;
   good.keys.insert(iter());
-  EXPECT_TRUE(CheckClaims(dag_, l, good, facts.at(l)).ok());
+  EXPECT_TRUE(CheckClaims(dag_, l, good, facts.Get(l)).ok());
 }
 
 TEST_F(VerifyTest, RejectsFalseConstantClaim) {
   OpId l = Triples({{1, 1, 5}, {2, 1, 7}});
-  auto facts = DeriveFacts(dag_, l);
+  FactsAudit facts(&dag_);
   OpFacts claim;
   claim.constant.insert(item());  // 5 vs 7
-  Status st = CheckClaims(dag_, l, claim, facts.at(l));
+  Status st = CheckClaims(dag_, l, claim, facts.Get(l));
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("constant claim"), std::string::npos)
       << st.message();
   OpFacts good;
   good.constant.insert(pos());  // 1 in every row
-  EXPECT_TRUE(CheckClaims(dag_, l, good, facts.at(l)).ok());
+  EXPECT_TRUE(CheckClaims(dag_, l, good, facts.Get(l)).ok());
 }
 
 TEST_F(VerifyTest, DerivedFactsTrackRowIdAndAggregates) {
@@ -219,49 +219,49 @@ TEST_F(VerifyTest, DerivedFactsTrackRowIdAndAggregates) {
   OpId numbered = dag_.RowId(l, rid);
   ColId cnt = ColSym("vcnt");
   OpId counts = dag_.Aggr(numbered, AggrKind::kCount, cnt, kNoCol, iter());
-  auto facts = DeriveFacts(dag_, counts);
+  FactsAudit facts(&dag_);
   // # produces a fresh key in arbitrary order.
-  EXPECT_TRUE(facts.at(numbered).keys.count(rid) != 0);
-  EXPECT_TRUE(facts.at(numbered).arbitrary.count(rid) != 0);
+  EXPECT_TRUE(facts.Get(numbered).keys.count(rid) != 0);
+  EXPECT_TRUE(facts.Get(numbered).arbitrary.count(rid) != 0);
   // Grouped aggregation keys its partition column.
-  EXPECT_TRUE(facts.at(counts).keys.count(iter()) != 0);
+  EXPECT_TRUE(facts.Get(counts).keys.count(iter()) != 0);
   // A global aggregate has exactly one row.
   ColId total = ColSym("vtotal");
   OpId global = dag_.Aggr(l, AggrKind::kCount, total, kNoCol, kNoCol);
-  auto global_facts = DeriveFacts(dag_, global);
-  EXPECT_TRUE(global_facts.at(global).at_most_one_row);
-  EXPECT_TRUE(global_facts.at(global).constant.count(total) != 0);
+  FactsAudit global_facts(&dag_);
+  EXPECT_TRUE(global_facts.Get(global).at_most_one_row);
+  EXPECT_TRUE(global_facts.Get(global).constant.count(total) != 0);
   // The interval bounds underlying those booleans: a literal is [n, n],
   // # and grouped aggregation preserve/bound it, a global aggregate is
   // exactly one row.
-  EXPECT_EQ(facts.at(l).min_rows, 3u);
-  EXPECT_EQ(facts.at(l).max_rows, 3u);
-  EXPECT_EQ(facts.at(numbered).min_rows, 3u);
-  EXPECT_EQ(facts.at(numbered).max_rows, 3u);
-  EXPECT_EQ(facts.at(counts).min_rows, 1u);
-  EXPECT_EQ(facts.at(counts).max_rows, 3u);
-  EXPECT_EQ(global_facts.at(global).min_rows, 1u);
-  EXPECT_EQ(global_facts.at(global).max_rows, 1u);
+  EXPECT_EQ(facts.Get(l).min_rows, 3u);
+  EXPECT_EQ(facts.Get(l).max_rows, 3u);
+  EXPECT_EQ(facts.Get(numbered).min_rows, 3u);
+  EXPECT_EQ(facts.Get(numbered).max_rows, 3u);
+  EXPECT_EQ(facts.Get(counts).min_rows, 1u);
+  EXPECT_EQ(facts.Get(counts).max_rows, 3u);
+  EXPECT_EQ(global_facts.Get(global).min_rows, 1u);
+  EXPECT_EQ(global_facts.Get(global).max_rows, 1u);
 }
 
 TEST_F(VerifyTest, CheckCardClaimRequiresContainment) {
   OpId l = Triples({{1, 1, 5}, {1, 2, 7}, {2, 1, 9}});
-  auto facts = DeriveFacts(dag_, l);  // derived interval is [3, 3]
+  FactsAudit facts(&dag_);  // derived interval is [3, 3]
   CardRange sound;
   sound.min = 0;
   sound.max = 10;
-  EXPECT_TRUE(CheckCardClaim(dag_, l, sound, facts.at(l)).ok());
+  EXPECT_TRUE(CheckCardClaim(dag_, l, sound, facts.Get(l)).ok());
   CardRange lying;  // claims at most 2 rows — excludes the derived [3,3]
   lying.min = 0;
   lying.max = 2;
-  Status st = CheckCardClaim(dag_, l, lying, facts.at(l));
+  Status st = CheckCardClaim(dag_, l, lying, facts.Get(l));
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("[cardinality-claim]"), std::string::npos)
       << st.message();
   CardRange lying_min;  // claims at least 4 rows
   lying_min.min = 4;
   lying_min.max = kUnboundedRows;
-  EXPECT_FALSE(CheckCardClaim(dag_, l, lying_min, facts.at(l)).ok());
+  EXPECT_FALSE(CheckCardClaim(dag_, l, lying_min, facts.Get(l)).ok());
 }
 
 TEST_F(VerifyTest, PipelineRejectsMalformedInputWithDotDump) {
@@ -305,6 +305,74 @@ TEST(VerifyXMarkTest, AllQueriesVerifyBeforeAndAfterEveryPass) {
       EXPECT_TRUE(VerifyPlan(*plans->dag, plans->optimized).ok()) << q.name;
     }
   }
+}
+
+// The safety net under the shared analysis cache. The verifier reads
+// the optimizer's claims from the very cache the rewrite passes filled,
+// so a wrong claim on an operator that only a *later* pass created —
+// one the post-compile verification never saw — must still be caught by
+// the post-optimize verification that reuses the cache. The claims are
+// planted by writing through the references the cache hands out, which
+// is exactly where the rewriter and the verifier read them.
+TEST(VerifyXMarkTest, SharedCacheStillCatchesClaimsPlantedOnLaterPassOps) {
+  const XMarkQuery* q9 = nullptr;
+  for (const XMarkQuery& q : XMarkQueries()) {
+    if (q.name == "Q9") q9 = &q;
+  }
+  ASSERT_NE(q9, nullptr);
+  Session session;
+  QueryOptions compile_only;
+  compile_only.enable_order_indifference = false;
+  Result<QueryPlans> plans = session.Plan(q9->text, compile_only);
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  Dag* dag = plans->dag.get();
+  PlanFacts& facts = *plans->facts;  // filled by the post-compile verify
+
+  OptimizeOptions one_pass;
+  one_pass.max_passes = 1;
+  Result<OpId> first = Optimize(dag, plans->initial, one_pass, &facts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const size_t after_first_pass = dag->size();
+  Result<OpId> root = Optimize(dag, *first, OptimizeOptions(), &facts);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE(VerifyPlan(*dag, *root, {}, &facts).ok());
+
+  // An operator of the final plan created after the first pass, with
+  // rows and with a column that is not derivably a key.
+  OpId late = kNoOp;
+  ColId non_key = kNoCol;
+  for (OpId id : dag->ReachableFrom(*root)) {
+    if (id < after_first_pass || facts.audit.Get(id).max_rows == 0) continue;
+    for (ColId c : dag->op(id).schema) {
+      if (facts.audit.Get(id).keys.count(c) == 0) {
+        late = id;
+        non_key = c;
+      }
+    }
+  }
+  ASSERT_NE(late, kNoOp) << "no later pass created a suitable operator";
+  const std::string at = "op " + std::to_string(late) + " ";
+
+  CardRange& card = const_cast<CardRange&>(facts.analyses.cards.Get(late));
+  const CardRange sound = card;
+  card.min = 0;
+  card.max = 0;  // "never produces a row"
+  Status st = VerifyPlan(*dag, *root, {}, &facts);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("[cardinality-claim] " + at), std::string::npos)
+      << st.message();
+  card = sound;
+
+  ColSet& keys = const_cast<ColSet&>(facts.analyses.keys.Get(late));
+  keys.insert(non_key);
+  st = VerifyPlan(*dag, *root, {}, &facts);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("[property-claim] " + at), std::string::npos)
+      << st.message();
+  EXPECT_NE(st.message().find("key claim"), std::string::npos)
+      << st.message();
+  keys.erase(non_key);
+  EXPECT_TRUE(VerifyPlan(*dag, *root, {}, &facts).ok());
 }
 
 TEST(VerifyXMarkTest, BaselineConfigurationAlsoVerifies) {
