@@ -1,5 +1,7 @@
 #include "common/symbols.h"
 
+#include <atomic>
+
 #include "common/check.h"
 #include "common/str_pool.h"
 
@@ -18,10 +20,11 @@ ColId ColSym(std::string_view name) { return Registry().Intern(name); }
 const std::string& ColName(ColId id) { return Registry().Get(id); }
 
 ColId FreshCol(std::string_view base) {
-  static uint64_t counter = 0;
+  // QueryService workers compile in parallel, so the counter is shared.
+  static std::atomic<uint64_t> counter{0};
   std::string name(base);
   name += '$';
-  name += std::to_string(++counter);
+  name += std::to_string(counter.fetch_add(1, std::memory_order_relaxed) + 1);
   return Registry().Intern(name);
 }
 

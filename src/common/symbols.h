@@ -1,8 +1,9 @@
 // Column symbols for the relational algebra. Column names such as iter,
 // pos, item are interned into dense 32-bit ids so that plan operators can
-// carry small fixed-size column lists and the optimizer can use bitset-like
-// column sets. The well-known columns of the compilation scheme (Section 3
-// of the paper) are pre-interned as constants.
+// carry small fixed-size column lists and the optimizer's column sets are
+// small sorted id arrays (ColSet, opt/col_set.h). The well-known columns
+// of the compilation scheme (Section 3 of the paper) are pre-interned as
+// constants.
 #ifndef EXRQUY_COMMON_SYMBOLS_H_
 #define EXRQUY_COMMON_SYMBOLS_H_
 
@@ -14,15 +15,16 @@ namespace exrquy {
 
 using ColId = uint32_t;
 
-// Interns a column name process-wide (not thread-safe; the library is
-// single-threaded by design, like the paper's per-query evaluation).
+// Interns a column name process-wide. Thread-safe: the registry is a
+// StrPool (common/str_pool.h).
 ColId ColSym(std::string_view name);
 
 // Returns the name of an interned column id.
 const std::string& ColName(ColId id);
 
 // Derives a fresh, unique column id with a readable name based on `base`
-// (e.g. "pos" -> "pos$17"). Used by the compiler for intermediate columns.
+// (e.g. "pos" -> "pos$17"). Used by the compiler for intermediate columns;
+// thread-safe, since QueryService workers compile concurrently.
 ColId FreshCol(std::string_view base);
 
 // Well-known columns of the iter|pos|item encoding.

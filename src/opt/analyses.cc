@@ -1417,19 +1417,20 @@ std::string ReasonLabel(const Dag& dag, OpId consumer,
 // column sets coincide exactly with ComputeICols — which the verifier
 // checks.
 struct ProvenanceAnalysis {
-  using Fact = std::map<ColId, std::set<uint32_t>>;
+  using Fact = OrderProvenance::Demand;
+  static constexpr uint32_t kNoReason = ~uint32_t{0};
 
   const Dag* dag = nullptr;
   const StrPool* strings = nullptr;
   std::vector<OrderReason>* reasons = nullptr;
-  std::map<OpId, uint32_t>* intern = nullptr;
+  std::vector<uint32_t>* intern = nullptr;  // by consumer OpId
 
   uint32_t Reason(OpId consumer) const {
-    auto it = intern->find(consumer);
-    if (it != intern->end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(reasons->size());
-    reasons->push_back({consumer, ReasonLabel(*dag, consumer, strings)});
-    intern->emplace(consumer, id);
+    uint32_t& id = (*intern)[consumer];
+    if (id == kNoReason) {
+      id = static_cast<uint32_t>(reasons->size());
+      reasons->push_back({consumer, ReasonLabel(*dag, consumer, strings)});
+    }
     return id;
   }
 
@@ -1572,7 +1573,7 @@ OrderProvenance ComputeOrderProvenance(const Dag& dag, OpId root,
                                        const ColSet& seed,
                                        const StrPool* strings) {
   OrderProvenance out;
-  std::map<OpId, uint32_t> intern;
+  std::vector<uint32_t> intern(root + 1, ProvenanceAnalysis::kNoReason);
   ProvenanceAnalysis analysis{&dag, strings, &out.reasons, &intern};
   // The root demand: the query result is serialized in sequence order.
   uint32_t serialize = static_cast<uint32_t>(out.reasons.size());

@@ -31,16 +31,14 @@
 #define EXRQUY_OPT_ANALYSES_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "algebra/algebra.h"
+#include "opt/col_set.h"
 #include "opt/dataflow.h"
 
 namespace exrquy {
-
-using ColSet = std::set<ColId>;
 
 // ---------------------------------------------------------------------------
 // Column liveness (backward).
@@ -189,7 +187,7 @@ bool OneComparisonClass(ItemKind a, ItemKind b);
 // groups: every rank is 1, and the rewriter trades the sort for an
 // attached constant (rewrites.h, rownum_by_od).
 struct SemType {
-  std::map<ColId, ItemKind> kinds;  // absent = kAny
+  ColMap<ItemKind> kinds;  // absent = kAny
   ColSet unit_groups;
 
   ItemKind KindOf(ColId c) const;
@@ -358,9 +356,13 @@ struct OrderReason {
 // same seed — provenance is liveness with the "why" attached — which
 // the verifier audits (opt/verify.h).
 struct OrderProvenance {
+  // Ids into `reasons`.
+  using ReasonIds = IdSet<uint32_t, 4>;
+  using Demand = ColMap<ReasonIds>;
+
   std::vector<OrderReason> reasons;  // interned; ids index this vector
   // Indexed by OpId, empty for operators the root does not reach.
-  std::vector<std::map<ColId, std::set<uint32_t>>> demand;
+  std::vector<Demand> demand;
 
   // Sorted, de-duplicated reason labels for one demanded column of one
   // operator (empty when the column is not demanded). For a RowNum,

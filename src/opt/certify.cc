@@ -567,7 +567,7 @@ void CertifyChecker::EnsureLive() {
   for (ColId c : {col::iter(), col::pos(), col::item()}) {
     if (dag_->op(pass_root_).HasCol(c)) seed.insert(c);
   }
-  live_ = DeriveLiveColumns(*dag_, pass_root_, seed);
+  live_ = DeriveLiveColumns(*dag_, pass_root_, seed, &live_region_);
   live_ready_ = true;
 }
 
@@ -651,11 +651,11 @@ bool CertifyChecker::ValidateCited(RewriteCertificate* cert,
         break;
       case CitedFact::Kind::kDeadColumn: {
         EnsureLive();
-        auto it = live_.find(f.op);
-        if (it == live_.end()) {
+        if (!std::binary_search(live_region_.begin(), live_region_.end(),
+                                f.op)) {
           return bad("names an operator outside the pre-pass region");
         }
-        if (it->second.count(f.col) != 0) {
+        if (live_[f.op].count(f.col) != 0) {
           return bad("is not derivable: the reference liveness walk "
                      "demands the column");
         }

@@ -76,7 +76,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/algebra.h"
@@ -214,7 +213,8 @@ class CertifyChecker {
   std::string force_reject_rule_;
   FactsAudit& audit_;
   bool live_ready_ = false;
-  std::unordered_map<OpId, ColSet> live_;
+  std::vector<ColSet> live_;         // by OpId
+  std::vector<OpId> live_region_;    // the ops the walk reached, ascending
 };
 
 }  // namespace exrquy

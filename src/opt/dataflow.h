@@ -32,16 +32,16 @@
 // sub-DAG below an operator, and the DAG is append-only (rewrites add
 // operators, never mutate existing ones), so ForwardDataflow keeps every
 // fact for the Dag's lifetime: a later Get sweeps only the operators not
-// yet solved. The facts live in a deque, so a reference Get returned
-// stays valid while later Gets grow the storage. Backward facts depend
-// on the chosen root and seed, so BackwardDataflow solves per (root,
-// seed) without caching.
+// yet solved. The facts live in fixed-size blocks (OpFactBlocks), so a
+// reference Get returned stays valid while later Gets grow the storage.
+// Backward facts depend on the chosen root and seed, so BackwardDataflow
+// solves per (root, seed) without caching.
 #ifndef EXRQUY_OPT_DATAFLOW_H_
 #define EXRQUY_OPT_DATAFLOW_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "algebra/algebra.h"
@@ -54,6 +54,31 @@ namespace exrquy {
 struct DataflowStats {
   size_t solves = 0;     // sweeps started (uncached Gets / Solve calls)
   size_t transfers = 0;  // transfer-function applications
+};
+
+// Dense OpId-indexed storage allocated kBlock elements at a time. Growth
+// appends blocks and never moves an element, so a reference into it
+// stays valid for the storage's lifetime — which is what lets the
+// memoizing engines hand out `const Fact&` while later Gets grow the
+// storage. Elements are default-constructed when their block is
+// allocated.
+template <typename T>
+class OpFactBlocks {
+ public:
+  static constexpr size_t kBlockShift = 6;
+  static constexpr size_t kBlock = size_t{1} << kBlockShift;
+
+  size_t size() const { return blocks_.size() * kBlock; }
+  // Makes ids [0, n) addressable.
+  void Grow(size_t n) {
+    while (size() < n) blocks_.push_back(std::make_unique<T[]>(kBlock));
+  }
+  T& operator[](OpId id) {
+    return blocks_[id >> kBlockShift][id & (kBlock - 1)];
+  }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> blocks_;
 };
 
 // Facts flow from children to parents (bottom-up), memoized across Get
@@ -79,25 +104,25 @@ class ForwardDataflow {
   void Solve(OpId root) {
     ++stats_.solves;
     if (state_.size() < dag_->size()) state_.resize(dag_->size(), kUnseen);
+    // The scratch buffers are reused across solves. They are moved out
+    // for the solve, so a transfer that re-enters Get just starts with
+    // empty ones.
+    std::vector<OpId> pending = std::move(pending_);
+    std::vector<const Fact*> in = std::move(in_);
     // The unsolved part of the reachable sub-DAG, then one ascending
     // sweep over it: children transfer before their parents.
-    std::vector<OpId> pending;
-    std::vector<OpId> stack = {root};
+    pending.assign(1, root);
     state_[root] = kQueued;
-    while (!stack.empty()) {
-      OpId id = stack.back();
-      stack.pop_back();
-      pending.push_back(id);
-      for (OpId c : dag_->op(id).children) {
+    for (size_t i = 0; i < pending.size(); ++i) {
+      for (OpId c : dag_->op(pending[i]).children) {
         if (state_[c] == kUnseen) {
           state_[c] = kQueued;
-          stack.push_back(c);
+          pending.push_back(c);
         }
       }
     }
     std::sort(pending.begin(), pending.end());
-    if (facts_.size() <= pending.back()) facts_.resize(pending.back() + 1);
-    std::vector<const Fact*> in;
+    facts_.Grow(pending.back() + 1);
     for (OpId id : pending) {
       in.clear();
       for (OpId c : dag_->op(id).children) {
@@ -108,12 +133,16 @@ class ForwardDataflow {
       state_[id] = kSolved;
       ++stats_.transfers;
     }
+    pending_ = std::move(pending);
+    in_ = std::move(in);
   }
 
   const Dag* dag_;
   A analysis_;
-  std::deque<Fact> facts_;      // by OpId
+  OpFactBlocks<Fact> facts_;    // by OpId
   std::vector<uint8_t> state_;  // by OpId
+  std::vector<OpId> pending_;   // scratch for Solve
+  std::vector<const Fact*> in_;
   DataflowStats stats_;
 };
 

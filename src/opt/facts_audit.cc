@@ -899,9 +899,10 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
 
 }  // namespace
 
-std::unordered_map<OpId, ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
-                                                   const ColSet& seed) {
-  std::unordered_map<OpId, ColSet> icols;
+std::vector<ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
+                                      const ColSet& seed,
+                                      std::vector<OpId>* reached) {
+  std::vector<ColSet> icols(root + 1);
   icols[root] = seed;
 
   std::vector<OpId> order = dag.ReachableFrom(root);
@@ -1015,6 +1016,7 @@ std::unordered_map<OpId, ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
         break;
     }
   }
+  if (reached != nullptr) *reached = std::move(order);
   return icols;
 }
 
@@ -1038,7 +1040,11 @@ const T& FactsAudit::Sweep(OpId root, Memo<T>* memo, Derive derive) {
   if (memo->state.size() < dag_->size()) {
     memo->state.resize(dag_->size(), kUnseen);
   }
-  std::vector<OpId> region = {root};
+  // Scratch reused across sweeps; moved out for the sweep, so a
+  // re-entrant sweep of the same memo starts with empty buffers.
+  std::vector<OpId> region = std::move(memo->region);
+  std::vector<const T*> in = std::move(memo->in);
+  region.assign(1, root);
   memo->state[root] = kQueued;
   for (size_t i = 0; i < region.size(); ++i) {
     for (OpId c : dag_->op(region[i]).children) {
@@ -1049,16 +1055,15 @@ const T& FactsAudit::Sweep(OpId root, Memo<T>* memo, Derive derive) {
     }
   }
   std::sort(region.begin(), region.end());
-  if (memo->facts.size() <= region.back()) {
-    memo->facts.resize(region.back() + 1);
-  }
-  std::vector<const T*> in;
+  memo->facts.Grow(region.back() + 1);
   for (OpId x : region) {
     in.clear();
     for (OpId c : dag_->op(x).children) in.push_back(&memo->facts[c]);
     memo->facts[x] = derive(x, in);
     memo->state[x] = kDone;
   }
+  memo->region = std::move(region);
+  memo->in = std::move(in);
   return memo->facts[root];
 }
 

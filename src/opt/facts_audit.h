@@ -12,10 +12,7 @@
 #define EXRQUY_OPT_FACTS_AUDIT_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/algebra.h"
@@ -38,7 +35,7 @@ struct OpFacts {
   // Sound per-column item kinds (absent = no static knowledge, i.e.
   // kAny): every value the column can hold belongs to the kind's
   // OrderCompare class.
-  std::map<ColId, ItemKind> kinds;
+  ColMap<ItemKind> kinds;
   // Sound sorted-prefix facts: the output rows are physically sorted
   // (and, when strict, duplicate-free) the way each fact says.
   std::vector<OrderFact> sorted;
@@ -54,12 +51,15 @@ bool SortedImplies(const OrderFact& f, const OrderFact& g);
 // (the order-dependency trade's licensing condition).
 bool SortedCovers(const OpFacts& f, const std::vector<SortKey>& requested);
 
-// The pre-framework one-shot liveness walk, preserved verbatim as the
-// independent reference for auditing the dataflow-framework ComputeICols:
-// parents first in reverse topological (descending id) order, one
-// transfer each.
-std::unordered_map<OpId, ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
-                                                   const ColSet& seed);
+// The pre-framework one-shot liveness walk, preserved as the independent
+// reference for auditing the dataflow-framework ComputeICols: parents
+// first in reverse topological (descending id) order, one transfer each.
+// Indexed by OpId (root + 1 entries), empty for operators `root` does
+// not reach; `reached`, when given, receives the ids the walk visited in
+// ascending order.
+std::vector<ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
+                                      const ColSet& seed,
+                                      std::vector<OpId>* reached = nullptr);
 
 std::string ColSetToString(const ColSet& cols);
 
@@ -95,8 +95,10 @@ class FactsAudit {
  private:
   template <typename T>
   struct Memo {
-    std::deque<T> facts;        // by OpId
+    OpFactBlocks<T> facts;       // by OpId
     std::vector<uint8_t> state;  // by OpId: unseen, queued, derived
+    std::vector<OpId> region;    // scratch for Sweep
+    std::vector<const T*> in;
   };
   // Derives `memo`'s facts for the underived region under `root`:
   // derive(id, children's facts) for each, children first.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -39,6 +38,7 @@ class Rewriter {
           dag_, audit_, root, options_.certify.force_reject_rule);
     }
     *changed = false;
+    map_.assign(root + 1, kNoOp);
     for (OpId id : dag_->ReachableFrom(root)) {
       OpId new_id = RewriteOp(id);
       map_[id] = new_id;
@@ -48,12 +48,18 @@ class Rewriter {
         dag_->SetProv(new_id, dag_->op(id).prov);
       }
     }
-    return map_.at(root);
+    return Mapped(root);
   }
 
  private:
+  // The replacement of an operator this pass has already rewritten.
+  OpId Mapped(OpId old_id) const {
+    EXRQUY_CHECK(old_id < map_.size() && map_[old_id] != kNoOp);
+    return map_[old_id];
+  }
+
   OpId Child(const Op& op, size_t i) const {
-    return map_.at(op.children[i]);
+    return Mapped(op.children[i]);
   }
 
   const ColSet& Required(OpId old_id) { return icols_[old_id]; }
@@ -174,7 +180,7 @@ class Rewriter {
   // rejects it).
   OpId TryJoin(OpId id, const JoinSpec& spec) {
     std::string detail;
-    OpId repl = EmitJoin(dag_, spec, map_.at(spec.outer_items), options_,
+    OpId repl = EmitJoin(dag_, spec, Mapped(spec.outer_items), options_,
                          &props_, &sem_, &cards_, &detail);
     if (repl == kNoOp) return kNoOp;
     RewriteCertificate cert = Cert(id, repl, "join_recognition",
@@ -801,7 +807,7 @@ class Rewriter {
   OrderTracker& od_;
   RaiseTracker& raise_;
   std::vector<ColSet> icols_;
-  std::unordered_map<OpId, OpId> map_;
+  std::vector<OpId> map_;  // by OpId of the pass's input plan
   std::map<OpId, JoinSpec> join_specs_;
 };
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 
@@ -675,8 +676,7 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
     }
     // The framework liveness must agree exactly with the preserved
     // one-shot walk it replaced.
-    std::unordered_map<OpId, ColSet> reference =
-        DeriveLiveColumns(dag, root, seed);
+    std::vector<ColSet> reference = DeriveLiveColumns(dag, root, seed);
     for (OpId id : order) {
       const ColSet& got = icols[id];
       const ColSet& want = reference[id];

@@ -36,6 +36,7 @@
 #include "engine/eval.h"
 #include "opt/analyses.h"
 #include "opt/dataflow.h"
+#include "opt/facts_audit.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 
@@ -133,6 +134,49 @@ TEST_F(DataflowTest, ForwardMemoizesAcrossCallsAndGrowth) {
   EXPECT_EQ(flow.Get(grown), 10u);
   EXPECT_EQ(flow.stats().transfers, after_first + 1);
   EXPECT_EQ(flow.stats().solves, 2u);
+}
+
+// A fact handed out by reference stays valid while later Gets grow the
+// DAG and the fact storage across several blocks: rewrites hold facts
+// of the plan they read while deriving facts of the operators they
+// append. The CI sanitizer job runs this under ASan, which turns a
+// dangling reference into a hard failure.
+TEST_F(DataflowTest, FactReferencesSurviveGrowthAcrossBlocks) {
+  OpId lit = kNoOp;
+  OpId root = Diamond(&lit);
+  ForwardDataflow<SubtreeSize> flow(&dag_);
+  FactsAudit audit(&dag_);
+  const uint64_t& size = flow.Get(root);
+  (void)audit.Get(root);
+  // The one-row literal: every column constant and a key.
+  const OpFacts& facts = audit.Get(lit);
+  ASSERT_EQ(size, 9u);
+  ASSERT_EQ(facts.constant.size(), 3u);
+  ASSERT_EQ(facts.keys.size(), 3u);
+
+  // Grow one operator at a time, so every block boundary is crossed by
+  // a separate Get, until the storage spans more than three blocks.
+  const size_t grow = 3 * OpFactBlocks<OpFacts>::kBlock;
+  const size_t ops_before = dag_.size();
+  OpId top = root;
+  for (size_t i = 0; i < grow; ++i) {
+    top = dag_.Distinct(top);
+    EXPECT_EQ(flow.Get(top), 10u + i);
+    EXPECT_FALSE(audit.Get(top).no_rows);
+  }
+  ASSERT_EQ(dag_.size(), ops_before + grow);
+
+  // The held references still read the facts a fresh derivation gives.
+  FactsAudit fresh(&dag_);
+  const OpFacts& want = fresh.Get(lit);
+  EXPECT_EQ(size, 9u);
+  EXPECT_EQ(facts.constant, want.constant);
+  EXPECT_EQ(facts.arbitrary, want.arbitrary);
+  EXPECT_EQ(facts.keys, want.keys);
+  EXPECT_TRUE(facts.kinds == want.kinds);
+  EXPECT_EQ(facts.min_rows, want.min_rows);
+  EXPECT_EQ(facts.max_rows, want.max_rows);
+  EXPECT_EQ(facts.sorted, want.sorted);
 }
 
 TEST_F(DataflowTest, BackwardSingleSweepAndJoinAtSharing) {
