@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "algebra/stats.h"
+#include "engine/faults.h"
 #include "xml/xml_parser.h"
 
 namespace exrquy {
@@ -16,58 +17,31 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Presence-sensitive variant for knobs where "unset" and "=0" mean
-// different things (e.g. queue depth: unset = unbounded, 0 = never
-// queue).
-bool EnvU64Present(const char* name, uint64_t* value) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(v, &end, 10);
-  *value = end == v ? 0 : static_cast<uint64_t>(n);
-  return true;
+// Resolves one service knob: the config's value when set (>= 0), else
+// the environment variable, else `unset`. A malformed variable yields
+// `unset` and leaves its InvalidArgument in *error unless an earlier
+// knob's is already there.
+uint64_t ResolveKnob(int64_t requested, const char* env, uint64_t unset,
+                     Status* error) {
+  if (requested >= 0) return static_cast<uint64_t>(requested);
+  Result<uint64_t> v = StrictEnvU64(env, unset);
+  if (v.ok()) return *v;
+  if (error->ok()) *error = v.status();
+  return unset;
 }
 
-bool EnvPlanCacheEnabled() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
-  const char* v = std::getenv("EXRQUY_PLAN_CACHE");
-  if (v == nullptr || *v == '\0') return true;  // default on
-  return std::string_view(v) != "0";
+bool ResolvePlanCache(int requested, Status* error) {
+  if (requested >= 0) return requested != 0;
+  Result<bool> v = StrictEnvBool("EXRQUY_PLAN_CACHE", /*unset=*/true);
+  if (v.ok()) return *v;
+  if (error->ok()) *error = v.status();
+  return true;
 }
 
 size_t ResolveWorkers(size_t requested) {
   if (requested != 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-size_t ResolveResultCacheBytes(int64_t requested) {
-  if (requested >= 0) return static_cast<size_t>(requested);
-  uint64_t v = 0;  // unset = disabled
-  EnvU64Present("EXRQUY_RESULT_CACHE_BYTES", &v);
-  return static_cast<size_t>(v);
-}
-
-size_t ResolveMaxQueueDepth(int64_t requested) {
-  if (requested >= 0) return static_cast<size_t>(requested);
-  uint64_t v = 0;
-  if (!EnvU64Present("EXRQUY_MAX_QUEUE_DEPTH", &v)) return SIZE_MAX;
-  return static_cast<size_t>(v);
-}
-
-int64_t ResolveQueueTimeoutMs(int64_t requested) {
-  if (requested >= 0) return requested;
-  uint64_t v = 0;
-  if (!EnvU64Present("EXRQUY_QUEUE_TIMEOUT_MS", &v)) return 0;
-  return static_cast<int64_t>(v);
-}
-
-int ResolveMaxRetries(int requested) {
-  if (requested >= 0) return requested;
-  uint64_t v = 0;
-  if (!EnvU64Present("EXRQUY_MAX_RETRIES", &v)) return 1;
-  return static_cast<int>(std::min<uint64_t>(v, 16));
 }
 
 // Cache key: query text, then the plan-affecting option bits (every
@@ -118,24 +92,31 @@ size_t PlanBytes(const Dag& dag) {
 }  // namespace
 
 QueryService::QueryService(ServiceConfig config)
-    : plan_cache_enabled_(config.plan_cache < 0 ? EnvPlanCacheEnabled()
-                                                : config.plan_cache != 0),
-      max_retries_(ResolveMaxRetries(config.max_retries)),
+    : plan_cache_enabled_(ResolvePlanCache(config.plan_cache, &config_error_)),
+      max_retries_(static_cast<int>(std::min<uint64_t>(
+          ResolveKnob(config.max_retries, "EXRQUY_MAX_RETRIES", 1,
+                      &config_error_),
+          16))),
       memory_high_water_(config.memory_high_water),
       degraded_window_ms_(config.degraded_window_ms),
       base_store_(&strings_),
-      cache_accountant_(0),
-      plan_cache_(0),
-      result_cache_(ResolveResultCacheBytes(config.result_cache_bytes),
-                    &cache_accountant_),
       admission_(AdmissionController::Config{
           ResolveWorkers(config.workers),
-          ResolveMaxQueueDepth(config.max_queue_depth),
-          ResolveQueueTimeoutMs(config.queue_timeout_ms)}),
+          ResolveKnob(config.max_queue_depth, "EXRQUY_MAX_QUEUE_DEPTH",
+                      SIZE_MAX, &config_error_),
+          static_cast<int64_t>(ResolveKnob(config.queue_timeout_ms,
+                                           "EXRQUY_QUEUE_TIMEOUT_MS", 0,
+                                           &config_error_))}),
       quarantine_(QuarantineList::Config{
           config.quarantine_failures,
           std::max<int64_t>(config.quarantine_cooldown_ms, 1),
-          /*max_cooldown_ms=*/30000, /*max_entries=*/1024}) {
+          /*max_cooldown_ms=*/30000, /*max_entries=*/1024}),
+      cache_accountant_(0),
+      plan_cache_(0),
+      result_cache_(ResolveKnob(config.result_cache_bytes,
+                                "EXRQUY_RESULT_CACHE_BYTES", 0,
+                                &config_error_),
+                    &cache_accountant_) {
   size_t n = admission_.slot_count();
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -236,6 +217,10 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
     executions_.fetch_add(1, std::memory_order_relaxed);
     latency_us_.Record(MsSince(arrival) * 1000.0);
   };
+  if (!config_error_.ok()) {
+    done();
+    return config_error_;
+  }
 
   // Resolve the governed-execution knobs before taking any lock or
   // slot: a malformed knob must fail fast, and the absolute deadline

@@ -76,8 +76,12 @@ struct ServiceConfig {
   // Concurrent execution slots. 0 = hardware concurrency (at least 1).
   size_t workers = 0;
 
-  // Plan cache: -1 defers to EXRQUY_PLAN_CACHE ("0" disables; default
-  // on), 0 disables, 1 enables.
+  // Plan cache: -1 defers to EXRQUY_PLAN_CACHE ("0" disables, "1"
+  // enables; default on), 0 disables, 1 enables.
+  //
+  // Every -1 field below defers to an EXRQUY_* variable the same way,
+  // parsed strictly (engine/faults.h): a malformed value makes every
+  // Execute fail with an InvalidArgument naming the variable.
   int plan_cache = -1;
 
   // Result cache byte budget: -1 defers to EXRQUY_RESULT_CACHE_BYTES
@@ -161,6 +165,8 @@ class QueryService {
   // Runs one query against the current snapshot. Safe to call from any
   // number of threads concurrently; byte-identical to Session::Execute
   // over the same documents, for every worker count and cache state.
+  // Fails with InvalidArgument when a service variable the constructor
+  // read was malformed (ServiceConfig).
   Result<ServiceResult> Execute(std::string_view query,
                                 const QueryOptions& options = {});
 
@@ -230,6 +236,9 @@ class QueryService {
   bool DegradedNow() const;
   void EnterDegradedWindow();
 
+  // The first malformed EXRQUY_* service variable the constructor read
+  // (an InvalidArgument naming it); Execute returns it.
+  Status config_error_;
   bool plan_cache_enabled_;
   int max_retries_;
   double memory_high_water_;

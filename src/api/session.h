@@ -50,10 +50,11 @@ struct QueryOptions : RewriteOptions {
   bool mode_rules = true;        // LOC# / BIND# / FN:UNORDERED
 
   // Re-verifies the plan after every optimizer pass (opt/verify.h) and
-  // names the first offending rewrite on failure. Every compiled and
-  // optimized plan is verified once regardless of this flag before it
-  // reaches the engine; this turns on the per-pass hook, for debugging
-  // rewrites and for the fuzz/equivalence suites.
+  // names the pass and its first failed certificate obligation on
+  // failure (opt/pipeline.h). Every compiled and optimized plan is
+  // verified once regardless of this flag before it reaches the engine;
+  // this turns on the per-pass hook, for debugging rewrites and for the
+  // fuzz/equivalence suites.
   bool verify_each_pass = false;
 
   // Physical-plan order detection (orthogonal to the logical rewrites;

@@ -5,12 +5,11 @@
 #include <string>
 
 namespace exrquy {
-namespace {
 
-Result<bool> StrictEnvBool(const char* name) {
+Result<bool> StrictEnvBool(const char* name, bool unset) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
+  if (v == nullptr || *v == '\0') return unset;
   std::string s(v);
   if (s == "0") return false;
   if (s == "1") return true;
@@ -18,12 +17,10 @@ Result<bool> StrictEnvBool(const char* name) {
                          "\"");
 }
 
-}  // namespace
-
-Result<uint64_t> StrictEnvU64(const char* name) {
+Result<uint64_t> StrictEnvU64(const char* name, uint64_t unset) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup at resolve
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return uint64_t{0};
+  if (v == nullptr || *v == '\0') return unset;
   if (v[0] == '-' || v[0] == '+') {
     return InvalidArgument(std::string(name) + ": must be a non-negative " +
                            "integer, got \"" + v + "\"");

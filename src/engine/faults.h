@@ -55,12 +55,17 @@ struct FaultPlan {
   static Result<FaultPlan> FromEnv();
 };
 
-// Reads an unsigned EXRQUY_* knob. Unset/empty = 0; anything else must
-// be a plain non-negative decimal integer. Signs, non-digits, trailing
-// garbage, and overflow are a kInvalidArgument naming the variable: a
-// typo'd knob must fail, never silently mean "default" (or some prefix).
-// The one parser of every numeric EXRQUY_* variable read per query.
-Result<uint64_t> StrictEnvU64(const char* name);
+// Reads an unsigned EXRQUY_* knob. Unset/empty = `unset`; anything else
+// must be a plain non-negative decimal integer. Signs, non-digits,
+// trailing garbage, and overflow are a kInvalidArgument naming the
+// variable: a typo'd knob must fail, never silently mean "default" (or
+// some prefix). The one parser of every numeric EXRQUY_* variable, per
+// query and per QueryService.
+Result<uint64_t> StrictEnvU64(const char* name, uint64_t unset = 0);
+
+// Reads an EXRQUY_* switch: "0" or "1", unset/empty = `unset`. Anything
+// else is a kInvalidArgument naming the variable.
+Result<bool> StrictEnvBool(const char* name, bool unset = false);
 
 // Per-query counter state for one FaultPlan. The evaluator consults it
 // at every operator dispatch and chunk boundary; thresholds compare with

@@ -278,8 +278,6 @@ ColProps ConstArbAnalysis::Transfer(
   return out;
 }
 
-const ColProps& PropertyTracker::Get(OpId id) { return engine_.Get(id); }
-
 // ---------------------------------------------------------------------------
 // Cardinality intervals.
 // ---------------------------------------------------------------------------
@@ -379,8 +377,6 @@ CardRange CardAnalysis::Transfer(
   }
   return out;
 }
-
-const CardRange& CardTracker::Get(OpId id) { return engine_.Get(id); }
 
 // ---------------------------------------------------------------------------
 // Key columns.
@@ -573,8 +569,6 @@ ColSet KeyAnalysis::Transfer(const Dag& dag, OpId id,
   }
   return out;
 }
-
-const ColSet& KeyTracker::Get(OpId id) { return engine_.Get(id); }
 
 // ---------------------------------------------------------------------------
 // Semantic types.
@@ -891,8 +885,6 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
   }
   return out;
 }
-
-const SemType& SemTypeTracker::Get(OpId id) { return engine_.Get(id); }
 
 // ---------------------------------------------------------------------------
 // Order dependencies.
@@ -1277,11 +1269,10 @@ OrderFacts OrderAnalysis::Transfer(
   return out;
 }
 
-const OrderFacts& OrderTracker::Get(OpId id) { return engine_.Get(id); }
-
-bool OrderTracker::Covers(OpId id, const std::vector<SortKey>& requested) {
-  return OrderImplied(Get(id).facts, props_->Get(id).constant,
-                      keys_->Get(id), cards_->Get(id).max <= 1, requested);
+bool ForwardAnalyses::OrderCovers(OpId id,
+                                  const std::vector<SortKey>& requested) {
+  return OrderImplied(od.Get(id).facts, props.Get(id).constant, keys.Get(id),
+                      cards.Get(id).max <= 1, requested);
 }
 
 // ---------------------------------------------------------------------------
@@ -1328,8 +1319,6 @@ bool RaiseAnalysis::Transfer(const Dag& dag, OpId id,
       return false;
   }
 }
-
-bool RaiseTracker::Get(OpId id) { return engine_.Get(id); }
 
 // ---------------------------------------------------------------------------
 // Order provenance.

@@ -67,16 +67,7 @@ struct ConstArbAnalysis {
 };
 
 // Lazily computes column properties over a (possibly growing) DAG.
-class PropertyTracker {
- public:
-  explicit PropertyTracker(const Dag* dag) : engine_(dag) {}
-
-  const ColProps& Get(OpId id);
-  const DataflowStats& stats() const { return engine_.stats(); }
-
- private:
-  ForwardDataflow<ConstArbAnalysis> engine_;
-};
+using PropertyTracker = ForwardDataflow<ConstArbAnalysis>;
 
 // ---------------------------------------------------------------------------
 // Cardinality intervals (forward).
@@ -95,24 +86,13 @@ struct CardRange {
   std::string ToString() const;
 };
 
-class CardTracker;
-
 struct CardAnalysis {
   using Fact = CardRange;
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;
 };
 
-class CardTracker {
- public:
-  explicit CardTracker(const Dag* dag) : engine_(dag) {}
-
-  const CardRange& Get(OpId id);
-  const DataflowStats& stats() const { return engine_.stats(); }
-
- private:
-  ForwardDataflow<CardAnalysis> engine_;
-};
+using CardTracker = ForwardDataflow<CardAnalysis>;
 
 // ---------------------------------------------------------------------------
 // Key (duplicate-free) columns (forward).
@@ -126,17 +106,7 @@ struct KeyAnalysis {
                 const std::vector<const Fact*>& in) const;
 };
 
-class KeyTracker {
- public:
-  KeyTracker(const Dag* dag, CardTracker* cards)
-      : engine_(dag, KeyAnalysis{cards}) {}
-
-  const ColSet& Get(OpId id);
-  const DataflowStats& stats() const { return engine_.stats(); }
-
- private:
-  ForwardDataflow<KeyAnalysis> engine_;
-};
+using KeyTracker = ForwardDataflow<KeyAnalysis>;
 
 // ---------------------------------------------------------------------------
 // Semantic types (forward).
@@ -202,17 +172,7 @@ struct SemTypeAnalysis {
                 const std::vector<const Fact*>& in) const;
 };
 
-class SemTypeTracker {
- public:
-  SemTypeTracker(const Dag* dag, CardTracker* cards)
-      : engine_(dag, SemTypeAnalysis{cards}) {}
-
-  const SemType& Get(OpId id);
-  const DataflowStats& stats() const { return engine_.stats(); }
-
- private:
-  ForwardDataflow<SemTypeAnalysis> engine_;
-};
+using SemTypeTracker = ForwardDataflow<SemTypeAnalysis>;
 
 // ---------------------------------------------------------------------------
 // Order dependencies (forward).
@@ -263,26 +223,7 @@ bool OrderImplied(const std::vector<OrderFact>& facts, const ColSet& constants,
                   const ColSet& keys, bool at_most_one,
                   const std::vector<SortKey>& requested);
 
-class OrderTracker {
- public:
-  OrderTracker(const Dag* dag, PropertyTracker* props, CardTracker* cards,
-               KeyTracker* keys, SemTypeTracker* sem)
-      : props_(props),
-        cards_(cards),
-        keys_(keys),
-        engine_(dag, OrderAnalysis{props, cards, keys, sem}) {}
-
-  const OrderFacts& Get(OpId id);
-  // The physical row order of `id` provably realizes `requested`.
-  bool Covers(OpId id, const std::vector<SortKey>& requested);
-  const DataflowStats& stats() const { return engine_.stats(); }
-
- private:
-  PropertyTracker* props_;
-  CardTracker* cards_;
-  KeyTracker* keys_;
-  ForwardDataflow<OrderAnalysis> engine_;
-};
+using OrderTracker = ForwardDataflow<OrderAnalysis>;
 
 // ---------------------------------------------------------------------------
 // Error capability (forward).
@@ -299,17 +240,7 @@ struct RaiseAnalysis {
 // Conservative: Get(id) == false proves the sub-plan under `id` is
 // error-free, which licenses replacing a statically empty plan with an
 // empty literal without masking a dynamic error.
-class RaiseTracker {
- public:
-  RaiseTracker(const Dag* dag, CardTracker* cards)
-      : engine_(dag, RaiseAnalysis{cards}) {}
-
-  bool Get(OpId id);
-  const DataflowStats& stats() const { return engine_.stats(); }
-
- private:
-  ForwardDataflow<RaiseAnalysis> engine_;
-};
+using RaiseTracker = ForwardDataflow<RaiseAnalysis>;
 
 // ---------------------------------------------------------------------------
 // All forward analyses of one Dag.
@@ -323,12 +254,15 @@ struct ForwardAnalyses {
   explicit ForwardAnalyses(const Dag* dag)
       : props(dag),
         cards(dag),
-        keys(dag, &cards),
-        sem(dag, &cards),
-        od(dag, &props, &cards, &keys, &sem),
-        raise(dag, &cards) {}
+        keys(dag, {&cards}),
+        sem(dag, {&cards}),
+        od(dag, {&props, &cards, &keys, &sem}),
+        raise(dag, {&cards}) {}
   ForwardAnalyses(const ForwardAnalyses&) = delete;
   ForwardAnalyses& operator=(const ForwardAnalyses&) = delete;
+
+  // The physical row order of `id` provably realizes `requested`.
+  bool OrderCovers(OpId id, const std::vector<SortKey>& requested);
 
   PropertyTracker props;
   CardTracker cards;

@@ -18,11 +18,12 @@ struct OptimizeOptions {
   int max_passes = 8;
 
   // Re-verifies the plan (opt/verify.h, all checks) after every rewrite
-  // pass. When a pass breaks an invariant the pass is replayed one
-  // rewrite family at a time so the failure names the first offending
-  // rewrite; the diagnostic carries a dot graph of the bad plan when
-  // `strings` is set. The good path is unaffected: passes still apply
-  // all rewrites combined, so verification never changes the plan.
+  // pass. When a pass breaks an invariant the failure names the pass,
+  // the verifier diagnostic and the failed obligation of the pass's
+  // first certificate that was checked and found invalid (each rewrite
+  // instance carries its own certificate, opt/certify.h); it carries a
+  // dot graph of the bad plan when `strings` is set. Verification never
+  // changes the plan.
   bool verify_each_pass = false;
   const StrPool* strings = nullptr;  // for dot dumps in failure reports
 
@@ -36,9 +37,9 @@ struct OptimizeOptions {
 // ReachableFrom/CollectPlanStats on the returned root), the first
 // verifier diagnostic when `verify_each_pass` catches a bad rewrite, or
 // an InvalidArgument for a malformed EXRQUY_CERTIFY (resolved once
-// here, for every pass). Every pass, verification and attribution
-// replay reads and extends `facts`, the plan's analysis cache
-// (opt/facts_audit.h); when null, Optimize keeps a cache of its own.
+// here, for every pass). Every pass and verification reads and extends
+// `facts`, the plan's analysis cache (opt/facts_audit.h); when null,
+// Optimize keeps a cache of its own.
 Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options,
                       PlanFacts* facts = nullptr);
 

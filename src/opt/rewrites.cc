@@ -20,12 +20,7 @@ class Rewriter {
         options_(options),
         trades_(trades),
         audit_(&facts->audit),
-        props_(facts->analyses.props),
-        cards_(facts->analyses.cards),
-        keys_(facts->analyses.keys),
-        sem_(facts->analyses.sem),
-        od_(facts->analyses.od),
-        raise_(facts->analyses.raise) {}
+        fa_(facts->analyses) {}
 
   OpId Run(OpId root, bool* changed) {
     icols_ = ComputeICols(*dag_, root,
@@ -181,7 +176,7 @@ class Rewriter {
   OpId TryJoin(OpId id, const JoinSpec& spec) {
     std::string detail;
     OpId repl = EmitJoin(dag_, spec, Mapped(spec.outer_items), options_,
-                         &props_, &sem_, &cards_, &detail);
+                         &fa_.props, &fa_.sem, &fa_.cards, &detail);
     if (repl == kNoOp) return kNoOp;
     RewriteCertificate cert = Cert(id, repl, "join_recognition",
                                    std::move(detail), /*order_trade=*/true);
@@ -208,9 +203,9 @@ class Rewriter {
       cert.cited.push_back(CiteScaffoldFree(j.children[0], j.col));
       cert.cited.push_back(CiteScaffoldFree(j.children[1], j.col2));
       cert.cited.push_back(CiteKindClass(
-          j.children[0], j.col, sem_.Get(j.children[0]).KindOf(j.col)));
+          j.children[0], j.col, fa_.sem.Get(j.children[0]).KindOf(j.col)));
       cert.cited.push_back(CiteKindClass(
-          j.children[1], j.col2, sem_.Get(j.children[1]).KindOf(j.col2)));
+          j.children[1], j.col2, fa_.sem.Get(j.children[1]).KindOf(j.col2)));
     }
     return Attempt(std::move(cert));
   }
@@ -275,7 +270,7 @@ class Rewriter {
         ColId xc = side == 0 ? j.col2 : j.col;
         OpId xs = j.children[1 - side];
         if (dc == g && dag_->op(xs).schema == std::vector<ColId>{xc} &&
-            keys_.Get(xs).count(xc) != 0 &&
+            fa_.keys.Get(xs).count(xc) != 0 &&
             MatchCountShape(j.children[side], g, &tj, &h)) {
           x = xs;
           k = xc;
@@ -284,12 +279,12 @@ class Rewriter {
       if (x == kNoOp) return kNoOp;
     }
     const Op& t = dag_->op(tj);
-    const ItemKind lk = sem_.Get(t.children[0]).KindOf(t.col);
-    const ItemKind rk = sem_.Get(t.children[1]).KindOf(t.col2);
+    const ItemKind lk = fa_.sem.Get(t.children[0]).KindOf(t.col);
+    const ItemKind rk = fa_.sem.Get(t.children[1]).KindOf(t.col2);
     const size_t gs = dag_->op(t.children[0]).HasCol(g) ? 0 : 1;
     if (!OneComparisonClass(lk, rk) ||
-        sem_.Get(t.children[gs]).KindOf(g) != ItemKind::kInt ||
-        sem_.Get(t.children[1 - gs]).KindOf(h) != ItemKind::kInt) {
+        fa_.sem.Get(t.children[gs]).KindOf(g) != ItemKind::kInt ||
+        fa_.sem.Get(t.children[1 - gs]).KindOf(h) != ItemKind::kInt) {
       return kNoOp;
     }
     OpId to = dag_->ThetaCount(t.children[0], t.children[1], t.col, t.fun,
@@ -328,7 +323,7 @@ class Rewriter {
     // unless evaluating it could raise a dynamic error (an empty literal
     // never raises, so collapsing would change error semantics).
     if (options_.empty_short_circuit && op.kind != OpKind::kLit &&
-        cards_.Get(id).max == 0 && !raise_.Get(id)) {
+        fa_.cards.Get(id).max == 0 && !fa_.raise.Get(id)) {
       RewriteCertificate cert =
           Cert(id, dag_->Empty(op.schema), "empty_short_circuit",
                "the sub-plan provably produces no rows and can never "
@@ -532,7 +527,7 @@ class Rewriter {
         if (options_.distinct_by_keys) {
           // A duplicate-free column makes whole rows pairwise distinct,
           // and a single-row input trivially has no duplicates.
-          if (cards_.Get(c).max <= 1) {
+          if (fa_.cards.Get(c).max <= 1) {
             RewriteCertificate cert =
                 Cert(id, c, "distinct_by_keys",
                      "the input has at most one row: no duplicates "
@@ -540,8 +535,8 @@ class Rewriter {
             cert.cited.push_back(CiteInterval(c, 0, 1));
             OpId res = Attempt(std::move(cert));
             if (res != kNoOp) return res;
-          } else if (!keys_.Get(c).empty()) {
-            ColId k = *keys_.Get(c).begin();
+          } else if (!fa_.keys.Get(c).empty()) {
+            ColId k = *fa_.keys.Get(c).begin();
             RewriteCertificate cert =
                 Cert(id, c, "distinct_by_keys",
                      "column '" + ColName(k) +
@@ -567,12 +562,12 @@ class Rewriter {
           if (res != kNoOp) return res;
         }
         if (options_.rownum_by_keys &&
-            (cards_.Get(c).max <= 1 ||
-             (op.part != kNoCol && keys_.Get(c).count(op.part) != 0))) {
+            (fa_.cards.Get(c).max <= 1 ||
+             (op.part != kNoCol && fa_.keys.Get(c).count(op.part) != 0))) {
           // Every partition holds at most one row (the partition column
           // is a key, or the input is a single row): each row ranks 1
           // and the blocking sort vanishes.
-          bool one_row = cards_.Get(c).max <= 1;
+          bool one_row = fa_.cards.Get(c).max <= 1;
           RewriteCertificate cert = Cert(
               id, dag_->AttachConst(c, op.col, Value::Int(1)),
               "keyed-partition",
@@ -591,7 +586,7 @@ class Rewriter {
           if (res != kNoOp) return res;
         }
         if (options_.rownum_by_od && op.part != kNoCol &&
-            sem_.Get(c).unit_groups.count(op.part) != 0) {
+            fa_.sem.Get(c).unit_groups.count(op.part) != 0) {
           // Semantic typing proves the partition column duplicate-free
           // (a unit group, e.g. below fn:exactly-one): singleton groups
           // again, through a source the key domain cannot see.
@@ -611,7 +606,7 @@ class Rewriter {
         std::vector<ColId> dropped_criteria;
         bool part_dropped = false;
         if (options_.weaken_rownum) {
-          const ColProps& p = props_.Get(c);
+          const ColProps& p = fa_.props.Get(c);
           // Constant criteria carry no order information.
           order.erase(std::remove_if(order.begin(), order.end(),
                                      [&](const SortKey& k) {
@@ -660,8 +655,8 @@ class Rewriter {
         }
         if (options_.rownum_by_od &&
             (part == kNoCol ||
-             props_.Get(c).constant.count(part) != 0) &&
-            od_.Covers(c, order)) {
+             fa_.props.Get(c).constant.count(part) != 0) &&
+            fa_.OrderCovers(c, order)) {
           // The input provably already realizes the requested order: the
           // stable sort is the identity permutation and the ranks are
           // 1..n in physical row order — exactly what a positional #
@@ -672,7 +667,7 @@ class Rewriter {
               "order-dependency",
               "requested order " + OrderFact{order, false}.ToString() +
                   " is already realized by the input (sorted " +
-                  od_.Get(c).ToString() +
+                  fa_.od.Get(c).ToString() +
                   "): the sort is the identity and the ranks are the row "
                   "positions",
               /*order_trade=*/true);
@@ -799,13 +794,7 @@ class Rewriter {
   std::vector<RewriteTrade>* trades_;
   FactsAudit* audit_;
   std::unique_ptr<CertifyChecker> checker_;
-  // The plan's forward trackers (PlanFacts::analyses).
-  PropertyTracker& props_;
-  CardTracker& cards_;
-  KeyTracker& keys_;
-  SemTypeTracker& sem_;
-  OrderTracker& od_;
-  RaiseTracker& raise_;
+  ForwardAnalyses& fa_;  // the plan's forward trackers (PlanFacts)
   std::vector<ColSet> icols_;
   std::vector<OpId> map_;  // by OpId of the pass's input plan
   std::map<OpId, JoinSpec> join_specs_;

@@ -76,10 +76,9 @@ struct RewriteOptions {
 };
 
 // The individually switchable rewrite families, one entry each: the name
-// the ablations, the verify_each_pass attribution replay (in this order)
-// and error messages use, and its flag. Everything that enumerates the
-// families — the replay, the QueryService cache key, the tests — iterates
-// this table, so a new family is one flag plus one entry here.
+// the ablations and error messages use, and its flag. Everything that
+// enumerates the families — the QueryService cache key, the tests —
+// iterates this table, so a new family is one flag plus one entry here.
 struct RewriteFamily {
   const char* name;
   bool RewriteOptions::*flag;

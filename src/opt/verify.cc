@@ -582,11 +582,9 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
   std::vector<OpId> order;
   // Structure must hold before anything else may walk the DAG.
   EXRQUY_RETURN_IF_ERROR(CheckStructure(dag, root, &order));
-  if (options.check_schema || options.check_properties) {
-    SchemaChecker schemas(dag);
-    for (OpId id : order) {
-      EXRQUY_RETURN_IF_ERROR(schemas.Check(id));
-    }
+  SchemaChecker schemas(dag);
+  for (OpId id : order) {
+    EXRQUY_RETURN_IF_ERROR(schemas.Check(id));
   }
   if (options.check_properties) {
     // Audit every claim the optimizer's analyses make — constant /

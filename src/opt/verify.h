@@ -54,11 +54,10 @@
 
 namespace exrquy {
 
-// Structural invariants (layer 1) are always checked — they are the
-// precondition for walking the DAG at all; the flags gate the layers on
-// top of them.
+// Structural invariants (layer 1) and schemas are always checked — they
+// are the precondition for walking the DAG at all; the flag gates the
+// layers on top of them.
 struct VerifyOptions {
-  bool check_schema = true;
   // Re-derives column properties and cross-checks PropertyTracker and
   // ComputeICols. Slightly more expensive (still one pass per analysis);
   // the per-pass pipeline hook runs with this on.

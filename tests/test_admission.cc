@@ -459,6 +459,27 @@ TEST(ServiceOverloadTest, MalformedGovernorEnvRejectedUpFront) {
   EXPECT_TRUE(service->WorkersPristine());
 }
 
+// The service's own EXRQUY_* variables are read once, by the
+// constructor, with the same strict parsers as the per-query knobs: a
+// malformed value fails every Execute with InvalidArgument naming the
+// variable, even after the variable is gone.
+TEST(ServiceOverloadTest, MalformedServiceEnvFailsExecute) {
+  const char* cases[][2] = {{"EXRQUY_MAX_QUEUE_DEPTH", "12abc"},
+                            {"EXRQUY_PLAN_CACHE", "yes"}};
+  for (const auto& [name, bad] : cases) {
+    std::unique_ptr<QueryService> service;
+    {
+      ScopedEnv env(name, bad);
+      service = MakeService(ServiceConfig{});
+    }
+    Result<ServiceResult> r = service->Execute("1 + 1", {});
+    ASSERT_FALSE(r.ok()) << name << "=" << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(name), std::string::npos)
+        << r.status().message();
+  }
+}
+
 TEST(ServiceOverloadTest, QueueTimeoutShedsWaiter) {
   ServiceConfig config;
   config.workers = 1;

@@ -392,7 +392,7 @@ TEST_F(DataflowXMarkTest, KeyAndCardinalityFactsHoldDynamically) {
       ASSERT_TRUE(p.ok()) << q.name << ": " << p.status().ToString();
       const Dag& dag = *p->dag;
       CardTracker cards(&dag);
-      KeyTracker keys(&dag, &cards);
+      KeyTracker keys(&dag, {&cards});
 
       std::vector<OpId> targets;
       for (OpId id : dag.ReachableFrom(p->optimized)) {

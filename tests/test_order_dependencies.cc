@@ -453,9 +453,9 @@ TEST_F(OrderDependencyXMarkTest, ClaimedFactsHoldDynamically) {
       const Dag& dag = *p->dag;
       PropertyTracker props(&dag);
       CardTracker cards(&dag);
-      KeyTracker keys(&dag, &cards);
-      SemTypeTracker sem(&dag, &cards);
-      OrderTracker od(&dag, &props, &cards, &keys, &sem);
+      KeyTracker keys(&dag, {&cards});
+      SemTypeTracker sem(&dag, {&cards});
+      OrderTracker od(&dag, {&props, &cards, &keys, &sem});
 
       std::vector<OpId> targets;
       for (OpId id : dag.ReachableFrom(p->optimized)) {

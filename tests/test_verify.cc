@@ -286,9 +286,8 @@ TEST_F(VerifyTest, PipelineRejectsMalformedInputWithDotDump) {
 }
 
 // Every XMark query must verify clean as compiled, as optimized, and
-// after every individual optimizer pass (verify_each_pass replays a
-// failing pass rewrite-by-rewrite, so a clean run here certifies each
-// intermediate plan).
+// after every individual optimizer pass (verify_each_pass verifies each
+// pass's output, so a clean run here certifies each intermediate plan).
 TEST(VerifyXMarkTest, AllQueriesVerifyBeforeAndAfterEveryPass) {
   Session session;
   for (bool unordered : {false, true}) {
@@ -373,6 +372,57 @@ TEST(VerifyXMarkTest, SharedCacheStillCatchesClaimsPlantedOnLaterPassOps) {
       << st.message();
   keys.erase(non_key);
   EXPECT_TRUE(VerifyPlan(*dag, *root, {}, &facts).ok());
+}
+
+// verify_each_pass names the pass that broke the plan, the verifier's
+// diagnostic, and the first certificate of that pass that failed its
+// obligation. The bad pass is staged without a broken rewrite: a first
+// Optimize merges //c into one descendant step, a wrong constant claim
+// is planted on that step through the shared cache, and a second
+// Optimize from the compiled root rebuilds the same (hash-consed) step
+// in a pass whose step-merging certificate is forced to fail in check
+// mode.
+TEST(VerifyPlanTest, VerifyEachPassNamesPassAndFailedObligation) {
+  Session session;
+  ASSERT_TRUE(session
+                  .LoadDocument("t.xml",
+                                "<a><b><c>x</c></b><b><c>y</c></b></a>")
+                  .ok());
+  QueryOptions compile_only;
+  compile_only.enable_order_indifference = false;
+  Result<QueryPlans> plans =
+      session.Plan("count(doc(\"t.xml\")//c)", compile_only);
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  Dag* dag = plans->dag.get();
+  PlanFacts& facts = *plans->facts;
+  Result<OpId> clean = Optimize(dag, plans->initial, {}, &facts);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  OpId merged = kNoOp;
+  for (OpId id : dag->ReachableFrom(*clean)) {
+    if (dag->op(id).kind == OpKind::kStep &&
+        dag->op(id).axis == Axis::kDescendant) {
+      merged = id;
+    }
+  }
+  ASSERT_NE(merged, kNoOp) << "//c was not merged into descendant::c";
+  ColProps& props = const_cast<ColProps&>(facts.analyses.props.Get(merged));
+  props.constant.insert(item());  // two c elements: not constant
+
+  OptimizeOptions checked;
+  checked.verify_each_pass = true;
+  checked.rewrites.certify.mode = CertifyMode::kCheck;
+  checked.rewrites.certify.force_reject_rule = "step_merging";
+  Result<OpId> bad = Optimize(dag, plans->initial, checked, &facts);
+  ASSERT_FALSE(bad.ok());
+  const std::string& msg = bad.status().message();
+  EXPECT_EQ(msg.rfind("optimizer pass ", 0), 0u) << msg;
+  EXPECT_NE(msg.find("[property-claim] op " + std::to_string(merged) + " "),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("\nfailed obligation: certify: [forced-reject] "
+                     "step_merging"),
+            std::string::npos)
+      << msg;
 }
 
 TEST(VerifyXMarkTest, BaselineConfigurationAlsoVerifies) {

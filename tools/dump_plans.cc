@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       exrquy::Result<exrquy::QueryPlans> p =
           session.Plan(q.text, options);
       if (!p.ok()) {
-        std::fprintf(stderr, "dump_plans: %s: %s\n", q.name,
+        std::fprintf(stderr, "dump_plans: %s: %s\n", q.name.c_str(),
                      p.status().ToString().c_str());
         return 1;
       }
