@@ -8,21 +8,35 @@
 // isolate the marginal cost of the two order-reasoning domains on top
 // of warmed prerequisites, and the surviving-% columns record the
 // quantity the whole exercise is about: how many blocking sorts remain
-// in the fully optimized plans, per ordering mode.
+// in the fully optimized plans, per ordering mode. Each per-domain column
+// runs its repetitions back to back after one untimed pass, so that no
+// column's time depends on the other columns' work.
+//
+// `certify_us` is the median of paired certify-on/off planning
+// differences, with the interquartile range of those differences in
+// `certify_iqr_us`. When that range spans zero the cost is below what the
+// host's noise resolves: the query's `certify_us` is null (printed
+// `unresolved`). The totals sum every query's median.
 //
 //   { "bench": "optimizer",
 //     "queries": [ {"name": "Q1", "ops": N, "framework_us": t,
 //                   "new_facts_us": t, "semtype_us": t, "orderdep_us": t,
 //                   "plan_all_rewrites_ms": t, "plan_old_rewrites_ms": t,
-//                   "plan_no_certify_ms": t, "certify_us": t,
+//                   "plan_no_certify_ms": t, "certify_us": t | null,
+//                   "certify_iqr_us": [q1, q3],
 //                   "rownum_ordered": n, "rownum_unordered": n},
 //                  ... ],
-//     "totals": { "framework_us": t, ... } }
+//     "totals": { "framework_us": t, ... },
+//     "machine": { "cpu": "...", "hardware_concurrency": n } }
 //
 // Output: BENCH_optimizer.json.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "algebra/stats.h"
@@ -44,6 +58,42 @@ double Median(std::vector<double> v) {
   return v.empty() ? 0 : v[v.size() / 2];
 }
 
+// Nearest-rank quantile, 0 < q <= 1.
+double Quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  auto rank = static_cast<size_t>(std::ceil(q * static_cast<double>(v.size())));
+  return v[std::clamp<size_t>(rank, 1, v.size()) - 1];
+}
+
+// Runs `work` once untimed, then `reps` times timed; returns the median
+// µs.
+template <typename Work>
+double ColumnUs(int reps, const Work& work) {
+  work();
+  std::vector<double> us;
+  for (int i = 0; i < reps; ++i) {
+    Clock::time_point t0 = Clock::now();
+    work();
+    us.push_back(UsSince(t0));
+  }
+  return Median(us);
+}
+
+// The CPU model from /proc/cpuinfo ("unknown" where there is none).
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    size_t start = line.find_first_not_of(' ', colon + 1);
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
 ColSet RootSeed(const Dag& dag, OpId root) {
   ColSet seed;
   for (ColId c : {col::iter(), col::pos(), col::item()}) {
@@ -63,6 +113,8 @@ struct Row {
   double plan_old_ms = 0;
   double plan_nocert_ms = 0;
   double certify_us = 0;
+  double certify_q1_us = 0;
+  double certify_q3_us = 0;
   size_t rownum_ordered = 0;
   size_t rownum_unordered = 0;
 };
@@ -103,15 +155,12 @@ void Run() {
     row.name = query.name;
     row.ops = reachable.size();
 
-    std::vector<double> framework, fresh, semtype, orderdep;
-    for (int i = 0; i < kAnalysisReps; ++i) {
-      Clock::time_point t0 = Clock::now();
+    row.framework_us = ColumnUs(kAnalysisReps, [&] {
       (void)ComputeICols(dag, root, seed);
       PropertyTracker fp(&dag);
       for (OpId id : reachable) (void)fp.Get(id);
-      framework.push_back(UsSince(t0));
-
-      t0 = Clock::now();
+    });
+    row.new_facts_us = ColumnUs(kAnalysisReps, [&] {
       CardTracker cards(&dag);
       KeyTracker keys(&dag, {&cards});
       RaiseTracker raise(&dag, {&cards});
@@ -121,32 +170,29 @@ void Run() {
         (void)raise.Get(id);
       }
       (void)ComputeOrderProvenance(dag, root, seed, nullptr);
-      fresh.push_back(UsSince(t0));
+    });
 
-      // The order-reasoning domains, each timed on top of warmed
-      // prerequisites so the column is the domain's marginal cost, not
-      // a re-measurement of the facts it consumes.
-      PropertyTracker oprops(&dag);
-      CardTracker ocards(&dag);
-      KeyTracker okeys(&dag, {&ocards});
-      for (OpId id : reachable) {
-        (void)oprops.Get(id);
-        (void)ocards.Get(id);
-        (void)okeys.Get(id);
-      }
-      t0 = Clock::now();
-      SemTypeTracker sem(&dag, {&ocards});
-      for (OpId id : reachable) (void)sem.Get(id);
-      semtype.push_back(UsSince(t0));
-      t0 = Clock::now();
+    // The order-reasoning domains, each timed on top of warmed
+    // prerequisites so the column is the domain's marginal cost, not
+    // a re-measurement of the facts it consumes.
+    PropertyTracker oprops(&dag);
+    CardTracker ocards(&dag);
+    KeyTracker okeys(&dag, {&ocards});
+    SemTypeTracker sem(&dag, {&ocards});
+    for (OpId id : reachable) {
+      (void)oprops.Get(id);
+      (void)ocards.Get(id);
+      (void)okeys.Get(id);
+      (void)sem.Get(id);
+    }
+    row.semtype_us = ColumnUs(kAnalysisReps, [&] {
+      SemTypeTracker fresh_sem(&dag, {&ocards});
+      for (OpId id : reachable) (void)fresh_sem.Get(id);
+    });
+    row.orderdep_us = ColumnUs(kAnalysisReps, [&] {
       OrderTracker od(&dag, {&oprops, &ocards, &okeys, &sem});
       for (OpId id : reachable) (void)od.Get(id);
-      orderdep.push_back(UsSince(t0));
-    }
-    row.framework_us = Median(framework);
-    row.new_facts_us = Median(fresh);
-    row.semtype_us = Median(semtype);
-    row.orderdep_us = Median(orderdep);
+    });
 
     // Surviving % in the fully optimized plans, both ordering modes —
     // the corpus-wide ordered total is the number the order-dependency
@@ -164,9 +210,9 @@ void Run() {
     }
 
     // The certify-on and certify-off plans run back to back in each
-    // iteration (in alternating order), and certify_us is the median of those paired
-    // differences: a difference of two medians taken from different
-    // moments of a noisy host can come out negative.
+    // iteration (in alternating order), and certify_us is the median of
+    // those paired differences: a difference of two medians taken from
+    // different moments of a noisy host can come out negative.
     std::vector<double> all_ms, old_ms, nocert_ms, cert_delta_us;
     for (int i = 0; i < kPlanReps; ++i) {
       Clock::time_point t0 = Clock::now();
@@ -191,6 +237,8 @@ void Run() {
     row.plan_old_ms = Median(old_ms);
     row.plan_nocert_ms = Median(nocert_ms);
     row.certify_us = Median(cert_delta_us);
+    row.certify_q1_us = Quantile(cert_delta_us, 0.25);
+    row.certify_q3_us = Quantile(cert_delta_us, 0.75);
     rows.push_back(row);
   }
 
@@ -200,14 +248,25 @@ void Run() {
               "query", "ops", "framework_us", "new_facts_us",
               "semtype_us", "orderdep_us", "plan_all", "plan_old",
               "certify_us", "%ord", "%unord");
+  // A certify_us whose paired differences' IQR spans zero is unresolved:
+  // printed as such, written as null.
+  auto certify_text = [](const Row& r, const char* unresolved) {
+    if (r.certify_q1_us <= 0 && r.certify_q3_us >= 0) {
+      return std::string(unresolved);
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.1f", r.certify_us);
+    return std::string(buf);
+  };
   Row total;
   for (const Row& r : rows) {
     std::printf(
         "%-6s %5zu %13.1f %13.1f %11.1f %11.1f %9.2fms %9.2fms "
-        "%10.1f %6zu %6zu\n",
+        "%10s %6zu %6zu\n",
         r.name.c_str(), r.ops, r.framework_us, r.new_facts_us,
         r.semtype_us, r.orderdep_us, r.plan_all_ms, r.plan_old_ms,
-        r.certify_us, r.rownum_ordered, r.rownum_unordered);
+        certify_text(r, "unresolved").c_str(), r.rownum_ordered,
+        r.rownum_unordered);
     total.ops += r.ops;
     total.framework_us += r.framework_us;
     total.new_facts_us += r.new_facts_us;
@@ -243,11 +302,14 @@ void Run() {
                  "\"semtype_us\": %.1f, \"orderdep_us\": %.1f, "
                  "\"plan_all_rewrites_ms\": %.3f, "
                  "\"plan_old_rewrites_ms\": %.3f, "
-                 "\"plan_no_certify_ms\": %.3f, \"certify_us\": %.1f, "
+                 "\"plan_no_certify_ms\": %.3f, \"certify_us\": %s, "
+                 "\"certify_iqr_us\": [%.1f, %.1f], "
                  "\"rownum_ordered\": %zu, \"rownum_unordered\": %zu}%s\n",
                  r.name.c_str(), r.ops, r.framework_us,
                  r.new_facts_us, r.semtype_us, r.orderdep_us, r.plan_all_ms,
-                 r.plan_old_ms, r.plan_nocert_ms, r.certify_us,
+                 r.plan_old_ms, r.plan_nocert_ms,
+                 certify_text(r, "null").c_str(),
+                 r.certify_q1_us, r.certify_q3_us,
                  r.rownum_ordered, r.rownum_unordered,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -258,12 +320,15 @@ void Run() {
                "\"plan_all_rewrites_ms\": %.3f, "
                "\"plan_old_rewrites_ms\": %.3f, "
                "\"plan_no_certify_ms\": %.3f, \"certify_us\": %.1f, "
-               "\"rownum_ordered\": %zu, \"rownum_unordered\": %zu}\n}\n",
+               "\"rownum_ordered\": %zu, \"rownum_unordered\": %zu},\n"
+               "  \"machine\": {\"cpu\": \"%s\", "
+               "\"hardware_concurrency\": %u}\n}\n",
                total.ops, total.framework_us,
                total.new_facts_us, total.semtype_us, total.orderdep_us,
                total.plan_all_ms, total.plan_old_ms, total.plan_nocert_ms,
                total.certify_us, total.rownum_ordered,
-               total.rownum_unordered);
+               total.rownum_unordered, CpuModel().c_str(),
+               std::thread::hardware_concurrency());
   std::fclose(f);
   std::printf("\nwritten to BENCH_optimizer.json\n");
 }

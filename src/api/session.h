@@ -59,9 +59,11 @@ struct QueryOptions : RewriteOptions {
 
   // Physical-plan order detection (orthogonal to the logical rewrites;
   // Section 6's pointer to combined order/grouping frameworks): % skips
-  // its blocking sort when the input already arrives in the requested
-  // order. Off by default — the paper's configurations do not assume it.
-  bool physical_sort_detection = false;
+  // its blocking sort when an O(n) check finds the input already in the
+  // requested order, which gives the same ranks as the stable sort. On
+  // by default; the paper-figure benches (bench/bench_util.h) turn it
+  // off, since the paper's configurations do not assume it.
+  bool physical_sort_detection = true;
 
   // Record a per-operator execution profile (Table 2).
   bool profile = false;

@@ -7,7 +7,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <unordered_map>
 
@@ -816,9 +818,9 @@ Result<TablePtr> Evaluator::EvalPipeline(
   const bool lone = nstages == 1;
   // This unit's morsel size. A lone π or # shares its input columns in
   // one morsel. A lone Step splits no finer than the default: every
-  // EvalStep call sorts its contexts and memoizes step groups afresh, and
-  // the merge re-sorts, so small morsels only add work; parallelism needs
-  // just a few large ranges.
+  // EvalStep call memoizes step groups afresh (and sorts its contexts
+  // unless they arrive sorted), and the merge re-sorts, so small morsels
+  // only add work; parallelism needs just a few large ranges.
   size_t mrows = morsel_rows_;
   if (lone && (hop.kind == OpKind::kProject || hop.kind == OpKind::kRowId)) {
     mrows = std::max<size_t>(total, 1);
@@ -1966,36 +1968,58 @@ Result<TablePtr> Evaluator::EvalDoc(const Op& op) {
 
 namespace {
 
-// Groups content rows by iter and yields each iter group's rows sorted
-// by pos (sequence order establishes the new fragment's document order).
+// The row numbers of `t` in sequence order, by (iter, pos): one stable
+// sort, skipped when the rows already arrive in that order. Constructor
+// content gets the new fragment's document order from it, the serializer
+// the result's item order.
+std::vector<uint32_t> RowsInSequenceOrder(const Table& t,
+                                          const ValueOps& ops) {
+  const Column& iters = t.col(col::iter());
+  const Column& poss = t.col(col::pos());
+  std::vector<uint32_t> rows(t.rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  auto less = [&](uint32_t a, uint32_t b) {
+    int c = ops.OrderCompare(iters[a], iters[b]);
+    if (c != 0) return c < 0;
+    return ops.OrderCompare(poss[a], poss[b]) < 0;
+  };
+  if (!std::is_sorted(rows.begin(), rows.end(), less)) {
+    std::stable_sort(rows.begin(), rows.end(), less);
+  }
+  return rows;
+}
+
+// The content rows of each iter in sequence order, cut into one run per
+// iter. Loop rows find their run by a merge while their iters ascend (the
+// common case: a forward cursor, no search), by binary search otherwise.
 class ContentGroups {
  public:
-  ContentGroups(const Table& content, const ValueOps& ops) {
-    const Column& iters = content.col(col::iter());
-    const Column& poss = content.col(col::pos());
-    for (size_t r = 0; r < content.rows(); ++r) {
-      groups_[iters[r].i].push_back(static_cast<uint32_t>(r));
-    }
-    for (auto& [iter, rows] : groups_) {
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         return ops.OrderCompare(poss[a], poss[b]) < 0;
-                       });
-    }
-  }
+  ContentGroups(const Table& content, const ValueOps& ops)
+      : iters_(content.col(col::iter())),
+        rows_(RowsInSequenceOrder(content, ops)) {}
 
-  static const std::vector<uint32_t>& Empty() {
-    static const std::vector<uint32_t>* empty = new std::vector<uint32_t>();
-    return *empty;
-  }
-
-  const std::vector<uint32_t>& RowsFor(int64_t iter) const {
-    auto it = groups_.find(iter);
-    return it == groups_.end() ? Empty() : it->second;
+  std::span<const uint32_t> RowsFor(int64_t iter) {
+    auto iter_less = [&](uint32_t r, int64_t v) { return iters_[r].i < v; };
+    if (iter >= last_iter_) {
+      while (cursor_ < rows_.size() && iters_[rows_[cursor_]].i < iter) {
+        ++cursor_;
+      }
+    } else {
+      cursor_ = static_cast<size_t>(
+          std::lower_bound(rows_.begin(), rows_.end(), iter, iter_less) -
+          rows_.begin());
+    }
+    last_iter_ = iter;
+    size_t end = cursor_;
+    while (end < rows_.size() && iters_[rows_[end]].i == iter) ++end;
+    return std::span<const uint32_t>(rows_.data() + cursor_, end - cursor_);
   }
 
  private:
-  std::unordered_map<int64_t, std::vector<uint32_t>> groups_;
+  const Column& iters_;
+  std::vector<uint32_t> rows_;
+  size_t cursor_ = 0;  // first row of the last run found
+  int64_t last_iter_ = std::numeric_limits<int64_t>::min();
 };
 
 }  // namespace
@@ -2005,47 +2029,49 @@ Result<TablePtr> Evaluator::EvalElem(const Op& op, const Table& content,
   ContentGroups groups(content, ops_);
   const Column& items = content.col(col::item());
   const Column& loop_iters = loop.col(col::iter());
+  NodeStore& store = *ctx_->store;
 
-  Column out_iter;
-  Column out_item;
+  Column out_iter(loop.rows());
+  Column out_item(loop.rows());
+  // One builder and one text buffer serve every element.
+  NodeBuilder builder(&store);
+  std::string pending;
   for (size_t lr = 0; lr < loop.rows(); ++lr) {
     int64_t it = loop_iters[lr].i;
-    const std::vector<uint32_t>& rows = groups.RowsFor(it);
+    std::span<const uint32_t> rows = groups.RowsFor(it);
 
-    NodeBuilder builder(ctx_->store);
+    if (lr > 0) builder.Restart();
     builder.BeginElement(op.name);
     // Attribute items first (XQuery requires attributes to precede other
     // content; we accept them anywhere, leniently).
     for (uint32_t r : rows) {
       const Value& v = items[r];
       if (v.kind == ValueKind::kNode &&
-          ctx_->store->kind(v.node) == NodeKind::kAttribute) {
-        builder.Attribute(ctx_->store->name(v.node),
-                          ctx_->store->value(v.node));
+          store.kind(v.node) == NodeKind::kAttribute) {
+        builder.Attribute(store.name(v.node), store.value(v.node));
       }
     }
     // Children: nodes are deep-copied, adjacent atomics merge into one
     // space-separated text node.
-    std::string pending;
     bool have_pending = false;
     auto flush = [&] {
-      if (have_pending) builder.Text(pending);
+      if (have_pending) builder.Text(std::string_view(pending));
       pending.clear();
       have_pending = false;
     };
     for (uint32_t r : rows) {
       const Value& v = items[r];
       if (v.kind == ValueKind::kNode) {
-        NodeKind k = ctx_->store->kind(v.node);
+        NodeKind k = store.kind(v.node);
         if (k == NodeKind::kAttribute) continue;  // already handled
         flush();
         if (k == NodeKind::kDocument) {
           // Copying a document node copies its children.
-          NodeIdx end = v.node + ctx_->store->size(v.node);
+          NodeIdx end = v.node + store.size(v.node);
           NodeIdx c = v.node + 1;
           while (c <= end) {
             builder.CopySubtree(c);
-            c += ctx_->store->size(c) + 1;
+            c += store.size(c) + 1;
           }
         } else {
           builder.CopySubtree(v.node);
@@ -2058,9 +2084,8 @@ Result<TablePtr> Evaluator::EvalElem(const Op& op, const Table& content,
     }
     flush();
     builder.EndElement();
-    NodeIdx node = builder.Finish();
-    out_iter.push_back(Value::Int(it));
-    out_item.push_back(Value::Node(node));
+    out_iter[lr] = Value::Int(it);
+    out_item[lr] = Value::Node(builder.Finish());
   }
 
   auto out = std::make_shared<Table>();
@@ -2113,7 +2138,7 @@ Result<TablePtr> Evaluator::EvalText(const Op& op, const Table& content,
   Column out_item;
   for (size_t lr = 0; lr < loop.rows(); ++lr) {
     int64_t it = loop_iters[lr].i;
-    const std::vector<uint32_t>& rows = groups.RowsFor(it);
+    std::span<const uint32_t> rows = groups.RowsFor(it);
     if (rows.empty()) continue;  // text {()} yields the empty sequence
     std::string s;
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -2136,24 +2161,6 @@ Result<TablePtr> Evaluator::EvalText(const Op& op, const Table& content,
 }
 
 // ---------------------------------------------------------------------------
-
-namespace {
-
-std::vector<uint32_t> RowsInSequenceOrder(const Table& t,
-                                          const ValueOps& ops) {
-  const Column& iters = t.col(col::iter());
-  const Column& poss = t.col(col::pos());
-  std::vector<uint32_t> rows(t.rows());
-  std::iota(rows.begin(), rows.end(), 0);
-  std::stable_sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
-    int c = ops.OrderCompare(iters[a], iters[b]);
-    if (c != 0) return c < 0;
-    return ops.OrderCompare(poss[a], poss[b]) < 0;
-  });
-  return rows;
-}
-
-}  // namespace
 
 void RenderResult(const Table& t, const EvalContext& ctx,
                   std::string* serialized, std::vector<std::string>* items) {

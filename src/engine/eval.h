@@ -104,8 +104,9 @@ struct EvalContext {
   // Neumann): when set, % first checks in O(n) whether its input already
   // arrives in the requested (partition, criteria) order and skips the
   // blocking sort if so — "this renders subsequent % as cheap as #".
-  // Orthogonal to the paper's logical rewrites, hence off by default.
-  bool detect_sorted_inputs = false;
+  // Orthogonal to the paper's logical rewrites; the result is the same
+  // either way, so it is on by default.
+  bool detect_sorted_inputs = true;
   // Number of % evaluations whose sort was skipped (diagnostics).
   mutable std::atomic<size_t> sorts_skipped{0};
 

@@ -74,10 +74,25 @@ std::string FormatDouble(double v) {
 
 Value ValueOps::Atomize(Value v) const {
   if (v.kind != ValueKind::kNode) return v;
-  if (store_->kind(v.node) == NodeKind::kAttribute) {
+  NodeKind k = store_->kind(v.node);
+  if (k == NodeKind::kAttribute || k == NodeKind::kText ||
+      k == NodeKind::kComment) {
     return Value::Untyped(store_->value(v.node));
   }
-  return Value::Untyped(strings_->Intern(store_->StringValue(v.node)));
+  // An element or document with at most one text descendant has that
+  // node's (already interned) value as its string value, or "" without
+  // one: the id Intern would return, without taking the pool's lock.
+  NodeIdx end = v.node + store_->size(v.node);
+  NodeIdx text = kInvalidNode;
+  for (NodeIdx i = v.node + 1; i <= end; ++i) {
+    if (store_->kind(i) != NodeKind::kText) continue;
+    if (text != kInvalidNode) {
+      return Value::Untyped(strings_->Intern(store_->StringValue(v.node)));
+    }
+    text = i;
+  }
+  return Value::Untyped(text == kInvalidNode ? StrPool::kEmpty
+                                             : store_->value(text));
 }
 
 Result<Value> ValueOps::ToDouble(Value v) const {
@@ -104,6 +119,8 @@ Result<Value> ValueOps::ToString(Value v) const {
     return TypeError("cannot cast a node to xs:string (atomize first)");
   }
   if (v.kind == ValueKind::kString) return v;
+  // An untyped value's string is already interned under its own id.
+  if (v.kind == ValueKind::kUntyped) return Value::Str(v.str);
   return Value::Str(strings_->Intern(Render(v)));
 }
 

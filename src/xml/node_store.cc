@@ -42,20 +42,35 @@ const NodeStore::Fragment& NodeStore::FragmentOf(NodeIdx n) const {
 NodeIdx NodeStore::CopySubtreeInto(NodeIdx src, uint16_t level_delta,
                                    NodeIdx new_parent) {
   NodeIdx dst_root = kind_.size();
-  uint32_t count = size(src) + 1;
-  int64_t idx_delta = static_cast<int64_t>(dst_root) -
-                      static_cast<int64_t>(src);
-  uint16_t src_level = level(src);
-  for (NodeIdx i = src; i < src + count; ++i) {
-    NodeIdx p;
-    if (i == src) {
-      p = new_parent;
-    } else {
-      p = parent_[i] + idx_delta;
-    }
-    uint16_t lvl = static_cast<uint16_t>(level_[i] - src_level + level_delta);
-    AppendNode(kind(i), name_[i], value_[i], lvl, p);
-    size_.back() = size_[i];  // subtree sizes are position independent
+  size_t count = size_t{size(src)} + 1;
+  NodeIdx src_end = src + count;
+  // Kinds, names, values and subtree sizes are position independent:
+  // copy them as ranges (each source range lies below dst_root, so a
+  // self-append copies no element it has just written).
+  auto append_range = [&](auto& v) {
+    v.resize(dst_root + count);
+    std::copy(v.begin() + src, v.begin() + src_end, v.begin() + dst_root);
+  };
+  append_range(kind_);
+  append_range(name_);
+  append_range(value_);
+  append_range(size_);
+  // Levels and parents are rebased in one loop.
+  level_.resize(dst_root + count);
+  parent_.resize(dst_root + count);
+  uint16_t src_level = level_[src];
+  NodeIdx idx_delta = dst_root - src;  // dst_root > src: no wrap-around
+  level_[dst_root] = level_delta;
+  parent_[dst_root] = new_parent;
+  for (size_t k = 1; k < count; ++k) {
+    level_[dst_root + k] =
+        static_cast<uint16_t>(level_[src + k] - src_level + level_delta);
+    parent_[dst_root + k] = parent_[src + k] + idx_delta;
+  }
+  // Charge per node, as AppendNode does, so the budget's charge count
+  // (and with it every fail-at fault point) is the same as node by node.
+  if (budget_ != nullptr) {
+    for (size_t k = 0; k < count; ++k) budget_->Charge(kBytesPerNode);
   }
   return dst_root;
 }
@@ -230,6 +245,12 @@ NodeIdx NodeBuilder::Finish() {
   store_->fragments_.push_back(NodeStore::Fragment{
       first_, static_cast<uint32_t>(store_->node_count() - first_), false});
   return first_;
+}
+
+void NodeBuilder::Restart() {
+  EXRQUY_CHECK(finished_);
+  first_ = store_->node_count();
+  finished_ = false;
 }
 
 }  // namespace exrquy

@@ -187,6 +187,11 @@ class NodeBuilder {
   // Closes the fragment and registers it with the store; returns its root.
   NodeIdx Finish();
 
+  // After Finish: starts the next fragment at the end of the store,
+  // keeping this builder's buffers (constructors build one element per
+  // loop row without allocating a builder each).
+  void Restart();
+
  private:
   uint16_t CurrentLevel() const;
   NodeIdx CurrentParent() const;

@@ -1,9 +1,8 @@
 #include "xml/step.h"
 
 #include <algorithm>
-#include <deque>
-#include <numeric>
-#include <unordered_map>
+#include <span>
+#include <utility>
 
 #include "common/check.h"
 
@@ -188,7 +187,7 @@ bool IsDescendantAxis(Axis axis) {
 // are covered, except for -or-self, where the context itself must still
 // be emitted.
 void EvalGroup(const NodeStore& store, Axis axis, const NodeTest& test,
-               const std::vector<NodeIdx>& ctx,  // sorted, duplicate-free
+               std::span<const NodeIdx> ctx,  // sorted, duplicate-free
                const std::vector<NodeIdx>* index,
                std::vector<NodeIdx>* out) {
   size_t start = out->size();
@@ -199,13 +198,18 @@ void EvalGroup(const NodeStore& store, Axis axis, const NodeTest& test,
     NodeIdx covered_end = 0;  // exclusive upper bound of covered range
     for (NodeIdx n : ctx) {
       bool covered = n < covered_end;
-      if (axis == Axis::kDescendantOrSelf && covered) {
-        // Context already emitted as part of an enclosing subtree scan
-        // (node() test) or would be found below; with a name test it may
-        // not have been emitted by the indexed path, but it is contained
-        // in the covering context's result set either way.
+      if (covered) {
+        // A covered context's results are in the covering context's set,
+        // except a covered attribute's own self (descendant scans skip
+        // attributes): emit it, and sort below.
+        if (axis == Axis::kDescendantOrSelf &&
+            store.kind(n) == NodeKind::kAttribute &&
+            MatchesTest(store, n, axis, test)) {
+          out->push_back(n);
+          sorted_disjoint = false;
+        }
+        continue;
       }
-      if (covered) continue;
       if (axis == Axis::kDescendantOrSelf &&
           MatchesTest(store, n, axis, test)) {
         out->push_back(n);
@@ -279,14 +283,33 @@ void EvalStep(const NodeStore& store, Axis axis, const NodeTest& test,
   out_nodes->clear();
   if (iters.empty()) return;
 
-  // Sort contexts by (iter, node) and deduplicate.
-  std::vector<uint32_t> perm(iters.size());
-  std::iota(perm.begin(), perm.end(), 0);
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    if (iters[a] != iters[b]) return iters[a] < iters[b];
-    if (nodes[a] != nodes[b]) return nodes[a] < nodes[b];
-    return a < b;  // total key: duplicate contexts keep input order
-  });
+  // Sort contexts by (iter, node) unless they already arrive that way,
+  // as every call in the perfbench workloads does (EXPERIMENTS.md).
+  // Equal pairs are indistinguishable, so no tie-break is needed.
+  size_t n = iters.size();
+  bool sorted = true;
+  for (size_t i = 1; i < n && sorted; ++i) {
+    sorted = iters[i - 1] < iters[i] ||
+             (iters[i - 1] == iters[i] && nodes[i - 1] <= nodes[i]);
+  }
+  if (!sorted) {
+    std::vector<std::pair<int64_t, NodeIdx>> pairs(n);
+    for (size_t i = 0; i < n; ++i) pairs[i] = {iters[i], nodes[i]};
+    std::sort(pairs.begin(), pairs.end());
+    for (size_t i = 0; i < n; ++i) {
+      iters[i] = pairs[i].first;
+      nodes[i] = pairs[i].second;
+    }
+  }
+  // Deduplicate in place: each iter's contexts become one run of `nodes`.
+  size_t m = 1;
+  for (size_t i = 1; i < n; ++i) {
+    if (iters[i] != iters[m - 1] || nodes[i] != nodes[m - 1]) {
+      iters[m] = iters[i];
+      nodes[m] = nodes[i];
+      ++m;
+    }
+  }
 
   // Name-index fast path applies to element name tests on descendant axes
   // (the principal kind on those axes is element).
@@ -303,52 +326,71 @@ void EvalStep(const NodeStore& store, Axis axis, const NodeTest& test,
   // of bindings — the pattern Pathfinder's join recognition short-cuts by
   // evaluating the path once, Section 5). Memoizing per-group results by
   // the group's context-set hash recovers that: each distinct context set
-  // is evaluated exactly once.
+  // is evaluated exactly once. The memo is flat: an entry names its
+  // contexts as a run of the deduplicated `nodes` and its results as the
+  // run of `out_nodes` its first evaluation wrote; an open-addressing
+  // table of entry numbers finds it by hash (a node-based multimap
+  // allocates per distinct group and nearly doubles the step's time).
   struct GroupMemo {
-    std::vector<NodeIdx> contexts;
-    std::vector<NodeIdx> results;
+    uint64_t hash;
+    size_t ctx_begin, ctx_len;
+    size_t res_begin, res_len;
   };
-  std::deque<GroupMemo> memo;  // stable addresses
-  std::unordered_multimap<uint64_t, const GroupMemo*> memo_index;
-  auto hash_group = [](const std::vector<NodeIdx>& g) {
+  constexpr uint32_t kNoEntry = ~uint32_t{0};
+  std::vector<GroupMemo> memo;
+  std::vector<uint32_t> slots(16, kNoEntry);  // power of two, load <= 1/2
+  auto hash_group = [&](size_t b, size_t e) {
     uint64_t h = 1469598103934665603ull;
-    for (NodeIdx n : g) {
-      h ^= n + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    for (size_t i = b; i < e; ++i) {
+      h ^= nodes[i] + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     }
     return h;
   };
+  auto insert_slot = [&](size_t entry) {
+    size_t mask = slots.size() - 1;
+    size_t s = memo[entry].hash & mask;
+    while (slots[s] != kNoEntry) s = (s + 1) & mask;
+    slots[s] = static_cast<uint32_t>(entry);
+  };
 
-  std::vector<NodeIdx> group;
-  std::vector<NodeIdx> results;
-  size_t i = 0;
-  while (i < perm.size()) {
-    int64_t iter = iters[perm[i]];
-    group.clear();
-    while (i < perm.size() && iters[perm[i]] == iter) {
-      NodeIdx n = nodes[perm[i]];
-      if (group.empty() || group.back() != n) group.push_back(n);
-      ++i;
-    }
-    uint64_t h = hash_group(group);
-    const std::vector<NodeIdx>* cached = nullptr;
-    auto [lo, hi] = memo_index.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second->contexts == group) {
-        cached = &it->second->results;
+  size_t b = 0;
+  while (b < m) {
+    int64_t iter = iters[b];
+    size_t e = b + 1;
+    while (e < m && iters[e] == iter) ++e;
+    uint64_t h = hash_group(b, e);
+    const GroupMemo* cached = nullptr;
+    size_t mask = slots.size() - 1;
+    for (size_t s = h & mask; slots[s] != kNoEntry; s = (s + 1) & mask) {
+      const GroupMemo& g = memo[slots[s]];
+      if (g.hash == h && g.ctx_len == e - b &&
+          std::equal(nodes.begin() + b, nodes.begin() + e,
+                     nodes.begin() + g.ctx_begin)) {
+        cached = &g;
         break;
       }
     }
-    if (cached == nullptr) {
-      results.clear();
-      EvalGroup(store, axis, test, group, index, &results);
-      memo.push_back(GroupMemo{group, results});
-      memo_index.emplace(h, &memo.back());
-      cached = &memo.back().results;
+    size_t at = out_nodes->size();
+    if (cached != nullptr) {
+      // Append the cached run (copied by index: it lies in the same
+      // vector that grows).
+      out_nodes->resize(at + cached->res_len);
+      std::copy_n(out_nodes->data() + cached->res_begin, cached->res_len,
+                  out_nodes->data() + at);
+    } else {
+      EvalGroup(store, axis, test,
+                std::span<const NodeIdx>(nodes.data() + b, e - b), index,
+                out_nodes);
+      memo.push_back(GroupMemo{h, b, e - b, at, out_nodes->size() - at});
+      if (2 * memo.size() > slots.size()) {
+        slots.assign(2 * slots.size(), kNoEntry);
+        for (size_t k = 0; k < memo.size(); ++k) insert_slot(k);
+      } else {
+        insert_slot(memo.size() - 1);
+      }
     }
-    for (NodeIdx n : *cached) {
-      out_iters->push_back(iter);
-      out_nodes->push_back(n);
-    }
+    out_iters->resize(out_nodes->size(), iter);
+    b = e;
   }
 }
 

@@ -4,9 +4,19 @@
 // cases), joins, set operations, and node constructors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "algebra/algebra.h"
 #include "engine/eval.h"
+#include "ref/interp.h"
+#include "xml/serializer.h"
 #include "xml/xml_parser.h"
+#include "xquery/normalize.h"
+#include "xquery/parser.h"
 
 namespace exrquy {
 namespace {
@@ -399,6 +409,130 @@ TEST_F(EngineTest, TextSkipsEmptyIterations) {
   TablePtr t = Eval(tx);
   ASSERT_EQ(t->rows(), 1u);
   EXPECT_EQ(Ints(*t, iter()), (std::vector<int64_t>{2}));
+}
+
+// Constructor content in any arrival order: rows shuffled or already in
+// (iter, pos) order, tied pos values (sequence order then falls back to
+// row order), loop iterations without content, loop rows in either
+// order, and attribute nodes, atomics and other nodes interleaved. Every
+// element, attribute and text node built must equal what the reference
+// interpreter builds from the same items in sequence order.
+TEST_F(EngineTest, ConstructorsMatchReferenceOnAnyContentOrder) {
+  Result<NodeIdx> doc =
+      ParseXml(&store_, R"(<r a="1" b="2"><x>1</x><x>2<y/>z</x></r>)");
+  ASSERT_TRUE(doc.ok());
+  const NodeIdx d = *doc;
+  ASSERT_EQ(store_.name_str(d + 2), "a");
+  ASSERT_EQ(store_.name_str(d + 6), "x");
+  ASSERT_EQ(store_.value_str(d + 5), "1");
+  struct Item {
+    Value v;
+    std::string expr;  // the same item as an XQuery expression
+  };
+  const std::vector<Item> items = {
+      {Value::Int(7), "7"},
+      {Value::Int(42), "42"},
+      {Value::Str(strings_.Intern("s")), "'s'"},
+      {Value::Node(d + 2), "doc('d.xml')/r/@a"},
+      {Value::Node(d + 3), "doc('d.xml')/r/@b"},
+      {Value::Node(d + 4), "doc('d.xml')/r/x[1]"},
+      {Value::Node(d + 6), "doc('d.xml')/r/x[2]"},
+      {Value::Node(d + 5), "doc('d.xml')/r/x[1]/text()"},
+      {Value::Node(d), "doc('d.xml')"},
+  };
+  RefInterpreter ref(&store_, &strings_, {{strings_.Intern("d.xml"), d}});
+  auto run_ref = [&](const std::string& query) -> std::vector<Value> {
+    Result<Query> parsed = ParseQuery(query);
+    EXPECT_TRUE(parsed.ok()) << query;
+    if (!parsed.ok()) return {};
+    NormalizeOptions norm;
+    norm.insert_unordered = false;
+    EXPECT_TRUE(Normalize(&*parsed, norm).ok()) << query;
+    Result<std::vector<Value>> r = ref.Eval(*parsed->body);
+    EXPECT_TRUE(r.ok()) << query << ": " << r.status().ToString();
+    return r.ok() ? *r : std::vector<Value>{};
+  };
+
+  std::mt19937 rng(2026);
+  constexpr int64_t kIters = 6;  // iter 6 never has content
+  for (int trial = 0; trial < 40; ++trial) {
+    struct Row {
+      int64_t iter;
+      int64_t pos;
+      size_t item;
+    };
+    std::vector<Row> rows(rng() % 16);
+    for (Row& r : rows) {
+      r = Row{1 + static_cast<int64_t>(rng() % (kIters - 1)),
+              1 + static_cast<int64_t>(rng() % 3), rng() % items.size()};
+    }
+    auto by_iter_pos = [](const Row& a, const Row& b) {
+      return a.iter != b.iter ? a.iter < b.iter : a.pos < b.pos;
+    };
+    if (trial % 3 == 0) std::stable_sort(rows.begin(), rows.end(), by_iter_pos);
+    std::vector<int64_t> loop_iters;
+    for (int64_t i = 1; i <= kIters; ++i) loop_iters.push_back(i);
+    if (trial % 2 == 1) std::shuffle(loop_iters.begin(), loop_iters.end(), rng);
+
+    LitTable ct;
+    ct.cols = {iter(), pos(), item()};
+    for (const Row& r : rows) {
+      ct.rows.push_back({Value::Int(r.iter), Value::Int(r.pos), items[r.item].v});
+    }
+    LitTable lt;
+    lt.cols = {iter()};
+    for (int64_t i : loop_iters) lt.rows.push_back({Value::Int(i)});
+    OpId content = dag_.Lit(std::move(ct));
+    OpId loop = dag_.Lit(std::move(lt));
+    TablePtr elems = Eval(dag_.Elem(strings_.Intern("e"), content, loop));
+    TablePtr attrs = Eval(dag_.Attr(strings_.Intern("n"), content, loop));
+    TablePtr texts = Eval(dag_.Text(content, loop));
+    ASSERT_NE(elems, nullptr);
+    ASSERT_NE(attrs, nullptr);
+    ASSERT_NE(texts, nullptr);
+    ASSERT_EQ(elems->rows(), loop_iters.size());
+    ASSERT_EQ(attrs->rows(), loop_iters.size());
+
+    size_t text_row = 0;
+    for (size_t lr = 0; lr < loop_iters.size(); ++lr) {
+      int64_t it = loop_iters[lr];
+      // The iteration's items in sequence order: by pos, ties by row.
+      std::vector<Row> seq;
+      for (const Row& r : rows) {
+        if (r.iter == it) seq.push_back(r);
+      }
+      std::stable_sort(seq.begin(), seq.end(), by_iter_pos);
+      std::string expr = "(";
+      for (size_t k = 0; k < seq.size(); ++k) {
+        if (k > 0) expr += ", ";
+        expr += items[seq[k].item].expr;
+      }
+      expr += ")";
+      SCOPED_TRACE("trial " + std::to_string(trial) + " iter " +
+                   std::to_string(it) + " content " + expr);
+
+      EXPECT_EQ(elems->at(iter(), lr).i, it);
+      std::vector<Value> e = run_ref("<e>{ " + expr + " }</e>");
+      ASSERT_EQ(e.size(), 1u);
+      EXPECT_EQ(SerializeNode(store_, elems->at(item(), lr).node),
+                SerializeNode(store_, e[0].node));
+
+      EXPECT_EQ(attrs->at(iter(), lr).i, it);
+      std::vector<Value> w = run_ref("<w n=\"{ " + expr + " }\"/>");
+      ASSERT_EQ(w.size(), 1u);
+      EXPECT_EQ(store_.value_str(attrs->at(item(), lr).node),
+                store_.value_str(w[0].node + 1));
+
+      std::vector<Value> t = run_ref("text { " + expr + " }");
+      if (t.empty()) continue;  // text {()} yields no node
+      ASSERT_LT(text_row, texts->rows());
+      EXPECT_EQ(texts->at(iter(), text_row).i, it);
+      EXPECT_EQ(store_.value_str(texts->at(item(), text_row).node),
+                store_.value_str(t[0].node));
+      ++text_row;
+    }
+    EXPECT_EQ(text_row, texts->rows());
+  }
 }
 
 TEST_F(EngineTest, SharedSubplanEvaluatedOnce) {

@@ -3,6 +3,10 @@
 // index, and truncation.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "common/governor.h"
 #include "xml/node_store.h"
 
 namespace exrquy {
@@ -122,6 +126,89 @@ TEST_F(NodeStoreTest, CopySubtreePreservesStructure) {
   EXPECT_EQ(store_.parent(bcopy + 1), bcopy);
   EXPECT_EQ(store_.name_str(bcopy + 2), "d");
   EXPECT_EQ(store_.level(bcopy + 2), 2);
+}
+
+// The bulk subtree copy against a node-by-node copy through the
+// builder's own appends: the same nodes, and under an armed budget the
+// same charge count, peak and failing charge, for every fail-at point.
+TEST_F(NodeStoreTest, BulkCopyChargesLikeNodeByNodeCopy) {
+  NodeIdx a = BuildFig5();
+  NodeIdx src = a + 1;  // <b><c/><d/></b>
+  // Returns the copy's root; `budget` is armed only during the copy.
+  auto copy = [&](MemoryBudget* budget, bool bulk) {
+    store_.set_budget(budget);
+    NodeBuilder b(&store_);
+    b.BeginElement("root");
+    b.Attribute("k", "v");
+    if (bulk) {
+      b.CopySubtree(src);
+      b.CopySubtree(a);
+    } else {
+      // Reference: rebuild each subtree through BeginElement/EndElement.
+      for (NodeIdx s : {src, a}) {
+        std::vector<NodeIdx> open;
+        for (NodeIdx i = s; i <= s + store_.size(s); ++i) {
+          while (!open.empty() && i > open.back() + store_.size(open.back())) {
+            b.EndElement();
+            open.pop_back();
+          }
+          b.BeginElement(store_.name(i));
+          open.push_back(i);
+        }
+        for (; !open.empty(); open.pop_back()) b.EndElement();
+      }
+    }
+    b.EndElement();
+    NodeIdx root = b.Finish();
+    store_.set_budget(nullptr);
+    return root;
+  };
+  const NodeIdx fresh = store_.node_count();
+  const size_t frags = store_.fragment_count();
+  NodeIdx want = copy(nullptr, false);
+  NodeIdx got = copy(nullptr, true);
+  size_t count = got - want;
+  ASSERT_EQ(store_.node_count(), got + count);
+  for (size_t k = 0; k < count; ++k) {
+    EXPECT_EQ(store_.kind(got + k), store_.kind(want + k)) << k;
+    EXPECT_EQ(store_.name(got + k), store_.name(want + k)) << k;
+    EXPECT_EQ(store_.value(got + k), store_.value(want + k)) << k;
+    EXPECT_EQ(store_.size(got + k), store_.size(want + k)) << k;
+    EXPECT_EQ(store_.level(got + k), store_.level(want + k)) << k;
+    if (k > 0) {
+      EXPECT_EQ(store_.parent(got + k) - got, store_.parent(want + k) - want)
+          << k;
+    }
+  }
+  EXPECT_EQ(store_.parent(got), kInvalidNode);
+  store_.TruncateTo(fresh, frags);
+
+  for (uint64_t fail_at = 0; fail_at <= count + 1; ++fail_at) {
+    auto bulk = std::make_unique<MemoryBudget>(/*limit_bytes=*/0);
+    auto single = std::make_unique<MemoryBudget>(/*limit_bytes=*/0);
+    bulk->FailChargeAt(fail_at);
+    single->FailChargeAt(fail_at);
+    copy(single.get(), false);
+    store_.TruncateTo(fresh, frags);
+    copy(bulk.get(), true);
+    store_.TruncateTo(fresh, frags);
+    EXPECT_EQ(bulk->charges(), single->charges()) << fail_at;
+    EXPECT_EQ(bulk->peak(), single->peak()) << fail_at;
+    EXPECT_EQ(bulk->exhausted(), single->exhausted()) << fail_at;
+  }
+  // A limit crossed inside the bulk copy trips the budget at the same
+  // node as well.
+  for (size_t nodes_allowed = 1; nodes_allowed < count; ++nodes_allowed) {
+    MemoryBudget bulk(nodes_allowed * NodeStore::kBytesPerNode);
+    MemoryBudget single(nodes_allowed * NodeStore::kBytesPerNode);
+    copy(&single, false);
+    store_.TruncateTo(fresh, frags);
+    copy(&bulk, true);
+    store_.TruncateTo(fresh, frags);
+    EXPECT_TRUE(bulk.exhausted());
+    EXPECT_EQ(bulk.charges(), single.charges());
+    EXPECT_EQ(bulk.peak(), single.peak());
+  }
 }
 
 TEST_F(NodeStoreTest, FragmentsAndLookup) {

@@ -143,6 +143,7 @@ TEST(SessionTest, PhysicalSortDetectionPreservesResults) {
   };
   QueryOptions plain;
   plain.enable_order_indifference = false;
+  plain.physical_sort_detection = false;
   QueryOptions phys = plain;
   phys.physical_sort_detection = true;
   for (const char* q : queries) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <set>
+#include <utility>
 
 #include "xml/node_store.h"
 #include "xml/step.h"
@@ -188,6 +191,19 @@ TEST_F(StepTest, NestedContextsPruned) {
   EXPECT_EQ(merged, Step(Axis::kDescendant, Name("x"), {a}));
 }
 
+TEST_F(StepTest, CoveredAttributeContextKeepsItsSelf) {
+  // a's subtree covers its attribute @id, but descendant scans skip
+  // attributes: descendant-or-self::node() must still emit @id itself.
+  NodeIdx a = doc_ + 1;
+  NodeIdx id = a + 1;
+  ASSERT_EQ(store_.kind(id), NodeKind::kAttribute);
+  std::vector<NodeIdx> out =
+      Step(Axis::kDescendantOrSelf, NodeTest::AnyKind(), {id, a});
+  EXPECT_TRUE(std::binary_search(out.begin(), out.end(), id));
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  EXPECT_EQ(out.size(), store_.size(a) + 1);  // a and every node below it
+}
+
 TEST_F(StepTest, OutputSortedPerIterAndGroupedByIter) {
   NodeIdx a = doc_ + 1;
   std::vector<int64_t> iters = {2, 1};
@@ -249,6 +265,117 @@ TEST_F(StepTest, IndexedMatchesScanOnUnindexedCopy) {
   for (size_t i = 0; i < indexed.size(); ++i) {
     // Same relative offsets within their fragments.
     EXPECT_EQ(indexed[i] - a, scanned[i] - copy_a);
+  }
+}
+
+// The axis of context `n` straight from the pre/size/parent encoding,
+// one candidate node at a time: no pruning, no index, no memo.
+bool OnAxis(const NodeStore& s, Axis axis, NodeIdx n, NodeIdx c) {
+  auto attr = [&](NodeIdx v) { return s.kind(v) == NodeKind::kAttribute; };
+  auto in_subtree = [&](NodeIdx root, NodeIdx v) {
+    return root < v && v <= root + s.size(root);
+  };
+  bool same_fragment = s.FragmentOf(n).root == s.FragmentOf(c).root;
+  bool siblings = s.parent(n) != kInvalidNode &&
+                  s.parent(c) == s.parent(n) && !attr(n) && !attr(c);
+  switch (axis) {
+    case Axis::kChild:
+      return s.parent(c) == n && !attr(c);
+    case Axis::kAttribute:
+      return s.parent(c) == n && attr(c);
+    case Axis::kDescendant:
+      return in_subtree(n, c) && !attr(c);
+    case Axis::kDescendantOrSelf:
+      return c == n || (in_subtree(n, c) && !attr(c));
+    case Axis::kSelf:
+      return c == n;
+    case Axis::kParent:
+      return c == s.parent(n);
+    case Axis::kAncestor:
+      return in_subtree(c, n);
+    case Axis::kAncestorOrSelf:
+      return c == n || in_subtree(c, n);
+    case Axis::kFollowingSibling:
+      return siblings && c > n;
+    case Axis::kPrecedingSibling:
+      return siblings && c < n;
+    case Axis::kFollowing:
+      return same_fragment && c > n + s.size(n) && !attr(c);
+    case Axis::kPreceding:
+      return same_fragment && c < n && !in_subtree(c, n) && !attr(c);
+  }
+  return false;
+}
+
+// Random context tables against that naive evaluator, on every axis and
+// node test: contexts shuffled or already sorted, duplicated, nested in
+// one another, spread over the indexed document and an unindexed copy,
+// and context sets repeated across iterations (the memoized case).
+TEST_F(StepTest, RandomContextsMatchNaiveEvaluator) {
+  NodeBuilder b(&store_);
+  b.BeginElement("root");
+  b.CopySubtree(doc_ + 1);
+  b.EndElement();
+  b.Finish();  // unindexed fragment: the scan path of descendant steps
+  const NodeIdx nodes = store_.node_count();
+  const std::vector<NodeTest> tests = {
+      NodeTest::AnyKind(), NodeTest::Wildcard(), NodeTest::Text(),
+      Name("x"),           Name("b"),            Name("id")};
+  const std::vector<Axis> axes = {
+      Axis::kChild,           Axis::kDescendant,       Axis::kDescendantOrSelf,
+      Axis::kSelf,            Axis::kAttribute,        Axis::kParent,
+      Axis::kAncestor,        Axis::kAncestorOrSelf,   Axis::kFollowingSibling,
+      Axis::kPrecedingSibling, Axis::kFollowing,       Axis::kPreceding};
+  std::mt19937 rng(19);
+  for (int trial = 0; trial < 60; ++trial) {
+    // A few context sets, each shared by several iterations.
+    std::vector<std::vector<NodeIdx>> sets(1 + rng() % 3);
+    for (auto& set : sets) {
+      set.resize(1 + rng() % 5);
+      for (NodeIdx& n : set) n = rng() % nodes;
+      set.push_back(set[0]);  // a duplicate context
+    }
+    std::vector<std::pair<int64_t, NodeIdx>> ctx;
+    for (int64_t it = 1; it <= 6; ++it) {
+      for (NodeIdx n : sets[rng() % sets.size()]) ctx.emplace_back(it, n);
+    }
+    if (trial % 2 == 0) {
+      std::sort(ctx.begin(), ctx.end());
+    } else {
+      std::shuffle(ctx.begin(), ctx.end(), rng);
+    }
+    std::vector<int64_t> iters;
+    std::vector<NodeIdx> ctx_nodes;
+    for (const auto& [it, n] : ctx) {
+      iters.push_back(it);
+      ctx_nodes.push_back(n);
+    }
+    for (Axis axis : axes) {
+      for (const NodeTest& test : tests) {
+        std::set<std::pair<int64_t, NodeIdx>> want;
+        for (const auto& [it, n] : ctx) {
+          for (NodeIdx c = 0; c < nodes; ++c) {
+            if (OnAxis(store_, axis, n, c) &&
+                MatchesTest(store_, c, axis, test)) {
+              want.emplace(it, c);
+            }
+          }
+        }
+        std::vector<int64_t> out_iters;
+        std::vector<NodeIdx> out_nodes;
+        EvalStep(store_, axis, test, iters, ctx_nodes, &out_iters,
+                 &out_nodes);
+        ASSERT_EQ(out_iters.size(), out_nodes.size());
+        using Pairs = std::vector<std::pair<int64_t, NodeIdx>>;
+        Pairs got;
+        for (size_t i = 0; i < out_iters.size(); ++i) {
+          got.emplace_back(out_iters[i], out_nodes[i]);
+        }
+        EXPECT_EQ(got, Pairs(want.begin(), want.end()))
+            << "trial " << trial << " axis " << AxisName(axis) << " test "
+            << NodeTestToString(test, strings_);
+      }
+    }
   }
 }
 

@@ -52,6 +52,62 @@ TEST_F(ValueOpsTest, AtomizeAttribute) {
   EXPECT_EQ(strings_.Get(v.str), "42");
 }
 
+// Atomize answers elements and documents with at most one text
+// descendant, and text and comment nodes, from ids the pool already
+// holds. Every node's id must still be the one Intern(StringValue)
+// gives, and a string value interned for the first time must still be
+// interned by Atomize itself (the pool does not grow afterwards).
+TEST_F(ValueOpsTest, AtomizeEqualsInternOfStringValue) {
+  NodeBuilder b(&store_);
+  b.BeginDocument();
+  b.BeginElement("r");
+  b.Attribute("k", "v");
+  b.BeginElement("none");         // 0 text descendants
+  b.BeginElement("empty");
+  b.EndElement();
+  b.EndElement();
+  b.BeginElement("one");          // 1 text descendant, nested
+  b.BeginElement("in");
+  b.Text("alpha");
+  b.EndElement();
+  b.Comment("not text");
+  b.EndElement();
+  b.BeginElement("two");          // 2 text descendants
+  b.Text("be");
+  b.BeginElement("in");
+  b.Text("ta");
+  b.EndElement();
+  b.EndElement();
+  b.BeginElement("three");        // 3, one of them empty
+  b.Text("x");
+  b.Text("");
+  b.Text("y");
+  b.EndElement();
+  b.EndElement();
+  b.EndDocument();
+  NodeIdx doc = b.Finish();
+  NodeBuilder one_text(&store_);  // a document with one text descendant
+  one_text.BeginDocument();
+  one_text.Text("solo");
+  one_text.EndDocument();
+  NodeIdx solo = one_text.Finish();
+  NodeBuilder no_text(&store_);   // a document with none
+  no_text.BeginDocument();
+  no_text.Comment("c");
+  no_text.EndDocument();
+  NodeIdx bare = no_text.Finish();
+  EXPECT_EQ(strings_.Get(ops_.Atomize(Value::Node(solo)).str), "solo");
+  EXPECT_EQ(ops_.Atomize(Value::Node(bare)).str, StrPool::kEmpty);
+
+  for (NodeIdx n = doc; n < store_.node_count(); ++n) {
+    Value v = ops_.Atomize(Value::Node(n));
+    size_t pool = strings_.size();
+    EXPECT_EQ(v.kind, ValueKind::kUntyped) << n;
+    EXPECT_EQ(v.str, strings_.Intern(store_.StringValue(n))) << n;
+    EXPECT_EQ(strings_.size(), pool) << n;
+  }
+}
+
 TEST_F(ValueOpsTest, ToDoubleParsing) {
   EXPECT_DOUBLE_EQ(ops_.ToDouble(U("3.5"))->d, 3.5);
   EXPECT_DOUBLE_EQ(ops_.ToDouble(U("  42 "))->d, 42.0);
