@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
 namespace exrquy {
 namespace {
@@ -141,30 +140,15 @@ size_t BandKeys::FirstFailure(FunKind cmp, const BandKey& l) const {
 
 namespace {
 
-// One ThetaCount input side: keys cast once, rows grouped by an integer
-// column into dense ids in first-appearance order.
+// One ThetaCount input side: keys cast once, rows grouped by a column
+// into dense ids in first-appearance order.
 struct CountSide {
-  CountSide(const ValueOps& ops, const Column& key_col, size_t rows)
-      : keys(ops, key_col, rows) {}
-
-  Status GroupBy(const Column& by) {
-    std::unordered_map<int64_t, uint32_t> ids;
-    gid.reserve(keys.size());
-    for (size_t r = 0; r < keys.size(); ++r) {
-      if (by[r].kind != ValueKind::kInt) {
-        return Internal("ThetaCount: group columns must hold integers");
-      }
-      auto [it, fresh] =
-          ids.emplace(by[r].i, static_cast<uint32_t>(gval.size()));
-      if (fresh) gval.push_back(by[r].i);
-      gid.push_back(it->second);
-    }
-    return Status::Ok();
-  }
+  CountSide(const ValueOps& ops, const Column& key_col, size_t rows,
+            size_t max_rows)
+      : keys(ops, key_col, rows), groups(max_rows) {}
 
   BandKeys keys;
-  std::vector<uint32_t> gid;   // group id per row
-  std::vector<int64_t> gval;   // group value per id
+  KeyGroups groups;
 };
 
 // Which totally ordered class a pair of (comparable) kinds compares in.
@@ -206,16 +190,16 @@ void CountByExtremes(FunKind cmp, const CountSide& left,
     return strict ? a < b : a <= b;
   };
 
-  std::vector<std::optional<K>> xmin(xs.gval.size());
-  std::vector<std::optional<K>> ymax(ys.gval.size());
+  std::vector<std::optional<K>> xmin(xs.groups.size());
+  std::vector<std::optional<K>> ymax(ys.groups.size());
   for (size_t r = 0; r < xs.keys.size(); ++r) {
     std::optional<K> k = key(xs.keys[r]);
-    std::optional<K>& m = xmin[xs.gid[r]];
+    std::optional<K>& m = xmin[xs.groups.group_of(r)];
     if (k && (!m || *k < *m)) m = k;
   }
   for (size_t r = 0; r < ys.keys.size(); ++r) {
     std::optional<K> k = key(ys.keys[r]);
-    std::optional<K>& m = ymax[ys.gid[r]];
+    std::optional<K>& m = ymax[ys.groups.group_of(r)];
     if (k && (!m || *m < *k)) m = k;
   }
 
@@ -257,7 +241,7 @@ void CountByExtremes(FunKind cmp, const CountSide& left,
     for (size_t i = 0; bound && i < left.keys.size(); ++i) {
       std::optional<K> k = key(left.keys[i]);
       if (!k || !(x_left ? below(*k, *bound) : below(*bound, *k))) continue;
-      uint64_t& f = first[left.gid[i]];
+      uint64_t& f = first[left.groups.group_of(i)];
       f = std::min<uint64_t>(f, i);
     }
   } else {
@@ -301,7 +285,7 @@ void CountByExtremes(FunKind cmp, const CountSide& left,
       uint32_t i = best[p];
       if (i == kNone) continue;
       uint64_t pos = (static_cast<uint64_t>(i) << 32) | j;
-      uint64_t& f = first[right.gid[j]];
+      uint64_t& f = first[right.groups.group_of(j)];
       f = std::min(f, pos);
     }
   }
@@ -319,12 +303,14 @@ Status ThetaCountKernel(const ValueOps& ops, FunKind cmp,
                         const Column& right_keys, size_t right_rows,
                         const Column& groups, const Column& counted,
                         bool group_left, Column* out_groups,
-                        Column* out_counts) {
+                        Column* out_counts, size_t max_rows) {
   if (left_rows == 0 || right_rows == 0) return Status::Ok();  // no pairs
-  CountSide left(ops, left_keys, left_rows);
-  CountSide right(ops, right_keys, right_rows);
-  EXRQUY_RETURN_IF_ERROR(left.GroupBy(group_left ? groups : counted));
-  EXRQUY_RETURN_IF_ERROR(right.GroupBy(group_left ? counted : groups));
+  CountSide left(ops, left_keys, left_rows, max_rows);
+  CountSide right(ops, right_keys, right_rows, max_rows);
+  EXRQUY_RETURN_IF_ERROR(
+      left.groups.Build({group_left ? &groups : &counted}, left_rows));
+  EXRQUY_RETURN_IF_ERROR(
+      right.groups.Build({group_left ? &counted : &groups}, right_rows));
   // The ThetaJoin's error: its first failing pair in left-major order.
   for (size_t i = 0; i < left_rows; ++i) {
     size_t j = right.keys.FirstFailure(cmp, left.keys[i]);
@@ -352,7 +338,7 @@ Status ThetaCountKernel(const ValueOps& ops, FunKind cmp,
     }
   }
 
-  const CountSide& gside = group_left ? left : right;
+  const KeyGroups& gside = group_left ? left.groups : right.groups;
   std::vector<uint32_t> order;
   std::vector<int64_t> counts;
   switch (classes) {
@@ -389,7 +375,7 @@ Status ThetaCountKernel(const ValueOps& ops, FunKind cmp,
       return Internal("ThetaCount: pairs compare in several classes");
   }
   for (uint32_t g : order) {
-    out_groups->push_back(Value::Int(gside.gval[g]));
+    out_groups->push_back(groups[gside.reps()[g]]);
     out_counts->push_back(Value::Int(counts[g]));
   }
   return Status::Ok();

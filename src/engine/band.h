@@ -20,6 +20,7 @@
 #include "algebra/algebra.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "engine/key_groups.h"
 #include "engine/table.h"
 #include "engine/value.h"
 
@@ -71,16 +72,17 @@ class BandKeys {
 // the other side with a matching pair. Emits one (group, count) row per
 // group with a match, in the order the groups first appear in the
 // left-major pair stream — exactly Aggr count|g (Distinct (π g,g2
-// (ThetaJoin))). A comparison error is the one that ThetaJoin raises.
-// Group and counted columns hold integers (iteration ids), and every
-// pair must compare in one class (the rewrite's static gate,
-// OneComparisonClass); other inputs are an Internal error.
+// (ThetaJoin))), whose Distinct and Aggr group by the same KeyGroups.
+// A comparison error is the one that ThetaJoin raises. Every pair must
+// compare in one class (the rewrite's static gate, OneComparisonClass);
+// other inputs are an Internal error. A side of more than `max_rows`
+// rows fails with kResourceExhausted.
 Status ThetaCountKernel(const ValueOps& ops, FunKind cmp,
                         const Column& left_keys, size_t left_rows,
                         const Column& right_keys, size_t right_rows,
                         const Column& groups, const Column& counted,
                         bool group_left, Column* out_groups,
-                        Column* out_counts);
+                        Column* out_counts, size_t max_rows = kMaxRows);
 
 }  // namespace exrquy
 

@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "engine/key_groups.h"
 #include "opt/verify.h"
 #include "xml/serializer.h"
 #include "xml/step.h"
@@ -64,101 +65,9 @@ void NoteChunks(size_t chunks) {
   if (tls_chunks != nullptr) *tls_chunks = std::max(*tls_chunks, chunks);
 }
 
-// Hash of one row over the given column pointers.
-uint64_t RowHash(const std::vector<const Column*>& cols, size_t row) {
-  uint64_t h = 1469598103934665603ull;
-  for (const Column* c : cols) {
-    h ^= (*c)[row].Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-bool RowEquals(const std::vector<const Column*>& a, size_t ra,
-               const std::vector<const Column*>& b, size_t rb) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!((*a[i])[ra] == (*b[i])[rb])) return false;
-  }
-  return true;
-}
-
 bool IsNaN(const Value& v) {
   return v.kind == ValueKind::kDouble && std::isnan(v.d);
 }
-
-// Key normalization for value joins: general comparison treats xs:string
-// and xs:untypedAtomic alike (both compare by string value), so a hash
-// join over value keys must not let the kind tag split equal keys into
-// different buckets. The verifier's [join-isolation-claim] audit confines
-// value_join keys to {int, string-class, bool}, where bit equality under
-// this normalization coincides exactly with `eq`.
-Value NormalizeValueKey(const Value& v) {
-  return v.kind == ValueKind::kUntyped ? Value::Str(v.str) : v;
-}
-
-uint64_t RowHashNorm(const std::vector<const Column*>& cols, size_t row) {
-  uint64_t h = 1469598103934665603ull;
-  for (const Column* c : cols) {
-    h ^= NormalizeValueKey((*c)[row]).Hash() + 0x9e3779b97f4a7c15ull +
-         (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-bool RowEqualsNorm(const std::vector<const Column*>& a, size_t ra,
-                   const std::vector<const Column*>& b, size_t rb) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(NormalizeValueKey((*a[i])[ra]) == NormalizeValueKey((*b[i])[rb]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Simple open hash table from row keys to row indices. Built once,
-// read-only afterwards — probing from concurrent chunk tasks is safe.
-// `normalize_keys` switches to the value-join key normalization above.
-class RowIndex {
- public:
-  RowIndex(std::vector<const Column*> key_cols, size_t rows,
-           bool normalize_keys = false)
-      : key_cols_(std::move(key_cols)), normalize_keys_(normalize_keys) {
-    buckets_.resize(std::max<size_t>(16, rows * 2));
-    for (size_t r = 0; r < rows; ++r) {
-      size_t b = Hash(key_cols_, r) % buckets_.size();
-      buckets_[b].push_back(static_cast<uint32_t>(r));
-    }
-  }
-
-  // Invokes fn(row) for every stored row whose key equals the probe row.
-  template <typename Fn>
-  void ForEachMatch(const std::vector<const Column*>& probe_cols,
-                    size_t probe_row, Fn fn) const {
-    size_t b = Hash(probe_cols, probe_row) % buckets_.size();
-    for (uint32_t r : buckets_[b]) {
-      if (normalize_keys_
-              ? RowEqualsNorm(key_cols_, r, probe_cols, probe_row)
-              : RowEquals(key_cols_, r, probe_cols, probe_row)) {
-        fn(r);
-      }
-    }
-  }
-
-  bool Contains(const std::vector<const Column*>& probe_cols,
-                size_t probe_row) const {
-    bool found = false;
-    ForEachMatch(probe_cols, probe_row, [&](uint32_t) { found = true; });
-    return found;
-  }
-
- private:
-  uint64_t Hash(const std::vector<const Column*>& cols, size_t row) const {
-    return normalize_keys_ ? RowHashNorm(cols, row) : RowHash(cols, row);
-  }
-
-  std::vector<const Column*> key_cols_;
-  bool normalize_keys_;
-  std::vector<std::vector<uint32_t>> buckets_;
-};
 
 std::vector<const Column*> ColPtrs(const Table& t,
                                    const std::vector<ColId>& cols) {
@@ -195,6 +104,16 @@ std::shared_ptr<Table> SliceRows(const Table& t, size_t b, size_t e) {
   auto out = std::make_shared<Table>();
   for (ColId c : t.schema()) out->AddColumn(c, SliceOrShare(t, c, b, e));
   out->SetRows(e - b);
+  return out;
+}
+
+// A two-column (iter, item) table.
+std::shared_ptr<Table> IterItemTable(Column iters, Column items) {
+  const size_t n = iters.size();
+  auto out = std::make_shared<Table>();
+  out->AddColumn(col::iter(), std::move(iters));
+  out->AddColumn(col::item(), std::move(items));
+  out->SetRows(n);
   return out;
 }
 
@@ -292,11 +211,12 @@ Status CheckChunkRows(size_t chunk_rows) {
       "chunk_rows was removed; breaker kernels split by morsel_rows");
 }
 
-Evaluator::Evaluator(const Dag& dag, EvalContext* ctx)
+Evaluator::Evaluator(const Dag& dag, EvalContext* ctx, size_t max_rows)
     : dag_(dag),
       ctx_(ctx),
       ops_(ctx->strings, ctx->store),
-      inline_rows_(ctx->inline_rows) {}
+      inline_rows_(ctx->inline_rows),
+      max_rows_(max_rows) {}
 
 // ---------------------------------------------------------------------------
 // Governor polls. All cooperative: kernels are never interrupted, they
@@ -782,7 +702,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
   const Table* stream = nullptr;  // single-stream heads (and the probe side)
   const Table* lT = nullptr;      // union / equi-join heads
   const Table* rT = nullptr;
-  std::unique_ptr<RowIndex> jindex;  // equi-join build, done once up front
+  KeyGroups jindex(max_rows_);  // equi-join build, done once up front
   bool jbuild_right = false;
   ColId jprobe_col = kNoCol;
   size_t total = 0;
@@ -798,15 +718,18 @@ Result<TablePtr> Evaluator::EvalPipeline(
       // Build on the smaller side, probe with the larger (ties build
       // right). The build is blocking work and happens here, before any
       // morsel. Value joins hash xs:string and xs:untypedAtomic keys
-      // alike (NormalizeValueKey); scaffolding joins keep exact keys.
+      // alike (KeyGroups' normalization); scaffolding joins keep exact
+      // keys.
       jbuild_right = rT->rows() <= lT->rows();
       const Table* build = jbuild_right ? rT : lT;
       stream = jbuild_right ? lT : rT;
       ColId build_col = jbuild_right ? hop.col2 : hop.col;
       jprobe_col = jbuild_right ? hop.col : hop.col2;
-      jindex = std::make_unique<RowIndex>(
-          std::vector<const Column*>{&build->col(build_col)}, build->rows(),
-          hop.value_join);
+      EXRQUY_RETURN_IF_ERROR(
+          CheckRows(stream->rows(), max_rows_, "equi-join probe"));
+      EXRQUY_RETURN_IF_ERROR(jindex.Build(
+          {&build->col(build_col)}, build->rows(), hop.value_join));
+      jindex.CollectMembers();
       total = stream->rows();
       break;
     }
@@ -852,10 +775,12 @@ Result<TablePtr> Evaluator::EvalPipeline(
     std::vector<uint32_t>& probe_rows = jbuild_right ? p->l : p->r;
     std::vector<uint32_t>& build_rows = jbuild_right ? p->r : p->l;
     for (size_t pr = b; pr < e; ++pr) {
-      jindex->ForEachMatch(probe_key, pr, [&](uint32_t br) {
+      uint32_t g = jindex.Find(probe_key, pr);
+      if (g == KeyGroups::kNone) continue;
+      for (uint32_t br : jindex.members(g)) {  // ascending build rows
         probe_rows.push_back(static_cast<uint32_t>(pr));
         build_rows.push_back(br);
-      });
+      }
     }
   };
   // The tables a picking stage's positions index, given its streamed
@@ -1059,11 +984,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
       ic[k] = Value::Int(iters[k]);
       nc[k] = Value::Node(nodes[k]);
     }
-    auto out = std::make_shared<Table>();
-    out->AddColumn(col::iter(), std::move(ic));
-    out->AddColumn(col::item(), std::move(nc));
-    out->SetRows(iters.size());
-    result = out;
+    result = IterItemTable(std::move(ic), std::move(nc));
   } else if (morsels == 1 && outs[0].table != nullptr) {
     result = outs[0].table;  // the single part IS the concatenation
   } else if (lone) {
@@ -1122,6 +1043,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
   }
   release_parts();
   if (tripped_.load(std::memory_order_acquire)) return TripStatus();
+  EXRQUY_RETURN_IF_ERROR(CheckRows(result->rows(), max_rows_, "pipeline"));
 
   if (sop.kind == OpKind::kRowId) {
     // # over the merged stream: positions in the concatenation-in-morsel-
@@ -1189,6 +1111,7 @@ std::shared_ptr<Table> Evaluator::StageProjectM(const Op& op, const Table& in,
 
 Status Evaluator::StageSelectM(const Op& op, const Table& in, size_t b,
                                size_t e, std::vector<uint32_t>* rows) {
+  EXRQUY_RETURN_IF_ERROR(CheckRows(in.rows(), max_rows_, "selection"));
   const Column& flags = in.col(op.col);
   for (size_t r = b; r < e; ++r) {
     const Value& v = flags[r];
@@ -1232,6 +1155,8 @@ Status Evaluator::StageThetaM(const Op& op, const Table& in, size_t b,
   // right-row order, over keys cast once (ComparePair); a comparison
   // error surfaces at the first failing pair in that order, with the
   // Status that Compare gives that pair.
+  EXRQUY_RETURN_IF_ERROR(
+      CheckRows(std::max(in.rows(), right.rows()), max_rows_, "theta join"));
   const Column& lk = in.col(op.col);
   const size_t m = right_keys.size();
   size_t pairs = 0;
@@ -1409,13 +1334,15 @@ Result<TablePtr> Evaluator::EvalOp(const Op& op,
 
 Result<TablePtr> Evaluator::EvalCardCheck(const Op& op, const Table& in,
                                           const Table& loop) {
-  std::unordered_map<int64_t, int64_t> counts;
-  const Column& iters = in.col(col::iter());
-  for (size_t r = 0; r < in.rows(); ++r) ++counts[iters[r].i];
-  const Column& loop_iters = loop.col(col::iter());
+  KeyGroups counts(max_rows_);
+  EXRQUY_RETURN_IF_ERROR(counts.Build({&in.col(col::iter())}, in.rows()));
+  counts.CollectMembers();
+  const std::vector<const Column*> loop_iters = {&loop.col(col::iter())};
   for (size_t r = 0; r < loop.rows(); ++r) {
-    auto it = counts.find(loop_iters[r].i);
-    int64_t n = it == counts.end() ? 0 : it->second;
+    uint32_t g = counts.Find(loop_iters, r);
+    int64_t n = g == KeyGroups::kNone
+                    ? 0
+                    : static_cast<int64_t>(counts.members(g).size());
     if (n < op.min_card || n > op.max_card) {
       return CardinalityError("fn:" + ctx_->strings->Get(op.name) +
                               ": argument has " + std::to_string(n) +
@@ -1459,12 +1386,7 @@ Result<TablePtr> Evaluator::EvalRange(const Op& op, const Table& in) {
       out_item.push_back(Value::Int(v));
     }
   }
-  size_t n = out_iter.size();
-  auto out = std::make_shared<Table>();
-  out->AddColumn(col::iter(), std::move(out_iter));
-  out->AddColumn(col::item(), std::move(out_item));
-  out->SetRows(n);
-  return out;
+  return IterItemTable(std::move(out_iter), std::move(out_item));
 }
 
 Result<TablePtr> Evaluator::EvalLit(const Op& op) {
@@ -1484,7 +1406,9 @@ Result<TablePtr> Evaluator::EvalCross(const Op& op, const Table& l,
   (void)op;
   size_t nl = l.rows();
   size_t nr = r.rows();
-  size_t n = nl * nr;
+  size_t n = 0;
+  if (__builtin_mul_overflow(nl, nr, &n)) n = static_cast<size_t>(-1);
+  EXRQUY_RETURN_IF_ERROR(CheckRows(n, max_rows_, "cross product"));
   // Output row c pairs left row c / nr with right row c % nr — a pure
   // function of the output position, so chunks fill disjoint slices of
   // pre-sized columns in parallel.
@@ -1511,14 +1435,16 @@ Result<TablePtr> Evaluator::EvalCross(const Op& op, const Table& l,
 
 Result<TablePtr> Evaluator::EvalDiffSemi(const Op& op, const Table& l,
                                          const Table& r) {
-  RowIndex index(ColPtrs(r, op.keys), r.rows());
+  KeyGroups index(max_rows_);
+  EXRQUY_RETURN_IF_ERROR(index.Build(ColPtrs(r, op.keys), r.rows()));
   std::vector<const Column*> probe = ColPtrs(l, op.keys);
   bool keep_matching = op.kind == OpKind::kSemiJoin;
   size_t n = l.rows();
+  EXRQUY_RETURN_IF_ERROR(CheckRows(n, max_rows_, "anti/semi-join probe"));
   std::vector<std::vector<uint32_t>> parts(NumMorsels(n));
   ForMorsels(n, [&](size_t c, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      if (index.Contains(probe, i) == keep_matching) {
+      if ((index.Find(probe, i) != KeyGroups::kNone) == keep_matching) {
         parts[c].push_back(static_cast<uint32_t>(i));
       }
     }
@@ -1532,27 +1458,12 @@ Result<TablePtr> Evaluator::EvalDiffSemi(const Op& op, const Table& l,
 
 Result<TablePtr> Evaluator::EvalDistinct(const Op& op, const Table& in) {
   (void)op;
-  std::vector<const Column*> cols = ColPtrs(in, in.schema());
-  std::vector<std::vector<uint32_t>> buckets(
-      std::max<size_t>(16, in.rows() * 2));
-  std::vector<uint32_t> rows;
-  for (size_t r = 0; r < in.rows(); ++r) {
-    size_t b = RowHash(cols, r) % buckets.size();
-    bool dup = false;
-    for (uint32_t prev : buckets[b]) {
-      if (RowEquals(cols, prev, cols, r)) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      buckets[b].push_back(static_cast<uint32_t>(r));
-      rows.push_back(static_cast<uint32_t>(r));
-    }
-  }
+  // The survivors are the groups' first rows, in first-appearance order.
+  KeyGroups groups(max_rows_);
+  EXRQUY_RETURN_IF_ERROR(groups.Build(ColPtrs(in, in.schema()), in.rows()));
   auto out = std::make_shared<Table>();
-  GatherParallel(in, rows, out.get());
-  out->SetRows(rows.size());
+  GatherParallel(in, groups.reps(), out.get());
+  out->SetRows(groups.size());
   return out;
 }
 
@@ -1792,36 +1703,15 @@ Result<Value> Evaluator::ApplyFun(const Op& op,
 
 Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
   // Group rows by the partition column (first-appearance order keeps the
-  // output deterministic).
-  std::vector<std::vector<uint32_t>> groups;
-  std::vector<uint32_t> group_rep;  // representative row per group
-  if (op.part == kNoCol) {
-    groups.emplace_back(in.rows());
-    std::iota(groups[0].begin(), groups[0].end(), 0);
-    group_rep.push_back(0);
-  } else {
-    const Column& part = in.col(op.part);
-    std::vector<const Column*> key = {&part};
-    std::vector<std::vector<uint32_t>> buckets(
-        std::max<size_t>(16, in.rows() * 2));
-    for (size_t r = 0; r < in.rows(); ++r) {
-      size_t b = RowHash(key, r) % buckets.size();
-      int64_t found = -1;
-      for (uint32_t g : buckets[b]) {
-        if (part[group_rep[g]] == part[r]) {
-          found = g;
-          break;
-        }
-      }
-      if (found < 0) {
-        found = static_cast<int64_t>(groups.size());
-        groups.emplace_back();
-        group_rep.push_back(static_cast<uint32_t>(r));
-        buckets[b].push_back(static_cast<uint32_t>(found));
-      }
-      groups[found].push_back(static_cast<uint32_t>(r));
-    }
-  }
+  // output deterministic). Without one, all rows form a single group —
+  // also when there are none.
+  KeyGroups groups(max_rows_);
+  std::vector<const Column*> key;
+  if (op.part != kNoCol) key.push_back(&in.col(op.part));
+  const Column* part = key.empty() ? nullptr : key[0];
+  EXRQUY_RETURN_IF_ERROR(groups.Build(std::move(key), in.rows()));
+  groups.CollectMembers();
+  const size_t ngroups = part == nullptr ? 1 : groups.size();
 
   const Column* arg =
       op.aggr == AggrKind::kCount ? nullptr : &in.col(op.col2);
@@ -1830,8 +1720,10 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
 
   Column part_out;
   Column result;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const std::vector<uint32_t>& rows = groups[g];
+  part_out.reserve(part == nullptr ? 0 : ngroups);
+  result.reserve(ngroups);
+  for (size_t g = 0; g < ngroups; ++g) {
+    std::span<const uint32_t> rows = groups.members(g);
     Value v;
     switch (op.aggr) {
       case AggrKind::kCount:
@@ -1905,7 +1797,7 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
         break;
       }
       case AggrKind::kStrJoin: {
-        std::vector<uint32_t> sorted = rows;
+        std::vector<uint32_t> sorted(rows.begin(), rows.end());
         if (order != nullptr) {
           std::stable_sort(sorted.begin(), sorted.end(),
                            [&](uint32_t a, uint32_t b) {
@@ -1924,16 +1816,14 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
         break;
       }
     }
-    if (op.part != kNoCol) {
-      part_out.push_back(in.col(op.part)[group_rep[g]]);
-    }
+    if (part != nullptr) part_out.push_back((*part)[groups.reps()[g]]);
     result.push_back(v);
   }
 
   auto out = std::make_shared<Table>();
-  if (op.part != kNoCol) out->AddColumn(op.part, std::move(part_out));
+  if (part != nullptr) out->AddColumn(op.part, std::move(part_out));
   out->AddColumn(op.col, std::move(result));
-  out->SetRows(groups.size());
+  out->SetRows(ngroups);
   return out;
 }
 
@@ -1946,7 +1836,8 @@ Result<TablePtr> Evaluator::EvalThetaCount(const Op& op, const Table& l,
   Column counts;
   EXRQUY_RETURN_IF_ERROR(ThetaCountKernel(
       ops_, op.fun, l.col(op.keys[0]), l.rows(), r.col(op.keys[1]), r.rows(),
-      g.col(op.part), g2.col(op.col2), group_left, &groups, &counts));
+      g.col(op.part), g2.col(op.col2), group_left, &groups, &counts,
+      max_rows_));
   auto out = std::make_shared<Table>();
   size_t n = groups.size();
   out->AddColumn(op.part, std::move(groups));
@@ -2088,11 +1979,7 @@ Result<TablePtr> Evaluator::EvalElem(const Op& op, const Table& content,
     out_item[lr] = Value::Node(builder.Finish());
   }
 
-  auto out = std::make_shared<Table>();
-  out->AddColumn(col::iter(), std::move(out_iter));
-  out->AddColumn(col::item(), std::move(out_item));
-  out->SetRows(loop.rows());
-  return out;
+  return IterItemTable(std::move(out_iter), std::move(out_item));
 }
 
 Result<TablePtr> Evaluator::EvalAttr(const Op& op, const Table& value,
@@ -2120,11 +2007,7 @@ Result<TablePtr> Evaluator::EvalAttr(const Op& op, const Table& value,
     out_item.push_back(Value::Node(node));
   }
 
-  auto out = std::make_shared<Table>();
-  out->AddColumn(col::iter(), std::move(out_iter));
-  out->AddColumn(col::item(), std::move(out_item));
-  out->SetRows(loop.rows());
-  return out;
+  return IterItemTable(std::move(out_iter), std::move(out_item));
 }
 
 Result<TablePtr> Evaluator::EvalText(const Op& op, const Table& content,
@@ -2152,12 +2035,7 @@ Result<TablePtr> Evaluator::EvalText(const Op& op, const Table& content,
     out_item.push_back(Value::Node(node));
   }
 
-  size_t n = out_iter.size();
-  auto out = std::make_shared<Table>();
-  out->AddColumn(col::iter(), std::move(out_iter));
-  out->AddColumn(col::item(), std::move(out_item));
-  out->SetRows(n);
-  return out;
+  return IterItemTable(std::move(out_iter), std::move(out_item));
 }
 
 // ---------------------------------------------------------------------------

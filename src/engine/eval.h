@@ -46,6 +46,7 @@
 #include "common/status.h"
 #include "engine/band.h"
 #include "engine/faults.h"
+#include "engine/key_groups.h"
 #include "engine/profile.h"
 #include "engine/table.h"
 #include "engine/task_pool.h"
@@ -134,7 +135,9 @@ struct EvalContext {
 
 class Evaluator {
  public:
-  Evaluator(const Dag& dag, EvalContext* ctx);
+  // `max_rows` caps the rows of every table a kernel numbers with
+  // uint32_t row ids (kResourceExhausted past it); only tests lower it.
+  Evaluator(const Dag& dag, EvalContext* ctx, size_t max_rows = kMaxRows);
 
   // Evaluates the sub-DAG rooted at `root` and returns its table.
   Result<TablePtr> Eval(OpId root);
@@ -260,6 +263,7 @@ class Evaluator {
   ValueOps ops_;
   size_t morsel_rows_ = 0;  // resolved by Eval
   size_t inline_rows_;
+  size_t max_rows_;
 
   // Pipeline plan for the current Eval.
   MorselPlan mplan_;

@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <random>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algebra/algebra.h"
 #include "engine/eval.h"
+#include "engine/key_groups.h"
 #include "ref/interp.h"
 #include "xml/serializer.h"
 #include "xml/xml_parser.h"
@@ -162,6 +168,24 @@ TEST_F(EngineTest, DistinctStable) {
   TablePtr t = Eval(dag_.Distinct(l));
   ASSERT_EQ(t->rows(), 2u);
   EXPECT_EQ(Ints(*t, pos()), (std::vector<int64_t>{1, 2}));
+}
+
+// Survivors are each group's first row in first-appearance order: -0.0
+// (equal to 0.0) keeps its sign, and NaN rows, equal to nothing, all
+// survive.
+TEST_F(EngineTest, DistinctKeepsFirstRowOfEachGroup) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LitTable t;
+  t.cols = {item()};
+  for (double d : {-0.0, 1.0, 0.0, nan, 1.0, nan}) {
+    t.rows.push_back({Value::Double(d)});
+  }
+  TablePtr out = Eval(dag_.Distinct(dag_.Lit(std::move(t))));
+  ASSERT_EQ(out->rows(), 4u);
+  EXPECT_TRUE(std::signbit(out->at(item(), 0).d));
+  EXPECT_EQ(out->at(item(), 1).d, 1.0);
+  EXPECT_TRUE(std::isnan(out->at(item(), 2).d));
+  EXPECT_TRUE(std::isnan(out->at(item(), 3).d));
 }
 
 TEST_F(EngineTest, RowNumDensePerGroup) {
@@ -546,6 +570,353 @@ TEST_F(EngineTest, SharedSubplanEvaluatedOnce) {
   EXPECT_EQ(t->rows(), 2u);
   EXPECT_EQ(profile.by_kind().at("RowId").ops, 1u);  // shared, not twice
   ctx_.profile = nullptr;
+}
+
+// -- KeyGroups, the hash kernel behind every hash operator ---------------
+
+// The reference key of a row: each value as (kind, payload), with the
+// value-join normalization folding xs:untypedAtomic into xs:string, -0.0
+// equal to 0.0 (Value::operator== compares doubles by ==), and a NaN made
+// unique by its row so that it equals nothing.
+using RefKey = std::vector<std::tuple<int, int64_t, double>>;
+
+RefKey RefKeyOf(const std::vector<const Column*>& cols, size_t row,
+                bool normalize, int64_t nan_tag) {
+  RefKey k;
+  for (const Column* c : cols) {
+    const Value& v = (*c)[row];
+    ValueKind kind = v.kind;
+    if (normalize && kind == ValueKind::kUntyped) kind = ValueKind::kString;
+    switch (kind) {
+      case ValueKind::kDouble:
+        if (std::isnan(v.d)) {
+          k.emplace_back(-1, nan_tag, 0.0);
+        } else {
+          k.emplace_back(1, 0, v.d == 0 ? 0.0 : v.d);
+        }
+        break;
+      case ValueKind::kString:
+      case ValueKind::kUntyped:
+        k.emplace_back(static_cast<int>(kind), v.str, 0.0);
+        break;
+      case ValueKind::kBool:
+        k.emplace_back(4, v.b ? 1 : 0, 0.0);
+        break;
+      case ValueKind::kNode:
+        k.emplace_back(5, static_cast<int64_t>(v.node), 0.0);
+        break;
+      case ValueKind::kInt:
+        k.emplace_back(0, v.i, 0.0);
+        break;
+    }
+  }
+  return k;
+}
+
+// Builds `groups` over `cols` and checks it against a std::map reference:
+// group count and ids (first-appearance order), first rows, members in
+// ascending row order, and Find on every row of `probe`.
+void ExpectMatchesMapReference(const std::vector<const Column*>& cols,
+                               size_t rows,
+                               const std::vector<const Column*>& probe,
+                               size_t probe_rows, bool normalize) {
+  KeyGroups groups;
+  ASSERT_TRUE(groups.Build(cols, rows, normalize).ok());
+  groups.CollectMembers();
+  std::map<RefKey, uint32_t> ids;
+  std::vector<uint32_t> reps;
+  std::vector<std::vector<uint32_t>> members;
+  for (size_t r = 0; r < rows; ++r) {
+    auto [it, fresh] = ids.emplace(
+        RefKeyOf(cols, r, normalize, static_cast<int64_t>(r)),
+        static_cast<uint32_t>(reps.size()));
+    if (fresh) {
+      reps.push_back(static_cast<uint32_t>(r));
+      members.emplace_back();
+    }
+    members[it->second].push_back(static_cast<uint32_t>(r));
+    EXPECT_EQ(groups.group_of(r), it->second) << "row " << r;
+  }
+  ASSERT_EQ(groups.size(), reps.size());
+  EXPECT_EQ(groups.reps(), reps);
+  for (uint32_t g = 0; g < reps.size(); ++g) {
+    std::span<const uint32_t> m = groups.members(g);
+    EXPECT_EQ(std::vector<uint32_t>(m.begin(), m.end()), members[g]);
+  }
+  for (size_t r = 0; r < probe_rows; ++r) {
+    const int64_t nan_tag = -1 - static_cast<int64_t>(r);  // never a row
+    auto it = ids.find(RefKeyOf(probe, r, normalize, nan_tag));
+    EXPECT_EQ(groups.Find(probe, r),
+              it == ids.end() ? KeyGroups::kNone : it->second)
+        << "probe row " << r;
+  }
+}
+
+TEST(KeyGroupsTest, MatchesMapReference) {
+  StrPool strings;
+  const StrId a = strings.Intern("a");
+  const StrId b = strings.Intern("b");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Small pools so that rows repeat; int keys that agree in their low 32
+  // bits, NaN, -0.0 against 0.0, int 1 against double 1.0, and the same
+  // text as xs:string and as xs:untypedAtomic.
+  const std::vector<Value> pool = {
+      Value::Int(0),           Value::Int(1),
+      Value::Int(1ll << 32),   Value::Int(3ll << 32),
+      Value::Int(-1),          Value::Double(1.0),
+      Value::Double(0.0),      Value::Double(-0.0),
+      Value::Double(nan),      Value::Str(a),
+      Value::Untyped(a),       Value::Str(b),
+      Value::Untyped(b),       Value::Bool(true),
+      Value::Bool(false),      Value::Node(1),
+      Value::Node(1ll << 32),
+  };
+  std::mt19937 rng(20);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t width = 1 + rng() % 3;
+    const size_t rows = trial < 3 ? trial : rng() % 200;
+    const size_t probe_rows = rng() % 50;
+    // Some trials draw from a prefix of the pool: few distinct keys.
+    const size_t spread = 1 + rng() % pool.size();
+    std::vector<Column> build(width, Column(rows));
+    std::vector<Column> probe(width, Column(probe_rows));
+    for (Column& c : build) {
+      for (Value& v : c) v = pool[rng() % spread];
+    }
+    for (Column& c : probe) {
+      for (Value& v : c) v = pool[rng() % pool.size()];
+    }
+    std::vector<const Column*> bp;
+    std::vector<const Column*> pp;
+    for (size_t k = 0; k < width; ++k) {
+      bp.push_back(&build[k]);
+      pp.push_back(&probe[k]);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectMatchesMapReference(bp, rows, pp, probe_rows, false);
+    ExpectMatchesMapReference(bp, rows, pp, probe_rows, true);
+  }
+}
+
+TEST(KeyGroupsTest, EqualityIsBitIdentityPlusValueJoinNormalization) {
+  StrPool strings;
+  const StrId a = strings.Intern("a");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Column keys = {Value::Double(nan), Value::Double(nan), Value::Int(1),
+                       Value::Double(1.0), Value::Str(a),     Value::Untyped(a),
+                       Value::Int(1)};
+  const std::vector<const Column*> cols = {&keys};
+  KeyGroups exact;
+  ASSERT_TRUE(exact.Build(cols, keys.size()).ok());
+  // Each NaN is a group of its own; int 1 and double 1.0 stay apart;
+  // the string and the untypedAtomic "a" stay apart.
+  EXPECT_EQ(exact.size(), 6u);
+  EXPECT_EQ(exact.reps(), (std::vector<uint32_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(exact.group_of(6), exact.group_of(2));
+  EXPECT_EQ(exact.Find(cols, 0), KeyGroups::kNone);  // NaN finds nothing
+  EXPECT_EQ(exact.Find(cols, 5), 5u);
+  KeyGroups folded;
+  ASSERT_TRUE(folded.Build(cols, keys.size(), /*normalize=*/true).ok());
+  EXPECT_EQ(folded.size(), 5u);
+  EXPECT_EQ(folded.group_of(5), folded.group_of(4));
+  EXPECT_EQ(folded.group_of(3), 3u);  // 1.0 still differs from 1
+}
+
+TEST(KeyGroupsTest, EmptyAndOneGroupInputs) {
+  Column none;
+  KeyGroups empty;
+  ASSERT_TRUE(empty.Build({&none}, 0).ok());
+  empty.CollectMembers();
+  EXPECT_EQ(empty.size(), 0u);
+  Column probe = {Value::Int(1)};
+  EXPECT_EQ(empty.Find({&probe}, 0), KeyGroups::kNone);
+
+  Column same(100, Value::Int(7));
+  KeyGroups one;
+  ASSERT_TRUE(one.Build({&same}, same.size()).ok());
+  one.CollectMembers();
+  ASSERT_EQ(one.size(), 1u);
+  std::span<const uint32_t> m = one.members(0);
+  std::vector<uint32_t> all(100);
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(std::vector<uint32_t>(m.begin(), m.end()), all);
+}
+
+TEST(KeyGroupsTest, KeysCollidingInLowBitsStayApart) {
+  // Every key agrees in its low 40 bits (and so does Value::Hash).
+  Column keys;
+  for (int64_t k = 0; k < 1000; ++k) keys.push_back(Value::Int(k << 40));
+  keys.push_back(Value::Int(0));
+  KeyGroups groups;
+  ASSERT_TRUE(groups.Build({&keys}, keys.size()).ok());
+  EXPECT_EQ(groups.size(), 1000u);
+  EXPECT_EQ(groups.group_of(1000), 0u);
+  for (uint32_t g = 0; g < 1000; ++g) {
+    ASSERT_EQ(groups.Find({&keys}, g), g);
+  }
+}
+
+TEST(KeyGroupsTest, RowsPastTheLimitAreResourceExhausted) {
+  Column keys(3, Value::Int(1));
+  EXPECT_TRUE(KeyGroups(/*max_rows=*/3).Build({&keys}, 3).ok());
+  Status st = KeyGroups(/*max_rows=*/2).Build({&keys}, 3);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+}
+
+// -- Row-count overflow: every producer of uint32_t row lists ------------
+
+class RowLimitTest : public EngineTest {
+ protected:
+  // Evaluates `root` with every kernel's row limit lowered to `limit`.
+  Status EvalLimited(OpId root, size_t limit) {
+    Evaluator ev(dag_, &ctx_, limit);
+    Result<TablePtr> r = ev.Eval(root);
+    return r.ok() ? Status::Ok() : r.status();
+  }
+
+  OpId IntLit(ColId c, std::vector<int64_t> vals) {
+    LitTable t;
+    t.cols = {c};
+    for (int64_t v : vals) t.rows.push_back({Value::Int(v)});
+    return dag_.Lit(std::move(t));
+  }
+
+  // Evaluates at `limit`; one row lower, the producer named `what`
+  // fails with kResourceExhausted.
+  void ExpectLimit(OpId root, size_t limit, const std::string& what) {
+    EXPECT_TRUE(EvalLimited(root, limit).ok());
+    Status st = EvalLimited(root, limit - 1);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+    EXPECT_EQ(st.message().rfind(what + ": ", 0), 0u) << st.ToString();
+  }
+};
+
+TEST_F(RowLimitTest, Select) {
+  ColId f = ColSym("f");
+  LitTable t;
+  t.cols = {f};
+  for (bool v : {true, false, false}) t.rows.push_back({Value::Bool(v)});
+  ExpectLimit(dag_.Select(dag_.Lit(std::move(t)), f), 3, "selection");
+}
+
+TEST_F(RowLimitTest, EquiJoin) {
+  ColId a = ColSym("a");
+  ColId b = ColSym("b");
+  // The larger side probes (left, then right; the smaller one builds),
+  // and the output of 2 x 2 equal keys is 4 pairs.
+  ExpectLimit(dag_.EquiJoin(IntLit(a, {1, 2, 3}), IntLit(b, {9}), a, b), 3,
+              "equi-join probe");
+  ExpectLimit(dag_.EquiJoin(IntLit(a, {1}), IntLit(b, {7, 8, 9}), a, b), 3,
+              "equi-join probe");
+  ExpectLimit(dag_.EquiJoin(IntLit(a, {5, 5}), IntLit(b, {5, 5}), a, b), 4,
+              "pipeline");
+}
+
+TEST_F(RowLimitTest, ThetaJoin) {
+  ColId a = ColSym("a");
+  ColId b = ColSym("b");
+  ExpectLimit(dag_.ThetaJoin(IntLit(a, {1, 2, 3}), IntLit(b, {0}), a,
+                             FunKind::kLt, b),
+              3, "theta join");
+  ExpectLimit(dag_.ThetaJoin(IntLit(a, {0}), IntLit(b, {1, 2, 3}), a,
+                             FunKind::kGt, b),
+              3, "theta join");
+}
+
+TEST_F(RowLimitTest, Cross) {
+  ColId a = ColSym("a");
+  ColId b = ColSym("b");
+  ExpectLimit(dag_.Cross(IntLit(a, {1, 2}), IntLit(b, {3, 4, 5})), 6,
+              "cross product");
+}
+
+TEST_F(RowLimitTest, HashOperators) {
+  ColId b = ColSym("b");
+  OpId three = Triples({{1, 1, 5}, {1, 2, 5}, {2, 1, 6}});
+  OpId iters = IntLit(iter(), {1, 2, 3});
+  ExpectLimit(dag_.Distinct(three), 3, "hash grouping");
+  ExpectLimit(dag_.Aggr(three, AggrKind::kCount, b, kNoCol, iter()), 3,
+              "hash grouping");
+  ExpectLimit(dag_.Difference(three, IntLit(iter(), {2}), {iter()}), 3,
+              "anti/semi-join probe");
+  ExpectLimit(dag_.Difference(IntLit(iter(), {2}), iters, {iter()}), 3,
+              "hash grouping");
+  ExpectLimit(dag_.SemiJoin(three, IntLit(iter(), {2}), {iter()}), 3,
+              "anti/semi-join probe");
+  ExpectLimit(
+      dag_.CardCheck(three, IntLit(iter(), {1, 2}), 0, 5, strings_.Intern("f")),
+      3, "hash grouping");
+  ExpectLimit(dag_.ThetaCount(Triples({{1, 1, 1}, {2, 1, 2}, {3, 1, 3}}),
+                              IntLit(b, {2}), item(), FunKind::kLt, b, iter(),
+                              b, ColSym("n")),
+              3, "hash grouping");
+}
+
+// The pipelined equi-join probe at 4 threads and 1- or 3-row morsels
+// against a nested-loop reference: probe-major pairs, each probe row's
+// matches in ascending build-row order, the smaller side building (the
+// right one on ties), untypedAtomic and string keys joined only by value
+// joins.
+TEST_F(EngineTest, EquiJoinProbeMatchesNestedLoopAtAnyMorselSize) {
+  const StrId a = strings_.Intern("a");
+  const std::vector<Value> pool = {Value::Int(1), Value::Double(1.0),
+                                   Value::Int(2), Value::Str(a),
+                                   Value::Untyped(a), Value::Int(1ll << 32)};
+  ColId lk = ColSym("lk");
+  ColId lr = ColSym("lr");
+  ColId rk = ColSym("rk");
+  ColId rr = ColSym("rr");
+  ctx_.num_threads = 4;
+  ctx_.inline_rows = 0;  // every unit goes to the pool
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 60; ++trial) {
+    const bool value_join = trial % 2 == 1;
+    std::vector<Value> lkeys(rng() % 12);
+    std::vector<Value> rkeys(rng() % 12);
+    for (Value& v : lkeys) v = pool[rng() % pool.size()];
+    for (Value& v : rkeys) v = pool[rng() % pool.size()];
+    auto side = [&](ColId k, ColId r, const std::vector<Value>& keys) {
+      LitTable t;
+      t.cols = {k, r};
+      for (size_t i = 0; i < keys.size(); ++i) {
+        t.rows.push_back({keys[i], Value::Int(static_cast<int64_t>(i))});
+      }
+      return dag_.Lit(std::move(t));
+    };
+    OpId l = side(lk, lr, lkeys);
+    OpId r = side(rk, rr, rkeys);
+    OpId join = value_join ? dag_.ValueJoin(l, r, lk, rk)
+                           : dag_.EquiJoin(l, r, lk, rk);
+    auto key = [&](Value v) {
+      return value_join && v.kind == ValueKind::kUntyped ? Value::Str(v.str)
+                                                         : v;
+    };
+    std::vector<std::pair<int64_t, int64_t>> want;
+    const bool build_right = rkeys.size() <= lkeys.size();
+    const size_t np = build_right ? lkeys.size() : rkeys.size();
+    const size_t nb = build_right ? rkeys.size() : lkeys.size();
+    for (size_t p = 0; p < np; ++p) {
+      for (size_t q = 0; q < nb; ++q) {
+        size_t i = build_right ? p : q;
+        size_t j = build_right ? q : p;
+        if (key(lkeys[i]) == key(rkeys[j])) {
+          want.emplace_back(static_cast<int64_t>(i), static_cast<int64_t>(j));
+        }
+      }
+    }
+    for (size_t morsel : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " morsel " +
+                   std::to_string(morsel));
+      ctx_.morsel_rows = morsel;
+      TablePtr t = Eval(join);
+      ASSERT_NE(t, nullptr);
+      std::vector<std::pair<int64_t, int64_t>> got;
+      for (size_t k = 0; k < t->rows(); ++k) {
+        got.emplace_back(t->at(lr, k).i, t->at(rr, k).i);
+      }
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 }  // namespace

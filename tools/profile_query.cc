@@ -1,6 +1,7 @@
 // Per-operator profile of one XMark query over a generated document:
 //
 //   ./profile_query Q9 [scale] [ordered|unordered] [repetitions]
+//   ./profile_query all [scale] [ordered|unordered|both] [repetitions]
 //
 // Executes the query (a plain Session re-plans, but compile time is
 // reported separately) and prints the planned join operators with the
@@ -12,6 +13,11 @@
 // With a repetition count (default 1) the query runs that many times and
 // every time column is the minimum over the runs: one cold run also
 // times the node store's vector growth, which warm runs reuse.
+//
+// `all` profiles the 20 queries in the given mode (default both: the 40
+// (query, mode) pairs) and prints only the by-kind rollup, each kind's
+// per-operator minima summed over every pair — the per-kind before/after
+// table of a kernel change, from one command.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -25,34 +31,35 @@
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 
-int main(int argc, char** argv) {
-  int reps = argc > 4 ? std::atoi(argv[4]) : 1;
-  if (argc < 2 || argc > 5 || reps < 1 ||
-      (argc > 3 && std::strcmp(argv[3], "ordered") != 0 &&
-       std::strcmp(argv[3], "unordered") != 0)) {
-    std::fprintf(stderr,
-                 "usage: profile_query <Qname> [scale] "
-                 "[ordered|unordered] [repetitions >= 1]\n");
-    return 2;
+namespace {
+
+struct Totals {
+  double compile_ms = 0;
+  double execute_ms = 0;
+  std::map<std::string, exrquy::Profile::Bucket> by_kind;
+};
+
+void PrintByKind(const std::map<std::string, exrquy::Profile::Bucket>& k) {
+  std::printf("\nby kind:\n");
+  for (const auto& [kind, b] : k) {
+    std::printf("  %-12s %8.3f ms  %6zu ops  %10zu rows\n", kind.c_str(),
+                b.ms, b.ops, b.out_rows);
   }
-  double scale = argc > 2 ? std::atof(argv[2]) : 0.016;
-  bool unordered = argc > 3 && std::strcmp(argv[3], "unordered") == 0;
-  exrquy::Session session;
-  exrquy::XMarkOptions xmark;
-  xmark.scale = scale;
-  if (!session.LoadDocument("auction.xml", exrquy::GenerateXMark(xmark))
-           .ok()) {
-    std::fprintf(stderr, "load failed\n");
-    return 1;
-  }
+}
+
+// Runs one query `reps` times and adds its minima to `totals`; prints the
+// per-query report when `verbose`. Returns false on an error.
+bool ProfileOne(exrquy::Session& session, const std::string& name,
+                bool unordered, double scale, int reps, bool verbose,
+                Totals* totals) {
   exrquy::QueryOptions options;
   options.profile = true;
   if (unordered) options.default_ordering = exrquy::OrderingMode::kUnordered;
-  const std::string& text = exrquy::XMarkQueryText(argv[1]);
+  const std::string& text = exrquy::XMarkQueryText(name);
   exrquy::Result<exrquy::QueryPlans> plans = session.Plan(text, options);
   if (!plans.ok()) {
     std::fprintf(stderr, "%s\n", plans.status().ToString().c_str());
-    return 1;
+    return false;
   }
   // Every run plans the same DAG, so operator ids line up across runs.
   exrquy::Result<exrquy::QueryResult> r = exrquy::Internal("not run");
@@ -63,7 +70,7 @@ int main(int argc, char** argv) {
     r = session.Execute(text, options);
     if (!r.ok()) {
       std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
-      return 1;
+      return false;
     }
     compile_ms = std::min(compile_ms, r->compile_ms);
     execute_ms = std::min(execute_ms, r->execute_ms);
@@ -72,8 +79,22 @@ int main(int argc, char** argv) {
       if (!fresh) it->second = std::min(it->second, m.ms);
     }
   }
+  totals->compile_ms += compile_ms;
+  totals->execute_ms += execute_ms;
+  std::vector<exrquy::Profile::OpMetrics> ops = r->profile.ops();
+  std::map<std::string, exrquy::Profile::Bucket> by_kind;
+  for (auto& m : ops) {
+    m.ms = op_min_ms[m.op];
+    for (auto* k : {&by_kind, &totals->by_kind}) {
+      exrquy::Profile::Bucket& b = (*k)[m.kind];
+      b.ms += m.ms;
+      b.ops += 1;
+      b.out_rows += m.out_rows;
+    }
+  }
+  if (!verbose) return true;
   std::printf("%s %s at scale %.3f: compile %.2f ms, execute %.2f ms%s\n",
-              argv[1], unordered ? "unordered" : "ordered", scale,
+              name.c_str(), unordered ? "unordered" : "ordered", scale,
               compile_ms, execute_ms,
               reps > 1 ? " (minima over the runs)" : "");
   std::printf("value_join_ops %zu  theta_join_ops %zu  theta_count_ops %zu\n",
@@ -87,15 +108,6 @@ int main(int argc, char** argv) {
                 t.checked && !t.valid ? " (INVALID)" : "", t.detail.c_str());
   }
   std::printf("\n");
-  std::vector<exrquy::Profile::OpMetrics> ops = r->profile.ops();
-  std::map<std::string, exrquy::Profile::Bucket> by_kind;
-  for (auto& m : ops) {
-    m.ms = op_min_ms[m.op];
-    exrquy::Profile::Bucket& b = by_kind[m.kind];
-    b.ms += m.ms;
-    b.ops += 1;
-    b.out_rows += m.out_rows;
-  }
   std::sort(ops.begin(), ops.end(),
             [](const auto& a, const auto& b) { return a.ms > b.ms; });
   std::printf("%5s  %-12s %8s %10s %10s  %s\n", "op", "kind", "ms",
@@ -106,10 +118,60 @@ int main(int argc, char** argv) {
                 static_cast<int>(m.op), m.kind.c_str(), m.ms, m.in_rows,
                 m.out_rows, m.prov.c_str());
   }
-  std::printf("\nby kind:\n");
-  for (const auto& [kind, b] : by_kind) {
-    std::printf("  %-12s %8.3f ms  %6zu ops  %10zu rows\n", kind.c_str(),
-                b.ms, b.ops, b.out_rows);
+  PrintByKind(by_kind);
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool all = argc > 1 && std::strcmp(argv[1], "all") == 0;
+  const char* mode = argc > 3 ? argv[3] : (all ? "both" : "ordered");
+  int reps = argc > 4 ? std::atoi(argv[4]) : 1;
+  if (argc < 2 || argc > 5 || reps < 1 ||
+      (std::strcmp(mode, "ordered") != 0 &&
+       std::strcmp(mode, "unordered") != 0 &&
+       (!all || std::strcmp(mode, "both") != 0))) {
+    std::fprintf(stderr,
+                 "usage: profile_query <Qname> [scale] "
+                 "[ordered|unordered] [repetitions >= 1]\n"
+                 "       profile_query all [scale] "
+                 "[ordered|unordered|both] [repetitions >= 1]\n");
+    return 2;
   }
+  double scale = argc > 2 ? std::atof(argv[2]) : 0.016;
+  exrquy::Session session;
+  exrquy::XMarkOptions xmark;
+  xmark.scale = scale;
+  if (!session.LoadDocument("auction.xml", exrquy::GenerateXMark(xmark))
+           .ok()) {
+    std::fprintf(stderr, "load failed\n");
+    return 1;
+  }
+  std::vector<bool> modes;
+  if (std::strcmp(mode, "unordered") != 0) modes.push_back(false);
+  if (std::strcmp(mode, "ordered") != 0) modes.push_back(true);
+  Totals totals;
+  if (!all) {
+    return ProfileOne(session, argv[1], modes[0], scale, reps, true, &totals)
+               ? 0
+               : 1;
+  }
+  size_t pairs = 0;
+  for (const exrquy::XMarkQuery& q : exrquy::XMarkQueries()) {
+    for (bool unordered : modes) {
+      if (!ProfileOne(session, q.name, unordered, scale, reps, false,
+                      &totals)) {
+        std::fprintf(stderr, "%s failed\n", q.name.c_str());
+        return 1;
+      }
+      ++pairs;
+    }
+  }
+  std::printf("%zu pairs (%s) at scale %.3f: compile %.2f ms, execute "
+              "%.2f ms%s\n",
+              pairs, mode, scale, totals.compile_ms, totals.execute_ms,
+              reps > 1 ? " (sums of minima over the runs)" : "");
+  PrintByKind(totals.by_kind);
   return 0;
 }
