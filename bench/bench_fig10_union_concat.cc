@@ -44,12 +44,9 @@ void Run() {
                 CollectPlanStats(*pe->dag, pe->optimized).ToString().c_str());
     FILE* f = std::fopen("fig10_after.dot", "w");
     if (f != nullptr) {
-      ColSet seed;
-      for (ColId c : {col::iter(), col::pos(), col::item()}) {
-        if (pe->dag->op(pe->optimized).HasCol(c)) seed.insert(c);
-      }
       OrderProvenance prov = ComputeOrderProvenance(
-          *pe->dag, pe->optimized, seed, &session.strings());
+          *pe->dag, pe->optimized, RootSeed(*pe->dag, pe->optimized),
+          &session.strings());
       std::fputs(
           PlanToDot(*pe->dag, pe->optimized, session.strings(),
                     ProvenanceAnnotations(*pe->dag, pe->optimized, prov))

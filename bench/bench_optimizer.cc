@@ -12,6 +12,13 @@
 // runs its repetitions back to back after one untimed pass, so that no
 // column's time depends on the other columns' work.
 //
+// `verify_compiled_us`, `optimize_us` and `verify_optimized_us` split
+// one ordered-mode planning request into the steps PlanQuery times
+// (QueryPlans::steps): the post-compile VerifyPlan, the rewrite pipeline
+// (every pass, the deferred-construction pass and their certificates),
+// and the post-optimize VerifyPlan — medians over the planning
+// repetitions.
+//
 // `certify_us` is the median of paired certify-on/off planning
 // differences, with the interquartile range of those differences in
 // `certify_iqr_us`. When that range spans zero the cost is below what the
@@ -22,7 +29,9 @@
 //     "queries": [ {"name": "Q1", "ops": N, "framework_us": t,
 //                   "new_facts_us": t, "semtype_us": t, "orderdep_us": t,
 //                   "plan_all_rewrites_ms": t, "plan_old_rewrites_ms": t,
-//                   "plan_no_certify_ms": t, "certify_us": t | null,
+//                   "plan_no_certify_ms": t, "verify_compiled_us": t,
+//                   "optimize_us": t, "verify_optimized_us": t,
+//                   "certify_us": t | null,
 //                   "certify_iqr_us": [q1, q3],
 //                   "rownum_ordered": n, "rownum_unordered": n},
 //                  ... ],
@@ -34,6 +43,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -42,6 +52,7 @@
 #include "algebra/stats.h"
 #include "bench/bench_util.h"
 #include "opt/analyses.h"
+#include "opt/facts_audit.h"
 
 namespace exrquy {
 namespace {
@@ -94,14 +105,6 @@ std::string CpuModel() {
   return "unknown";
 }
 
-ColSet RootSeed(const Dag& dag, OpId root) {
-  ColSet seed;
-  for (ColId c : {col::iter(), col::pos(), col::item()}) {
-    if (dag.op(root).HasCol(c)) seed.insert(c);
-  }
-  return seed;
-}
-
 struct Row {
   std::string name;
   size_t ops = 0;
@@ -112,6 +115,7 @@ struct Row {
   double plan_all_ms = 0;
   double plan_old_ms = 0;
   double plan_nocert_ms = 0;
+  QueryPlans::StepTimes steps;
   double certify_us = 0;
   double certify_q1_us = 0;
   double certify_q3_us = 0;
@@ -214,7 +218,17 @@ void Run() {
     // those paired differences: a difference of two medians taken from
     // different moments of a noisy host can come out negative.
     std::vector<double> all_ms, old_ms, nocert_ms, cert_delta_us;
+    std::vector<double> verify_compiled_us, optimize_us, verify_optimized_us;
     for (int i = 0; i < kPlanReps; ++i) {
+      Result<QueryPlans> steps = session->Plan(query.text, ordered);
+      if (!steps.ok()) {
+        std::fprintf(stderr, "%s: planning failed: %s\n",
+                     query.name.c_str(), steps.status().ToString().c_str());
+        std::exit(1);
+      }
+      verify_compiled_us.push_back(steps->steps.verify_compiled_us);
+      optimize_us.push_back(steps->steps.optimize_us);
+      verify_optimized_us.push_back(steps->steps.verify_optimized_us);
       Clock::time_point t0 = Clock::now();
       (void)session->Plan(query.text, enabled);
       all_ms.push_back(UsSince(t0) / 1000.0);
@@ -236,6 +250,9 @@ void Run() {
     row.plan_all_ms = Median(all_ms);
     row.plan_old_ms = Median(old_ms);
     row.plan_nocert_ms = Median(nocert_ms);
+    row.steps.verify_compiled_us = Median(verify_compiled_us);
+    row.steps.optimize_us = Median(optimize_us);
+    row.steps.verify_optimized_us = Median(verify_optimized_us);
     row.certify_us = Median(cert_delta_us);
     row.certify_q1_us = Quantile(cert_delta_us, 0.25);
     row.certify_q3_us = Quantile(cert_delta_us, 0.75);
@@ -275,6 +292,9 @@ void Run() {
     total.plan_all_ms += r.plan_all_ms;
     total.plan_old_ms += r.plan_old_ms;
     total.plan_nocert_ms += r.plan_nocert_ms;
+    total.steps.verify_compiled_us += r.steps.verify_compiled_us;
+    total.steps.optimize_us += r.steps.optimize_us;
+    total.steps.verify_optimized_us += r.steps.verify_optimized_us;
     total.certify_us += r.certify_us;
     total.rownum_ordered += r.rownum_ordered;
     total.rownum_unordered += r.rownum_unordered;
@@ -291,6 +311,18 @@ void Run() {
                   ? 100.0 * (total.certify_us / 1000.0) / total.plan_nocert_ms
                   : 0.0);
 
+  std::printf("\nPlanning split — ordered mode, medians (us)\n\n");
+  std::printf("%-6s %16s %12s %17s\n", "query", "verify_compiled",
+              "optimize", "verify_optimized");
+  for (const Row& r : rows) {
+    std::printf("%-6s %16.1f %12.1f %17.1f\n", r.name.c_str(),
+                r.steps.verify_compiled_us, r.steps.optimize_us,
+                r.steps.verify_optimized_us);
+  }
+  std::printf("%-6s %16.1f %12.1f %17.1f\n", "total",
+              total.steps.verify_compiled_us, total.steps.optimize_us,
+              total.steps.verify_optimized_us);
+
   FILE* f = std::fopen("BENCH_optimizer.json", "w");
   if (f == nullptr) return;
   std::fprintf(f, "{ \"bench\": \"optimizer\",\n  \"queries\": [\n");
@@ -302,12 +334,15 @@ void Run() {
                  "\"semtype_us\": %.1f, \"orderdep_us\": %.1f, "
                  "\"plan_all_rewrites_ms\": %.3f, "
                  "\"plan_old_rewrites_ms\": %.3f, "
-                 "\"plan_no_certify_ms\": %.3f, \"certify_us\": %s, "
+                 "\"plan_no_certify_ms\": %.3f, "
+                 "\"verify_compiled_us\": %.1f, \"optimize_us\": %.1f, "
+                 "\"verify_optimized_us\": %.1f, \"certify_us\": %s, "
                  "\"certify_iqr_us\": [%.1f, %.1f], "
                  "\"rownum_ordered\": %zu, \"rownum_unordered\": %zu}%s\n",
                  r.name.c_str(), r.ops, r.framework_us,
                  r.new_facts_us, r.semtype_us, r.orderdep_us, r.plan_all_ms,
-                 r.plan_old_ms, r.plan_nocert_ms,
+                 r.plan_old_ms, r.plan_nocert_ms, r.steps.verify_compiled_us,
+                 r.steps.optimize_us, r.steps.verify_optimized_us,
                  certify_text(r, "null").c_str(),
                  r.certify_q1_us, r.certify_q3_us,
                  r.rownum_ordered, r.rownum_unordered,
@@ -319,14 +354,17 @@ void Run() {
                "\"semtype_us\": %.1f, \"orderdep_us\": %.1f, "
                "\"plan_all_rewrites_ms\": %.3f, "
                "\"plan_old_rewrites_ms\": %.3f, "
-               "\"plan_no_certify_ms\": %.3f, \"certify_us\": %.1f, "
+               "\"plan_no_certify_ms\": %.3f, "
+               "\"verify_compiled_us\": %.1f, \"optimize_us\": %.1f, "
+               "\"verify_optimized_us\": %.1f, \"certify_us\": %.1f, "
                "\"rownum_ordered\": %zu, \"rownum_unordered\": %zu},\n"
                "  \"machine\": {\"cpu\": \"%s\", "
                "\"hardware_concurrency\": %u}\n}\n",
                total.ops, total.framework_us,
                total.new_facts_us, total.semtype_us, total.orderdep_us,
                total.plan_all_ms, total.plan_old_ms, total.plan_nocert_ms,
-               total.certify_us, total.rownum_ordered,
+               total.steps.verify_compiled_us, total.steps.optimize_us,
+               total.steps.verify_optimized_us, total.certify_us, total.rownum_ordered,
                total.rownum_unordered, CpuModel().c_str(),
                std::thread::hardware_concurrency());
   std::fclose(f);

@@ -194,6 +194,7 @@ uint64_t Dag::HashOp(const Op& op) const {
   for (ColId c : op.keys) HashMix(&h, c);
   HashMix(&h, op.positional ? 1 : 0);
   HashMix(&h, op.value_join ? 1 : 0);
+  HashMix(&h, op.deferred ? 1 : 0);
   HashMix(&h, static_cast<uint64_t>(op.fun));
   for (ColId c : op.args) HashMix(&h, c);
   HashMix(&h, static_cast<uint64_t>(op.aggr));
@@ -221,6 +222,7 @@ bool SamePayload(const Op& a, const Op& b) {
          a.col == b.col && a.col2 == b.col2 && a.order == b.order &&
          a.part == b.part && a.keys == b.keys &&
          a.positional == b.positional && a.value_join == b.value_join &&
+         a.deferred == b.deferred &&
          a.fun == b.fun &&
          a.args == b.args && a.aggr == b.aggr && a.axis == b.axis &&
          a.test == b.test && a.name == b.name &&

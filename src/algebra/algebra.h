@@ -206,6 +206,14 @@ struct Op {
   // kElem/kAttr/kTextNode: unique id preventing hash-cons sharing of
   // distinct syntactic constructors (node identity!).
   uint32_t constructor_id = 0;
+  // kElem only: the constructed elements' identities are never observed
+  // — their item column only ever reaches the content of enclosing
+  // element constructors — so the engine emits construction records
+  // instead of nodes and the enclosing constructor writes each element
+  // once, in place. Set by the deferred-construction pass after the
+  // rewrite fixpoint; the plan verifier audits the claim
+  // ([deferred-constructor-claim]). Part of operator identity.
+  bool deferred = false;
   // kLit:
   LitTable lit;
 

@@ -20,6 +20,8 @@ std::string ValueToString(const Value& v, const StrPool& strings) {
       return v.b ? "true" : "false";
     case ValueKind::kNode:
       return "node:" + std::to_string(v.node);
+    default:
+      break;  // no other kind is a query value
   }
   return "?";
 }
@@ -133,6 +135,7 @@ std::string OpToString(const Dag& dag, OpId id, const StrPool& strings) {
       break;
     case OpKind::kElem:
       out << "Elem <" << strings.Get(op.name) << ">";
+      if (op.deferred) out << " (deferred)";
       break;
     case OpKind::kAttr:
       out << "Attr @" << strings.Get(op.name);

@@ -38,6 +38,8 @@ std::string SpotCell(const Value& v, const NodeStore& store,
       return v.b ? "b:true" : "b:false";
     case ValueKind::kNode:
       return "n:" + SerializeNode(store, static_cast<NodeIdx>(v.node));
+    default:
+      break;  // no other kind is a query value
   }
   return "?";
 }

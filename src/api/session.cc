@@ -78,8 +78,10 @@ Result<QueryPlans> PlanQuery(std::string_view query,
   // Every compiled plan is statically verified before it goes anywhere
   // near the rewrites or the engine: a miscompilation surfaces here as a
   // Status naming the violated invariant, not as wrong answers or UB.
+  Clock::time_point t0 = Clock::now();
   Status verified = VerifyPlan(*plans.dag, plans.initial, {},
                                plans.facts.get());
+  plans.steps.verify_compiled_us = 1000.0 * MsSince(t0);
   if (!verified.ok()) {
     return Internal("compiled plan rejected: " + verified.message());
   }
@@ -91,14 +93,18 @@ Result<QueryPlans> PlanQuery(std::string_view query,
   oopts.verify_each_pass = options.verify_each_pass;
   oopts.strings = strings;
   oopts.trade_log = &plans.trades;
+  t0 = Clock::now();
   EXRQUY_ASSIGN_OR_RETURN(
       plans.optimized,
       Optimize(plans.dag.get(), plans.initial, oopts, plans.facts.get()));
+  plans.steps.optimize_us = 1000.0 * MsSince(t0);
 
   // And once more after the pipeline so a rewrite bug is caught even
   // when the per-pass hook is off. The shared cache has derived facts for
   // most of the optimized plan already, so this is mostly the checks.
+  t0 = Clock::now();
   verified = VerifyPlan(*plans.dag, plans.optimized, {}, plans.facts.get());
+  plans.steps.verify_optimized_us = 1000.0 * MsSince(t0);
   if (!verified.ok()) {
     return Internal("optimized plan rejected: " + verified.message());
   }
@@ -115,12 +121,8 @@ Result<OrderExplanation> Session::ExplainOrder(std::string_view query,
   EXRQUY_ASSIGN_OR_RETURN(QueryPlans plans,
                           PlanQuery(query, options, &strings_));
   const Dag& dag = *plans.dag;
-  ColSet seed;
-  for (ColId c : {col::iter(), col::pos(), col::item()}) {
-    if (dag.op(plans.optimized).HasCol(c)) seed.insert(c);
-  }
-  OrderProvenance prov =
-      ComputeOrderProvenance(dag, plans.optimized, seed, &strings_);
+  OrderProvenance prov = ComputeOrderProvenance(
+      dag, plans.optimized, RootSeed(dag, plans.optimized), &strings_);
   OrderExplanation out;
   for (OpId id : dag.ReachableFrom(plans.optimized)) {
     const Op& op = dag.op(id);

@@ -144,6 +144,15 @@ struct QueryPlans {
   // fact and audit fact planning derived, shared by both verifications
   // and every rewrite pass. Valid while `dag` lives.
   std::unique_ptr<PlanFacts> facts;
+  // Wall time of the planning steps after compilation, in microseconds:
+  // the post-compile verification, the rewrite pipeline (with its
+  // certificates) and the post-optimize verification.
+  struct StepTimes {
+    double verify_compiled_us = 0;
+    double optimize_us = 0;
+    double verify_optimized_us = 0;
+  };
+  StepTimes steps;
 };
 
 // The front half of the pipeline — parse -> normalize -> compile ->

@@ -20,6 +20,11 @@ enum class ValueKind : uint8_t {
   kUntyped = 3, // xs:untypedAtomic
   kBool = 4,    // xs:boolean
   kNode = 5,    // node reference (preorder rank)
+  // Engine-internal: the construction record of a deferred element
+  // constructor (Op::deferred) — an element not yet written to the node
+  // store, expanded by the enclosing constructor. Never a query value:
+  // every operator that inspects a value rejects it.
+  kRecord = 6,
 };
 
 struct Value {
@@ -70,6 +75,12 @@ struct Value {
     x.node = v;
     return x;
   }
+  static Value Record(uint64_t v) {
+    Value x;
+    x.kind = ValueKind::kRecord;
+    x.node = v;
+    return x;
+  }
 
   // Bit-exact identity (used for hashing plans and grouping), not XQuery
   // value equality — that lives in engine/value.h.
@@ -86,6 +97,7 @@ struct Value {
       case ValueKind::kBool:
         return b == other.b;
       case ValueKind::kNode:
+      case ValueKind::kRecord:
         return node == other.node;
     }
     return false;

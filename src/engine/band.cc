@@ -84,6 +84,7 @@ BandKey ClassifyKey(const ValueOps& ops, const Value& v) {
       k.b = v.b;
       break;
     case ValueKind::kNode:
+    case ValueKind::kRecord:
       break;
   }
   return k;

@@ -65,6 +65,16 @@ void NoteChunks(size_t chunks) {
   if (tls_chunks != nullptr) *tls_chunks = std::max(*tls_chunks, chunks);
 }
 
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+// Whether every value of `c` is an integer: the typed sort kernels'
+// precondition (OrderCompare on two integers is integer comparison).
+bool AllInts(const Column& c) {
+  return std::all_of(c.begin(), c.end(), [](const Value& v) {
+    return v.kind == ValueKind::kInt;
+  });
+}
+
 bool IsNaN(const Value& v) {
   return v.kind == ValueKind::kDouble && std::isnan(v.d);
 }
@@ -298,6 +308,10 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
     ctx_->profile->SetExecution(threads, ctx_->release_intermediates);
   }
   Result<TablePtr> result = Schedule(order, root, threads);
+  if (result.ok()) {
+    result = SettleRoot(std::move(result).value());
+  }
+  ReleaseRecords();
   if (result.ok()) {
     // A trip latched during the final operator's chunks, or a budget
     // crossing charged by the last kernel, still fails the query: the
@@ -1245,9 +1259,9 @@ void Evaluator::GatherParallel(const Table& in,
   }
 }
 
-void Evaluator::ParallelStableSort(
-    std::vector<uint32_t>* perm,
-    const std::function<bool(uint32_t, uint32_t)>& less) {
+template <typename Less>
+void Evaluator::ParallelStableSort(std::vector<uint32_t>* perm,
+                                   const Less& less) {
   size_t n = perm->size();
   size_t chunks = NumMorsels(n);
   if (chunks <= 1 || pool_ == nullptr || pool_->threads() == 0) {
@@ -1371,19 +1385,32 @@ Result<TablePtr> Evaluator::EvalRange(const Op& op, const Table& in) {
     auto as_int = [&](const Value& v) -> Result<int64_t> {
       if (v.kind == ValueKind::kInt) return v.i;
       EXRQUY_ASSIGN_OR_RETURN(Value d, ops_.ToDouble(v));
+      // 2^63 is exactly representable; [-2^63, 2^63) is what truncates
+      // into int64_t (NaN fails the comparison too).
+      if (!(d.d >= -9223372036854775808.0 && d.d < 9223372036854775808.0)) {
+        return TypeError("err:FOCA0003: range bound " + FormatDouble(d.d) +
+                         " is not a representable integer");
+      }
       return static_cast<int64_t>(d.d);
     };
     EXRQUY_ASSIGN_OR_RETURN(int64_t a, as_int(lo[r]));
     EXRQUY_ASSIGN_OR_RETURN(int64_t b, as_int(hi[r]));
-    if (b - a > 10'000'000) {
+    if (a > b) continue;
+    // b - a in unsigned arithmetic is exact for every pair of bounds, and
+    // so is a + k below: neither overflows at the ends of the range.
+    const uint64_t span = static_cast<uint64_t>(b) - static_cast<uint64_t>(a);
+    if (span > 10'000'000) {
       return TypeError("range expression too large");
     }
-    for (int64_t v = a; v <= b; ++v) {
+    EXRQUY_RETURN_IF_ERROR(
+        CheckRows(out_item.size() + span + 1, max_rows_, "range expansion"));
+    for (uint64_t k = 0; k <= span; ++k) {
       if ((out_item.size() & 0xFFFF) == 0xFFFF) {
         EXRQUY_RETURN_IF_ERROR(PollGovernor());
       }
       out_iter.push_back(iters[r]);
-      out_item.push_back(Value::Int(v));
+      out_item.push_back(
+          Value::Int(static_cast<int64_t>(static_cast<uint64_t>(a) + k)));
     }
   }
   return IterItemTable(std::move(out_iter), std::move(out_item));
@@ -1474,42 +1501,73 @@ Result<TablePtr> Evaluator::EvalRowNum(const Op& op, const Table& in) {
   std::vector<uint32_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
 
+  // The partition (ascending) leads the sort keys.
   const Column* part = op.part != kNoCol ? &in.col(op.part) : nullptr;
   std::vector<std::pair<const Column*, bool>> keys;
+  if (part != nullptr) keys.emplace_back(part, false);
   for (const SortKey& k : op.order) {
     keys.emplace_back(&in.col(k.col), k.descending);
   }
-  auto less = [&](uint32_t a, uint32_t b) {
-    if (part != nullptr) {
-      int c = ops_.OrderCompare((*part)[a], (*part)[b]);
-      if (c != 0) return c < 0;
-    }
-    for (const auto& [col, desc] : keys) {
-      int c = ops_.OrderCompare((*col)[a], (*col)[b]);
-      if (c != 0) return desc ? c > 0 : c < 0;
-    }
-    return false;
-  };
-  if (ctx_->detect_sorted_inputs &&
-      std::is_sorted(perm.begin(), perm.end(), less)) {
-    // Physical order detection: the input already carries the requested
-    // order, so the blocking sort degenerates to a scan.
-    ctx_->sorts_skipped.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ParallelStableSort(&perm, less);
-  }
-
-  // Rank assignment carries a sequential dependency across group
-  // boundaries — kept serial.
   Column ranks(n);
-  int64_t rank = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (part != nullptr && i > 0) {
-      bool new_group =
-          ops_.OrderCompare((*part)[perm[i]], (*part)[perm[i - 1]]) != 0;
-      if (new_group) rank = 0;
+  // Sorts perm by `less` — a scan when the input already carries the
+  // order (physical order detection: the blocking sort degenerates) —
+  // then ranks each partition 1, 2, ... in that order. `new_part(a, b)`:
+  // sorted row a starts a partition after row b. The ranking carries a
+  // sequential dependency across partition boundaries: kept serial.
+  auto rank_by = [&](const auto& less, const auto& new_part) {
+    if (ctx_->detect_sorted_inputs &&
+        std::is_sorted(perm.begin(), perm.end(), less)) {
+      ctx_->sorts_skipped.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      ParallelStableSort(&perm, less);
     }
-    ranks[perm[i]] = Value::Int(++rank);
+    int64_t rank = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (part != nullptr && i > 0 && new_part(perm[i], perm[i - 1])) {
+        rank = 0;
+      }
+      ranks[perm[i]] = Value::Int(++rank);
+    }
+  };
+  const size_t k = keys.size();
+  if (std::all_of(keys.begin(), keys.end(),
+                  [](const auto& key) { return AllInts(*key.first); })) {
+    // Typed kernel: every key is an integer, so OrderCompare is integer
+    // comparison. Each key maps to an order-preserving unsigned image
+    // (complemented when descending), flattened row-major: the sort
+    // compares plain words. Same order, same stability.
+    std::vector<uint64_t> flat(n * k);
+    for (size_t j = 0; j < k; ++j) {
+      const Column& c = *keys[j].first;
+      const uint64_t flip = keys[j].second ? ~uint64_t{0} : 0;
+      for (size_t r = 0; r < n; ++r) {
+        flat[r * k + j] = (static_cast<uint64_t>(c[r].i) ^ kSignBit) ^ flip;
+      }
+    }
+    rank_by(
+        [&](uint32_t a, uint32_t b) {
+          const uint64_t* ka = flat.data() + size_t{a} * k;
+          const uint64_t* kb = flat.data() + size_t{b} * k;
+          for (size_t j = 0; j < k; ++j) {
+            if (ka[j] != kb[j]) return ka[j] < kb[j];
+          }
+          return false;
+        },
+        [&](uint32_t a, uint32_t b) {
+          return flat[size_t{a} * k] != flat[size_t{b} * k];
+        });
+  } else {
+    rank_by(
+        [&](uint32_t a, uint32_t b) {
+          for (const auto& [col, desc] : keys) {
+            int c = ops_.OrderCompare((*col)[a], (*col)[b]);
+            if (c != 0) return desc ? c > 0 : c < 0;
+          }
+          return false;
+        },
+        [&](uint32_t a, uint32_t b) {
+          return ops_.OrderCompare((*part)[a], (*part)[b]) != 0;
+        });
   }
 
   auto out = std::make_shared<Table>();
@@ -1869,13 +1927,23 @@ std::vector<uint32_t> RowsInSequenceOrder(const Table& t,
   const Column& poss = t.col(col::pos());
   std::vector<uint32_t> rows(t.rows());
   std::iota(rows.begin(), rows.end(), 0);
-  auto less = [&](uint32_t a, uint32_t b) {
-    int c = ops.OrderCompare(iters[a], iters[b]);
-    if (c != 0) return c < 0;
-    return ops.OrderCompare(poss[a], poss[b]) < 0;
+  auto sort = [&](const auto& less) {
+    if (!std::is_sorted(rows.begin(), rows.end(), less)) {
+      std::stable_sort(rows.begin(), rows.end(), less);
+    }
   };
-  if (!std::is_sorted(rows.begin(), rows.end(), less)) {
-    std::stable_sort(rows.begin(), rows.end(), less);
+  if (AllInts(iters) && AllInts(poss)) {
+    // Typed kernel: OrderCompare on integers is integer comparison, so
+    // the sort compares the (iter, pos) pairs as plain int64_t.
+    std::vector<std::pair<int64_t, int64_t>> keys(rows.size());
+    for (size_t r = 0; r < keys.size(); ++r) keys[r] = {iters[r].i, poss[r].i};
+    sort([&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+  } else {
+    sort([&](uint32_t a, uint32_t b) {
+      int c = ops.OrderCompare(iters[a], iters[b]);
+      if (c != 0) return c < 0;
+      return ops.OrderCompare(poss[a], poss[b]) < 0;
+    });
   }
   return rows;
 }
@@ -1906,6 +1974,13 @@ class ContentGroups {
     return std::span<const uint32_t>(rows_.data() + cursor_, end - cursor_);
   }
 
+  // Where a run RowsFor returned starts in the sequence-order rows.
+  uint32_t Offset(std::span<const uint32_t> run) const {
+    return static_cast<uint32_t>(run.data() - rows_.data());
+  }
+  // The content rows in sequence order; the groups are spent after.
+  std::vector<uint32_t> TakeRows() { return std::move(rows_); }
+
  private:
   const Column& iters_;
   std::vector<uint32_t> rows_;
@@ -1920,66 +1995,156 @@ Result<TablePtr> Evaluator::EvalElem(const Op& op, const Table& content,
   ContentGroups groups(content, ops_);
   const Column& items = content.col(col::item());
   const Column& loop_iters = loop.col(col::iter());
-  NodeStore& store = *ctx_->store;
-
-  Column out_iter(loop.rows());
+  Column out_iter = loop_iters;
   Column out_item(loop.rows());
-  // One builder and one text buffer serve every element.
-  NodeBuilder builder(&store);
-  std::string pending;
-  for (size_t lr = 0; lr < loop.rows(); ++lr) {
-    int64_t it = loop_iters[lr].i;
-    std::span<const uint32_t> rows = groups.RowsFor(it);
 
+  if (op.deferred) {
+    // No consumer observes these elements' identity: keep their content,
+    // and let the enclosing constructor write them.
+    RecordSet rs;
+    rs.name = op.name;
+    rs.runs.reserve(loop.rows());
+    for (size_t lr = 0; lr < loop.rows(); ++lr) {
+      std::span<const uint32_t> run = groups.RowsFor(loop_iters[lr].i);
+      rs.runs.emplace_back(groups.Offset(run),
+                           static_cast<uint32_t>(run.size()));
+    }
+    rs.items = content.col_ptr(col::item());
+    rs.rows = groups.TakeRows();
+    rs.bytes = Table::ColumnBytes(*rs.items) +
+               rs.rows.size() * sizeof(rs.rows[0]) +
+               rs.runs.size() * sizeof(rs.runs[0]);
+    const uint64_t set = records_.size();
+    for (size_t lr = 0; lr < loop.rows(); ++lr) {
+      out_item[lr] = Value::Record(set << 32 | lr);
+    }
+    {
+      std::lock_guard<std::mutex> lock(profile_mu_);
+      live_bytes_ += rs.bytes;
+      peak_live_bytes_ =
+          std::max(peak_live_bytes_, live_bytes_ + morsel_live_bytes_);
+    }
+    if (ctx_->budget != nullptr) ctx_->budget->Charge(rs.bytes);
+    records_.push_back(std::move(rs));
+    return IterItemTable(std::move(out_iter), std::move(out_item));
+  }
+
+  // One builder and one text buffer serve every element.
+  NodeBuilder builder(ctx_->store);
+  std::string text;
+  for (size_t lr = 0; lr < loop.rows(); ++lr) {
+    std::span<const uint32_t> rows = groups.RowsFor(loop_iters[lr].i);
     if (lr > 0) builder.Restart();
     builder.BeginElement(op.name);
-    // Attribute items first (XQuery requires attributes to precede other
-    // content; we accept them anywhere, leniently).
-    for (uint32_t r : rows) {
-      const Value& v = items[r];
-      if (v.kind == ValueKind::kNode &&
-          store.kind(v.node) == NodeKind::kAttribute) {
-        builder.Attribute(store.name(v.node), store.value(v.node));
-      }
-    }
-    // Children: nodes are deep-copied, adjacent atomics merge into one
-    // space-separated text node.
-    bool have_pending = false;
-    auto flush = [&] {
-      if (have_pending) builder.Text(std::string_view(pending));
-      pending.clear();
-      have_pending = false;
-    };
-    for (uint32_t r : rows) {
-      const Value& v = items[r];
-      if (v.kind == ValueKind::kNode) {
-        NodeKind k = store.kind(v.node);
-        if (k == NodeKind::kAttribute) continue;  // already handled
-        flush();
-        if (k == NodeKind::kDocument) {
-          // Copying a document node copies its children.
-          NodeIdx end = v.node + store.size(v.node);
-          NodeIdx c = v.node + 1;
-          while (c <= end) {
-            builder.CopySubtree(c);
-            c += store.size(c) + 1;
-          }
-        } else {
-          builder.CopySubtree(v.node);
-        }
-      } else {
-        if (have_pending) pending += ' ';
-        pending += ops_.Render(v);
-        have_pending = true;
-      }
-    }
-    flush();
+    EXRQUY_RETURN_IF_ERROR(EmitContent(&builder, items, rows, &text));
     builder.EndElement();
-    out_iter[lr] = Value::Int(it);
     out_item[lr] = Value::Node(builder.Finish());
   }
 
   return IterItemTable(std::move(out_iter), std::move(out_item));
+}
+
+Status Evaluator::EmitContent(NodeBuilder* b, const Column& items,
+                              std::span<const uint32_t> rows,
+                              std::string* text) {
+  const NodeStore& store = *ctx_->store;
+  // Attribute items first (XQuery requires attributes to precede other
+  // content; we accept them anywhere, leniently).
+  for (uint32_t r : rows) {
+    const Value& v = items[r];
+    if (v.kind == ValueKind::kNode &&
+        store.kind(v.node) == NodeKind::kAttribute) {
+      b->Attribute(store.name(v.node), store.value(v.node));
+    }
+  }
+  // Children: nodes are deep-copied, records written in place, adjacent
+  // atomics merge into one space-separated text node.
+  bool have_pending = false;
+  auto flush = [&] {
+    if (have_pending) b->Text(std::string_view(*text));
+    text->clear();
+    have_pending = false;
+  };
+  for (uint32_t r : rows) {
+    const Value& v = items[r];
+    if (v.kind == ValueKind::kRecord) {
+      flush();
+      EXRQUY_RETURN_IF_ERROR(EmitRecord(b, v.node, text));
+    } else if (v.kind == ValueKind::kNode) {
+      NodeKind k = store.kind(v.node);
+      if (k == NodeKind::kAttribute) continue;  // already handled
+      flush();
+      if (k == NodeKind::kDocument) {
+        // Copying a document node copies its children.
+        NodeIdx end = v.node + store.size(v.node);
+        NodeIdx c = v.node + 1;
+        while (c <= end) {
+          b->CopySubtree(c);
+          c += store.size(c) + 1;
+        }
+      } else {
+        b->CopySubtree(v.node);
+      }
+    } else {
+      if (have_pending) *text += ' ';
+      *text += ops_.Render(v);
+      have_pending = true;
+    }
+  }
+  flush();
+  return Status::Ok();
+}
+
+Status Evaluator::EmitRecord(NodeBuilder* b, uint64_t record,
+                             std::string* text) {
+  if ((++expanded_records_ & 1023) == 0) {
+    EXRQUY_RETURN_IF_ERROR(PollGovernor());
+  }
+  const RecordSet& rs = records_[record >> 32];
+  const auto [offset, length] = rs.runs[record & 0xFFFFFFFFu];
+  b->BeginElement(rs.name);
+  EXRQUY_RETURN_IF_ERROR(EmitContent(
+      b, *rs.items,
+      std::span<const uint32_t>(rs.rows.data() + offset, length), text));
+  b->EndElement();
+  return Status::Ok();
+}
+
+Result<TablePtr> Evaluator::SettleRoot(TablePtr t) {
+  if (records_.empty()) return t;
+  auto out = std::make_shared<Table>();
+  NodeBuilder builder(ctx_->store);
+  bool first = true;
+  std::string text;
+  for (ColId c : t->schema()) {
+    const Column& src = t->col(c);
+    if (std::none_of(src.begin(), src.end(), [](const Value& v) {
+          return v.kind == ValueKind::kRecord;
+        })) {
+      out->AddColumn(c, t->col_ptr(c));
+      continue;
+    }
+    Column col = src;
+    for (Value& v : col) {
+      if (v.kind != ValueKind::kRecord) continue;
+      if (!first) builder.Restart();
+      first = false;
+      EXRQUY_RETURN_IF_ERROR(EmitRecord(&builder, v.node, &text));
+      v = Value::Node(builder.Finish());
+    }
+    out->AddColumn(c, std::move(col));
+  }
+  out->SetRows(t->rows());
+  return out;
+}
+
+void Evaluator::ReleaseRecords() {
+  std::lock_guard<std::mutex> lock(profile_mu_);
+  for (const RecordSet& rs : records_) {
+    live_bytes_ -= rs.bytes;
+    if (ctx_->budget != nullptr) ctx_->budget->Release(rs.bytes);
+  }
+  records_.clear();
 }
 
 Result<TablePtr> Evaluator::EvalAttr(const Op& op, const Table& value,

@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -232,9 +233,8 @@ class Evaluator {
                       Table* out);
   // Range-wise stable sort: sorts each range, then stably merges range
   // pairs — byte-identical to std::stable_sort over the whole input.
-  void ParallelStableSort(
-      std::vector<uint32_t>* perm,
-      const std::function<bool(uint32_t, uint32_t)>& less);
+  template <typename Less>
+  void ParallelStableSort(std::vector<uint32_t>* perm, const Less& less);
 
   Result<TablePtr> EvalLit(const Op& op);
   Result<TablePtr> EvalCross(const Op& op, const Table& l, const Table& r);
@@ -258,6 +258,40 @@ class Evaluator {
   Result<Value> ApplyFun(const Op& op, const std::vector<const Column*>& args,
                          size_t row);
 
+  // -- Deferred construction (Op::deferred) --------------------------------
+  // What one deferred Elem evaluation recorded instead of building nodes:
+  // the element name, the content's item column with its rows in
+  // sequence order, and per loop row the run of those rows that becomes
+  // that row's element's content — kept (and charged as live) until the
+  // evaluation ends. A record value (ValueKind::kRecord) carries the
+  // set's index in records_ in its high 32 bits and the loop row in its
+  // low 32.
+  struct RecordSet {
+    StrId name = StrPool::kEmpty;
+    ColumnPtr items;
+    std::vector<uint32_t> rows;
+    std::vector<std::pair<uint32_t, uint32_t>> runs;  // (offset, length)
+    size_t bytes = 0;  // charged while live
+  };
+  // Appends the content items[rows] to the element `b` has open:
+  // attribute items become its attributes, nodes are copied (a document
+  // node by its children), records are expanded in place, and adjacent
+  // atomics merge into one space-separated text node (`text` is the
+  // shared scratch buffer, empty between calls).
+  Status EmitContent(NodeBuilder* b, const Column& items,
+                     std::span<const uint32_t> rows, std::string* text);
+  // Writes the element construction record `record` names as the next
+  // child of `b` (or as its root, when no element is open); polls the
+  // governor every 1024 records.
+  Status EmitRecord(NodeBuilder* b, uint64_t record, std::string* text);
+  // The root table as Eval returns it, every record written out as its
+  // element. The root observes all it returns, so only a sub-plan
+  // evaluated on its own (the certificate spot check, a test) can end in
+  // a record.
+  Result<TablePtr> SettleRoot(TablePtr t);
+  // Untracks every record set's columns and index; run once per Eval.
+  void ReleaseRecords();
+
   const Dag& dag_;
   EvalContext* ctx_;
   ValueOps ops_;
@@ -279,6 +313,11 @@ class Evaluator {
 
   // Guards ctx_->profile and the live-column tracker.
   std::mutex profile_mu_;
+
+  // Record sets of the deferred constructors evaluated so far. Only node
+  // constructors touch it, under store_mu_ held exclusively.
+  std::vector<RecordSet> records_;
+  size_t expanded_records_ = 0;  // for EmitRecord's governor polls
 
   // Governor trip state: set once by the first observed cancel/deadline/
   // budget/fault condition, then sticky for the whole evaluation. Chunk

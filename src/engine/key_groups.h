@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "engine/table.h"
 
@@ -105,7 +106,10 @@ class KeyGroups {
   // Value joins compare xs:untypedAtomic keys as xs:string. The
   // verifier's [join-isolation-claim] audit confines their keys to {int,
   // string-class, bool}, where bit equality after this is exactly `eq`.
+  // A deferred constructor's record (ValueKind::kRecord) is never a key:
+  // one here means an unsound identity-indifference mark.
   Value Key(const Value& v) const {
+    EXRQUY_CHECK(v.kind != ValueKind::kRecord);
     return normalize_ && v.kind == ValueKind::kUntyped ? Value::Str(v.str)
                                                        : v;
   }

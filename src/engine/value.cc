@@ -59,6 +59,21 @@ Result<Value> ApplyRelation(FunKind op, int cmp) {
   }
 }
 
+// A deferred constructor's record (ValueKind::kRecord) that reached an
+// operator inspecting its value: the identity-indifference mark was
+// unsound. Fails the query instead of computing with it.
+Status RecordLeak() {
+  return Internal(
+      "deferred construction record reached an operator that inspects "
+      "its value");
+}
+
+// The same leak where no Status can carry it: an invariant violation.
+[[noreturn]] void AbortOnRecord(int line) {
+  internal_check::CheckFailed("deferred construction record inspected",
+                              __FILE__, line);
+}
+
 }  // namespace
 
 std::string FormatDouble(double v) {
@@ -73,6 +88,7 @@ std::string FormatDouble(double v) {
 }
 
 Value ValueOps::Atomize(Value v) const {
+  if (v.kind == ValueKind::kRecord) AbortOnRecord(__LINE__);
   if (v.kind != ValueKind::kNode) return v;
   NodeKind k = store_->kind(v.node);
   if (k == NodeKind::kAttribute || k == NodeKind::kText ||
@@ -110,6 +126,8 @@ Result<Value> ValueOps::ToDouble(Value v) const {
       return Value::Double(v.b ? 1.0 : 0.0);
     case ValueKind::kNode:
       return TypeError("cannot cast a node to xs:double (atomize first)");
+    case ValueKind::kRecord:
+      return RecordLeak();
   }
   return Internal("bad value kind");
 }
@@ -118,6 +136,7 @@ Result<Value> ValueOps::ToString(Value v) const {
   if (v.kind == ValueKind::kNode) {
     return TypeError("cannot cast a node to xs:string (atomize first)");
   }
+  if (v.kind == ValueKind::kRecord) return RecordLeak();
   if (v.kind == ValueKind::kString) return v;
   // An untyped value's string is already interned under its own id.
   if (v.kind == ValueKind::kUntyped) return Value::Str(v.str);
@@ -125,6 +144,9 @@ Result<Value> ValueOps::ToString(Value v) const {
 }
 
 Result<Value> ValueOps::Arith(FunKind op, Value a, Value b) const {
+  if (a.kind == ValueKind::kRecord || b.kind == ValueKind::kRecord) {
+    return RecordLeak();
+  }
   // Untyped operands cast to xs:double for arithmetic.
   if (a.kind == ValueKind::kUntyped || a.kind == ValueKind::kString) {
     EXRQUY_ASSIGN_OR_RETURN(a, ToDouble(a));
@@ -216,6 +238,9 @@ Result<Value> ValueOps::Arith(FunKind op, Value a, Value b) const {
 }
 
 Result<Value> ValueOps::Compare(FunKind op, Value a, Value b) const {
+  if (a.kind == ValueKind::kRecord || b.kind == ValueKind::kRecord) {
+    return RecordLeak();
+  }
   if (a.kind == ValueKind::kNode || b.kind == ValueKind::kNode) {
     return TypeError("comparison on unatomized nodes");
   }
@@ -261,6 +286,8 @@ bool ValueOps::EbvSingle(Value v) const {
       return !strings_->Get(v.str).empty();
     case ValueKind::kNode:
       return true;
+    case ValueKind::kRecord:
+      AbortOnRecord(__LINE__);
   }
   return false;
 }
@@ -278,6 +305,8 @@ int ValueOps::OrderCompare(const Value& a, const Value& b) const {
         return 2;
       case ValueKind::kNode:
         return 3;
+      case ValueKind::kRecord:
+        AbortOnRecord(__LINE__);
     }
     return 4;
   };
@@ -322,6 +351,8 @@ std::string ValueOps::Render(Value v) const {
       return v.b ? "true" : "false";
     case ValueKind::kNode:
       return store_->StringValue(v.node);
+    case ValueKind::kRecord:
+      AbortOnRecord(__LINE__);
   }
   return "";
 }

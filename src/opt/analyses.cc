@@ -16,8 +16,12 @@ namespace exrquy {
 
 namespace {
 
+// With `identity` set, the same sweep solves identity observation
+// (ComputeObservedCols): one edge fewer, the content item an element
+// constructor copies without inspecting.
 struct LivenessAnalysis {
   using Fact = ColSet;
+  bool identity = false;
 
   Fact Bottom(const Dag&, OpId) const { return {}; }
 
@@ -128,7 +132,7 @@ struct LivenessAnalysis {
       case OpKind::kTextNode:
         need(0, col::iter());
         need(0, col::pos());
-        need(0, col::item());
+        if (!(identity && op.kind == OpKind::kElem)) need(0, col::item());
         need(1, col::iter());
         break;
       case OpKind::kRange:
@@ -150,6 +154,12 @@ struct LivenessAnalysis {
 std::vector<ColSet> ComputeICols(const Dag& dag, OpId root,
                                  const ColSet& seed) {
   BackwardDataflow<LivenessAnalysis> engine(&dag);
+  return engine.Solve(root, seed);
+}
+
+std::vector<ColSet> ComputeObservedCols(const Dag& dag, OpId root,
+                                        const ColSet& seed) {
+  BackwardDataflow<LivenessAnalysis> engine(&dag, {/*identity=*/true});
   return engine.Solve(root, seed);
 }
 
@@ -634,6 +644,8 @@ ItemKind KindOfValue(const Value& v) {
       return ItemKind::kBool;
     case ValueKind::kNode:
       return ItemKind::kNode;
+    default:
+      break;  // no other kind is a query value
   }
   return ItemKind::kAny;
 }
@@ -1411,6 +1423,7 @@ struct ProvenanceAnalysis {
 
   const Dag* dag = nullptr;
   const StrPool* strings = nullptr;
+  bool labels = true;
   std::vector<OrderReason>* reasons = nullptr;
   std::vector<uint32_t>* intern = nullptr;  // by consumer OpId
 
@@ -1418,7 +1431,8 @@ struct ProvenanceAnalysis {
     uint32_t& id = (*intern)[consumer];
     if (id == kNoReason) {
       id = static_cast<uint32_t>(reasons->size());
-      reasons->push_back({consumer, ReasonLabel(*dag, consumer, strings)});
+      reasons->push_back(
+          {consumer, labels ? ReasonLabel(*dag, consumer, strings) : ""});
     }
     return id;
   }
@@ -1560,10 +1574,10 @@ std::vector<std::string> OrderProvenance::ReasonsFor(OpId id,
 
 OrderProvenance ComputeOrderProvenance(const Dag& dag, OpId root,
                                        const ColSet& seed,
-                                       const StrPool* strings) {
+                                       const StrPool* strings, bool labels) {
   OrderProvenance out;
   std::vector<uint32_t> intern(root + 1, ProvenanceAnalysis::kNoReason);
-  ProvenanceAnalysis analysis{&dag, strings, &out.reasons, &intern};
+  ProvenanceAnalysis analysis{&dag, strings, labels, &out.reasons, &intern};
   // The root demand: the query result is serialized in sequence order.
   uint32_t serialize = static_cast<uint32_t>(out.reasons.size());
   out.reasons.push_back(

@@ -52,6 +52,24 @@ std::vector<ColSet> ComputeICols(const Dag& dag, OpId root,
                                  const ColSet& seed);
 
 // ---------------------------------------------------------------------------
+// Identity observation (backward).
+// ---------------------------------------------------------------------------
+
+// The node-identity analogue of liveness: per reachable operator, the
+// produced columns whose values some consumer inspects — compares,
+// hashes, sorts on, navigates from, atomizes or returns (seeded at the
+// root with the serialization columns). Pass-through columns of π, σ,
+// ×, ∪, the joins, %, # and ⊕ stay unobserved unless they are keys,
+// predicates, sort keys or arguments; the content item of an element
+// constructor is copied, never inspected. An element constructor whose
+// own item column is unobserved builds nodes nobody can tell apart from
+// their copies: construction can be deferred to the enclosing
+// constructor (Op::deferred). Always a subset of ComputeICols.
+// Indexed by OpId, empty for operators `root` does not reach.
+std::vector<ColSet> ComputeObservedCols(const Dag& dag, OpId root,
+                                        const ColSet& seed);
+
+// ---------------------------------------------------------------------------
 // Constant / arbitrary-order columns (forward).
 // ---------------------------------------------------------------------------
 
@@ -305,11 +323,13 @@ struct OrderProvenance {
   std::vector<std::string> ReasonsFor(OpId id, ColId col) const;
 };
 
-// `strings` may be null; labels then omit interned names (the verifier
-// audits structure only and passes null).
+// `strings` may be null; labels then omit interned names. Without
+// `labels` every reason's label stays empty — the verifier audits the
+// reason structure only and never builds the strings.
 OrderProvenance ComputeOrderProvenance(const Dag& dag, OpId root,
                                        const ColSet& seed,
-                                       const StrPool* strings);
+                                       const StrPool* strings,
+                                       bool labels = true);
 
 // Per-operator annotation lines for PlanToDot: every RowNum reachable
 // from `root` is annotated with the reasons its rank is demanded.

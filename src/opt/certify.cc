@@ -32,6 +32,7 @@ const char* ObligationFor(const std::string& rule) {
   if (rule == "order-dependency") return "sorted-prefix";
   if (rule == "join_recognition") return "join-isolation";
   if (rule == "theta-count") return "count-fusion";
+  if (rule == "deferred_construction") return "identity-indifference";
   return "unknown-family";
 }
 
@@ -447,6 +448,8 @@ const char* CitedFactKindName(CitedFact::Kind kind) {
       return "scaffold-free";
     case CitedFact::Kind::kDeadColumn:
       return "dead-column";
+    case CitedFact::Kind::kUnobserved:
+      return "unobserved";
     case CitedFact::Kind::kStructural:
       return "structural";
   }
@@ -546,6 +549,15 @@ CitedFact CiteDeadColumn(OpId op, ColId col) {
   return f;
 }
 
+CitedFact CiteUnobserved(OpId op, ColId col) {
+  CitedFact f;
+  f.kind = CitedFact::Kind::kUnobserved;
+  f.op = op;
+  f.col = col;
+  f.text = "unobserved(" + ColName(col) + ")" + AtOp(op);
+  return f;
+}
+
 CitedFact CiteStructural(OpId op, std::string text) {
   CitedFact f;
   f.kind = CitedFact::Kind::kStructural;
@@ -554,22 +566,13 @@ CitedFact CiteStructural(OpId op, std::string text) {
   return f;
 }
 
-CertifyChecker::CertifyChecker(const Dag* dag, FactsAudit* audit,
+CertifyChecker::CertifyChecker(const Dag* dag, PlanFacts* facts,
                                OpId pass_root, std::string force_reject_rule)
     : dag_(dag),
       pass_root_(pass_root),
       force_reject_rule_(std::move(force_reject_rule)),
-      audit_(*audit) {}
-
-void CertifyChecker::EnsureLive() {
-  if (live_ready_) return;
-  ColSet seed;
-  for (ColId c : {col::iter(), col::pos(), col::item()}) {
-    if (dag_->op(pass_root_).HasCol(c)) seed.insert(c);
-  }
-  live_ = DeriveLiveColumns(*dag_, pass_root_, seed, &live_region_);
-  live_ready_ = true;
-}
+      facts_(*facts),
+      audit_(facts->audit) {}
 
 bool CertifyChecker::Fail(RewriteCertificate* cert, const char* obligation,
                           const std::string& detail) {
@@ -650,14 +653,27 @@ bool CertifyChecker::ValidateCited(RewriteCertificate* cert,
         }
         break;
       case CitedFact::Kind::kDeadColumn: {
-        EnsureLive();
-        if (!std::binary_search(live_region_.begin(), live_region_.end(),
+        const PlanFacts::RootColumns& live = facts_.AuditLive(pass_root_);
+        if (!std::binary_search(live.region.begin(), live.region.end(),
                                 f.op)) {
           return bad("names an operator outside the pre-pass region");
         }
-        if (live_[f.op].count(f.col) != 0) {
+        if (live.cols[f.op].count(f.col) != 0) {
           return bad("is not derivable: the reference liveness walk "
                      "demands the column");
+        }
+        break;
+      }
+      case CitedFact::Kind::kUnobserved: {
+        const PlanFacts::RootColumns& seen =
+            facts_.AuditObserved(pass_root_);
+        if (!std::binary_search(seen.region.begin(), seen.region.end(),
+                                f.op)) {
+          return bad("names an operator outside the pre-pass region");
+        }
+        if (seen.cols[f.op].count(f.col) != 0) {
+          return bad("is not derivable: the reference identity walk "
+                     "finds a consumer that inspects the column");
         }
         break;
       }
@@ -1089,6 +1105,31 @@ bool CertifyChecker::CheckFamily(RewriteCertificate* cert) {
                   "the replacement is not the fused count of theta join "
                   "op " + std::to_string(tj) + " grouped by '" +
                       ColName(g) + "' counting '" + ColName(h) + "'");
+    }
+    return true;
+  }
+
+  if (cert->rule == "deferred_construction") {
+    if (from.kind != OpKind::kElem || from.deferred) {
+      return Fail(cert, ob,
+                  "the rewritten operator is not an eager element "
+                  "constructor");
+    }
+    if (to.kind != OpKind::kElem || !to.deferred || to.name != from.name ||
+        to.constructor_id != from.constructor_id) {
+      return Fail(cert, ob,
+                  "the replacement is not the same constructor, marked "
+                  "deferred");
+    }
+    bool item_cited = false;
+    for (const CitedFact& f : cert->cited) {
+      if (f.kind != CitedFact::Kind::kUnobserved || f.op != cert->from) {
+        return Fail(cert, ob, "unexpected cited fact '" + f.text + "'");
+      }
+      item_cited = item_cited || f.col == col::item();
+    }
+    if (!item_cited) {
+      return Fail(cert, ob, "the constructed item column is not cited");
     }
     return true;
   }

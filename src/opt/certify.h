@@ -58,6 +58,12 @@
 //                                            share one comparison class,
 //                                            and the replacement is that
 //                                            join's exact ThetaCount
+//   deferred_construction identity-          the marked element
+//                         indifference       constructor's item column is
+//                                            unobserved in the reference
+//                                            identity walk at the pass
+//                                            root; the replacement is the
+//                                            same constructor, marked
 //
 // Modes (EXRQUY_CERTIFY, options beat environment; any other value is
 // rejected):
@@ -125,6 +131,7 @@ struct CitedFact {
     kKindClass,     // `col` at `op` stays within `kind_class`
     kScaffoldFree,  // `col` at `op` carries no iteration/order scaffolding
     kDeadColumn,    // `col` of `op` is never consumed above it
+    kUnobserved,    // no consumer above `op` inspects the values of `col`
     kStructural,    // a shape condition the family template re-checks
   };
   Kind kind = Kind::kStructural;
@@ -150,6 +157,7 @@ CitedFact CiteNoRaise(OpId op);
 CitedFact CiteKindClass(OpId op, ColId col, ItemKind kind_class);
 CitedFact CiteScaffoldFree(OpId op, ColId col);
 CitedFact CiteDeadColumn(OpId op, ColId col);
+CitedFact CiteUnobserved(OpId op, ColId col);
 CitedFact CiteStructural(OpId op, std::string text);
 
 // How one output column of the after plan corresponds to a column of the
@@ -187,14 +195,15 @@ struct RewriteCertificate {
 };
 
 // Validates certificates against an independent fact re-derivation over
-// `dag`, read from `audit` (the plan's shared audit fact base, which
+// `dag`, read from `facts` (the plan's shared cache: its audit fact base
 // stays sound across passes because the DAG is append-only).
 // `pass_root` is the root of the plan the rewrite pass is consuming — the
-// reference liveness walk for dead-column obligations is anchored there,
-// so one checker serves one rewrite pass.
+// reference liveness and identity-observation walks for the dead-column
+// and identity-indifference obligations are anchored there, so one
+// checker serves one rewrite pass.
 class CertifyChecker {
  public:
-  CertifyChecker(const Dag* dag, FactsAudit* audit, OpId pass_root,
+  CertifyChecker(const Dag* dag, PlanFacts* facts, OpId pass_root,
                  std::string force_reject_rule = {});
 
   // Fills cert->checked / valid / obligation / diagnostic; returns
@@ -202,7 +211,6 @@ class CertifyChecker {
   bool Check(RewriteCertificate* cert);
 
  private:
-  void EnsureLive();
   bool Fail(RewriteCertificate* cert, const char* obligation,
             const std::string& detail);
   bool ValidateCited(RewriteCertificate* cert, const char* obligation);
@@ -211,10 +219,8 @@ class CertifyChecker {
   const Dag* dag_;
   OpId pass_root_;
   std::string force_reject_rule_;
+  PlanFacts& facts_;
   FactsAudit& audit_;
-  bool live_ready_ = false;
-  std::vector<ColSet> live_;         // by OpId
-  std::vector<OpId> live_region_;    // the ops the walk reached, ascending
 };
 
 }  // namespace exrquy

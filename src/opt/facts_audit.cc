@@ -50,6 +50,8 @@ ItemKind LitValueKind(const Value& v) {
       return ItemKind::kBool;
     case ValueKind::kNode:
       return ItemKind::kNode;
+    default:
+      break;  // no other kind is a query value
   }
   return ItemKind::kAny;
 }
@@ -897,11 +899,11 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
   return out;
 }
 
-}  // namespace
-
-std::vector<ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
-                                      const ColSet& seed,
-                                      std::vector<OpId>* reached) {
+// The one-shot walk behind DeriveLiveColumns and, with `identity` set,
+// DeriveObservedColumns.
+std::vector<ColSet> DeriveColumns(const Dag& dag, OpId root,
+                                  const ColSet& seed,
+                                  std::vector<OpId>* reached, bool identity) {
   std::vector<ColSet> icols(root + 1);
   icols[root] = seed;
 
@@ -997,6 +999,13 @@ std::vector<ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
         need(0, col::item());
         break;
       case OpKind::kElem:
+        // Element content is copied into the new element: its order and
+        // grouping are inspected, its items' identities are not.
+        need(0, col::iter());
+        need(0, col::pos());
+        if (!identity) need(0, col::item());
+        need(1, col::iter());
+        break;
       case OpKind::kAttr:
       case OpKind::kTextNode:
         need(0, col::iter());
@@ -1018,6 +1027,61 @@ std::vector<ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
   }
   if (reached != nullptr) *reached = std::move(order);
   return icols;
+}
+
+}  // namespace
+
+std::vector<ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
+                                      const ColSet& seed,
+                                      std::vector<OpId>* reached) {
+  return DeriveColumns(dag, root, seed, reached, /*identity=*/false);
+}
+
+std::vector<ColSet> DeriveObservedColumns(const Dag& dag, OpId root,
+                                          const ColSet& seed,
+                                          std::vector<OpId>* reached) {
+  return DeriveColumns(dag, root, seed, reached, /*identity=*/true);
+}
+
+ColSet RootSeed(const Dag& dag, OpId root) {
+  ColSet seed;
+  for (ColId c : {col::iter(), col::pos(), col::item()}) {
+    if (dag.op(root).HasCol(c)) seed.insert(c);
+  }
+  return seed;
+}
+
+const PlanFacts::RootColumns& PlanFacts::Memo(RootColumns* memo, OpId root,
+                                              Solver solve) {
+  if (memo->root != root) {
+    memo->cols = solve(*dag_, root, RootSeed(*dag_, root), &memo->region);
+    memo->root = root;
+  }
+  return *memo;
+}
+
+const std::vector<ColSet>& PlanFacts::Live(OpId root) {
+  return Memo(&live_, root,
+              [](const Dag& dag, OpId r, const ColSet& seed,
+                 std::vector<OpId>*) { return ComputeICols(dag, r, seed); })
+      .cols;
+}
+
+const PlanFacts::RootColumns& PlanFacts::AuditLive(OpId root) {
+  return Memo(&audit_live_, root, DeriveLiveColumns);
+}
+
+const std::vector<ColSet>& PlanFacts::Observed(OpId root) {
+  return Memo(&observed_, root,
+              [](const Dag& dag, OpId r, const ColSet& seed,
+                 std::vector<OpId>*) {
+                return ComputeObservedCols(dag, r, seed);
+              })
+      .cols;
+}
+
+const PlanFacts::RootColumns& PlanFacts::AuditObserved(OpId root) {
+  return Memo(&audit_observed_, root, DeriveObservedColumns);
 }
 
 std::string ColSetToString(const ColSet& cols) {

@@ -61,6 +61,17 @@ std::vector<ColSet> DeriveLiveColumns(const Dag& dag, OpId root,
                                       const ColSet& seed,
                                       std::vector<OpId>* reached = nullptr);
 
+// The same walk without the element-content item edge: the reference
+// for auditing identity observation (ComputeObservedCols) — the
+// deferred-constructor marks and their certificates.
+std::vector<ColSet> DeriveObservedColumns(
+    const Dag& dag, OpId root, const ColSet& seed,
+    std::vector<OpId>* reached = nullptr);
+
+// The serialization columns {iter, pos, item} the plan under `root`
+// produces: the seed of every root-anchored backward walk.
+ColSet RootSeed(const Dag& dag, OpId root);
+
 std::string ColSetToString(const ColSet& cols);
 
 // The audit fact base over a growing DAG, derived on demand and memoized
@@ -118,11 +129,42 @@ class FactsAudit {
 // Both are valid for every root of the append-only Dag. The two are
 // only stored together: the audit never reads a tracker, so sharing the
 // cache does not share a derivation.
-struct PlanFacts {
-  explicit PlanFacts(const Dag* dag) : analyses(dag), audit(dag) {}
+//
+// The root-anchored backward walks — liveness and identity observation,
+// each by the framework and by the audit's reference walk — are
+// memoized for the most recent root each: one plan's verification, the
+// rewrite pass over the same root and that pass's certificate checker
+// share one walk. All are seeded with RootSeed.
+class PlanFacts {
+ public:
+  explicit PlanFacts(const Dag* dag) : analyses(dag), audit(dag), dag_(dag) {}
+
+  // The walked columns per OpId, and the ids the walk reached
+  // (ascending; filled by the audit walks only).
+  struct RootColumns {
+    OpId root = kNoOp;
+    std::vector<ColSet> cols;
+    std::vector<OpId> region;
+  };
+
+  const std::vector<ColSet>& Live(OpId root);           // ComputeICols
+  const RootColumns& AuditLive(OpId root);              // DeriveLiveColumns
+  const std::vector<ColSet>& Observed(OpId root);       // ComputeObservedCols
+  const RootColumns& AuditObserved(OpId root);          // DeriveObservedColumns
 
   ForwardAnalyses analyses;
   FactsAudit audit;
+
+ private:
+  using Solver = std::vector<ColSet> (*)(const Dag&, OpId, const ColSet&,
+                                         std::vector<OpId>*);
+  const RootColumns& Memo(RootColumns* memo, OpId root, Solver solve);
+
+  const Dag* dag_;
+  RootColumns live_;
+  RootColumns audit_live_;
+  RootColumns observed_;
+  RootColumns audit_observed_;
 };
 
 }  // namespace exrquy

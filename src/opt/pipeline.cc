@@ -38,23 +38,19 @@ Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options,
     }
   }
   std::vector<RewriteTrade> trades;  // one pass's certificates
-  OpId current = root;
-  for (int pass = 0; pass < options.max_passes; ++pass) {
-    bool changed = false;
-    trades.clear();
-    current = RewriteOnce(dag, current, rewrites, facts, &changed, &trades);
+  // Verifies the pass's output (when asked) and logs its certificates.
+  auto finish_pass = [&](const std::string& pass, OpId out) -> Status {
     if (options.verify_each_pass) {
-      Status diag = VerifyPlan(*dag, current, {}, facts);
+      Status diag = VerifyPlan(*dag, out, {}, facts);
       if (!diag.ok()) {
-        std::string msg =
-            "optimizer pass " + std::to_string(pass) + ": " + diag.message();
+        std::string msg = "optimizer pass " + pass + ": " + diag.message();
         for (const RewriteTrade& t : trades) {
           if (t.checked && !t.valid) {
             msg += "\nfailed obligation: " + t.diagnostic;
             break;
           }
         }
-        return VerifyFailure(*dag, current, options, std::move(msg));
+        return VerifyFailure(*dag, out, options, std::move(msg));
       }
     }
     if (options.trade_log != nullptr) {
@@ -62,7 +58,22 @@ Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options,
                                 std::make_move_iterator(trades.begin()),
                                 std::make_move_iterator(trades.end()));
     }
+    return Status::Ok();
+  };
+  OpId current = root;
+  for (int pass = 0; pass < options.max_passes; ++pass) {
+    bool changed = false;
+    trades.clear();
+    current = RewriteOnce(dag, current, rewrites, facts, &changed, &trades);
+    EXRQUY_RETURN_IF_ERROR(finish_pass(std::to_string(pass), current));
     if (!changed) break;
+  }
+  // Identity indifference reads the final plan's consumers, so it runs
+  // once, on the fixpoint.
+  if (rewrites.deferred_construction) {
+    trades.clear();
+    current = MarkDeferredConstructors(dag, current, rewrites, facts, &trades);
+    EXRQUY_RETURN_IF_ERROR(finish_pass("deferred_construction", current));
   }
   return current;
 }

@@ -19,18 +19,17 @@ class Rewriter {
       : dag_(dag),
         options_(options),
         trades_(trades),
-        audit_(&facts->audit),
+        facts_(facts),
         fa_(facts->analyses) {}
 
   OpId Run(OpId root, bool* changed) {
-    icols_ = ComputeICols(*dag_, root,
-                          {col::iter(), col::pos(), col::item()});
+    icols_ = &facts_->Live(root);
     if (options_.join_recognition) {
       join_specs_ = RecognizeJoins(*dag_, root);
     }
     if (options_.certify.mode != CertifyMode::kOff) {
       checker_ = std::make_unique<CertifyChecker>(
-          dag_, audit_, root, options_.certify.force_reject_rule);
+          dag_, facts_, root, options_.certify.force_reject_rule);
     }
     *changed = false;
     map_.assign(root + 1, kNoOp);
@@ -57,7 +56,7 @@ class Rewriter {
     return Mapped(op.children[i]);
   }
 
-  const ColSet& Required(OpId old_id) { return icols_[old_id]; }
+  const ColSet& Required(OpId old_id) { return (*icols_)[old_id]; }
 
   // Starts a certificate for one rewrite instance, with the default
   // column witness: every column the original and the replacement both
@@ -792,10 +791,10 @@ class Rewriter {
   Dag* dag_;
   const RewriteOptions& options_;
   std::vector<RewriteTrade>* trades_;
-  FactsAudit* audit_;
+  PlanFacts* facts_;
   std::unique_ptr<CertifyChecker> checker_;
   ForwardAnalyses& fa_;  // the plan's forward trackers (PlanFacts)
-  std::vector<ColSet> icols_;
+  const std::vector<ColSet>* icols_ = nullptr;  // liveness at the pass root
   std::vector<OpId> map_;  // by OpId of the pass's input plan
   std::map<OpId, JoinSpec> join_specs_;
 };
@@ -807,6 +806,55 @@ OpId RewriteOnce(Dag* dag, OpId root, const RewriteOptions& options,
                  std::vector<RewriteTrade>* trades) {
   Rewriter rewriter(dag, options, facts, trades);
   return rewriter.Run(root, changed);
+}
+
+OpId MarkDeferredConstructors(Dag* dag, OpId root,
+                              const RewriteOptions& options, PlanFacts* facts,
+                              std::vector<RewriteTrade>* trades) {
+  const std::vector<ColSet>& observed = facts->Observed(root);
+  std::unique_ptr<CertifyChecker> checker;
+  if (options.certify.mode != CertifyMode::kOff) {
+    checker = std::make_unique<CertifyChecker>(
+        dag, facts, root, options.certify.force_reject_rule);
+  }
+  std::vector<OpId> map(root + 1, kNoOp);
+  for (OpId id : dag->ReachableFrom(root)) {
+    const Op& op = dag->op(id);
+    const bool mark = op.kind == OpKind::kElem && !op.deferred &&
+                      observed[id].count(col::item()) == 0;
+    const bool rebuilt = std::any_of(op.children.begin(), op.children.end(),
+                                     [&](OpId c) { return map[c] != c; });
+    map[id] = id;
+    if (!mark && !rebuilt) continue;
+    Op copy = op;
+    for (OpId& c : copy.children) c = map[c];
+    copy.schema.clear();
+    OpId out;
+    if (mark) {
+      copy.deferred = true;
+      RewriteCertificate cert;
+      cert.from = id;
+      cert.to = dag->Add(copy);
+      cert.rule = "deferred_construction";
+      cert.detail =
+          "no consumer observes the constructed elements' identity: the "
+          "enclosing constructor builds them in place";
+      cert.cited.push_back(CiteUnobserved(id, col::item()));
+      for (ColId c : op.schema) cert.witness.push_back({c, c, true});
+      if (checker != nullptr) checker->Check(&cert);
+      out = cert.to;
+      if (!RewriteCommitted(cert, options.certify)) {
+        copy.deferred = false;
+        out = rebuilt ? dag->Add(copy) : id;
+      }
+      if (trades != nullptr) trades->push_back(std::move(cert));
+    } else {
+      out = dag->Add(copy);
+    }
+    map[id] = out;
+    if (out != id) dag->SetProv(out, op.prov);
+  }
+  return map[root];
 }
 
 }  // namespace exrquy

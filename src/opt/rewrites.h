@@ -34,6 +34,11 @@
 //    1..n values; and a % partitioned by a unit-group column (the
 //    semantic-type domain, e.g. below fn:exactly-one) ranks singleton
 //    groups and becomes the constant 1.
+//
+// After the rewrite fixpoint, one more pass defers element construction
+// (MarkDeferredConstructors): an element constructor whose nodes no
+// consumer can tell apart from copies of them is marked, and the
+// enclosing constructor builds its elements in place (Op::deferred).
 #ifndef EXRQUY_OPT_REWRITES_H_
 #define EXRQUY_OPT_REWRITES_H_
 
@@ -63,6 +68,10 @@ struct RewriteOptions {
   // Allow non-equality comparisons to become ThetaJoin operators; when
   // off, only hash-joinable equality predicates are recognized.
   bool theta_join = true;
+  // Identity indifference: mark element constructors whose item column
+  // no consumer observes (ComputeObservedCols) as deferred, so each
+  // constructed node is written once, by the outermost constructor.
+  bool deferred_construction = true;
   // Rewrite certification (opt/certify.h): every rewrite instance emits
   // a certificate an independent checker validates. kDefault resolves
   // against EXRQUY_CERTIFY (unset -> check) once per plan, in Optimize;
@@ -95,6 +104,7 @@ inline constexpr RewriteFamily kRewriteFamilies[] = {
     {"rownum_by_od", &RewriteOptions::rownum_by_od},
     {"join_recognition", &RewriteOptions::join_recognition},
     {"theta_join", &RewriteOptions::theta_join},
+    {"deferred_construction", &RewriteOptions::deferred_construction},
 };
 
 // Every rewrite instance the pass performed is logged as a certificate —
@@ -121,6 +131,16 @@ inline bool RewriteCommitted(const RewriteTrade& t,
 OpId RewriteOnce(Dag* dag, OpId root, const RewriteOptions& options,
                  PlanFacts* facts, bool* changed,
                  std::vector<RewriteTrade>* trades = nullptr);
+
+// The deferred-construction pass over the plan rooted at `root`, run
+// once after the rewrite fixpoint: marks every element constructor whose
+// item column is identity-unobserved (PlanFacts::Observed) and rebuilds
+// its ancestors. Each mark carries a `deferred_construction` certificate
+// (appended to `trades` when non-null); strict certification keeps a
+// rejected constructor eager. Returns the new root.
+OpId MarkDeferredConstructors(Dag* dag, OpId root,
+                              const RewriteOptions& options, PlanFacts* facts,
+                              std::vector<RewriteTrade>* trades = nullptr);
 
 }  // namespace exrquy
 

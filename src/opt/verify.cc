@@ -655,14 +655,29 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
         }
       }
     }
+    // Deferred construction: a marked element constructor must build
+    // nodes whose identity no consumer observes — its item column must
+    // be unobserved in the audit's independent walk.
+    const std::vector<ColSet>* observed = nullptr;
+    for (OpId id : order) {
+      const Op& op = dag.op(id);
+      if (!op.deferred) continue;
+      if (op.kind != OpKind::kElem) {
+        return Fail(dag, id, "deferred-constructor-claim",
+                    "only element constructors can be deferred");
+      }
+      if (observed == nullptr) observed = &facts->AuditObserved(root).cols;
+      if ((*observed)[id].count(col::item()) != 0) {
+        return Fail(dag, id, "deferred-constructor-claim",
+                    "deferred constructor's item column is identity-"
+                    "observed by a consumer");
+      }
+    }
     // The column dependency analysis must only ever demand columns the
     // operator produces — otherwise CDA pruning has deleted (or could
     // delete) a live column.
-    ColSet seed;
-    for (ColId c : {col::iter(), col::pos(), col::item()}) {
-      if (dag.op(root).HasCol(c)) seed.insert(c);
-    }
-    std::vector<ColSet> icols = ComputeICols(dag, root, seed);
+    const ColSet seed = RootSeed(dag, root);
+    const std::vector<ColSet>& icols = facts->Live(root);
     for (OpId id : order) {
       for (ColId c : icols[id]) {
         if (!dag.op(id).HasCol(c)) {
@@ -674,7 +689,7 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
     }
     // The framework liveness must agree exactly with the preserved
     // one-shot walk it replaced.
-    std::vector<ColSet> reference = DeriveLiveColumns(dag, root, seed);
+    const std::vector<ColSet>& reference = facts->AuditLive(root).cols;
     for (OpId id : order) {
       const ColSet& got = icols[id];
       const ColSet& want = reference[id];
@@ -688,8 +703,8 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
     // Order provenance is liveness with attribution: it must demand
     // exactly the live columns, and every demanded column must carry at
     // least one in-range reason.
-    OrderProvenance prov =
-        ComputeOrderProvenance(dag, root, seed, /*strings=*/nullptr);
+    OrderProvenance prov = ComputeOrderProvenance(
+        dag, root, seed, /*strings=*/nullptr, /*labels=*/false);
     for (OpId id : order) {
       const ColSet& live = icols[id];
       ColSet domain;

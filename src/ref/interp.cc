@@ -55,6 +55,17 @@ Result<Value> RefInterpreter::Singleton(const Sequence& s,
   return s[0];
 }
 
+Result<int64_t> RefInterpreter::RangeBound(const Value& v) const {
+  Value a = ops_.Atomize(v);
+  if (a.kind == ValueKind::kInt) return a.i;
+  EXRQUY_ASSIGN_OR_RETURN(Value d, ops_.ToDouble(a));
+  if (!(d.d >= -0x1p63 && d.d < 0x1p63)) {
+    return TypeError("err:FOCA0003: range bound " + FormatDouble(d.d) +
+                     " is not a representable integer");
+  }
+  return static_cast<int64_t>(d.d);
+}
+
 RefInterpreter::Sequence RefInterpreter::SortedDistinct(Sequence s) const {
   std::stable_sort(s.begin(), s.end(), [&](const Value& a, const Value& b) {
     return ops_.OrderCompare(a, b) < 0;
@@ -199,12 +210,19 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalExpr(const Expr& e,
       if (l.empty() || r.empty()) return Sequence{};
       EXRQUY_ASSIGN_OR_RETURN(Value lo, Singleton(l, "range"));
       EXRQUY_ASSIGN_OR_RETURN(Value hi, Singleton(r, "range"));
-      EXRQUY_ASSIGN_OR_RETURN(Value lod, ops_.ToDouble(ops_.Atomize(lo)));
-      EXRQUY_ASSIGN_OR_RETURN(Value hid, ops_.ToDouble(ops_.Atomize(hi)));
+      EXRQUY_ASSIGN_OR_RETURN(int64_t a, RangeBound(lo));
+      EXRQUY_ASSIGN_OR_RETURN(int64_t b, RangeBound(hi));
+      if (a > b) return Sequence{};
+      // The span in unsigned arithmetic: b - a overflows int64_t.
+      if (static_cast<uint64_t>(b) - static_cast<uint64_t>(a) > 10'000'000) {
+        return TypeError("range expression too large");
+      }
       Sequence out;
-      for (int64_t v = static_cast<int64_t>(lod.d);
-           v <= static_cast<int64_t>(hid.d); ++v) {
+      // Stops at b instead of stepping past it: at b = INT64_MAX, `++v`
+      // would overflow.
+      for (int64_t v = a;; ++v) {
         out.push_back(Value::Int(v));
+        if (v == b) break;
       }
       return out;
     }

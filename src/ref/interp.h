@@ -55,6 +55,10 @@ class RefInterpreter {
 
   Result<bool> Ebv(const Sequence& s) const;
   Result<Value> Singleton(const Sequence& s, const char* what) const;
+  // The integer a `to` bound denotes: an integer as is, any other atomic
+  // through xs:double, truncated. NaN and doubles beyond the 64-bit
+  // integer range are errors.
+  Result<int64_t> RangeBound(const Value& v) const;
   // Sorts by document order / value order and removes duplicates — the
   // node-set normalization after steps and set operations.
   Sequence SortedDistinct(Sequence s) const;

@@ -262,6 +262,7 @@ class Generator {
                 out << (v.b ? "TRUE" : "FALSE");
                 break;
               case ValueKind::kNode:
+              default:  // no other kind is a query value
                 out << v.node;
                 break;
               case ValueKind::kString:

@@ -88,8 +88,8 @@ class CertifyCheckerTest : public ::testing::Test {
   // stable diagnostic prefix.
   void ExpectRejected(OpId pass_root, RewriteCertificate cert,
                       const std::string& obligation) {
-    FactsAudit audit(&dag_);
-    CertifyChecker checker(&dag_, &audit, pass_root);
+    PlanFacts facts(&dag_);
+    CertifyChecker checker(&dag_, &facts, pass_root);
     EXPECT_FALSE(checker.Check(&cert));
     EXPECT_TRUE(cert.checked);
     EXPECT_FALSE(cert.valid);
@@ -99,8 +99,8 @@ class CertifyCheckerTest : public ::testing::Test {
   }
 
   void ExpectValid(OpId pass_root, RewriteCertificate cert) {
-    FactsAudit audit(&dag_);
-    CertifyChecker checker(&dag_, &audit, pass_root);
+    PlanFacts facts(&dag_);
+    CertifyChecker checker(&dag_, &facts, pass_root);
     EXPECT_TRUE(checker.Check(&cert)) << cert.diagnostic;
     EXPECT_TRUE(cert.valid);
   }
@@ -497,8 +497,8 @@ class ReturnBodyCertTest : public ::testing::Test {
     RewriteCertificate c = cert_;
     c.to = to;
     c.checked = c.valid = false;
-    FactsAudit audit(&dag());
-    CertifyChecker checker(&dag(), &audit, c.from);
+    PlanFacts facts(&dag());
+    CertifyChecker checker(&dag(), &facts, c.from);
     EXPECT_FALSE(checker.Check(&c));
     EXPECT_EQ(c.obligation, "join-isolation") << c.diagnostic;
     EXPECT_NE(c.diagnostic.find(why), std::string::npos) << c.diagnostic;
@@ -513,8 +513,8 @@ class ReturnBodyCertTest : public ::testing::Test {
 TEST_F(ReturnBodyCertTest, AcceptsTheEmittedRebuild) {
   RewriteCertificate c = cert_;
   c.checked = c.valid = false;
-  FactsAudit audit(&dag());
-  CertifyChecker checker(&dag(), &audit, c.from);
+  PlanFacts facts(&dag());
+  CertifyChecker checker(&dag(), &facts, c.from);
   EXPECT_TRUE(checker.Check(&c)) << c.diagnostic;
 }
 
@@ -675,8 +675,8 @@ TEST_F(CertifyCheckerTest, ForceRejectRuleFailsThatFamilyOnly) {
   OpId rn = dag_.RowNum(l, x, {{pos(), false}}, iter());
   OpId proj = dag_.Project(rn, {{iter(), iter()}, {pos(), pos()},
                                 {item(), item()}});
-  FactsAudit audit(&dag_);
-  CertifyChecker checker(&dag_, &audit, proj, "column_pruning");
+  PlanFacts facts(&dag_);
+  CertifyChecker checker(&dag_, &facts, proj, "column_pruning");
   RewriteCertificate pruned =
       Cert(rn, l, "column_pruning", {CiteDeadColumn(rn, x)});
   EXPECT_FALSE(checker.Check(&pruned));

@@ -603,6 +603,7 @@ RefKey RefKeyOf(const std::vector<const Column*>& cols, size_t row,
         k.emplace_back(4, v.b ? 1 : 0, 0.0);
         break;
       case ValueKind::kNode:
+      default:  // no other kind is a query value
         k.emplace_back(5, static_cast<int64_t>(v.node), 0.0);
         break;
       case ValueKind::kInt:
@@ -790,6 +791,17 @@ class RowLimitTest : public EngineTest {
     EXPECT_EQ(st.message().rfind(what + ": ", 0), 0u) << st.ToString();
   }
 };
+
+TEST_F(RowLimitTest, Range) {
+  ColId lo = ColSym("lo");
+  ColId hi = ColSym("hi");
+  LitTable t;
+  t.cols = {iter(), lo, hi};
+  t.rows = {{Value::Int(1), Value::Int(1), Value::Int(3)},
+            {Value::Int(2), Value::Int(5), Value::Int(6)}};
+  ExpectLimit(dag_.Range(dag_.Lit(std::move(t)), lo, hi), 5,
+              "range expansion");
+}
 
 TEST_F(RowLimitTest, Select) {
   ColId f = ColSym("f");

@@ -15,7 +15,8 @@
 //     never-faulted reference.
 //
 // Two queries additionally sweep the cancel-at-op and deadline-at-chunk
-// counters, covering all three FaultKinds end to end.
+// counters, covering all three FaultKinds end to end, and Q10 sweeps
+// all three over deferred nested construction.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -47,39 +48,53 @@ QueryOptions SweepOptions() {
 
 class FaultSweepTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
+  static QueryService* MakeService(double scale) {
     ServiceConfig config;
     config.workers = 2;
     config.plan_cache = 1;
     config.result_cache_bytes = 0;  // every re-run must run the engine
-    service_ = new QueryService(config);
+    auto* service = new QueryService(config);
     XMarkOptions options;
-    options.scale = 0.002;
-    ASSERT_TRUE(
-        service_->LoadDocument("auction.xml", GenerateXMark(options)).ok());
+    options.scale = scale;
+    EXPECT_TRUE(
+        service->LoadDocument("auction.xml", GenerateXMark(options)).ok());
+    return service;
+  }
+  static void SetUpTestSuite() {
+    service_ = MakeService(0.002);
+    // Q10's four constructor levels write every result node once per
+    // nesting path; a smaller document keeps its sweep as cheap as the
+    // others'.
+    small_service_ = MakeService(0.0002);
   }
   static void TearDownTestSuite() {
     delete service_;
     service_ = nullptr;
+    delete small_service_;
+    small_service_ = nullptr;
   }
 
   // Runs the sweep for one (query, kind) pair with the full per-point
   // contract, and returns the number of fault points exercised.
   static uint64_t Sweep(const std::string& name, FaultKind kind) {
+    return Sweep(service_, name, kind);
+  }
+  static uint64_t Sweep(QueryService* service, const std::string& name,
+                        FaultKind kind) {
     const std::string query = XMarkQueryText(name);
-    Result<ServiceResult> reference = service_->Execute(query, SweepOptions());
+    Result<ServiceResult> reference = service->Execute(query, SweepOptions());
     EXPECT_TRUE(reference.ok()) << name << ": "
                                 << reference.status().ToString();
     if (!reference.ok()) return 0;
     // The reference evaluated the query in full, so the shared pool now
     // holds every string this query can intern; any later growth would
     // be a leak of abort-path state.
-    const size_t pool_size = service_->strings().size();
+    const size_t pool_size = service->strings().size();
 
     auto attempt = [&](const FaultPlan& plan) -> Status {
       QueryOptions o = SweepOptions();
       o.faults = plan;
-      Result<ServiceResult> r = service_->Execute(query, o);
+      Result<ServiceResult> r = service->Execute(query, o);
       return r.ok() ? Status::Ok() : r.status();
     };
     auto check = [&](uint64_t point, const Status& st) {
@@ -90,10 +105,10 @@ class FaultSweepTest : public ::testing::Test {
       EXPECT_EQ(st.code(), FaultKindCode(kind))
           << context << ": " << st.ToString();
       // Pristine service: worker stores rolled back, pool not grown.
-      EXPECT_TRUE(service_->WorkersPristine()) << context;
-      EXPECT_EQ(service_->strings().size(), pool_size) << context;
+      EXPECT_TRUE(service->WorkersPristine()) << context;
+      EXPECT_EQ(service->strings().size(), pool_size) << context;
       // Byte-identical unfaulted re-run.
-      Result<ServiceResult> again = service_->Execute(query, SweepOptions());
+      Result<ServiceResult> again = service->Execute(query, SweepOptions());
       ASSERT_TRUE(again.ok()) << context << ": " << again.status().ToString();
       EXPECT_EQ(again->result.serialized, reference->result.serialized)
           << context;
@@ -110,9 +125,11 @@ class FaultSweepTest : public ::testing::Test {
   }
 
   static QueryService* service_;
+  static QueryService* small_service_;
 };
 
 QueryService* FaultSweepTest::service_ = nullptr;
+QueryService* FaultSweepTest::small_service_ = nullptr;
 
 TEST_F(FaultSweepTest, FailAllocSweepIsExhaustiveAndClean) {
   for (const char* name : kSweepQueries) {
@@ -128,6 +145,21 @@ TEST_F(FaultSweepTest, FailAllocSweepIsExhaustiveAndClean) {
   EXPECT_EQ(counters.quarantine.tracked, 0u);
   EXPECT_EQ(counters.quarantine.shed, 0u);
   EXPECT_TRUE(service_->WorkersPristine());
+}
+
+// Deferred nested construction: every fault point of the constructor
+// that writes the whole tree, and of the records it expands.
+TEST_F(FaultSweepTest, DeferredConstructionSweep) {
+  const std::pair<FaultKind, const char*> kinds[] = {
+      {FaultKind::kFailAlloc, "fail-alloc"},
+      {FaultKind::kCancelAtOp, "cancel-at-op"},
+      {FaultKind::kDeadlineAtChunk, "deadline-at-chunk"}};
+  for (const auto& [kind, label] : kinds) {
+    uint64_t points = Sweep(small_service_, "Q10", kind);
+    std::printf("[sweep] Q10  %-16s points=%llu\n", label,
+                static_cast<unsigned long long>(points));
+  }
+  EXPECT_TRUE(small_service_->WorkersPristine());
 }
 
 TEST_F(FaultSweepTest, CancelAtOpSweep) {

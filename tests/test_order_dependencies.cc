@@ -403,6 +403,7 @@ std::pair<uint8_t, uint64_t> ValueBits(const Value& v) {
       bits = v.b ? 1 : 0;
       break;
     case ValueKind::kNode:
+    default:  // no other kind is a query value
       bits = v.node;
       break;
   }

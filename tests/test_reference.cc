@@ -305,5 +305,27 @@ TEST_F(ReferenceTest, ScalarEdgeCases) {
   ExpectAgree("1e300 idiv 1.0");          // quotient overflows int64
 }
 
+// `to` at the ends of the integer range: neither the span b - a nor the
+// step past b may overflow, and a double bound outside int64_t (or NaN)
+// fails cleanly instead of being cast with undefined behavior.
+TEST_F(ReferenceTest, RangeBoundsAtTheIntegerLimits) {
+  const std::string top =
+      "count((9223372036854775807 - 2) to 9223372036854775807)";
+  ExpectAgree(top);
+  Result<QueryResult> r = session_.Execute(top, QueryOptions{});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->serialized, "3");
+  ExpectAgree("(9223372036854775807 - 1) to 9223372036854775807");
+  ExpectAgree("(-9223372036854775807 - 1) to (-9223372036854775807)");
+  ExpectAgree("5 to 3");
+  for (const char* q : {"count((-9223372036854775807 - 1) to 5)",
+                        "count(1e300 to 1e300)", "count(1 to 1e300)",
+                        "count(number(\"NaN\") to 3)",
+                        "count(-1e19 to 0)"}) {
+    ExpectAgree(q);
+    EXPECT_FALSE(session_.Execute(q, QueryOptions{}).ok()) << q;
+  }
+}
+
 }  // namespace
 }  // namespace exrquy

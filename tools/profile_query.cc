@@ -1,13 +1,14 @@
 // Per-operator profile of one XMark query over a generated document:
 //
-//   ./profile_query Q9 [scale] [ordered|unordered] [repetitions]
+//   ./profile_query Q9 [scale] [ordered|unordered|both] [repetitions]
 //   ./profile_query all [scale] [ordered|unordered|both] [repetitions]
 //
 // Executes the query (a plain Session re-plans, but compile time is
 // reported separately) and prints the planned join operators with the
 // detail line of each join_recognition certificate — so a missed join
 // shows without reading plan goldens — then the operator metrics sorted
-// by kernel wall time, plus the by-kind rollup. The quickest way to see
+// by kernel wall time, plus the by-kind rollup. `both` reports each mode
+// and then the pair's by-kind sum. The quickest way to see
 // which operator a slow query actually spends its time in.
 //
 // With a repetition count (default 1) the query runs that many times and
@@ -131,10 +132,10 @@ int main(int argc, char** argv) {
   if (argc < 2 || argc > 5 || reps < 1 ||
       (std::strcmp(mode, "ordered") != 0 &&
        std::strcmp(mode, "unordered") != 0 &&
-       (!all || std::strcmp(mode, "both") != 0))) {
+       std::strcmp(mode, "both") != 0)) {
     std::fprintf(stderr,
                  "usage: profile_query <Qname> [scale] "
-                 "[ordered|unordered] [repetitions >= 1]\n"
+                 "[ordered|unordered|both] [repetitions >= 1]\n"
                  "       profile_query all [scale] "
                  "[ordered|unordered|both] [repetitions >= 1]\n");
     return 2;
@@ -153,9 +154,18 @@ int main(int argc, char** argv) {
   if (std::strcmp(mode, "ordered") != 0) modes.push_back(true);
   Totals totals;
   if (!all) {
-    return ProfileOne(session, argv[1], modes[0], scale, reps, true, &totals)
-               ? 0
-               : 1;
+    for (bool unordered : modes) {
+      if (!ProfileOne(session, argv[1], unordered, scale, reps, true,
+                      &totals)) {
+        return 1;
+      }
+    }
+    if (modes.size() > 1) {
+      std::printf("\n%s, both modes: compile %.2f ms, execute %.2f ms\n",
+                  argv[1], totals.compile_ms, totals.execute_ms);
+      PrintByKind(totals.by_kind);
+    }
+    return 0;
   }
   size_t pairs = 0;
   for (const exrquy::XMarkQuery& q : exrquy::XMarkQueries()) {
