@@ -123,6 +123,27 @@ Result<OrderExplanation> Session::ExplainOrder(std::string_view query,
   const Dag& dag = *plans.dag;
   OrderProvenance prov = ComputeOrderProvenance(
       dag, plans.optimized, RootSeed(dag, plans.optimized), &strings_);
+  // Provenance is liveness with attribution: it must demand exactly the
+  // live columns, each with at least one in-range reason.
+  const std::vector<ColSet>& live = plans.facts->Live(plans.optimized);
+  for (OpId id : dag.ReachableFrom(plans.optimized)) {
+    ColSet domain;
+    for (const auto& [c, reasons] : prov.demand[id]) {
+      domain.insert(c);
+      bool attributed = !reasons.empty();
+      for (uint32_t r : reasons) attributed &= r < prov.reasons.size();
+      if (!attributed) {
+        return Internal("order provenance: op " + std::to_string(id) +
+                        " column '" + ColName(c) +
+                        "' carries no in-range reason");
+      }
+    }
+    if (domain != live[id]) {
+      return Internal("order provenance: op " + std::to_string(id) +
+                      " demands " + ColSetToString(domain) +
+                      ", live columns are " + ColSetToString(live[id]));
+    }
+  }
   OrderExplanation out;
   for (OpId id : dag.ReachableFrom(plans.optimized)) {
     const Op& op = dag.op(id);

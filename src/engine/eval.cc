@@ -174,6 +174,14 @@ struct MorselOut {
 
 constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
+// fn:round: half up, toward positive infinity. x - floor(x) is exact, so
+// no half is misjudged (floor(x + 0.5) rounds 0.49999999999999994 to 1);
+// NaN and the infinities come back unchanged.
+double RoundHalfUp(double x) {
+  double r = std::floor(x);
+  return x - r >= 0.5 ? r + 1 : r;
+}
+
 }  // namespace
 
 // Per-Eval scheduler state. Operators are addressed by their dense slot in
@@ -1705,21 +1713,24 @@ Result<Value> Evaluator::ApplyFun(const Op& op,
       EXRQUY_ASSIGN_OR_RETURN(Value a, ops_.ToString(arg(0)));
       EXRQUY_ASSIGN_OR_RETURN(Value s1, ops_.ToDouble(arg(1)));
       const std::string& s = ctx_->strings->Get(a.str);
-      // XQuery substring positions are 1-based and rounded.
-      int64_t start = static_cast<int64_t>(std::llround(s1.d));
-      int64_t end;  // exclusive, 1-based
+      // The 1-based positions p with round(start) <= p <
+      // round(start) + round(length), compared as doubles: a NaN bound
+      // selects nothing and an infinite one does not bound.
+      double first = RoundHalfUp(s1.d);
+      double last = std::numeric_limits<double>::infinity();
       if (op.fun == FunKind::kSubstring3) {
         EXRQUY_ASSIGN_OR_RETURN(Value s2, ops_.ToDouble(arg(2)));
-        end = start + static_cast<int64_t>(std::llround(s2.d));
-      } else {
-        end = static_cast<int64_t>(s.size()) + 1;
+        last = first + RoundHalfUp(s2.d);
       }
-      start = std::max<int64_t>(start, 1);
-      end = std::min<int64_t>(end, static_cast<int64_t>(s.size()) + 1);
-      std::string out = start < end
-                            ? s.substr(static_cast<size_t>(start - 1),
-                                       static_cast<size_t>(end - start))
-                            : "";
+      std::string out;
+      if (!std::isnan(first) && !std::isnan(last)) {
+        double lo = std::max(first, 1.0);
+        double hi = std::min(last, static_cast<double>(s.size()) + 1);
+        if (lo < hi) {
+          out = s.substr(static_cast<size_t>(lo) - 1,
+                         static_cast<size_t>(hi - lo));
+        }
+      }
       return Value::Str(ctx_->strings->Intern(out));
     }
     case FunKind::kAbs:
@@ -1731,7 +1742,11 @@ Result<Value> Evaluator::ApplyFun(const Op& op,
         EXRQUY_ASSIGN_OR_RETURN(a, ops_.ToDouble(a));
       }
       if (a.kind == ValueKind::kInt) {
-        return op.fun == FunKind::kAbs ? Value::Int(std::llabs(a.i)) : a;
+        if (op.fun != FunKind::kAbs || a.i >= 0) return a;
+        if (a.i == INT64_MIN) {
+          return TypeError("err:FOAR0002: integer overflow in abs");
+        }
+        return Value::Int(-a.i);
       }
       if (a.kind != ValueKind::kDouble) {
         return TypeError("numeric function on non-numeric operand");
@@ -1744,8 +1759,7 @@ Result<Value> Evaluator::ApplyFun(const Op& op,
         case FunKind::kCeiling:
           return Value::Double(std::ceil(a.d));
         default:
-          // fn:round: round half up (toward positive infinity).
-          return Value::Double(std::floor(a.d + 0.5));
+          return Value::Double(RoundHalfUp(a.d));
       }
     }
     case FunKind::kNodeName: {

@@ -8,17 +8,129 @@
 namespace exrquy {
 
 // ---------------------------------------------------------------------------
-// Column liveness: backward set-union analysis. The transfer edges are
-// the demand rules of Figure 8 — exactly the edges the one-shot walk in
-// the verifier's independent re-derivation uses (opt/verify.cc), which
-// cross-checks this implementation on every verified plan.
+// The demand rules of Figure 8, written once. Column liveness, identity
+// observation and order provenance are three payloads over this one edge
+// table; the one-shot walk in the verifier's independent audit
+// (opt/facts_audit.cc) keeps its own copy on purpose and cross-checks the
+// liveness payload on every verified plan ([liveness-equivalence]).
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// With `identity` set, the same sweep solves identity observation
-// (ComputeObservedCols): one edge fewer, the content item an element
-// constructor copies without inspecting.
+// Emits the demand edges of operator `id`, given the columns `demand`
+// requested of its output:
+//  * need(child, c)      — the operator itself consumes column c of
+//                          child `child` (c != kNoCol);
+//  * pass(child, out, in) — demand for output column `out` passes
+//                          through as demand for column `in` of child
+//                          `child` (in == out except under a projection).
+// Demand passes through only to a child that produces the column, and
+// never for the operator's own output column.
+// With `identity` set, the content item an element constructor copies
+// without inspecting is not demanded (identity observation).
+template <typename Need, typename Pass>
+void DemandEdges(const Dag& dag, OpId id, const ColSet& demand,
+                 bool identity, Need need, Pass pass) {
+  const Op& op = dag.op(id);
+  auto consume = [&](size_t child, ColId c) {
+    if (c != kNoCol) need(child, c);
+  };
+  auto through = [&](size_t child, ColId except) {
+    const Op& ch = dag.op(op.children[child]);
+    for (ColId c : demand) {
+      if (c != except && ch.HasCol(c)) pass(child, c, c);
+    }
+  };
+  switch (op.kind) {
+    case OpKind::kLit:
+    case OpKind::kDoc:
+      break;
+    case OpKind::kProject:
+      for (const auto& [n, o] : op.proj) {
+        if (demand.count(n) != 0) pass(0, n, o);
+      }
+      break;
+    case OpKind::kSelect:
+      through(0, kNoCol);
+      consume(0, op.col);
+      break;
+    case OpKind::kEquiJoin:
+    case OpKind::kThetaJoin:
+      through(0, kNoCol);
+      through(1, kNoCol);
+      consume(0, op.col);
+      consume(1, op.col2);
+      break;
+    case OpKind::kCross:
+    case OpKind::kUnion:
+      through(0, kNoCol);
+      through(1, kNoCol);
+      break;
+    case OpKind::kDifference:
+    case OpKind::kSemiJoin:
+      through(0, kNoCol);
+      for (ColId k : op.keys) {
+        consume(0, k);
+        consume(1, k);
+      }
+      break;
+    case OpKind::kDistinct:
+      // Duplicate elimination depends on every input column.
+      for (ColId c : dag.op(op.children[0]).schema) consume(0, c);
+      break;
+    case OpKind::kRowNum:
+      through(0, op.col);
+      for (const SortKey& k : op.order) consume(0, k.col);
+      consume(0, op.part);
+      break;
+    case OpKind::kRowId:
+      through(0, op.col);
+      break;
+    case OpKind::kFun:
+      through(0, op.col);
+      for (ColId a : op.args) consume(0, a);
+      break;
+    case OpKind::kAggr:
+      consume(0, op.col2);
+      consume(0, op.part);
+      for (ColId k : op.keys) consume(0, k);
+      break;
+    case OpKind::kThetaCount: {
+      size_t g = ThetaCountGroupSide(dag, op);
+      consume(0, op.keys[0]);
+      consume(1, op.keys[1]);
+      consume(g, op.part);
+      consume(1 - g, op.col2);
+      break;
+    }
+    case OpKind::kStep:
+      consume(0, col::iter());
+      consume(0, col::item());
+      break;
+    case OpKind::kElem:
+    case OpKind::kAttr:
+    case OpKind::kTextNode:
+      consume(0, col::iter());
+      consume(0, col::pos());
+      if (!(identity && op.kind == OpKind::kElem)) consume(0, col::item());
+      consume(1, col::iter());
+      break;
+    case OpKind::kRange:
+      consume(0, col::iter());
+      consume(0, op.col);
+      consume(0, op.col2);
+      break;
+    case OpKind::kCardCheck:
+      through(0, kNoCol);
+      consume(0, col::iter());
+      consume(1, col::iter());
+      break;
+  }
+}
+
+// The liveness payload: a demanded column is a set member. With
+// `identity` set, the same sweep solves identity observation
+// (ComputeObservedCols).
 struct LivenessAnalysis {
   using Fact = ColSet;
   bool identity = false;
@@ -31,121 +143,15 @@ struct LivenessAnalysis {
 
   void Transfer(const Dag& dag, OpId id, const Fact& r,
                 std::vector<Fact>* out) const {
-    const Op& op = dag.op(id);
-    // Demands a specific column of child `child` (unconditionally: the
-    // verifier audits that demanded columns are producible).
-    auto need = [&](size_t child, ColId c) {
-      if (c == kNoCol) return;
-      EXRQUY_DCHECK(dag.op(op.children[child]).HasCol(c));
-      (*out)[child].insert(c);
-    };
-    // Passes the upstream demand through to child `child`, restricted to
-    // the columns that child produces.
-    auto need_set = [&](size_t child, const ColSet& cols) {
-      const Op& ch = dag.op(op.children[child]);
-      for (ColId c : cols) {
-        if (ch.HasCol(c)) (*out)[child].insert(c);
-      }
-    };
-
-    switch (op.kind) {
-      case OpKind::kLit:
-      case OpKind::kDoc:
-        break;
-      case OpKind::kProject:
-        for (const auto& [n, o] : op.proj) {
-          if (r.count(n) != 0) need(0, o);
-        }
-        break;
-      case OpKind::kSelect:
-        need_set(0, r);
-        need(0, op.col);
-        break;
-      case OpKind::kEquiJoin:
-      case OpKind::kThetaJoin:
-        need_set(0, r);
-        need_set(1, r);
-        need(0, op.col);
-        need(1, op.col2);
-        break;
-      case OpKind::kCross:
-        need_set(0, r);
-        need_set(1, r);
-        break;
-      case OpKind::kUnion:
-        need_set(0, r);
-        need_set(1, r);
-        break;
-      case OpKind::kDifference:
-      case OpKind::kSemiJoin:
-        need_set(0, r);
-        for (ColId k : op.keys) {
-          need(0, k);
-          need(1, k);
-        }
-        break;
-      case OpKind::kDistinct: {
-        // Duplicate elimination depends on every input column.
-        for (ColId c : dag.op(op.children[0]).schema) need(0, c);
-        break;
-      }
-      case OpKind::kRowNum: {
-        ColSet pass = r;
-        pass.erase(op.col);
-        need_set(0, pass);
-        for (const SortKey& k : op.order) need(0, k.col);
-        need(0, op.part);
-        break;
-      }
-      case OpKind::kRowId: {
-        ColSet pass = r;
-        pass.erase(op.col);
-        need_set(0, pass);
-        break;
-      }
-      case OpKind::kFun: {
-        ColSet pass = r;
-        pass.erase(op.col);
-        need_set(0, pass);
-        for (ColId a : op.args) need(0, a);
-        break;
-      }
-      case OpKind::kAggr:
-        need(0, op.col2);
-        need(0, op.part);
-        for (ColId k : op.keys) need(0, k);
-        break;
-      case OpKind::kThetaCount: {
-        size_t g = ThetaCountGroupSide(dag, op);
-        need(0, op.keys[0]);
-        need(1, op.keys[1]);
-        need(g, op.part);
-        need(1 - g, op.col2);
-        break;
-      }
-      case OpKind::kStep:
-        need(0, col::iter());
-        need(0, col::item());
-        break;
-      case OpKind::kElem:
-      case OpKind::kAttr:
-      case OpKind::kTextNode:
-        need(0, col::iter());
-        need(0, col::pos());
-        if (!(identity && op.kind == OpKind::kElem)) need(0, col::item());
-        need(1, col::iter());
-        break;
-      case OpKind::kRange:
-        need(0, col::iter());
-        need(0, op.col);
-        need(0, op.col2);
-        break;
-      case OpKind::kCardCheck:
-        need_set(0, r);
-        need(0, col::iter());
-        need(1, col::iter());
-        break;
-    }
+    DemandEdges(
+        dag, id, r, identity,
+        [&](size_t child, ColId c) {
+          // Unconditional: the verifier audits that demanded columns
+          // are producible.
+          EXRQUY_DCHECK(dag.op(dag.op(id).children[child]).HasCol(c));
+          (*out)[child].insert(c);
+        },
+        [&](size_t child, ColId, ColId in) { (*out)[child].insert(in); });
   }
 };
 
@@ -1411,28 +1417,23 @@ std::string ReasonLabel(const Dag& dag, OpId consumer,
   return what;
 }
 
-// Mirrors LivenessAnalysis edge-for-edge, attaching a reason wherever a
-// column is consumed by the operator itself (need) and copying reasons
-// wherever demand merely passes through (need_set / Project). Because
-// every inserted column carries at least one reason, the demanded
-// column sets coincide exactly with ComputeICols — which the verifier
-// checks.
+// The provenance payload over the same demand edges: a reason is
+// attached wherever the operator itself consumes a column (need), and
+// reasons are copied wherever demand merely passes through (pass). Every demanded column therefore carries at least one reason,
+// and the demanded column sets coincide with ComputeICols.
 struct ProvenanceAnalysis {
   using Fact = OrderProvenance::Demand;
   static constexpr uint32_t kNoReason = ~uint32_t{0};
 
-  const Dag* dag = nullptr;
   const StrPool* strings = nullptr;
-  bool labels = true;
   std::vector<OrderReason>* reasons = nullptr;
   std::vector<uint32_t>* intern = nullptr;  // by consumer OpId
 
-  uint32_t Reason(OpId consumer) const {
+  uint32_t Reason(const Dag& dag, OpId consumer) const {
     uint32_t& id = (*intern)[consumer];
     if (id == kNoReason) {
       id = static_cast<uint32_t>(reasons->size());
-      reasons->push_back(
-          {consumer, labels ? ReasonLabel(*dag, consumer, strings) : ""});
+      reasons->push_back({consumer, ReasonLabel(dag, consumer, strings)});
     }
     return id;
   }
@@ -1443,116 +1444,19 @@ struct ProvenanceAnalysis {
     for (const auto& [c, rs] : from) (*into)[c].insert(rs.begin(), rs.end());
   }
 
-  void Transfer(const Dag& dg, OpId id, const Fact& r,
+  void Transfer(const Dag& dag, OpId id, const Fact& r,
                 std::vector<Fact>* out) const {
-    const Op& op = dg.op(id);
-    auto need = [&](size_t child, ColId c) {
-      if (c == kNoCol) return;
-      (*out)[child][c].insert(Reason(id));
-    };
-    auto pass = [&](size_t child, const Fact& f) {
-      const Op& ch = dg.op(op.children[child]);
-      for (const auto& [c, rs] : f) {
-        if (ch.HasCol(c)) (*out)[child][c].insert(rs.begin(), rs.end());
-      }
-    };
-
-    switch (op.kind) {
-      case OpKind::kLit:
-      case OpKind::kDoc:
-        break;
-      case OpKind::kProject:
-        for (const auto& [n, o] : op.proj) {
-          auto it = r.find(n);
-          if (it != r.end()) {
-            (*out)[0][o].insert(it->second.begin(), it->second.end());
-          }
-        }
-        break;
-      case OpKind::kSelect:
-        pass(0, r);
-        need(0, op.col);
-        break;
-      case OpKind::kEquiJoin:
-      case OpKind::kThetaJoin:
-        pass(0, r);
-        pass(1, r);
-        need(0, op.col);
-        need(1, op.col2);
-        break;
-      case OpKind::kCross:
-      case OpKind::kUnion:
-        pass(0, r);
-        pass(1, r);
-        break;
-      case OpKind::kDifference:
-      case OpKind::kSemiJoin:
-        pass(0, r);
-        for (ColId k : op.keys) {
-          need(0, k);
-          need(1, k);
-        }
-        break;
-      case OpKind::kDistinct:
-        for (ColId c : dg.op(op.children[0]).schema) need(0, c);
-        break;
-      case OpKind::kRowNum: {
-        Fact p = r;
-        p.erase(op.col);
-        pass(0, p);
-        for (const SortKey& k : op.order) need(0, k.col);
-        need(0, op.part);
-        break;
-      }
-      case OpKind::kRowId: {
-        Fact p = r;
-        p.erase(op.col);
-        pass(0, p);
-        break;
-      }
-      case OpKind::kFun: {
-        Fact p = r;
-        p.erase(op.col);
-        pass(0, p);
-        for (ColId a : op.args) need(0, a);
-        break;
-      }
-      case OpKind::kAggr:
-        need(0, op.col2);
-        need(0, op.part);
-        for (ColId k : op.keys) need(0, k);
-        break;
-      case OpKind::kThetaCount: {
-        size_t g = ThetaCountGroupSide(dg, op);
-        need(0, op.keys[0]);
-        need(1, op.keys[1]);
-        need(g, op.part);
-        need(1 - g, op.col2);
-        break;
-      }
-      case OpKind::kStep:
-        need(0, col::iter());
-        need(0, col::item());
-        break;
-      case OpKind::kElem:
-      case OpKind::kAttr:
-      case OpKind::kTextNode:
-        need(0, col::iter());
-        need(0, col::pos());
-        need(0, col::item());
-        need(1, col::iter());
-        break;
-      case OpKind::kRange:
-        need(0, col::iter());
-        need(0, op.col);
-        need(0, op.col2);
-        break;
-      case OpKind::kCardCheck:
-        pass(0, r);
-        need(0, col::iter());
-        need(1, col::iter());
-        break;
-    }
+    ColSet demand;
+    for (const auto& [c, reasons] : r) demand.insert(c);
+    DemandEdges(
+        dag, id, demand, /*identity=*/false,
+        [&](size_t child, ColId c) {
+          (*out)[child][c].insert(Reason(dag, id));
+        },
+        [&](size_t child, ColId from, ColId to) {
+          const OrderProvenance::ReasonIds& rs = r.find(from)->second;
+          (*out)[child][to].insert(rs.begin(), rs.end());
+        });
   }
 };
 
@@ -1574,10 +1478,10 @@ std::vector<std::string> OrderProvenance::ReasonsFor(OpId id,
 
 OrderProvenance ComputeOrderProvenance(const Dag& dag, OpId root,
                                        const ColSet& seed,
-                                       const StrPool* strings, bool labels) {
+                                       const StrPool* strings) {
   OrderProvenance out;
   std::vector<uint32_t> intern(root + 1, ProvenanceAnalysis::kNoReason);
-  ProvenanceAnalysis analysis{&dag, strings, labels, &out.reasons, &intern};
+  ProvenanceAnalysis analysis{strings, &out.reasons, &intern};
   // The root demand: the query result is serialized in sequence order.
   uint32_t serialize = static_cast<uint32_t>(out.reasons.size());
   out.reasons.push_back(

@@ -3,7 +3,10 @@
 //
 //  * column liveness (CDA, Section 4.1, Figure 8) — backward: the set of
 //    produced columns that are consumed upstream, seeded at the root
-//    with the serialization columns {iter, pos, item};
+//    with the serialization columns {iter, pos, item}. Its demand edges
+//    are written once (DemandEdges in analyses.cc) and also serve
+//    identity observation and order provenance, which differ from it
+//    only in the payload they carry along the edges;
 //  * constant / arbitrary-order columns (Section 7) — forward: all rows
 //    hold the same value / the relative order carries no semantic
 //    information because the column descends from a # numbering;
@@ -303,10 +306,12 @@ struct OrderReason {
   std::string label;
 };
 
-// Per-operator, per-demanded-column reason sets. The demanded column
-// sets (the fact domains) coincide exactly with ComputeICols for the
-// same seed — provenance is liveness with the "why" attached — which
-// the verifier audits (opt/verify.h).
+// Per-operator, per-demanded-column reason sets. Provenance is liveness
+// with the "why" attached: both solve the same demand-edge table
+// (analyses.cc), so the demanded column sets (the fact domains) coincide
+// with ComputeICols for the same seed, and every demanded column carries
+// at least one reason. Session::ExplainOrder checks both properties on
+// the plan it explains; the verifier does not solve provenance.
 struct OrderProvenance {
   // Ids into `reasons`.
   using ReasonIds = IdSet<uint32_t, 4>;
@@ -323,13 +328,10 @@ struct OrderProvenance {
   std::vector<std::string> ReasonsFor(OpId id, ColId col) const;
 };
 
-// `strings` may be null; labels then omit interned names. Without
-// `labels` every reason's label stays empty — the verifier audits the
-// reason structure only and never builds the strings.
+// `strings` may be null; labels then omit interned names.
 OrderProvenance ComputeOrderProvenance(const Dag& dag, OpId root,
                                        const ColSet& seed,
-                                       const StrPool* strings,
-                                       bool labels = true);
+                                       const StrPool* strings);
 
 // Per-operator annotation lines for PlanToDot: every RowNum reachable
 // from `root` is annotated with the reasons its rank is demanded.

@@ -676,7 +676,6 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
     // The column dependency analysis must only ever demand columns the
     // operator produces — otherwise CDA pruning has deleted (or could
     // delete) a live column.
-    const ColSet seed = RootSeed(dag, root);
     const std::vector<ColSet>& icols = facts->Live(root);
     for (OpId id : order) {
       for (ColId c : icols[id]) {
@@ -698,37 +697,6 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
                     "framework liveness " + ColSetToString(got) +
                         " differs from the reference walk " +
                         ColSetToString(want));
-      }
-    }
-    // Order provenance is liveness with attribution: it must demand
-    // exactly the live columns, and every demanded column must carry at
-    // least one in-range reason.
-    OrderProvenance prov = ComputeOrderProvenance(
-        dag, root, seed, /*strings=*/nullptr, /*labels=*/false);
-    for (OpId id : order) {
-      const ColSet& live = icols[id];
-      ColSet domain;
-      for (const auto& [c, reasons] : prov.demand[id]) {
-        domain.insert(c);
-        if (reasons.empty()) {
-          return Fail(dag, id, "order-provenance",
-                      "demanded column '" + ColName(c) +
-                          "' carries no attributed reason");
-        }
-        for (uint32_t rid : reasons) {
-          if (rid >= prov.reasons.size()) {
-            return Fail(dag, id, "order-provenance",
-                        "reason id " + std::to_string(rid) +
-                            " out of range for column '" + ColName(c) +
-                            "'");
-          }
-        }
-      }
-      if (domain != live) {
-        return Fail(dag, id, "order-provenance",
-                    "provenance demand " + ColSetToString(domain) +
-                        " differs from live columns " +
-                        ColSetToString(live));
       }
     }
   }

@@ -35,9 +35,12 @@
 //                    operator cannot produce (so CDA pruning can never
 //                    have deleted a live column) and must agree exactly
 //                    with a preserved copy of the pre-framework one-shot
-//                    walk; and the order-provenance analysis must demand
-//                    exactly the live columns, with every demanded column
-//                    carrying at least one attributed reason.
+//                    walk — which covers the demand edges identity
+//                    observation and order provenance share with it
+//                    (analyses.cc); and every deferred element
+//                    constructor's item column must be unobserved.
+//                    Order provenance itself is not solved here: its
+//                    payload is checked by Session::ExplainOrder.
 //
 // Diagnostics are stable and test-assertable:
 //   plan verifier: [<invariant>] op <id> (<OpKind>): <detail>

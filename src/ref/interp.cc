@@ -12,6 +12,17 @@
 
 namespace exrquy {
 
+namespace {
+
+// fn:round's half-up rule (toward positive infinity), exact on every
+// double: the distance to the floor is computed without rounding.
+double RoundHalf(double x) {
+  double down = std::floor(x);
+  return x - down < 0.5 ? down : down + 1;
+}
+
+}  // namespace
+
 RefInterpreter::RefInterpreter(NodeStore* store, StrPool* strings,
                                std::map<StrId, NodeIdx> documents)
     : store_(store),
@@ -873,21 +884,23 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
     EXRQUY_ASSIGN_OR_RETURN(std::string s, single_string(s0));
     EXRQUY_ASSIGN_OR_RETURN(Value v1, Singleton(s1, "substring"));
     EXRQUY_ASSIGN_OR_RETURN(Value d1, ops_.ToDouble(ops_.Atomize(v1)));
-    int64_t start = static_cast<int64_t>(std::llround(d1.d));
-    int64_t end = static_cast<int64_t>(s.size()) + 1;
+    // F&O 7.4.3: the characters at positions p (1-based) with
+    // round(start) <= p < round(start) + round(length); every comparison
+    // with NaN is false.
+    double start = RoundHalf(d1.d);
+    double end = std::numeric_limits<double>::infinity();
     if (e.children.size() == 3) {
       EXRQUY_ASSIGN_OR_RETURN(Sequence s2, arg(2));
       if (s2.empty()) return Sequence{};
       EXRQUY_ASSIGN_OR_RETURN(Value v2, Singleton(s2, "substring"));
       EXRQUY_ASSIGN_OR_RETURN(Value d2, ops_.ToDouble(ops_.Atomize(v2)));
-      end = start + static_cast<int64_t>(std::llround(d2.d));
+      end = start + RoundHalf(d2.d);
     }
-    start = std::max<int64_t>(start, 1);
-    end = std::min<int64_t>(end, static_cast<int64_t>(s.size()) + 1);
-    std::string out = start < end
-                          ? s.substr(static_cast<size_t>(start - 1),
-                                     static_cast<size_t>(end - start))
-                          : "";
+    std::string out;
+    for (size_t i = 0; i < s.size(); ++i) {
+      double p = static_cast<double>(i) + 1;
+      if (p >= start && p < end) out += s[i];
+    }
     return Sequence{Value::Str(strings_->Intern(out))};
   }
 
@@ -901,7 +914,10 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
         EXRQUY_ASSIGN_OR_RETURN(a, ops_.ToDouble(a));
       }
       if (a.kind == ValueKind::kInt) {
-        out.push_back(name == "abs" ? Value::Int(std::llabs(a.i)) : a);
+        if (name == "abs" && a.i == INT64_MIN) {
+          return TypeError("err:FOAR0002: integer overflow in abs");
+        }
+        out.push_back(name == "abs" && a.i < 0 ? Value::Int(-a.i) : a);
         continue;
       }
       if (a.kind != ValueKind::kDouble) {
@@ -915,7 +931,7 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
       } else if (name == "ceiling") {
         d = std::ceil(d);
       } else {
-        d = std::floor(d + 0.5);
+        d = RoundHalf(d);
       }
       out.push_back(Value::Double(d));
     }
@@ -962,18 +978,19 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
     if (s1.empty()) return Sequence{};
     EXRQUY_ASSIGN_OR_RETURN(Value v1, Singleton(s1, "subsequence"));
     EXRQUY_ASSIGN_OR_RETURN(Value d1, ops_.ToDouble(ops_.Atomize(v1)));
-    int64_t start = static_cast<int64_t>(std::llround(d1.d));
-    int64_t end = std::numeric_limits<int64_t>::max();
+    // F&O 15.1.10: the same position rule as fn:substring.
+    double start = RoundHalf(d1.d);
+    double end = std::numeric_limits<double>::infinity();
     if (e.children.size() == 3) {
       EXRQUY_ASSIGN_OR_RETURN(Sequence s2, arg(2));
       if (s2.empty()) return Sequence{};
       EXRQUY_ASSIGN_OR_RETURN(Value v2, Singleton(s2, "subsequence"));
       EXRQUY_ASSIGN_OR_RETURN(Value d2, ops_.ToDouble(ops_.Atomize(v2)));
-      end = start + static_cast<int64_t>(std::llround(d2.d));
+      end = start + RoundHalf(d2.d);
     }
     Sequence out;
     for (size_t i = 0; i < s.size(); ++i) {
-      int64_t rank = static_cast<int64_t>(i) + 1;
+      double rank = static_cast<double>(i) + 1;
       if (rank >= start && rank < end) out.push_back(s[i]);
     }
     return out;

@@ -228,8 +228,9 @@ TEST_F(DataflowTest, BackwardSolvesArePerSeed) {
 }
 
 // The liveness instance on a hand-built plan: provenance's demanded
-// domains must coincide with ComputeICols for the same seed (the
-// invariant opt/verify.cc audits on every plan).
+// domains must coincide with ComputeICols for the same seed (both
+// payloads ride one demand-edge table; Session::ExplainOrder checks the
+// same invariant on every plan it explains).
 TEST_F(DataflowTest, ProvenanceDomainsEqualLiveness) {
   OpId l = Triples({{1, 1, 5}, {1, 2, 7}});
   ColId rank = ColSym("dr");

@@ -11,6 +11,7 @@
 #include "algebra/stats.h"
 #include "api/session.h"
 #include "opt/analyses.h"
+#include "provenance_check.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 
@@ -58,6 +59,22 @@ TEST_F(ExplainOrderTest, EverySurvivingSortIsAttributed) {
             << sort.op << " (" << sort.label
             << "): surviving sort with no attributed order demand";
       }
+    }
+  }
+}
+
+// The provenance payload over every XMark pair, on the compiled and the
+// optimized root: each demanded column is attributed, and the demanded
+// columns are exactly the live ones.
+TEST_F(ExplainOrderTest, ProvenanceIsAttributedLiveness) {
+  for (const XMarkQuery& q : XMarkQueries()) {
+    for (bool unordered : {false, true}) {
+      QueryOptions options;
+      if (unordered) options.default_ordering = OrderingMode::kUnordered;
+      Result<QueryPlans> p = session_->Plan(q.text, options);
+      ASSERT_TRUE(p.ok()) << q.name << ": " << p.status().ToString();
+      ExpectAttributedLiveness(*p, q.name + (unordered ? " unordered"
+                                                       : " ordered"));
     }
   }
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "provenance_check.h"
 
 namespace exrquy {
 namespace {
@@ -203,6 +204,27 @@ TEST_P(FuzzEquivalenceTest, ConfigurationsAgree) {
   }
   // The generator must produce mostly executable queries.
   EXPECT_GT(executed, 20);
+}
+
+// The same corpus as plans: on both roots of each fuzzed query in both
+// modes, order provenance is attributed liveness (provenance_check.h).
+TEST_P(FuzzEquivalenceTest, ProvenanceIsAttributedLiveness) {
+  Rng rng(static_cast<uint64_t>(GetParam()) + 1000);
+  Session session;
+  ASSERT_TRUE(session.LoadDocument("f.xml", RandomDoc(&rng)).ok());
+  QueryOptions unordered;
+  unordered.default_ordering = OrderingMode::kUnordered;
+  int planned = 0;
+  for (int i = 0; i < 40; ++i) {
+    std::string query = RandomQuery(&rng);
+    for (const QueryOptions& options : {QueryOptions{}, unordered}) {
+      Result<QueryPlans> p = session.Plan(query, options);
+      if (!p.ok()) continue;
+      ++planned;
+      ExpectAttributedLiveness(*p, query);
+    }
+  }
+  EXPECT_GT(planned, 40);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalenceTest, ::testing::Range(0, 10));

@@ -305,6 +305,72 @@ TEST_F(ReferenceTest, ScalarEdgeCases) {
   ExpectAgree("1e300 idiv 1.0");          // quotient overflows int64
 }
 
+// Spec values (XQuery F&O) for the numeric edge cases of fn:substring,
+// fn:subsequence, fn:abs and fn:round, on the reference interpreter and
+// on Session::Execute in both ordering modes. The differential tests
+// above cannot see a fault both stacks share.
+TEST_F(ReferenceTest, NumericEdgeCasesFollowTheSpec) {
+  struct Case {
+    const char* query;
+    std::vector<std::string> items;
+    const char* error;  // a substring of the expected failure, or null
+  };
+  const Case kCases[] = {
+      {R"(substring("abcdef", 2, 1 div 0e0))", {"bcdef"}, nullptr},
+      {R"(substring("abc", 0 div 0e0))", {""}, nullptr},
+      {R"(substring("abcde", -1.5, 4))", {"ab"}, nullptr},
+      {R"(substring("abcde", 2.5))", {"cde"}, nullptr},
+      {R"(substring("abc", 1, 1e300))", {"abc"}, nullptr},
+      {R"(substring("abcde", -1 div 0e0))", {"abcde"}, nullptr},
+      {R"(substring("motor car", 6))", {" car"}, nullptr},
+      {R"(substring("12345", 1.5, 2.6))", {"234"}, nullptr},
+      {R"(substring("12345", 0, 3))", {"12"}, nullptr},
+      {R"(substring("12345", 5, -3))", {""}, nullptr},
+      {R"(substring("12345", -3, 5))", {"1"}, nullptr},
+      {R"(substring("12345", 0 div 0E0, 3))", {""}, nullptr},
+      {R"(substring("12345", 1, 0 div 0E0))", {""}, nullptr},
+      {R"(substring("12345", -42, 1 div 0E0))", {"12345"}, nullptr},
+      {R"(substring("12345", -1 div 0E0, 1 div 0E0))", {""}, nullptr},
+      {"subsequence((1, 2, 3), 2, 1 div 0e0)", {"2", "3"}, nullptr},
+      {"subsequence((1, 2, 3, 4, 5), -1.5, 4)", {"1", "2"}, nullptr},
+      {"subsequence((1, 2, 3, 4, 5), 1.5, 2.6)", {"2", "3", "4"}, nullptr},
+      {"subsequence((1, 2, 3), 0 div 0e0)", {}, nullptr},
+      {"subsequence((1, 2, 3), -1 div 0e0, 1 div 0e0)", {}, nullptr},
+      {"abs(-9223372036854775807 - 1)", {}, "FOAR0002"},
+      {"abs(-9223372036854775807)", {"9223372036854775807"}, nullptr},
+      {"abs(-3)", {"3"}, nullptr},
+      {"round(0.49999999999999994e0)", {"0"}, nullptr},
+      {"round(2.5)", {"3"}, nullptr},
+      {"round(-2.5)", {"-2"}, nullptr},
+      {"round(-2.6)", {"-3"}, nullptr},
+      {"round(4503599627370497e0) - 4503599627370496", {"1"}, nullptr},
+  };
+  auto expect = [](const Case& c, const char* who, const Status& status,
+                   const std::vector<std::string>& items) {
+    if (c.error != nullptr) {
+      EXPECT_NE(status.message().find(c.error), std::string::npos)
+          << who << ": " << c.query << " -> " << status.ToString();
+      return;
+    }
+    ASSERT_TRUE(status.ok()) << who << ": " << c.query << " -> "
+                             << status.ToString();
+    EXPECT_EQ(items, c.items) << who << ": " << c.query;
+  };
+  QueryOptions unordered;
+  unordered.default_ordering = OrderingMode::kUnordered;
+  for (const Case& c : kCases) {
+    Result<std::vector<std::string>> ref = RunRef(c.query);
+    expect(c, "reference", ref.status(),
+           ref.ok() ? *ref : std::vector<std::string>{});
+    for (bool unord : {false, true}) {
+      Result<QueryResult> r =
+          session_.Execute(c.query, unord ? unordered : QueryOptions{});
+      expect(c, unord ? "unordered" : "ordered", r.status(),
+             r.ok() ? r->items : std::vector<std::string>{});
+    }
+  }
+}
+
 // `to` at the ends of the integer range: neither the span b - a nor the
 // step past b may overflow, and a double bound outside int64_t (or NaN)
 // fails cleanly instead of being cast with undefined behavior.

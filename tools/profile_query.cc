@@ -19,6 +19,11 @@
 // (query, mode) pairs) and prints only the by-kind rollup, each kind's
 // per-operator minima summed over every pair — the per-kind before/after
 // table of a kernel change, from one command.
+//
+// Every summary line names the engine thread count the runs used
+// (Profile::threads()). The options are the defaults, so EXRQUY_THREADS
+// or else the hardware concurrency decides it; pin it with, e.g.,
+// `EXRQUY_THREADS=1 ./profile_query all 0.5 ordered 3` for 1-thread sums.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +42,7 @@ namespace {
 struct Totals {
   double compile_ms = 0;
   double execute_ms = 0;
+  size_t threads = 0;  // of the last run
   std::map<std::string, exrquy::Profile::Bucket> by_kind;
 };
 
@@ -82,6 +88,7 @@ bool ProfileOne(exrquy::Session& session, const std::string& name,
   }
   totals->compile_ms += compile_ms;
   totals->execute_ms += execute_ms;
+  totals->threads = r->profile.threads();
   std::vector<exrquy::Profile::OpMetrics> ops = r->profile.ops();
   std::map<std::string, exrquy::Profile::Bucket> by_kind;
   for (auto& m : ops) {
@@ -94,10 +101,12 @@ bool ProfileOne(exrquy::Session& session, const std::string& name,
     }
   }
   if (!verbose) return true;
-  std::printf("%s %s at scale %.3f: compile %.2f ms, execute %.2f ms%s\n",
-              name.c_str(), unordered ? "unordered" : "ordered", scale,
-              compile_ms, execute_ms,
-              reps > 1 ? " (minima over the runs)" : "");
+  std::printf(
+      "%s %s at scale %.3f, threads=%zu: compile %.2f ms, execute %.2f "
+      "ms%s\n",
+      name.c_str(), unordered ? "unordered" : "ordered", scale,
+      r->profile.threads(), compile_ms, execute_ms,
+      reps > 1 ? " (minima over the runs)" : "");
   std::printf("value_join_ops %zu  theta_join_ops %zu  theta_count_ops %zu\n",
               r->plan_optimized.value_join_ops,
               r->plan_optimized.theta_join_ops,
@@ -161,8 +170,10 @@ int main(int argc, char** argv) {
       }
     }
     if (modes.size() > 1) {
-      std::printf("\n%s, both modes: compile %.2f ms, execute %.2f ms\n",
-                  argv[1], totals.compile_ms, totals.execute_ms);
+      std::printf(
+          "\n%s, both modes, threads=%zu: compile %.2f ms, execute %.2f "
+          "ms\n",
+          argv[1], totals.threads, totals.compile_ms, totals.execute_ms);
       PrintByKind(totals.by_kind);
     }
     return 0;
@@ -178,9 +189,10 @@ int main(int argc, char** argv) {
       ++pairs;
     }
   }
-  std::printf("%zu pairs (%s) at scale %.3f: compile %.2f ms, execute "
-              "%.2f ms%s\n",
-              pairs, mode, scale, totals.compile_ms, totals.execute_ms,
+  std::printf("%zu pairs (%s) at scale %.3f, threads=%zu: compile %.2f "
+              "ms, execute %.2f ms%s\n",
+              pairs, mode, scale, totals.threads, totals.compile_ms,
+              totals.execute_ms,
               reps > 1 ? " (sums of minima over the runs)" : "");
   PrintByKind(totals.by_kind);
   return 0;
