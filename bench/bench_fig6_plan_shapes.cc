@@ -51,8 +51,8 @@ void Run() {
   // Emit DOT renderings for inspection: the fully optimized plans, with
   // every surviving % annotated by its order-provenance reasons and
   // every traded % annotated — on its surviving replacement — by the
-  // rule (keyed-partition, semantic-type, order-dependency,
-  // arbitrary-order) and justification that eliminated it.
+  // rule (keyed-partition, order-dependency, arbitrary-order) and
+  // justification that eliminated it.
   Result<OrderExplanation> ea = session->ExplainOrder(q6, ordered);
   Result<OrderExplanation> eb = session->ExplainOrder(q6, unordered);
   if (ea.ok() && eb.ok()) {

@@ -4,11 +4,12 @@
 //
 // `framework_us` is column liveness plus constant/arbitrary columns;
 // `new_facts_us` the key, cardinality, error-capability and order-
-// provenance domains. The semantic-type and order-dependency columns
-// isolate the marginal cost of the two order-reasoning domains on top
-// of warmed prerequisites, and the surviving-% columns record the
-// quantity the whole exercise is about: how many blocking sorts remain
-// in the fully optimized plans, per ordering mode. Each per-domain column
+// provenance domains. The semantic-type (item kinds) and order-
+// dependency (sortedness) columns isolate the marginal cost of the two
+// domains the %→# trade rests on, on top of warmed prerequisites, and
+// the surviving-% columns record the quantity the whole exercise is
+// about: how many blocking sorts remain in the fully optimized plans,
+// per ordering mode. Each per-domain column
 // runs its repetitions back to back after one untimed pass, so that no
 // column's time depends on the other columns' work.
 //

@@ -54,8 +54,9 @@ inline std::unique_ptr<Session> MakeXMarkSession(double scale,
   return session;
 }
 
-// Median execution wall clock over `runs` executions; returns -1 on
-// error. Also reports the result through *result when non-null.
+// Median execution wall clock over `runs` executions; a failed query
+// exits the bench with status 1. Also reports the result through *result
+// when non-null.
 inline double MedianExecMs(Session* session, const std::string& query,
                            const QueryOptions& options, int runs,
                            QueryResult* result = nullptr) {
@@ -64,7 +65,7 @@ inline double MedianExecMs(Session* session, const std::string& query,
     Result<QueryResult> r = session->Execute(query, options);
     if (!r.ok()) {
       std::fprintf(stderr, "query failed: %s\n", r.status().ToString().c_str());
-      return -1;
+      std::exit(1);
     }
     times.push_back(r->execute_ms);
     if (result != nullptr && i == 0) *result = std::move(r).value();

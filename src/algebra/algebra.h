@@ -101,7 +101,7 @@ enum class FunKind : uint8_t {
   kNot,
   // Atomization and casts.
   kAtomize,     // node -> untypedAtomic(string-value); atomics unchanged
-  kToDouble,    // fn:number semantics (errors on non-numeric strings)
+  kToDouble,    // fn:number: xs:double cast, NaN where the cast fails
   kToString,    // xs:string cast of one atomic/node
   // String functions.
   kContains,

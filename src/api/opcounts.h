@@ -3,10 +3,11 @@
 // operator tallies — total operators, % (blocking sorts), # (free
 // numberings) and the #^ subset (numberings proven to be row positions
 // by the order-dependency analysis) — plus the corpus-wide surviving-%
-// totals per mode. The rendered report is committed as a golden
-// (tests/corpus/opcounts/), so any drift in the rewriter's
-// %-elimination power — in either direction — must be re-committed
-// deliberately (tools/gen_opcounts regenerates it).
+// totals per mode and each certificate rule's count over both modes (a
+// rule at 0 fires on no XMark query). The rendered report is committed
+// as a golden (tests/corpus/opcounts/), so any drift in the rewriter's
+// %-elimination power or rewrite traffic — in either direction — must
+// be re-committed deliberately (tools/gen_opcounts regenerates it).
 #ifndef EXRQUY_API_OPCOUNTS_H_
 #define EXRQUY_API_OPCOUNTS_H_
 

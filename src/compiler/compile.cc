@@ -162,12 +162,14 @@ class Compiler {
     return Joined{dag_->EquiJoin(l, r, iter(), i2), t2};
   }
 
-  // Adds rows [iter, default] for loop iterations missing in q (iter, item).
-  OpId WithDefault(OpId q_iter_item, OpId loop, Value dflt) {
-    OpId present = dag_->Project(q_iter_item, {{iter(), iter()}});
+  // Adds rows [iter, default] for loop iterations missing in q (iter,
+  // item); with pos 1 when q is an (iter, pos, item) triple.
+  OpId WithDefault(OpId q, OpId loop, Value dflt) {
+    OpId present = dag_->Project(q, {{iter(), iter()}});
     OpId missing = dag_->Difference(loop, present, {iter()});
     OpId d = dag_->AttachConst(missing, item(), dflt);
-    return dag_->Union(q_iter_item, d);
+    if (dag_->op(q).HasCol(pos())) d = ToTriple(d);
+    return dag_->Union(q, d);
   }
 
   // Grouped aggregate over the item column with a per-iteration default.
@@ -905,10 +907,15 @@ class Compiler {
       return MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToString);
     }
     if (name == "number") {
+      // number(()) is NaN: an iteration without an item gets the string
+      // "NaN", which kToDouble casts to NaN. (A NaN literal would not
+      // equal itself, and the Dag hash-conses literals by equality.)
       EXRQUY_RETURN_IF_ERROR(arity(1));
       EXRQUY_ASSIGN_OR_RETURN(OpId q,
                               CompileExpr(*e.children[0], scope, mode));
-      return MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToDouble);
+      OpId a = WithDefault(Atomize(dag_->Project(q, Ipi())), scope.loop,
+                           Value::Str(strings_->Intern("NaN")));
+      return MapItem(a, FunKind::kToDouble);
     }
     if (name == "string-length") {
       EXRQUY_RETURN_IF_ERROR(arity(1));

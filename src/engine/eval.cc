@@ -1646,7 +1646,7 @@ Result<Value> Evaluator::ApplyFun(const Op& op,
     case FunKind::kAtomize:
       return ops_.Atomize(arg(0));
     case FunKind::kToDouble:
-      return ops_.ToDouble(arg(0));
+      return ops_.Number(arg(0));
     case FunKind::kToString:
       return ops_.ToString(arg(0));
     case FunKind::kContains: {
@@ -2002,6 +2002,20 @@ class ContentGroups {
   int64_t last_iter_ = std::numeric_limits<int64_t>::min();
 };
 
+// The string value of an attribute or text constructor's content run:
+// each item atomized and cast to xs:string, joined by single spaces.
+Result<StrId> ContentString(const ValueOps& ops, const Column& items,
+                            std::span<const uint32_t> rows) {
+  std::string s;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0) s += ' ';
+    EXRQUY_ASSIGN_OR_RETURN(Value sv,
+                            ops.ToString(ops.Atomize(items[rows[i]])));
+    s += ops.strings().Get(sv.str);
+  }
+  return ops.strings().Intern(s);
+}
+
 }  // namespace
 
 Result<TablePtr> Evaluator::EvalElem(const Op& op, const Table& content,
@@ -2171,17 +2185,9 @@ Result<TablePtr> Evaluator::EvalAttr(const Op& op, const Table& value,
   Column out_item;
   for (size_t lr = 0; lr < loop.rows(); ++lr) {
     int64_t it = loop_iters[lr].i;
-    std::string s;
-    bool first = true;
-    for (uint32_t r : groups.RowsFor(it)) {
-      if (!first) s += ' ';
-      first = false;
-      Value v = ops_.Atomize(items[r]);
-      EXRQUY_ASSIGN_OR_RETURN(Value sv, ops_.ToString(v));
-      s += ctx_->strings->Get(sv.str);
-    }
-    NodeIdx node =
-        ctx_->store->MakeAttribute(op.name, ctx_->strings->Intern(s));
+    EXRQUY_ASSIGN_OR_RETURN(StrId s,
+                            ContentString(ops_, items, groups.RowsFor(it)));
+    NodeIdx node = ctx_->store->MakeAttribute(op.name, s);
     out_iter.push_back(Value::Int(it));
     out_item.push_back(Value::Node(node));
   }
@@ -2202,14 +2208,8 @@ Result<TablePtr> Evaluator::EvalText(const Op& op, const Table& content,
     int64_t it = loop_iters[lr].i;
     std::span<const uint32_t> rows = groups.RowsFor(it);
     if (rows.empty()) continue;  // text {()} yields the empty sequence
-    std::string s;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (i > 0) s += ' ';
-      Value v = ops_.Atomize(items[rows[i]]);
-      EXRQUY_ASSIGN_OR_RETURN(Value sv, ops_.ToString(v));
-      s += ctx_->strings->Get(sv.str);
-    }
-    NodeIdx node = ctx_->store->MakeText(ctx_->strings->Intern(s));
+    EXRQUY_ASSIGN_OR_RETURN(StrId s, ContentString(ops_, items, rows));
+    NodeIdx node = ctx_->store->MakeText(s);
     out_iter.push_back(Value::Int(it));
     out_item.push_back(Value::Node(node));
   }

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
 
 #include "common/check.h"
 
@@ -19,22 +21,46 @@ double AsDouble(const Value& v) {
   return v.kind == ValueKind::kInt ? static_cast<double>(v.i) : v.d;
 }
 
+bool IsXmlSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// The xs:double cast of a string: the XSD 1.1 lexical space (an
+// optionally signed decimal with an optional exponent, or INF, +INF,
+// -INF, NaN) between the whitespace the type's collapse facet strips.
+// strtod's extras (hex floats, "inf", "infinity", "nan") fail the cast.
 Result<double> ParseDouble(const std::string& s) {
-  const char* begin = s.c_str();
-  // Trim whitespace.
-  while (*begin == ' ' || *begin == '\t' || *begin == '\n' || *begin == '\r') {
-    ++begin;
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && IsXmlSpace(s[b])) ++b;
+  while (e > b && IsXmlSpace(s[e - 1])) --e;
+  const std::string_view t(s.data() + b, e - b);
+  if (t == "NaN") return std::numeric_limits<double>::quiet_NaN();
+  if (t == "INF" || t == "+INF") return std::numeric_limits<double>::infinity();
+  if (t == "-INF") return -std::numeric_limits<double>::infinity();
+  size_t i = 0;
+  if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+  size_t digits = 0;
+  for (; i < t.size() && IsDigit(t[i]); ++i) ++digits;
+  if (i < t.size() && t[i] == '.') {
+    for (++i; i < t.size() && IsDigit(t[i]); ++i) ++digits;
   }
-  char* end = nullptr;
-  double d = std::strtod(begin, &end);
-  if (end == begin) {
-    return TypeError("cannot cast \"" + s + "\" to xs:double");
+  bool valid = digits > 0;
+  if (valid && i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+    ++i;
+    if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+    size_t exp_digits = 0;
+    for (; i < t.size() && IsDigit(t[i]); ++i) ++exp_digits;
+    valid = exp_digits > 0;
   }
-  while (*end == ' ' || *end == '\t' || *end == '\n' || *end == '\r') ++end;
-  if (*end != '\0') {
-    return TypeError("cannot cast \"" + s + "\" to xs:double");
+  if (!valid || i != t.size()) {
+    return TypeError("err:FORG0001: cannot cast \"" + s + "\" to xs:double");
   }
-  return d;
+  // strtod reads exactly the validated decimal, up to the trailing
+  // whitespace or the string's end.
+  return std::strtod(s.c_str() + b, nullptr);
 }
 
 // -1, 0 or 1 for two doubles that are not NaN.
@@ -130,6 +156,15 @@ Result<Value> ValueOps::ToDouble(Value v) const {
       return RecordLeak();
   }
   return Internal("bad value kind");
+}
+
+Result<Value> ValueOps::Number(Value v) const {
+  if (v.kind == ValueKind::kString || v.kind == ValueKind::kUntyped) {
+    Result<double> d = ParseDouble(strings_->Get(v.str));
+    return Value::Double(
+        d.ok() ? *d : std::numeric_limits<double>::quiet_NaN());
+  }
+  return ToDouble(v);
 }
 
 Result<Value> ValueOps::ToString(Value v) const {

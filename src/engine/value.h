@@ -22,8 +22,13 @@ class ValueOps {
   // Node -> xs:untypedAtomic (string-value); atomics unchanged.
   Value Atomize(Value v) const;
 
-  // fn:number / xs:double cast. Errors on non-numeric strings.
+  // xs:double cast. A string or untyped value outside the xs:double
+  // lexical space fails with err:FORG0001.
   Result<Value> ToDouble(Value v) const;
+
+  // fn:number of one atomic: the xs:double cast, with NaN where a string
+  // or untyped value fails it.
+  Result<Value> Number(Value v) const;
 
   // xs:string cast of an atomic (nodes must be atomized first).
   Result<Value> ToString(Value v) const;

@@ -477,8 +477,16 @@ ColSet KeyAnalysis::Transfer(const Dag& dag, OpId id,
     case OpKind::kDistinct:
     case OpKind::kDifference:
     case OpKind::kSemiJoin:
+      inherit(child(0));
+      break;
     case OpKind::kCardCheck:
       inherit(child(0));
+      // Once the per-iteration assertion has passed, every iteration
+      // holds at most max_card rows: for fn:zero-or-one / fn:exactly-one
+      // that makes iter duplicate-free. (Relies on the compiler invariant
+      // that the checked relation's iterations all stem from the loop
+      // relation, child 1.)
+      if (op.max_card <= 1) out.insert(col::iter());
       break;
     case OpKind::kEquiJoin:
     case OpKind::kThetaJoin:
@@ -720,14 +728,6 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
     for (const auto& [c, k] : t.kinds) {
       if (op.HasCol(c)) out.kinds.emplace(c, k);
     }
-    for (ColId c : t.unit_groups) {
-      if (op.HasCol(c)) out.unit_groups.insert(c);
-    }
-  };
-  auto inherit_kinds = [&](const SemType& t) {
-    for (const auto& [c, k] : t.kinds) {
-      if (op.HasCol(c)) out.kinds.emplace(c, k);
-    }
   };
 
   switch (op.kind) {
@@ -748,39 +748,24 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
       for (const auto& [n, o] : op.proj) {
         ItemKind k = t.KindOf(o);
         if (k != ItemKind::kAny) out.kinds.emplace(n, k);
-        if (t.unit_groups.count(o) != 0) out.unit_groups.insert(n);
       }
       break;
     }
-    // Row subsets: both kinds and duplicate-freedom survive.
+    // Row subsets: kinds survive.
     case OpKind::kSelect:
     case OpKind::kDistinct:
     case OpKind::kDifference:
     case OpKind::kSemiJoin:
-      inherit(child(0));
-      break;
     case OpKind::kCardCheck:
       inherit(child(0));
-      // The new source of unit groups: once the per-iteration assertion
-      // has passed, every iteration holds at most max_card rows — for
-      // fn:zero-or-one / fn:exactly-one that makes iter duplicate-free.
-      // (Relies on the compiler invariant that the checked relation's
-      // iterations all stem from the loop relation, child 1.)
-      if (op.max_card <= 1) out.unit_groups.insert(col::iter());
       break;
     case OpKind::kRowNum:
-      inherit(child(0));
-      out.kinds[op.col] = ItemKind::kInt;
-      if (op.part == kNoCol) out.unit_groups.insert(op.col);
-      break;
     case OpKind::kRowId:
       inherit(child(0));
       out.kinds[op.col] = ItemKind::kInt;
-      out.unit_groups.insert(op.col);
       break;
     case OpKind::kFun: {
       inherit(child(0));
-      out.unit_groups.erase(op.col);
       ItemKind arg0 = op.args.empty() ? ItemKind::kAny
                                       : child(0).KindOf(op.args[0]);
       ItemKind k = KindOfFun(op.fun, arg0);
@@ -796,7 +781,6 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
       if (op.part != kNoCol) {
         ItemKind pk = t.KindOf(op.part);
         if (pk != ItemKind::kAny) out.kinds.emplace(op.part, pk);
-        out.unit_groups.insert(op.part);  // one row per group
       }
       ItemKind k = ItemKind::kAny;
       switch (op.aggr) {
@@ -826,7 +810,6 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
     case OpKind::kThetaCount: {
       ItemKind pk = child(ThetaCountGroupSide(dag, op)).KindOf(op.part);
       if (pk != ItemKind::kAny) out.kinds.emplace(op.part, pk);
-      out.unit_groups.insert(op.part);  // one row per group
       out.kinds[op.col] = ItemKind::kInt;
       break;
     }
@@ -855,24 +838,10 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
     }
     case OpKind::kEquiJoin:
     case OpKind::kThetaJoin:
-    case OpKind::kCross: {
-      inherit_kinds(child(0));
-      inherit_kinds(child(1));
-      // A side's duplicate-free columns stay duplicate-free when the
-      // other side contributes at most one row (value-based conditions
-      // belong to the key domain; the two compose in the rewriter).
-      if (cards->Get(op.children[1]).max <= 1) {
-        for (ColId c : child(0).unit_groups) {
-          if (op.HasCol(c)) out.unit_groups.insert(c);
-        }
-      }
-      if (cards->Get(op.children[0]).max <= 1) {
-        for (ColId c : child(1).unit_groups) {
-          if (op.HasCol(c)) out.unit_groups.insert(c);
-        }
-      }
+    case OpKind::kCross:
+      inherit(child(0));
+      inherit(child(1));
       break;
-    }
     case OpKind::kUnion: {
       const SemType& a = child(0);
       const SemType& b = child(1);
@@ -881,25 +850,9 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
         ItemKind j = KindJoin(k, b.KindOf(c));
         if (j != ItemKind::kAny) out.kinds.emplace(c, j);
       }
-      if (cards->Get(op.children[0]).max == 0) {
-        for (const auto& [c, k] : b.kinds) {
-          if (op.HasCol(c)) out.kinds.emplace(c, k);
-        }
-        for (ColId c : b.unit_groups) {
-          if (op.HasCol(c)) out.unit_groups.insert(c);
-        }
-      } else if (cards->Get(op.children[1]).max == 0) {
-        for (ColId c : a.unit_groups) {
-          if (op.HasCol(c)) out.unit_groups.insert(c);
-        }
-      }
+      if (cards->Get(op.children[0]).max == 0) inherit(b);
       break;
     }
-  }
-  // Every column of an at-most-one-row relation is trivially
-  // duplicate-free.
-  if (cards->Get(id).max <= 1) {
-    for (ColId c : op.schema) out.unit_groups.insert(c);
   }
   return out;
 }

@@ -12,12 +12,12 @@
 //    information because the column descends from a # numbering;
 //  * key columns — forward: columns that are duplicate-free
 //    (row-identifying), seeded by #, ungrouped %, distinct literal
-//    columns and document-order step outputs;
+//    columns, document-order step outputs and per-iteration cardinality
+//    assertions (fn:zero-or-one / fn:exactly-one make iter a key);
 //  * cardinality intervals — forward: sound [min, max] row-count bounds
 //    ([1,1] for Doc, products through joins, sums through unions, ...);
 //  * semantic types — forward: per-column item kinds (int / numeric /
-//    string / bool / node) and unit-group columns (grouping by them
-//    yields at-most-one-row groups), seeded from cardinality assertions;
+//    string / bool / node);
 //  * order dependencies — forward: physical-sortedness facts `<X>`
 //    (rows are already sorted by X, `!` = duplicate-free), derived from
 //    document order out of ⊙, # numberings, keys and monotone ⊕ maps —
@@ -168,18 +168,10 @@ inline bool KindIsNumeric(ItemKind k) {
 // 2^53.
 bool OneComparisonClass(ItemKind a, ItemKind b);
 
-// The semantic-type fact: statically known per-column item kinds, plus
-// "unit groups" — columns by which grouping yields groups of at most one
-// row each (equivalently: duplicate-free columns). Unit groups overlap
-// the key domain but are seeded differently, most importantly from
-// per-iteration cardinality assertions (kCardCheck with max_card <= 1,
-// fn:zero-or-one / fn:exactly-one), a source the key transfer rules do
-// not exploit. A % partitioned by a unit-group column ranks singleton
-// groups: every rank is 1, and the rewriter trades the sort for an
-// attached constant (rewrites.h, rownum_by_od).
+// The semantic-type fact: statically known per-column item kinds.
+// Duplicate-freeness is the key domain's (KeyAnalysis above).
 struct SemType {
   ColMap<ItemKind> kinds;  // absent = kAny
-  ColSet unit_groups;
 
   ItemKind KindOf(ColId c) const;
   bool operator==(const SemType& other) const = default;
@@ -187,7 +179,7 @@ struct SemType {
 
 struct SemTypeAnalysis {
   using Fact = SemType;
-  CardTracker* cards = nullptr;  // saturation and join/union rules
+  CardTracker* cards = nullptr;  // statically empty union branches
 
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;

@@ -16,23 +16,33 @@ std::string RowBound(uint64_t n) {
   return n == kUnboundedRows ? "inf" : std::to_string(n);
 }
 
-// The proof obligation each rewrite family must discharge. Unknown
-// families fail closed ("unknown-family").
+// The proof obligation each rewrite family must discharge, in the order
+// of the table in certify.h. Unknown families fail closed
+// ("unknown-family").
+struct FamilyObligation {
+  const char* family;
+  const char* obligation;
+};
+constexpr FamilyObligation kFamilies[] = {
+    {"column_pruning", "dead-column"},
+    {"weaken_rownum", "constant-criteria"},
+    {"arbitrary-order", "arbitrary-order"},
+    {"distinct_elimination", "disjoint-steps"},
+    {"step_merging", "step-shape"},
+    {"distinct_by_keys", "key-distinct"},
+    {"empty_short_circuit", "empty-plan"},
+    {"union_empty_branch", "empty-branch"},
+    {"keyed-partition", "keyed-partition"},
+    {"order-dependency", "sorted-prefix"},
+    {"join_recognition", "join-isolation"},
+    {"theta-count", "count-fusion"},
+    {"deferred_construction", "identity-indifference"},
+};
+
 const char* ObligationFor(const std::string& rule) {
-  if (rule == "column_pruning") return "dead-column";
-  if (rule == "weaken_rownum") return "constant-criteria";
-  if (rule == "arbitrary-order") return "arbitrary-order";
-  if (rule == "distinct_elimination") return "disjoint-steps";
-  if (rule == "step_merging") return "step-shape";
-  if (rule == "distinct_by_keys") return "key-distinct";
-  if (rule == "empty_short_circuit") return "empty-plan";
-  if (rule == "union_empty_branch") return "empty-branch";
-  if (rule == "keyed-partition") return "keyed-partition";
-  if (rule == "semantic-type") return "unit-group";
-  if (rule == "order-dependency") return "sorted-prefix";
-  if (rule == "join_recognition") return "join-isolation";
-  if (rule == "theta-count") return "count-fusion";
-  if (rule == "deferred_construction") return "identity-indifference";
+  for (const FamilyObligation& f : kFamilies) {
+    if (rule == f.family) return f.obligation;
+  }
   return "unknown-family";
 }
 
@@ -403,6 +413,12 @@ class ReturnProof {
 
 }  // namespace
 
+std::vector<std::string> CertificateRules() {
+  std::vector<std::string> rules;
+  for (const FamilyObligation& f : kFamilies) rules.emplace_back(f.family);
+  return rules;
+}
+
 Result<CertifySettings> ResolveCertify(const CertifySettings& options) {
   CertifySettings r = options;
   if (r.mode != CertifyMode::kDefault) return r;
@@ -438,8 +454,6 @@ const char* CitedFactKindName(CitedFact::Kind kind) {
       return "interval";
     case CitedFact::Kind::kSorted:
       return "sorted-prefix";
-    case CitedFact::Kind::kUnitGroup:
-      return "unit-group";
     case CitedFact::Kind::kNoRaise:
       return "no-raise";
     case CitedFact::Kind::kKindClass:
@@ -500,15 +514,6 @@ CitedFact CiteSorted(OpId op, std::vector<SortKey> order) {
   f.op = op;
   f.text = "sorted " + OrderFact{order, false}.ToString() + AtOp(op);
   f.order = std::move(order);
-  return f;
-}
-
-CitedFact CiteUnitGroup(OpId op, ColId col) {
-  CitedFact f;
-  f.kind = CitedFact::Kind::kUnitGroup;
-  f.op = op;
-  f.col = col;
-  f.text = "unit-group(" + ColName(col) + ")" + AtOp(op);
   return f;
 }
 
@@ -624,12 +629,6 @@ bool CertifyChecker::ValidateCited(RewriteCertificate* cert,
         if (!SortedCovers(audit_.Get(f.op), f.order)) {
           return bad("is not derivable: no derived sorted-prefix fact "
                      "covers the cited order");
-        }
-        break;
-      case CitedFact::Kind::kUnitGroup:
-        if (audit_.Get(f.op).keys.count(f.col) == 0) {
-          return bad("is not derivable: the column is not provably "
-                     "duplicate-free");
         }
         break;
       case CitedFact::Kind::kNoRaise:
@@ -807,7 +806,7 @@ bool CertifyChecker::CheckFamily(RewriteCertificate* cert) {
     return true;
   }
 
-  if (cert->rule == "keyed-partition" || cert->rule == "semantic-type") {
+  if (cert->rule == "keyed-partition") {
     if (from.kind != OpKind::kRowNum) {
       return Fail(cert, ob, "the rewritten operator is not a %");
     }
@@ -825,13 +824,10 @@ bool CertifyChecker::CheckFamily(RewriteCertificate* cert) {
     OpId in = to.children[0];
     for (const CitedFact& f : cert->cited) {
       if (f.op != in) continue;
-      if (cert->rule == "semantic-type") {
-        if (f.kind == CitedFact::Kind::kUnitGroup && f.col == from.part) {
-          return true;
-        }
-      } else if (f.kind == CitedFact::Kind::kKey && f.col == from.part) {
+      if (f.kind == CitedFact::Kind::kKey && f.col == from.part) {
         return true;
-      } else if (f.kind == CitedFact::Kind::kInterval && f.max_rows <= 1) {
+      }
+      if (f.kind == CitedFact::Kind::kInterval && f.max_rows <= 1) {
         return true;
       }
     }

@@ -3,7 +3,7 @@
 // Every rewrite instance the optimizer performs emits a
 // RewriteCertificate — the rewrite family, the before/after roots, a
 // column witness map, and the exact facts the rewrite cited (keys,
-// cardinality intervals, sorted prefixes, semantic types, error
+// cardinality intervals, sorted prefixes, item kinds, error
 // capability, join isolation). An independent checker (CertifyChecker)
 // validates each certificate against its own fact re-derivation
 // (opt/facts_audit.h) plus a per-family proof-obligation template:
@@ -35,9 +35,9 @@
 //                                            0-row literal
 //   keyed-partition      keyed-partition     the partition column is a
 //                                            derivable key of the input
-//                                            (or the input has <= 1 row)
-//   semantic-type        unit-group          the partition column is
-//                                            derivably duplicate-free
+//                                            (asserted-unique iterations
+//                                            count), or the input has
+//                                            <= 1 row
 //   order-dependency     sorted-prefix       the requested order is
 //                                            covered by a derivable
 //                                            sorted-prefix fact
@@ -90,6 +90,10 @@
 
 namespace exrquy {
 
+// The rule names certificates carry (RewriteCertificate::rule), in the
+// order of the table above: finer than the flags of kRewriteFamilies.
+std::vector<std::string> CertificateRules();
+
 // How strictly rewrite certificates are enforced.
 enum class CertifyMode : uint8_t {
   kDefault,  // resolve via EXRQUY_CERTIFY (unset -> kCheck)
@@ -126,7 +130,6 @@ struct CitedFact {
     kArbitrary,     // `col` is order-meaningless at `op`
     kInterval,      // row count of `op` lies in [min_rows, max_rows]
     kSorted,        // `op` already realizes `order`
-    kUnitGroup,     // `col` partitions `op` into singleton groups
     kNoRaise,       // evaluating `op` can never raise a dynamic error
     kKindClass,     // `col` at `op` stays within `kind_class`
     kScaffoldFree,  // `col` at `op` carries no iteration/order scaffolding
@@ -152,7 +155,6 @@ CitedFact CiteConstant(OpId op, ColId col);
 CitedFact CiteArbitrary(OpId op, ColId col);
 CitedFact CiteInterval(OpId op, uint64_t min_rows, uint64_t max_rows);
 CitedFact CiteSorted(OpId op, std::vector<SortKey> order);
-CitedFact CiteUnitGroup(OpId op, ColId col);
 CitedFact CiteNoRaise(OpId op);
 CitedFact CiteKindClass(OpId op, ColId col, ItemKind kind_class);
 CitedFact CiteScaffoldFree(OpId op, ColId col);

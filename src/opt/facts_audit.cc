@@ -33,8 +33,7 @@ uint64_t BoundMul(uint64_t a, uint64_t b) {
 
 // ---------------------------------------------------------------------------
 // Semantic kinds and sorted-prefix facts: independent re-derivations of
-// the two static-analysis domains behind the order-dependency and
-// semantic-type trades.
+// the two static-analysis domains behind the order-dependency trade.
 // ---------------------------------------------------------------------------
 
 ItemKind LitValueKind(const Value& v) {

@@ -827,15 +827,6 @@ OpId Rebuild(Dag* dag, OpId id, const std::map<OpId, OpId>& leaves,
   return out;
 }
 
-bool HashSafeKind(ItemKind k) {
-  // Exactly the verifier's gate: within these classes the engine's
-  // bit-exact (untyped-normalized) hash equality coincides with the
-  // general-comparison eq. Mixed int/double (kNumeric) does not — 5 and
-  // 5.0e0 compare equal but hash apart.
-  return k == ItemKind::kInt || k == ItemKind::kString ||
-         k == ItemKind::kBool;
-}
-
 bool NonNodeKind(ItemKind k) {
   return k != ItemKind::kNode && k != ItemKind::kAny;
 }
@@ -904,8 +895,12 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
 
     const char* how = nullptr;
     OpId vj = kNoOp;
-    if (p.cmp == FunKind::kEq && ko == kc && HashSafeKind(ko)) {
-      // Hash value join; the engine picks the build side by size.
+    if (p.cmp == FunKind::kEq && ko == kc && OneComparisonClass(ko, kc)) {
+      // Hash value join; the engine picks the build side by size. Within
+      // one equal kind class the engine's bit-exact (untyped-normalized)
+      // hash equality coincides with the general-comparison eq; mixed
+      // int/double (kNumeric) does not — 5 and 5.0e0 compare equal but
+      // hash apart.
       vj = dag->ValueJoin(outer2, cur2, o_key, c_key);
       how = "hash value join";
     } else if (options.theta_join && NonNodeKind(ko) && NonNodeKind(kc)) {

@@ -438,7 +438,7 @@ class Rewriter {
           const Op& s = dag_->op(side);
           return s.kind == OpKind::kLit && s.lit.rows.empty();
         };
-        ColSet cols = required;
+        ColSet cols = options_.column_pruning ? required : ColSet{};
         if (cols.empty()) {
           for (ColId c : op.schema) cols.insert(c);
         }
@@ -581,22 +581,6 @@ class Rewriter {
           } else {
             cert.cited.push_back(CiteKey(c, op.part));
           }
-          OpId res = Attempt(std::move(cert));
-          if (res != kNoOp) return res;
-        }
-        if (options_.rownum_by_od && op.part != kNoCol &&
-            fa_.sem.Get(c).unit_groups.count(op.part) != 0) {
-          // Semantic typing proves the partition column duplicate-free
-          // (a unit group, e.g. below fn:exactly-one): singleton groups
-          // again, through a source the key domain cannot see.
-          RewriteCertificate cert =
-              Cert(id, dag_->AttachConst(c, op.col, Value::Int(1)),
-                   "semantic-type",
-                   "partition column '" + ColName(op.part) +
-                       "' is duplicate-free by semantic typing (unit "
-                       "group): every rank is 1",
-                   /*order_trade=*/true);
-          cert.cited.push_back(CiteUnitGroup(c, op.part));
           OpId res = Attempt(std::move(cert));
           if (res != kNoOp) return res;
         }

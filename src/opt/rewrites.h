@@ -27,13 +27,12 @@
 //  * key-justified % collapse — a % whose partition column is a key of
 //    its input (or whose input has at most one row) ranks singleton
 //    groups; the rank is the constant 1 and the blocking sort vanishes
-//    without consuming the order demand,
+//    without consuming the order demand. Keys include the iterations a
+//    cardinality assertion makes unique (fn:exactly-one),
 //  * order-dependency % collapse — a % whose requested order the input
 //    provably already realizes (the order-dependency domain) performs an
 //    identity sort: it degrades to a positional # carrying the very same
-//    1..n values; and a % partitioned by a unit-group column (the
-//    semantic-type domain, e.g. below fn:exactly-one) ranks singleton
-//    groups and becomes the constant 1.
+//    1..n values.
 //
 // After the rewrite fixpoint, one more pass defers element construction
 // (MarkDeferredConstructors): an element constructor whose nodes no
@@ -59,7 +58,9 @@ struct RewriteOptions {
   bool distinct_by_keys = true;      // key columns elide Distinct
   bool empty_short_circuit = true;   // statically empty sub-plans collapse
   bool rownum_by_keys = true;        // keyed partitions make % rank 1
-  // Order-dependency + semantic-type driven % elimination.
+  // Order-dependency driven % elimination: a % whose input already
+  // realizes its order becomes #. (Singleton partitions, including
+  // asserted-unique iterations, are rownum_by_keys's trade.)
   bool rownum_by_od = true;
   // Value-join recognition: comparisons evaluated over loop-lifted
   // product spaces are re-rooted as joins on the compared item columns,

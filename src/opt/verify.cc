@@ -531,21 +531,6 @@ Status CheckSemTypeClaims(const Dag& dag, OpId id, const SemType& claimed,
                       ItemKindName(KindAt(derived, c)) + "')");
     }
   }
-  // A unit-group column means groups of at most one row, i.e. the column
-  // is duplicate-free — auditable against the independently derived
-  // row-identifying columns.
-  for (ColId c : claimed.unit_groups) {
-    if (!op.HasCol(c)) {
-      return Fail(dag, id, "semantic-type-claim",
-                  "unit-group claim for column '" + ColName(c) +
-                      "' which is not in the schema");
-    }
-    if (derived.keys.count(c) == 0) {
-      return Fail(dag, id, "semantic-type-claim",
-                  "unit-group claim for column '" + ColName(c) +
-                      "' is not independently derivable as duplicate-free");
-    }
-  }
   return Status::Ok();
 }
 
@@ -606,9 +591,9 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
       EXRQUY_RETURN_IF_ERROR(CheckClaims(dag, id, claim, derived));
       EXRQUY_RETURN_IF_ERROR(
           CheckCardClaim(dag, id, claims.cards.Get(id), derived));
-      // The semantic-type and order-dependency domains (which license
-      // the %→const and %→# trades) are audited the same way, against
-      // the audit's independent re-derivations.
+      // The semantic-type and order-dependency domains (which gate and
+      // license the %→# trade) are audited the same way, against the
+      // audit's independent re-derivations.
       EXRQUY_RETURN_IF_ERROR(
           CheckSemTypeClaims(dag, id, claims.sem.Get(id), derived));
       EXRQUY_RETURN_IF_ERROR(

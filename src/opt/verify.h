@@ -25,12 +25,12 @@
 //                    license % weakening), KeyTracker's key claims (which
 //                    license Distinct elimination and keyed % collapse),
 //                    CardTracker's intervals (which license the
-//                    empty-plan short-circuit), SemTypeTracker's kind and
-//                    unit-group claims (which license the semantic-type %
-//                    collapse and gate the monotone-map order rules), and
-//                    OrderTracker's sorted-prefix claims (which license
-//                    the order-dependency %→# trade) must all be
-//                    derivable; the
+//                    empty-plan short-circuit), SemTypeTracker's kind
+//                    claims (which gate the monotone-map order rules and
+//                    the join kind classes), and OrderTracker's
+//                    sorted-prefix claims (which license the
+//                    order-dependency %→# trade) must all be derivable;
+//                    the
 //                    column dependency analysis never demands a column an
 //                    operator cannot produce (so CDA pruning can never
 //                    have deleted a live column) and must agree exactly
@@ -86,10 +86,8 @@ Status CheckCardClaim(const Dag& dag, OpId id, const CardRange& claimed,
                       const OpFacts& derived);
 
 // Checks the semantic-type domain's claims for `id`: every claimed kind
-// must be at least as wide as the independently derived one, and every
-// claimed unit-group column must be independently derivable as
-// duplicate-free. Returns the first violation as a
-// "[semantic-type-claim]" diagnostic.
+// must be at least as wide as the independently derived one. Returns the
+// first violation as a "[semantic-type-claim]" diagnostic.
 Status CheckSemTypeClaims(const Dag& dag, OpId id, const SemType& claimed,
                           const OpFacts& derived);
 

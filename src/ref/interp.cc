@@ -802,9 +802,12 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
       if (name == "string") {
         EXRQUY_ASSIGN_OR_RETURN(a, ops_.ToString(a));
       } else if (name == "number") {
-        EXRQUY_ASSIGN_OR_RETURN(a, ops_.ToDouble(a));
+        EXRQUY_ASSIGN_OR_RETURN(a, ops_.Number(a));
       }
       out.push_back(a);
+    }
+    if (name == "number" && s.empty()) {
+      out.push_back(Value::Double(std::numeric_limits<double>::quiet_NaN()));
     }
     return out;
   }

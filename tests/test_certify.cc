@@ -363,7 +363,7 @@ TEST_F(CertifyCheckerTest, DistinctEliminationAcceptsDisjointSteps) {
                           CiteStructural(d, "disjoint step")}));
 }
 
-// -- keyed-partition / unit-group ----------------------------------------
+// -- keyed-partition -----------------------------------------------------
 
 TEST_F(CertifyCheckerTest, KeyedPartitionRejectsNonKeyPartition) {
   OpId l = Triples({{1, 1, 5}, {1, 2, 7}});  // iter not a key
@@ -384,15 +384,17 @@ TEST_F(CertifyCheckerTest, KeyedPartitionAcceptsKeyPartition) {
                          {CiteKey(l, iter())}));
 }
 
-TEST_F(CertifyCheckerTest, SemanticTypeRejectsNonUnitGroup) {
-  OpId l = Triples({{1, 1, 5}, {1, 2, 7}});
-  ColId x = ColSym("ug1");
-  OpId orig = dag_.RowNum(l, x, {{pos(), false}}, iter());
-  OpId repl = dag_.AttachConst(l, x, Value::Int(1));
-  ExpectRejected(repl,
-                 Cert(orig, repl, "semantic-type",
-                      {CiteUnitGroup(l, iter())}),
-                 "unit-group");
+// A passed fn:exactly-one assertion makes iter a key the audit derives,
+// although no key is derivable below it (a union of two literals).
+TEST_F(CertifyCheckerTest, KeyedPartitionAcceptsAssertedUniqueIterations) {
+  OpId l = dag_.Union(Triples({{1, 1, 5}}), Triples({{2, 1, 7}}));
+  OpId loop = dag_.Project(l, {{iter(), iter()}});
+  OpId cc = dag_.CardCheck(l, loop, 1, 1, strings_.Intern("exactly-one"));
+  ColId x = ColSym("kp3");
+  OpId orig = dag_.RowNum(cc, x, {{pos(), false}}, iter());
+  OpId repl = dag_.AttachConst(cc, x, Value::Int(1));
+  ExpectValid(repl, Cert(orig, repl, "keyed-partition",
+                         {CiteKey(cc, iter())}));
 }
 
 // -- join-isolation ------------------------------------------------------

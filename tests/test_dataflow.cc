@@ -25,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -251,6 +252,37 @@ TEST_F(DataflowTest, ProvenanceDomainsEqualLiveness) {
   // The rank's demand is attributed to the projection that consumes it.
   std::vector<std::string> why = prov.ReasonsFor(rn, rank);
   ASSERT_FALSE(why.empty());
+}
+
+// A passed per-iteration assertion of at most one row (fn:zero-or-one,
+// fn:exactly-one) makes iter a key; a wider one (two rows, or
+// fn:one-or-more) does not. Each iteration of the input holds two rows,
+// so only the assertion can supply the key.
+TEST_F(DataflowTest, CardCheckAtMostOneMakesIterAKey) {
+  OpId l = Triples({{1, 1, 5}, {1, 2, 7}, {2, 1, 9}, {2, 2, 4}});
+  LitTable loop_t;
+  loop_t.cols = {iter()};
+  loop_t.rows = {{Value::Int(1)}, {Value::Int(2)}};
+  OpId loop = dag_.Lit(std::move(loop_t));
+  const int64_t kUnbounded = std::numeric_limits<int64_t>::max();
+  const struct {
+    int64_t min_card;
+    int64_t max_card;
+    bool key;
+  } cases[] = {{0, 1, true}, {1, 1, true}, {0, 2, false},
+               {1, kUnbounded, false}};
+  for (const auto& c : cases) {
+    OpId cc = dag_.CardCheck(l, loop, c.min_card, c.max_card, StrId{0});
+    CardTracker cards(&dag_);
+    KeyTracker keys(&dag_, {&cards});
+    EXPECT_EQ(keys.Get(l).count(iter()), 0u);
+    EXPECT_EQ(keys.Get(cc).count(iter()) != 0, c.key)
+        << "(" << c.min_card << "," << c.max_card << ")";
+    // The audit derives exactly the same.
+    FactsAudit audit(&dag_);
+    EXPECT_EQ(audit.Get(cc).keys.count(iter()) != 0, c.key)
+        << "(" << c.min_card << "," << c.max_card << ")";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,26 +1,26 @@
 // The order-dependency and semantic-type domains (opt/analyses.h), from
-// unit level to end-to-end:
+// unit level to end-to-end (the kinds gate the order rules):
 //
 //  1. lattice algebra: ItemKind join/leq, OrderImplied over hand-built
 //     fact sets (strictness, constant skipping, single-row saturation);
 //  2. rewrite level: hand-built plans where the order-dependency trade
 //     must fire (input already sorted, monotone function images) and
 //     where it must not (unsorted input, direction mismatch), plus the
-//     semantic-type unit-group trade seeded by kCardCheck — each with
-//     the surviving operator population pinned and the traded plans
-//     evaluated to confirm the positional ranks are the right ranks;
+//     keyed-partition trade on an iter that a kCardCheck asserts unique
+//     — each with the surviving operator population pinned and the
+//     traded plans evaluated to confirm the positional ranks are the
+//     right ranks;
 //  3. fuzzing: rownum_by_od on vs off must be byte-identical in both
 //     ordering modes — the trade replaces a % with an operator that
 //     produces the exact same column, so flipping the flag can never
 //     show up in results;
-//  4. dynamic validation: every sortedness fact and unit group claimed
-//     for an optimized XMark sub-plan is checked against the actually
-//     materialized table.
+//  4. dynamic validation: every sortedness fact claimed for an optimized
+//     XMark sub-plan is checked against the actually materialized table
+//     (test_dataflow.cc validates the key facts the same way).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -254,12 +254,15 @@ TEST_F(OrderDependencyTest, AntitoneFunctionFlipsDirection) {
   }
 }
 
-// Semantic-type trade: a per-iteration cardinality assertion
-// (fn:exactly-one) makes iter a unit group — partitions by it are
-// singletons and every rank is 1. The key-driven rule is disabled to
-// prove this is the semantic-type domain's own contribution.
-TEST_F(OrderDependencyTest, CardCheckUnitGroupCollapsesPartitionedRowNum) {
-  OpId l = Triples({{1, 1, 7}, {2, 1, 5}});
+// A per-iteration cardinality assertion (fn:exactly-one) makes iter a
+// key: partitions by it are singletons and every rank is 1. The trade
+// is keyed-partition's, so it fires with default options and is kept
+// once rownum_by_keys is off, whatever rownum_by_od says. The input is a
+// union, so the assertion is the only source of the key.
+TEST_F(OrderDependencyTest, CardCheckKeyCollapsesPartitionedRowNum) {
+  OpId l = dag_.Union(Triples({{1, 1, 7}}), Triples({{2, 1, 5}}));
+  CardTracker cards(&dag_);
+  ASSERT_EQ(KeyTracker(&dag_, {&cards}).Get(l).count(iter()), 0u);
   LitTable loop_t;
   loop_t.cols = {iter()};
   loop_t.rows = {{Value::Int(1)}, {Value::Int(2)}};
@@ -270,19 +273,19 @@ TEST_F(OrderDependencyTest, CardCheckUnitGroupCollapsesPartitionedRowNum) {
   OpId proj = dag_.Project(rn, {{iter(), iter()}, {pos(), rank},
                                 {item(), item()}});
 
-  RewriteOptions no_keys;
-  no_keys.rownum_by_keys = false;
-  OpId opt = Opt(proj, no_keys);
+  OpId opt = Opt(proj, RewriteOptions{});
   EXPECT_EQ(CollectPlanStats(dag_, opt).rownum_ops, 0u);
   EXPECT_EQ(Eval(opt, pos()), (std::vector<int64_t>{1, 1}));
 
-  // With the order-dependency/semantic-type flag also off, nothing else
-  // can eliminate this %.
-  RewriteOptions all_off = no_keys;
-  all_off.rownum_by_od = false;
-  OpId kept = Opt(proj, all_off);
-  EXPECT_EQ(CollectPlanStats(dag_, kept).rownum_ops, 1u);
-  EXPECT_EQ(Eval(kept, pos()), (std::vector<int64_t>{1, 1}));
+  // Without rownum_by_keys nothing else can eliminate this %.
+  RewriteOptions no_keys;
+  no_keys.rownum_by_keys = false;
+  for (bool od : {true, false}) {
+    no_keys.rownum_by_od = od;
+    OpId kept = Opt(proj, no_keys);
+    EXPECT_EQ(CollectPlanStats(dag_, kept).rownum_ops, 1u) << "od=" << od;
+    EXPECT_EQ(Eval(kept, pos()), (std::vector<int64_t>{1, 1}));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -385,31 +388,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OdFlagFuzzTest, ::testing::Range(0, 6));
 // 4. Dynamic validation on XMark.
 // ---------------------------------------------------------------------------
 
-std::pair<uint8_t, uint64_t> ValueBits(const Value& v) {
-  uint64_t bits = 0;
-  switch (v.kind) {
-    case ValueKind::kInt:
-      bits = static_cast<uint64_t>(v.i);
-      break;
-    case ValueKind::kDouble:
-      static_assert(sizeof(v.d) == sizeof(bits));
-      __builtin_memcpy(&bits, &v.d, sizeof(bits));
-      break;
-    case ValueKind::kString:
-    case ValueKind::kUntyped:
-      bits = v.str;
-      break;
-    case ValueKind::kBool:
-      bits = v.b ? 1 : 0;
-      break;
-    case ValueKind::kNode:
-    default:  // no other kind is a query value
-      bits = v.node;
-      break;
-  }
-  return {static_cast<uint8_t>(v.kind), bits};
-}
-
 class OrderDependencyXMarkTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -429,12 +407,11 @@ class OrderDependencyXMarkTest : public ::testing::Test {
 
 Session* OrderDependencyXMarkTest::session_ = nullptr;
 
-// Every sortedness fact and unit group the analyses claim for an
-// optimized XMark sub-plan must hold on the materialized table:
-// lexicographic order under the engine's OrderCompare (no full tie when
-// strict), duplicate-freeness for unit-group columns. Evaluating every
-// operator re-runs its whole subtree, so the per-plan checked set is
-// capped to a sample of operators with non-trivial claims.
+// Every sortedness fact the analyses claim for an optimized XMark
+// sub-plan must hold on the materialized table: lexicographic order
+// under the engine's OrderCompare (no full tie when strict). Evaluating
+// every operator re-runs its whole subtree, so the per-plan checked set
+// is capped to a sample of operators with non-trivial claims.
 TEST_F(OrderDependencyXMarkTest, ClaimedFactsHoldDynamically) {
   EvalContext ctx;
   ctx.store = &session_->store();
@@ -444,7 +421,6 @@ TEST_F(OrderDependencyXMarkTest, ClaimedFactsHoldDynamically) {
   ValueOps ops(&session_->strings(), &session_->store());
 
   size_t order_checks = 0;
-  size_t unit_checks = 0;
   for (const XMarkQuery& q : XMarkQueries()) {
     for (bool unordered : {false, true}) {
       QueryOptions options;
@@ -460,10 +436,7 @@ TEST_F(OrderDependencyXMarkTest, ClaimedFactsHoldDynamically) {
 
       std::vector<OpId> targets;
       for (OpId id : dag.ReachableFrom(p->optimized)) {
-        if (!od.Get(id).facts.empty() ||
-            !sem.Get(id).unit_groups.empty()) {
-          targets.push_back(id);
-        }
+        if (!od.Get(id).facts.empty()) targets.push_back(id);
       }
       const size_t kMaxTargets = 24;
       if (targets.size() > kMaxTargets) {
@@ -502,22 +475,11 @@ TEST_F(OrderDependencyXMarkTest, ClaimedFactsHoldDynamically) {
           }
           ++order_checks;
         }
-
-        for (ColId c : sem.Get(id).unit_groups) {
-          std::set<std::pair<uint8_t, uint64_t>> distinct;
-          for (size_t row = 0; row < t.rows(); ++row) {
-            EXPECT_TRUE(distinct.insert(ValueBits(t.at(c, row))).second)
-                << q.name << " op " << id << ": claimed unit group " << c
-                << " has a duplicate at row " << row;
-          }
-          ++unit_checks;
-        }
       }
     }
   }
-  // The corpus genuinely exercises both domains.
+  // The corpus genuinely exercises the domain.
   EXPECT_GT(order_checks, 100u);
-  EXPECT_GT(unit_checks, 0u);
 }
 
 }  // namespace

@@ -157,8 +157,8 @@ TEST_F(PlanShapesTest, KeyFactsEliminateADistinctNothingElseCan) {
 
 // The committed Figure 6-style operator-count report must match a fresh
 // rendering byte for byte: any change to the rewriter's %-elimination
-// power (either direction) has to be re-committed deliberately via
-// tools/gen_opcounts.
+// power or to its per-family rewrite traffic (either direction) has to
+// be re-committed deliberately via tools/gen_opcounts.
 TEST_F(PlanShapesTest, OpCountReportMatchesGolden) {
   Result<std::string> report = OpCountReport(session_);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -174,8 +174,8 @@ TEST_F(PlanShapesTest, OpCountReportMatchesGolden) {
 }
 
 // The corpus-wide count of surviving % in ordered mode must never creep
-// back above the committed level (the order-dependency and semantic-type
-// trades brought it from 100 down to 81). The byte-exact golden above
+// back above the committed level (the order-dependency trade brought it
+// from 100 down to 81). The byte-exact golden above
 // catches any drift; this guard names the quantity the paper cares
 // about and fails with a number, not a diff.
 TEST_F(PlanShapesTest, OrderedModeSurvivingSortsDoNotRegress) {

@@ -305,10 +305,11 @@ TEST_F(ReferenceTest, ScalarEdgeCases) {
   ExpectAgree("1e300 idiv 1.0");          // quotient overflows int64
 }
 
-// Spec values (XQuery F&O) for the numeric edge cases of fn:substring,
-// fn:subsequence, fn:abs and fn:round, on the reference interpreter and
-// on Session::Execute in both ordering modes. The differential tests
-// above cannot see a fault both stacks share.
+// Spec values (XQuery F&O, XSD) for the numeric edge cases of
+// fn:substring, fn:subsequence, fn:abs, fn:round, fn:number and the
+// xs:double cast, on the reference interpreter and on Session::Execute
+// in both ordering modes. The differential tests above cannot see a
+// fault both stacks share.
 TEST_F(ReferenceTest, NumericEdgeCasesFollowTheSpec) {
   struct Case {
     const char* query;
@@ -344,6 +345,31 @@ TEST_F(ReferenceTest, NumericEdgeCasesFollowTheSpec) {
       {"round(-2.5)", {"-2"}, nullptr},
       {"round(-2.6)", {"-3"}, nullptr},
       {"round(4503599627370497e0) - 4503599627370496", {"1"}, nullptr},
+      // fn:number is NaN wherever the xs:double cast fails, and on ();
+      // the cast accepts only the XSD lexical space (no hex, no "inf").
+      {R"(number("abc"))", {"NaN"}, nullptr},
+      {R"(number(""))", {"NaN"}, nullptr},
+      {"number(<a/>)", {"NaN"}, nullptr},
+      {"number(())", {"NaN"}, nullptr},
+      {"count(number(()))", {"1"}, nullptr},
+      {R"(number("0x10"))", {"NaN"}, nullptr},
+      {R"(number("-0x1p3"))", {"NaN"}, nullptr},
+      {R"(number("inf"))", {"NaN"}, nullptr},
+      {R"(number("infinity"))", {"NaN"}, nullptr},
+      {R"(number("nan"))", {"NaN"}, nullptr},
+      {R"(number("1 e3"))", {"NaN"}, nullptr},
+      {R"(number("."))", {"NaN"}, nullptr},
+      {R"(number("1e"))", {"NaN"}, nullptr},
+      {R"(number(" -INF "))", {"-INF"}, nullptr},
+      {R"(number("+INF"))", {"INF"}, nullptr},
+      {R"(number("NaN"))", {"NaN"}, nullptr},
+      {R"(number(" +1.5E1 "))", {"15"}, nullptr},
+      {R"(number(".5") * 4)", {"2"}, nullptr},
+      {R"(number("5.") + 1)", {"6"}, nullptr},
+      {"number(true())", {"1"}, nullptr},
+      {"data(<a>0x10</a>) + 1", {}, "FORG0001"},
+      {"data(<a>infinity</a>) > 1", {}, "FORG0001"},
+      {"data(<a> 12 </a>) + 1", {"13"}, nullptr},
   };
   auto expect = [](const Case& c, const char* who, const Status& status,
                    const std::vector<std::string>& items) {

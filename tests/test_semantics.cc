@@ -276,7 +276,7 @@ TEST_P(SemanticsTest, SequenceFlattening) {
 TEST_P(SemanticsTest, DynamicErrors) {
   EXPECT_EQ(RunError("1 idiv 0").code(), StatusCode::kTypeError);
   EXPECT_EQ(RunError(R"("a" + 1)").code(), StatusCode::kTypeError);
-  EXPECT_EQ(RunError(R"(number("nope") and true())").code(),
+  EXPECT_EQ(RunError("data(<a>nope</a>) + 1").code(),
             StatusCode::kTypeError);
   EXPECT_EQ(RunError(R"(doc("unknown.xml"))").code(), StatusCode::kNotFound);
   EXPECT_EQ(RunError("(1)/a").code(), StatusCode::kTypeError);

@@ -199,6 +199,32 @@ TEST_F(VerifyTest, RejectsFalseKeyClaim) {
   EXPECT_TRUE(CheckClaims(dag_, l, good, facts.Get(l)).ok());
 }
 
+// An assertion allowing two rows per iteration makes nothing a key: the
+// plan verifies, and an iter key planted on it through the plan's
+// analysis cache (where the rewriter and the verifier read it) is a
+// [property-claim].
+TEST_F(VerifyTest, CatchesIterKeyClaimOnWideCardCheck) {
+  OpId l = Triples({{1, 1, 5}, {1, 2, 7}});
+  LitTable loop_t;
+  loop_t.cols = {iter()};
+  loop_t.rows = {{Value::Int(1)}};
+  OpId loop = dag_.Lit(std::move(loop_t));
+  OpId cc = dag_.CardCheck(l, loop, 0, 2, StrId{0});
+  PlanFacts facts(&dag_);
+  ASSERT_TRUE(VerifyPlan(dag_, cc, {}, &facts).ok());
+  ColSet& keys = const_cast<ColSet&>(facts.analyses.keys.Get(cc));
+  ASSERT_EQ(keys.count(iter()), 0u);
+  keys.insert(iter());
+  Status st = VerifyPlan(dag_, cc, {}, &facts);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("[property-claim] op " + std::to_string(cc) +
+                              " "),
+            std::string::npos)
+      << st.message();
+  EXPECT_NE(st.message().find("key claim"), std::string::npos)
+      << st.message();
+}
+
 TEST_F(VerifyTest, RejectsFalseConstantClaim) {
   OpId l = Triples({{1, 1, 5}, {2, 1, 7}});
   FactsAudit facts(&dag_);
