@@ -1,6 +1,7 @@
 #include "algebra/algebra.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.h"
 
@@ -56,103 +57,149 @@ const char* OpKindName(OpKind kind) {
   return "?";
 }
 
-const char* FunKindName(FunKind kind) {
+const char* ItemKindName(ItemKind kind) {
   switch (kind) {
-    case FunKind::kAdd:
-      return "add";
-    case FunKind::kSub:
-      return "sub";
-    case FunKind::kMul:
-      return "mul";
-    case FunKind::kDiv:
-      return "div";
-    case FunKind::kIDiv:
-      return "idiv";
-    case FunKind::kMod:
-      return "mod";
-    case FunKind::kNeg:
-      return "neg";
-    case FunKind::kEq:
-      return "eq";
-    case FunKind::kNe:
-      return "ne";
-    case FunKind::kLt:
-      return "lt";
-    case FunKind::kLe:
-      return "le";
-    case FunKind::kGt:
-      return "gt";
-    case FunKind::kGe:
-      return "ge";
-    case FunKind::kNodeBefore:
-      return "node<<";
-    case FunKind::kNodeAfter:
-      return "node>>";
-    case FunKind::kNodeIs:
-      return "is";
-    case FunKind::kAnd:
-      return "and";
-    case FunKind::kOr:
-      return "or";
-    case FunKind::kNot:
-      return "not";
-    case FunKind::kAtomize:
-      return "atomize";
-    case FunKind::kToDouble:
-      return "number";
-    case FunKind::kToString:
+    case ItemKind::kInt:
+      return "int";
+    case ItemKind::kNumeric:
+      return "numeric";
+    case ItemKind::kString:
       return "string";
-    case FunKind::kContains:
-      return "contains";
-    case FunKind::kConcat:
-      return "concat";
-    case FunKind::kStringLength:
-      return "string-length";
-    case FunKind::kStartsWith:
-      return "starts-with";
-    case FunKind::kEndsWith:
-      return "ends-with";
-    case FunKind::kUpperCase:
-      return "upper-case";
-    case FunKind::kLowerCase:
-      return "lower-case";
-    case FunKind::kNormalizeSpace:
-      return "normalize-space";
-    case FunKind::kSubstring2:
-    case FunKind::kSubstring3:
-      return "substring";
-    case FunKind::kAbs:
-      return "abs";
-    case FunKind::kFloor:
-      return "floor";
-    case FunKind::kCeiling:
-      return "ceiling";
-    case FunKind::kRound:
-      return "round";
-    case FunKind::kNodeName:
-      return "name";
+    case ItemKind::kBool:
+      return "bool";
+    case ItemKind::kNode:
+      return "node";
+    case ItemKind::kAny:
+      return "any";
   }
   return "?";
 }
 
-const char* AggrKindName(AggrKind kind) {
-  switch (kind) {
-    case AggrKind::kCount:
-      return "count";
-    case AggrKind::kSum:
-      return "sum";
-    case AggrKind::kMax:
-      return "max";
-    case AggrKind::kMin:
-      return "min";
-    case AggrKind::kAvg:
-      return "avg";
-    case AggrKind::kEbv:
-      return "ebv";
-    case AggrKind::kStrJoin:
-      return "str-join";
+bool KindLe(ItemKind a, ItemKind b) {
+  if (a == b || b == ItemKind::kAny) return true;
+  return a == ItemKind::kInt && b == ItemKind::kNumeric;
+}
+
+ItemKind KindJoin(ItemKind a, ItemKind b) {
+  if (KindLe(a, b)) return b;
+  if (KindLe(b, a)) return a;
+  return ItemKind::kAny;
+}
+
+bool OneComparisonClass(ItemKind a, ItemKind b) {
+  if (a == b) {
+    return a == ItemKind::kInt || a == ItemKind::kString ||
+           a == ItemKind::kBool;
   }
-  return "?";
+  return (KindIsNumeric(a) && b == ItemKind::kString) ||
+         (a == ItemKind::kString && KindIsNumeric(b));
+}
+
+ItemKind KindOfValue(const Value& v) {
+  switch (v.kind) {
+    case ValueKind::kInt:
+      return ItemKind::kInt;
+    case ValueKind::kDouble:
+      return ItemKind::kNumeric;
+    case ValueKind::kString:
+    case ValueKind::kUntyped:  // compares in OrderCompare's string class
+      return ItemKind::kString;
+    case ValueKind::kBool:
+      return ItemKind::kBool;
+    case ValueKind::kNode:
+      return ItemKind::kNode;
+    default:
+      break;  // no other kind is a query value
+  }
+  return ItemKind::kAny;
+}
+
+namespace {
+
+using K = ItemKind;
+using M = OrderMap;
+
+constexpr ByKind<ItemKind> Always(ItemKind k) { return {k, k, k, k, k, k}; }
+
+// An order map over numeric arguments only: OrderCompare is
+// type-class-major, so no map is monotone across classes.
+constexpr ByKind<OrderMap> OnNumbers(OrderMap on_int, OrderMap on_numeric) {
+  return {on_int, on_numeric, M::kNone, M::kNone, M::kNone, M::kNone};
+}
+
+// Indexed by FunKind. Arithmetic yields an integer for integer operands
+// and a double otherwise (untypedAtomic casts to xs:double), so only
+// idiv is always integral. number() merges integers beyond 2^53; unary
+// minus is exact on integers but keeps NaN lowest, so it reverses the
+// order of integers only. floor, ceiling and round return integers
+// unchanged and merge doubles.
+constexpr FunSig kFunSigs[] = {
+    {"add", 2, Always(K::kNumeric)},
+    {"sub", 2, Always(K::kNumeric)},
+    {"mul", 2, Always(K::kNumeric)},
+    {"div", 2, Always(K::kNumeric)},
+    {"idiv", 2, Always(K::kInt)},
+    {"mod", 2, Always(K::kNumeric)},
+    {"neg", 1, Always(K::kNumeric), OnNumbers(M::kAnti, M::kNone)},
+    {"eq", 2, Always(K::kBool)},
+    {"ne", 2, Always(K::kBool)},
+    {"lt", 2, Always(K::kBool)},
+    {"le", 2, Always(K::kBool)},
+    {"gt", 2, Always(K::kBool)},
+    {"ge", 2, Always(K::kBool)},
+    {"node<<", 2, Always(K::kBool)},
+    {"node>>", 2, Always(K::kBool)},
+    {"is", 2, Always(K::kBool)},
+    {"and", 2, Always(K::kBool)},
+    {"or", 2, Always(K::kBool)},
+    {"not", 1, Always(K::kBool)},
+    // Atomics pass through; a node atomizes to untypedAtomic.
+    {"atomize", 1, {K::kInt, K::kNumeric, K::kString, K::kBool, K::kString,
+                    K::kAny}},
+    {"number", 1, Always(K::kNumeric), OnNumbers(M::kMono, M::kMono)},
+    {"string", 1, Always(K::kString)},
+    {"contains", 2, Always(K::kBool)},
+    {"concat", 2, Always(K::kString)},
+    {"string-length", 1, Always(K::kInt)},
+    {"starts-with", 2, Always(K::kBool)},
+    {"ends-with", 2, Always(K::kBool)},
+    {"upper-case", 1, Always(K::kString)},
+    {"lower-case", 1, Always(K::kString)},
+    {"normalize-space", 1, Always(K::kString)},
+    {"substring", 2, Always(K::kString)},
+    {"substring", 3, Always(K::kString)},
+    {"abs", 1, Always(K::kNumeric)},
+    {"floor", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono)},
+    {"ceiling", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono)},
+    {"round", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono)},
+    {"name", 1, Always(K::kString)},
+};
+static_assert(std::size(kFunSigs) ==
+              static_cast<size_t>(FunKind::kNodeName) + 1);
+
+// Indexed by AggrKind. max and min return a value of the group (an
+// integer for integers), except that untypedAtomic values are cast to
+// xs:double: a string-class or node input may yield a number.
+constexpr AggrSig kAggrSigs[] = {
+    {"count", Always(K::kInt)},
+    {"sum", Always(K::kNumeric)},
+    {"max", {K::kInt, K::kNumeric, K::kAny, K::kBool, K::kAny, K::kAny}},
+    {"min", {K::kInt, K::kNumeric, K::kAny, K::kBool, K::kAny, K::kAny}},
+    {"avg", Always(K::kNumeric)},
+    {"ebv", Always(K::kBool)},
+    {"str-join", Always(K::kString)},
+};
+static_assert(std::size(kAggrSigs) ==
+              static_cast<size_t>(AggrKind::kStrJoin) + 1);
+
+}  // namespace
+
+const FunSig& Signature(FunKind kind) {
+  return kFunSigs[static_cast<size_t>(kind)];
+}
+
+const AggrSig& Signature(AggrKind kind) {
+  return kAggrSigs[static_cast<size_t>(kind)];
 }
 
 bool Op::HasCol(ColId c) const {

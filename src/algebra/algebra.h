@@ -28,6 +28,7 @@
 #ifndef EXRQUY_ALGEBRA_ALGEBRA_H_
 #define EXRQUY_ALGEBRA_ALGEBRA_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -123,8 +124,6 @@ enum class FunKind : uint8_t {
   kNodeName,  // fn:name / fn:local-name (no namespace prefixes here)
 };
 
-const char* FunKindName(FunKind kind);
-
 enum class AggrKind : uint8_t {
   kCount,
   kSum,
@@ -135,7 +134,95 @@ enum class AggrKind : uint8_t {
   kStrJoin,   // space-separated string join (attribute value construction)
 };
 
-const char* AggrKindName(AggrKind kind);
+// ---------------------------------------------------------------------------
+// Item kinds and function signatures.
+// ---------------------------------------------------------------------------
+
+// Per-column item-kind lattice (semantic type-checking in the style of
+// Van den Bussche/Van Gucht/Vansummeren, specialized to the algebra's
+// value model):
+//
+//              kAny
+//          .---/ | \---.
+//   kNumeric kString kBool kNode
+//       |
+//     kInt
+//
+// An absent column is kAny. The kinds gate order reasoning: a ⊕ edge is
+// order-preserving only when its argument is statically numeric, because
+// OrderCompare ranks values type-class-major (all numbers before all
+// strings before all booleans before all nodes), which breaks
+// monotonicity on mixed inputs ("10" < "9" as strings). kUntyped values
+// compare in the string class and so carry kString here.
+enum class ItemKind : uint8_t { kInt, kNumeric, kString, kBool, kNode, kAny };
+inline constexpr size_t kItemKinds = 6;
+
+const char* ItemKindName(ItemKind kind);
+// Least upper bound in the kind lattice.
+ItemKind KindJoin(ItemKind a, ItemKind b);
+// Every value of kind `a` is also of kind `b`.
+bool KindLe(ItemKind a, ItemKind b);
+inline bool KindIsNumeric(ItemKind k) {
+  return k == ItemKind::kInt || k == ItemKind::kNumeric;
+}
+// Whether every pair of values of kinds `a` and `b` that compares without
+// an error compares in one totally ordered class: int/int (exact),
+// numeric/string-class (the string-class side can only be untypedAtomic,
+// cast to double — a genuine string raises), string-class/string-class,
+// bool/bool. Mixed int/double pairs do not qualify: int/int compares
+// exactly but int/double through doubles, which is not transitive beyond
+// 2^53.
+bool OneComparisonClass(ItemKind a, ItemKind b);
+// The kind of one query value.
+ItemKind KindOfValue(const Value& v);
+
+// How a one-argument function maps the engine's OrderCompare order:
+// kIso keeps it exactly (a < b iff f(a) < f(b), ties stay ties), kMono
+// keeps it weakly (a <= b implies f(a) <= f(b), distinct values may
+// merge), kAnti reverses it exactly.
+enum class OrderMap : uint8_t { kNone, kIso, kMono, kAnti };
+
+template <typename T>
+using ByKind = std::array<T, kItemKinds>;  // indexed by ItemKind
+
+// What the analyses may assume about one ⊕ function, written once for the
+// optimizer's analyses, the plan verifier (its audit and arity check)
+// and the plan printers, and checked row by row against the engine on
+// edge values (tests/test_signatures.cc).
+struct FunSig {
+  const char* name;
+  uint8_t arity;
+  // The kind of every result, by the kind of the first argument's column.
+  ByKind<ItemKind> result;
+  // The order map, by the kind of the (only) argument's column.
+  ByKind<OrderMap> order = {};
+
+  ItemKind ResultFor(ItemKind arg0) const {
+    return result[static_cast<size_t>(arg0)];
+  }
+  OrderMap OrderFor(ItemKind arg) const {
+    return order[static_cast<size_t>(arg)];
+  }
+};
+
+// The same for an aggregate, by the kind of the aggregated column.
+struct AggrSig {
+  const char* name;
+  ByKind<ItemKind> result;
+
+  ItemKind ResultFor(ItemKind arg) const {
+    return result[static_cast<size_t>(arg)];
+  }
+};
+
+const FunSig& Signature(FunKind kind);
+const AggrSig& Signature(AggrKind kind);
+inline const char* FunKindName(FunKind kind) {
+  return Signature(kind).name;
+}
+inline const char* AggrKindName(AggrKind kind) {
+  return Signature(kind).name;
+}
 
 // A literal table: fixed schema and constant rows.
 struct LitTable {

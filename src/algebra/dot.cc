@@ -1,5 +1,8 @@
 #include "algebra/dot.h"
 
+#include <cctype>
+#include <cstdint>
+#include <cstdio>
 #include <set>
 #include <sstream>
 
@@ -222,6 +225,34 @@ std::string PlanToDot(
   }
   out << "}\n";
   return out.str();
+}
+
+std::string PlanDigest(std::string_view text) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&](char c) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  };
+  // Fresh columns are numbered process-wide (FreshCol): they are
+  // renumbered in order of first appearance, so that the digest names the
+  // plan, not what the process planned before it.
+  std::map<std::string_view, size_t> fresh;
+  for (size_t i = 0; i < text.size();) {
+    mix(text[i]);
+    if (text[i++] != '$') continue;
+    size_t end = i;
+    while (end < text.size() && std::isdigit(
+                                    static_cast<unsigned char>(text[end]))) {
+      ++end;
+    }
+    if (end == i) continue;
+    auto it = fresh.try_emplace(text.substr(i, end - i), fresh.size()).first;
+    for (char c : std::to_string(it->second)) mix(c);
+    i = end;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
 }
 
 }  // namespace exrquy

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algebra/algebra.h"
@@ -27,6 +28,12 @@ std::string PlanToDot(const Dag& dag, OpId root, const StrPool& strings,
 // Indented textual plan tree (EXPLAIN-style). Shared sub-plans are
 // printed once and referenced as "^<id>" afterwards.
 std::string PlanToText(const Dag& dag, OpId root, const StrPool& strings);
+
+// A 64-bit FNV-1a digest of a plan text as 16 hex digits, blind to the
+// process-wide numbering of fresh columns: the default-configuration
+// plan golden (tests/corpus/plans/defaults.digests) keeps one per XMark
+// query and ordering mode.
+std::string PlanDigest(std::string_view text);
 
 }  // namespace exrquy
 

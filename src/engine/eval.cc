@@ -176,10 +176,12 @@ constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
 // fn:round: half up, toward positive infinity. x - floor(x) is exact, so
 // no half is misjudged (floor(x + 0.5) rounds 0.49999999999999994 to 1);
-// NaN and the infinities come back unchanged.
+// NaN and the infinities come back unchanged, and [-0.5, 0) rounds to
+// negative zero.
 double RoundHalfUp(double x) {
   double r = std::floor(x);
-  return x - r >= 0.5 ? r + 1 : r;
+  r = x - r >= 0.5 ? r + 1 : r;
+  return r == 0 ? std::copysign(0.0, x) : r;
 }
 
 }  // namespace
@@ -1818,33 +1820,47 @@ Result<TablePtr> Evaluator::EvalAggr(const Op& op, const Table& in) {
       }
       case AggrKind::kMax:
       case AggrKind::kMin: {
-        // fn:max/fn:min cast untyped values to xs:double when every value
-        // parses as a number; otherwise compare as strings.
-        bool numeric = true;
+        // fn:max/fn:min: untypedAtomic values are cast to xs:double —
+        // here only when every untyped value of the group parses, since
+        // order by keys share this aggregate and must not raise — and
+        // xs:string values are never cast. Integers compare exactly; a
+        // double in the group promotes the result. Values of different
+        // comparison classes raise.
+        bool cast_untyped = true;
         for (uint32_t r : rows) {
-          Result<Value> d = ops_.ToDouble((*arg)[r]);
-          if (!d.ok()) {
-            numeric = false;
+          const Value& x = (*arg)[r];
+          if (x.kind == ValueKind::kUntyped && !ops_.ToDouble(x).ok()) {
+            cast_untyped = false;
             break;
           }
         }
         bool want_max = op.aggr == AggrKind::kMax;
         bool first = true;
+        bool any_double = false;
         Value best;
         for (uint32_t r : rows) {
           Value cand = (*arg)[r];
-          if (numeric) {
+          if (cand.kind == ValueKind::kUntyped && cast_untyped) {
             EXRQUY_ASSIGN_OR_RETURN(cand, ops_.ToDouble(cand));
           }
+          any_double |= cand.kind == ValueKind::kDouble;
           if (first) {
             best = cand;
             first = false;
             continue;
           }
+          if (!ops_.SameOrderClass(cand, best)) {
+            return TypeError("err:FORG0006: fn:" +
+                             std::string(AggrKindName(op.aggr)) +
+                             " over values of incomparable types");
+          }
           // fn:max and fn:min return NaN when any value is NaN.
           if (IsNaN(best)) continue;
           int c = ops_.OrderCompare(cand, best);
           if (IsNaN(cand) || (want_max ? c > 0 : c < 0)) best = cand;
+        }
+        if (any_double && best.kind == ValueKind::kInt) {
+          best = Value::Double(static_cast<double>(best.i));
         }
         v = best;
         break;

@@ -105,6 +105,7 @@ Status RecordLeak() {
 std::string FormatDouble(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "INF" : "-INF";
+  if (v == 0 && std::signbit(v)) return "-0";
   if (v == static_cast<int64_t>(v) && std::fabs(v) < 1e15) {
     return std::to_string(static_cast<int64_t>(v));
   }
@@ -327,26 +328,36 @@ bool ValueOps::EbvSingle(Value v) const {
   return false;
 }
 
+namespace {
+
+// OrderCompare's type classes, in their rank order.
+int OrderClass(const Value& v) {
+  switch (v.kind) {
+    case ValueKind::kInt:
+    case ValueKind::kDouble:
+      return 0;
+    case ValueKind::kString:
+    case ValueKind::kUntyped:
+      return 1;
+    case ValueKind::kBool:
+      return 2;
+    case ValueKind::kNode:
+      return 3;
+    case ValueKind::kRecord:
+      AbortOnRecord(__LINE__);
+  }
+  return 4;
+}
+
+}  // namespace
+
+bool ValueOps::SameOrderClass(const Value& a, const Value& b) const {
+  return OrderClass(a) == OrderClass(b);
+}
+
 int ValueOps::OrderCompare(const Value& a, const Value& b) const {
-  auto cls = [](const Value& v) {
-    switch (v.kind) {
-      case ValueKind::kInt:
-      case ValueKind::kDouble:
-        return 0;
-      case ValueKind::kString:
-      case ValueKind::kUntyped:
-        return 1;
-      case ValueKind::kBool:
-        return 2;
-      case ValueKind::kNode:
-        return 3;
-      case ValueKind::kRecord:
-        AbortOnRecord(__LINE__);
-    }
-    return 4;
-  };
-  int ca = cls(a);
-  int cb = cls(b);
+  int ca = OrderClass(a);
+  int cb = OrderClass(b);
   if (ca != cb) return ca - cb;
   switch (ca) {
     case 0: {

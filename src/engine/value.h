@@ -49,6 +49,8 @@ class ValueOps {
   // number, as XQuery `order by` specifies), strings lexicographically,
   // nodes by preorder rank (document order). Returns <0, 0, >0.
   int OrderCompare(const Value& a, const Value& b) const;
+  // Whether OrderCompare ranks `a` and `b` in the same type class.
+  bool SameOrderClass(const Value& a, const Value& b) const;
 
   // The string a value serializes as.
   std::string Render(Value v) const;

@@ -298,8 +298,6 @@ ColProps ConstArbAnalysis::Transfer(
 // Cardinality intervals.
 // ---------------------------------------------------------------------------
 
-namespace {
-
 uint64_t SatAdd(uint64_t a, uint64_t b) {
   if (a == kUnboundedRows || b == kUnboundedRows) return kUnboundedRows;
   uint64_t s = a + b;
@@ -312,8 +310,6 @@ uint64_t SatMul(uint64_t a, uint64_t b) {
   if (a > kUnboundedRows / b) return kUnboundedRows;
   return a * b;
 }
-
-}  // namespace
 
 std::string CardRange::ToString() const {
   std::string lo = min == kUnboundedRows ? "inf" : std::to_string(min);
@@ -598,126 +594,10 @@ ColSet KeyAnalysis::Transfer(const Dag& dag, OpId id,
 // Semantic types.
 // ---------------------------------------------------------------------------
 
-const char* ItemKindName(ItemKind kind) {
-  switch (kind) {
-    case ItemKind::kInt:
-      return "int";
-    case ItemKind::kNumeric:
-      return "numeric";
-    case ItemKind::kString:
-      return "string";
-    case ItemKind::kBool:
-      return "bool";
-    case ItemKind::kNode:
-      return "node";
-    case ItemKind::kAny:
-      return "any";
-  }
-  return "?";
-}
-
-bool KindLe(ItemKind a, ItemKind b) {
-  if (a == b || b == ItemKind::kAny) return true;
-  return a == ItemKind::kInt && b == ItemKind::kNumeric;
-}
-
-ItemKind KindJoin(ItemKind a, ItemKind b) {
-  if (KindLe(a, b)) return b;
-  if (KindLe(b, a)) return a;
-  return ItemKind::kAny;
-}
-
-bool OneComparisonClass(ItemKind a, ItemKind b) {
-  if (a == b) {
-    return a == ItemKind::kInt || a == ItemKind::kString ||
-           a == ItemKind::kBool;
-  }
-  return (KindIsNumeric(a) && b == ItemKind::kString) ||
-         (a == ItemKind::kString && KindIsNumeric(b));
-}
-
 ItemKind SemType::KindOf(ColId c) const {
   auto it = kinds.find(c);
   return it == kinds.end() ? ItemKind::kAny : it->second;
 }
-
-namespace {
-
-// The static kind of one literal value. kUntyped compares in
-// OrderCompare's string class (engine/value.cc), hence kString.
-ItemKind KindOfValue(const Value& v) {
-  switch (v.kind) {
-    case ValueKind::kInt:
-      return ItemKind::kInt;
-    case ValueKind::kDouble:
-      return ItemKind::kNumeric;
-    case ValueKind::kString:
-    case ValueKind::kUntyped:
-      return ItemKind::kString;
-    case ValueKind::kBool:
-      return ItemKind::kBool;
-    case ValueKind::kNode:
-      return ItemKind::kNode;
-    default:
-      break;  // no other kind is a query value
-  }
-  return ItemKind::kAny;
-}
-
-// The kind of a ⊕ result, given the kind of its first argument.
-ItemKind KindOfFun(FunKind fun, ItemKind arg0) {
-  switch (fun) {
-    case FunKind::kIDiv:
-    case FunKind::kStringLength:
-      return ItemKind::kInt;
-    case FunKind::kAdd:
-    case FunKind::kSub:
-    case FunKind::kMul:
-    case FunKind::kDiv:
-    case FunKind::kMod:
-    case FunKind::kNeg:
-    case FunKind::kToDouble:
-    case FunKind::kAbs:
-    case FunKind::kFloor:
-    case FunKind::kCeiling:
-    case FunKind::kRound:
-      return ItemKind::kNumeric;
-    case FunKind::kEq:
-    case FunKind::kNe:
-    case FunKind::kLt:
-    case FunKind::kLe:
-    case FunKind::kGt:
-    case FunKind::kGe:
-    case FunKind::kNodeBefore:
-    case FunKind::kNodeAfter:
-    case FunKind::kNodeIs:
-    case FunKind::kAnd:
-    case FunKind::kOr:
-    case FunKind::kNot:
-    case FunKind::kContains:
-    case FunKind::kStartsWith:
-    case FunKind::kEndsWith:
-      return ItemKind::kBool;
-    case FunKind::kToString:
-    case FunKind::kConcat:
-    case FunKind::kUpperCase:
-    case FunKind::kLowerCase:
-    case FunKind::kNormalizeSpace:
-    case FunKind::kSubstring2:
-    case FunKind::kSubstring3:
-    case FunKind::kNodeName:
-      return ItemKind::kString;
-    case FunKind::kAtomize:
-      // Atomics pass through unchanged; nodes atomize to untypedAtomic,
-      // which lives in the string order class.
-      if (arg0 == ItemKind::kNode) return ItemKind::kString;
-      if (arg0 == ItemKind::kAny) return ItemKind::kAny;
-      return arg0;
-  }
-  return ItemKind::kAny;
-}
-
-}  // namespace
 
 SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
                                   const std::vector<const SemType*>& in) const {
@@ -768,7 +648,7 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
       inherit(child(0));
       ItemKind arg0 = op.args.empty() ? ItemKind::kAny
                                       : child(0).KindOf(op.args[0]);
-      ItemKind k = KindOfFun(op.fun, arg0);
+      ItemKind k = Signature(op.fun).ResultFor(arg0);
       if (k != ItemKind::kAny) {
         out.kinds[op.col] = k;
       } else {
@@ -782,28 +662,7 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
         ItemKind pk = t.KindOf(op.part);
         if (pk != ItemKind::kAny) out.kinds.emplace(op.part, pk);
       }
-      ItemKind k = ItemKind::kAny;
-      switch (op.aggr) {
-        case AggrKind::kCount:
-          k = ItemKind::kInt;
-          break;
-        case AggrKind::kSum:
-        case AggrKind::kAvg:
-          k = ItemKind::kNumeric;
-          break;
-        case AggrKind::kMin:
-        case AggrKind::kMax: {
-          ItemKind ak = t.KindOf(op.col2);
-          if (ak != ItemKind::kNode) k = ak;  // nodes atomize first
-          break;
-        }
-        case AggrKind::kEbv:
-          k = ItemKind::kBool;
-          break;
-        case AggrKind::kStrJoin:
-          k = ItemKind::kString;
-          break;
-      }
+      ItemKind k = Signature(op.aggr).ResultFor(t.KindOf(op.col2));
       if (k != ItemKind::kAny) out.kinds[op.col] = k;
       break;
     }
@@ -861,15 +720,6 @@ SemType SemTypeAnalysis::Transfer(const Dag& dag, OpId id,
 // Order dependencies.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Caps keeping the fact sets small: at most this many facts per
-// operator, each with at most this many sort keys.
-constexpr size_t kMaxOrderFacts = 6;
-constexpr size_t kMaxOrderKeys = 4;
-
-// F logically implies G: rows sorted (and possibly duplicate-free) the
-// way F says are necessarily sorted the way G says.
 bool FactImplies(const OrderFact& f, const OrderFact& g) {
   bool f_prefix_of_g =
       f.keys.size() <= g.keys.size() &&
@@ -883,11 +733,8 @@ bool FactImplies(const OrderFact& f, const OrderFact& g) {
   return g_prefix_of_f && !g.strict;
 }
 
-// Normalizes (dropping repeated columns, capping the key count) and
-// inserts `f` unless an existing fact already implies it; drops existing
-// facts the new one implies. Deterministic first-come eviction keeps the
-// set bounded.
-void AddOrderFact(std::vector<OrderFact>* facts, OrderFact f) {
+void AddOrderFact(std::vector<OrderFact>* facts, OrderFact f,
+                  size_t max_facts, size_t max_keys) {
   std::vector<SortKey> keys;
   for (const SortKey& k : f.keys) {
     bool dup = false;
@@ -899,8 +746,8 @@ void AddOrderFact(std::vector<OrderFact>* facts, OrderFact f) {
     }
     if (!dup) keys.push_back(k);
   }
-  if (keys.size() > kMaxOrderKeys) {
-    keys.resize(kMaxOrderKeys);
+  if (keys.size() > max_keys) {
+    keys.resize(max_keys);
     f.strict = false;  // strictness spoke about the full prefix
   }
   f.keys = std::move(keys);
@@ -913,11 +760,9 @@ void AddOrderFact(std::vector<OrderFact>* facts, OrderFact f) {
                                 return FactImplies(f, have);
                               }),
                facts->end());
-  if (facts->size() >= kMaxOrderFacts) return;
+  if (facts->size() >= max_facts) return;
   facts->push_back(std::move(f));
 }
-
-}  // namespace
 
 std::string OrderFact::ToString() const {
   std::string out = "<";
@@ -991,7 +836,9 @@ OrderFacts OrderAnalysis::Transfer(
   const Op& op = dag.op(id);
   auto child = [&](size_t i) -> const OrderFacts& { return *in[i]; };
   OrderFacts out;
-  auto add = [&](OrderFact f) { AddOrderFact(&out.facts, std::move(f)); };
+  auto add = [&](OrderFact f) {
+    AddOrderFact(&out.facts, std::move(f), kMaxOrderFacts, kMaxOrderKeys);
+  };
   // A child fact survives an op that keeps the surviving rows in their
   // relative order; keys the op's schema no longer carries truncate the
   // fact (losing strictness with them).
@@ -1100,40 +947,24 @@ OrderFacts OrderAnalysis::Transfer(
       // Monotone ⊕ maps transfer sortedness through the function: for a
       // fact sorted by [..., arg, ...], the image column sorts the same
       // way (order-isomorphic maps keep the tail and strictness; merely
-      // monotone ones truncate, since ties in the image hide order).
-      // All edges require a statically numeric argument: OrderCompare
-      // is type-class-major, so e.g. number("10") < number("9") while
-      // "10" < "9" — monotonicity only holds inside the numeric class.
-      if (op.args.size() == 1 &&
-          KindIsNumeric(sem->Get(op.children[0]).KindOf(op.args[0]))) {
-        enum class MapKind { kNone, kIso, kMono, kAnti };
-        MapKind map = MapKind::kNone;
-        switch (op.fun) {
-          case FunKind::kToDouble:
-            map = MapKind::kIso;  // numeric identity under OrderCompare
-            break;
-          case FunKind::kFloor:
-          case FunKind::kCeiling:
-          case FunKind::kRound:
-            map = MapKind::kMono;  // monotone, but collapses ties
-            break;
-          case FunKind::kNeg:
-            map = MapKind::kAnti;  // strictly antitone
-            break;
-          default:
-            break;
-        }
-        if (map != MapKind::kNone) {
-          ColId arg = op.args[0];
+      // monotone ones truncate, since ties in the image hide order). The
+      // map depends on the argument's kind (the function's signature):
+      // OrderCompare is type-class-major, so e.g. number("10") <
+      // number("9") while "10" < "9".
+      if (op.args.size() == 1) {
+        ColId arg = op.args[0];
+        OrderMap map = Signature(op.fun).OrderFor(
+            sem->Get(op.children[0]).KindOf(arg));
+        if (map != OrderMap::kNone) {
           for (const OrderFact& fact : child(0).facts) {
             for (size_t i = 0; i < fact.keys.size(); ++i) {
               if (fact.keys[i].col != arg) continue;
               OrderFact g = fact;
               g.keys[i].col = op.col;
-              if (map == MapKind::kAnti) {
+              if (map == OrderMap::kAnti) {
                 g.keys[i].descending = !g.keys[i].descending;
               }
-              if (map == MapKind::kMono) {
+              if (map == OrderMap::kMono) {
                 g.keys.resize(i + 1);
                 g.strict = false;
               }

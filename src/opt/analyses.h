@@ -115,6 +115,10 @@ struct CardAnalysis {
 
 using CardTracker = ForwardDataflow<CardAnalysis>;
 
+// Row-count arithmetic saturating at kUnboundedRows.
+uint64_t SatAdd(uint64_t a, uint64_t b);
+uint64_t SatMul(uint64_t a, uint64_t b);
+
 // ---------------------------------------------------------------------------
 // Key (duplicate-free) columns (forward).
 // ---------------------------------------------------------------------------
@@ -133,43 +137,10 @@ using KeyTracker = ForwardDataflow<KeyAnalysis>;
 // Semantic types (forward).
 // ---------------------------------------------------------------------------
 
-// Per-column item-kind lattice (semantic type-checking in the style of
-// Van den Bussche/Van Gucht/Vansummeren, specialized to the algebra's
-// value model):
-//
-//              kAny
-//          .---/ | \---.
-//   kNumeric kString kBool kNode
-//       |
-//     kInt
-//
-// An absent column is kAny. The kinds gate order reasoning: a ⊕ edge is
-// order-preserving only when its argument is statically numeric, because
-// OrderCompare ranks values type-class-major (all numbers before all
-// strings before all booleans before all nodes), which breaks
-// monotonicity on mixed inputs ("10" < "9" as strings). kUntyped values
-// compare in the string class and so carry kString here.
-enum class ItemKind : uint8_t { kInt, kNumeric, kString, kBool, kNode, kAny };
-
-const char* ItemKindName(ItemKind kind);
-// Least upper bound in the kind lattice.
-ItemKind KindJoin(ItemKind a, ItemKind b);
-// Every value of kind `a` is also of kind `b`.
-bool KindLe(ItemKind a, ItemKind b);
-inline bool KindIsNumeric(ItemKind k) {
-  return k == ItemKind::kInt || k == ItemKind::kNumeric;
-}
-// Whether every pair of values of kinds `a` and `b` that compares without
-// an error compares in one totally ordered class: int/int (exact),
-// numeric/string-class (the string-class side can only be untypedAtomic,
-// cast to double — a genuine string raises), string-class/string-class,
-// bool/bool. Mixed int/double pairs do not qualify: int/int compares
-// exactly but int/double through doubles, which is not transitive beyond
-// 2^53.
-bool OneComparisonClass(ItemKind a, ItemKind b);
-
-// The semantic-type fact: statically known per-column item kinds.
-// Duplicate-freeness is the key domain's (KeyAnalysis above).
+// The semantic-type fact: statically known per-column item kinds (the
+// ItemKind lattice of algebra/algebra.h; ⊕ and aggregate results follow
+// the functions' signature rows). Duplicate-freeness is the key domain's
+// (KeyAnalysis above).
 struct SemType {
   ColMap<ItemKind> kinds;  // absent = kAny
 
@@ -208,7 +179,7 @@ struct OrderFact {
 };
 
 // A conjunction of sortedness facts (all hold simultaneously), capped
-// and de-duplicated by implication (AddOrderFact in analyses.cc).
+// and de-duplicated by implication (AddOrderFact below).
 struct OrderFacts {
   std::vector<OrderFact> facts;
 
@@ -226,6 +197,23 @@ struct OrderAnalysis {
   Fact Transfer(const Dag& dag, OpId id,
                 const std::vector<const Fact*>& in) const;
 };
+
+// F logically implies G: rows sorted (and possibly duplicate-free) the
+// way F says are necessarily sorted the way G says.
+bool FactImplies(const OrderFact& f, const OrderFact& g);
+
+// The analysis keeps at most this many facts per operator, each of at
+// most this many sort keys.
+inline constexpr size_t kMaxOrderFacts = 6;
+inline constexpr size_t kMaxOrderKeys = 4;
+
+// Normalizes `f` (dropping repeated columns, truncating it to `max_keys`
+// keys) and inserts it unless a fact of `facts` already implies it;
+// drops the facts the new one implies. Past `max_facts` facts the new
+// one is dropped: deterministic first-come eviction keeps the set
+// bounded.
+void AddOrderFact(std::vector<OrderFact>* facts, OrderFact f,
+                  size_t max_facts, size_t max_keys);
 
 // True when rows carrying the given sortedness facts (with `constants`
 // tied on every row, `keys` duplicate-free, and `at_most_one` = the

@@ -15,100 +15,14 @@ void SaturateSingleRow(const Op& op, OpFacts* f) {
   }
 }
 
-// Deliberately local saturating arithmetic (not shared with
-// opt/analyses.cc): the whole point of the fact base is that it is
-// derived independently of the implementation it audits.
-uint64_t BoundAdd(uint64_t a, uint64_t b) {
-  if (a == kUnboundedRows || b == kUnboundedRows) return kUnboundedRows;
-  uint64_t s = a + b;
-  return s < a ? kUnboundedRows : s;
-}
-
-uint64_t BoundMul(uint64_t a, uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a == kUnboundedRows || b == kUnboundedRows) return kUnboundedRows;
-  if (a > kUnboundedRows / b) return kUnboundedRows;
-  return a * b;
-}
-
 // ---------------------------------------------------------------------------
-// Semantic kinds and sorted-prefix facts: independent re-derivations of
-// the two static-analysis domains behind the order-dependency trade.
+// Semantic kinds and sorted-prefix facts: the audit's own transfer rules
+// for the two static-analysis domains behind the order-dependency trade.
+// Transfer rules stay independent; definitions are shared and tested
+// against the engine: the rules below read the function signatures
+// (algebra/algebra.h) and the order-fact algebra and saturating row
+// arithmetic of opt/analyses.h, the same code the analyses call.
 // ---------------------------------------------------------------------------
-
-ItemKind LitValueKind(const Value& v) {
-  switch (v.kind) {
-    case ValueKind::kInt:
-      return ItemKind::kInt;
-    case ValueKind::kDouble:
-      return ItemKind::kNumeric;
-    case ValueKind::kString:
-    case ValueKind::kUntyped:  // untypedAtomic compares in the string class
-      return ItemKind::kString;
-    case ValueKind::kBool:
-      return ItemKind::kBool;
-    case ValueKind::kNode:
-      return ItemKind::kNode;
-    default:
-      break;  // no other kind is a query value
-  }
-  return ItemKind::kAny;
-}
-
-ItemKind FunResultKind(FunKind fun, ItemKind arg0) {
-  switch (fun) {
-    // Integer results.
-    case FunKind::kIDiv:
-    case FunKind::kStringLength:
-      return ItemKind::kInt;
-    // Numeric results (possibly fractional).
-    case FunKind::kAdd:
-    case FunKind::kSub:
-    case FunKind::kMul:
-    case FunKind::kDiv:
-    case FunKind::kMod:
-    case FunKind::kNeg:
-    case FunKind::kToDouble:
-    case FunKind::kAbs:
-    case FunKind::kFloor:
-    case FunKind::kCeiling:
-    case FunKind::kRound:
-      return ItemKind::kNumeric;
-    // Boolean results.
-    case FunKind::kEq:
-    case FunKind::kNe:
-    case FunKind::kLt:
-    case FunKind::kLe:
-    case FunKind::kGt:
-    case FunKind::kGe:
-    case FunKind::kNodeBefore:
-    case FunKind::kNodeAfter:
-    case FunKind::kNodeIs:
-    case FunKind::kAnd:
-    case FunKind::kOr:
-    case FunKind::kNot:
-    case FunKind::kContains:
-    case FunKind::kStartsWith:
-    case FunKind::kEndsWith:
-      return ItemKind::kBool;
-    // String results.
-    case FunKind::kToString:
-    case FunKind::kConcat:
-    case FunKind::kUpperCase:
-    case FunKind::kLowerCase:
-    case FunKind::kNormalizeSpace:
-    case FunKind::kSubstring2:
-    case FunKind::kSubstring3:
-    case FunKind::kNodeName:
-      return ItemKind::kString;
-    case FunKind::kAtomize:
-      // Atomics pass through; nodes atomize to untypedAtomic (string
-      // class).
-      if (arg0 == ItemKind::kNode) return ItemKind::kString;
-      return arg0;
-  }
-  return ItemKind::kAny;
-}
 
 void DeriveKinds(const Dag& dag, OpId id,
                  const std::vector<const OpFacts*>& in, OpFacts* out) {
@@ -126,9 +40,9 @@ void DeriveKinds(const Dag& dag, OpId id,
     case OpKind::kLit:
       for (size_t i = 0; i < op.lit.cols.size(); ++i) {
         if (op.lit.rows.empty()) continue;
-        ItemKind k = LitValueKind(op.lit.rows[0][i]);
+        ItemKind k = KindOfValue(op.lit.rows[0][i]);
         for (size_t r = 1; r < op.lit.rows.size(); ++r) {
-          k = KindJoin(k, LitValueKind(op.lit.rows[r][i]));
+          k = KindJoin(k, KindOfValue(op.lit.rows[r][i]));
         }
         put(op.lit.cols[i], k);
       }
@@ -151,36 +65,14 @@ void DeriveKinds(const Dag& dag, OpId id,
     case OpKind::kFun:
       inherit(child(0));
       out->kinds.erase(op.col);
-      put(op.col, FunResultKind(
-                      op.fun, op.args.empty() ? ItemKind::kAny
-                                              : KindAt(child(0), op.args[0])));
+      put(op.col, Signature(op.fun).ResultFor(
+                      op.args.empty() ? ItemKind::kAny
+                                      : KindAt(child(0), op.args[0])));
       break;
-    case OpKind::kAggr: {
+    case OpKind::kAggr:
       if (op.part != kNoCol) put(op.part, KindAt(child(0), op.part));
-      ItemKind k = ItemKind::kAny;
-      switch (op.aggr) {
-        case AggrKind::kCount:
-          k = ItemKind::kInt;
-          break;
-        case AggrKind::kSum:
-        case AggrKind::kAvg:
-          k = ItemKind::kNumeric;
-          break;
-        case AggrKind::kMin:
-        case AggrKind::kMax:
-          k = KindAt(child(0), op.col2);
-          if (k == ItemKind::kNode) k = ItemKind::kAny;  // atomizes first
-          break;
-        case AggrKind::kEbv:
-          k = ItemKind::kBool;
-          break;
-        case AggrKind::kStrJoin:
-          k = ItemKind::kString;
-          break;
-      }
-      put(op.col, k);
+      put(op.col, Signature(op.aggr).ResultFor(KindAt(child(0), op.col2)));
       break;
-    }
     case OpKind::kThetaCount:
       put(op.part, KindAt(child(ThetaCountGroupSide(dag, op)), op.part));
       out->kinds[op.col] = ItemKind::kInt;
@@ -222,42 +114,21 @@ void DeriveKinds(const Dag& dag, OpId id,
   }
 }
 
-// The audit's fact caps are wider than the analysis's (6 facts of 4
-// keys): subsumption only ever replaces a fact with a stronger one, so a
-// wider derived set can never lose a claim the tracker retained.
+// The audit's fact caps are wider than the analysis's (kMaxOrderFacts,
+// kMaxOrderKeys): subsumption only ever replaces a fact with a stronger
+// one, so a wider derived set can never lose a claim the tracker
+// retained.
 constexpr size_t kAuditMaxSortedFacts = 12;
 constexpr size_t kAuditMaxSortedKeys = 6;
-
-void AddSorted(std::vector<OrderFact>* sorted, OrderFact f) {
-  std::vector<SortKey> keys;
-  for (const SortKey& k : f.keys) {
-    bool dup = false;
-    for (const SortKey& seen : keys) dup |= seen.col == k.col;
-    if (!dup) keys.push_back(k);
-  }
-  if (keys.size() > kAuditMaxSortedKeys) {
-    keys.resize(kAuditMaxSortedKeys);
-    f.strict = false;
-  }
-  f.keys = std::move(keys);
-  if (f.keys.empty()) return;
-  for (const OrderFact& have : *sorted) {
-    if (SortedImplies(have, f)) return;
-  }
-  sorted->erase(std::remove_if(sorted->begin(), sorted->end(),
-                               [&](const OrderFact& have) {
-                                 return SortedImplies(f, have);
-                               }),
-                sorted->end());
-  if (sorted->size() >= kAuditMaxSortedFacts) return;
-  sorted->push_back(std::move(f));
-}
 
 void DeriveSorted(const Dag& dag, OpId id,
                   const std::vector<const OpFacts*>& in, OpFacts* out) {
   const Op& op = dag.op(id);
   auto child = [&](size_t i) -> const OpFacts& { return *in[i]; };
-  auto add = [&](OrderFact f) { AddSorted(&out->sorted, std::move(f)); };
+  auto add = [&](OrderFact f) {
+    AddOrderFact(&out->sorted, std::move(f), kAuditMaxSortedFacts,
+                 kAuditMaxSortedKeys);
+  };
   // Order-preserving ops keep child facts, truncated at the first key
   // the schema no longer carries (truncation loses strictness).
   auto inherit = [&](const OpFacts& f) {
@@ -344,23 +215,21 @@ void DeriveSorted(const Dag& dag, OpId id,
       break;
     case OpKind::kFun:
       inherit(child(0));
-      // Monotone single-argument maps over statically numeric input
-      // (OrderCompare is type-class-major: monotonicity only holds
-      // inside the numeric class).
-      if (op.args.size() == 1 &&
-          KindIsNumeric(KindAt(child(0), op.args[0]))) {
-        bool iso = op.fun == FunKind::kToDouble;
-        bool mono = op.fun == FunKind::kFloor ||
-                    op.fun == FunKind::kCeiling || op.fun == FunKind::kRound;
-        bool anti = op.fun == FunKind::kNeg;
-        if (iso || mono || anti) {
+      // Single-argument maps, as the function's signature classes them
+      // for the argument's kind.
+      if (op.args.size() == 1) {
+        OrderMap map =
+            Signature(op.fun).OrderFor(KindAt(child(0), op.args[0]));
+        if (map != OrderMap::kNone) {
           for (const OrderFact& fact : child(0).sorted) {
             for (size_t i = 0; i < fact.keys.size(); ++i) {
               if (fact.keys[i].col != op.args[0]) continue;
               OrderFact g = fact;
               g.keys[i].col = op.col;
-              if (anti) g.keys[i].descending = !g.keys[i].descending;
-              if (mono) {
+              if (map == OrderMap::kAnti) {
+                g.keys[i].descending = !g.keys[i].descending;
+              }
+              if (map == OrderMap::kMono) {
                 g.keys.resize(i + 1);  // ties in the image hide order
                 g.strict = false;
               }
@@ -565,55 +434,9 @@ ItemKind KindAt(const OpFacts& f, ColId c) {
   return it == f.kinds.end() ? ItemKind::kAny : it->second;
 }
 
-bool SortedImplies(const OrderFact& f, const OrderFact& g) {
-  bool f_prefix =
-      f.keys.size() <= g.keys.size() &&
-      std::equal(f.keys.begin(), f.keys.end(), g.keys.begin());
-  if (f_prefix && f.strict) return true;  // no ties: any extension holds
-  bool g_prefix =
-      g.keys.size() <= f.keys.size() &&
-      std::equal(g.keys.begin(), g.keys.end(), f.keys.begin());
-  return g_prefix && !g.strict;  // longer sort implies its prefixes
-}
-
 bool SortedCovers(const OpFacts& f, const std::vector<SortKey>& requested) {
-  if (f.at_most_one_row) return true;
-  std::vector<SortKey> want;
-  for (const SortKey& k : requested) {
-    if (f.constant.count(k.col) == 0) want.push_back(k);
-  }
-  if (want.empty()) return true;
-  for (const OrderFact& fact : f.sorted) {
-    size_t qi = 0;
-    size_t fi = 0;
-    bool covered = false;
-    while (true) {
-      if (qi == want.size()) {
-        covered = true;
-        break;
-      }
-      while (fi < fact.keys.size() &&
-             f.constant.count(fact.keys[fi].col) != 0) {
-        ++fi;
-      }
-      if (fi == fact.keys.size()) {
-        covered = fact.strict;
-        break;
-      }
-      if (fact.keys[fi].col != want[qi].col ||
-          fact.keys[fi].descending != want[qi].descending) {
-        break;
-      }
-      if (f.keys.count(want[qi].col) != 0) {
-        covered = true;  // duplicate-free: later criteria never fire
-        break;
-      }
-      ++qi;
-      ++fi;
-    }
-    if (covered) return true;
-  }
-  return false;
+  return OrderImplied(f.sorted, f.constant, f.keys, f.at_most_one_row,
+                      requested);
 }
 
 namespace {
@@ -702,11 +525,11 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
       const OpFacts& l = child(0);
       const OpFacts& r = child(1);
       if (op.kind == OpKind::kCross) {
-        out.min_rows = BoundMul(l.min_rows, r.min_rows);
+        out.min_rows = SatMul(l.min_rows, r.min_rows);
       } else {
         out.min_rows = 0;
       }
-      out.max_rows = BoundMul(l.max_rows, r.max_rows);
+      out.max_rows = SatMul(l.max_rows, r.max_rows);
       inherit(l, /*keep_keys=*/false);
       inherit(r, /*keep_keys=*/false);
       // A side's keys survive when each of its rows appears at most once:
@@ -731,8 +554,8 @@ OpFacts DeriveOpFacts(const Dag& dag, OpId id,
     case OpKind::kUnion: {
       const OpFacts& l = child(0);
       const OpFacts& r = child(1);
-      out.min_rows = BoundAdd(l.min_rows, r.min_rows);
-      out.max_rows = BoundAdd(l.max_rows, r.max_rows);
+      out.min_rows = SatAdd(l.min_rows, r.min_rows);
+      out.max_rows = SatAdd(l.max_rows, r.max_rows);
       if (l.no_rows) {
         inherit(r, /*keep_keys=*/true);
       } else if (r.no_rows) {

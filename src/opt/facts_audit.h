@@ -1,13 +1,21 @@
 // Independent fact re-derivation, shared by the plan verifier
 // (opt/verify.h) and the rewrite-certificate checker (opt/certify.h).
 //
-// Everything in this module deliberately re-implements the transfer
-// rules of the optimizer's dataflow analyses (opt/analyses.h) instead of
-// sharing code with them: the audits built on top are only worth running
-// against a second, independent derivation. All derived sets are sound
-// under-approximations (a column listed as constant *is* constant in
-// every model), so an audit failure always means the *claim* was too
-// strong, never that the fact base was too weak to matter.
+// Transfer rules stay independent; definitions are shared and tested
+// against the engine. Every per-operator transfer rule here deliberately
+// re-implements the one of the optimizer's dataflow analyses
+// (opt/analyses.h): the audits built on top are only worth running
+// against a second, independent derivation of how facts flow through
+// the plan. What a function returns and how it maps order (the
+// signature tables of algebra/algebra.h), when one sortedness fact
+// implies another (FactImplies, AddOrderFact, OrderImplied) and
+// saturating row-count arithmetic are definitions, not transfer rules:
+// both sides call the same code, and tests/test_signatures.cc checks it
+// against the engine and against brute force, which a second copy
+// could not. All derived sets are sound under-approximations (a column
+// listed as constant *is* constant in every model), so an audit failure
+// always means the *claim* was too strong, never that the fact base was
+// too weak to matter.
 #ifndef EXRQUY_OPT_FACTS_AUDIT_H_
 #define EXRQUY_OPT_FACTS_AUDIT_H_
 
@@ -43,9 +51,6 @@ struct OpFacts {
 
 // The derived kind of one column (kAny when nothing is known).
 ItemKind KindAt(const OpFacts& f, ColId c);
-
-// F logically implies G (sorted F's way forces sorted G's way).
-bool SortedImplies(const OrderFact& f, const OrderFact& g);
 
 // Whether the derived facts force `requested` to be realized already
 // (the order-dependency trade's licensing condition).

@@ -141,30 +141,6 @@ Status CheckStructure(const Dag& dag, OpId root, std::vector<OpId>* order) {
 // (2) Schema: column references, duplicates, arities, re-derivation.
 // ---------------------------------------------------------------------------
 
-size_t FunArity(FunKind fun) {
-  switch (fun) {
-    case FunKind::kNeg:
-    case FunKind::kNot:
-    case FunKind::kAtomize:
-    case FunKind::kToDouble:
-    case FunKind::kToString:
-    case FunKind::kStringLength:
-    case FunKind::kUpperCase:
-    case FunKind::kLowerCase:
-    case FunKind::kNormalizeSpace:
-    case FunKind::kAbs:
-    case FunKind::kFloor:
-    case FunKind::kCeiling:
-    case FunKind::kRound:
-    case FunKind::kNodeName:
-      return 1;
-    case FunKind::kSubstring3:
-      return 3;
-    default:
-      return 2;  // arithmetic, comparisons, connectives, binary strings
-  }
-}
-
 class SchemaChecker {
  public:
   explicit SchemaChecker(const Dag& dag) : dag_(dag) {}
@@ -343,10 +319,11 @@ class SchemaChecker {
         out->push_back(op.col);
         return Status::Ok();
       case OpKind::kFun: {
-        if (op.args.size() != FunArity(op.fun)) {
+        const FunSig& sig = Signature(op.fun);
+        if (op.args.size() != sig.arity) {
           return Fail(dag_, id_, "fun-arity",
-                      std::string(FunKindName(op.fun)) + " takes " +
-                          std::to_string(FunArity(op.fun)) +
+                      std::string(sig.name) + " takes " +
+                          std::to_string(sig.arity) +
                           " argument(s), found " +
                           std::to_string(op.args.size()));
         }
@@ -548,7 +525,7 @@ Status CheckOrderClaims(const Dag& dag, OpId id, const OrderFacts& claimed,
     if (derived.at_most_one_row) continue;  // one row is sorted every way
     bool implied = false;
     for (const OrderFact& g : derived.sorted) {
-      if (SortedImplies(g, f)) {
+      if (FactImplies(g, f)) {
         implied = true;
         break;
       }
@@ -628,10 +605,7 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
       if (value_equi) {
         ItemKind lk = KindAt(audit.Get(op.children[0]), op.col);
         ItemKind rk = KindAt(audit.Get(op.children[1]), op.col2);
-        bool safe = lk == rk && (lk == ItemKind::kInt ||
-                                 lk == ItemKind::kString ||
-                                 lk == ItemKind::kBool);
-        if (!safe) {
+        if (lk != rk || !OneComparisonClass(lk, rk)) {
           return Fail(dag, id, "join-isolation-claim",
                       "hash equality over kinds '" +
                           std::string(ItemKindName(lk)) + "'/'" +

@@ -15,10 +15,13 @@ namespace exrquy {
 namespace {
 
 // fn:round's half-up rule (toward positive infinity), exact on every
-// double: the distance to the floor is computed without rounding.
+// double: the distance to the floor is computed without rounding. A
+// negative argument that rounds to zero gives negative zero (F&O 3.1,
+// 4.4.4).
 double RoundHalf(double x) {
   double down = std::floor(x);
-  return x - down < 0.5 ? down : down + 1;
+  double r = x - down < 0.5 ? down : down + 1;
+  return r == 0 && x < 0 ? -0.0 : r;
 }
 
 }  // namespace
@@ -748,34 +751,42 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
       EXRQUY_ASSIGN_OR_RETURN(Value d, ops_.ToDouble(acc));
       return Sequence{Value::Double(d.d / static_cast<double>(s.size()))};
     }
-    // max / min with the engine's untyped-numeric behaviour.
-    bool numeric = true;
+    // fn:max / fn:min (F&O 3.1, 14.4.3-4): untypedAtomic values are cast
+    // to xs:double — kept as strings when one of them does not parse, as
+    // the engine does for the order by keys that share its aggregate —
+    // and the result is a value V that no other value W beats, W gt V
+    // (lt for min): integers compare exactly, values the gt operator
+    // cannot compare raise, a NaN is the result, and a double in the
+    // sequence promotes an integer result.
+    bool cast_untyped = true;
     for (const Value& v : s) {
-      if (!ops_.ToDouble(ops_.Atomize(v)).ok()) {
-        numeric = false;
-        break;
+      Value a = ops_.Atomize(v);
+      if (a.kind == ValueKind::kUntyped && !ops_.ToDouble(a).ok()) {
+        cast_untyped = false;
       }
     }
-    bool want_max = name == "max";
-    bool first = true;
+    auto nan = [](const Value& x) {
+      return x.kind == ValueKind::kDouble && std::isnan(x.d);
+    };
+    FunKind better = name == "max" ? FunKind::kGt : FunKind::kLt;
+    bool any_double = false;
     Value best;
-    for (const Value& v : s) {
-      Value cand = ops_.Atomize(v);
-      if (numeric) {
+    for (size_t i = 0; i < s.size(); ++i) {
+      Value cand = ops_.Atomize(s[i]);
+      if (cand.kind == ValueKind::kUntyped && cast_untyped) {
         EXRQUY_ASSIGN_OR_RETURN(cand, ops_.ToDouble(cand));
       }
-      if (first) {
+      any_double |= cand.kind == ValueKind::kDouble;
+      if (i == 0) {
         best = cand;
-        first = false;
         continue;
       }
-      // fn:max and fn:min return NaN when any value is NaN.
-      auto nan = [](const Value& x) {
-        return x.kind == ValueKind::kDouble && std::isnan(x.d);
-      };
+      EXRQUY_ASSIGN_OR_RETURN(Value wins, ops_.Compare(better, cand, best));
       if (nan(best)) continue;
-      int c = ops_.OrderCompare(cand, best);
-      if (nan(cand) || (want_max ? c > 0 : c < 0)) best = cand;
+      if (nan(cand) || wins.b) best = cand;
+    }
+    if (any_double && best.kind == ValueKind::kInt) {
+      best = Value::Double(static_cast<double>(best.i));
     }
     return Sequence{best};
   }

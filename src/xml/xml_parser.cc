@@ -51,6 +51,13 @@ void AppendUtf8(long cp, std::string* out) {
   }
 }
 
+Status ErrorAt(std::string message, size_t offset) {
+  message += " (offset ";
+  message += std::to_string(offset);
+  message += ")";
+  return InvalidArgument(std::move(message));
+}
+
 class Parser {
  public:
   Parser(NodeStore* store, std::string_view text,
@@ -71,13 +78,6 @@ class Parser {
 
  private:
   Status Error(std::string message) { return ErrorAt(std::move(message), pos_); }
-
-  Status ErrorAt(std::string message, size_t offset) {
-    message += " (offset ";
-    message += std::to_string(offset);
-    message += ")";
-    return InvalidArgument(std::move(message));
-  }
 
   bool AtEnd() const { return pos_ >= text_.size(); }
   char Peek() const { return text_[pos_]; }
@@ -124,61 +124,6 @@ class Parser {
     size_t start = pos_;
     while (!AtEnd() && IsNameChar(Peek())) ++pos_;
     return text_.substr(start, pos_ - start);
-  }
-
-  // Decodes the five predefined entities and numeric character
-  // references (decimal and hex), emitting UTF-8. Malformed references —
-  // a bare '&', an unknown entity name, a charref that is empty, has
-  // trailing garbage, or names a code point outside the XML Char
-  // production — are rejected, per the well-formedness rules.
-  // `base_offset` is the document offset of raw[0], for diagnostics.
-  Result<std::string> DecodeText(std::string_view raw, size_t base_offset) {
-    std::string out;
-    out.reserve(raw.size());
-    for (size_t i = 0; i < raw.size();) {
-      if (raw[i] != '&') {
-        out += raw[i++];
-        continue;
-      }
-      size_t semi = raw.find(';', i);
-      if (semi == std::string_view::npos) {
-        return ErrorAt("'&' must start an entity or character reference",
-                       base_offset + i);
-      }
-      std::string_view ent = raw.substr(i + 1, semi - i - 1);
-      if (ent == "lt") {
-        out += '<';
-      } else if (ent == "gt") {
-        out += '>';
-      } else if (ent == "amp") {
-        out += '&';
-      } else if (ent == "quot") {
-        out += '"';
-      } else if (ent == "apos") {
-        out += '\'';
-      } else if (!ent.empty() && ent[0] == '#') {
-        bool hex = ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X');
-        std::string digits(ent.substr(hex ? 2 : 1));
-        if (digits.empty()) {
-          return ErrorAt("empty character reference", base_offset + i);
-        }
-        errno = 0;
-        char* end = nullptr;
-        long code = std::strtol(digits.c_str(), &end, hex ? 16 : 10);
-        if (errno == ERANGE || end != digits.c_str() + digits.size() ||
-            !IsXmlChar(code)) {
-          return ErrorAt("invalid character reference &" + std::string(ent) +
-                             ";",
-                         base_offset + i);
-        }
-        AppendUtf8(code, &out);
-      } else {
-        return ErrorAt("unknown entity &" + std::string(ent) + ";",
-                       base_offset + i);
-      }
-      i = semi + 1;
-    }
-    return out;
   }
 
   Status ParseElement() {
@@ -283,6 +228,55 @@ class Parser {
 Result<NodeIdx> ParseXml(NodeStore* store, std::string_view text,
                          const XmlParseOptions& options) {
   return Parser(store, text, options).Run();
+}
+
+Result<std::string> DecodeText(std::string_view raw, size_t base_offset) {
+  std::string out;
+  out.reserve(raw.size());
+  for (size_t i = 0; i < raw.size();) {
+    if (raw[i] != '&') {
+      out += raw[i++];
+      continue;
+    }
+    size_t semi = raw.find(';', i);
+    if (semi == std::string_view::npos) {
+      return ErrorAt("'&' must start an entity or character reference",
+                     base_offset + i);
+    }
+    std::string_view ent = raw.substr(i + 1, semi - i - 1);
+    if (ent == "lt") {
+      out += '<';
+    } else if (ent == "gt") {
+      out += '>';
+    } else if (ent == "amp") {
+      out += '&';
+    } else if (ent == "quot") {
+      out += '"';
+    } else if (ent == "apos") {
+      out += '\'';
+    } else if (!ent.empty() && ent[0] == '#') {
+      bool hex = ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X');
+      std::string digits(ent.substr(hex ? 2 : 1));
+      if (digits.empty()) {
+        return ErrorAt("empty character reference", base_offset + i);
+      }
+      errno = 0;
+      char* end = nullptr;
+      long code = std::strtol(digits.c_str(), &end, hex ? 16 : 10);
+      if (errno == ERANGE || end != digits.c_str() + digits.size() ||
+          !IsXmlChar(code)) {
+        return ErrorAt("invalid character reference &" + std::string(ent) +
+                           ";",
+                       base_offset + i);
+      }
+      AppendUtf8(code, &out);
+    } else {
+      return ErrorAt("unknown entity &" + std::string(ent) + ";",
+                     base_offset + i);
+    }
+    i = semi + 1;
+  }
+  return out;
 }
 
 }  // namespace exrquy

@@ -4,6 +4,7 @@
 #ifndef EXRQUY_XML_XML_PARSER_H_
 #define EXRQUY_XML_XML_PARSER_H_
 
+#include <string>
 #include <string_view>
 
 #include "common/status.h"
@@ -29,6 +30,15 @@ struct XmlParseOptions {
 // but not name-indexed; callers decide whether to IndexFragment it.
 Result<NodeIdx> ParseXml(NodeStore* store, std::string_view text,
                          const XmlParseOptions& options = {});
+
+// Decodes the five predefined entities and numeric character references
+// (decimal and hex) of XML text, emitting UTF-8. Malformed references —
+// a bare '&', an unknown entity name, a charref that is empty, has
+// trailing garbage, or names a code point outside the XML Char
+// production — are rejected, per the well-formedness rules; XQuery
+// string literals and constructor text follow the same rules.
+// `base_offset` is the source offset of raw[0], for diagnostics.
+Result<std::string> DecodeText(std::string_view raw, size_t base_offset);
 
 }  // namespace exrquy
 

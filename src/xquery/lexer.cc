@@ -5,35 +5,9 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "xml/xml_parser.h"
+
 namespace exrquy {
-
-namespace {
-
-// Appends `cp` UTF-8 encoded; false for values outside Unicode or in the
-// surrogate gap.
-bool AppendUtf8(long cp, std::string* out) {
-  if (cp <= 0 || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
-    return false;
-  }
-  if (cp < 0x80) {
-    *out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    *out += static_cast<char>(0xC0 | (cp >> 6));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else if (cp < 0x10000) {
-    *out += static_cast<char>(0xE0 | (cp >> 12));
-    *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else {
-    *out += static_cast<char>(0xF0 | (cp >> 18));
-    *out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-    *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  }
-  return true;
-}
-
-}  // namespace
 
 bool IsNcNameStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
@@ -42,48 +16,6 @@ bool IsNcNameStart(char c) {
 bool IsNcNameChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
          c == '-' || c == '.';
-}
-
-std::string DecodeEntities(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (size_t i = 0; i < raw.size();) {
-    if (raw[i] != '&') {
-      out += raw[i++];
-      continue;
-    }
-    size_t semi = raw.find(';', i);
-    if (semi == std::string_view::npos) {
-      out += raw[i++];
-      continue;
-    }
-    std::string_view ent = raw.substr(i + 1, semi - i - 1);
-    if (ent == "lt") {
-      out += '<';
-    } else if (ent == "gt") {
-      out += '>';
-    } else if (ent == "amp") {
-      out += '&';
-    } else if (ent == "quot") {
-      out += '"';
-    } else if (ent == "apos") {
-      out += '\'';
-    } else if (!ent.empty() && ent[0] == '#') {
-      long code;
-      if (ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X')) {
-        code = std::strtol(std::string(ent.substr(2)).c_str(), nullptr, 16);
-      } else {
-        code = std::strtol(std::string(ent.substr(1)).c_str(), nullptr, 10);
-      }
-      if (!AppendUtf8(code, &out)) out += '?';
-    } else {
-      out += '&';
-      out += ent;
-      out += ';';
-    }
-    i = semi + 1;
-  }
-  return out;
 }
 
 Lexer::Lexer(std::string_view text) : text_(text) {}
@@ -231,7 +163,7 @@ Status Lexer::Advance() {
   // String literals.
   if (c == '"' || c == '\'') {
     char quote = c;
-    ++pos_;
+    size_t start = ++pos_;
     std::string raw;
     for (;;) {
       if (pos_ >= text_.size()) return Error("unterminated string literal");
@@ -247,7 +179,7 @@ Status Lexer::Advance() {
       raw += text_[pos_++];
     }
     cur_.kind = TokKind::kString;
-    cur_.text = DecodeEntities(raw);
+    EXRQUY_ASSIGN_OR_RETURN(cur_.text, DecodeText(raw, start));
     return Status::Ok();
   }
 

@@ -86,10 +86,6 @@ class Lexer {
 bool IsNcNameStart(char c);
 bool IsNcNameChar(char c);
 
-// Decodes predefined entity and character references in XQuery string
-// literals and constructor content.
-std::string DecodeEntities(std::string_view raw);
-
 }  // namespace exrquy
 
 #endif  // EXRQUY_XQUERY_LEXER_H_

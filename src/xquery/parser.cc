@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "common/check.h"
+#include "xml/xml_parser.h"
 #include "xquery/lexer.h"
 
 namespace exrquy {
@@ -908,13 +909,15 @@ class Parser {
     (void)element_content;
     std::string_view text = lexer_.text();
     std::string pending;
-    auto flush = [&] {
+    auto flush = [&]() -> Status {
       if (!pending.empty()) {
         CtorPart part;
-        part.text = DecodeEntities(pending);
+        EXRQUY_ASSIGN_OR_RETURN(part.text,
+                                DecodeText(pending, p - pending.size()));
         parts->push_back(std::move(part));
         pending.clear();
       }
+      return Status::Ok();
     };
     for (;;) {
       if (p >= text.size()) {
@@ -922,7 +925,7 @@ class Parser {
       }
       char c = text[p];
       if (c == quote) {
-        flush();
+        EXRQUY_RETURN_IF_ERROR(flush());
         return p;
       }
       if (c == '{') {
@@ -931,7 +934,7 @@ class Parser {
           p += 2;
           continue;
         }
-        flush();
+        EXRQUY_RETURN_IF_ERROR(flush());
         EXRQUY_ASSIGN_OR_RETURN(p, ParseEnclosedExpr(p, parts));
         continue;
       }
@@ -954,15 +957,17 @@ class Parser {
                                   std::vector<CtorPart>* parts) {
     std::string_view text = lexer_.text();
     std::string pending;
-    auto flush = [&] {
+    auto flush = [&]() -> Status {
       // Boundary whitespace is stripped (XQuery's default boundary-space
       // policy); interior text is preserved.
       if (!pending.empty() && !IsAllWhitespace(pending)) {
         CtorPart part;
-        part.text = DecodeEntities(pending);
+        EXRQUY_ASSIGN_OR_RETURN(part.text,
+                                DecodeText(pending, p - pending.size()));
         parts->push_back(std::move(part));
       }
       pending.clear();
+      return Status::Ok();
     };
     for (;;) {
       if (p >= text.size()) {
@@ -971,7 +976,7 @@ class Parser {
       char c = text[p];
       if (c == '<') {
         if (p + 1 < text.size() && text[p + 1] == '/') {
-          flush();
+          EXRQUY_RETURN_IF_ERROR(flush());
           p += 2;
           size_t s = p;
           while (p < text.size() &&
@@ -1001,7 +1006,7 @@ class Parser {
           p = end + 3;
           continue;
         }
-        flush();
+        EXRQUY_RETURN_IF_ERROR(flush());
         EXRQUY_ASSIGN_OR_RETURN(CtorResult nested, ParseCtorAt(p));
         CtorPart part;
         part.expr = std::move(nested.expr);
@@ -1015,7 +1020,7 @@ class Parser {
           p += 2;
           continue;
         }
-        flush();
+        EXRQUY_RETURN_IF_ERROR(flush());
         EXRQUY_ASSIGN_OR_RETURN(p, ParseEnclosedExpr(p, parts));
         continue;
       }

@@ -9,7 +9,8 @@
 //  2. plan-level golden tests: with the fact-driven rewrites disabled,
 //     the optimizer built on the framework must reproduce the committed
 //     pre-framework plans byte for byte, for all 20 XMark queries in
-//     both ordering modes (tests/corpus/plans);
+//     both ordering modes (tests/corpus/plans), and the plans of the
+//     default configuration must match their committed digests;
 //  3. dynamic validation: the key and cardinality facts claimed for the
 //     optimized XMark plans are checked against actual evaluation —
 //     claimed key columns must be duplicate-free in the materialized
@@ -344,6 +345,34 @@ TEST_F(DataflowXMarkTest, GoldenPlansByteIdenticalToLegacy) {
           << ": optimized plan drifted from " << path;
     }
   }
+}
+
+// The plans the default options reach — every rewrite family on — are
+// pinned by digest (tests/corpus/plans/defaults.digests, written by
+// tools/dump_plans next to the fact-off goldens): a change to any fact or
+// rewrite that alters a production plan shows here.
+TEST_F(DataflowXMarkTest, DefaultPlansMatchCommittedDigests) {
+  std::string digests;
+  for (const XMarkQuery& q : XMarkQueries()) {
+    for (bool unordered : {false, true}) {
+      Result<QueryPlans> p =
+          session_->Plan(q.text, unordered ? Unordered() : Ordered());
+      ASSERT_TRUE(p.ok()) << q.name << ": " << p.status().ToString();
+      digests += q.name + (unordered ? "_unordered " : "_ordered ") +
+                 PlanDigest(PlanToText(*p->dag, p->optimized,
+                                       session_->strings())) +
+                 "\n";
+    }
+  }
+  std::string path =
+      std::string(EXRQUY_TEST_CORPUS_DIR) + "/plans/defaults.digests";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(digests, golden.str())
+      << "a default-configuration plan drifted from " << path
+      << " (regenerate with tools/dump_plans if deliberate)";
 }
 
 // One PlanQuery shares one analysis cache between both verifications

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "xml/xml_parser.h"
 #include "xquery/lexer.h"
 
 namespace exrquy {
@@ -129,22 +131,43 @@ TEST(LexerTest, OffsetsAndReset) {
   EXPECT_EQ(lexer.Cur().text, "ab");
 }
 
+// String literals and constructor text share the XML parser's decoder.
+std::string Decoded(std::string_view raw) {
+  Result<std::string> r = DecodeText(raw, 0);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? *r : "";
+}
+
 TEST(LexerTest, DecodeEntitiesHelper) {
-  EXPECT_EQ(DecodeEntities("a&lt;b&gt;c&amp;&quot;&apos;"), "a<b>c&\"'");
-  EXPECT_EQ(DecodeEntities("&#65;&#x42;"), "AB");
-  EXPECT_EQ(DecodeEntities("no entities"), "no entities");
-  EXPECT_EQ(DecodeEntities("&unknown;"), "&unknown;");
+  EXPECT_EQ(Decoded("a&lt;b&gt;c&amp;&quot;&apos;"), "a<b>c&\"'");
+  EXPECT_EQ(Decoded("&#65;&#x42;"), "AB");
+  EXPECT_EQ(Decoded("no entities"), "no entities");
+  // An unknown entity is a static error, not text.
+  EXPECT_FALSE(DecodeText("&unknown;", 0).ok());
 }
 
 TEST(LexerTest, DecodeEntitiesMultiByteCharRefs) {
   // U+00E9, U+263A, U+10348 as proper 2-/3-/4-byte UTF-8, not a
   // truncated single byte.
-  EXPECT_EQ(DecodeEntities("&#xE9;"), "\xC3\xA9");
-  EXPECT_EQ(DecodeEntities("&#x263A;"), "\xE2\x98\xBA");
-  EXPECT_EQ(DecodeEntities("&#x10348;"), "\xF0\x90\x8D\x88");
-  // Out-of-range / surrogate code points have no UTF-8 form.
-  EXPECT_EQ(DecodeEntities("&#x110000;"), "?");
-  EXPECT_EQ(DecodeEntities("&#xD800;"), "?");
+  EXPECT_EQ(Decoded("&#xE9;"), "\xC3\xA9");
+  EXPECT_EQ(Decoded("&#x263A;"), "\xE2\x98\xBA");
+  EXPECT_EQ(Decoded("&#x10348;"), "\xF0\x90\x8D\x88");
+  // Out-of-range / surrogate code points are not XML characters.
+  EXPECT_FALSE(DecodeText("&#x110000;", 0).ok());
+  EXPECT_FALSE(DecodeText("&#xD800;", 0).ok());
+}
+
+// A malformed reference in a string literal fails the lexer with a static
+// error; it used to pass through as text or turn into '?' or a control
+// character.
+TEST(LexerTest, MalformedReferenceInStringLiteralIsAnError) {
+  for (const char* lit : {R"("&foo;")", R"("a&b")", R"("&#0;")",
+                          R"("&#x110000;")", R"("&#12a;")"}) {
+    Lexer lexer(lit);
+    Status st = lexer.Advance();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << lit;
+  }
+  EXPECT_EQ(LexAll(R"("&lt;&#x41;")")[0].text, "<A");
 }
 
 // Pre-fix, 1e999 lexed as +inf and out-of-range integers wrapped through

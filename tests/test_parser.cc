@@ -208,6 +208,14 @@ TEST(ParserTest, CtorEntityDecoding) {
   ExprPtr e = MustParse("<a>&lt;x&gt;</a>");
   ASSERT_EQ(e->parts.size(), 1u);
   EXPECT_EQ(e->parts[0].text, "<x>");
+  // Element content and attribute values reject malformed references,
+  // as an XML document does.
+  for (const char* q : {"<a>&foo;</a>", "<a>a&b</a>", R"(<a x="&#0;"/>)",
+                        R"(<a x="{1}&#12a;"/>)"}) {
+    Result<Query> r = ParseQuery(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << q;
+  }
 }
 
 TEST(ParserTest, NestedCtorAndExprInterleaving) {

@@ -134,6 +134,18 @@ TEST_F(ReferenceTest, ArithmeticAndAggregates) {
   ExpectAgree("() + 1");
   ExpectAgree("sum(())");
   ExpectAgree("sum(1 to 100)");
+  ExpectAgree(R"(max(("9", "10", "8")))");
+  ExpectAgree(R"(min(doc("s.xml")//name))");
+  ExpectAgree("max((9007199254740993, 9007199254740992, 1))");
+  ExpectAgree("min((3, 2.5e0, 2))");
+  ExpectAgree("max((true(), false()))");
+  ExpectAgree(R"(max((1, "a")))");             // both must fail
+  ExpectAgree(R"(min((data(<a>x</a>), 1)))");  // both must fail
+  ExpectAgree(R"(for $s in ("9", "10", "8") order by $s return $s)");
+  ExpectAgree(R"(for $i in doc("s.xml")//item
+                 order by $i/name descending return $i/@price)");
+  ExpectAgree("for $x in (9007199254740993, 9007199254740992, 1) "
+              "order by $x return $x");
 }
 
 TEST_F(ReferenceTest, StringsAndBuiltins) {
@@ -306,9 +318,9 @@ TEST_F(ReferenceTest, ScalarEdgeCases) {
 }
 
 // Spec values (XQuery F&O, XSD) for the numeric edge cases of
-// fn:substring, fn:subsequence, fn:abs, fn:round, fn:number and the
-// xs:double cast, on the reference interpreter and on Session::Execute
-// in both ordering modes. The differential tests above cannot see a
+// fn:substring, fn:subsequence, fn:abs, fn:round, fn:number, fn:max,
+// fn:min, order by keys, negative zero and the xs:double cast, on the
+// reference interpreter and on Session::Execute in both ordering modes. The differential tests above cannot see a
 // fault both stacks share.
 TEST_F(ReferenceTest, NumericEdgeCasesFollowTheSpec) {
   struct Case {
@@ -345,6 +357,37 @@ TEST_F(ReferenceTest, NumericEdgeCasesFollowTheSpec) {
       {"round(-2.5)", {"-2"}, nullptr},
       {"round(-2.6)", {"-3"}, nullptr},
       {"round(4503599627370497e0) - 4503599627370496", {"1"}, nullptr},
+      // Negative zero: round on [-0.5, 0) returns it, and it renders as
+      // -0.
+      {"round(-0.3e0)", {"-0"}, nullptr},
+      {"round(-0.5e0)", {"-0"}, nullptr},
+      {"round(0.3e0)", {"0"}, nullptr},
+      {"1 div round(-0.3e0)", {"-INF"}, nullptr},
+      {"-0e0", {"-0"}, nullptr},
+      {"string(-0e0)", {"-0"}, nullptr},
+      // fn:max / fn:min and order by keys: integers compare exactly and
+      // stay integers, xs:string is never cast to a number (only
+      // untypedAtomic is), a double promotes the result, and values of
+      // incomparable types raise.
+      {R"(max(("9", "10")))", {"9"}, nullptr},
+      {R"(min(("9", "10")))", {"10"}, nullptr},
+      {"max((9007199254740993, 9007199254740992))", {"9007199254740993"},
+       nullptr},
+      {"min((9007199254740993, 9007199254740992))", {"9007199254740992"},
+       nullptr},
+      {"max((-9223372036854775807 - 1, 9223372036854775807))",
+       {"9223372036854775807"}, nullptr},
+      {"max((2, 1.5e0)) div 4", {"0.5"}, nullptr},
+      {"max((data(<a>10</a>), data(<a>9</a>)))", {"10"}, nullptr},
+      {R"(max((1, "a")))", {}, "incomparable"},
+      {R"(for $s in ("9", "10", "8") order by $s return $s)",
+       {"10", "8", "9"}, nullptr},
+      {"for $x in (9007199254740993, 9007199254740992) order by $x "
+       "return $x",
+       {"9007199254740992", "9007199254740993"}, nullptr},
+      {"for $x in (9007199254740993, 9007199254740992) "
+       "order by $x descending return $x",
+       {"9007199254740993", "9007199254740992"}, nullptr},
       // fn:number is NaN wherever the xs:double cast fails, and on ();
       // the cast accepts only the XSD lexical space (no hex, no "inf").
       {R"(number("abc"))", {"NaN"}, nullptr},
