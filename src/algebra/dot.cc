@@ -227,17 +227,15 @@ std::string PlanToDot(
   return out.str();
 }
 
-std::string PlanDigest(std::string_view text) {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&](char c) {
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-  };
+std::string CanonicalPlanText(std::string_view text) {
   // Fresh columns are numbered process-wide (FreshCol): they are
-  // renumbered in order of first appearance, so that the digest names the
+  // renumbered in order of first appearance, so that the text names the
   // plan, not what the process planned before it.
+  std::string out;
+  out.reserve(text.size());
   std::map<std::string_view, size_t> fresh;
   for (size_t i = 0; i < text.size();) {
-    mix(text[i]);
+    out += text[i];
     if (text[i++] != '$') continue;
     size_t end = i;
     while (end < text.size() && std::isdigit(
@@ -246,8 +244,16 @@ std::string PlanDigest(std::string_view text) {
     }
     if (end == i) continue;
     auto it = fresh.try_emplace(text.substr(i, end - i), fresh.size()).first;
-    for (char c : std::to_string(it->second)) mix(c);
+    out += std::to_string(it->second);
     i = end;
+  }
+  return out;
+}
+
+std::string PlanDigest(std::string_view text) {
+  uint64_t h = 14695981039346656037ull;
+  for (char c : CanonicalPlanText(text)) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
   }
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",

@@ -29,10 +29,16 @@ std::string PlanToDot(const Dag& dag, OpId root, const StrPool& strings,
 // printed once and referenced as "^<id>" afterwards.
 std::string PlanToText(const Dag& dag, OpId root, const StrPool& strings);
 
-// A 64-bit FNV-1a digest of a plan text as 16 hex digits, blind to the
-// process-wide numbering of fresh columns: the default-configuration
-// plan golden (tests/corpus/plans/defaults.digests) keeps one per XMark
-// query and ordering mode.
+// A plan text with its fresh columns (numbered process-wide by FreshCol)
+// renumbered in order of first appearance: `pos1$369` and `pos1$713`
+// become the same name when they are the same column of the same plan,
+// whatever the process planned before.
+std::string CanonicalPlanText(std::string_view text);
+
+// A 64-bit FNV-1a digest of CanonicalPlanText(text) as 16 hex digits:
+// the default-configuration plan golden
+// (tests/corpus/plans/defaults.digests) keeps one per XMark query and
+// ordering mode.
 std::string PlanDigest(std::string_view text);
 
 }  // namespace exrquy

@@ -112,7 +112,8 @@ Status SpotCheckCertificates(const Dag& dag,
 
 Result<Governor> ResolveGovernor(const QueryOptions& options,
                                  Clock::time_point start) {
-  EXRQUY_RETURN_IF_ERROR(CheckChunkRows(options.chunk_rows));
+  EXRQUY_RETURN_IF_ERROR(
+      CheckRemovedKnobs(options.chunk_rows, options.inline_rows));
   Governor g;
   uint64_t deadline_ms =
       options.deadline_ms > 0 ? static_cast<uint64_t>(options.deadline_ms) : 0;
@@ -170,7 +171,6 @@ Status ExecutePlan(const Dag& dag, OpId root,
   ctx.release_intermediates = options.release_intermediates;
   ctx.pipelined_execution = options.pipelined_execution;
   ctx.morsel_rows = options.morsel_rows;
-  ctx.inline_rows = options.inline_rows;
   if (options.profile) ctx.profile = &result->profile;
   ctx.cancel = options.cancel.get();
   if (governor.deadline.has_value()) {

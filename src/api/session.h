@@ -68,25 +68,25 @@ struct QueryOptions : RewriteOptions {
   // Record a per-operator execution profile (Table 2).
   bool profile = false;
 
-  // Execution-engine knobs (engine/eval.h EvalContext). num_threads = 1
-  // forces the exact serial evaluation order; 0 defers to EXRQUY_THREADS
-  // or the hardware. Results are byte-identical for every setting.
+  // Execution-engine knobs (engine/eval.h EvalContext). Units always run
+  // one at a time in op-id order; num_threads sizes the pool that a
+  // unit's morsels and ranges fan out to (1 = none; 0 defers to
+  // EXRQUY_THREADS or the hardware). Results are byte-identical for
+  // every setting.
   int num_threads = 0;
   bool release_intermediates = true;
   // Morsel size of the pipelined engine (engine/eval.h), which every
   // breaker kernel also splits its input by: 0 defers to
-  // EXRQUY_MORSEL_ROWS, then 65536. Scheduled units with at most
-  // `inline_rows` materialized input rows run inline on the readying
-  // thread instead of a pool task. Both change scheduling and footprint
+  // EXRQUY_MORSEL_ROWS, then 65536. It changes fan-out and footprint
   // only — results are byte-identical for every setting.
   size_t morsel_rows = 0;
-  size_t inline_rows = 4096;
   // Off runs every fusable operator alone instead of fused into a
   // pipeline — same results, higher peak memory (see EvalContext).
   bool pipelined_execution = true;
-  // Removed; any value but the old default fails Execute with
+  // Removed; any value but the old defaults fails Execute with
   // InvalidArgument (see EvalContext).
   size_t chunk_rows = kRemovedChunkRows;
+  size_t inline_rows = kRemovedInlineRows;
 
   // -- Resource governance (common/governor.h, engine/faults.h) -----------
   // Wall-clock deadline for this execution, in milliseconds from the
@@ -182,8 +182,9 @@ struct Governor {
 // at `start`. Explicit options beat the environment (EXRQUY_DEADLINE_MS,
 // EXRQUY_MEM_BUDGET, EXRQUY_FAULT_*), which is parsed strictly: a
 // malformed value is an InvalidArgument naming the variable. Also
-// rejects the removed QueryOptions::chunk_rows. Both Session::Execute
-// and QueryService::Execute resolve through here before doing any work.
+// rejects the removed QueryOptions::chunk_rows and ::inline_rows. Both
+// Session::Execute and QueryService::Execute resolve through here before
+// doing any work.
 Result<Governor> ResolveGovernor(const QueryOptions& options,
                                  std::chrono::steady_clock::time_point start);
 

@@ -907,13 +907,17 @@ class Compiler {
       return MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToString);
     }
     if (name == "number") {
-      // number(()) is NaN: an iteration without an item gets the string
-      // "NaN", which kToDouble casts to NaN. (A NaN literal would not
-      // equal itself, and the Dag hash-conses literals by equality.)
+      // The argument is xs:anyAtomicType?: an iteration with several
+      // items raises, like zero-or-one. number(()) is NaN: an iteration
+      // without an item gets the string "NaN", which kToDouble casts to
+      // NaN. (A NaN literal would not equal itself, and the Dag
+      // hash-conses literals by equality.)
       EXRQUY_RETURN_IF_ERROR(arity(1));
       EXRQUY_ASSIGN_OR_RETURN(OpId q,
                               CompileExpr(*e.children[0], scope, mode));
-      OpId a = WithDefault(Atomize(dag_->Project(q, Ipi())), scope.loop,
+      q = dag_->CardCheck(dag_->Project(q, Ipi()), scope.loop, 0, 1,
+                          strings_->Intern(name));
+      OpId a = WithDefault(Atomize(q), scope.loop,
                            Value::Str(strings_->Intern("NaN")));
       return MapItem(a, FunKind::kToDouble);
     }

@@ -4,14 +4,12 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <span>
 #include <thread>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "engine/key_groups.h"
@@ -48,21 +46,6 @@ Result<size_t> ResolveMorselRows(size_t requested) {
   if (requested != 0) return requested;
   EXRQUY_ASSIGN_OR_RETURN(uint64_t env, StrictEnvU64("EXRQUY_MORSEL_ROWS"));
   return env != 0 ? static_cast<size_t>(env) : kDefaultMorselRows;
-}
-
-// Node constructors append to the NodeStore; NodeIdx values are allocation
-// -ordered, so these operators must run in the same order as the serial
-// engine (ascending op id) for results to be byte-identical.
-bool IsNodeConstructor(OpKind k) {
-  return k == OpKind::kElem || k == OpKind::kAttr || k == OpKind::kTextNode;
-}
-
-// Where the running breaker kernel reports its range count (set around
-// EvalOp; ForMorsels runs on the same thread as its dispatch).
-thread_local size_t* tls_chunks = nullptr;
-
-void NoteChunks(size_t chunks) {
-  if (tls_chunks != nullptr) *tls_chunks = std::max(*tls_chunks, chunks);
 }
 
 constexpr uint64_t kSignBit = uint64_t{1} << 63;
@@ -172,8 +155,6 @@ struct MorselOut {
   size_t bytes = 0;                   // ledger charge for `table`/`picks`
 };
 
-constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
 // fn:round: half up, toward positive infinity. x - floor(x) is exact, so
 // no half is misjudged (floor(x + 0.5) rounds 0.49999999999999994 to 1);
 // NaN and the infinities come back unchanged, and [-0.5, 0) rounds to
@@ -186,56 +167,23 @@ double RoundHalfUp(double x) {
 
 }  // namespace
 
-// Per-Eval scheduler state. Operators are addressed by their dense slot in
-// the topological order; `pending` counts unfinished children (plus the
-// constructor-chain edge), `consumers` counts unfinished parents (plus one
-// for the root, whose table outlives the evaluation).
-struct Evaluator::Sched {
-  explicit Sched(size_t n)
-      : ops(n, nullptr),
-        memo(n),
-        pending(std::make_unique<std::atomic<uint32_t>[]>(n)),
-        consumers(std::make_unique<std::atomic<uint32_t>[]>(n)),
-        parents(n),
-        ctor_next(n, kNoSlot),
-        ready_at(n),
-        remaining(n) {}
-
-  std::vector<OpId> ids;                  // slot -> op id (ascending)
-  std::unordered_map<OpId, size_t> slot;  // op id -> slot
-  std::vector<const Op*> ops;
-  std::vector<TablePtr> memo;
-  std::unique_ptr<std::atomic<uint32_t>[]> pending;
-  std::unique_ptr<std::atomic<uint32_t>[]> consumers;
-  std::vector<std::vector<size_t>> parents;  // per edge (duplicates kept)
-  std::vector<size_t> ctor_next;  // next constructor slot in the chain
-  std::vector<Clock::time_point> ready_at;
-  bool release = false;
-  bool track = false;
-
-  // First error by op id — the operator the serial engine would have
-  // failed on first (among those that ran before cancellation).
-  std::atomic<bool> cancelled{false};
-  std::mutex err_mu;
-  OpId err_op = kNoOp;
-  Status err;
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t remaining;
-};
-
-Status CheckChunkRows(size_t chunk_rows) {
-  if (chunk_rows == kRemovedChunkRows) return Status::Ok();
-  return InvalidArgument(
-      "chunk_rows was removed; breaker kernels split by morsel_rows");
+Status CheckRemovedKnobs(size_t chunk_rows, size_t inline_rows) {
+  if (chunk_rows != kRemovedChunkRows) {
+    return InvalidArgument(
+        "chunk_rows was removed; breaker kernels split by morsel_rows");
+  }
+  if (inline_rows != kRemovedInlineRows) {
+    return InvalidArgument(
+        "inline_rows was removed; a unit fans out exactly when it has more "
+        "than one morsel");
+  }
+  return Status::Ok();
 }
 
 Evaluator::Evaluator(const Dag& dag, EvalContext* ctx, size_t max_rows)
     : dag_(dag),
       ctx_(ctx),
       ops_(ctx->strings, ctx->store),
-      inline_rows_(ctx->inline_rows),
       max_rows_(max_rows) {}
 
 // ---------------------------------------------------------------------------
@@ -298,8 +246,9 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
   guard.check_properties = false;
   EXRQUY_RETURN_IF_ERROR(VerifyPlan(dag_, root, guard));
 
-  EXRQUY_RETURN_IF_ERROR(CheckChunkRows(ctx_->chunk_rows));
-  EXRQUY_ASSIGN_OR_RETURN(size_t threads, ResolveThreads(ctx_->num_threads));
+  EXRQUY_RETURN_IF_ERROR(
+      CheckRemovedKnobs(ctx_->chunk_rows, ctx_->inline_rows));
+  EXRQUY_ASSIGN_OR_RETURN(threads_, ResolveThreads(ctx_->num_threads));
   EXRQUY_ASSIGN_OR_RETURN(morsel_rows_, ResolveMorselRows(ctx_->morsel_rows));
 
   // A pre-cancelled token, an already-expired deadline, or a budget
@@ -315,9 +264,9 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
                                      : MorselPlan();
   EXRQUY_RETURN_IF_ERROR(AuditMorselPlan(dag_, order, root, mplan_));
   if (ctx_->profile != nullptr) {
-    ctx_->profile->SetExecution(threads, ctx_->release_intermediates);
+    ctx_->profile->SetExecution(threads_, ctx_->release_intermediates);
   }
-  Result<TablePtr> result = Schedule(order, root, threads);
+  Result<TablePtr> result = RunUnits(order, root);
   if (result.ok()) {
     result = SettleRoot(std::move(result).value());
   }
@@ -376,7 +325,7 @@ void Evaluator::UntrackTable(const Table& t) {
 void Evaluator::ChargeMorsel(size_t bytes) {
   if (bytes == 0) return;
   if (ctx_->budget != nullptr) ctx_->budget->Charge(bytes);
-  std::lock_guard<std::mutex> lock(profile_mu_);
+  std::lock_guard<std::mutex> lock(morsel_mu_);
   morsel_live_bytes_ += bytes;
   peak_live_bytes_ =
       std::max(peak_live_bytes_, live_bytes_ + morsel_live_bytes_);
@@ -385,140 +334,60 @@ void Evaluator::ChargeMorsel(size_t bytes) {
 void Evaluator::ReleaseMorsel(size_t bytes) {
   if (bytes == 0) return;
   if (ctx_->budget != nullptr) ctx_->budget->Release(bytes);
-  std::lock_guard<std::mutex> lock(profile_mu_);
+  std::lock_guard<std::mutex> lock(morsel_mu_);
   morsel_live_bytes_ -= bytes;
 }
 
-Result<TablePtr> Evaluator::Schedule(const std::vector<OpId>& order,
-                                     OpId root, size_t threads) {
-  const size_t n = order.size();
-  Sched s(n);
-  s.ids = order;
-  s.slot.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) s.slot.emplace(order[i], i);
-  for (size_t i = 0; i < n; ++i) {
-    const Op& op = dag_.op(order[i]);
-    s.ops[i] = &op;
-    s.pending[i].store(static_cast<uint32_t>(op.children.size()),
-                       std::memory_order_relaxed);
-    for (OpId c : op.children) {
-      size_t cs = s.slot.at(c);
-      s.parents[cs].push_back(i);
-      s.consumers[cs].fetch_add(1, std::memory_order_relaxed);
-    }
+Result<TablePtr> Evaluator::RunUnits(const std::vector<OpId>& order,
+                                     OpId root) {
+  memo_.assign(dag_.size(), nullptr);
+  consumers_.assign(dag_.size(), 0);
+  for (OpId id : order) {
+    for (OpId c : dag_.op(id).children) ++consumers_[c];
   }
-  s.consumers[s.slot.at(root)].fetch_add(1, std::memory_order_relaxed);
+  ++consumers_[root];  // the root's table outlives the evaluation
 
-  // Chain node constructors in ascending op-id order: each waits for the
-  // previous one, so NodeStore allocation order matches serial execution.
-  size_t prev_ctor = kNoSlot;
-  for (size_t i = 0; i < n; ++i) {
-    if (!IsNodeConstructor(s.ops[i]->kind)) continue;
-    if (prev_ctor != kNoSlot) {
-      s.ctor_next[prev_ctor] = i;
-      s.pending[i].fetch_add(1, std::memory_order_relaxed);
-    }
-    prev_ctor = i;
-  }
-  s.release = ctx_->release_intermediates;
-  s.track = ctx_->profile != nullptr;
-
-  if (threads <= 1) {
-    // Serial execution is this scheduler with every unit inlined: the
-    // slots run in ascending op-id order, a topological order, so each
-    // unit finds its inputs complete. This is the evaluation order whose
-    // results and first error every other thread count reproduces.
-    std::vector<size_t> unused;
-    for (size_t i = 0; i < n; ++i) RunOne(&s, i, /*queued=*/false, &unused);
-  } else {
-    // Snapshot the initially-ready set before any task runs: once workers
-    // start, they decrement pending counts concurrently, and re-reading
-    // them here could observe a drop to zero and submit an op twice.
-    std::vector<size_t> ready;
-    for (size_t i = 0; i < n; ++i) {
-      if (s.pending[i].load(std::memory_order_relaxed) == 0) {
-        ready.push_back(i);
+  Status failed;
+  for (OpId id : order) {
+    // Interior pipeline stages run fused inside their sink's unit, which
+    // also accounts for their input edges.
+    if (mplan_.interior(id)) continue;
+    if (failed.ok()) failed = RunUnit(id);
+    if (!ctx_->release_intermediates) continue;
+    // A sink releases every stage's inputs: the head's external tables
+    // were consumed by its morsel loop.
+    if (mplan_.sink(id)) {
+      for (const PipelineStage& st :
+           mplan_.pipelines[mplan_.pipeline_of.at(id)].stages) {
+        ReleaseInputs(dag_.op(st.op));
       }
+    } else {
+      ReleaseInputs(dag_.op(id));
     }
-    pool_ = std::make_unique<TaskPool>(threads);
-    Sched* sp = &s;
-    Clock::time_point t0 = Clock::now();
-    // Inline-eligible ready units run on this thread after the pooled ones
-    // are queued; with a tiny query, nothing is ever queued and the lazy
-    // pool never spawns a worker.
-    std::vector<size_t> run_here;
-    for (size_t i : ready) {
-      s.ready_at[i] = t0;
-      if (ShouldInline(sp, i)) {
-        run_here.push_back(i);
-      } else {
-        pool_->Submit([this, sp, i] { RunTask(sp, i, /*queued=*/true); });
-      }
-    }
-    for (size_t i : run_here) RunTask(sp, i, /*queued=*/false);
-    {
-      std::unique_lock<std::mutex> lock(s.done_mu);
-      s.done_cv.wait(lock, [&] { return s.remaining == 0; });
-    }
-    pool_.reset();  // joins the workers; nothing touches `s` afterwards
   }
+  pool_.reset();  // joins the workers
 
-  // A governor trip wins over concurrent operator errors: the trip is
-  // reproducible at every thread count (its counters advance the same
-  // number of times), while which kernels got far enough to fail is not.
+  TablePtr result = std::move(memo_[root]);
+  memo_.clear();
+  // A governor trip wins over the operator error it may have caused (a
+  // kernel that skipped its tripped ranges).
   if (tripped_.load(std::memory_order_acquire)) return TripStatus();
-  if (s.err_op != kNoOp) return s.err;
-  return s.memo[s.slot.at(root)];
+  if (!failed.ok()) return failed;
+  return result;
 }
 
-void Evaluator::RunTask(Sched* s, size_t i, bool queued) {
-  // Drain loop: RunOne collects units its completion made ready and
-  // inline-eligible; running them here (instead of recursing out of
-  // DecrementPending) bounds the stack on long inline chains. Only the
-  // unit that actually sat in the pool queue charges queue wait.
-  std::vector<size_t> q;
-  RunOne(s, i, queued, &q);
-  while (!q.empty()) {
-    size_t next = q.back();
-    q.pop_back();
-    RunOne(s, next, /*queued=*/false, &q);
-  }
-}
-
-void Evaluator::RunOne(Sched* s, size_t i, bool queued,
-                       std::vector<size_t>* q) {
-  const OpId id = s->ids[i];
-  // Interior pipeline stages never run as units — their work happens
-  // fused inside the sink's morsel loop; completing them here only
-  // propagates readiness (no poll, no release, no memo entry).
-  if (mplan_.interior(id) || s->cancelled.load(std::memory_order_acquire)) {
-    FinishTask(s, i, q);
-    return;
-  }
-  if (Status g = PollOp(); !g.ok()) {
-    // Drain like an operator error: later tasks early-out above, pending
-    // counts still reach zero, intermediates still release. The final
-    // status comes from the trip latch, not from s->err.
-    s->cancelled.store(true, std::memory_order_release);
-    FinishTask(s, i, q);
-    return;
-  }
-  const Op& op = *s->ops[i];
+Status Evaluator::RunUnit(OpId id) {
+  EXRQUY_RETURN_IF_ERROR(PollOp());
+  const Op& op = dag_.op(id);
   const bool sink = mplan_.sink(id);
-  const double queue_ms = queued ? MsSince(s->ready_at[i]) : 0;
+  const bool track = ctx_->profile != nullptr;
   std::vector<Profile::OpMetrics> metrics;  // filled when profiling
   Profile::PipelineMetrics pm;
   Clock::time_point start = Clock::now();
   Result<TablePtr> r = [&]() -> Result<TablePtr> {
-    std::vector<Profile::OpMetrics>* sm = s->track ? &metrics : nullptr;
+    std::vector<Profile::OpMetrics>* sm = track ? &metrics : nullptr;
     if (sink || Fusable(op.kind)) {
-      // No fusable kernel constructs nodes, so the unit (and the morsel
-      // tasks its ParallelFor fans out, which it outlives) holds the
-      // store shared, like any reading operator.
-      std::shared_lock<std::shared_mutex> lock(store_mu_);
-      auto input = [s](OpId c) -> const TablePtr& {
-        return s->memo[s->slot.at(c)];
-      };
+      auto input = [this](OpId c) -> const TablePtr& { return memo_[c]; };
       if (!sink) {
         // A fusable operator outside every chain: a one-stage pipeline.
         return EvalPipeline(Pipeline{{PipelineStage{id, -1}}}, -1, input,
@@ -529,148 +398,52 @@ void Evaluator::RunOne(Sched* s, size_t i, bool queued,
     }
     std::vector<TablePtr> in;
     in.reserve(op.children.size());
-    for (OpId c : op.children) in.push_back(s->memo[s->slot.at(c)]);
-    size_t chunks = 1;
-    tls_chunks = &chunks;
-    Result<TablePtr> t = [&]() -> Result<TablePtr> {
-      if (IsNodeConstructor(op.kind)) {
-        std::unique_lock<std::shared_mutex> lock(store_mu_);
-        return EvalOp(op, in);
-      }
-      std::shared_lock<std::shared_mutex> lock(store_mu_);
-      return EvalOp(op, in);
-    }();
-    tls_chunks = nullptr;
+    for (OpId c : op.children) in.push_back(memo_[c]);
+    unit_chunks_ = 1;
+    Result<TablePtr> t = EvalOp(op, in);
     if (sm != nullptr && t.ok()) {
       Profile::OpMetrics m;
       m.op = id;
       for (const TablePtr& c : in) m.in_rows += c->rows();
       m.out_rows = (*t)->rows();
-      m.chunks = chunks;
+      m.chunks = unit_chunks_;
       sm->push_back(std::move(m));
     }
     return t;
   }();
   const double ms = MsSince(start);
 
-  if (r.ok() && tripped_.load(std::memory_order_acquire)) {
-    // A governor trip mid-unit makes morsel and range tasks skip their
-    // slices; the torn table must not be memoized.
-    r = TripStatus();
-  }
-  if (!r.ok()) {
-    // Errors resolve across units by unit id — for a pipeline, its sink's
-    // op id, the slot serial execution dispatches it at. EvalPipeline
-    // already picked the serial-first error within the unit.
-    {
-      std::lock_guard<std::mutex> lock(s->err_mu);
-      if (s->err_op == kNoOp || id < s->err_op) {
-        s->err_op = id;
-        s->err = r.status();
-      }
-    }
-    s->cancelled.store(true, std::memory_order_release);
-  } else {
-    TablePtr t = std::move(r).value();
-    {
-      std::lock_guard<std::mutex> lock(profile_mu_);
-      if (s->track) {
-        if (sink) {
-          pm.ms = ms;
-          pm.queue_ms = queue_ms;
-          ctx_->profile->RecordPipeline(pm);
-        } else {
-          // A standalone unit's one record carries its wall time and
-          // queue wait.
-          metrics[0].ms = ms;
-          metrics[0].queue_ms = queue_ms;
-        }
-        for (Profile::OpMetrics& m : metrics) {
-          ctx_->profile->Record(dag_.op(m.op), std::move(m));
-        }
-      }
-      TrackTable(*t);
-    }
-    s->memo[i] = std::move(t);  // published by the pending decrements below
-  }
-  FinishTask(s, i, q);
-}
-
-void Evaluator::FinishTask(Sched* s, size_t i, std::vector<size_t>* q) {
-  OpId id = s->ids[i];
-  const bool interior = mplan_.interior(id);
-  if (s->release && !interior) {
-    // A sink releases every stage's inputs — the head's external tables
-    // were consumed by its morsel loop, not by any standalone unit.
-    // Interior completions must not release anything: their edges are
-    // accounted at the sink, after the pipeline actually read them.
-    if (mplan_.sink(id)) {
-      const Pipeline& pl = mplan_.pipelines[mplan_.pipeline_of.at(id)];
-      for (const PipelineStage& st : pl.stages) {
-        ReleaseChildren(s, dag_.op(st.op));
-      }
+  // A governor trip mid-unit makes morsel and range tasks skip their
+  // slices; the torn table must not be memoized.
+  if (r.ok() && tripped_.load(std::memory_order_acquire)) return TripStatus();
+  if (!r.ok()) return r.status();
+  TablePtr t = std::move(r).value();
+  if (track) {
+    if (sink) {
+      pm.ms = ms;
+      ctx_->profile->RecordPipeline(pm);
     } else {
-      ReleaseChildren(s, *s->ops[i]);
+      metrics[0].ms = ms;  // a standalone unit's one record
+    }
+    for (Profile::OpMetrics& m : metrics) {
+      ctx_->profile->Record(dag_.op(m.op), std::move(m));
     }
   }
-  if (s->ctor_next[i] != kNoSlot) DecrementPending(s, s->ctor_next[i], q);
-  for (size_t p : s->parents[i]) DecrementPending(s, p, q);
-  {
-    std::lock_guard<std::mutex> lock(s->done_mu);
-    if (--s->remaining == 0) s->done_cv.notify_all();
-  }
+  TrackTable(*t);
+  memo_[id] = std::move(t);
+  return Status::Ok();
 }
 
-void Evaluator::ReleaseChildren(Sched* s, const Op& op) {
+void Evaluator::ReleaseInputs(const Op& op) {
   for (OpId c : op.children) {
-    size_t cs = s->slot.at(c);
-    if (s->consumers[cs].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      TablePtr dead = std::move(s->memo[cs]);
-      // In-pipe edges (and drained-before-running producers) have no
-      // memoized table; their counter still hits zero with nothing to
-      // free.
-      if (dead != nullptr) {
-        std::lock_guard<std::mutex> lock(profile_mu_);
-        UntrackTable(*dead);
-        ++released_tables_;
-      }
+    if (--consumers_[c] != 0) continue;
+    // In-pipe edges (and producers skipped after a failure) have no
+    // memoized table; their count still reaches zero with nothing to free.
+    if (TablePtr dead = std::move(memo_[c])) {
+      UntrackTable(*dead);
+      ++released_tables_;
     }
   }
-}
-
-void Evaluator::DecrementPending(Sched* s, size_t i, std::vector<size_t>* q) {
-  // Serial execution dispatches the slots in order itself.
-  if (s->pending[i].fetch_sub(1, std::memory_order_acq_rel) != 1 ||
-      pool_ == nullptr) {
-    return;
-  }
-  s->ready_at[i] = Clock::now();
-  if (ShouldInline(s, i)) {
-    q->push_back(i);
-    return;
-  }
-  pool_->Submit([this, s, i] { RunTask(s, i, /*queued=*/true); });
-}
-
-bool Evaluator::ShouldInline(Sched* s, size_t i) {
-  OpId id = s->ids[i];
-  // Interior completions are pure bookkeeping — never worth a task.
-  if (mplan_.interior(id)) return true;
-  if (inline_rows_ == 0) return false;
-  size_t rows = 0;
-  auto add = [&](const Op& op) {
-    for (OpId c : op.children) {
-      const TablePtr& t = s->memo[s->slot.at(c)];
-      if (t != nullptr) rows += t->rows();
-    }
-  };
-  if (mplan_.sink(id)) {
-    const Pipeline& pl = mplan_.pipelines[mplan_.pipeline_of.at(id)];
-    for (const PipelineStage& st : pl.stages) add(dag_.op(st.op));
-  } else {
-    add(*s->ops[i]);
-  }
-  return rows <= inline_rows_;
 }
 
 // ---------------------------------------------------------------------------
@@ -938,11 +711,7 @@ Result<TablePtr> Evaluator::EvalPipeline(
     }
   };
 
-  if (pool_ != nullptr && pool_->threads() > 0 && morsels > 1) {
-    pool_->ParallelFor(morsels, run_morsel);
-  } else {
-    for (size_t m = 0; m < morsels; ++m) run_morsel(m);
-  }
+  FanOut(morsels, run_morsel);
   auto release_parts = [&] {
     for (MorselOut& mo : outs) {
       ReleaseMorsel(mo.bytes);
@@ -1091,7 +860,6 @@ Result<TablePtr> Evaluator::EvalPipeline(
       m.op = pl.stages[si].op;
       m.pipeline = pidx;
       m.chunks = morsels;
-      m.queue_ms = 0;  // queue wait belongs to the unit, counted once
       double ms = 0;
       size_t irows = 0;
       size_t orows = 0;
@@ -1234,7 +1002,19 @@ Status Evaluator::StageStepM(const Op& op, const Table& in, size_t b, size_t e,
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-range helpers of the breaker kernels.
+// Fan-out, and the morsel-range helpers of the breaker kernels.
+
+template <typename Fn>
+void Evaluator::FanOut(size_t n, const Fn& fn) {
+  if (n <= 1 || threads_ <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // The calling thread drains indices too, so threads_ - 1 workers keep
+  // threads_ threads busy, never more.
+  if (pool_ == nullptr) pool_ = std::make_unique<TaskPool>(threads_ - 1);
+  pool_->ParallelFor(n, fn);
+}
 
 size_t Evaluator::ForMorsels(
     size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
@@ -1247,12 +1027,8 @@ size_t Evaluator::ForMorsels(
     size_t begin = c * morsel_rows_;
     fn(c, begin, std::min(n, begin + morsel_rows_));
   };
-  if (pool_ == nullptr || pool_->threads() == 0 || chunks == 1) {
-    for (size_t c = 0; c < chunks; ++c) run(c);
-  } else {
-    pool_->ParallelFor(chunks, run);
-  }
-  NoteChunks(chunks);
+  FanOut(chunks, run);
+  unit_chunks_ = std::max(unit_chunks_, chunks);
   return chunks;
 }
 
@@ -1274,7 +1050,7 @@ void Evaluator::ParallelStableSort(std::vector<uint32_t>* perm,
                                    const Less& less) {
   size_t n = perm->size();
   size_t chunks = NumMorsels(n);
-  if (chunks <= 1 || pool_ == nullptr || pool_->threads() == 0) {
+  if (chunks <= 1 || threads_ <= 1) {
     std::stable_sort(perm->begin(), perm->end(), less);
     return;
   }
@@ -1299,11 +1075,7 @@ void Evaluator::ParallelStableSort(std::vector<uint32_t>* perm,
       std::merge(src->begin() + lo, src->begin() + mid, src->begin() + mid,
                  src->begin() + hi, dst->begin() + lo, less);
     };
-    if (pairs > 1) {
-      pool_->ParallelFor(pairs, merge_pair);
-    } else {
-      merge_pair(0);
-    }
+    FanOut(pairs, merge_pair);
     std::swap(src, dst);
   }
   if (src != perm) *perm = *src;
@@ -2062,12 +1834,9 @@ Result<TablePtr> Evaluator::EvalElem(const Op& op, const Table& content,
     for (size_t lr = 0; lr < loop.rows(); ++lr) {
       out_item[lr] = Value::Record(set << 32 | lr);
     }
-    {
-      std::lock_guard<std::mutex> lock(profile_mu_);
-      live_bytes_ += rs.bytes;
-      peak_live_bytes_ =
-          std::max(peak_live_bytes_, live_bytes_ + morsel_live_bytes_);
-    }
+    live_bytes_ += rs.bytes;
+    peak_live_bytes_ =
+        std::max(peak_live_bytes_, live_bytes_ + morsel_live_bytes_);
     if (ctx_->budget != nullptr) ctx_->budget->Charge(rs.bytes);
     records_.push_back(std::move(rs));
     return IterItemTable(std::move(out_iter), std::move(out_item));
@@ -2183,7 +1952,6 @@ Result<TablePtr> Evaluator::SettleRoot(TablePtr t) {
 }
 
 void Evaluator::ReleaseRecords() {
-  std::lock_guard<std::mutex> lock(profile_mu_);
   for (const RecordSet& rs : records_) {
     live_bytes_ -= rs.bytes;
     if (ctx_->budget != nullptr) ctx_->budget->Release(rs.bytes);

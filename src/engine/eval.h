@@ -7,23 +7,25 @@
 // Execution is morsel-driven and pipelined: a plan-time pass
 // (opt/morsel_plan.h, audited independently like every other optimizer
 // claim) fuses maximal chains of non-blocking operators — π, σ, Fun, ⊕,
-// join probes, Step, # — into pipelines, and the scheduler dispatches
-// whole pipelines as single units. A pipeline pulls its source in
-// fixed-size morsels; each morsel flows through every stage without
-// materializing interior tables, and the sink concatenates morsel
-// results in morsel order (Step re-sorts, # numbers the merged output).
-// Morsel boundaries depend only on the source size, never on the thread
-// count, so results are byte-identical to serial evaluation at every
-// thread count and morsel size. A fusable operator that joins no chain
-// runs as a one-stage pipeline, so each fusable operator has exactly one
-// kernel, its morsel stage kernel. Blocking operators (%, Distinct, Aggr,
-// node constructors, Cross, Difference/SemiJoin, ...) are pipeline
-// breakers with operator-at-a-time kernels, which split large inputs
-// into the same morsel-sized ranges over the same pool.
+// join probes, Step, # — into pipelines, and each pipeline runs as one
+// scheduled unit. A pipeline pulls its source in fixed-size morsels;
+// each morsel flows through every stage without materializing interior
+// tables, and the sink concatenates morsel results in morsel order (Step
+// re-sorts, # numbers the merged output). Morsel boundaries depend only
+// on the source size, never on the thread count, so results are
+// byte-identical at every thread count and morsel size. A fusable
+// operator that joins no chain runs as a one-stage pipeline, so each
+// fusable operator has exactly one kernel, its morsel stage kernel.
+// Blocking operators (%, Distinct, Aggr, node constructors, Cross,
+// Difference/SemiJoin, ...) are pipeline breakers with
+// operator-at-a-time kernels, which split large inputs into the same
+// morsel-sized ranges.
 //
-// There is one scheduler. With one thread it runs every unit inline in
-// ascending op-id order (a topological order): the serial evaluation
-// order whose results, and first error, every thread count reproduces.
+// Units run one at a time on the calling thread, in ascending op-id
+// order (a topological order), so each finds its inputs complete and the
+// first failing unit is the first error. Threads exist only inside a
+// unit: its morsels and ranges fan out to a worker pool when there are
+// several of them.
 //
 // Intermediate tables are refcounted against their remaining consumers
 // and released as soon as the last consumer has run; fused interior
@@ -37,7 +39,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,10 +58,12 @@
 
 namespace exrquy {
 
-// The only value EvalContext::chunk_rows (and QueryOptions::chunk_rows)
-// accepts; CheckChunkRows fails any other with InvalidArgument.
+// The only values EvalContext::chunk_rows and ::inline_rows (and their
+// QueryOptions namesakes) accept; CheckRemovedKnobs fails any other with
+// InvalidArgument.
 inline constexpr size_t kRemovedChunkRows = 65536;
-Status CheckChunkRows(size_t chunk_rows);
+inline constexpr size_t kRemovedInlineRows = 4096;
+Status CheckRemovedKnobs(size_t chunk_rows, size_t inline_rows);
 
 struct EvalContext {
   NodeStore* store = nullptr;
@@ -69,9 +72,10 @@ struct EvalContext {
   std::map<StrId, NodeIdx> documents;
   Profile* profile = nullptr;  // optional
 
-  // Worker threads for DAG- and morsel-level parallelism. 1 = serial
-  // evaluation on the calling thread; 0 = EXRQUY_THREADS if set,
-  // otherwise std::thread::hardware_concurrency(). A malformed
+  // Threads that a unit's morsels and ranges fan out over: the calling
+  // thread and num_threads - 1 pool workers. Units themselves always run
+  // one at a time on the calling thread. 1 = no pool; 0 = EXRQUY_THREADS
+  // if set, otherwise std::thread::hardware_concurrency(). A malformed
   // EXRQUY_THREADS fails Eval with InvalidArgument.
   int num_threads = 0;
   // Release memoized intermediates once their last consumer has run.
@@ -84,23 +88,18 @@ struct EvalContext {
   // of the input size, never of the thread count, so any setting yields
   // byte-identical results.
   size_t morsel_rows = 0;
-  // A scheduled unit (pipeline or single operator) whose
-  // materialized inputs total at most this many rows runs inline on the
-  // thread that made it ready instead of being enqueued on the pool —
-  // tiny queries never pay task-dispatch overhead (and, with the pool's
-  // lazy worker spawn, never start worker threads at all). Inlining
-  // changes scheduling only, never results. 0 disables it.
-  size_t inline_rows = 4096;
   // Fuse chains of non-blocking operators into morsel pipelines. Off
   // runs every fusable operator alone, as a one-stage pipeline that
   // materializes its table: the same kernels and byte-identical results,
   // retained (like release_intermediates) for peak-memory comparisons.
   bool pipelined_execution = true;
-  // Removed: breaker kernels now split by morsel_rows. Only the old
-  // default is accepted, so that callers copying the field through still
-  // compile; any other value fails Eval with InvalidArgument rather than
-  // being ignored.
+  // Removed: breaker kernels split by morsel_rows, and a unit fans out
+  // exactly when it has more than one morsel. Only the old defaults are
+  // accepted, so that callers copying the fields through still compile;
+  // any other value fails Eval with InvalidArgument rather than being
+  // ignored.
   size_t chunk_rows = kRemovedChunkRows;
+  size_t inline_rows = kRemovedInlineRows;
 
   // Physical-plan order detection (Section 6's pointer to Moerkotte &
   // Neumann): when set, % first checks in O(n) whether its input already
@@ -113,8 +112,8 @@ struct EvalContext {
   mutable std::atomic<size_t> sorts_skipped{0};
 
   // -- Resource governance (all optional; see common/governor.h) ----------
-  // Cooperative cancellation: polled at every unit dispatch and chunk/
-  // morsel boundary, so an abort lands within one morsel's work ->
+  // Cooperative cancellation: polled at every unit dispatch and
+  // range/morsel boundary, so an abort lands within one morsel's work ->
   // kCancelled.
   const CancelToken* cancel = nullptr;
   // Wall-clock deadline, same poll points -> kDeadlineExceeded. A query
@@ -129,7 +128,7 @@ struct EvalContext {
   // when detected only after the root completed (the memory was used).
   MemoryBudget* budget = nullptr;
   // Deterministic fault injection (engine/faults.h); counts unit
-  // dispatches and chunk/morsel-stage polls and turns the planned points
+  // dispatches and range/morsel-stage polls and turns the planned points
   // into governor trips.
   FaultInjector* faults = nullptr;
 };
@@ -144,8 +143,6 @@ class Evaluator {
   Result<TablePtr> Eval(OpId root);
 
  private:
-  struct Sched;  // per-Eval scheduler state (eval.cc)
-
   // -- Governor (cancel/deadline/budget/faults) ----------------------------
   // Latches the first trip status; later trips are ignored.
   void Trip(Status st);
@@ -159,36 +156,26 @@ class Evaluator {
 
   Result<TablePtr> EvalOp(const Op& op, const std::vector<TablePtr>& in);
 
-  // The scheduler. Operators are addressed by their dense slot in the
-  // topological order rather than by OpId. A scheduled unit is a whole
-  // pipeline (dispatched at its sink slot), a fusable operator outside
-  // every pipeline (a one-stage pipeline), or a breaker; interior
-  // pipeline slots finish instantly without running. With `threads` <= 1
-  // every unit runs inline in slot order; otherwise ready units go to
-  // the pool unless ShouldInline keeps them on the readying thread.
-  Result<TablePtr> Schedule(const std::vector<OpId>& order, OpId root,
-                            size_t threads);
-  // RunTask drains `slot` plus every unit its completion makes ready
-  // inline-eligible, as a loop (bounded stack depth). `queued` marks a
-  // unit that actually waited in the pool queue — only those charge
-  // queue_ms (inline units never queued; counting the backlog once per
-  // scheduled unit is what keeps the profile's queue-wait additive).
-  void RunTask(Sched* s, size_t slot, bool queued);
-  void RunOne(Sched* s, size_t slot, bool queued, std::vector<size_t>* q);
-  void FinishTask(Sched* s, size_t slot, std::vector<size_t>* q);
-  void ReleaseChildren(Sched* s, const Op& op);
-  void DecrementPending(Sched* s, size_t slot, std::vector<size_t>* q);
-  // Rows-based serial-execution threshold: true when the ready unit's
-  // materialized inputs are small enough to run on the current thread.
-  bool ShouldInline(Sched* s, size_t slot);
+  // Runs the scheduled units in ascending op-id order: a whole pipeline
+  // at its sink, a fusable operator outside every pipeline (a one-stage
+  // pipeline), or a breaker; interior pipeline stages never run on their
+  // own. After the first failure the remaining units only release their
+  // inputs.
+  Result<TablePtr> RunUnits(const std::vector<OpId>& order, OpId root);
+  // Runs unit `id` over the memoized tables in memo_ and memoizes its
+  // table.
+  Status RunUnit(OpId id);
+  // Drops one consumer edge from each input of `op`; a table whose last
+  // consumer has run is released.
+  void ReleaseInputs(const Op& op);
 
   // -- Pipelines (opt/morsel_plan.h) ---------------------------------------
-  // Runs pipeline `pl` morsel by morsel (on the pool when present) and
-  // merges the morsel results in morsel order. `pidx` is its index in the
-  // morsel plan, -1 for a one-stage pipeline. On success fills
-  // `stage_metrics` (one record per stage) and `pm` when non-null; on a
-  // stage error returns the error serial evaluation would have hit first
-  // (smallest failing stage, then earliest morsel).
+  // Runs pipeline `pl` morsel by morsel (fanned out when there are
+  // several) and merges the morsel results in morsel order. `pidx` is its
+  // index in the morsel plan, -1 for a one-stage pipeline. On success
+  // fills `stage_metrics` (one record per stage) and `pm` when non-null;
+  // on a stage error returns the error serial evaluation would have hit
+  // first (smallest failing stage, then earliest morsel).
   Result<TablePtr> EvalPipeline(
       const Pipeline& pl, int64_t pidx,
       const std::function<const TablePtr&(OpId)>& input,
@@ -221,9 +208,14 @@ class Evaluator {
   void ChargeMorsel(size_t bytes);
   void ReleaseMorsel(size_t bytes);
 
+  // Runs fn(i) for every i in [0, n): on the pool when there are several
+  // indices and more than one thread, inline otherwise. The pool starts
+  // at the evaluation's first fan-out.
+  template <typename Fn>
+  void FanOut(size_t n, const Fn& fn);
+
   // Breaker-kernel helpers. ForMorsels splits [0, n) into morsel_rows-
-  // sized ranges and runs fn(range, begin, end) for each — on the pool
-  // when one exists and the input spans several ranges, inline otherwise.
+  // sized ranges and runs fn(range, begin, end) for each, fanned out.
   // Returns the range count.
   size_t ForMorsels(size_t n,
                     const std::function<void(size_t, size_t, size_t)>& fn);
@@ -295,27 +287,26 @@ class Evaluator {
   const Dag& dag_;
   EvalContext* ctx_;
   ValueOps ops_;
+  size_t threads_ = 1;      // resolved by Eval
   size_t morsel_rows_ = 0;  // resolved by Eval
-  size_t inline_rows_;
   size_t max_rows_;
 
   // Pipeline plan for the current Eval.
   MorselPlan mplan_;
 
-  std::unique_ptr<TaskPool> pool_;  // null in serial execution
+  // Per-Eval unit state, indexed by OpId: each memoized table and the
+  // consumer edges it still waits for (+1 for the root).
+  std::vector<TablePtr> memo_;
+  std::vector<uint32_t> consumers_;
+  // Largest range count a ForMorsels call of the running breaker used.
+  size_t unit_chunks_ = 1;
 
-  // Node constructors append to the NodeStore; everything else only
-  // reads it. A constructor operator holds this exclusively for its whole
-  // kernel, every other operator holds it shared — chunk and morsel
-  // tasks inherit the coordinating unit task's hold (ParallelFor blocks
-  // the coordinator).
-  std::shared_mutex store_mu_;
+  std::unique_ptr<TaskPool> pool_;  // created by the first FanOut
 
-  // Guards ctx_->profile and the live-column tracker.
-  std::mutex profile_mu_;
+  // Guards the morsel ledger against concurrent morsel tasks.
+  std::mutex morsel_mu_;
 
-  // Record sets of the deferred constructors evaluated so far. Only node
-  // constructors touch it, under store_mu_ held exclusively.
+  // Record sets of the deferred constructors evaluated so far.
   std::vector<RecordSet> records_;
   size_t expanded_records_ = 0;  // for EmitRecord's governor polls
 
@@ -334,8 +325,8 @@ class Evaluator {
   size_t live_bytes_ = 0;
   size_t peak_live_bytes_ = 0;
   size_t released_tables_ = 0;
-  // Live per-morsel parts of in-flight pipelines (guarded by
-  // profile_mu_); counted into peak_live_bytes_ alongside live_bytes_.
+  // Live per-morsel parts of the running unit (guarded by morsel_mu_);
+  // counted into peak_live_bytes_ alongside live_bytes_.
   size_t morsel_live_bytes_ = 0;
   void TrackTable(const Table& t);
   void UntrackTable(const Table& t);

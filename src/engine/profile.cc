@@ -189,8 +189,6 @@ std::string Profile::ToJson() const {
     AppendJsonString(m.prov, &out);
     out += ", \"ms\": ";
     AppendNumber(m.ms, &out);
-    out += ", \"queue_ms\": ";
-    AppendNumber(m.queue_ms, &out);
     std::snprintf(buf, sizeof(buf),
                   ", \"in_rows\": %zu, \"out_rows\": %zu, \"chunks\": %zu, "
                   "\"pipeline\": %lld}",
@@ -209,8 +207,6 @@ std::string Profile::ToJson() const {
                   m.id, m.head, m.sink, m.stages, m.morsels);
     out += buf;
     AppendNumber(m.ms, &out);
-    out += ", \"queue_ms\": ";
-    AppendNumber(m.queue_ms, &out);
     std::snprintf(buf, sizeof(buf), ", \"in_rows\": %zu, \"out_rows\": %zu}",
                   m.in_rows, m.out_rows);
     out += buf;

@@ -3,14 +3,13 @@
 //  * aggregated by operator kind and by the compiler's provenance labels
 //    — this regenerates Table 2 of the paper ("a breakdown of where time
 //    goes during evaluation");
-//  * one record per evaluated operator id — wall time, scheduler queue
-//    wait, input/output cardinalities and chunk count — which makes the
-//    parallel engine observable: ToJson() dumps the whole run, including
-//    the peak live intermediate-table footprint under refcounted
-//    release.
+//  * one record per evaluated operator id — wall time, input/output
+//    cardinalities and chunk count — which makes the engine observable:
+//    ToJson() dumps the whole run, including the peak live
+//    intermediate-table footprint under refcounted release.
 //
 // The profile itself is a plain value type (copied into QueryResult);
-// the evaluator serializes concurrent Record calls externally.
+// the evaluator records into it from the thread that runs the units.
 #ifndef EXRQUY_ENGINE_PROFILE_H_
 #define EXRQUY_ENGINE_PROFILE_H_
 
@@ -36,17 +35,15 @@ class Profile {
     std::string kind;        // OpKindName
     std::string prov;        // provenance label ("" when unlabeled)
     double ms = 0;           // kernel wall time
-    // Scheduler-queue wait, ready -> start, charged once per *scheduled
-    // unit*: 0 for fused pipeline stages (the wait is on the pipeline's
-    // record) and for units run inline on the thread that readied them —
-    // so summing queue_ms over ops never double-counts a backlog.
+    // Always 0: units run on the calling thread and never queue. Kept
+    // only because perfbench still sums it.
     double queue_ms = 0;
     size_t in_rows = 0;      // sum over inputs
     size_t out_rows = 0;
     size_t chunks = 1;       // chunk/morsel tasks (1 = unchunked)
     // Fused pipeline this op ran in (index into pipelines()); -1 when it
     // ran standalone. Fused stages report per-morsel-summed wall time
-    // and exact row counts, but no queue wait of their own.
+    // and exact row counts.
     int64_t pipeline = -1;
   };
 
@@ -61,7 +58,7 @@ class Profile {
     // already land in total_ms() via their OpMetrics, so this is NOT
     // added to total_ms() again.
     double ms = 0;
-    double queue_ms = 0;     // ready -> start, once for the whole unit
+    double queue_ms = 0;     // always 0, like OpMetrics::queue_ms
     size_t in_rows = 0;      // morsel-domain (head source) rows
     size_t out_rows = 0;     // sink output rows
   };
@@ -94,9 +91,10 @@ class Profile {
   const std::map<std::string, Bucket>& by_kind() const { return by_kind_; }
   double total_ms() const { return total_ms_; }
 
-  // Sorted by operator id (insertion order is scheduling-dependent).
+  // Sorted by operator id (a pipeline's stages are recorded when its
+  // sink runs, after units with larger ids).
   const std::vector<OpMetrics>& ops() const;
-  // Sorted by pipeline id (same reason).
+  // Sorted by pipeline id (pipelines are recorded in sink order).
   const std::vector<PipelineMetrics>& pipelines() const;
 
   size_t threads() const { return threads_; }

@@ -5,15 +5,9 @@
 
 namespace exrquy {
 
-TaskPool::TaskPool(size_t threads) : target_(threads <= 1 ? 0 : threads) {}
-
-void TaskPool::EnsureWorkersLocked() {
-  if (spawned_) return;
-  spawned_ = true;
-  workers_.reserve(target_);
-  for (size_t i = 0; i < target_; ++i) {
-    // Workers block on mu_ until the caller releases it — safe to spawn
-    // while holding the lock.
+TaskPool::TaskPool(size_t threads) {
+  workers_.reserve(threads);
+  for (size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -28,13 +22,8 @@ TaskPool::~TaskPool() {
 }
 
 void TaskPool::Submit(std::function<void()> fn) {
-  if (target_ == 0) {
-    fn();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    EnsureWorkersLocked();
     queue_.push_back(std::move(fn));
   }
   cv_.notify_one();
@@ -91,12 +80,12 @@ struct ForState {
 
 void TaskPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (target_ == 0 || n == 1) {
+  if (workers_.empty() || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   auto state = std::make_shared<ForState>(n, fn);
-  size_t helpers = std::min(target_, n - 1);
+  size_t helpers = std::min(workers_.size(), n - 1);
   for (size_t h = 0; h < helpers; ++h) {
     Submit([state] { state->Drain(); });
   }

@@ -1,8 +1,7 @@
-// A fixed-size worker pool used by the parallel evaluator: operator
-// tasks from the DAG scheduler and chunk tasks from the intra-operator
-// kernels share one queue. ParallelFor lets the submitting thread
-// participate in draining its own chunks, so a pool saturated with
-// operator tasks can never deadlock a chunked kernel.
+// A fixed-size worker pool for the evaluator's morsel and range kernels:
+// scheduled units run one at a time on the calling thread, and only a
+// unit's morsels and ranges fan out here. ParallelFor lets the calling
+// thread drain indices alongside the workers.
 #ifndef EXRQUY_ENGINE_TASK_POOL_H_
 #define EXRQUY_ENGINE_TASK_POOL_H_
 
@@ -18,24 +17,12 @@ namespace exrquy {
 
 class TaskPool {
  public:
-  // A pool of `threads` workers (0 behaves like 1: no workers,
-  // everything runs inline on the calling thread). Workers spawn lazily
-  // on the first Submit/ParallelFor that needs them — a query whose
-  // every unit runs inline (tiny inputs under the evaluator's
-  // serial-execution threshold) never pays thread creation at all.
+  // Starts `threads` workers.
   explicit TaskPool(size_t threads);
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
-
-  // The pool's worker capacity (0 = inline pool), independent of whether
-  // the workers have spawned yet.
-  size_t threads() const { return target_; }
-
-  // Enqueues a task. Tasks must not block on other queued tasks (operator
-  // tasks only block on the store lock, whose holder always completes).
-  void Submit(std::function<void()> fn);
 
   // Invokes fn(i) for every i in [0, n), distributing indices over the
   // workers while the calling thread drains indices itself; returns when
@@ -45,16 +32,14 @@ class TaskPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
+  void Submit(std::function<void()> fn);
   void WorkerLoop();
-  void EnsureWorkersLocked();  // requires mu_ held
 
-  size_t target_ = 0;    // worker capacity; 0 = run everything inline
-  bool spawned_ = false;  // guarded by mu_
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<std::function<void()>> queue_;  // guarded by mu_
+  bool stop_ = false;                         // guarded by mu_
   std::mutex mu_;
   std::condition_variable cv_;
-  bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: the workers use the above
 };
 
 }  // namespace exrquy

@@ -807,6 +807,10 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
 
   if (name == "data" || name == "string" || name == "number") {
     EXRQUY_ASSIGN_OR_RETURN(Sequence s, arg(0));
+    if (name == "number" && s.size() > 1) {
+      return CardinalityError("fn:number: argument has " +
+                              std::to_string(s.size()) + " item(s)");
+    }
     Sequence out;
     for (const Value& v : s) {
       Value a = ops_.Atomize(v);

@@ -879,7 +879,7 @@ TEST_F(EngineTest, EquiJoinProbeMatchesNestedLoopAtAnyMorselSize) {
   ColId rk = ColSym("rk");
   ColId rr = ColSym("rr");
   ctx_.num_threads = 4;
-  ctx_.inline_rows = 0;  // every unit goes to the pool
+  size_t fanned_out = 0;
   std::mt19937 rng(7);
   for (int trial = 0; trial < 60; ++trial) {
     const bool value_join = trial % 2 == 1;
@@ -920,8 +920,18 @@ TEST_F(EngineTest, EquiJoinProbeMatchesNestedLoopAtAnyMorselSize) {
       SCOPED_TRACE("trial " + std::to_string(trial) + " morsel " +
                    std::to_string(morsel));
       ctx_.morsel_rows = morsel;
+      Profile profile;
+      ctx_.profile = &profile;
       TablePtr t = Eval(join);
+      ctx_.profile = nullptr;
       ASSERT_NE(t, nullptr);
+      // The probe side's morsels are what fans out to the pool.
+      const size_t probe = std::max(lkeys.size(), rkeys.size());
+      const size_t morsels = std::max<size_t>(1, (probe + morsel - 1) / morsel);
+      ASSERT_EQ(profile.threads(), 4u);
+      ASSERT_EQ(profile.ops().back().op, join);
+      EXPECT_EQ(profile.ops().back().chunks, morsels);
+      fanned_out += morsels > 1;
       std::vector<std::pair<int64_t, int64_t>> got;
       for (size_t k = 0; k < t->rows(); ++k) {
         got.emplace_back(t->at(lr, k).i, t->at(rr, k).i);
@@ -929,6 +939,7 @@ TEST_F(EngineTest, EquiJoinProbeMatchesNestedLoopAtAnyMorselSize) {
       EXPECT_EQ(got, want);
     }
   }
+  EXPECT_GT(fanned_out, 60u);
 }
 
 }  // namespace

@@ -550,9 +550,18 @@ class BandKernelTest : public ::testing::Test {
     ctx.strings = &strings_;
     ctx.num_threads = threads;
     ctx.morsel_rows = morsel_rows;
-    ctx.inline_rows = 0;  // morsels on the pool, sharing the index
+    Profile profile;
+    ctx.profile = &profile;
     Evaluator ev(dag_, &ctx);
-    return ev.Eval(root);
+    Result<TablePtr> r = ev.Eval(root);
+    // The 4-thread runs are there to share the index across morsels on
+    // the pool; count the ones whose profile shows a unit that split.
+    if (profile.threads() > 1 &&
+        std::any_of(profile.ops().begin(), profile.ops().end(),
+                    [](const Profile::OpMetrics& m) { return m.chunks > 1; })) {
+      ++fanned_out_;
+    }
+    return r;
   }
 
   // Runs `root` serially and at 4 threads over 1- and 3-row morsels;
@@ -583,6 +592,7 @@ class BandKernelTest : public ::testing::Test {
     return first;
   }
 
+  size_t fanned_out_ = 0;  // multi-thread runs with a unit that split
   std::mt19937_64 rng_{20261017};
   StrPool strings_;
   NodeStore store_;
@@ -632,6 +642,7 @@ TEST_F(BandKernelTest, ThetaJoinMatchesPairwiseCompare) {
   // The generator must exercise both outcomes substantially.
   EXPECT_GT(errors, 300u);
   EXPECT_GT(pairs, 3000u);
+  EXPECT_GT(fanned_out_, 1000u);
 }
 
 TEST_F(BandKernelTest, ThetaCountMatchesCountOverDistinctPairs) {
@@ -674,6 +685,7 @@ TEST_F(BandKernelTest, ThetaCountMatchesCountOverDistinctPairs) {
   }
   EXPECT_GT(nonempty, 300u);
   EXPECT_GT(errors, 100u);
+  EXPECT_GT(fanned_out_, 2500u);
 }
 
 TEST_F(BandKernelTest, ThetaCountRefusesPairsInSeveralClasses) {

@@ -21,8 +21,10 @@
 //   * the plan audit: a hand-corrupted MorselPlan must be refused before
 //     the engine runs a single morsel.
 //
-// Plus the scheduling satellite: a tiny query at 4 threads must not pay
-// for the pool (serial-inline threshold + lazy worker spawn).
+// Plus the scheduling contract: units run one at a time in op-id order at
+// every thread count, so memory and dispatch counts do not depend on it,
+// and a tiny query at 4 threads never starts the pool (it starts at the
+// first unit with several morsels).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,13 +142,10 @@ TEST_F(PipelineExecTest, PipelinesActuallyFuse) {
       EXPECT_GE(pm.morsels, 1u) << q.name;
     }
     // Fused stages keep their per-op row counts, tagged with the
-    // pipeline they ran in; queue wait is charged to the pipeline as
-    // one scheduled unit, never to its stages.
+    // pipeline they ran in.
     size_t tagged = 0;
     for (const Profile::OpMetrics& m : r->profile.ops()) {
-      if (m.pipeline < 0) continue;
-      ++tagged;
-      EXPECT_EQ(m.queue_ms, 0.0) << q.name;
+      if (m.pipeline >= 0) ++tagged;
     }
     EXPECT_GE(tagged, 2 * r->profile.pipelines().size()) << q.name;
   }
@@ -276,6 +275,31 @@ TEST_F(PipelineExecTest, RemovedChunkRowsRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(PipelineExecTest, RemovedInlineRowsRejected) {
+  // Units no longer run inline below a row threshold: a unit fans out
+  // exactly when it has several morsels. Setting inline_rows must fail
+  // loudly, through Session::Execute and through Evaluator::Eval.
+  QueryOptions o = Serial();
+  o.inline_rows = 0;
+  Result<QueryResult> r = session_->Execute(XMarkQueryText("Q1"), o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("inline_rows"), std::string::npos);
+
+  Result<QueryPlans> plans = session_->Plan(XMarkQueryText("Q1"));
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  EvalContext ctx;
+  ctx.store = &session_->store();
+  ctx.strings = &session_->strings();
+  ctx.documents = session_->documents();
+  ctx.num_threads = 1;
+  ctx.inline_rows = 1u << 30;
+  Status st = Evaluator(*plans->dag, &ctx).Eval(plans->optimized).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  ctx.inline_rows = kRemovedInlineRows;
+  EXPECT_TRUE(Evaluator(*plans->dag, &ctx).Eval(plans->optimized).ok());
+}
+
 // EXRQUY_THREADS and EXRQUY_MORSEL_ROWS are parsed strictly: with the
 // option deferring to the environment, a malformed value fails
 // Evaluator::Eval with InvalidArgument naming the variable instead of
@@ -313,9 +337,8 @@ TEST_F(PipelineExecTest, MalformedMorselRowsEnvRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Scheduling: tiny pipelines run inline on the readying thread, and the
-// pool never spawns a worker it does not need, so a tiny query at 4
-// threads costs what it costs at 1.
+// Scheduling: the pool starts at the first unit with several morsels, so
+// a tiny query at 4 threads never starts it and costs what it costs at 1.
 
 TEST_F(PipelineExecTest, TinyQueryFourThreadLatencyNearSerial) {
   Session session;
@@ -358,18 +381,51 @@ TEST_F(PipelineExecTest, TinyQueryFourThreadLatencyNearSerial) {
       << " ms vs 4T " << four_ms << " ms";
 }
 
-TEST_F(PipelineExecTest, InlineThresholdNeverObservable) {
-  // inline_rows changes scheduling only; force both extremes.
-  const std::string& q8 = XMarkQueryText("Q8");
-  Result<QueryResult> reference = session_->Execute(q8, Serial());
-  ASSERT_TRUE(reference.ok());
-  for (size_t inline_rows : {size_t{0}, size_t{1u << 30}}) {
-    QueryOptions o = Morsels(/*threads=*/4, /*morsel_rows=*/64);
-    o.inline_rows = inline_rows;
-    Result<QueryResult> r = session_->Execute(q8, o);
-    ASSERT_TRUE(r.ok()) << "inline_rows=" << inline_rows;
-    EXPECT_EQ(reference->serialized, r->serialized)
-        << "inline_rows=" << inline_rows;
+// The unit dispatches of a run: standalone operator records plus
+// pipelines (each pipeline is one unit, dispatched at its sink).
+size_t UnitDispatches(const Profile& p) {
+  size_t units = p.pipelines().size();
+  for (const Profile::OpMetrics& m : p.ops()) units += m.pipeline < 0;
+  return units;
+}
+
+TEST_F(PipelineExecTest, UnitOrderIndependentOfThreads) {
+  // Units run one at a time in op-id order at every thread count; only
+  // their morsels fan out. So the live-memory high-water mark, the
+  // released-table count and the operator dispatches a cancel_at_op
+  // fault counts are the same at 4 threads as at 1.
+  for (OrderingMode mode : {OrderingMode::kOrdered, OrderingMode::kUnordered}) {
+    for (const XMarkQuery& q : XMarkQueries()) {
+      QueryOptions serial = Morsels(/*threads=*/1, /*morsel_rows=*/64);
+      QueryOptions four = Morsels(/*threads=*/4, /*morsel_rows=*/64);
+      serial.default_ordering = four.default_ordering = mode;
+      serial.profile = four.profile = true;
+      const std::string where =
+          q.name + (mode == OrderingMode::kOrdered ? " ordered" : " unordered");
+      Result<QueryResult> s = session_->Execute(q.text, serial);
+      Result<QueryResult> f = session_->Execute(q.text, four);
+      ASSERT_TRUE(s.ok()) << where << ": " << s.status().ToString();
+      ASSERT_TRUE(f.ok()) << where << ": " << f.status().ToString();
+      EXPECT_EQ(f->profile.peak_live_bytes(), s->profile.peak_live_bytes())
+          << where;
+      EXPECT_EQ(f->profile.released_tables(), s->profile.released_tables())
+          << where;
+      const size_t units = UnitDispatches(s->profile);
+      ASSERT_GT(units, 0u) << where;
+      EXPECT_EQ(UnitDispatches(f->profile), units) << where;
+      // The cancel fault counts exactly those dispatches: armed at the
+      // last one it trips, one further it never fires.
+      for (QueryOptions o : {serial, four}) {
+        o.profile = false;
+        o.faults.cancel_at_op = units;
+        Result<QueryResult> last = session_->Execute(q.text, o);
+        ASSERT_FALSE(last.ok()) << where << " threads=" << o.num_threads;
+        EXPECT_EQ(last.status().code(), StatusCode::kCancelled) << where;
+        o.faults.cancel_at_op = units + 1;
+        EXPECT_TRUE(session_->Execute(q.text, o).ok())
+            << where << " threads=" << o.num_threads;
+      }
+    }
   }
 }
 

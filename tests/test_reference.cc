@@ -390,6 +390,9 @@ TEST_F(ReferenceTest, NumericEdgeCasesFollowTheSpec) {
        {"9007199254740993", "9007199254740992"}, nullptr},
       // fn:number is NaN wherever the xs:double cast fails, and on ();
       // the cast accepts only the XSD lexical space (no hex, no "inf").
+      // Its argument is xs:anyAtomicType?, so two items raise.
+      {R"(number((1, "2")))", {}, "fn:number: argument has 2 item(s)"},
+      {R"(number("7"))", {"7"}, nullptr},
       {R"(number("abc"))", {"NaN"}, nullptr},
       {R"(number(""))", {"NaN"}, nullptr},
       {"number(<a/>)", {"NaN"}, nullptr},

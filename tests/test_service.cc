@@ -353,6 +353,28 @@ TEST(QueryServiceTest, ResultCacheHitServesBytesWithoutEngine) {
   EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(QueryServiceTest, RemovedInlineRowsRejected) {
+  // The removed inline_rows knob is rejected before the result cache is
+  // consulted: a request whose bytes are cached still fails.
+  ServiceConfig config;
+  config.workers = 1;
+  config.plan_cache = 1;
+  config.result_cache_bytes = 1 << 20;
+  QueryService service(config);
+  ASSERT_TRUE(service.LoadDocument("d.xml", "<r><x>7</x></r>").ok());
+  const char* query = R"(doc("d.xml")//x/text())";
+  QueryOptions o;
+  ASSERT_TRUE(service.Execute(query, o).ok());
+  Result<ServiceResult> warm = service.Execute(query, o);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(warm->result_cache_hit);
+  o.inline_rows = 0;
+  Result<ServiceResult> removed = service.Execute(query, o);
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(removed.status().message().find("inline_rows"), std::string::npos);
+}
+
 // Reloading a document must invalidate both caches: no stale plan, no
 // stale bytes, ever.
 TEST(QueryServiceTest, LoadInvalidatesCaches) {
