@@ -127,6 +127,14 @@ constexpr ByKind<OrderMap> OnNumbers(OrderMap on_int, OrderMap on_numeric) {
   return {on_int, on_numeric, M::kNone, M::kNone, M::kNone, M::kNone};
 }
 
+// XQuery parameters: item()*, xs:anyAtomicType* (atomized), numeric?
+// and xs:double (atomized), xs:string? (atomized and cast, "" if empty).
+constexpr Param kItems{Occurs::kMany};
+constexpr Param kAtoms{Occurs::kMany, Convert::kAtomize};
+constexpr Param kNum{Occurs::kOpt, Convert::kAtomize};
+constexpr Param kDbl{Occurs::kOne, Convert::kAtomize};
+constexpr Param kStr{Occurs::kOpt, Convert::kString, OnEmpty::kArgEmptyString};
+
 // Indexed by FunKind. Arithmetic yields an integer for integer operands
 // and a double otherwise (untypedAtomic casts to xs:double), so only
 // idiv is always integral. number() merges integers beyond 2^53; unary
@@ -155,24 +163,34 @@ constexpr FunSig kFunSigs[] = {
     {"not", 1, Always(K::kBool)},
     // Atomics pass through; a node atomizes to untypedAtomic.
     {"atomize", 1, {K::kInt, K::kNumeric, K::kString, K::kBool, K::kString,
-                    K::kAny}},
-    {"number", 1, Always(K::kNumeric), OnNumbers(M::kMono, M::kMono)},
-    {"string", 1, Always(K::kString)},
-    {"contains", 2, Always(K::kBool)},
-    {"concat", 2, Always(K::kString)},
-    {"string-length", 1, Always(K::kInt)},
-    {"starts-with", 2, Always(K::kBool)},
-    {"ends-with", 2, Always(K::kBool)},
-    {"upper-case", 1, Always(K::kString)},
-    {"lower-case", 1, Always(K::kString)},
-    {"normalize-space", 1, Always(K::kString)},
-    {"substring", 2, Always(K::kString)},
-    {"substring", 3, Always(K::kString)},
-    {"abs", 1, Always(K::kNumeric)},
-    {"floor", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono)},
-    {"ceiling", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono)},
-    {"round", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono)},
-    {"name", 1, Always(K::kString)},
+                    K::kAny}, {}, {{"data"}, {kItems}}},
+    {"number", 1, Always(K::kNumeric), OnNumbers(M::kMono, M::kMono),
+     {{"number"}, {{Occurs::kOpt, Convert::kAtomize, OnEmpty::kArgNaN}}}},
+    {"string", 1, Always(K::kString), {},
+     {{"string"},
+      {{Occurs::kOpt, Convert::kAtomize, OnEmpty::kArgEmptyString}}}},
+    {"contains", 2, Always(K::kBool), {}, {{"contains"}, {kStr, kStr}}},
+    {"concat", 2, Always(K::kString), {}, {{"concat"}, {kStr, kStr}, true}},
+    {"string-length", 1, Always(K::kInt), {}, {{"string-length"}, {kStr}}},
+    {"starts-with", 2, Always(K::kBool), {}, {{"starts-with"}, {kStr, kStr}}},
+    {"ends-with", 2, Always(K::kBool), {}, {{"ends-with"}, {kStr, kStr}}},
+    {"upper-case", 1, Always(K::kString), {}, {{"upper-case"}, {kStr}}},
+    {"lower-case", 1, Always(K::kString), {}, {{"lower-case"}, {kStr}}},
+    {"normalize-space", 1, Always(K::kString), {},
+     {{"normalize-space"}, {kStr}}},
+    {"substring", 2, Always(K::kString), {}, {{"substring"}, {kStr, kDbl}}},
+    {"substring", 3, Always(K::kString), {},
+     {{"substring"}, {kStr, kDbl, kDbl}}},
+    {"abs", 1, Always(K::kNumeric), {}, {{"abs"}, {kNum}}},
+    {"floor", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono),
+     {{"floor"}, {kNum}}},
+    {"ceiling", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono),
+     {{"ceiling"}, {kNum}}},
+    {"round", 1, Always(K::kNumeric), OnNumbers(M::kIso, M::kMono),
+     {{"round"}, {kNum}}},
+    {"name", 1, Always(K::kString), {},
+     {{"name", "local-name"},
+      {{Occurs::kOpt, Convert::kNone, OnEmpty::kResultEmptyString}}}},
 };
 static_assert(std::size(kFunSigs) ==
               static_cast<size_t>(FunKind::kNodeName) + 1);
@@ -181,11 +199,15 @@ static_assert(std::size(kFunSigs) ==
 // integer for integers), except that untypedAtomic values are cast to
 // xs:double: a string-class or node input may yield a number.
 constexpr AggrSig kAggrSigs[] = {
-    {"count", Always(K::kInt)},
-    {"sum", Always(K::kNumeric)},
-    {"max", {K::kInt, K::kNumeric, K::kAny, K::kBool, K::kAny, K::kAny}},
-    {"min", {K::kInt, K::kNumeric, K::kAny, K::kBool, K::kAny, K::kAny}},
-    {"avg", Always(K::kNumeric)},
+    {"count", Always(K::kInt),
+     {{"count"}, {{Occurs::kMany, Convert::kNone, OnEmpty::kResultZero}}}},
+    {"sum", Always(K::kNumeric),
+     {{"sum"}, {{Occurs::kMany, Convert::kAtomize, OnEmpty::kResultZero}}}},
+    {"max", {K::kInt, K::kNumeric, K::kAny, K::kBool, K::kAny, K::kAny},
+     {{"max"}, {kAtoms}}},
+    {"min", {K::kInt, K::kNumeric, K::kAny, K::kBool, K::kAny, K::kAny},
+     {{"min"}, {kAtoms}}},
+    {"avg", Always(K::kNumeric), {{"avg"}, {kAtoms}}},
     {"ebv", Always(K::kBool)},
     {"str-join", Always(K::kString)},
 };

@@ -185,10 +185,41 @@ enum class OrderMap : uint8_t { kNone, kIso, kMono, kAnti };
 template <typename T>
 using ByKind = std::array<T, kItemKinds>;  // indexed by ItemKind
 
+// One parameter of an XQuery call, after F&O's function conversion: the
+// items an argument holds per iteration (exactly one, `?`, `*`; a bounded
+// count is checked), their conversion (atomized, or also cast to
+// xs:string), and what an empty argument gives: nothing (the call yields
+// ()), a value it stands for ("", or the "NaN" that number() casts: a NaN
+// literal would not hash-cons), or the call's result (one-parameter rows).
+enum class Occurs : uint8_t { kOne, kOpt, kMany };
+enum class Convert : uint8_t { kNone, kAtomize, kString };
+enum class OnEmpty : uint8_t {
+  kNothing,
+  kArgEmptyString,
+  kArgNaN,
+  kResultEmptyString,
+  kResultZero,
+};
+inline bool IsResult(OnEmpty e) { return e >= OnEmpty::kResultEmptyString; }
+struct Param {
+  Occurs occurs = Occurs::kOne;
+  Convert convert = Convert::kNone;
+  OnEmpty on_empty = OnEmpty::kNothing;
+};
+
+// The XQuery functions a row implements (fn: prefix optional; none when
+// the row is not callable) and their parameters. A variadic row folds
+// any number of arguments from its arity up, left to right.
+struct CallSig {
+  std::array<const char*, 2> names = {};
+  std::array<Param, 3> params = {};
+  bool variadic = false;
+};
+
 // What the analyses may assume about one ⊕ function, written once for the
-// optimizer's analyses, the plan verifier (its audit and arity check)
-// and the plan printers, and checked row by row against the engine on
-// edge values (tests/test_signatures.cc).
+// optimizer's analyses, the plan verifier (its audit and arity check),
+// the plan printers and the compiler's lowering of calls, and checked row
+// by row against the engine on edge values (tests/test_signatures.cc).
 struct FunSig {
   const char* name;
   uint8_t arity;
@@ -196,6 +227,7 @@ struct FunSig {
   ByKind<ItemKind> result;
   // The order map, by the kind of the (only) argument's column.
   ByKind<OrderMap> order = {};
+  CallSig call = {};
 
   ItemKind ResultFor(ItemKind arg0) const {
     return result[static_cast<size_t>(arg0)];
@@ -209,6 +241,7 @@ struct FunSig {
 struct AggrSig {
   const char* name;
   ByKind<ItemKind> result;
+  CallSig call = {};  // one parameter
 
   ItemKind ResultFor(ItemKind arg) const {
     return result[static_cast<size_t>(arg)];
@@ -392,9 +425,10 @@ class Dag {
   // Passes `child` through unchanged but raises a cardinality error when
   // any iteration of `loop` has fewer than `min_card` or more than
   // `max_card` rows in `child` (fn:zero-or-one / exactly-one /
-  // one-or-more; `fn_name` labels the error message).
+  // one-or-more, and a bounded parameter; `label`, such as
+  // "fn:exactly-one", names the check in the error message).
   OpId CardCheck(OpId child, OpId loop, int64_t min_card, int64_t max_card,
-                 StrId fn_name);
+                 StrId label);
   OpId Step(OpId child, Axis axis, NodeTest test);
   OpId Doc(StrId name);
   // Node constructors build one node per row of `loop` (an iter-column

@@ -1,5 +1,6 @@
 #include "compiler/compile.h"
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <string>
@@ -22,6 +23,26 @@ std::vector<std::pair<ColId, ColId>> Ipi() {
 
 std::vector<std::pair<ColId, ColId>> Ii() {
   return {{iter(), iter()}, {item(), item()}};
+}
+
+// The ⊕ function of each comparison, arithmetic and logical operator.
+constexpr std::pair<BinOp, FunKind> kOperatorFuns[] = {
+    {BinOp::kEq, FunKind::kEq},     {BinOp::kNe, FunKind::kNe},
+    {BinOp::kLt, FunKind::kLt},     {BinOp::kLe, FunKind::kLe},
+    {BinOp::kGt, FunKind::kGt},     {BinOp::kGe, FunKind::kGe},
+    {BinOp::kAdd, FunKind::kAdd},   {BinOp::kSub, FunKind::kSub},
+    {BinOp::kMul, FunKind::kMul},   {BinOp::kDiv, FunKind::kDiv},
+    {BinOp::kIDiv, FunKind::kIDiv}, {BinOp::kMod, FunKind::kMod},
+    {BinOp::kNeg, FunKind::kNeg},   {BinOp::kAnd, FunKind::kAnd},
+    {BinOp::kOr, FunKind::kOr},     {BinOp::kBefore, FunKind::kNodeBefore},
+    {BinOp::kIs, FunKind::kNodeIs}, {BinOp::kAfter, FunKind::kNodeAfter},
+};
+
+Result<FunKind> OperatorFun(BinOp op) {
+  for (const auto& [b, f] : kOperatorFuns) {
+    if (b == op) return f;
+  }
+  return Internal("bad operator");
 }
 
 class Compiler {
@@ -148,38 +169,55 @@ class Compiler {
 
   OpId Atomize(OpId q) { return MapItem(q, FunKind::kAtomize); }
 
-  // Joins two (iter, ..., item) plans on iter; returns the joined plan and
-  // the column holding the right item.
-  struct Joined {
-    OpId plan;
-    ColId right_item;
-  };
-  Joined JoinOnIter(OpId q1, OpId q2) {
-    ColId i2 = FreshCol("iter2");
-    ColId t2 = FreshCol("item2");
-    OpId r = dag_->Project(q2, {{i2, iter()}, {t2, item()}});
-    OpId l = dag_->Project(q1, Ii());
-    return Joined{dag_->EquiJoin(l, r, iter(), i2), t2};
+  // Joins (iter, ..., item) plans on iter; returns the joined plan and
+  // the columns holding their items, in order.
+  std::pair<OpId, std::vector<ColId>> JoinOnIter(
+      const std::vector<OpId>& qs) {
+    OpId plan = kNoOp;
+    std::vector<ColId> items = {item()};
+    for (size_t i = 1; i < qs.size(); ++i) {
+      ColId in = FreshCol("iter" + std::to_string(i + 1));
+      ColId tn = FreshCol("item" + std::to_string(i + 1));
+      OpId r = dag_->Project(qs[i], {{in, iter()}, {tn, item()}});
+      if (plan == kNoOp) plan = dag_->Project(qs[0], Ii());
+      plan = dag_->EquiJoin(plan, r, iter(), in);
+      items.push_back(tn);
+    }
+    return {plan, std::move(items)};
+  }
+
+  // `fun` over the items of the plans `args`, joined on iter. Returns
+  // (iter, pos, item).
+  OpId Apply(FunKind fun, const std::vector<OpId>& args) {
+    if (args.size() == 1) return MapItem(args[0], fun);
+    auto [plan, items] = JoinOnIter(args);
+    ColId res = FreshCol("item");
+    OpId f = dag_->Fun(plan, fun, res, std::move(items));
+    return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), res}}));
   }
 
   // Adds rows [iter, default] for loop iterations missing in q (iter,
-  // item); with pos 1 when q is an (iter, pos, item) triple.
-  OpId WithDefault(OpId q, OpId loop, Value dflt) {
-    OpId present = dag_->Project(q, {{iter(), iter()}});
-    OpId missing = dag_->Difference(loop, present, {iter()});
+  // item); with pos 1 when q is an (iter, pos, item) triple, and with a
+  // column `present`, true on q's rows and false on the added ones, when
+  // one is named.
+  OpId WithDefault(OpId q, OpId loop, Value dflt, ColId present = kNoCol) {
+    OpId iters = dag_->Project(q, {{iter(), iter()}});
+    OpId missing = dag_->Difference(loop, iters, {iter()});
     OpId d = dag_->AttachConst(missing, item(), dflt);
     if (dag_->op(q).HasCol(pos())) d = ToTriple(d);
+    if (present != kNoCol) {
+      q = dag_->AttachConst(q, present, Value::Bool(true));
+      d = dag_->AttachConst(d, present, Value::Bool(false));
+    }
     return dag_->Union(q, d);
   }
 
   // Grouped aggregate over the item column with a per-iteration default.
   // Returns (iter, item).
-  OpId AggrDefault(OpId q, AggrKind aggr, OpId loop, const Value* dflt,
-                   ColId order_col = kNoCol) {
+  OpId AggrDefault(OpId q, AggrKind aggr, OpId loop, const Value* dflt) {
     ColId res = FreshCol("item");
     OpId a = dag_->Aggr(dag_->Project(q, Ipi()), aggr, res,
-                        aggr == AggrKind::kCount ? kNoCol : item(), iter(),
-                        order_col);
+                        aggr == AggrKind::kCount ? kNoCol : item(), iter());
     OpId renamed = dag_->Project(a, {{iter(), iter()}, {item(), res}});
     if (dflt == nullptr) return renamed;
     return WithDefault(renamed, loop, *dflt);
@@ -307,8 +345,12 @@ class Compiler {
   struct FlworTail {
     OpId body = kNoOp;
     struct Key {
-      OpId plan;  // (iter, item), one row per inner iteration
+      // (iter, item[, present]), one row per inner iteration; `present`
+      // is false where the key is empty (its item a placeholder).
+      OpId plan;
+      ColId present;
       bool descending;
+      bool empty_greatest;
     };
     std::vector<Key> keys;
   };
@@ -394,8 +436,16 @@ class Compiler {
       for (const FlworTail::Key& k : tail.keys) {
         ColId kb = FreshCol("kbind");
         ColId kv = FreshCol("key");
-        OpId keymap = dag_->Project(k.plan, {{kb, iter()}, {kv, item()}});
-        j = dag_->EquiJoin(j, keymap, iter(), kb);
+        std::vector<std::pair<ColId, ColId>> proj = {{kb, iter()},
+                                                     {kv, item()}};
+        // An empty key sorts least (or greatest) of all: by `present`
+        // first, false before true unless the two directions differ.
+        if (k.present != kNoCol) {
+          proj.push_back({k.present, k.present});
+          criteria.push_back({k.present, k.descending != k.empty_greatest});
+        }
+        j = dag_->EquiJoin(j, dag_->Project(k.plan, std::move(proj)), iter(),
+                           kb);
         criteria.push_back({kv, k.descending});
       }
       tail.keys.clear();
@@ -425,12 +475,19 @@ class Compiler {
     FlworTail tail;
     for (const OrderSpec& spec : e.order_by) {
       EXRQUY_ASSIGN_OR_RETURN(OpId kq, CompileExpr(*spec.key, *cur, mode));
-      kq = Atomize(dag_->Project(kq, Ipi()));
-      // One key row per iteration; empty keys order first (our
-      // approximation of 'empty least': the empty string).
-      Value empty_key = Value::Untyped(StrPool::kEmpty);
-      OpId k = AggrDefault(kq, AggrKind::kMax, cur->loop, &empty_key);
-      tail.keys.push_back({k, spec.descending});
+      // A key is an xs:anyAtomicType? argument. Its untypedAtomic values
+      // need no cast to xs:string: OrderCompare ranks them as strings.
+      Card known = KnownCard(*spec.key, kq, *cur);
+      OpId k = dag_->Project(
+          LowerArg(kq, known, {Occurs::kOpt, Convert::kAtomize},
+                   "order by key", *cur),
+          Ii());
+      ColId present = known.min < 1 ? FreshCol("present") : kNoCol;
+      if (present != kNoCol) {
+        k = WithDefault(k, cur->loop, Value::Untyped(StrPool::kEmpty),
+                        present);
+      }
+      tail.keys.push_back({k, present, spec.descending, spec.empty_greatest});
     }
     EXRQUY_ASSIGN_OR_RETURN(tail.body, CompileExpr(*e.ret, *cur, mode));
     tail.body = dag_->Project(tail.body, Ipi());
@@ -586,30 +643,12 @@ class Compiler {
     } else {
       return false;
     }
-    FunKind op;
-    switch (p.op) {
-      case BinOp::kEq:
-        op = FunKind::kEq;
-        break;
-      case BinOp::kNe:
-        op = FunKind::kNe;
-        break;
-      case BinOp::kLt:
-        op = swapped ? FunKind::kGt : FunKind::kLt;
-        break;
-      case BinOp::kLe:
-        op = swapped ? FunKind::kGe : FunKind::kLe;
-        break;
-      case BinOp::kGt:
-        op = swapped ? FunKind::kLt : FunKind::kGt;
-        break;
-      case BinOp::kGe:
-        op = swapped ? FunKind::kLe : FunKind::kGe;
-        break;
-      default:
-        return false;
-    }
-    *op_out = op;
+    // With position() on the right, lt and gt (le and ge) swap.
+    constexpr BinOp kMirrored[] = {BinOp::kEq, BinOp::kNe, BinOp::kGt,
+                                   BinOp::kGe, BinOp::kLt, BinOp::kLe};
+    if (p.op > BinOp::kGe) return false;
+    *op_out =
+        *OperatorFun(swapped ? kMirrored[static_cast<size_t>(p.op)] : p.op);
     *value_out = value->int_value;
     return true;
   }
@@ -681,45 +720,14 @@ class Compiler {
       q1 = Atomize(dag_->Project(q1, Ipi()));
       q2 = Atomize(dag_->Project(q2, Ipi()));
     }
-    FunKind fk;
-    switch (e.op) {
-      case BinOp::kEq:
-        fk = FunKind::kEq;
-        break;
-      case BinOp::kNe:
-        fk = FunKind::kNe;
-        break;
-      case BinOp::kLt:
-        fk = FunKind::kLt;
-        break;
-      case BinOp::kLe:
-        fk = FunKind::kLe;
-        break;
-      case BinOp::kGt:
-        fk = FunKind::kGt;
-        break;
-      case BinOp::kGe:
-        fk = FunKind::kGe;
-        break;
-      case BinOp::kBefore:
-        fk = FunKind::kNodeBefore;
-        break;
-      case BinOp::kAfter:
-        fk = FunKind::kNodeAfter;
-        break;
-      case BinOp::kIs:
-        fk = FunKind::kNodeIs;
-        break;
-      default:
-        return Internal("bad comparison op");
-    }
+    EXRQUY_ASSIGN_OR_RETURN(FunKind fk, OperatorFun(e.op));
     // Existential semantics: a pair-wise comparison over the per-iteration
     // cross product (the value-based join of Section 5 arises here), then
     // per-iteration existence.
-    Joined j = JoinOnIter(q1, q2);
+    auto [plan, items] = JoinOnIter({q1, q2});
     ColId b = FreshCol("cmp");
-    OpId c = dag_->Fun(j.plan, fk, b, {item(), j.right_item});
-    dag_->SetProv(j.plan, "join");
+    OpId c = dag_->Fun(plan, fk, b, std::move(items));
+    dag_->SetProv(plan, "join");
     dag_->SetProv(c, "join");
     OpId found =
         dag_->Distinct(dag_->Project(dag_->Select(c, b), {{iter(), iter()}}));
@@ -728,42 +736,16 @@ class Compiler {
   }
 
   Result<OpId> CompileArith(const Expr& e, Scope& scope, OrderingMode mode) {
-    FunKind fk;
-    switch (e.op) {
-      case BinOp::kAdd:
-        fk = FunKind::kAdd;
-        break;
-      case BinOp::kSub:
-        fk = FunKind::kSub;
-        break;
-      case BinOp::kMul:
-        fk = FunKind::kMul;
-        break;
-      case BinOp::kDiv:
-        fk = FunKind::kDiv;
-        break;
-      case BinOp::kIDiv:
-        fk = FunKind::kIDiv;
-        break;
-      case BinOp::kMod:
-        fk = FunKind::kMod;
-        break;
-      case BinOp::kNeg: {
-        EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                                CompileExpr(*e.children[0], scope, mode));
-        return MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kNeg);
-      }
-      default:
-        return Internal("bad arithmetic op");
+    EXRQUY_ASSIGN_OR_RETURN(FunKind fk, OperatorFun(e.op));
+    if (e.op == BinOp::kNeg) {
+      EXRQUY_ASSIGN_OR_RETURN(OpId q, CompileExpr(*e.children[0], scope, mode));
+      return Apply(fk, {Atomize(dag_->Project(q, Ipi()))});
     }
     EXRQUY_ASSIGN_OR_RETURN(OpId q1, CompileExpr(*e.children[0], scope, mode));
     EXRQUY_ASSIGN_OR_RETURN(OpId q2, CompileExpr(*e.children[1], scope, mode));
     q1 = Atomize(dag_->Project(q1, Ipi()));
     q2 = Atomize(dag_->Project(q2, Ipi()));
-    Joined j = JoinOnIter(q1, q2);
-    ColId res = FreshCol("item");
-    OpId f = dag_->Fun(j.plan, fk, res, {item(), j.right_item});
-    return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), res}}));
+    return Apply(fk, {q1, q2});
   }
 
   // e1 to e2: the integer range sequence, in ascending sequence order
@@ -774,8 +756,8 @@ class Compiler {
     EXRQUY_ASSIGN_OR_RETURN(OpId q2, CompileExpr(*e.children[1], scope, mode));
     q1 = Atomize(dag_->Project(q1, Ipi()));
     q2 = Atomize(dag_->Project(q2, Ipi()));
-    Joined j = JoinOnIter(q1, q2);
-    OpId r = dag_->Range(j.plan, item(), j.right_item);
+    auto [plan, items] = JoinOnIter({q1, q2});
+    OpId r = dag_->Range(plan, items[0], items[1]);
     if (exploit_ && mode == OrderingMode::kUnordered) {
       return dag_->RowId(r, pos());
     }
@@ -787,18 +769,144 @@ class Compiler {
                               OrderingMode mode) {
     EXRQUY_ASSIGN_OR_RETURN(OpId qa, CompileEbv(*e.children[0], scope, mode));
     EXRQUY_ASSIGN_OR_RETURN(OpId qb, CompileEbv(*e.children[1], scope, mode));
-    Joined j = JoinOnIter(qa, qb);
-    ColId res = FreshCol("item");
-    OpId f = dag_->Fun(j.plan,
-                       e.op == BinOp::kAnd ? FunKind::kAnd : FunKind::kOr,
-                       res, {item(), j.right_item});
-    return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), res}}));
+    return Apply(*OperatorFun(e.op), {qa, qb});
   }
 
   // -- Function calls ---------------------------------------------------
 
+  // The signature row (algebra/algebra.h) a call lowers to.
+  struct Callee {
+    const CallSig* call = nullptr;
+    size_t arity = 0;
+    bool aggregate = false;
+    FunKind fun = FunKind::kAdd;
+    AggrKind aggr = AggrKind::kCount;
+  };
+
+  // The row named by the call `e` that takes its number of arguments: no
+  // row when none is named so, an error when none takes that many.
+  static Result<Callee> FindCallee(const Expr& e) {
+    Callee out;
+    bool named = false;
+    auto consider = [&](const CallSig& call, Callee c) {
+      for (const char* s : call.names) {
+        if (s == nullptr || e.string_value != s) continue;
+        named = true;
+        size_t n = e.children.size();
+        if (n == c.arity || (call.variadic && n > c.arity)) {
+          out = c;
+          out.call = &call;
+        }
+      }
+    };
+    for (size_t f = 0; f <= static_cast<size_t>(FunKind::kNodeName); ++f) {
+      const FunSig& sig = Signature(static_cast<FunKind>(f));
+      consider(sig.call, {nullptr, sig.arity, false, static_cast<FunKind>(f)});
+    }
+    for (size_t a = 0; a <= static_cast<size_t>(AggrKind::kStrJoin); ++a) {
+      consider(Signature(static_cast<AggrKind>(a)).call,
+               {nullptr, 1, true, FunKind::kAdd, static_cast<AggrKind>(a)});
+    }
+    if (named && out.call == nullptr) {
+      return TypeError("fn:" + e.string_value + ": wrong number of arguments");
+    }
+    return out;
+  }
+
+  // Bounds on the items per iteration that the compiler already
+  // guarantees for argument `e`, compiled to `q`: a CardCheck's over this
+  // loop, one for a literal and for a call whose row returns exactly one
+  // item, none for ().
+  struct Card {
+    int64_t min = 0;
+    int64_t max = std::numeric_limits<int64_t>::max();
+  };
+  Card KnownCard(const Expr& e, OpId q, const Scope& scope) {
+    const Op& op = dag_->op(q);
+    if (op.kind == OpKind::kCardCheck && op.children[1] == scope.loop) {
+      return {op.min_card, op.max_card};
+    }
+    if (e.kind == ExprKind::kIntLit || e.kind == ExprKind::kDoubleLit ||
+        e.kind == ExprKind::kStringLit) {
+      return {1, 1};
+    }
+    if (e.kind == ExprKind::kEmptySeq) return {0, 0};
+    if (e.kind != ExprKind::kFunctionCall) return {};
+    Result<Callee> c = FindCallee(e);
+    if (!c.ok() || c->call == nullptr) return {};
+    Card card{1, 1};
+    for (size_t i = 0; i < c->arity; ++i) {
+      const Param& p = c->call->params[i];
+      if (p.occurs == Occurs::kMany && !c->aggregate) return {};
+      if (p.occurs != Occurs::kOne && p.on_empty == OnEmpty::kNothing) {
+        card.min = 0;
+      }
+    }
+    return card;
+  }
+
+  Value EmptyOf(OnEmpty e) {
+    if (e == OnEmpty::kResultZero) return Value::Int(0);
+    return Value::Str(e == OnEmpty::kArgNaN ? strings_->Intern("NaN")
+                                            : StrPool::kEmpty);
+  }
+
+  // One argument lowered by its parameter row: a CardCheck (labelled
+  // `label`) for a bounded occurrence, the conversion, and the value an
+  // empty argument stands for; the check and the default only where
+  // `known` does not already rule the case out. Returns (iter, pos, item).
+  OpId LowerArg(OpId q, Card known, const Param& p, const std::string& label,
+                const Scope& scope) {
+    q = dag_->Project(q, Ipi());
+    int64_t lo = p.occurs == Occurs::kOne ? 1 : 0;
+    if (p.occurs != Occurs::kMany && (known.min < lo || known.max > 1)) {
+      q = dag_->CardCheck(q, scope.loop, lo, 1, strings_->Intern(label));
+      known.min = std::max(known.min, lo);
+    }
+    if (p.convert != Convert::kNone) q = Atomize(q);
+    if (p.convert == Convert::kString) q = MapItem(q, FunKind::kToString);
+    if (p.on_empty != OnEmpty::kNothing && !IsResult(p.on_empty) &&
+        known.min < 1) {
+      q = WithDefault(q, scope.loop, EmptyOf(p.on_empty));
+    }
+    return q;
+  }
+
+  // A call of a signature row: every argument lowered by its parameter,
+  // then the function over the arguments (folded left over a variadic
+  // row's) or the aggregate, then the row's result for an empty argument.
+  Result<OpId> LowerCall(const Expr& e, const Callee& c, Scope& scope,
+                         OrderingMode mode) {
+    std::vector<OpId> args;
+    for (const ExprPtr& a : e.children) {
+      EXRQUY_ASSIGN_OR_RETURN(OpId q, CompileExpr(*a, scope, mode));
+      args.push_back(q);
+    }
+    const std::string label = "fn:" + e.string_value;
+    for (size_t i = 0; i < args.size(); ++i) {
+      args[i] = LowerArg(args[i], KnownCard(*e.children[i], args[i], scope),
+                         c.call->params[std::min(i, c.arity - 1)], label,
+                         scope);
+    }
+    const OnEmpty on_empty = c.call->params[0].on_empty;
+    Value empty = EmptyOf(on_empty);
+    if (c.aggregate) {
+      OpId a = AggrDefault(args[0], c.aggr, scope.loop,
+                           IsResult(on_empty) ? &empty : nullptr);
+      dag_->SetProv(a, label);
+      return ToTriple(a);
+    }
+    OpId r = Apply(c.fun, {args.begin(), args.begin() + c.arity});
+    for (size_t i = c.arity; i < args.size(); ++i) {
+      r = Apply(c.fun, {r, args[i]});
+    }
+    return IsResult(on_empty) ? WithDefault(r, scope.loop, empty) : r;
+  }
+
   Result<OpId> CompileCall(const Expr& e, Scope& scope, OrderingMode mode) {
     const std::string& name = e.string_value;
+    EXRQUY_ASSIGN_OR_RETURN(Callee callee, FindCallee(e));
+    if (callee.call != nullptr) return LowerCall(e, callee, scope, mode);
     auto arity = [&](size_t n) -> Status {
       if (e.children.size() != n) {
         return TypeError("fn:" + name + " expects " + std::to_string(n) +
@@ -826,29 +934,6 @@ class Compiler {
       if (!exploit_) return q;  // identity, like the engines of Section 6
       // Rule FN:UNORDERED: #pos(π_iter,item(q)).
       return dag_->RowId(dag_->Project(q, Ii()), pos());
-    }
-
-    if (name == "count" || name == "sum" || name == "max" || name == "min" ||
-        name == "avg") {
-      EXRQUY_RETURN_IF_ERROR(arity(1));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                              CompileExpr(*e.children[0], scope, mode));
-      q = dag_->Project(q, Ipi());
-      if (name != "count") q = Atomize(q);
-      AggrKind ak = name == "count" ? AggrKind::kCount
-                    : name == "sum" ? AggrKind::kSum
-                    : name == "max" ? AggrKind::kMax
-                    : name == "min" ? AggrKind::kMin
-                                    : AggrKind::kAvg;
-      OpId a;
-      if (name == "count" || name == "sum") {
-        Value zero = Value::Int(0);
-        a = AggrDefault(q, ak, scope.loop, &zero);
-      } else {
-        a = AggrDefault(q, ak, scope.loop, nullptr);
-      }
-      if (name == "count") dag_->SetProv(a, "fn:count");
-      return ToTriple(a);
     }
 
     if (name == "empty" || name == "exists") {
@@ -892,155 +977,6 @@ class Compiler {
       if (exploit_) return dag_->RowId(d, pos());
       return dag_->Project(dag_->RowNum(d, pos(), {{item(), false}}, iter()),
                            Ipi());
-    }
-
-    if (name == "data") {
-      EXRQUY_RETURN_IF_ERROR(arity(1));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                              CompileExpr(*e.children[0], scope, mode));
-      return Atomize(dag_->Project(q, Ipi()));
-    }
-    if (name == "string") {
-      EXRQUY_RETURN_IF_ERROR(arity(1));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                              CompileExpr(*e.children[0], scope, mode));
-      return MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToString);
-    }
-    if (name == "number") {
-      // The argument is xs:anyAtomicType?: an iteration with several
-      // items raises, like zero-or-one. number(()) is NaN: an iteration
-      // without an item gets the string "NaN", which kToDouble casts to
-      // NaN. (A NaN literal would not equal itself, and the Dag
-      // hash-conses literals by equality.)
-      EXRQUY_RETURN_IF_ERROR(arity(1));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                              CompileExpr(*e.children[0], scope, mode));
-      q = dag_->CardCheck(dag_->Project(q, Ipi()), scope.loop, 0, 1,
-                          strings_->Intern(name));
-      OpId a = WithDefault(Atomize(q), scope.loop,
-                           Value::Str(strings_->Intern("NaN")));
-      return MapItem(a, FunKind::kToDouble);
-    }
-    if (name == "string-length") {
-      EXRQUY_RETURN_IF_ERROR(arity(1));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                              CompileExpr(*e.children[0], scope, mode));
-      return MapItem(
-          MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToString),
-          FunKind::kStringLength);
-    }
-
-    if (name == "contains") {
-      EXRQUY_RETURN_IF_ERROR(arity(2));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q1,
-                              CompileExpr(*e.children[0], scope, mode));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q2,
-                              CompileExpr(*e.children[1], scope, mode));
-      q1 = MapItem(Atomize(dag_->Project(q1, Ipi())), FunKind::kToString);
-      q2 = MapItem(Atomize(dag_->Project(q2, Ipi())), FunKind::kToString);
-      Joined j = JoinOnIter(q1, q2);
-      ColId b = FreshCol("item");
-      OpId f =
-          dag_->Fun(j.plan, FunKind::kContains, b, {item(), j.right_item});
-      return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), b}}));
-    }
-
-    if (name == "concat") {
-      if (e.children.size() < 2) {
-        return TypeError("fn:concat expects at least two arguments");
-      }
-      OpId acc = kNoOp;
-      for (const ExprPtr& arg : e.children) {
-        EXRQUY_ASSIGN_OR_RETURN(OpId q, CompileExpr(*arg, scope, mode));
-        q = MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToString);
-        if (acc == kNoOp) {
-          acc = q;
-          continue;
-        }
-        Joined j = JoinOnIter(acc, q);
-        ColId res = FreshCol("item");
-        OpId f =
-            dag_->Fun(j.plan, FunKind::kConcat, res, {item(), j.right_item});
-        acc = ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), res}}));
-      }
-      return acc;
-    }
-
-    if (name == "starts-with" || name == "ends-with") {
-      EXRQUY_RETURN_IF_ERROR(arity(2));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q1,
-                              CompileExpr(*e.children[0], scope, mode));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q2,
-                              CompileExpr(*e.children[1], scope, mode));
-      q1 = MapItem(Atomize(dag_->Project(q1, Ipi())), FunKind::kToString);
-      q2 = MapItem(Atomize(dag_->Project(q2, Ipi())), FunKind::kToString);
-      Joined j = JoinOnIter(q1, q2);
-      ColId b = FreshCol("item");
-      OpId f = dag_->Fun(j.plan,
-                         name == "starts-with" ? FunKind::kStartsWith
-                                               : FunKind::kEndsWith,
-                         b, {item(), j.right_item});
-      return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), b}}));
-    }
-
-    if (name == "upper-case" || name == "lower-case" ||
-        name == "normalize-space") {
-      EXRQUY_RETURN_IF_ERROR(arity(1));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                              CompileExpr(*e.children[0], scope, mode));
-      FunKind fk = name == "upper-case"   ? FunKind::kUpperCase
-                   : name == "lower-case" ? FunKind::kLowerCase
-                                          : FunKind::kNormalizeSpace;
-      return MapItem(
-          MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToString), fk);
-    }
-
-    if (name == "substring") {
-      if (e.children.size() != 2 && e.children.size() != 3) {
-        return TypeError("fn:substring expects 2 or 3 arguments");
-      }
-      EXRQUY_ASSIGN_OR_RETURN(OpId q1,
-                              CompileExpr(*e.children[0], scope, mode));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q2,
-                              CompileExpr(*e.children[1], scope, mode));
-      q1 = MapItem(Atomize(dag_->Project(q1, Ipi())), FunKind::kToString);
-      q2 = Atomize(dag_->Project(q2, Ipi()));
-      Joined j = JoinOnIter(q1, q2);
-      ColId res = FreshCol("item");
-      if (e.children.size() == 2) {
-        OpId f = dag_->Fun(j.plan, FunKind::kSubstring2, res,
-                           {item(), j.right_item});
-        return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), res}}));
-      }
-      EXRQUY_ASSIGN_OR_RETURN(OpId q3,
-                              CompileExpr(*e.children[2], scope, mode));
-      q3 = Atomize(dag_->Project(q3, Ipi()));
-      ColId i3 = FreshCol("iter3");
-      ColId t3 = FreshCol("item3");
-      OpId r3 = dag_->Project(q3, {{i3, iter()}, {t3, item()}});
-      OpId j3 = dag_->EquiJoin(j.plan, r3, iter(), i3);
-      OpId f = dag_->Fun(j3, FunKind::kSubstring3, res,
-                         {item(), j.right_item, t3});
-      return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), res}}));
-    }
-
-    if (name == "abs" || name == "floor" || name == "ceiling" ||
-        name == "round") {
-      EXRQUY_RETURN_IF_ERROR(arity(1));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                              CompileExpr(*e.children[0], scope, mode));
-      FunKind fk = name == "abs"     ? FunKind::kAbs
-                   : name == "floor" ? FunKind::kFloor
-                   : name == "ceiling" ? FunKind::kCeiling
-                                       : FunKind::kRound;
-      return MapItem(Atomize(dag_->Project(q, Ipi())), fk);
-    }
-
-    if (name == "name" || name == "local-name") {
-      EXRQUY_RETURN_IF_ERROR(arity(1));
-      EXRQUY_ASSIGN_OR_RETURN(OpId q,
-                              CompileExpr(*e.children[0], scope, mode));
-      return MapItem(dag_->Project(q, Ipi()), FunKind::kNodeName);
     }
 
     if (name == "string-join") {
@@ -1088,7 +1024,7 @@ class Compiler {
                        ? std::numeric_limits<int64_t>::max()
                        : 1;
       return dag_->CardCheck(dag_->Project(q, Ipi()), scope.loop, lo, hi,
-                             strings_->Intern(name));
+                             strings_->Intern("fn:" + name));
     }
 
     if (name == "subsequence") {
@@ -1164,11 +1100,7 @@ class Compiler {
     }
     OpId acc = plans[0];
     for (size_t i = 1; i < plans.size(); ++i) {
-      Joined j = JoinOnIter(acc, plans[i]);
-      ColId res = FreshCol("item");
-      OpId f =
-          dag_->Fun(j.plan, FunKind::kConcat, res, {item(), j.right_item});
-      acc = ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), res}}));
+      acc = Apply(FunKind::kConcat, {acc, plans[i]});
     }
     return acc;
   }

@@ -1140,7 +1140,7 @@ Result<TablePtr> Evaluator::EvalCardCheck(const Op& op, const Table& in,
                     ? 0
                     : static_cast<int64_t>(counts.members(g).size());
     if (n < op.min_card || n > op.max_card) {
-      return CardinalityError("fn:" + ctx_->strings->Get(op.name) +
+      return CardinalityError(ctx_->strings->Get(op.name) +
                               ": argument has " + std::to_string(n) +
                               " item(s)");
     }

@@ -1191,7 +1191,7 @@ std::string ReasonLabel(const Dag& dag, OpId consumer,
       what = "range bounds ('to')";
       break;
     case OpKind::kCardCheck:
-      what = "cardinality check fn:" + named(op.name);
+      what = "cardinality check " + named(op.name);
       break;
     default:
       what = std::string("consumed by ") + OpKindName(op.kind);

@@ -283,15 +283,26 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalFlwor(const Expr& e,
         "order by is supported for FLWOR blocks with exactly one for "
         "clause");
   }
-  std::vector<std::pair<Sequence, Sequence>> keyed;  // (keys, items)
+  std::vector<Keyed> keyed;
   EXRQUY_ASSIGN_OR_RETURN(Sequence direct,
                           EvalFlworClauses(e, 0, env, &keyed));
   if (e.order_by.empty()) return direct;
 
+  // An empty key is less than every value under `empty least`, greater
+  // under `empty greatest`; NaN is less than every other value.
   std::stable_sort(
-      keyed.begin(), keyed.end(), [&](const auto& a, const auto& b) {
+      keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
         for (size_t k = 0; k < e.order_by.size(); ++k) {
-          int c = ops_.OrderCompare(a.first[k], b.first[k]);
+          const std::optional<Value>& x = a.first[k];
+          const std::optional<Value>& y = b.first[k];
+          int c;
+          if (x && y) {
+            c = ops_.OrderCompare(*x, *y);
+          } else {
+            c = static_cast<int>(x.has_value()) -
+                static_cast<int>(y.has_value());
+            if (e.order_by[k].empty_greatest) c = -c;
+          }
           if (c != 0) return e.order_by[k].descending ? c > 0 : c < 0;
         }
         return false;
@@ -305,7 +316,7 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalFlwor(const Expr& e,
 
 Result<RefInterpreter::Sequence> RefInterpreter::EvalFlworClauses(
     const Expr& e, size_t idx, Env& env,
-    std::vector<std::pair<Sequence, Sequence>>* keyed_results) {
+    std::vector<Keyed>* keyed_results) {
   if (idx == e.clauses.size()) {
     if (e.where != nullptr) {
       EXRQUY_ASSIGN_OR_RETURN(Sequence w, EvalExpr(*e.where, env));
@@ -313,21 +324,24 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalFlworClauses(
       if (!pass) return Sequence{};
     }
     if (e.order_by.empty()) return EvalExpr(*e.ret, env);
-    Sequence keys;
+    // Each key atomizes to at most one value (XQuery 3.12.3), and an
+    // untypedAtomic key is cast to xs:string.
+    std::vector<std::optional<Value>> keys;
     for (const OrderSpec& spec : e.order_by) {
       EXRQUY_ASSIGN_OR_RETURN(Sequence k, EvalExpr(*spec.key, env));
-      if (k.empty()) {
-        keys.push_back(Value::Untyped(StrPool::kEmpty));
-      } else {
-        // Mirror the compiled key derivation: atomize, and pick the
-        // maximum when the key is (erroneously) plural.
-        Value best = ops_.Atomize(k[0]);
-        for (size_t i = 1; i < k.size(); ++i) {
-          Value cand = ops_.Atomize(k[i]);
-          if (ops_.OrderCompare(cand, best) > 0) best = cand;
-        }
-        keys.push_back(best);
+      if (k.size() > 1) {
+        return CardinalityError("order by key: argument has " +
+                                std::to_string(k.size()) + " item(s)");
       }
+      if (k.empty()) {
+        keys.emplace_back();
+        continue;
+      }
+      Value v = ops_.Atomize(k[0]);
+      if (v.kind == ValueKind::kUntyped) {
+        EXRQUY_ASSIGN_OR_RETURN(v, ops_.ToString(v));
+      }
+      keys.emplace_back(v);
     }
     EXRQUY_ASSIGN_OR_RETURN(Sequence items, EvalExpr(*e.ret, env));
     keyed_results->emplace_back(std::move(keys), std::move(items));
@@ -699,18 +713,43 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCtor(const Expr& e,
 Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
                                                           Env& env) {
   const std::string& name = e.string_value;
-  auto arg = [&](size_t i) { return EvalExpr(*e.children[i], env); };
-  auto single_string =
-      [&](const Sequence& s) -> Result<std::string> {
-    EXRQUY_ASSIGN_OR_RETURN(Value v, Singleton(s, "string argument"));
-    EXRQUY_ASSIGN_OR_RETURN(Value sv, ops_.ToString(ops_.Atomize(v)));
+  auto arg = [&](size_t i) -> Result<Sequence> {
+    if (i >= e.children.size()) {
+      return TypeError("fn:" + name + ": wrong number of arguments");
+    }
+    return EvalExpr(*e.children[i], env);
+  };
+  // F&O's function conversion: an argument of occurrence `?` holds at
+  // most one item and one of occurrence exactly-one one item (else
+  // XPTY0004, a cardinality error here); an xs:string? argument is
+  // atomized and cast, "" when empty; an xs:double one is atomized.
+  auto card_error = [&](size_t n) {
+    return CardinalityError("fn:" + name + ": argument has " +
+                            std::to_string(n) + " item(s)");
+  };
+  auto opt_arg = [&](size_t i) -> Result<Sequence> {
+    EXRQUY_ASSIGN_OR_RETURN(Sequence s, arg(i));
+    if (s.size() > 1) return card_error(s.size());
+    return s;
+  };
+  auto string_arg = [&](size_t i) -> Result<std::string> {
+    EXRQUY_ASSIGN_OR_RETURN(Sequence s, opt_arg(i));
+    if (s.empty()) return std::string();
+    EXRQUY_ASSIGN_OR_RETURN(Value sv, ops_.ToString(ops_.Atomize(s[0])));
     return strings_->Get(sv.str);
+  };
+  auto double_arg = [&](size_t i) -> Result<double> {
+    EXRQUY_ASSIGN_OR_RETURN(Sequence s, arg(i));
+    if (s.size() != 1) return card_error(s.size());
+    EXRQUY_ASSIGN_OR_RETURN(Value d, ops_.ToDouble(ops_.Atomize(s[0])));
+    return d.d;
   };
 
   if (name == "true") return Sequence{Value::Bool(true)};
   if (name == "false") return Sequence{Value::Bool(false)};
   if (name == "doc") {
-    if (e.children[0]->kind != ExprKind::kStringLit) {
+    if (e.children.size() != 1 ||
+        e.children[0]->kind != ExprKind::kStringLit) {
       return Unimplemented("fn:doc requires a string literal argument");
     }
     auto it = documents_.find(strings_->Intern(e.children[0]->string_value));
@@ -752,8 +791,7 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
       return Sequence{Value::Double(d.d / static_cast<double>(s.size()))};
     }
     // fn:max / fn:min (F&O 3.1, 14.4.3-4): untypedAtomic values are cast
-    // to xs:double — kept as strings when one of them does not parse, as
-    // the engine does for the order by keys that share its aggregate —
+    // to xs:double — kept as strings when one of them does not parse —
     // and the result is a value V that no other value W beats, W gt V
     // (lt for min): integers compare exactly, values the gt operator
     // cannot compare raise, a NaN is the result, and a double in the
@@ -805,34 +843,28 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
     return SortedDistinct(std::move(atomized));
   }
 
-  if (name == "data" || name == "string" || name == "number") {
+  if (name == "data") {
     EXRQUY_ASSIGN_OR_RETURN(Sequence s, arg(0));
-    if (name == "number" && s.size() > 1) {
-      return CardinalityError("fn:number: argument has " +
-                              std::to_string(s.size()) + " item(s)");
+    for (Value& v : s) v = ops_.Atomize(v);
+    return s;
+  }
+  if (name == "string" || name == "number") {
+    EXRQUY_ASSIGN_OR_RETURN(Sequence s, opt_arg(0));
+    if (s.empty()) {
+      return Sequence{name == "string"
+                          ? Value::Str(StrPool::kEmpty)
+                          : Value::Double(
+                                std::numeric_limits<double>::quiet_NaN())};
     }
-    Sequence out;
-    for (const Value& v : s) {
-      Value a = ops_.Atomize(v);
-      if (name == "string") {
-        EXRQUY_ASSIGN_OR_RETURN(a, ops_.ToString(a));
-      } else if (name == "number") {
-        EXRQUY_ASSIGN_OR_RETURN(a, ops_.Number(a));
-      }
-      out.push_back(a);
-    }
-    if (name == "number" && s.empty()) {
-      out.push_back(Value::Double(std::numeric_limits<double>::quiet_NaN()));
-    }
-    return out;
+    Value a = ops_.Atomize(s[0]);
+    EXRQUY_ASSIGN_OR_RETURN(
+        a, name == "string" ? ops_.ToString(a) : ops_.Number(a));
+    return Sequence{a};
   }
 
   if (name == "contains" || name == "starts-with" || name == "ends-with") {
-    EXRQUY_ASSIGN_OR_RETURN(Sequence l, arg(0));
-    EXRQUY_ASSIGN_OR_RETURN(Sequence r, arg(1));
-    if (l.empty() || r.empty()) return Sequence{};  // mirrors the join
-    EXRQUY_ASSIGN_OR_RETURN(std::string a, single_string(l));
-    EXRQUY_ASSIGN_OR_RETURN(std::string b, single_string(r));
+    EXRQUY_ASSIGN_OR_RETURN(std::string a, string_arg(0));
+    EXRQUY_ASSIGN_OR_RETURN(std::string b, string_arg(1));
     bool v;
     if (name == "contains") {
       v = a.find(b) != std::string::npos;
@@ -848,9 +880,7 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
   if (name == "concat") {
     std::string out;
     for (size_t i = 0; i < e.children.size(); ++i) {
-      EXRQUY_ASSIGN_OR_RETURN(Sequence s, arg(i));
-      if (s.empty()) return Sequence{};  // mirrors the join chain
-      EXRQUY_ASSIGN_OR_RETURN(std::string part, single_string(s));
+      EXRQUY_ASSIGN_OR_RETURN(std::string part, string_arg(i));
       out += part;
     }
     return Sequence{Value::Str(strings_->Intern(out))};
@@ -858,61 +888,47 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
 
   if (name == "string-length" || name == "upper-case" ||
       name == "lower-case" || name == "normalize-space") {
-    EXRQUY_ASSIGN_OR_RETURN(Sequence s, arg(0));
-    Sequence out;
-    for (const Value& v : s) {
-      EXRQUY_ASSIGN_OR_RETURN(Value sv, ops_.ToString(ops_.Atomize(v)));
-      std::string str = strings_->Get(sv.str);
-      if (name == "string-length") {
-        out.push_back(Value::Int(static_cast<int64_t>(str.size())));
-        continue;
-      }
-      if (name == "upper-case" || name == "lower-case") {
-        for (char& c : str) {
-          c = name == "upper-case"
-                  ? static_cast<char>(
-                        std::toupper(static_cast<unsigned char>(c)))
-                  : static_cast<char>(
-                        std::tolower(static_cast<unsigned char>(c)));
-        }
-      } else {
-        std::string norm;
-        bool in_space = true;
-        for (char c : str) {
-          if (std::isspace(static_cast<unsigned char>(c))) {
-            if (!in_space) norm += ' ';
-            in_space = true;
-          } else {
-            norm += c;
-            in_space = false;
-          }
-        }
-        while (!norm.empty() && norm.back() == ' ') norm.pop_back();
-        str = norm;
-      }
-      out.push_back(Value::Str(strings_->Intern(str)));
+    EXRQUY_ASSIGN_OR_RETURN(std::string str, string_arg(0));
+    if (name == "string-length") {
+      return Sequence{Value::Int(static_cast<int64_t>(str.size()))};
     }
-    return out;
+    if (name == "upper-case" || name == "lower-case") {
+      for (char& c : str) {
+        c = name == "upper-case"
+                ? static_cast<char>(
+                      std::toupper(static_cast<unsigned char>(c)))
+                : static_cast<char>(
+                      std::tolower(static_cast<unsigned char>(c)));
+      }
+    } else {
+      std::string norm;
+      bool in_space = true;
+      for (char c : str) {
+        if (std::isspace(static_cast<unsigned char>(c))) {
+          if (!in_space) norm += ' ';
+          in_space = true;
+        } else {
+          norm += c;
+          in_space = false;
+        }
+      }
+      while (!norm.empty() && norm.back() == ' ') norm.pop_back();
+      str = norm;
+    }
+    return Sequence{Value::Str(strings_->Intern(str))};
   }
 
   if (name == "substring") {
-    EXRQUY_ASSIGN_OR_RETURN(Sequence s0, arg(0));
-    EXRQUY_ASSIGN_OR_RETURN(Sequence s1, arg(1));
-    if (s0.empty() || s1.empty()) return Sequence{};
-    EXRQUY_ASSIGN_OR_RETURN(std::string s, single_string(s0));
-    EXRQUY_ASSIGN_OR_RETURN(Value v1, Singleton(s1, "substring"));
-    EXRQUY_ASSIGN_OR_RETURN(Value d1, ops_.ToDouble(ops_.Atomize(v1)));
+    EXRQUY_ASSIGN_OR_RETURN(std::string s, string_arg(0));
+    EXRQUY_ASSIGN_OR_RETURN(double d1, double_arg(1));
     // F&O 7.4.3: the characters at positions p (1-based) with
     // round(start) <= p < round(start) + round(length); every comparison
     // with NaN is false.
-    double start = RoundHalf(d1.d);
+    double start = RoundHalf(d1);
     double end = std::numeric_limits<double>::infinity();
     if (e.children.size() == 3) {
-      EXRQUY_ASSIGN_OR_RETURN(Sequence s2, arg(2));
-      if (s2.empty()) return Sequence{};
-      EXRQUY_ASSIGN_OR_RETURN(Value v2, Singleton(s2, "substring"));
-      EXRQUY_ASSIGN_OR_RETURN(Value d2, ops_.ToDouble(ops_.Atomize(v2)));
-      end = start + RoundHalf(d2.d);
+      EXRQUY_ASSIGN_OR_RETURN(double d2, double_arg(2));
+      end = start + RoundHalf(d2);
     }
     std::string out;
     for (size_t i = 0; i < s.size(); ++i) {
@@ -924,52 +940,46 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
 
   if (name == "abs" || name == "floor" || name == "ceiling" ||
       name == "round") {
-    EXRQUY_ASSIGN_OR_RETURN(Sequence s, arg(0));
-    Sequence out;
-    for (const Value& v : s) {
-      Value a = ops_.Atomize(v);
-      if (a.kind == ValueKind::kUntyped || a.kind == ValueKind::kString) {
-        EXRQUY_ASSIGN_OR_RETURN(a, ops_.ToDouble(a));
-      }
-      if (a.kind == ValueKind::kInt) {
-        if (name == "abs" && a.i == INT64_MIN) {
-          return TypeError("err:FOAR0002: integer overflow in abs");
-        }
-        out.push_back(name == "abs" && a.i < 0 ? Value::Int(-a.i) : a);
-        continue;
-      }
-      if (a.kind != ValueKind::kDouble) {
-        return TypeError("numeric function on non-numeric operand");
-      }
-      double d = a.d;
-      if (name == "abs") {
-        d = std::fabs(d);
-      } else if (name == "floor") {
-        d = std::floor(d);
-      } else if (name == "ceiling") {
-        d = std::ceil(d);
-      } else {
-        d = RoundHalf(d);
-      }
-      out.push_back(Value::Double(d));
+    EXRQUY_ASSIGN_OR_RETURN(Sequence s, opt_arg(0));
+    if (s.empty()) return s;
+    Value a = ops_.Atomize(s[0]);
+    if (a.kind == ValueKind::kUntyped || a.kind == ValueKind::kString) {
+      EXRQUY_ASSIGN_OR_RETURN(a, ops_.ToDouble(a));
     }
-    return out;
+    if (a.kind == ValueKind::kInt) {
+      if (name == "abs" && a.i == INT64_MIN) {
+        return TypeError("err:FOAR0002: integer overflow in abs");
+      }
+      return Sequence{name == "abs" && a.i < 0 ? Value::Int(-a.i) : a};
+    }
+    if (a.kind != ValueKind::kDouble) {
+      return TypeError("numeric function on non-numeric operand");
+    }
+    double d = a.d;
+    if (name == "abs") {
+      d = std::fabs(d);
+    } else if (name == "floor") {
+      d = std::floor(d);
+    } else if (name == "ceiling") {
+      d = std::ceil(d);
+    } else {
+      d = RoundHalf(d);
+    }
+    return Sequence{Value::Double(d)};
   }
 
   if (name == "name" || name == "local-name") {
-    EXRQUY_ASSIGN_OR_RETURN(Sequence s, arg(0));
-    Sequence out;
-    for (const Value& v : s) {
-      if (v.kind != ValueKind::kNode) {
-        return TypeError("fn:name on a non-node item");
-      }
-      out.push_back(Value::Str(store_->name(v.node)));
+    EXRQUY_ASSIGN_OR_RETURN(Sequence s, opt_arg(0));
+    if (s.empty()) return Sequence{Value::Str(StrPool::kEmpty)};
+    if (s[0].kind != ValueKind::kNode) {
+      return TypeError("fn:name on a non-node item");
     }
-    return out;
+    return Sequence{Value::Str(store_->name(s[0].node))};
   }
 
   if (name == "string-join") {
-    if (e.children[1]->kind != ExprKind::kStringLit) {
+    if (e.children.size() != 2 ||
+        e.children[1]->kind != ExprKind::kStringLit) {
       return Unimplemented(
           "fn:string-join requires a string literal separator");
     }

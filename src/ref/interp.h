@@ -12,6 +12,7 @@
 #define EXRQUY_REF_INTERP_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,12 +40,13 @@ class RefInterpreter {
  private:
   using Sequence = std::vector<Value>;
   using Env = std::map<std::string, Sequence>;
+  // One iteration's order by keys (nullopt: the key is empty) and items.
+  using Keyed = std::pair<std::vector<std::optional<Value>>, Sequence>;
 
   Result<Sequence> EvalExpr(const Expr& e, Env& env);
   Result<Sequence> EvalFlwor(const Expr& e, Env& env);
   Result<Sequence> EvalFlworClauses(const Expr& e, size_t idx, Env& env,
-                                    std::vector<std::pair<Sequence, Sequence>>*
-                                        keyed_results);
+                                    std::vector<Keyed>* keyed_results);
   Result<Sequence> EvalPathStep(const Expr& e, Env& env);
   Result<Sequence> EvalPredicate(const Expr& e, Env& env);
   Result<Sequence> EvalComparison(const Expr& e, Env& env);

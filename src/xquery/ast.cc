@@ -33,6 +33,7 @@ ExprPtr CloneExpr(const Expr& e) {
     OrderSpec copy;
     copy.key = CloneExpr(*s.key);
     copy.descending = s.descending;
+    copy.empty_greatest = s.empty_greatest;
     out->order_by.push_back(std::move(copy));
   }
   if (e.ret) out->ret = CloneExpr(*e.ret);
@@ -144,6 +145,7 @@ void Render(const Expr& e, std::ostringstream& out) {
           if (i) out << ", ";
           Render(*e.order_by[i].key, out);
           if (e.order_by[i].descending) out << " descending";
+          if (e.order_by[i].empty_greatest) out << " empty greatest";
         }
         out << ' ';
       }

@@ -85,6 +85,7 @@ struct FlworClause {
 struct OrderSpec {
   ExprPtr key;
   bool descending = false;
+  bool empty_greatest = false;  // `empty greatest`; `empty least` otherwise
 };
 
 // Attribute-value-template / element-content part: literal text or an

@@ -229,8 +229,12 @@ class Parser {
           spec.descending = true;
           EXRQUY_RETURN_IF_ERROR(Advance());
         }
-        if (IsName("empty")) {  // 'empty greatest/least' — accepted, ignored
+        if (IsName("empty")) {
           EXRQUY_RETURN_IF_ERROR(Advance());
+          spec.empty_greatest = IsName("greatest");
+          if (!spec.empty_greatest && !IsName("least")) {
+            return Error("expected 'greatest' or 'least' after 'empty'");
+          }
           EXRQUY_RETURN_IF_ERROR(Advance());
         }
         flwor->order_by.push_back(std::move(spec));

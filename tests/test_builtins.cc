@@ -128,6 +128,46 @@ TEST_P(BuiltinsTest, CardinalityChecksFail) {
             StatusCode::kCardinalityError);
 }
 
+// Function conversion per iteration: an empty argument stands for "" (or
+// gives the row's result), and an empty order by key sorts least unless
+// `empty greatest` says otherwise.
+TEST_P(BuiltinsTest, EmptyArgumentsPerIteration) {
+  EXPECT_EQ(Run("string-length(())"), "0");
+  EXPECT_EQ(Run(R"(for $n in doc("d.xml")/r/*
+                   return string-length($n/text()))"),
+            "3 0");
+  EXPECT_EQ(Run(R"(for $n in doc("d.xml")/r/*
+                   return concat("[", $n/text(), "]"))"),
+            "[one] []");
+  EXPECT_EQ(Run(R"(for $n in doc("d.xml")/r/*
+                   return contains($n/text(), ""))"),
+            "true true");
+  EXPECT_EQ(Run(R"(count(for $n in doc("d.xml")/r/* return abs($n/@b)))"),
+            "0");
+  EXPECT_EQ(Run(R"(for $n in doc("d.xml")/r/*
+                   return string-length(name($n/@a)))"),
+            "0 0");
+  EXPECT_EQ(Run(R"(for $n in doc("d.xml")/r/* order by $n/text()
+                   return name($n))"),
+            "y x");
+  EXPECT_EQ(Run(R"(for $n in doc("d.xml")/r/*
+                   order by $n/text() empty greatest return name($n))"),
+            "x y");
+}
+
+TEST_P(BuiltinsTest, PluralArgumentsRaise) {
+  for (const char* q : {
+           R"(string-length(doc("d.xml")/r/*))",
+           R"(for $n in doc("d.xml")/r return upper-case($n/*))",
+           R"(for $n in doc("d.xml")/r return substring("ab", (1, 2)))",
+           R"(for $n in doc("d.xml")/r order by $n/* return 1)",
+       }) {
+    Result<QueryResult> r = session_.Execute(q, Opts());
+    EXPECT_EQ(r.status().code(), StatusCode::kCardinalityError)
+        << q << " -> " << r.status().ToString();
+  }
+}
+
 TEST_P(BuiltinsTest, MixedWithAggregates) {
   EXPECT_EQ(Run("max(for $i in 1 to 5 return $i mod 3)"), "2");
   EXPECT_EQ(Run("count((1 to 3)[. mod 2 = 1])"), "2");

@@ -1,15 +1,17 @@
 // Grammar-based fuzzing: randomly generated queries over randomly
-// generated documents, executed in the baseline and the fully enabled
-// configuration. Invariants:
+// generated documents, executed by the reference interpreter and in the
+// baseline and the fully enabled configuration. Invariants:
 //
-//   * both configurations succeed or both fail (with the same status
-//     code class) — rewriting must not introduce or mask errors;
-//   * ordered mode results are identical;
+//   * all succeed or all fail with the same status code — rewriting must
+//     not introduce or mask errors, and a plural argument to a function
+//     that takes at most one item raises the same error in both stacks;
+//   * ordered mode results are identical, the reference's included;
 //   * unordered mode results are multiset-equal.
 //
 // The generator deliberately produces queries whose sub-expressions can
 // be empty, plural, or type-heterogeneous, to push the EBV / aggregation
-// / comparison paths.
+// / comparison paths and the cardinality checks and empty-argument
+// defaults that function calls and order by keys are lowered to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,9 @@
 
 #include "api/session.h"
 #include "provenance_check.h"
+#include "ref/interp.h"
+#include "xquery/normalize.h"
+#include "xquery/parser.h"
 
 namespace exrquy {
 namespace {
@@ -63,6 +68,33 @@ std::string AtomicExpr(Rng* rng, int depth, const std::string& var);
 // A boolean expression.
 std::string BoolExpr(Rng* rng, int depth, const std::string& var);
 
+// A path below `var` (or the first group) that may hold no node, one, or
+// several per iteration.
+std::string MaybePath(Rng* rng, const std::string& var) {
+  const char* steps[] = {"/n[2]", "/n[1]", "/@k", "/m[1]/@v", "/n", "//@v"};
+  return (var.empty() ? R"(doc("f.xml")/top/g[1])" : var) +
+         steps[rng->Below(static_cast<int>(std::size(steps)))];
+}
+
+// A string or numeric builtin over such paths.
+std::string BuiltinExpr(Rng* rng, const std::string& var) {
+  switch (rng->Below(6)) {
+    case 0:
+      return "string-length(" + MaybePath(rng, var) + ")";
+    case 1:
+      return "round(" + MaybePath(rng, var) + ")";
+    case 2:
+      return "number(" + MaybePath(rng, var) + ")";
+    case 3:
+      return "concat(" + MaybePath(rng, var) + ", \"-\", " +
+             MaybePath(rng, var) + ")";
+    case 4:
+      return "upper-case(name(" + MaybePath(rng, var) + "))";
+    default:
+      return "substring(string(" + MaybePath(rng, var) + "), 2)";
+  }
+}
+
 std::string NodeExpr(Rng* rng, int depth, const std::string& var) {
   if (depth <= 0) return var.empty() ? R"(doc("f.xml")/top/g)" : var;
   switch (rng->Below(6)) {
@@ -99,9 +131,13 @@ const char* kEdgeLiterals[] = {
 
 std::string AtomicExpr(Rng* rng, int depth, const std::string& var) {
   if (depth <= 0) return std::to_string(rng->Below(20));
-  switch (rng->Below(8)) {
+  switch (rng->Below(9)) {
     case 0:
       return "count(" + NodeExpr(rng, depth - 1, var) + ")";
+    case 7:
+      return rng->Below(2) != 0
+                 ? "string-length(" + MaybePath(rng, var) + ")"
+                 : "round(" + MaybePath(rng, var) + ")";
     case 1:
       return "sum(" + NodeExpr(rng, depth - 1, var) + "/@v)";
     case 2:
@@ -144,7 +180,16 @@ std::string BoolExpr(Rng* rng, int depth, const std::string& var) {
 }
 
 std::string RandomQuery(Rng* rng) {
-  switch (rng->Below(5)) {
+  switch (rng->Below(7)) {
+    case 5:
+      return "for $x in " + NodeExpr(rng, 1, "") + " return " +
+             BuiltinExpr(rng, "$x");
+    case 6:
+      return "for $x in " + NodeExpr(rng, 1, "") + " order by " +
+             MaybePath(rng, "$x") +
+             (rng->Below(2) != 0 ? " descending" : "") +
+             (rng->Below(2) != 0 ? " empty greatest" : "") + " return " +
+             BuiltinExpr(rng, "$x");
     case 0:
       return "for $x in " + NodeExpr(rng, 2, "") + " return count($x//n)";
     case 1:
@@ -159,6 +204,20 @@ std::string RandomQuery(Rng* rng) {
       return "(" + BoolExpr(rng, 2, "") + ", " + AtomicExpr(rng, 2, "") +
              ")";
   }
+}
+
+// Runs `query` through the reference interpreter (ordered semantics).
+Result<std::vector<std::string>> RunRef(Session& session,
+                                        const std::string& query) {
+  EXRQUY_ASSIGN_OR_RETURN(Query parsed, ParseQuery(query));
+  NormalizeOptions norm;
+  norm.insert_unordered = false;
+  EXRQUY_RETURN_IF_ERROR(Normalize(&parsed, norm));
+  std::map<StrId, NodeIdx> docs;
+  docs[session.strings().Intern("f.xml")] = session.store().fragment(0).root;
+  RefInterpreter interp(&session.store(), &session.strings(), docs);
+  EXRQUY_ASSIGN_OR_RETURN(std::vector<Value> items, interp.Eval(*parsed.body));
+  return interp.Render(items);
 }
 
 class FuzzEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -186,15 +245,20 @@ TEST_P(FuzzEquivalenceTest, ConfigurationsAgree) {
     Result<QueryResult> a = session.Execute(query, baseline);
     Result<QueryResult> b = session.Execute(query, exploit_ordered);
     Result<QueryResult> c = session.Execute(query, exploit_unordered);
+    Result<std::vector<std::string>> ref = RunRef(session, query);
 
-    ASSERT_EQ(a.ok(), b.ok()) << query << "\nbaseline: "
-                              << a.status().ToString()
-                              << "\nexploit:  " << b.status().ToString();
-    ASSERT_EQ(a.ok(), c.ok()) << query << "\nbaseline: "
-                              << a.status().ToString()
-                              << "\nunordered: " << c.status().ToString();
-    if (!a.ok()) continue;  // both failed identically: fine
+    ASSERT_EQ(a.status().code(), b.status().code())
+        << query << "\nbaseline: " << a.status().ToString()
+        << "\nexploit:  " << b.status().ToString();
+    ASSERT_EQ(a.status().code(), c.status().code())
+        << query << "\nbaseline: " << a.status().ToString()
+        << "\nunordered: " << c.status().ToString();
+    ASSERT_EQ(a.status().code(), ref.status().code())
+        << query << "\nbaseline: " << a.status().ToString()
+        << "\nreference: " << ref.status().ToString();
+    if (!a.ok()) continue;  // all failed identically: fine
     ++executed;
+    EXPECT_EQ(a->items, *ref) << query;
     EXPECT_EQ(a->items, b->items) << query;
     std::vector<std::string> sa = a->items;
     std::vector<std::string> sc = c->items;

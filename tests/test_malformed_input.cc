@@ -98,6 +98,31 @@ TEST(MalformedXQueryTest, DepthLimitRejectsDeepFlwor) {
   EXPECT_FALSE(ParseQuery(q).ok());
 }
 
+// `empty` in an order spec takes `greatest` or `least` and nothing else;
+// any other word, or none, is a parse error rather than silently skipped.
+TEST(MalformedXQueryTest, OrderByEmptyTakesOnlyGreatestOrLeast) {
+  for (const char* spec : {"empty banana", "empty", "empty ascending",
+                           "empty descending"}) {
+    std::string q =
+        std::string("for $x in (2, 1) order by $x ") + spec + " return $x";
+    Result<Query> r = ParseQuery(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << q;
+    EXPECT_NE(r.status().message().find("'greatest' or 'least'"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  for (const char* spec : {"empty greatest", "empty least",
+                           "descending empty least"}) {
+    std::string q =
+        std::string("for $x in (2, 1) order by $x ") + spec + " return $x";
+    Result<Query> r = ParseQuery(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    EXPECT_EQ(r->body->order_by.at(0).empty_greatest,
+              std::string(spec).find("greatest") != std::string::npos);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Corpus: every file under tests/corpus/malformed is rejected with a
 // Status (the suite completing at all proves no crash / no overflow).

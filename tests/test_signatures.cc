@@ -8,6 +8,9 @@
 //    must lie within the row's result kind for every argument kind that
 //    admits the arguments, and each order map must hold under the
 //    engine's OrderCompare;
+//  * every callable row's call signature (the parameters the compiler
+//    lowers calls by) against Session::Execute: the result of a call with
+//    an empty argument, and the error for a plural one;
 //  * the order-fact algebra (FactImplies, AddOrderFact, OrderImplied in
 //    opt/analyses.h) against brute force over every relation of up to
 //    four rows over three {0, 1} columns.
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "algebra/algebra.h"
+#include "api/session.h"
 #include "common/check.h"
 #include "engine/eval.h"
 #include "engine/value.h"
@@ -250,6 +254,90 @@ TEST_F(SignatureTest, AggregateResultKindsHoldOnTheEngine) {
     }
     EXPECT_GT(evaluated, 0u) << sig.name << " never evaluated";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Call signatures against the engine.
+// ---------------------------------------------------------------------------
+
+// Every callable row through Session::Execute, with order indifference
+// off and on: a call with () for one parameter gives what the row says an
+// empty argument gives (the call with the value the argument stands for,
+// the row's result, nothing, or for an exactly-one parameter an error),
+// and a two-item argument for an exactly-one or `?` parameter raises.
+TEST(CallSignatureTest, EmptyAndPluralArgumentsFollowTheRow) {
+  Session session;
+  // A non-empty argument by the parameter's conversion.
+  auto sample = [](const Param& p) -> std::string {
+    if (p.convert == Convert::kString) return R"("ab")";
+    return p.convert == Convert::kAtomize ? "2.5" : "<e>7</e>";
+  };
+  size_t checked = 0;
+  auto check = [&](const CallSig& call, size_t arity) {
+    for (const char* name : call.names) {
+      if (name == nullptr) continue;
+      for (size_t i = 0; i < arity; ++i) {
+        const Param& p = call.params[i];
+        auto with = [&](const std::string& arg) {
+          std::string q = std::string(name) + "(";
+          for (size_t j = 0; j < arity; ++j) {
+            q += (j ? ", " : "") + (j == i ? arg : sample(call.params[j]));
+          }
+          return q + ")";
+        };
+        for (bool exploit : {false, true}) {
+          QueryOptions options;
+          options.enable_order_indifference = exploit;
+          auto run = [&](const std::string& q) {
+            return session.Execute(q, options);
+          };
+          const std::string empty = with("()");
+          Result<QueryResult> got = run(empty);
+          ++checked;
+          if (p.occurs == Occurs::kOne) {
+            EXPECT_EQ(got.status().code(), StatusCode::kCardinalityError)
+                << empty << " -> " << got.status().ToString();
+          } else {
+            ASSERT_TRUE(got.ok()) << empty << " -> " << got.status().ToString();
+            std::vector<std::string> want;
+            switch (p.on_empty) {
+              case OnEmpty::kNothing:
+                break;
+              case OnEmpty::kArgEmptyString:
+              case OnEmpty::kArgNaN: {
+                const char* value =
+                    p.on_empty == OnEmpty::kArgNaN ? R"("NaN")" : R"("")";
+                Result<QueryResult> stand_in = run(with(value));
+                ASSERT_TRUE(stand_in.ok()) << stand_in.status().ToString();
+                want = stand_in->items;
+                break;
+              }
+              case OnEmpty::kResultEmptyString:
+                want = {""};
+                break;
+              case OnEmpty::kResultZero:
+                want = {"0"};
+                break;
+            }
+            EXPECT_EQ(got->items, want) << empty;
+          }
+          if (p.occurs == Occurs::kMany) continue;
+          const std::string two =
+              with("(" + sample(p) + ", " + sample(p) + ")");
+          EXPECT_EQ(run(two).status().code(), StatusCode::kCardinalityError)
+              << two;
+        }
+      }
+    }
+  };
+  for (size_t f = 0; f <= static_cast<size_t>(FunKind::kNodeName); ++f) {
+    const FunSig& sig = Signature(static_cast<FunKind>(f));
+    check(sig.call, sig.arity);
+  }
+  for (size_t a = 0; a <= static_cast<size_t>(AggrKind::kStrJoin); ++a) {
+    check(Signature(static_cast<AggrKind>(a)).call, 1);
+  }
+  EXPECT_GT(checked, 50u);
 }
 
 // ---------------------------------------------------------------------------
