@@ -19,13 +19,10 @@
 namespace exrquy {
 namespace bench {
 
-// Baseline of Section 5: the compiler ignores order indifference. Both
-// configurations pin physical sort detection off, so the paper-figure
-// benches measure the sorts the paper's engine performs.
+// Baseline of Section 5: the compiler ignores order indifference.
 inline QueryOptions Baseline() {
   QueryOptions o;
   o.enable_order_indifference = false;
-  o.physical_sort_detection = false;
   return o;
 }
 
@@ -35,7 +32,6 @@ inline QueryOptions Enabled() {
   QueryOptions o;
   o.enable_order_indifference = true;
   o.default_ordering = OrderingMode::kUnordered;
-  o.physical_sort_detection = false;
   return o;
 }
 

@@ -337,6 +337,10 @@ int main(int argc, char** argv) {
       std::printf("%s  [%u]", sort.label.c_str(), sort.op);
       if (!sort.source.empty()) std::printf("  -- %s", sort.source.c_str());
       std::printf("\n");
+      if (sort.presorted) {
+        std::printf("  presorted: the input is proven sorted by the "
+                    "partition and criteria, so this %% does not sort\n");
+      }
       if (sort.reasons.empty()) {
         std::printf("  rank never consumed (removable by column pruning)\n");
       }

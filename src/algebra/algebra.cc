@@ -262,6 +262,7 @@ uint64_t Dag::HashOp(const Op& op) const {
   HashMix(&h, op.part);
   for (ColId c : op.keys) HashMix(&h, c);
   HashMix(&h, op.positional ? 1 : 0);
+  HashMix(&h, op.presorted ? 1 : 0);
   HashMix(&h, op.value_join ? 1 : 0);
   HashMix(&h, op.deferred ? 1 : 0);
   HashMix(&h, static_cast<uint64_t>(op.fun));
@@ -290,7 +291,8 @@ bool SamePayload(const Op& a, const Op& b) {
   return a.kind == b.kind && a.proj == b.proj &&
          a.col == b.col && a.col2 == b.col2 && a.order == b.order &&
          a.part == b.part && a.keys == b.keys &&
-         a.positional == b.positional && a.value_join == b.value_join &&
+         a.positional == b.positional && a.presorted == b.presorted &&
+         a.value_join == b.value_join &&
          a.deferred == b.deferred &&
          a.fun == b.fun &&
          a.args == b.args && a.aggr == b.aggr && a.axis == b.axis &&
@@ -574,14 +576,50 @@ OpId Dag::Distinct(OpId child) {
   return Add(std::move(op));
 }
 
+Result<Callee> FindCallee(std::string_view name, size_t nargs) {
+  Callee out;
+  bool named = false;
+  auto consider = [&](const CallSig& call, Callee c) {
+    for (const char* s : call.names) {
+      if (s == nullptr || name != s) continue;
+      named = true;
+      if (nargs == c.arity || (call.variadic && nargs > c.arity)) {
+        out = c;
+        out.call = &call;
+      }
+    }
+  };
+  for (size_t f = 0; f <= static_cast<size_t>(FunKind::kNodeName); ++f) {
+    const FunSig& sig = Signature(static_cast<FunKind>(f));
+    consider(sig.call, {nullptr, sig.arity, false, static_cast<FunKind>(f)});
+  }
+  for (size_t a = 0; a <= static_cast<size_t>(AggrKind::kStrJoin); ++a) {
+    consider(Signature(static_cast<AggrKind>(a)).call,
+             {nullptr, 1, true, FunKind::kAdd, static_cast<AggrKind>(a)});
+  }
+  if (named && out.call == nullptr) {
+    return TypeError("fn:" + std::string(name) +
+                     ": wrong number of arguments");
+  }
+  return out;
+}
+
+std::vector<SortKey> RowNumSortKeys(const Op& op) {
+  std::vector<SortKey> keys;
+  if (op.part != kNoCol) keys.push_back({op.part, false});
+  keys.insert(keys.end(), op.order.begin(), op.order.end());
+  return keys;
+}
+
 OpId Dag::RowNum(OpId child, ColId result, std::vector<SortKey> order,
-                 ColId part) {
+                 ColId part, bool presorted) {
   Op op;
   op.kind = OpKind::kRowNum;
   op.children = {child};
   op.col = result;
   op.order = std::move(order);
   op.part = part;
+  op.presorted = presorted;
   return Add(std::move(op));
 }
 

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -257,6 +258,21 @@ inline const char* AggrKindName(AggrKind kind) {
   return Signature(kind).name;
 }
 
+// The signature row a call lowers to.
+struct Callee {
+  const CallSig* call = nullptr;
+  size_t arity = 0;
+  bool aggregate = false;
+  FunKind fun = FunKind::kAdd;
+  AggrKind aggr = AggrKind::kCount;
+};
+
+// The row named `name` (fn: prefix stripped) that takes `nargs`
+// arguments: no row (call == nullptr) when none is named so, a TypeError
+// when none takes that many. The compiler lowers calls through it and
+// the reference interpreter checks their arity with it.
+Result<Callee> FindCallee(std::string_view name, size_t nargs);
+
 // A literal table: fixed schema and constant rows.
 struct LitTable {
   std::vector<ColId> cols;
@@ -296,6 +312,10 @@ struct Op {
   // kRowNum: sort criteria. (Empty criteria = arbitrary order, which makes
   // the operator equivalent to # — see Section 7 of the paper.)
   std::vector<SortKey> order;
+  // kRowNum only: the input provably arrives sorted by RowNumSortKeys, so
+  // the engine ranks it in physical order without sorting. Set by
+  // MarkPlan, audited as [presorted-claim]. Part of operator identity.
+  bool presorted = false;
   // kRowNum / kAggr / kThetaCount: partition column (kNoCol = whole table
   // is one group; ThetaCount always has one, on either join side).
   ColId part = kNoCol;
@@ -347,6 +367,10 @@ struct Op {
 
   bool HasCol(ColId c) const;
 };
+
+// The keys a % (kRowNum) sorts its input by: the partition column
+// ascending (when there is one), then the criteria.
+std::vector<SortKey> RowNumSortKeys(const Op& op);
 
 // Whether two operators are the same operation — identical in every
 // field that makes up operator identity except their children.
@@ -407,7 +431,7 @@ class Dag {
   OpId SemiJoin(OpId left, OpId right, std::vector<ColId> keys);
   OpId Distinct(OpId child);
   OpId RowNum(OpId child, ColId result, std::vector<SortKey> order,
-              ColId part);
+              ColId part, bool presorted = false);
   // `positional` marks the ids as proven row positions (see Op::positional).
   OpId RowId(OpId child, ColId result, bool positional = false);
   OpId Fun(OpId child, FunKind fun, ColId result, std::vector<ColId> args);

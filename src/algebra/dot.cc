@@ -100,7 +100,9 @@ std::string OpToString(const Dag& dag, OpId id, const StrPool& strings) {
       out << "Distinct";
       break;
     case OpKind::kRowNum: {
-      out << "RowNum " << ColName(op.col) << ":<";
+      // `^` marks a presorted % — it ranks without sorting (Op::presorted).
+      out << "RowNum" << (op.presorted ? "^ " : " ") << ColName(op.col)
+          << ":<";
       for (size_t i = 0; i < op.order.size(); ++i) {
         if (i) out << ",";
         out << ColName(op.order[i].col);

@@ -113,7 +113,8 @@ Status SpotCheckCertificates(const Dag& dag,
 Result<Governor> ResolveGovernor(const QueryOptions& options,
                                  Clock::time_point start) {
   EXRQUY_RETURN_IF_ERROR(
-      CheckRemovedKnobs(options.chunk_rows, options.inline_rows));
+      CheckRemovedKnobs(options.chunk_rows, options.inline_rows,
+                        options.physical_sort_detection));
   Governor g;
   uint64_t deadline_ms =
       options.deadline_ms > 0 ? static_cast<uint64_t>(options.deadline_ms) : 0;
@@ -166,7 +167,6 @@ Status ExecutePlan(const Dag& dag, OpId root,
   ctx.store = store;
   ctx.strings = strings;
   ctx.documents = documents;
-  ctx.detect_sorted_inputs = options.physical_sort_detection;
   ctx.num_threads = options.num_threads;
   ctx.release_intermediates = options.release_intermediates;
   ctx.pipelined_execution = options.pipelined_execution;
@@ -189,7 +189,6 @@ Status ExecutePlan(const Dag& dag, OpId root,
   }
   if (!table.ok()) return table.status();
   result->execute_ms = MsSince(t1);
-  result->sorts_skipped = ctx.sorts_skipped;
   RenderResult(**table, ctx, &result->serialized, &result->items);
   return Status::Ok();
 }

@@ -60,12 +60,12 @@ std::string CacheKey(std::string_view query, const QueryOptions& o,
   auto push = [&bits](bool b) { bits = (bits << 1) | (b ? 1 : 0); };
   for (bool b : {o.default_ordering == OrderingMode::kOrdered,
                  o.enable_order_indifference, o.insert_unordered,
-                 o.mode_rules, o.physical_sort_detection,
-                 rc.mode == CertifyMode::kStrict, rc.mode == CertifyMode::kOff,
-                 rc.spot_check, !rc.force_reject_rule.empty()}) {
+                 o.mode_rules, rc.mode == CertifyMode::kStrict,
+                 rc.mode == CertifyMode::kOff, rc.spot_check,
+                 !rc.force_reject_rule.empty()}) {
     push(b);
   }
-  static_assert(std::size(kRewriteFamilies) + 9 <= 64, "key bits overflow");
+  static_assert(std::size(kRewriteFamilies) + 8 <= 64, "key bits overflow");
   for (const RewriteFamily& f : kRewriteFamilies) push(o.*(f.flag));
   char suffix[48];
   std::snprintf(suffix, sizeof(suffix), "\x1f%llx\x1f%llu",

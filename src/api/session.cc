@@ -153,6 +153,7 @@ Result<OrderExplanation> Session::ExplainOrder(std::string_view query,
     p.label = OpToString(dag, id, strings_);
     p.source = op.prov;
     p.reasons = prov.ReasonsFor(id, op.col);
+    p.presorted = op.presorted;
     out.sorts.push_back(std::move(p));
   }
   std::map<OpId, std::vector<std::string>> annotations =

@@ -57,14 +57,6 @@ struct QueryOptions : RewriteOptions {
   // fuzz/equivalence suites.
   bool verify_each_pass = false;
 
-  // Physical-plan order detection (orthogonal to the logical rewrites;
-  // Section 6's pointer to combined order/grouping frameworks): % skips
-  // its blocking sort when an O(n) check finds the input already in the
-  // requested order, which gives the same ranks as the stable sort. On
-  // by default; the paper-figure benches (bench/bench_util.h) turn it
-  // off, since the paper's configurations do not assume it.
-  bool physical_sort_detection = true;
-
   // Record a per-operator execution profile (Table 2).
   bool profile = false;
 
@@ -87,6 +79,7 @@ struct QueryOptions : RewriteOptions {
   // InvalidArgument (see EvalContext).
   size_t chunk_rows = kRemovedChunkRows;
   size_t inline_rows = kRemovedInlineRows;
+  bool physical_sort_detection = true;
 
   // -- Resource governance (common/governor.h, engine/faults.h) -----------
   // Wall-clock deadline for this execution, in milliseconds from the
@@ -122,7 +115,6 @@ struct QueryResult {
   PlanStats plan_initial;          // as emitted by the compiler
   PlanStats plan_optimized;        // after the rewrite pipeline
   Profile profile;                 // filled when QueryOptions::profile
-  size_t sorts_skipped = 0;        // with physical_sort_detection
   double compile_ms = 0;
   double execute_ms = 0;
 };
@@ -182,9 +174,9 @@ struct Governor {
 // at `start`. Explicit options beat the environment (EXRQUY_DEADLINE_MS,
 // EXRQUY_MEM_BUDGET, EXRQUY_FAULT_*), which is parsed strictly: a
 // malformed value is an InvalidArgument naming the variable. Also
-// rejects the removed QueryOptions::chunk_rows and ::inline_rows. Both
-// Session::Execute and QueryService::Execute resolve through here before
-// doing any work.
+// rejects the removed QueryOptions::chunk_rows, ::inline_rows and
+// ::physical_sort_detection. Both Session::Execute and
+// QueryService::Execute resolve through here before doing any work.
 Result<Governor> ResolveGovernor(const QueryOptions& options,
                                  std::chrono::steady_clock::time_point start);
 
@@ -192,9 +184,9 @@ Result<Governor> ResolveGovernor(const QueryOptions& options,
 // bytes for Session::Execute and QueryService (api/execute.cc): evaluates
 // `root` of `dag` over `store`/`strings`/`documents` under `governor`,
 // then renders the result once into `result` (serialized, items,
-// execute_ms, sorts_skipped, and the profile when options.profile).
-// Memory is charged to `budget` (null when !governor.account), which the
-// caller owns and attaches to its stores, so that its rollback — of the
+// execute_ms, and the profile when options.profile). Memory is charged
+// to `budget` (null when !governor.account), which the caller owns and
+// attaches to its stores, so that its rollback — of the
 // Session or of a service worker store — runs after this returns. With
 // `spot_trades` non-null and options.certify resolving to spot checking,
 // every committed rewrite in it is first evaluated before and after on
@@ -219,6 +211,7 @@ struct OrderExplanation {
     std::string label;   // operator rendering, e.g. "RowNum pos:<item>|iter"
     std::string source;  // originating source expression, when recorded
     std::vector<std::string> reasons;
+    bool presorted = false;  // Op::presorted: the % does not sort
   };
   // One % the optimizer eliminated, with the justification for the
   // trade (order dependency, semantic type, key, or arbitrary order).

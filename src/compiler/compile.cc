@@ -774,45 +774,6 @@ class Compiler {
 
   // -- Function calls ---------------------------------------------------
 
-  // The signature row (algebra/algebra.h) a call lowers to.
-  struct Callee {
-    const CallSig* call = nullptr;
-    size_t arity = 0;
-    bool aggregate = false;
-    FunKind fun = FunKind::kAdd;
-    AggrKind aggr = AggrKind::kCount;
-  };
-
-  // The row named by the call `e` that takes its number of arguments: no
-  // row when none is named so, an error when none takes that many.
-  static Result<Callee> FindCallee(const Expr& e) {
-    Callee out;
-    bool named = false;
-    auto consider = [&](const CallSig& call, Callee c) {
-      for (const char* s : call.names) {
-        if (s == nullptr || e.string_value != s) continue;
-        named = true;
-        size_t n = e.children.size();
-        if (n == c.arity || (call.variadic && n > c.arity)) {
-          out = c;
-          out.call = &call;
-        }
-      }
-    };
-    for (size_t f = 0; f <= static_cast<size_t>(FunKind::kNodeName); ++f) {
-      const FunSig& sig = Signature(static_cast<FunKind>(f));
-      consider(sig.call, {nullptr, sig.arity, false, static_cast<FunKind>(f)});
-    }
-    for (size_t a = 0; a <= static_cast<size_t>(AggrKind::kStrJoin); ++a) {
-      consider(Signature(static_cast<AggrKind>(a)).call,
-               {nullptr, 1, true, FunKind::kAdd, static_cast<AggrKind>(a)});
-    }
-    if (named && out.call == nullptr) {
-      return TypeError("fn:" + e.string_value + ": wrong number of arguments");
-    }
-    return out;
-  }
-
   // Bounds on the items per iteration that the compiler already
   // guarantees for argument `e`, compiled to `q`: a CardCheck's over this
   // loop, one for a literal and for a call whose row returns exactly one
@@ -832,7 +793,7 @@ class Compiler {
     }
     if (e.kind == ExprKind::kEmptySeq) return {0, 0};
     if (e.kind != ExprKind::kFunctionCall) return {};
-    Result<Callee> c = FindCallee(e);
+    Result<Callee> c = FindCallee(e.string_value, e.children.size());
     if (!c.ok() || c->call == nullptr) return {};
     Card card{1, 1};
     for (size_t i = 0; i < c->arity; ++i) {
@@ -905,7 +866,8 @@ class Compiler {
 
   Result<OpId> CompileCall(const Expr& e, Scope& scope, OrderingMode mode) {
     const std::string& name = e.string_value;
-    EXRQUY_ASSIGN_OR_RETURN(Callee callee, FindCallee(e));
+    EXRQUY_ASSIGN_OR_RETURN(Callee callee,
+                            FindCallee(name, e.children.size()));
     if (callee.call != nullptr) return LowerCall(e, callee, scope, mode);
     auto arity = [&](size_t n) -> Status {
       if (e.children.size() != n) {

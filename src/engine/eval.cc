@@ -167,7 +167,13 @@ double RoundHalfUp(double x) {
 
 }  // namespace
 
-Status CheckRemovedKnobs(size_t chunk_rows, size_t inline_rows) {
+Status CheckRemovedKnobs(size_t chunk_rows, size_t inline_rows,
+                         bool detect_sorted_inputs) {
+  if (!detect_sorted_inputs) {
+    return InvalidArgument(
+        "physical_sort_detection was removed; the plan marks every % whose "
+        "input is proven sorted, and every other % sorts");
+  }
   if (chunk_rows != kRemovedChunkRows) {
     return InvalidArgument(
         "chunk_rows was removed; breaker kernels split by morsel_rows");
@@ -247,7 +253,8 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
   EXRQUY_RETURN_IF_ERROR(VerifyPlan(dag_, root, guard));
 
   EXRQUY_RETURN_IF_ERROR(
-      CheckRemovedKnobs(ctx_->chunk_rows, ctx_->inline_rows));
+      CheckRemovedKnobs(ctx_->chunk_rows, ctx_->inline_rows,
+                        ctx_->detect_sorted_inputs));
   EXRQUY_ASSIGN_OR_RETURN(threads_, ResolveThreads(ctx_->num_threads));
   EXRQUY_ASSIGN_OR_RETURN(morsel_rows_, ResolveMorselRows(ctx_->morsel_rows));
 
@@ -1286,20 +1293,19 @@ Result<TablePtr> Evaluator::EvalRowNum(const Op& op, const Table& in) {
   // The partition (ascending) leads the sort keys.
   const Column* part = op.part != kNoCol ? &in.col(op.part) : nullptr;
   std::vector<std::pair<const Column*, bool>> keys;
-  if (part != nullptr) keys.emplace_back(part, false);
-  for (const SortKey& k : op.order) {
+  for (const SortKey& k : RowNumSortKeys(op)) {
     keys.emplace_back(&in.col(k.col), k.descending);
   }
   Column ranks(n);
-  // Sorts perm by `less` — a scan when the input already carries the
-  // order (physical order detection: the blocking sort degenerates) —
-  // then ranks each partition 1, 2, ... in that order. `new_part(a, b)`:
-  // sorted row a starts a partition after row b. The ranking carries a
-  // sequential dependency across partition boundaries: kept serial.
+  // Sorts perm by `less`, then ranks each partition 1, 2, ... in that
+  // order. A presorted % (Op::presorted, audited as [presorted-claim])
+  // skips the sort: on its input the stable sort is the identity.
+  // `new_part(a, b)`: sorted row a starts a partition after row b. The
+  // ranking carries a sequential dependency across partition
+  // boundaries: kept serial.
   auto rank_by = [&](const auto& less, const auto& new_part) {
-    if (ctx_->detect_sorted_inputs &&
-        std::is_sorted(perm.begin(), perm.end(), less)) {
-      ctx_->sorts_skipped.fetch_add(1, std::memory_order_relaxed);
+    if (op.presorted) {
+      EXRQUY_DCHECK(std::is_sorted(perm.begin(), perm.end(), less));
     } else {
       ParallelStableSort(&perm, less);
     }

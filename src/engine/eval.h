@@ -58,12 +58,13 @@
 
 namespace exrquy {
 
-// The only values EvalContext::chunk_rows and ::inline_rows (and their
-// QueryOptions namesakes) accept; CheckRemovedKnobs fails any other with
-// InvalidArgument.
+// The only values EvalContext::chunk_rows, ::inline_rows and
+// ::detect_sorted_inputs (and their QueryOptions namesakes) accept;
+// CheckRemovedKnobs fails any other with InvalidArgument.
 inline constexpr size_t kRemovedChunkRows = 65536;
 inline constexpr size_t kRemovedInlineRows = 4096;
-Status CheckRemovedKnobs(size_t chunk_rows, size_t inline_rows);
+Status CheckRemovedKnobs(size_t chunk_rows, size_t inline_rows,
+                         bool detect_sorted_inputs);
 
 struct EvalContext {
   NodeStore* store = nullptr;
@@ -93,23 +94,15 @@ struct EvalContext {
   // materializes its table: the same kernels and byte-identical results,
   // retained (like release_intermediates) for peak-memory comparisons.
   bool pipelined_execution = true;
-  // Removed: breaker kernels split by morsel_rows, and a unit fans out
-  // exactly when it has more than one morsel. Only the old defaults are
-  // accepted, so that callers copying the fields through still compile;
-  // any other value fails Eval with InvalidArgument rather than being
-  // ignored.
+  // Removed: breaker kernels split by morsel_rows, a unit fans out
+  // exactly when it has more than one morsel, and a % sorts exactly when
+  // the plan does not mark it presorted (Op::presorted). Only the old
+  // defaults are accepted, so that callers copying the fields through
+  // still compile; any other value fails Eval with InvalidArgument
+  // rather than being ignored.
   size_t chunk_rows = kRemovedChunkRows;
   size_t inline_rows = kRemovedInlineRows;
-
-  // Physical-plan order detection (Section 6's pointer to Moerkotte &
-  // Neumann): when set, % first checks in O(n) whether its input already
-  // arrives in the requested (partition, criteria) order and skips the
-  // blocking sort if so — "this renders subsequent % as cheap as #".
-  // Orthogonal to the paper's logical rewrites; the result is the same
-  // either way, so it is on by default.
   bool detect_sorted_inputs = true;
-  // Number of % evaluations whose sort was skipped (diagnostics).
-  mutable std::atomic<size_t> sorts_skipped{0};
 
   // -- Resource governance (all optional; see common/governor.h) ----------
   // Cooperative cancellation: polled at every unit dispatch and

@@ -794,41 +794,34 @@ bool OrderImplied(const std::vector<OrderFact>& facts, const ColSet& constants,
   for (const SortKey& k : requested) {
     if (constants.count(k.col) == 0) want.push_back(k);
   }
-  if (want.empty()) return true;
-  for (const OrderFact& f : facts) {
-    size_t qi = 0;
-    size_t fi = 0;
-    bool covered = false;
-    while (true) {
-      if (qi == want.size()) {
-        covered = true;
-        break;
+  // covered[i]: the rows are in the order want[i..]. A fact matching
+  // want[i..j) covers it when the match ends on a duplicate-free key (no
+  // ties left), or covered[j] holds: ties on the matched prefix are
+  // contiguous runs of rows that are sorted by want[j..] (conjunction).
+  std::vector<bool> covered(want.size() + 1, false);
+  covered[want.size()] = true;
+  for (size_t i = want.size(); i-- > 0;) {
+    for (const OrderFact& f : facts) {
+      size_t qi = i;
+      size_t fi = 0;
+      while (!covered[i]) {
+        // Constant fact keys tie on every row too; the remaining keys
+        // still describe the physical order exactly.
+        while (fi < f.keys.size() && constants.count(f.keys[fi].col) != 0) {
+          ++fi;
+        }
+        if (fi == f.keys.size()) {
+          // Fact exhausted with requested keys left: only a
+          // duplicate-free consumed prefix pins the remaining order.
+          covered[i] = f.strict;
+          break;
+        }
+        if (!(f.keys[fi++] == want[qi])) break;
+        covered[i] = keys.count(want[qi++].col) != 0 || covered[qi];
       }
-      // Constant fact keys tie on every row too; the remaining keys
-      // still describe the physical order exactly.
-      while (fi < f.keys.size() && constants.count(f.keys[fi].col) != 0) {
-        ++fi;
-      }
-      if (fi == f.keys.size()) {
-        // Fact exhausted with requested keys left: only a duplicate-free
-        // consumed prefix pins the remaining order (no ties to break).
-        covered = f.strict;
-        break;
-      }
-      if (f.keys[fi].col != want[qi].col ||
-          f.keys[fi].descending != want[qi].descending) {
-        break;
-      }
-      if (keys.count(want[qi].col) != 0) {
-        covered = true;  // duplicate-free key: later criteria never fire
-        break;
-      }
-      ++qi;
-      ++fi;
     }
-    if (covered) return true;
   }
-  return false;
+  return covered[0];
 }
 
 OrderFacts OrderAnalysis::Transfer(
@@ -922,17 +915,18 @@ OrderFacts OrderAnalysis::Transfer(
     case OpKind::kRowNum: {
       inherit(child(0));
       // % keeps the physical row order (ranks are written back into the
-      // input's row slots). When the requested order is one the input
-      // already realizes, the stable sort is the identity and the ranks
-      // are 1..n in physical order: a strictly ascending column.
+      // input's row slots). When the input already realizes
+      // RowNumSortKeys, the stable sort is the identity: each partition
+      // is a contiguous run ranked 1, 2, ... in physical order.
       OpId c = op.children[0];
-      bool part_skippable =
-          op.part == kNoCol ||
-          props->Get(c).constant.count(op.part) != 0;
-      if (part_skippable &&
-          OrderImplied(child(0).facts, props->Get(c).constant,
-                       keys->Get(c), cards->Get(c).max <= 1, op.order)) {
-        add({{{op.col, false}}, true});
+      if (OrderImplied(child(0).facts, props->Get(c).constant, keys->Get(c),
+                       cards->Get(c).max <= 1, RowNumSortKeys(op))) {
+        if (op.part != kNoCol) {
+          add({{{op.part, false}, {op.col, false}}, true});
+        }
+        if (op.part == kNoCol || props->Get(c).constant.count(op.part) != 0) {
+          add({{{op.col, false}}, true});
+        }
       }
       break;
     }

@@ -871,6 +871,19 @@ bool CertifyChecker::CheckFamily(RewriteCertificate* cert) {
     return true;
   }
 
+  if (cert->rule == "order-dependency" && to.kind == OpKind::kRowNum) {
+    if (from.kind != OpKind::kRowNum || !to.presorted || from.presorted ||
+        to.col != from.col || to.part != from.part ||
+        to.order != from.order ||
+        !SortedCovers(audit_.Get(to.children[0]), RowNumSortKeys(from))) {
+      return Fail(cert, ob,
+                  "the replacement is not the same % marked presorted over "
+                  "an input derivably sorted by the partition and the "
+                  "criteria");
+    }
+    return true;
+  }
+
   if (cert->rule == "arbitrary-order" || cert->rule == "order-dependency") {
     if (from.kind != OpKind::kRowNum) {
       return Fail(cert, ob, "the rewritten operator is not a %");

@@ -40,7 +40,9 @@
 //                                            <= 1 row
 //   order-dependency     sorted-prefix       the requested order is
 //                                            covered by a derivable
-//                                            sorted-prefix fact
+//                                            sorted-prefix fact; for a
+//                                            presorted mark, the
+//                                            partition then the criteria
 //   join_recognition     join-isolation      no predicate column of any
 //                                            emitted join is reachable
 //                                            from iteration/order

@@ -201,12 +201,17 @@ void DeriveSorted(const Dag& dag, OpId id,
     case OpKind::kRowNum:
       inherit(child(0));
       // Ranks are written back into the input's row slots; when the
-      // requested order is already realized the stable sort is the
-      // identity and the ranks are 1..n in physical order.
-      if ((op.part == kNoCol ||
-           child(0).constant.count(op.part) != 0) &&
-          SortedCovers(child(0), op.order)) {
-        add({{{op.col, false}}, true});
+      // input already realizes the partition-then-criteria order the
+      // stable sort is the identity, and each partition (a contiguous
+      // run) is ranked 1, 2, ... in physical order: strictly sorted by
+      // (part, rank), and by the rank alone when there is one group.
+      if (SortedCovers(child(0), RowNumSortKeys(op))) {
+        if (op.part != kNoCol) {
+          add({{{op.part, false}, {op.col, false}}, true});
+        }
+        if (op.part == kNoCol || child(0).constant.count(op.part) != 0) {
+          add({{{op.col, false}}, true});
+        }
       }
       break;
     case OpKind::kRowId:

@@ -68,12 +68,13 @@ Result<OpId> Optimize(Dag* dag, OpId root, const OptimizeOptions& options,
     EXRQUY_RETURN_IF_ERROR(finish_pass(std::to_string(pass), current));
     if (!changed) break;
   }
-  // Identity indifference reads the final plan's consumers, so it runs
-  // once, on the fixpoint.
-  if (rewrites.deferred_construction) {
+  // The marks read the final plan — identity indifference its
+  // consumers, a presorted % its input's order — so they run once, on
+  // the fixpoint.
+  if (rewrites.deferred_construction || rewrites.rownum_by_od) {
     trades.clear();
-    current = MarkDeferredConstructors(dag, current, rewrites, facts, &trades);
-    EXRQUY_RETURN_IF_ERROR(finish_pass("deferred_construction", current));
+    current = MarkPlan(dag, current, rewrites, facts, &trades);
+    EXRQUY_RETURN_IF_ERROR(finish_pass("marks", current));
   }
   return current;
 }

@@ -792,10 +792,10 @@ OpId RewriteOnce(Dag* dag, OpId root, const RewriteOptions& options,
   return rewriter.Run(root, changed);
 }
 
-OpId MarkDeferredConstructors(Dag* dag, OpId root,
-                              const RewriteOptions& options, PlanFacts* facts,
-                              std::vector<RewriteTrade>* trades) {
-  const std::vector<ColSet>& observed = facts->Observed(root);
+OpId MarkPlan(Dag* dag, OpId root, const RewriteOptions& options,
+              PlanFacts* facts, std::vector<RewriteTrade>* trades) {
+  const std::vector<ColSet>* observed =
+      options.deferred_construction ? &facts->Observed(root) : nullptr;
   std::unique_ptr<CertifyChecker> checker;
   if (options.certify.mode != CertifyMode::kOff) {
     checker = std::make_unique<CertifyChecker>(
@@ -804,37 +804,50 @@ OpId MarkDeferredConstructors(Dag* dag, OpId root,
   std::vector<OpId> map(root + 1, kNoOp);
   for (OpId id : dag->ReachableFrom(root)) {
     const Op& op = dag->op(id);
-    const bool mark = op.kind == OpKind::kElem && !op.deferred &&
-                      observed[id].count(col::item()) == 0;
     const bool rebuilt = std::any_of(op.children.begin(), op.children.end(),
                                      [&](OpId c) { return map[c] != c; });
-    map[id] = id;
-    if (!mark && !rebuilt) continue;
-    Op copy = op;
-    for (OpId& c : copy.children) c = map[c];
-    copy.schema.clear();
-    OpId out;
-    if (mark) {
-      copy.deferred = true;
-      RewriteCertificate cert;
-      cert.from = id;
-      cert.to = dag->Add(copy);
+    RewriteCertificate cert;
+    if (observed != nullptr && op.kind == OpKind::kElem && !op.deferred &&
+        (*observed)[id].count(col::item()) == 0) {
       cert.rule = "deferred_construction";
       cert.detail =
           "no consumer observes the constructed elements' identity: the "
           "enclosing constructor builds them in place";
       cert.cited.push_back(CiteUnobserved(id, col::item()));
+    } else if (options.rownum_by_od && op.kind == OpKind::kRowNum &&
+               !op.presorted) {
+      const OpId in = map[op.children[0]];
+      std::vector<SortKey> keys = RowNumSortKeys(op);
+      if (facts->analyses.OrderCovers(in, keys)) {
+        cert.rule = "order-dependency";
+        cert.detail = "the input realizes " +
+                      OrderFact{keys, false}.ToString() + " (sorted " +
+                      facts->analyses.od.Get(in).ToString() +
+                      "): the % ranks its rows without sorting";
+        cert.cited.push_back(CiteSorted(in, std::move(keys)));
+      }
+    }
+    map[id] = id;
+    if (cert.rule.empty() && !rebuilt) continue;
+    Op copy = op;
+    copy.schema.clear();
+    for (OpId& c : copy.children) c = map[c];
+    OpId out = id;
+    if (!cert.rule.empty()) {
+      copy.deferred |= op.kind == OpKind::kElem;
+      copy.presorted |= op.kind == OpKind::kRowNum;
+      cert.from = id;
+      cert.to = out = dag->Add(copy);
       for (ColId c : op.schema) cert.witness.push_back({c, c, true});
       if (checker != nullptr) checker->Check(&cert);
-      out = cert.to;
       if (!RewriteCommitted(cert, options.certify)) {
-        copy.deferred = false;
-        out = rebuilt ? dag->Add(copy) : id;
+        copy.deferred = op.deferred;
+        copy.presorted = op.presorted;
+        out = id;
       }
       if (trades != nullptr) trades->push_back(std::move(cert));
-    } else {
-      out = dag->Add(copy);
     }
+    if (out == id && rebuilt) out = dag->Add(copy);
     map[id] = out;
     if (out != id) dag->SetProv(out, op.prov);
   }

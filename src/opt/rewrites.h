@@ -34,10 +34,12 @@
 //    identity sort: it degrades to a positional # carrying the very same
 //    1..n values.
 //
-// After the rewrite fixpoint, one more pass defers element construction
-// (MarkDeferredConstructors): an element constructor whose nodes no
-// consumer can tell apart from copies of them is marked, and the
-// enclosing constructor builds its elements in place (Op::deferred).
+// After the rewrite fixpoint, one more pass marks the final plan
+// (MarkPlan): an element constructor whose nodes no consumer can tell
+// apart from copies of them is deferred, and the enclosing constructor
+// builds its elements in place (Op::deferred); a % whose input provably
+// arrives sorted by its partition and then its criteria is presorted,
+// and ranks without sorting (Op::presorted).
 #ifndef EXRQUY_OPT_REWRITES_H_
 #define EXRQUY_OPT_REWRITES_H_
 
@@ -59,8 +61,9 @@ struct RewriteOptions {
   bool empty_short_circuit = true;   // statically empty sub-plans collapse
   bool rownum_by_keys = true;        // keyed partitions make % rank 1
   // Order-dependency driven % elimination: a % whose input already
-  // realizes its order becomes #. (Singleton partitions, including
-  // asserted-unique iterations, are rownum_by_keys's trade.)
+  // realizes its order becomes #, or is marked presorted (MarkPlan).
+  // (Singleton partitions, including asserted-unique iterations, are
+  // rownum_by_keys's trade.)
   bool rownum_by_od = true;
   // Value-join recognition: comparisons evaluated over loop-lifted
   // product spaces are re-rooted as joins on the compared item columns,
@@ -133,15 +136,16 @@ OpId RewriteOnce(Dag* dag, OpId root, const RewriteOptions& options,
                  PlanFacts* facts, bool* changed,
                  std::vector<RewriteTrade>* trades = nullptr);
 
-// The deferred-construction pass over the plan rooted at `root`, run
-// once after the rewrite fixpoint: marks every element constructor whose
-// item column is identity-unobserved (PlanFacts::Observed) and rebuilds
-// its ancestors. Each mark carries a `deferred_construction` certificate
-// (appended to `trades` when non-null); strict certification keeps a
-// rejected constructor eager. Returns the new root.
-OpId MarkDeferredConstructors(Dag* dag, OpId root,
-                              const RewriteOptions& options, PlanFacts* facts,
-                              std::vector<RewriteTrade>* trades = nullptr);
+// The mark pass over the plan rooted at `root`, run once after the
+// rewrite fixpoint (a rewrite pass rebuilds a presorted % unmarked): with
+// deferred_construction, defers every element constructor whose item
+// column is identity-unobserved (PlanFacts::Observed); with rownum_by_od,
+// marks presorted every % whose input provably realizes RowNumSortKeys.
+// Each mark carries a certificate (appended to `trades` when non-null);
+// strict certification keeps a rejected operator unmarked. Rebuilds the
+// marks' ancestors and returns the new root.
+OpId MarkPlan(Dag* dag, OpId root, const RewriteOptions& options,
+              PlanFacts* facts, std::vector<RewriteTrade>* trades = nullptr);
 
 }  // namespace exrquy
 

@@ -616,10 +616,19 @@ Status VerifyPlan(const Dag& dag, OpId root, const VerifyOptions& options,
     }
     // Deferred construction: a marked element constructor must build
     // nodes whose identity no consumer observes — its item column must
-    // be unobserved in the audit's independent walk.
+    // be unobserved in the audit's independent walk. Presorted %: the
+    // engine ranks a marked % in physical order, so its input must be
+    // derivably sorted by the partition and then the criteria.
     const std::vector<ColSet>* observed = nullptr;
     for (OpId id : order) {
       const Op& op = dag.op(id);
+      if (op.presorted &&
+          (op.kind != OpKind::kRowNum ||
+           !SortedCovers(audit.Get(op.children[0]), RowNumSortKeys(op)))) {
+        return Fail(dag, id, "presorted-claim",
+                    "the input is not derivably sorted by the partition "
+                    "and the criteria of a %");
+      }
       if (!op.deferred) continue;
       if (op.kind != OpKind::kElem) {
         return Fail(dag, id, "deferred-constructor-claim",

@@ -37,7 +37,9 @@
 //                    with a preserved copy of the pre-framework one-shot
 //                    walk — which covers the demand edges identity
 //                    observation and order provenance share with it
-//                    (analyses.cc); and every deferred element
+//                    (analyses.cc); every presorted %'s input must
+//                    be derivably sorted by its partition and then its
+//                    criteria; and every deferred element
 //                    constructor's item column must be unobserved.
 //                    Order provenance itself is not solved here: its
 //                    payload is checked by Session::ExplainOrder.

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "algebra/algebra.h"
 #include "common/check.h"
 #include "xml/serializer.h"
 #include "xml/step.h"
@@ -713,6 +714,9 @@ Result<RefInterpreter::Sequence> RefInterpreter::EvalCtor(const Expr& e,
 Result<RefInterpreter::Sequence> RefInterpreter::EvalCall(const Expr& e,
                                                           Env& env) {
   const std::string& name = e.string_value;
+  // A builtin with a signature row takes exactly its arity (or, when
+  // variadic, at least it), as the compiler's lowering does.
+  EXRQUY_RETURN_IF_ERROR(FindCallee(name, e.children.size()).status());
   auto arg = [&](size_t i) -> Result<Sequence> {
     if (i >= e.children.size()) {
       return TypeError("fn:" + name + ": wrong number of arguments");

@@ -280,6 +280,30 @@ TEST_F(CertifyCheckerTest, OrderDependencyRejectsUnrealizedOrder) {
                  "sorted-prefix");
 }
 
+// A presorted mark needs the input sorted by the partition first: sorted
+// by the criteria alone, the % still has to sort.
+TEST_F(CertifyCheckerTest, OrderDependencyAcceptsPresortedPartitions) {
+  OpId l = Triples({{1, 1, 5}, {1, 2, 7}, {2, 3, 9}});  // iter, then pos
+  ColId x = ColSym("so3");
+  OpId orig = dag_.RowNum(l, x, {{pos(), false}}, iter());
+  OpId repl = dag_.RowNum(l, x, {{pos(), false}}, iter(), /*presorted=*/true);
+  ExpectValid(repl, Cert(orig, repl, "order-dependency",
+                         {CiteSorted(l, {{iter(), false}, {pos(), false}})}));
+}
+
+// The miscompiled mark cites what does hold — the criteria's order —
+// and forgets the partition.
+TEST_F(CertifyCheckerTest, OrderDependencyRejectsPresortedUnsortedPartition) {
+  OpId l = Triples({{2, 1, 5}, {1, 2, 7}, {2, 3, 9}});  // pos only
+  ColId x = ColSym("so4");
+  OpId orig = dag_.RowNum(l, x, {{pos(), false}}, iter());
+  OpId repl = dag_.RowNum(l, x, {{pos(), false}}, iter(), /*presorted=*/true);
+  ExpectRejected(repl,
+                 Cert(orig, repl, "order-dependency",
+                      {CiteSorted(l, {{pos(), false}})}),
+                 "sorted-prefix");
+}
+
 // -- step-shape ----------------------------------------------------------
 
 TEST_F(CertifyCheckerTest, StepMergingRejectsNonDosMiddleStep) {

@@ -19,6 +19,7 @@
 //     (test_dataflow.cc validates the key facts the same way).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -31,6 +32,7 @@
 #include "engine/eval.h"
 #include "engine/value.h"
 #include "opt/analyses.h"
+#include "opt/facts_audit.h"
 #include "opt/pipeline.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
@@ -286,6 +288,69 @@ TEST_F(OrderDependencyTest, CardCheckKeyCollapsesPartitionedRowNum) {
     EXPECT_EQ(CollectPlanStats(dag_, kept).rownum_ops, 1u) << "od=" << od;
     EXPECT_EQ(Eval(kept, pos()), (std::vector<int64_t>{1, 1}));
   }
+}
+
+// A partitioned % whose input arrives sorted by (partition, criteria):
+// both derivations — the analysis and the verifier's audit — give its
+// output <iter,pos>!, and the optimizer marks it presorted (RowNum^), so
+// it ranks in physical order with the ranks a sort would give. The
+// input is a left-major product of a strictly ascending iter and an
+// ascending item, i.e. <iter,item>!.
+TEST_F(OrderDependencyTest, PartitionedRowNumOverSortedInputIsPresorted) {
+  LitTable iters;
+  iters.cols = {iter()};
+  iters.rows = {{Value::Int(1)}, {Value::Int(2)}};
+  LitTable items;
+  items.cols = {item()};
+  items.rows = {{Value::Int(5)}, {Value::Int(7)}, {Value::Int(9)}};
+  OpId in = dag_.Cross(dag_.Lit(std::move(iters)), dag_.Lit(std::move(items)));
+  OpId rn = dag_.RowNum(in, pos(), {{item(), false}}, iter());
+  PlanFacts facts(&dag_);
+  auto implied = [](const std::vector<OrderFact>& have,
+                    const OrderFact& want) {
+    return std::any_of(have.begin(), have.end(), [&](const OrderFact& f) {
+      return FactImplies(f, want);
+    });
+  };
+  const OrderFact sorted_in{{{iter(), false}, {item(), false}}, true};
+  const OrderFact ranked{{{iter(), false}, {pos(), false}}, true};
+  ASSERT_TRUE(implied(facts.analyses.od.Get(in).facts, sorted_in));
+  EXPECT_TRUE(implied(facts.analyses.od.Get(rn).facts, ranked))
+      << facts.analyses.od.Get(rn).ToString();
+  EXPECT_TRUE(implied(facts.audit.Get(rn).sorted, ranked));
+
+  OpId opt = Opt(rn);
+  const Op& op = dag_.op(opt);
+  ASSERT_EQ(op.kind, OpKind::kRowNum);
+  EXPECT_TRUE(op.presorted);
+  EXPECT_EQ(Eval(opt, pos()), (std::vector<int64_t>{1, 2, 3, 1, 2, 3}));
+}
+
+// Over unsorted input neither derivation claims any order of the ranks,
+// and the % stays unmarked: it sorts.
+TEST_F(OrderDependencyTest, PartitionedRowNumOverUnsortedInputSorts) {
+  OpId in = Triples({{2, 1, 9}, {1, 2, 5}, {2, 3, 7}, {1, 4, 3}});
+  ColId rank = ColSym("od_r7");
+  OpId rn = dag_.RowNum(in, rank, {{item(), false}}, iter());
+  PlanFacts facts(&dag_);
+  auto mentions_rank = [&](const std::vector<OrderFact>& have) {
+    for (const OrderFact& f : have) {
+      for (const SortKey& k : f.keys) {
+        if (k.col == rank) return true;
+      }
+    }
+    return false;
+  };
+  EXPECT_FALSE(mentions_rank(facts.analyses.od.Get(rn).facts));
+  EXPECT_FALSE(mentions_rank(facts.audit.Get(rn).sorted));
+
+  OpId proj = dag_.Project(rn, {{iter(), iter()}, {pos(), rank},
+                                {item(), item()}});
+  OpId opt = Opt(proj);
+  for (OpId id : dag_.ReachableFrom(opt)) {
+    EXPECT_FALSE(dag_.op(id).presorted);
+  }
+  EXPECT_EQ(Eval(opt, pos()), (std::vector<int64_t>{2, 2, 1, 1}));
 }
 
 // ---------------------------------------------------------------------------

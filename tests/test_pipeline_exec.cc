@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/session.h"
@@ -277,26 +278,41 @@ TEST_F(PipelineExecTest, RemovedChunkRowsRejected) {
 
 TEST_F(PipelineExecTest, RemovedInlineRowsRejected) {
   // Units no longer run inline below a row threshold: a unit fans out
-  // exactly when it has several morsels. Setting inline_rows must fail
-  // loudly, through Session::Execute and through Evaluator::Eval.
-  QueryOptions o = Serial();
-  o.inline_rows = 0;
-  Result<QueryResult> r = session_->Execute(XMarkQueryText("Q1"), o);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("inline_rows"), std::string::npos);
-
+  // exactly when it has several morsels. Nor does a % check its input's
+  // order at run time: it sorts exactly when the plan does not mark it
+  // presorted. Setting inline_rows, or turning physical_sort_detection
+  // off, must fail loudly, through Session::Execute and through
+  // Evaluator::Eval.
   Result<QueryPlans> plans = session_->Plan(XMarkQueryText("Q1"));
   ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-  EvalContext ctx;
-  ctx.store = &session_->store();
-  ctx.strings = &session_->strings();
-  ctx.documents = session_->documents();
-  ctx.num_threads = 1;
-  ctx.inline_rows = 1u << 30;
-  Status st = Evaluator(*plans->dag, &ctx).Eval(plans->optimized).status();
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
-  ctx.inline_rows = kRemovedInlineRows;
+  auto context = [&] {
+    EvalContext ctx;
+    ctx.store = &session_->store();
+    ctx.strings = &session_->strings();
+    ctx.documents = session_->documents();
+    ctx.num_threads = 1;
+    return ctx;
+  };
+  for (const std::string_view knob :
+       {"inline_rows", "physical_sort_detection"}) {
+    QueryOptions o = Serial();
+    EvalContext ctx = context();
+    if (knob == "inline_rows") {
+      o.inline_rows = 0;
+      ctx.inline_rows = 1u << 30;
+    } else {
+      o.physical_sort_detection = false;
+      ctx.detect_sorted_inputs = false;
+    }
+    Result<QueryResult> r = session_->Execute(XMarkQueryText("Q1"), o);
+    ASSERT_FALSE(r.ok()) << knob;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(knob), std::string::npos)
+        << r.status().ToString();
+    Status st = Evaluator(*plans->dag, &ctx).Eval(plans->optimized).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+  EvalContext ctx = context();
   EXPECT_TRUE(Evaluator(*plans->dag, &ctx).Eval(plans->optimized).ok());
 }
 

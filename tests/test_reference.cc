@@ -452,10 +452,11 @@ TEST_F(ReferenceTest, NumericEdgeCasesFollowTheSpec) {
 // the numeric functions () for (); an order by key is atomized to at
 // most one value, an untypedAtomic key compares as xs:string, and an
 // empty key sorts least, or greatest under `empty greatest`, with NaN
-// just above it under `empty least`. On the reference interpreter and on
-// Session::Execute with order indifference off, on, and in unordered
-// mode (where only `order by` fixes the order, so other results are
-// compared as multisets).
+// just above it under `empty least`. A call with more or fewer arguments
+// than its signature row takes is a type error. On the reference
+// interpreter and on Session::Execute with order indifference off, on,
+// and in unordered mode (where only `order by` fixes the order, so other
+// results are compared as multisets).
 TEST_F(ReferenceTest, FunctionConversionFollowsTheSpec) {
   struct Case {
     const char* query;
@@ -532,6 +533,9 @@ TEST_F(ReferenceTest, FunctionConversionFollowsTheSpec) {
        {"10", "9"},
        kOk},
       {"for $x in (1, 2) order by ($x, 5) return $x", {}, kCard},
+      {"count(1, 2)", {}, StatusCode::kTypeError},
+      {R"(string-length("ab", 7))", {}, StatusCode::kTypeError},
+      {R"(contains("a"))", {}, StatusCode::kTypeError},
       {"for $x in (2, 1) order by $x empty banana return $x", {},
        StatusCode::kInvalidArgument},
       {keyed[0].c_str(), {"2", "1", "3"}, kOk},

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -354,8 +355,9 @@ TEST(QueryServiceTest, ResultCacheHitServesBytesWithoutEngine) {
 }
 
 TEST(QueryServiceTest, RemovedInlineRowsRejected) {
-  // The removed inline_rows knob is rejected before the result cache is
-  // consulted: a request whose bytes are cached still fails.
+  // The removed inline_rows and physical_sort_detection knobs are
+  // rejected before the result cache is consulted: a request whose bytes
+  // are cached still fails.
   ServiceConfig config;
   config.workers = 1;
   config.plan_cache = 1;
@@ -363,16 +365,24 @@ TEST(QueryServiceTest, RemovedInlineRowsRejected) {
   QueryService service(config);
   ASSERT_TRUE(service.LoadDocument("d.xml", "<r><x>7</x></r>").ok());
   const char* query = R"(doc("d.xml")//x/text())";
-  QueryOptions o;
-  ASSERT_TRUE(service.Execute(query, o).ok());
-  Result<ServiceResult> warm = service.Execute(query, o);
+  ASSERT_TRUE(service.Execute(query, QueryOptions{}).ok());
+  Result<ServiceResult> warm = service.Execute(query, QueryOptions{});
   ASSERT_TRUE(warm.ok());
   ASSERT_TRUE(warm->result_cache_hit);
-  o.inline_rows = 0;
-  Result<ServiceResult> removed = service.Execute(query, o);
-  ASSERT_FALSE(removed.ok());
-  EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(removed.status().message().find("inline_rows"), std::string::npos);
+  for (const std::string_view knob :
+       {"inline_rows", "physical_sort_detection"}) {
+    QueryOptions o;
+    if (knob == "inline_rows") {
+      o.inline_rows = 0;
+    } else {
+      o.physical_sort_detection = false;
+    }
+    Result<ServiceResult> removed = service.Execute(query, o);
+    ASSERT_FALSE(removed.ok()) << knob;
+    EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(removed.status().message().find(knob), std::string::npos)
+        << removed.status().ToString();
+  }
 }
 
 // Reloading a document must invalidate both caches: no stale plan, no

@@ -131,36 +131,40 @@ TEST(SessionTest, ResultCarriesItemsAndStats) {
   EXPECT_GE(r->execute_ms, 0.0);
 }
 
-TEST(SessionTest, PhysicalSortDetectionPreservesResults) {
+// The plan alone decides which % sorts: a path query's per-step %
+// input arrives in document order, so the default plan ranks it without
+// sorting — a presorted % or a positional # — and every plan gives the
+// baseline configuration's items.
+TEST(SessionTest, PathStepRanksWithoutSorting) {
   Session session;
   ASSERT_TRUE(
       session.LoadDocument("d.xml", "<r><x>3</x><x>1</x><x>2</x></r>").ok());
   const char* queries[] = {
+      R"(doc("d.xml")/r/x)",
       R"(doc("d.xml")//x)",
       R"(for $x in doc("d.xml")//x order by number($x) return $x/text())",
       R"(for $a in doc("d.xml")//x for $b in doc("d.xml")//x
          where number($a) < number($b) return concat($a, $b))",
   };
-  QueryOptions plain;
-  plain.enable_order_indifference = false;
-  plain.physical_sort_detection = false;
-  QueryOptions phys = plain;
-  phys.physical_sort_detection = true;
+  QueryOptions baseline;
+  baseline.enable_order_indifference = false;
   for (const char* q : queries) {
-    Result<QueryResult> a = session.Execute(q, plain);
-    Result<QueryResult> b = session.Execute(q, phys);
+    Result<QueryResult> a = session.Execute(q, baseline);
+    Result<QueryResult> b = session.Execute(q);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     EXPECT_EQ(a->items, b->items) << q;
   }
-  // A path query's per-step % input arrives in document order: the sort
-  // is skipped.
-  Result<QueryResult> r = session.Execute(R"(doc("d.xml")/r/x)", phys);
-  ASSERT_TRUE(r.ok());
-  EXPECT_GT(r->sorts_skipped, 0u);
-  Result<QueryResult> off = session.Execute(R"(doc("d.xml")/r/x)", plain);
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->sorts_skipped, 0u);
+  Result<QueryPlans> plans = session.Plan(R"(doc("d.xml")/r/x)");
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  size_t unsorted = 0;
+  for (OpId id : plans->dag->ReachableFrom(plans->optimized)) {
+    const Op& op = plans->dag->op(id);
+    unsorted += (op.kind == OpKind::kRowNum && op.presorted) ||
+                (op.kind == OpKind::kRowId && op.positional);
+  }
+  EXPECT_GT(unsorted, 0u) << PlanToText(*plans->dag, plans->optimized,
+                                        session.strings());
 }
 
 TEST(SessionTest, PrologOrderingDeclarationRespected) {

@@ -581,5 +581,32 @@ TEST_F(OrderFactAlgebraTest, OrderImpliedIsSound) {
   EXPECT_GT(licensed, 1000u);
 }
 
+// Conjunction: rows sorted by a prefix of one fact, and globally by
+// another fact's keys, are sorted by the prefix followed by those keys —
+// the ties on the prefix are contiguous runs, each sorted by the rest.
+// OrderImplied licenses every such request, and each soundly.
+TEST_F(OrderFactAlgebraTest, OrderImpliedJoinsAPrefixAndAnotherFact) {
+  size_t pairs = 0;
+  for (const OrderFact& f : facts_) {
+    for (const OrderFact& g : facts_) {
+      Bits premise = Holds(f);
+      And(&premise, Holds(g));
+      for (size_t p = 1; p <= f.keys.size(); ++p) {
+        std::vector<SortKey> requested(f.keys.begin(), f.keys.begin() + p);
+        requested.insert(requested.end(), g.keys.begin(), g.keys.end());
+        ++pairs;
+        EXPECT_TRUE(OrderImplied({f, g}, {}, {}, false, requested))
+            << OrderFact{requested, false}.ToString() << " from "
+            << f.ToString() << " " << g.ToString();
+        EXPECT_TRUE(Subset(premise, Holds({requested, false})))
+            << "licensed a sort that is not the identity: facts "
+            << f.ToString() << " " << g.ToString() << ", requested "
+            << OrderFact{requested, false}.ToString();
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 396u * facts_.size());  // the facts hold 396 keys
+}
+
 }  // namespace
 }  // namespace exrquy

@@ -400,6 +400,49 @@ TEST(VerifyXMarkTest, SharedCacheStillCatchesClaimsPlantedOnLaterPassOps) {
   EXPECT_TRUE(VerifyPlan(*dag, *root, {}, &facts).ok());
 }
 
+// A presorted mark is a claim like the analyses' facts: planted on a %
+// that a later pass appended, over an input that is not derivably sorted
+// by its partition and criteria, it must be reported.
+TEST(VerifyXMarkTest, CatchesPresortedMarkPlantedOnLaterPassOp) {
+  Session session;
+  QueryOptions compile_only;
+  compile_only.enable_order_indifference = false;
+  Result<QueryPlans> plans =
+      session.Plan(XMarkQueryText("Q9"), compile_only);
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  Dag* dag = plans->dag.get();
+  PlanFacts& facts = *plans->facts;
+  OptimizeOptions one_pass;
+  one_pass.max_passes = 1;
+  Result<OpId> first = Optimize(dag, plans->initial, one_pass, &facts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const size_t after_first_pass = dag->size();
+  Result<OpId> root = Optimize(dag, *first, OptimizeOptions(), &facts);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE(VerifyPlan(*dag, *root, {}, &facts).ok());
+
+  OpId late = kNoOp;
+  for (OpId id : dag->ReachableFrom(*root)) {
+    const Op& op = dag->op(id);
+    if (id >= after_first_pass && op.kind == OpKind::kRowNum &&
+        !op.presorted &&
+        !SortedCovers(facts.audit.Get(op.children[0]), RowNumSortKeys(op))) {
+      late = id;
+    }
+  }
+  ASSERT_NE(late, kNoOp) << "no later pass appended an unsorted %";
+  Op& planted = const_cast<Op&>(dag->op(late));
+  planted.presorted = true;
+  Status st = VerifyPlan(*dag, *root, {}, &facts);
+  planted.presorted = false;
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("[presorted-claim] op " +
+                              std::to_string(late) + " "),
+            std::string::npos)
+      << st.message();
+  EXPECT_TRUE(VerifyPlan(*dag, *root, {}, &facts).ok());
+}
+
 // verify_each_pass names the pass that broke the plan, the verifier's
 // diagnostic, and the first certificate of that pass that failed its
 // obligation. The bad pass is staged without a broken rewrite: a first
