@@ -4,20 +4,25 @@
 // (unbounded blocking queue, the pre-admission behavior). For each cell:
 // completed throughput, shed rate, and p50/p99 end-to-end latency from
 // the service's own histogram — the numbers that show shedding is what
-// keeps tail latency flat when the arrival rate exceeds capacity.
+// keeps tail latency flat when the arrival rate exceeds capacity. Every
+// cell runs kRuns times on a fresh service; each figure is reported as
+// the median of its runs with their minimum and maximum as the spread.
 // Dumped as a table and as BENCH_overload.json:
 //
 //   { "bench": "overload",
 //     "scale": s, "doc_bytes": N, "workers": W, "duration_ms": D,
+//     "runs": R, "hardware_concurrency": H,
 //     "loads": [ {"multiplier": m, "clients": c,
-//                 "resilient": {"ok": n, "shed": n, "shed_rate": r,
-//                               "throughput_qps": q,
-//                               "p50_us": t, "p99_us": t},
+//                 "resilient": {"shed_rate": F, "throughput_qps": F,
+//                               "p50_us": F, "p99_us": F},
 //                 "unbounded": { ... same ... }}, ... ] }
+//
+// where each F is {"median": x, "min": x, "max": x}.
 //
 // EXRQUY_BENCH_SCALE overrides the document scale;
 // EXRQUY_BENCH_WORKERS the worker-slot count (default 2);
-// EXRQUY_BENCH_DURATION_MS the per-cell wall clock (default 1000).
+// EXRQUY_BENCH_DURATION_MS the per-run wall clock (default 1000).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -123,47 +128,84 @@ CellResult RunCell(const std::string& xml, size_t workers, size_t clients,
   return cell;
 }
 
+// Median, minimum and maximum of one figure over a cell's runs.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+template <typename Fn>
+Spread SpreadOf(const std::vector<CellResult>& runs, const Fn& figure) {
+  std::vector<double> v;
+  for (const CellResult& r : runs) v.push_back(figure(r));
+  std::sort(v.begin(), v.end());
+  size_t n = v.size();
+  double median = n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  return Spread{median, v.front(), v.back()};
+}
+
 void Run() {
   double scale = bench::EnvScale("EXRQUY_BENCH_SCALE", 0.008);
   size_t workers =
       static_cast<size_t>(bench::EnvScale("EXRQUY_BENCH_WORKERS", 2));
   int64_t duration_ms = static_cast<int64_t>(
       bench::EnvScale("EXRQUY_BENCH_DURATION_MS", 1000));
+  constexpr size_t kRuns = 5;
   XMarkOptions xmark;
   xmark.scale = scale;
   std::string xml = GenerateXMark(xmark);
 
   std::printf(
       "Overload — XMark Q1, %.3f scale (%zu KB), %zu worker(s), "
-      "%lld ms/cell\n\n",
-      scale, xml.size() / 1024, workers,
-      static_cast<long long>(duration_ms));
-  std::printf("%-5s %-8s %-11s %10s %8s %10s %10s %10s\n", "load",
-              "clients", "mode", "ok", "shed", "shed%", "p50 us", "p99 us");
+      "%lld ms/run, %zu runs/cell (median [min, max])\n\n",
+      scale, xml.size() / 1024, workers, static_cast<long long>(duration_ms),
+      kRuns);
+  std::printf("%-5s %-8s %-11s %22s %22s %22s %22s\n", "load", "clients",
+              "mode", "qps", "shed%", "p50 us", "p99 us");
 
   const size_t kMultipliers[] = {1, 4, 16};
   struct LoadRow {
     size_t multiplier;
     size_t clients;
-    CellResult resilient;
-    CellResult unbounded;
+    std::vector<CellResult> resilient;
+    std::vector<CellResult> unbounded;
   };
+  auto qps = [](const CellResult& c) { return c.throughput_qps(); };
+  auto shed = [](const CellResult& c) { return c.shed_rate(); };
+  auto p50 = [](const CellResult& c) { return c.p50_us; };
+  auto p99 = [](const CellResult& c) { return c.p99_us; };
   std::vector<LoadRow> rows;
   for (size_t m : kMultipliers) {
     LoadRow row;
     row.multiplier = m;
     row.clients = m * workers;
-    for (bool resilient : {true, false}) {
-      CellResult cell =
-          RunCell(xml, workers, row.clients, resilient, duration_ms);
-      (resilient ? row.resilient : row.unbounded) = cell;
-      std::printf("%-5zu %-8zu %-11s %10llu %8llu %9.1f%% %10.0f %10.0f\n",
-                  m, row.clients, resilient ? "resilient" : "unbounded",
-                  static_cast<unsigned long long>(cell.ok),
-                  static_cast<unsigned long long>(cell.shed),
-                  100.0 * cell.shed_rate(), cell.p50_us, cell.p99_us);
+    // Runs alternate between the two modes so slow phases of the host
+    // land on both alike.
+    for (size_t r = 0; r < kRuns; ++r) {
+      for (bool resilient : {true, false}) {
+        (resilient ? row.resilient : row.unbounded)
+            .push_back(
+                RunCell(xml, workers, row.clients, resilient, duration_ms));
+      }
     }
-    rows.push_back(row);
+    for (bool resilient : {true, false}) {
+      const std::vector<CellResult>& cell =
+          resilient ? row.resilient : row.unbounded;
+      auto col = [&](auto figure, double scale_by) {
+        Spread s = SpreadOf(cell, figure);
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.0f [%.0f, %.0f]",
+                      scale_by * s.median, scale_by * s.min,
+                      scale_by * s.max);
+        return std::string(buf);
+      };
+      std::printf("%-5zu %-8zu %-11s %22s %22s %22s %22s\n", m, row.clients,
+                  resilient ? "resilient" : "unbounded", col(qps, 1).c_str(),
+                  col(shed, 100).c_str(), col(p50, 1).c_str(),
+                  col(p99, 1).c_str());
+    }
+    rows.push_back(std::move(row));
   }
 
   std::FILE* out = std::fopen("BENCH_overload.json", "w");
@@ -175,19 +217,24 @@ void Run() {
                "{\n  \"bench\": \"overload\",\n"
                "  \"scale\": %.4f,\n  \"doc_bytes\": %zu,\n"
                "  \"workers\": %zu,\n  \"duration_ms\": %lld,\n"
+               "  \"runs\": %zu,\n  \"hardware_concurrency\": %u,\n"
                "  \"loads\": [\n",
                scale, xml.size(), workers,
-               static_cast<long long>(duration_ms));
-  auto emit_cell = [&](const char* name, const CellResult& cell,
+               static_cast<long long>(duration_ms), kRuns,
+               std::thread::hardware_concurrency());
+  auto emit_cell = [&](const char* name, const std::vector<CellResult>& cell,
                        const char* trailer) {
-    std::fprintf(out,
-                 "      \"%s\": {\"ok\": %llu, \"shed\": %llu, "
-                 "\"shed_rate\": %.4f, \"throughput_qps\": %.1f, "
-                 "\"p50_us\": %.0f, \"p99_us\": %.0f}%s\n",
-                 name, static_cast<unsigned long long>(cell.ok),
-                 static_cast<unsigned long long>(cell.shed),
-                 cell.shed_rate(), cell.throughput_qps(), cell.p50_us,
-                 cell.p99_us, trailer);
+    auto field = [&](const char* key, Spread s, int digits, const char* sep) {
+      std::fprintf(out, "\"%s\": {\"median\": %.*f, \"min\": %.*f, "
+                   "\"max\": %.*f}%s",
+                   key, digits, s.median, digits, s.min, digits, s.max, sep);
+    };
+    std::fprintf(out, "      \"%s\": {", name);
+    field("shed_rate", SpreadOf(cell, shed), 4, ",\n        ");
+    field("throughput_qps", SpreadOf(cell, qps), 1, ",\n        ");
+    field("p50_us", SpreadOf(cell, p50), 0, ",\n        ");
+    field("p99_us", SpreadOf(cell, p99), 0, "");
+    std::fprintf(out, "}%s\n", trailer);
   };
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out, "    {\"multiplier\": %zu, \"clients\": %zu,\n",

@@ -139,12 +139,15 @@ Result<Governor> ResolveGovernor(const QueryOptions& options,
   return g;
 }
 
-Status ExecutePlan(const Dag& dag, OpId root,
+Status ExecutePlan(const PreparedPlan& plan,
                    const std::vector<RewriteTrade>* spot_trades,
                    const QueryOptions& options, const Governor& governor,
                    MemoryBudget* budget, NodeStore* store, StrPool* strings,
                    const std::map<StrId, NodeIdx>& documents,
                    QueryResult* result) {
+  if (plan.dag() == nullptr) {
+    return Internal("engine: ExecutePlan needs a prepared plan");
+  }
   // Dynamic spot check: re-evaluate every committed rewrite's before and
   // after sub-plans on a fresh, ungoverned context (no deadline, faults,
   // or profile — those belong to the real run) and compare witnesses.
@@ -158,7 +161,7 @@ Status ExecutePlan(const Dag& dag, OpId root,
       sctx.documents = documents;
       sctx.num_threads = 1;
       EXRQUY_RETURN_IF_ERROR(
-          SpotCheckCertificates(dag, *spot_trades, resolved, &sctx));
+          SpotCheckCertificates(*plan.dag(), *spot_trades, resolved, &sctx));
     }
   }
 
@@ -181,8 +184,8 @@ Status ExecutePlan(const Dag& dag, OpId root,
   if (governor.faults.any()) ctx.faults = &injector;
 
   Clock::time_point t1 = Clock::now();
-  Evaluator evaluator(dag, &ctx);
-  Result<TablePtr> table = evaluator.Eval(root);
+  Evaluator evaluator(*plan.dag(), &ctx);
+  Result<TablePtr> table = evaluator.Run(plan);
   if (options.profile && budget != nullptr) {
     result->profile.SetBudget(budget->limit(), budget->charged(),
                               budget->peak());

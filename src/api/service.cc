@@ -82,11 +82,21 @@ std::string CacheKey(std::string_view query, const QueryOptions& o,
   return key;
 }
 
-size_t PlanBytes(const Dag& dag) {
+size_t PlanBytes(const Dag& dag, const PreparedPlan& prepared) {
   // Order-of-magnitude accounting; the plan cache has no byte budget
   // (population is bounded by the distinct query mix), so this only
-  // feeds the stats.
-  return dag.size() * (sizeof(Op) + 32) + sizeof(Dag);
+  // feeds the stats. A hash-map entry is charged its pair plus a node
+  // pointer and a bucket.
+  const MorselPlan& morsels = prepared.morsels();
+  size_t bytes = dag.size() * (sizeof(Op) + 32) + sizeof(Dag) +
+                 prepared.order().size() * sizeof(OpId) +
+                 morsels.pipeline_of.size() *
+                     (sizeof(std::pair<const OpId, uint32_t>) +
+                      2 * sizeof(void*));
+  for (const Pipeline& pl : morsels.pipelines) {
+    bytes += sizeof(Pipeline) + pl.stages.size() * sizeof(PipelineStage);
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -199,7 +209,7 @@ Status QueryService::RunAttempt(const CachedPlan& plan,
     serial = options;
     serial.num_threads = 1;
   }
-  Status st = ExecutePlan(*plan.dag, plan.optimized, spot_trades,
+  Status st = ExecutePlan(plan.prepared, spot_trades,
                           degraded ? serial : options, governor, charged,
                           &worker.store, &strings_, documents_, out);
   // Constructed fragments never outlive the attempt (results hold plain
@@ -313,13 +323,13 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
       done();
       return planned.status();
     }
+    QueryPlans& p = planned.value();
     fresh = std::make_shared<CachedPlan>();
-    fresh->dag = std::move(planned.value().dag);
-    fresh->initial = planned.value().initial;
-    fresh->optimized = planned.value().optimized;
-    fresh->stats_initial = CollectPlanStats(*fresh->dag, fresh->initial);
-    fresh->stats_optimized = CollectPlanStats(*fresh->dag, fresh->optimized);
-    trades = std::move(planned.value().trades);
+    fresh->stats_initial = CollectPlanStats(*p.dag, p.initial);
+    fresh->stats_optimized = CollectPlanStats(*p.dag, p.optimized);
+    fresh->dag = std::move(p.dag);
+    fresh->prepared = std::move(p.prepared);
+    trades = std::move(p.trades);
     out.result.compile_ms = MsSince(plan_start);
     plan = fresh;
   }
@@ -385,7 +395,8 @@ Result<ServiceResult> QueryService::Execute(std::string_view query,
   // audits rejected): that plan must be re-planned and re-checked.
   if (fresh != nullptr && plan_cache_enabled_ &&
       failed.code() != StatusCode::kInternal) {
-    plan_cache_.Put(key, std::move(fresh), PlanBytes(*plan->dag));
+    size_t bytes = PlanBytes(*fresh->dag, fresh->prepared);
+    plan_cache_.Put(key, std::move(fresh), bytes);
   }
 
   // Proactive reaction to a near-limit success: evict the result cache

@@ -187,13 +187,13 @@ class QueryService {
   using Clock = std::chrono::steady_clock;
 
   // A compiled + optimized plan with everything Execute needs to skip
-  // compilation: the DAG (const during evaluation — that is what makes
-  // one cached plan shareable across workers), roots, and the
-  // plan-shape stats and compile time of the original compilation.
+  // compilation and the engine's preparation: the DAG and its prepared
+  // plan (verified, ordered, pipelined and audited once, read-only during
+  // evaluation — that is what makes one cached plan shareable across
+  // workers), and the plan-shape stats of the original compilation.
   struct CachedPlan {
     std::unique_ptr<Dag> dag;
-    OpId initial = kNoOp;
-    OpId optimized = kNoOp;
+    PreparedPlan prepared;  // over *dag
     PlanStats stats_initial;
     PlanStats stats_optimized;
   };

@@ -108,6 +108,11 @@ Result<QueryPlans> PlanQuery(std::string_view query,
   if (!verified.ok()) {
     return Internal("optimized plan rejected: " + verified.message());
   }
+  // That verification covers the engine's structure/schema guard, so
+  // preparing adds only the run order and the audited pipelines.
+  EXRQUY_ASSIGN_OR_RETURN(
+      plans.prepared,
+      PreparePlan(*plans.dag, plans.optimized, /*verified=*/true));
   return plans;
 }
 
@@ -273,10 +278,9 @@ Result<QueryResult> Session::Execute(std::string_view query,
   result.plan_initial = CollectPlanStats(*plans.dag, plans.initial);
   result.plan_optimized = CollectPlanStats(*plans.dag, plans.optimized);
   plans.facts.reset();  // planning is over: free the cache before running
-  EXRQUY_RETURN_IF_ERROR(ExecutePlan(*plans.dag, plans.optimized,
-                                     &plans.trades, options, governor,
-                                     charged, &store_, &strings_, documents_,
-                                     &result));
+  EXRQUY_RETURN_IF_ERROR(ExecutePlan(plans.prepared, &plans.trades, options,
+                                     governor, charged, &store_, &strings_,
+                                     documents_, &result));
   return result;
 }
 

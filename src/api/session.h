@@ -136,6 +136,10 @@ struct QueryPlans {
   // fact and audit fact planning derived, shared by both verifications
   // and every rewrite pass. Valid while `dag` lives.
   std::unique_ptr<PlanFacts> facts;
+  // `optimized`, made ready for the engine right after its final
+  // verification (engine/eval.h PreparePlan): what ExecutePlan runs.
+  // Valid while `dag` lives.
+  PreparedPlan prepared;
   // Wall time of the planning steps after compilation, in microseconds:
   // the post-compile verification, the rewrite pipeline (with its
   // certificates) and the post-optimize verification.
@@ -181,8 +185,9 @@ Result<Governor> ResolveGovernor(const QueryOptions& options,
                                  std::chrono::steady_clock::time_point start);
 
 // The back half of the pipeline, the one path from a plan to result
-// bytes for Session::Execute and QueryService (api/execute.cc): evaluates
-// `root` of `dag` over `store`/`strings`/`documents` under `governor`,
+// bytes for Session::Execute and QueryService (api/execute.cc): runs the
+// prepared `plan` over `store`/`strings`/`documents` under `governor`,
+// without checking or pipelining it again,
 // then renders the result once into `result` (serialized, items,
 // execute_ms, and the profile when options.profile). Memory is charged
 // to `budget` (null when !governor.account), which the caller owns and
@@ -192,7 +197,7 @@ Result<Governor> ResolveGovernor(const QueryOptions& options,
 // every committed rewrite in it is first evaluated before and after on
 // an ungoverned serial context over the same store; a divergence fails
 // the run.
-Status ExecutePlan(const Dag& dag, OpId root,
+Status ExecutePlan(const PreparedPlan& plan,
                    const std::vector<RewriteTrade>* spot_trades,
                    const QueryOptions& options,
                    const Governor& governor, MemoryBudget* budget,

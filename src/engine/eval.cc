@@ -243,15 +243,38 @@ Status Evaluator::PollChunk() {
   return PollGovernor();
 }
 
-Result<TablePtr> Evaluator::Eval(OpId root) {
+Result<PreparedPlan> PreparePlan(const Dag& dag, OpId root, bool verified) {
   // A malformed plan (hand-built, or produced by a buggy rewrite that
   // slipped past the pipeline's own verification) must fail as a Status,
   // not as out-of-bounds column accesses mid-evaluation. Structure and
   // schema checks only — property auditing is the optimizer's concern.
-  VerifyOptions guard;
-  guard.check_properties = false;
-  EXRQUY_RETURN_IF_ERROR(VerifyPlan(dag_, root, guard));
+  if (!verified) {
+    VerifyOptions guard;
+    guard.check_properties = false;
+    EXRQUY_RETURN_IF_ERROR(VerifyPlan(dag, root, guard));
+  }
+  PreparedPlan plan;
+  plan.dag_ = &dag;
+  plan.root_ = root;
+  plan.order_ = dag.ReachableFrom(root);
+  // Plan the fusable chains, then refuse any plan the audit cannot
+  // independently re-derive — a planner bug must fail as a Status, never
+  // as a wrong (or torn) result.
+  plan.morsels_ = PlanPipelines(dag, plan.order_, root);
+  EXRQUY_RETURN_IF_ERROR(
+      AuditMorselPlan(dag, plan.order_, root, plan.morsels_));
+  return plan;
+}
 
+Result<TablePtr> Evaluator::Eval(OpId root) {
+  EXRQUY_ASSIGN_OR_RETURN(PreparedPlan plan, PreparePlan(dag_, root));
+  return Run(plan);
+}
+
+Result<TablePtr> Evaluator::Run(const PreparedPlan& plan) {
+  if (plan.dag() != &dag_) {
+    return Internal("engine: the plan was not prepared over this DAG");
+  }
   EXRQUY_RETURN_IF_ERROR(
       CheckRemovedKnobs(ctx_->chunk_rows, ctx_->inline_rows,
                         ctx_->detect_sorted_inputs));
@@ -262,18 +285,13 @@ Result<TablePtr> Evaluator::Eval(OpId root) {
   // exhausted by pre-evaluation work fails before any operator runs.
   EXRQUY_RETURN_IF_ERROR(PollGovernor());
 
-  std::vector<OpId> order = dag_.ReachableFrom(root);
-  // Plan the fusable chains, then refuse to run any plan the audit
-  // cannot independently re-derive — a planner bug must fail as a
-  // Status, never as a wrong (or torn) result. Without fusion the plan
-  // is empty and every fusable operator runs alone.
-  mplan_ = ctx_->pipelined_execution ? PlanPipelines(dag_, order, root)
-                                     : MorselPlan();
-  EXRQUY_RETURN_IF_ERROR(AuditMorselPlan(dag_, order, root, mplan_));
+  // Without fusion the morsel plan is empty (which trivially passes the
+  // audit) and every fusable operator runs alone.
+  mplan_ = ctx_->pipelined_execution ? &plan.morsels() : &unfused_;
   if (ctx_->profile != nullptr) {
     ctx_->profile->SetExecution(threads_, ctx_->release_intermediates);
   }
-  Result<TablePtr> result = RunUnits(order, root);
+  Result<TablePtr> result = RunUnits(plan.order(), plan.root());
   if (result.ok()) {
     result = SettleRoot(std::move(result).value());
   }
@@ -358,14 +376,14 @@ Result<TablePtr> Evaluator::RunUnits(const std::vector<OpId>& order,
   for (OpId id : order) {
     // Interior pipeline stages run fused inside their sink's unit, which
     // also accounts for their input edges.
-    if (mplan_.interior(id)) continue;
+    if (mplan_->interior(id)) continue;
     if (failed.ok()) failed = RunUnit(id);
     if (!ctx_->release_intermediates) continue;
     // A sink releases every stage's inputs: the head's external tables
     // were consumed by its morsel loop.
-    if (mplan_.sink(id)) {
+    if (mplan_->sink(id)) {
       for (const PipelineStage& st :
-           mplan_.pipelines[mplan_.pipeline_of.at(id)].stages) {
+           mplan_->pipelines[mplan_->pipeline_of.at(id)].stages) {
         ReleaseInputs(dag_.op(st.op));
       }
     } else {
@@ -386,7 +404,7 @@ Result<TablePtr> Evaluator::RunUnits(const std::vector<OpId>& order,
 Status Evaluator::RunUnit(OpId id) {
   EXRQUY_RETURN_IF_ERROR(PollOp());
   const Op& op = dag_.op(id);
-  const bool sink = mplan_.sink(id);
+  const bool sink = mplan_->sink(id);
   const bool track = ctx_->profile != nullptr;
   std::vector<Profile::OpMetrics> metrics;  // filled when profiling
   Profile::PipelineMetrics pm;
@@ -400,8 +418,8 @@ Status Evaluator::RunUnit(OpId id) {
         return EvalPipeline(Pipeline{{PipelineStage{id, -1}}}, -1, input,
                             sm, nullptr);
       }
-      uint32_t pidx = mplan_.pipeline_of.at(id);
-      return EvalPipeline(mplan_.pipelines[pidx], pidx, input, sm, &pm);
+      uint32_t pidx = mplan_->pipeline_of.at(id);
+      return EvalPipeline(mplan_->pipelines[pidx], pidx, input, sm, &pm);
     }
     std::vector<TablePtr> in;
     in.reserve(op.children.size());

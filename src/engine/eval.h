@@ -8,14 +8,17 @@
 // (opt/morsel_plan.h, audited independently like every other optimizer
 // claim) fuses maximal chains of non-blocking operators — π, σ, Fun, ⊕,
 // join probes, Step, # — into pipelines, and each pipeline runs as one
-// scheduled unit. A pipeline pulls its source in fixed-size morsels;
-// each morsel flows through every stage without materializing interior
-// tables, and the sink concatenates morsel results in morsel order (Step
-// re-sorts, # numbers the merged output). Morsel boundaries depend only
-// on the source size, never on the thread count, so results are
-// byte-identical at every thread count and morsel size. A fusable
-// operator that joins no chain runs as a one-stage pipeline, so each
-// fusable operator has exactly one kernel, its morsel stage kernel.
+// scheduled unit. PreparePlan does that planning once per plan; its
+// PreparedPlan is immutable and may be run any number of times, by any
+// number of evaluators at once. A pipeline pulls its source in
+// fixed-size morsels; each morsel flows through every stage without
+// materializing interior tables, and the sink concatenates morsel
+// results in morsel order (Step re-sorts, # numbers the merged output).
+// Morsel boundaries depend only on the source size, never on the thread
+// count, so results are byte-identical at every thread count and morsel
+// size. A fusable operator that joins no chain runs as a one-stage
+// pipeline, so each fusable operator has exactly one kernel, its morsel
+// stage kernel.
 // Blocking operators (%, Distinct, Aggr, node constructors, Cross,
 // Difference/SemiJoin, ...) are pipeline breakers with
 // operator-at-a-time kernels, which split large inputs into the same
@@ -126,14 +129,54 @@ struct EvalContext {
   FaultInjector* faults = nullptr;
 };
 
+class PreparedPlan;
+
+// Makes `root` of `dag` ready to run: the structure/schema guard
+// (VerifyPlan without the property checks), the reachable ops in
+// ascending op-id order, the morsel plan, and that plan's independent
+// audit (AuditMorselPlan). A plan that fails the guard or the audit is an
+// error, never a run, so a malformed hand-built plan or a planner bug
+// surfaces as a Status. `verified` skips the guard: pass it only right
+// after the full VerifyPlan of the same root, which covers structure and
+// schema.
+Result<PreparedPlan> PreparePlan(const Dag& dag, OpId root,
+                                 bool verified = false);
+
+// A plan that PreparePlan checked and pipelined. Only PreparePlan fills
+// one; a default-constructed one belongs to no DAG, and no evaluator runs
+// it. Valid while its DAG lives unmodified; read-only, so one instance
+// may be shared by concurrent evaluators.
+class PreparedPlan {
+ public:
+  PreparedPlan() = default;
+
+  const Dag* dag() const { return dag_; }
+  OpId root() const { return root_; }
+  // Dag::ReachableFrom(root): the units' run order.
+  const std::vector<OpId>& order() const { return order_; }
+  // The audited pipelines, fused when EvalContext::pipelined_execution.
+  const MorselPlan& morsels() const { return morsels_; }
+
+ private:
+  friend Result<PreparedPlan> PreparePlan(const Dag& dag, OpId root,
+                                          bool verified);
+  const Dag* dag_ = nullptr;
+  OpId root_ = kNoOp;
+  std::vector<OpId> order_;
+  MorselPlan morsels_;
+};
+
 class Evaluator {
  public:
   // `max_rows` caps the rows of every table a kernel numbers with
   // uint32_t row ids (kResourceExhausted past it); only tests lower it.
   Evaluator(const Dag& dag, EvalContext* ctx, size_t max_rows = kMaxRows);
 
-  // Evaluates the sub-DAG rooted at `root` and returns its table.
+  // Evaluates the sub-DAG rooted at `root` and returns its table:
+  // PreparePlan (with its guard), then Run.
   Result<TablePtr> Eval(OpId root);
+  // Runs a plan prepared over this evaluator's DAG (Internal otherwise).
+  Result<TablePtr> Run(const PreparedPlan& plan);
 
  private:
   // -- Governor (cancel/deadline/budget/faults) ----------------------------
@@ -280,12 +323,14 @@ class Evaluator {
   const Dag& dag_;
   EvalContext* ctx_;
   ValueOps ops_;
-  size_t threads_ = 1;      // resolved by Eval
-  size_t morsel_rows_ = 0;  // resolved by Eval
+  size_t threads_ = 1;      // resolved by Run
+  size_t morsel_rows_ = 0;  // resolved by Run
   size_t max_rows_;
 
-  // Pipeline plan for the current Eval.
-  MorselPlan mplan_;
+  // Pipeline plan of the running plan: its audited morsel plan, or
+  // `unfused_` without pipelined_execution.
+  const MorselPlan* mplan_ = nullptr;
+  const MorselPlan unfused_{};
 
   // Per-Eval unit state, indexed by OpId: each memoized table and the
   // consumer edges it still waits for (+1 for the root).

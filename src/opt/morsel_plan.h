@@ -37,8 +37,11 @@
 //
 // Like every other optimizer claim in this codebase, the plan is not
 // trusted: AuditMorselPlan re-derives each fusability condition
-// independently and the evaluator refuses to run a plan that fails the
-// audit (diagnostics follow the plan verifier's format).
+// independently, PreparePlan (engine/eval.h) refuses a plan that fails
+// the audit, and the evaluator runs only prepared plans (diagnostics
+// follow the plan verifier's format). Planning and audit run once per
+// prepared plan, not once per run: a cached plan is audited when it is
+// planned.
 #ifndef EXRQUY_OPT_MORSEL_PLAN_H_
 #define EXRQUY_OPT_MORSEL_PLAN_H_
 

@@ -316,6 +316,35 @@ TEST_F(PipelineExecTest, RemovedInlineRowsRejected) {
   EXPECT_TRUE(Evaluator(*plans->dag, &ctx).Eval(plans->optimized).ok());
 }
 
+// A plan runs only over the DAG it was prepared for: Session::Plan's
+// prepared plan gives Eval's bytes, while an empty one, or one prepared
+// over another DAG, fails as Internal without running.
+TEST_F(PipelineExecTest, PreparedPlanRunsOnlyOverItsDag) {
+  Result<QueryPlans> plans = session_->Plan(XMarkQueryText("Q1"));
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  Result<QueryPlans> other = session_->Plan(XMarkQueryText("Q2"));
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EvalContext ctx;
+  ctx.store = &session_->store();
+  ctx.strings = &session_->strings();
+  ctx.documents = session_->documents();
+  ctx.num_threads = 1;
+  Result<TablePtr> run = Evaluator(*plans->dag, &ctx).Run(plans->prepared);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  Result<TablePtr> eval = Evaluator(*plans->dag, &ctx).Eval(plans->optimized);
+  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
+  Result<std::string> run_bytes = SerializeResult(**run, ctx);
+  Result<std::string> eval_bytes = SerializeResult(**eval, ctx);
+  ASSERT_TRUE(run_bytes.ok() && eval_bytes.ok());
+  EXPECT_EQ(*run_bytes, *eval_bytes);
+
+  PreparedPlan empty;
+  for (const PreparedPlan* foreign : {&other->prepared, &empty}) {
+    Status st = Evaluator(*plans->dag, &ctx).Run(*foreign).status();
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  }
+}
+
 // EXRQUY_THREADS and EXRQUY_MORSEL_ROWS are parsed strictly: with the
 // option deferring to the environment, a malformed value fails
 // Evaluator::Eval with InvalidArgument naming the variable instead of

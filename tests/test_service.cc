@@ -202,7 +202,8 @@ TEST(QueryServiceTest, SpotCheckMatchesSessionForAllXMarkQueries) {
 
 // N threads replaying the query mix concurrently produce exactly the
 // serial bytes, on a single-worker service (forced hand-off) and on an
-// 8-worker one (true concurrency).
+// 8-worker one (true concurrency). Most calls are plan-cache hits, so
+// several workers run one shared prepared plan at once.
 TEST(QueryServiceTest, ConcurrentReplayByteEquality) {
   std::string xml = XMarkXml();
   Session session;
@@ -224,6 +225,7 @@ TEST(QueryServiceTest, ConcurrentReplayByteEquality) {
 
     constexpr size_t kThreads = 8;
     std::atomic<size_t> mismatches{0};
+    std::atomic<size_t> plan_hits{0};
     std::vector<std::thread> threads;
     const std::vector<XMarkQuery>& queries = XMarkQueries();
     for (size_t t = 0; t < kThreads; ++t) {
@@ -235,12 +237,19 @@ TEST(QueryServiceTest, ConcurrentReplayByteEquality) {
           Result<ServiceResult> r = service.Execute(queries[qi].text);
           if (!r.ok() || r->result.serialized != expected[qi]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
+          } else if (r->plan_cache_hit) {
+            plan_hits.fetch_add(1, std::memory_order_relaxed);
           }
         }
       });
     }
     for (std::thread& th : threads) th.join();
     EXPECT_EQ(mismatches.load(), 0u) << "workers=" << workers;
+    // Each query misses at most once per thread that asks for it before
+    // its first plan is cached; the threads' staggered starts keep that
+    // rare, so most of the replay runs cached plans.
+    EXPECT_GT(plan_hits.load(), kThreads * queries.size() / 2)
+        << "workers=" << workers;
   }
 }
 
@@ -276,6 +285,42 @@ TEST(QueryServiceTest, WarmExecuteSkipsCompile) {
   ServiceCounters c = service.counters();
   EXPECT_EQ(c.plan_cache.hits, 1u);
   EXPECT_EQ(c.plan_cache.misses, 1u);
+}
+
+// pipelined_execution is an execution knob, not part of the plan-cache
+// key: a warm request without fusion runs the cached prepared plan's
+// order with no pipeline at all, and returns a Session's unfused bytes.
+TEST(QueryServiceTest, UnfusedRunOfCachedPlanFusesNothing) {
+  std::string xml = XMarkXml();
+  Session session;
+  ASSERT_TRUE(session.LoadDocument("auction.xml", xml).ok());
+  ServiceConfig config;
+  config.workers = 1;
+  config.plan_cache = 1;
+  config.result_cache_bytes = 0;  // every call runs the engine
+  QueryService service(config);
+  ASSERT_TRUE(service.LoadDocument("auction.xml", xml).ok());
+
+  QueryOptions fused;
+  fused.profile = true;
+  QueryOptions unfused = fused;
+  unfused.pipelined_execution = false;
+  size_t fused_pipelines = 0;
+  for (const XMarkQuery& q : XMarkQueries()) {
+    Result<ServiceResult> cold = service.Execute(q.text, fused);
+    ASSERT_TRUE(cold.ok()) << q.name << ": " << cold.status().ToString();
+    fused_pipelines += cold->result.profile.pipelines().size();
+
+    Result<QueryResult> expected = session.Execute(q.text, unfused);
+    ASSERT_TRUE(expected.ok()) << q.name;
+    Result<ServiceResult> warm = service.Execute(q.text, unfused);
+    ASSERT_TRUE(warm.ok()) << q.name << ": " << warm.status().ToString();
+    EXPECT_TRUE(warm->plan_cache_hit) << q.name;
+    ExpectSameResult(warm->result, *expected, q.name);
+    EXPECT_TRUE(warm->result.profile.pipelines().empty()) << q.name;
+  }
+  // The cached plans do hold pipelines; the unfused runs left them out.
+  EXPECT_GT(fused_pipelines, 0u);
 }
 
 TEST(QueryServiceTest, PlanCacheRespectsOptionFingerprint) {
