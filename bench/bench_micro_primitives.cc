@@ -5,8 +5,13 @@
 //    of growing size — the primitive-level version of Figures 6/9;
 //  * the merged descendant::nt step vs the two-step
 //    descendant-or-self::node()/child::nt evaluation — the source of the
-//    exceptional Q6/Q7 speedups.
+//    exceptional Q6/Q7 speedups;
+//  * StrPool interning: hits and first-time interns at 1 and 4 threads
+//    sharing one pool (as QueryService workers do), and a document load.
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "algebra/algebra.h"
 #include "api/session.h"
@@ -106,6 +111,72 @@ void BM_MergedDescendant(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MergedDescendant);
+
+// Strings already interned, as a warm request's atomizations and
+// string joins find them. Each thread walks the 4096 words from its own
+// offset; all threads share one pool.
+void BM_StrPoolHit(benchmark::State& state) {
+  static StrPool* pool = nullptr;
+  static std::vector<std::string>* words = nullptr;
+  if (state.thread_index() == 0) {
+    pool = new StrPool();
+    words = new std::vector<std::string>();
+    for (int i = 0; i < 4096; ++i) {
+      words->push_back("word" + std::to_string(i * 7919));
+      pool->Intern(words->back());
+    }
+  }
+  size_t i = static_cast<size_t>(state.thread_index()) * 1024;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool->Intern((*words)[i++ & 4095]));
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    delete pool;
+    delete words;
+  }
+}
+BENCHMARK(BM_StrPoolHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// First-time interns: every lookup misses and appends. The iteration
+// count is fixed so the pool stays bounded (2^17 strings per thread).
+void BM_StrPoolMiss(benchmark::State& state) {
+  static StrPool* pool = nullptr;
+  if (state.thread_index() == 0) pool = new StrPool();
+  std::vector<std::string> keys;
+  for (int i = 0; i < (1 << 17); ++i) {
+    keys.push_back("t" + std::to_string(state.thread_index()) + "-" +
+                   std::to_string(i));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool->Intern(keys[i++]));
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) delete pool;
+}
+BENCHMARK(BM_StrPoolMiss)
+    ->Threads(1)
+    ->Threads(4)
+    ->Iterations(1 << 17)
+    ->UseRealTime();
+
+// A scale-0.025 XMark document (the perfbench xmark-large/service-mix
+// document) parsed into a fresh Session: every name and text value is
+// interned once.
+void BM_DocumentLoad(benchmark::State& state) {
+  XMarkOptions options;
+  options.scale = 0.025;
+  std::string xml = GenerateXMark(options);
+  for (auto _ : state) {
+    Session session;
+    Status st = session.LoadDocument("auction.xml", xml);
+    EXRQUY_CHECK(st.ok());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(xml.size()));
+}
+BENCHMARK(BM_DocumentLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace exrquy

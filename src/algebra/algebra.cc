@@ -732,6 +732,13 @@ OpId Dag::Text(OpId content, OpId loop) {
   return Add(std::move(op));
 }
 
+ColId Dag::FreshCol(std::string_view base) {
+  std::string name(base);
+  name += '$';
+  name += std::to_string(++fresh_cols_);
+  return ColSym(name);
+}
+
 void Dag::SetProv(OpId id, std::string prov) {
   if (ops_[id]->prov.empty()) ops_[id]->prov = std::move(prov);
 }

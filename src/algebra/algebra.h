@@ -383,6 +383,8 @@ bool SamePayload(const Op& a, const Op& b);
 class Dag {
  public:
   Dag() = default;
+  // Fresh columns number from `names_taken` + 1 (Query::fresh_names).
+  explicit Dag(uint32_t names_taken) : fresh_cols_(names_taken) {}
   Dag(const Dag&) = delete;
   Dag& operator=(const Dag&) = delete;
 
@@ -469,6 +471,13 @@ class Dag {
   // Operators reachable from `root`, in topological (bottom-up) order.
   std::vector<OpId> ReachableFrom(OpId root) const;
 
+  // Derives a column named `base$n` (e.g. "pos" -> "pos$17") for the
+  // compiler's and the rewrites' intermediate columns. `n` counts per
+  // plan, so the name is unique within this DAG, and planning the same
+  // query again derives the same names: the process-wide column registry
+  // grows with the plans' shapes, not with how many were planned.
+  ColId FreshCol(std::string_view base);
+
  private:
   uint64_t HashOp(const Op& op) const;
   bool OpEquals(const Op& a, const Op& b) const;
@@ -478,6 +487,7 @@ class Dag {
   std::vector<std::unique_ptr<Op>> ops_;
   std::unordered_multimap<uint64_t, OpId> index_;
   uint32_t next_constructor_id_ = 1;
+  uint32_t fresh_cols_ = 0;
 };
 
 // kThetaCount: the child (0 = left, 1 = right) that carries the group

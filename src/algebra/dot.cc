@@ -230,9 +230,9 @@ std::string PlanToDot(
 }
 
 std::string CanonicalPlanText(std::string_view text) {
-  // Fresh columns are numbered process-wide (FreshCol): they are
+  // Fresh names (Dag::FreshCol, Normalize's renamed variables) are
   // renumbered in order of first appearance, so that the text names the
-  // plan, not what the process planned before it.
+  // plan, not where its counters started.
   std::string out;
   out.reserve(text.size());
   std::map<std::string_view, size_t> fresh;

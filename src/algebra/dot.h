@@ -29,10 +29,11 @@ std::string PlanToDot(const Dag& dag, OpId root, const StrPool& strings,
 // printed once and referenced as "^<id>" afterwards.
 std::string PlanToText(const Dag& dag, OpId root, const StrPool& strings);
 
-// A plan text with its fresh columns (numbered process-wide by FreshCol)
-// renumbered in order of first appearance: `pos1$369` and `pos1$713`
-// become the same name when they are the same column of the same plan,
-// whatever the process planned before.
+// A plan text with its fresh names (`pos1$369`, numbered by
+// Dag::FreshCol) renumbered in order of first appearance: `pos1$369` and
+// `pos1$713` become the same name when they are the same column of the
+// same plan, wherever its numbering started (plans dumped before fresh
+// columns were numbered per plan carry process-wide numbers).
 std::string CanonicalPlanText(std::string_view text);
 
 // A 64-bit FNV-1a digest of CanonicalPlanText(text) as 16 hex digits:

@@ -13,9 +13,10 @@
 // during evaluation (constructed fragments, query-interned strings) and
 // roll back afterwards, which cannot overlap. The service instead keeps
 //
-//  * one shared thread-safe StrPool (Intern is mutex-serialized, Get is
-//    wait-free) that every plan and every worker references — cached
-//    plans bake StrIds, so all evaluators must agree on the pool;
+//  * one shared thread-safe StrPool that every plan and every worker
+//    references — cached plans bake StrIds, so all evaluators must agree
+//    on the pool. Get and an Intern that finds its string read only
+//    atomics; only a first-time intern takes the pool's mutex;
 //  * a base NodeStore holding the loaded documents, plus one private
 //    NodeStore per worker slot, cloned from the base. A worker appends
 //    (and truncates) constructed fragments privately, so concurrent
@@ -27,7 +28,7 @@
 // resident (monotonic growth, bounded by the distinct strings the query
 // mix constructs). That is the deliberate trade-off buying lock-free
 // reads on the evaluation hot path; StrPool::TruncateTo is not safe
-// concurrently with Get.
+// concurrently with Intern or Get.
 //
 // LoadDocument is exclusive: it waits for in-flight executions, parses
 // into the base store, re-clones every worker, bumps the store version

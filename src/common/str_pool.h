@@ -3,11 +3,18 @@
 // keeps the columnar engine's values fixed-width (MonetDB does the same
 // with its string heaps).
 //
-// The pool is thread-safe: Intern serializes writers behind a mutex,
-// while Get is wait-free — strings live in fixed-size chunks whose
-// addresses never change, so concurrent growth cannot invalidate a
-// reader. Parallel operator kernels hit Get on every string comparison,
-// which is why it must not take the writers' lock.
+// The pool is thread-safe, and neither a lookup that finds its string
+// nor Get takes a lock. Strings live in fixed-size chunks whose
+// addresses never change, so growth cannot invalidate a reader. The
+// index is a flat open-addressing table of 64-bit atomic slots, each a
+// 32-bit hash tag and `id + 1`, kept at most half full: Intern probes it
+// with acquire loads only. A miss takes the writers' mutex, re-probes,
+// appends the string and publishes its slot with a release store.
+// Growth builds a doubled table and publishes it with one pointer store;
+// the table it replaces stays allocated until no reader can hold it (the
+// pool's destruction, or TruncateTo). QueryService workers share one
+// pool, and parallel operator kernels call Get on every string
+// comparison, which is why neither may wait on a writer.
 #ifndef EXRQUY_COMMON_STR_POOL_H_
 #define EXRQUY_COMMON_STR_POOL_H_
 
@@ -17,7 +24,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace exrquy {
 
@@ -34,9 +41,10 @@ class StrPool {
   StrPool& operator=(const StrPool&) = delete;
 
   // Interns `s`, returning its dense id. Identical strings share an id.
-  // Safe to call from multiple threads; the id ordering between
-  // concurrent first-time interns is unspecified (never observable in
-  // results: all value comparisons go through string contents).
+  // Safe to call from multiple threads; a string already interned is
+  // found without a lock. The id ordering between concurrent first-time
+  // interns is unspecified (never observable in results: all value
+  // comparisons go through string contents).
   StrId Intern(std::string_view s);
 
   // Returns the string for `id`. The reference is stable for the lifetime
@@ -50,14 +58,14 @@ class StrPool {
 
   // Attaches (or, with nullptr, detaches) a per-query MemoryBudget.
   // While attached, every first-time intern charges its payload +
-  // bookkeeping bytes. Serialized with Intern behind mu_.
+  // bookkeeping bytes. Serialized with Intern's misses behind mu_.
   void set_budget(MemoryBudget* budget);
 
   // Rolls the pool back to its first `n` strings: ids >= n are erased
   // from the index, their storage freed, and their bytes returned to the
   // attached budget (if any). Callers must guarantee no live StrId >= n
   // survives the call (Session snapshots size() per query). Not safe
-  // concurrently with Get on the dropped range.
+  // concurrently with Intern or Get: it also frees the replaced tables.
   void TruncateTo(size_t n);
 
   // Approximate bytes charged for interning a string of length `len`
@@ -72,13 +80,34 @@ class StrPool {
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;  // 4096
   static constexpr size_t kMaxChunks = size_t{1} << 14;  // 64M strings
 
+  // One generation of the index: a power-of-two number of slots, each 0
+  // (empty) or (hash tag << 32 | id + 1). Linear probing, and ids are
+  // inserted in ascending order, so removing the newest ids first leaves
+  // exactly the table that held only the older ones.
+  struct Table {
+    explicit Table(size_t capacity);
+    size_t mask;
+    std::unique_ptr<std::atomic<uint64_t>[]> slots;
+  };
+
+  // Returns the id of `s` (hashed to `h`) in `table`, or kAbsent with
+  // *slot at the empty slot that ends its probe.
+  static constexpr StrId kAbsent = ~StrId{0};
+  StrId Probe(const Table& table, std::string_view s, uint64_t h,
+              size_t* slot) const;
+  // Publishes `id` (hashed to `h`) in the first empty slot of its probe.
+  static void Insert(Table* table, uint64_t h, StrId id);
+
   // chunks_[c] is null until the pool grows into chunk c, then an
   // immovable array of kChunkSize strings.
   std::unique_ptr<std::atomic<std::string*>[]> chunks_;
   std::atomic<size_t> size_{0};
+  std::atomic<Table*> table_{nullptr};  // the current generation
 
-  std::mutex mu_;  // guards index_, growth, and budget_
-  std::unordered_map<std::string_view, StrId> index_;
+  std::mutex mu_;  // guards inserts, growth, tables_, and budget_
+  // Every generation since construction or the last TruncateTo, the
+  // current one last: readers may still probe a replaced one.
+  std::vector<std::unique_ptr<Table>> tables_;
   MemoryBudget* budget_ = nullptr;
 };
 

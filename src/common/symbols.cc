@@ -1,7 +1,5 @@
 #include "common/symbols.h"
 
-#include <atomic>
-
 #include "common/check.h"
 #include "common/str_pool.h"
 
@@ -19,14 +17,7 @@ ColId ColSym(std::string_view name) { return Registry().Intern(name); }
 
 const std::string& ColName(ColId id) { return Registry().Get(id); }
 
-ColId FreshCol(std::string_view base) {
-  // QueryService workers compile in parallel, so the counter is shared.
-  static std::atomic<uint64_t> counter{0};
-  std::string name(base);
-  name += '$';
-  name += std::to_string(counter.fetch_add(1, std::memory_order_relaxed) + 1);
-  return Registry().Intern(name);
-}
+size_t ColCount() { return Registry().size(); }
 
 namespace col {
 ColId iter() {

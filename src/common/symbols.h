@@ -7,6 +7,7 @@
 #ifndef EXRQUY_COMMON_SYMBOLS_H_
 #define EXRQUY_COMMON_SYMBOLS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -22,10 +23,8 @@ ColId ColSym(std::string_view name);
 // Returns the name of an interned column id.
 const std::string& ColName(ColId id);
 
-// Derives a fresh, unique column id with a readable name based on `base`
-// (e.g. "pos" -> "pos$17"). Used by the compiler for intermediate columns;
-// thread-safe, since QueryService workers compile concurrently.
-ColId FreshCol(std::string_view base);
+// Number of column names interned so far (the registry never shrinks).
+size_t ColCount();
 
 // Well-known columns of the iter|pos|item encoding.
 namespace col {

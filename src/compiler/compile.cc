@@ -118,8 +118,8 @@ class Compiler {
     Scope s;
     s.link = Scope::Link::kLift;
     s.parent = outer;
-    s.map_outer = FreshCol("iter1");
-    s.map_inner = FreshCol("bind");
+    s.map_outer = dag_->FreshCol("iter1");
+    s.map_inner = dag_->FreshCol("bind");
     s.map = dag_->Project(
         qb, {{s.map_outer, iter()}, {s.map_inner, col::bind()}});
     s.loop = dag_->Project(qb, {{iter(), col::bind()}});
@@ -132,7 +132,7 @@ class Compiler {
     s.link = Scope::Link::kRestrict;
     s.parent = outer;
     s.loop = filter_loop;
-    s.map_outer = FreshCol("iterR");
+    s.map_outer = dag_->FreshCol("iterR");
     s.map = dag_->Project(filter_loop, {{s.map_outer, iter()}});
     return s;
   }
@@ -161,7 +161,7 @@ class Compiler {
 
   // Applies a unary function to the item column, keeping (iter, pos).
   OpId MapItem(OpId q, FunKind fun) {
-    ColId tmp = FreshCol("item");
+    ColId tmp = dag_->FreshCol("item");
     OpId f = dag_->Fun(q, fun, tmp, {item()});
     return dag_->Project(f,
                          {{iter(), iter()}, {pos(), pos()}, {item(), tmp}});
@@ -176,8 +176,8 @@ class Compiler {
     OpId plan = kNoOp;
     std::vector<ColId> items = {item()};
     for (size_t i = 1; i < qs.size(); ++i) {
-      ColId in = FreshCol("iter" + std::to_string(i + 1));
-      ColId tn = FreshCol("item" + std::to_string(i + 1));
+      ColId in = dag_->FreshCol("iter" + std::to_string(i + 1));
+      ColId tn = dag_->FreshCol("item" + std::to_string(i + 1));
       OpId r = dag_->Project(qs[i], {{in, iter()}, {tn, item()}});
       if (plan == kNoOp) plan = dag_->Project(qs[0], Ii());
       plan = dag_->EquiJoin(plan, r, iter(), in);
@@ -191,7 +191,7 @@ class Compiler {
   OpId Apply(FunKind fun, const std::vector<OpId>& args) {
     if (args.size() == 1) return MapItem(args[0], fun);
     auto [plan, items] = JoinOnIter(args);
-    ColId res = FreshCol("item");
+    ColId res = dag_->FreshCol("item");
     OpId f = dag_->Fun(plan, fun, res, std::move(items));
     return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), res}}));
   }
@@ -215,7 +215,7 @@ class Compiler {
   // Grouped aggregate over the item column with a per-iteration default.
   // Returns (iter, item).
   OpId AggrDefault(OpId q, AggrKind aggr, OpId loop, const Value* dflt) {
-    ColId res = FreshCol("item");
+    ColId res = dag_->FreshCol("item");
     OpId a = dag_->Aggr(dag_->Project(q, Ipi()), aggr, res,
                         aggr == AggrKind::kCount ? kNoCol : item(), iter());
     OpId renamed = dag_->Project(a, {{iter(), iter()}, {item(), res}});
@@ -327,8 +327,8 @@ class Compiler {
   OpId SequencePlans(const std::vector<OpId>& parts) {
     if (parts.empty()) return Empty();
     if (parts.size() == 1) return dag_->Project(parts[0], Ipi());
-    ColId ord = FreshCol("ord");
-    ColId posn = FreshCol("pos1");
+    ColId ord = dag_->FreshCol("ord");
+    ColId posn = dag_->FreshCol("pos1");
     OpId u = kNoOp;
     for (size_t i = 0; i < parts.size(); ++i) {
       OpId p = dag_->AttachConst(dag_->Project(parts[i], Ipi()), ord,
@@ -416,7 +416,7 @@ class Compiler {
       OpId psrc = qb;
       ColId pcol = pos();
       if (exploit_ && mode == OrderingMode::kUnordered) {
-        pcol = FreshCol("prank");
+        pcol = dag_->FreshCol("prank");
         psrc = dag_->RowNum(qb, pcol, {{pos(), false}}, iter());
       }
       inner.vars[c.pos_var] = ToTriple(
@@ -434,8 +434,8 @@ class Compiler {
     if (idx == last_for && !e.order_by.empty()) {
       EXRQUY_CHECK(tail.keys.size() == e.order_by.size());
       for (const FlworTail::Key& k : tail.keys) {
-        ColId kb = FreshCol("kbind");
-        ColId kv = FreshCol("key");
+        ColId kb = dag_->FreshCol("kbind");
+        ColId kv = dag_->FreshCol("key");
         std::vector<std::pair<ColId, ColId>> proj = {{kb, iter()},
                                                      {kv, item()}};
         // An empty key sorts least (or greatest) of all: by `present`
@@ -452,7 +452,7 @@ class Compiler {
     }
     criteria.push_back({iter(), false});  // binding order (iter = bind here)
     criteria.push_back({pos(), false});
-    ColId posn = FreshCol("pos1");
+    ColId posn = dag_->FreshCol("pos1");
     OpId rn = dag_->RowNum(j, posn, std::move(criteria), inner.map_outer);
     dag_->SetProv(rn, "return (iter->seq)");
     FlworTail out;
@@ -482,7 +482,7 @@ class Compiler {
           LowerArg(kq, known, {Occurs::kOpt, Convert::kAtomize},
                    "order by key", *cur),
           Ii());
-      ColId present = known.min < 1 ? FreshCol("present") : kNoCol;
+      ColId present = known.min < 1 ? dag_->FreshCol("present") : kNoCol;
       if (present != kNoCol) {
         k = WithDefault(k, cur->loop, Value::Untyped(StrPool::kEmpty),
                         present);
@@ -500,7 +500,7 @@ class Compiler {
     EXRQUY_ASSIGN_OR_RETURN(OpId qc, CompileEbv(*e.children[0], scope, mode));
     OpId then_loop =
         dag_->Project(dag_->Select(qc, item()), {{iter(), iter()}});
-    ColId notc = FreshCol("not");
+    ColId notc = dag_->FreshCol("not");
     OpId qn = dag_->Fun(qc, FunKind::kNot, notc, {item()});
     OpId else_loop =
         dag_->Project(dag_->Select(qn, notc), {{iter(), iter()}});
@@ -663,11 +663,11 @@ class Compiler {
     FunKind pos_op;
     int64_t pos_value;
     if (IsPositionComparison(p, &pos_op, &pos_value)) {
-      ColId rank = FreshCol("rank");
+      ColId rank = dag_->FreshCol("rank");
       OpId rn = dag_->RowNum(q1, rank, {{pos(), false}}, iter());
-      ColId kc = FreshCol("k");
+      ColId kc = dag_->FreshCol("k");
       OpId withk = dag_->AttachConst(rn, kc, Value::Int(pos_value));
-      ColId sel = FreshCol("sel");
+      ColId sel = dag_->FreshCol("sel");
       OpId flagged = dag_->Fun(withk, pos_op, sel, {rank, kc});
       return dag_->Project(dag_->Select(flagged, sel), Ipi());
     }
@@ -676,18 +676,18 @@ class Compiler {
     if (p.kind == ExprKind::kIntLit ||
         (p.kind == ExprKind::kFunctionCall && p.string_value == "last" &&
          p.children.empty())) {
-      ColId rank = FreshCol("rank");
+      ColId rank = dag_->FreshCol("rank");
       OpId rn = dag_->RowNum(q1, rank, {{pos(), false}}, iter());
-      ColId cmp = FreshCol("sel");
+      ColId cmp = dag_->FreshCol("sel");
       OpId flagged;
       if (p.kind == ExprKind::kIntLit) {
-        ColId kc = FreshCol("k");
+        ColId kc = dag_->FreshCol("k");
         OpId withk = dag_->AttachConst(rn, kc, Value::Int(p.int_value));
         flagged = dag_->Fun(withk, FunKind::kEq, cmp, {rank, kc});
       } else {
-        ColId cnt = FreshCol("cnt");
+        ColId cnt = dag_->FreshCol("cnt");
         OpId counts = dag_->Aggr(q1, AggrKind::kCount, cnt, kNoCol, iter());
-        ColId ci = FreshCol("iterC");
+        ColId ci = dag_->FreshCol("iterC");
         OpId counts_r = dag_->Project(counts, {{ci, iter()}, {cnt, cnt}});
         OpId withc = dag_->EquiJoin(rn, counts_r, iter(), ci);
         flagged = dag_->Fun(withc, FunKind::kEq, cmp, {rank, cnt});
@@ -704,7 +704,7 @@ class Compiler {
     inner.vars["."] = ToTriple(
         dag_->Project(qb, {{iter(), col::bind()}, {item(), item()}}));
     EXRQUY_ASSIGN_OR_RETURN(OpId qp, CompileEbv(p, inner, mode));
-    ColId kb = FreshCol("keep");
+    ColId kb = dag_->FreshCol("keep");
     OpId keep = dag_->Project(dag_->Select(qp, item()), {{kb, iter()}});
     OpId j = dag_->EquiJoin(qb, keep, col::bind(), kb);
     return dag_->Project(j, Ipi());
@@ -725,7 +725,7 @@ class Compiler {
     // cross product (the value-based join of Section 5 arises here), then
     // per-iteration existence.
     auto [plan, items] = JoinOnIter({q1, q2});
-    ColId b = FreshCol("cmp");
+    ColId b = dag_->FreshCol("cmp");
     OpId c = dag_->Fun(plan, fk, b, std::move(items));
     dag_->SetProv(plan, "join");
     dag_->SetProv(c, "join");
@@ -905,9 +905,9 @@ class Compiler {
       Value zero = Value::Int(0);
       OpId cnt = AggrDefault(dag_->Project(q, Ipi()), AggrKind::kCount,
                              scope.loop, &zero);
-      ColId z = FreshCol("zero");
+      ColId z = dag_->FreshCol("zero");
       OpId withz = dag_->AttachConst(cnt, z, Value::Int(0));
-      ColId b = FreshCol("item");
+      ColId b = dag_->FreshCol("item");
       OpId f = dag_->Fun(withz,
                          name == "empty" ? FunKind::kEq : FunKind::kNe, b,
                          {item(), z});
@@ -922,7 +922,7 @@ class Compiler {
     if (name == "not") {
       EXRQUY_RETURN_IF_ERROR(arity(1));
       EXRQUY_ASSIGN_OR_RETURN(OpId q, CompileEbv(*e.children[0], scope, mode));
-      ColId b = FreshCol("item");
+      ColId b = dag_->FreshCol("item");
       OpId f = dag_->Fun(q, FunKind::kNot, b, {item()});
       return ToTriple(dag_->Project(f, {{iter(), iter()}, {item(), b}}));
     }
@@ -950,7 +950,7 @@ class Compiler {
       EXRQUY_ASSIGN_OR_RETURN(OpId q,
                               CompileExpr(*e.children[0], scope, mode));
       q = MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToString);
-      ColId res = FreshCol("item");
+      ColId res = dag_->FreshCol("item");
       OpId a = dag_->AggrStrJoin(
           dag_->Project(q, Ipi()), res, item(), iter(), pos(),
           strings_->Intern(e.children[1]->string_value));
@@ -966,7 +966,7 @@ class Compiler {
       EXRQUY_RETURN_IF_ERROR(arity(1));
       EXRQUY_ASSIGN_OR_RETURN(OpId q,
                               CompileExpr(*e.children[0], scope, mode));
-      ColId rev = FreshCol("pos1");
+      ColId rev = dag_->FreshCol("pos1");
       OpId rn = dag_->RowNum(dag_->Project(q, Ipi()), rev,
                              {{pos(), true}}, iter());
       return dag_->Project(rn,
@@ -997,29 +997,29 @@ class Compiler {
                               CompileExpr(*e.children[0], scope, mode));
       q = dag_->Project(q, Ipi());
       // Dense per-iteration ranks; the window bounds round per spec.
-      ColId rank = FreshCol("rank");
+      ColId rank = dag_->FreshCol("rank");
       OpId rn = dag_->RowNum(q, rank, {{pos(), false}}, iter());
       EXRQUY_ASSIGN_OR_RETURN(OpId qs,
                               CompileExpr(*e.children[1], scope, mode));
       qs = MapItem(Atomize(dag_->Project(qs, Ipi())), FunKind::kRound);
-      ColId si = FreshCol("iterS");
-      ColId sv = FreshCol("start");
+      ColId si = dag_->FreshCol("iterS");
+      ColId sv = dag_->FreshCol("start");
       OpId smap = dag_->Project(qs, {{si, iter()}, {sv, item()}});
       OpId j = dag_->EquiJoin(rn, smap, iter(), si);
-      ColId ok1 = FreshCol("sel");
+      ColId ok1 = dag_->FreshCol("sel");
       OpId f1 = dag_->Fun(j, FunKind::kGe, ok1, {rank, sv});
       OpId filtered = dag_->Select(f1, ok1);
       if (e.children.size() == 3) {
         EXRQUY_ASSIGN_OR_RETURN(OpId ql,
                                 CompileExpr(*e.children[2], scope, mode));
         ql = MapItem(Atomize(dag_->Project(ql, Ipi())), FunKind::kRound);
-        ColId li = FreshCol("iterL");
-        ColId lv = FreshCol("len");
+        ColId li = dag_->FreshCol("iterL");
+        ColId lv = dag_->FreshCol("len");
         OpId lmap = dag_->Project(ql, {{li, iter()}, {lv, item()}});
         OpId j2 = dag_->EquiJoin(filtered, lmap, iter(), li);
-        ColId bound = FreshCol("bound");
+        ColId bound = dag_->FreshCol("bound");
         OpId add = dag_->Fun(j2, FunKind::kAdd, bound, {sv, lv});
-        ColId ok2 = FreshCol("sel");
+        ColId ok2 = dag_->FreshCol("sel");
         OpId f2 = dag_->Fun(add, FunKind::kLt, ok2, {rank, bound});
         filtered = dag_->Select(f2, ok2);
       }
@@ -1049,7 +1049,7 @@ class Compiler {
       EXRQUY_ASSIGN_OR_RETURN(OpId q, CompileExpr(*p.expr, scope, mode));
       q = MapItem(Atomize(dag_->Project(q, Ipi())), FunKind::kToString);
       // Space-joined in sequence order (pos), '' when empty.
-      ColId res = FreshCol("item");
+      ColId res = dag_->FreshCol("item");
       OpId a = dag_->AggrStrJoin(dag_->Project(q, Ipi()), res, item(),
                                  iter(), pos(), strings_->Intern(" "));
       OpId renamed = dag_->Project(a, {{iter(), iter()}, {item(), res}});
@@ -1107,7 +1107,7 @@ class Compiler {
 Result<CompiledQuery> CompileQuery(const Query& query, StrPool* strings,
                                    const CompileOptions& options) {
   CompiledQuery out;
-  out.dag = std::make_unique<Dag>();
+  out.dag = std::make_unique<Dag>(query.fresh_names);
   Compiler compiler(out.dag.get(), strings, options.exploit_unordered);
   OrderingMode mode = query.has_ordering_decl ? query.default_ordering
                                               : options.default_mode;

@@ -124,7 +124,7 @@ Value ValueOps::Atomize(Value v) const {
   }
   // An element or document with at most one text descendant has that
   // node's (already interned) value as its string value, or "" without
-  // one: the id Intern would return, without taking the pool's lock.
+  // one: the id Intern would return, without building and hashing it.
   NodeIdx end = v.node + store_->size(v.node);
   NodeIdx text = kInvalidNode;
   for (NodeIdx i = v.node + 1; i <= end; ++i) {

@@ -859,7 +859,7 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
     const Op& st = dag->op(sid);
     chain = dag->Step(chain, st.axis, st.test);
   }
-  ColId rid = FreshCol("rid");
+  ColId rid = dag->FreshCol("rid");
   OpId k = dag->RowId(chain, rid);
   OpId k_items =
       dag->Project(k, {{col::iter(), rid}, {col::item(), col::item()}});
@@ -957,7 +957,7 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
     // change the ids under certificates already witnessing them: emit
     // the # directly. Its ids follow the survivors' physical order, which
     // within each outer iteration is the rid order.
-    ColId s2 = FreshCol("s2");
+    ColId s2 = dag->FreshCol("s2");
     OpId renum =
         options.weaken_rownum &&
                 props->Get(keep).arbitrary.count(o_iter) != 0
@@ -974,7 +974,7 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
     if (spec.survivors != kNoOp) {
       leaves[spec.survivors] = dag->Project(renum, {{col::iter(), s2}});
     }
-    ColId tr = FreshCol("tr");
+    ColId tr = dag->FreshCol("tr");
     OpId surv = dag->Project(renum, {{s2, s2}, {tr, c_iter}});
     const std::vector<OpId> body = dag->ReachableFrom(spec.anchor);
     for (OpId b : spec.bindings) {
@@ -1020,7 +1020,7 @@ OpId EmitJoin(Dag* dag, const JoinSpec& spec, OpId outer_items_new,
     result = dag->Project(keep, {{col::iter(), o_iter}});
   } else {
     // Re-attach the inner item by rid — plain scaffolding equi-join.
-    ColId ridf = FreshCol("rid");
+    ColId ridf = dag->FreshCol("rid");
     OpId kre =
         dag->Project(k, {{ridf, rid}, {col::item(), col::item()}});
     OpId j = dag->EquiJoin(keep, kre, c_iter, ridf);

@@ -156,6 +156,11 @@ struct Query {
   bool has_ordering_decl = false;
   std::vector<FunctionDecl> functions;
   ExprPtr body;
+  // Normalize renames the parameters of inlined function calls to
+  // `name$1`, `name$2`, ...: this is the last number it used. The
+  // compiler numbers its fresh columns after it, so no two names in one
+  // plan text share a number.
+  uint32_t fresh_names = 0;
 };
 
 }  // namespace exrquy

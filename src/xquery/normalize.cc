@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "common/symbols.h"
 
 namespace exrquy {
 namespace {
@@ -38,9 +37,9 @@ ExprPtr WrapNot(ExprPtr e) {
 
 class Normalizer {
  public:
-  Normalizer(const Query& query, const NormalizeOptions& options)
-      : options_(options) {
-    for (const FunctionDecl& f : query.functions) {
+  Normalizer(Query* query, const NormalizeOptions& options)
+      : query_(*query), options_(options) {
+    for (const FunctionDecl& f : query_.functions) {
       functions_[f.name] = &f;
     }
   }
@@ -128,7 +127,8 @@ class Normalizer {
     std::map<std::string, std::string> renames;
     ExprPtr flwor = MakeExpr(ExprKind::kFlwor);
     for (size_t i = 0; i < decl.params.size(); ++i) {
-      std::string fresh = ColName(FreshCol(decl.params[i]));
+      std::string fresh =
+          decl.params[i] + '$' + std::to_string(++query_.fresh_names);
       renames[decl.params[i]] = fresh;
       FlworClause clause;
       clause.kind = FlworClause::Kind::kLet;
@@ -219,6 +219,7 @@ class Normalizer {
     }
   }
 
+  Query& query_;
   const NormalizeOptions& options_;
   std::map<std::string, const FunctionDecl*> functions_;
   std::set<std::string> inlining_;
@@ -227,7 +228,7 @@ class Normalizer {
 }  // namespace
 
 Status Normalize(Query* query, const NormalizeOptions& options) {
-  Normalizer normalizer(*query, options);
+  Normalizer normalizer(query, options);
   return normalizer.Rewrite(&query->body);
 }
 

@@ -318,9 +318,9 @@ Session* DataflowXMarkTest::session_ = nullptr;
 
 // With the three fact-driven rewrites off, the framework-based optimizer
 // must reproduce the pre-framework plans byte for byte, up to the
-// process-wide numbering of fresh columns: both sides are compared as
-// CanonicalPlanText, so the result does not depend on what the process
-// planned before (test order, --gtest_shuffle). The goldens in
+// numbering of fresh columns (process-wide when the goldens were dumped,
+// per plan now): both sides are compared as CanonicalPlanText, so the
+// result does not depend on where the numbering started. The goldens in
 // tests/corpus/plans were dumped from the legacy implementation at the
 // commit that introduced them; this is the migration's no-regression
 // contract.

@@ -180,5 +180,35 @@ TEST(SessionTest, PrologOrderingDeclarationRespected) {
   EXPECT_EQ(stats.rownum_ops, 0u);
 }
 
+TEST(SessionTest, RepeatedPlanningInternsNoNewColumns) {
+  // Fresh columns are numbered per plan, so planning a query again
+  // derives the same names: the process-wide column registry stops
+  // growing after the first plan. The query inlines a function (renamed
+  // parameters) and has a value join for the join planner to rewrite.
+  const std::string query =
+      "declare function local:twice($v) { 2 * $v };\n"
+      "for $p in doc(\"d.xml\")/r/p\n"
+      "let $a := for $q in doc(\"d.xml\")/r/q\n"
+      "          where $q/@ref = $p/@id return $q\n"
+      "return <m>{local:twice(count($a))}</m>";
+  Session session;
+  for (bool unordered : {false, true}) {
+    QueryOptions options;
+    if (unordered) options.default_ordering = OrderingMode::kUnordered;
+    ASSERT_TRUE(session.Plan(query, options).ok());
+    size_t registered = ColCount();
+    std::string text;
+    for (int i = 0; i < 1000; ++i) {
+      Result<QueryPlans> p = session.Plan(query, options);
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      if (i == 0) {
+        text = PlanToText(*p->dag, p->optimized, session.strings());
+      }
+    }
+    EXPECT_EQ(ColCount(), registered);
+    EXPECT_NE(text.find(" (value)"), std::string::npos) << text;
+  }
+}
+
 }  // namespace
 }  // namespace exrquy
